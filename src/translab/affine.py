@@ -78,7 +78,3 @@ class AffineMap:
 
     def to_dict(self) -> dict:
         return {"W": self.linear.tolist(), "b": self.offset.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AffineMap":
-        return cls(np.array(payload["W"]), np.array(payload["b"]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import io
-from .errors import TranslabError
+from .errors import SchemaError, TranslabError
 from .evaluation import (
     EvalConfig,
     sample_complexity_sweep,
@@ -324,10 +324,16 @@ def _run_generate(config: ExperimentConfig) -> int:
 
 def _run_train(config: ExperimentConfig) -> int:
     graph = io.load_graph(config.graph)
-    corpora = [
-        io.load_corpus(Path(config.corpus_dir) / io.corpus_filename(edge))
-        for edge in graph.edge_pairs()
-    ]
+    corpora = []
+    for edge in graph.edge_pairs():
+        path = Path(config.corpus_dir) / io.corpus_filename(edge)
+        corpus = io.load_corpus(path)
+        if corpus.edge != edge:
+            raise SchemaError(
+                f"{path}: corpus is for edge {corpus.edge}, but the graph edge"
+                f" {edge} loads from this file"
+            )
+        corpora.append(corpus)
     results = [fit_edge(corpus, config.ridge) for corpus in corpora]
     anchor = config.anchor or min(graph.languages)
     estimate = anchor_spanning_tree(graph, results, anchor)

@@ -79,16 +79,17 @@ def _pair_samples(
 
 
 def _population_loss_detail(
-    estimate: EncoderEstimate,
+    composite: AffineMap,
     pair: tuple[str, str],
     codecs: Mapping[str, object],
     sampler: LatentSampler,
     m: int,
     seed: int,
 ) -> tuple[float, float]:
+    """Loss and standard error of the learned ``composite`` translating ``pair``."""
     src, dst = pair
     x, reference = _pair_samples(codecs, src, dst, sampler, m, seed)
-    learned = estimate.composite(src, dst)(x)
+    learned = composite(x)
     squared = np.sum((learned - reference) ** 2, axis=1)
     loss = float(squared.mean())
     stderr = float(squared.std(ddof=1) / math.sqrt(m))
@@ -106,7 +107,8 @@ def population_loss(
     """Monte-Carlo squared gap between the learned and ground-truth composites."""
     if m < 1000:
         raise ValueError("need at least 1000 samples")
-    return _population_loss_detail(estimate, pair, codecs, sampler, m, seed)[0]
+    composite = estimate.composite(*pair)
+    return _population_loss_detail(composite, pair, codecs, sampler, m, seed)[0]
 
 
 def compose_zero_shot(estimate: EncoderEstimate, pair: tuple[str, str]) -> AffineMap:
@@ -218,16 +220,27 @@ def verify_chain_bound(
     Edge losses entering the bound are measured population losses in the
     direction the path traverses them. rho_hat is the largest operator norm
     among the maps the chaining composes: the inverted destination encoder and
-    the encoders of the path's nodes.
+    the encoders of the path's nodes. Each encoder's norm, smallest gain and
+    inverse are computed once per call.
     """
     paths, _diam = shortest_path_and_diameter(graph)
+    encoders = {
+        lang: estimate.encoder(lang) for path in paths.values() for lang in path
+    }
+    inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
+    norms = {lang: enc.operator_norm() for lang, enc in encoders.items()}
+    gains = {lang: enc.smallest_gain() for lang, enc in encoders.items()}
     edge_loss_cache: dict[tuple[str, str], float] = {}
+
+    def loss_detail(a: str, b: str) -> tuple[float, float]:
+        composite = inverses[b].compose(encoders[a])
+        return _population_loss_detail(
+            composite, (a, b), codecs, sampler, config.samples, config.seed
+        )
 
     def directed_edge_loss(a: str, b: str) -> float:
         if (a, b) not in edge_loss_cache:
-            edge_loss_cache[(a, b)] = _population_loss_detail(
-                estimate, (a, b), codecs, sampler, config.samples, config.seed
-            )[0]
+            edge_loss_cache[(a, b)] = loss_detail(a, b)[0]
         return edge_loss_cache[(a, b)]
 
     records = []
@@ -235,14 +248,9 @@ def verify_chain_bound(
         losses = tuple(
             directed_edge_loss(a, b) for a, b in zip(path, path[1:])
         )
-        rho_hat = max(
-            1.0 / estimate.encoder(dst).smallest_gain(),
-            max(estimate.encoder(node).operator_norm() for node in path),
-        )
+        rho_hat = max(1.0 / gains[dst], max(norms[node] for node in path))
         bound = 2.0 * rho_hat**2 * sum(losses)
-        measured, stderr = _population_loss_detail(
-            estimate, (src, dst), codecs, sampler, config.samples, config.seed
-        )
+        measured, stderr = loss_detail(src, dst)
         holds = measured <= bound * (1.0 + config.mc_slack) + 1e-9
         records.append(
             PairEvalRecord(

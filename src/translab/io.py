@@ -14,8 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .affine import AffineMap
 from .distributions import DeterministicTranslator, FiniteDistribution, Sentence
-from .errors import SchemaError
+from .errors import ConditioningError, SchemaError
 from .evaluation import PairEvalRecord, SweepRow
 from .generative import (
     AffineCodec,
@@ -332,12 +333,48 @@ def save_encoders(
     _write_json(payload, path)
 
 
+def _encoder_field(path, lang: str, entry, name: str, ndim: int) -> np.ndarray:
+    """One encoder's ``W`` (ndim 2) or ``b`` (ndim 1) as a finite float array."""
+    try:
+        value = np.array(entry[name], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"{path}: encoder {lang!r} field {name!r} is missing or not numeric: {exc}"
+        ) from exc
+    if value.ndim != ndim:
+        raise SchemaError(
+            f"{path}: encoder {lang!r} field {name!r} must have {ndim} dimension(s),"
+            f" got shape {value.shape}"
+        )
+    if not np.all(np.isfinite(value)):
+        raise SchemaError(f"{path}: encoder {lang!r} field {name!r} has a non-finite entry")
+    return value
+
+
 def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
+    """Read an encoder document, naming the file, language and field of any defect."""
     payload = _read_json(path)
     try:
-        estimate = EncoderEstimate.from_dict(payload)
-    except (KeyError, TypeError) as exc:
+        entries = dict(payload["encoders"])
+        anchor = payload.get("anchor")
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed encoder document: {exc}") from exc
+    encoders = {}
+    for lang, entry in entries.items():
+        W = _encoder_field(path, lang, entry, "W", 2)
+        b = _encoder_field(path, lang, entry, "b", 1)
+        if W.shape[0] != W.shape[1] or b.shape[0] != W.shape[0]:
+            raise SchemaError(
+                f"{path}: encoder {lang!r} needs a square 'W' and a matching 'b',"
+                f" got shapes {W.shape} and {b.shape}"
+            )
+        encoders[lang] = AffineMap(W, b)
+    if len({enc.dim for enc in encoders.values()}) > 1:
+        raise SchemaError(f"{path}: encoders disagree on dimension")
+    try:
+        estimate = EncoderEstimate(encoders, anchor)
+    except (ConditioningError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     spec = payload.get("spec")
     return estimate, None if spec is None else FunctionClassSpec.from_dict(spec)
 

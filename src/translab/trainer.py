@@ -7,6 +7,12 @@ are identifiable, so the anchor choice is a gauge choice. An optional
 alternating refinement pass re-solves one encoder at a time against the
 representation-space consensus and backtracks whenever the true objective
 would increase, so the total edge loss is non-increasing by construction.
+
+Refinement keeps its working state outside ``EncoderEstimate``: the current
+encoders, their cached inverses and one loss per corpus. A trial update of
+one language re-scores only the corpora on that language's edges and sums the
+full per-corpus list, so the objective it compares is bit-identical to a full
+``total_edge_loss``; the estimate is validated once, when refinement ends.
 """
 
 from __future__ import annotations
@@ -103,13 +109,6 @@ class EncoderEstimate:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EncoderEstimate":
-        return cls(
-            {lang: AffineMap.from_dict(d) for lang, d in payload["encoders"].items()},
-            payload.get("anchor"),
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -205,18 +204,38 @@ def anchor_spanning_tree(
     return EncoderEstimate(encoders, anchor)
 
 
+def _edge_loss(inv_b: AffineMap, enc_a: AffineMap, corpus: AlignedCorpus) -> float:
+    """Mean squared residual of the composite inv_b ∘ enc_a on one corpus."""
+    residual = inv_b.compose(enc_a)(corpus.source_points) - corpus.target_points
+    return float(np.mean(np.sum(residual**2, axis=1)))
+
+
 def empirical_edge_loss(estimate: EncoderEstimate, corpus: AlignedCorpus) -> float:
     """Mean squared gap between the estimate's composite and the aligned targets."""
     a, b = corpus.edge
-    composite = estimate.composite(a, b)
-    residual = composite(corpus.source_points) - corpus.target_points
-    return float(np.mean(np.sum(residual**2, axis=1)))
+    return _edge_loss(estimate.encoder(b).inverse(), estimate.encoder(a), corpus)
 
 
 def total_edge_loss(
     estimate: EncoderEstimate, corpora: Sequence[AlignedCorpus]
 ) -> float:
     return float(sum(empirical_edge_loss(estimate, c) for c in corpora))
+
+
+def _rescore(
+    lang: str,
+    encoders: Mapping[str, AffineMap],
+    inverses: Mapping[str, AffineMap],
+    losses: Sequence[float],
+    corpora: Sequence[AlignedCorpus],
+    incident: Mapping[str, Sequence[int]],
+) -> list[float]:
+    """``losses`` with the corpora on ``lang``'s edges re-scored under the given maps."""
+    trial = list(losses)
+    for i in incident[lang]:
+        a, b = corpora[i].edge
+        trial[i] = _edge_loss(inverses[b], encoders[a], corpora[i])
+    return trial
 
 
 def joint_refine(
@@ -230,29 +249,46 @@ def joint_refine(
     candidate comes from a representation-space least-squares consensus; it is
     blended toward the incumbent until the true objective does not increase,
     so every sweep is monotone (a failed search leaves the encoder unchanged).
+
+    A trial inverts the blended map once and re-scores only the corpora
+    incident to the updated language; the other per-corpus losses are reused.
+    The objective is the sum of the per-corpus list in ``corpora`` order, so it
+    equals ``total_edge_loss`` bit for bit. Encoders are re-validated once, in
+    the returned estimate; zero sweeps return ``estimate`` itself.
     """
-    current = estimate
-    total = total_edge_loss(current, corpora)
+    if config.sweeps == 0:
+        return estimate
+    encoders = dict(estimate.encoders)
+    incident: dict[str, list[int]] = {lang: [] for lang in encoders}
+    for i, corpus in enumerate(corpora):
+        for lang in set(corpus.edge):
+            if lang not in incident:
+                raise DomainError(f"no encoder for language {lang!r}")
+            incident[lang].append(i)
+    inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
+    losses = [
+        _edge_loss(inverses[c.edge[1]], encoders[c.edge[0]], c) for c in corpora
+    ]
+    total = float(sum(losses))
     for _ in range(config.sweeps):
         sweep_start = total
-        for lang in current.languages:
-            if lang == current.anchor:
+        for lang in sorted(encoders):
+            if lang == estimate.anchor or not incident[lang]:
                 continue
             points, targets = [], []
-            for corpus in corpora:
+            for i in incident[lang]:
+                corpus = corpora[i]
                 a, b = corpus.edge
                 if lang == a:
                     points.append(corpus.source_points)
-                    targets.append(current.encoder(b)(corpus.target_points))
-                elif lang == b:
+                    targets.append(encoders[b](corpus.target_points))
+                else:
                     points.append(corpus.target_points)
-                    targets.append(current.encoder(a)(corpus.source_points))
-            if not points:
-                continue
+                    targets.append(encoders[a](corpus.source_points))
             candidate = _affine_least_squares(
                 np.vstack(points), np.vstack(targets), config.ridge
             )
-            old = current.encoder(lang)
+            old = encoders[lang]
             step = 1.0
             for _attempt in range(60):
                 blended = AffineMap(
@@ -264,17 +300,22 @@ def joint_refine(
                 if blended.smallest_gain() < SINGULAR_TOL:
                     step /= 2.0
                     continue
-                trial = current.with_encoder(lang, blended)
-                trial_total = total_edge_loss(trial, corpora)
+                trial_encoders = {**encoders, lang: blended}
+                trial_inverses = {**inverses, lang: blended.inverse()}
+                trial_losses = _rescore(
+                    lang, trial_encoders, trial_inverses, losses, corpora, incident
+                )
+                trial_total = float(sum(trial_losses))
                 if trial_total <= total + 1e-12:
-                    current, total = trial, trial_total
+                    encoders, inverses = trial_encoders, trial_inverses
+                    losses, total = trial_losses, trial_total
                     break
                 step /= 2.0
         if total > sweep_start + 1e-9:
             raise InternalConsistencyError(
                 f"refinement sweep increased the objective: {sweep_start} -> {total}"
             )
-    return current
+    return EncoderEstimate(encoders, estimate.anchor)
 
 
 def project_to_class(affine: AffineMap, spec: FunctionClassSpec) -> AffineMap:

@@ -223,6 +223,71 @@ class TestPipeline:
             assert a == b
 
 
+    def _generate_and_train(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        out = tmp_path / "run"
+        run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2"],
+            capsys,
+        )
+        code, _, _ = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        return graph_path, out
+
+    def _eval(self, graph_path, out, capsys):
+        return run_cli(
+            ["eval", "--graph", str(graph_path),
+             "--codecs", str(out / "codecs.json"),
+             "--encoders", str(out / "encoders.json"),
+             "--out", str(out), "--samples", "1000"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("W", [[1.0, 0.0]]),
+            ("W", [[1.0, 0.0], [0.0]]),
+            ("W", [[1.0, 0.0], [0.0, float("nan")]]),
+            ("b", [float("inf"), 0.0]),
+        ],
+    )
+    def test_eval_with_bad_encoder_exits_2(self, tmp_path, capsys, field, value):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        encoders_path = out / "encoders.json"
+        payload = json.loads(encoders_path.read_text())
+        payload["encoders"]["L1"][field] = value
+        encoders_path.write_text(json.dumps(payload))
+        code, _, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert str(encoders_path) in err
+        assert "'L1'" in err and f"'{field}'" in err
+
+    def test_train_rejects_corpus_for_another_edge(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        out = tmp_path / "run"
+        run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2"],
+            capsys,
+        )
+        copied = out / io.corpus_filename(("L1", "L2"))
+        copied.write_bytes((out / io.corpus_filename(("L0", "L1"))).read_bytes())
+        code, _, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert str(copied) in err
+        assert "('L0', 'L1')" in err and "('L1', 'L2')" in err
+
+
 class TestSweepCommand:
     def test_small_sweep_writes_slope(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -153,6 +153,63 @@ class TestEncoderFiles:
         for lang in estimate.languages:
             assert again.encoder(lang).max_entry_difference(estimate.encoder(lang)) == 0.0
 
+    def _saved(self, tmp_path):
+        graph, _codecs, corpora, _ = chain_setup(n_langs=3)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        path = tmp_path / "encoders.json"
+        io.save_encoders(estimate, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("W", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # not square
+            ("W", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),  # ragged
+            ("W", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]),
+            ("b", [0.0, float("inf"), 0.0]),
+            ("b", [0.0, 0.0]),  # does not match W
+            ("b", "zero"),
+        ],
+    )
+    def test_bad_field_names_file_language_and_field(self, tmp_path, field, value):
+        path, payload = self._saved(tmp_path)
+        payload["encoders"]["L2"][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_encoders(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert "'L2'" in message
+        assert f"'{field}'" in message or "'W' and a matching 'b'" in message
+
+    def test_missing_encoders_key_is_schema_error(self, tmp_path):
+        path = tmp_path / "encoders.json"
+        path.write_text(json.dumps({"anchor": "L0"}))
+        with pytest.raises(SchemaError, match="malformed encoder document"):
+            io.load_encoders(path)
+
+    def test_encoders_of_different_dimension_are_schema_error(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        payload["encoders"]["L2"] = {"W": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="disagree on dimension"):
+            io.load_encoders(path)
+
+    def test_singular_encoder_names_file_and_language(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        payload["encoders"]["L2"]["W"] = [[0.0] * 3] * 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_encoders(path)
+        assert str(path) in str(info.value) and "'L2'" in str(info.value)
+
+    def test_anchor_not_identity_is_schema_error(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        payload["encoders"]["L0"]["b"] = [0.5, 0.0, 0.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="identity"):
+            io.load_encoders(path)
+
 
 class TestCsvEmission:
     def test_pair_eval_and_sweep_headers(self, tmp_path):

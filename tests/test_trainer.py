@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from translab.affine import AffineMap
+from translab import trainer
+from translab.affine import SINGULAR_TOL, AffineMap
 from translab.errors import (
     ConditioningError,
     GraphError,
@@ -29,6 +30,49 @@ from translab.trainer import (
     project_to_class,
     total_edge_loss,
 )
+
+
+def reference_joint_refine(estimate, corpora, config):
+    """Full-rescore refinement: every trial re-validates and re-scores all edges."""
+    current = estimate
+    total = total_edge_loss(current, corpora)
+    for _ in range(config.sweeps):
+        for lang in current.languages:
+            if lang == current.anchor:
+                continue
+            points, targets = [], []
+            for corpus in corpora:
+                a, b = corpus.edge
+                if lang == a:
+                    points.append(corpus.source_points)
+                    targets.append(current.encoder(b)(corpus.target_points))
+                elif lang == b:
+                    points.append(corpus.target_points)
+                    targets.append(current.encoder(a)(corpus.source_points))
+            if not points:
+                continue
+            candidate = trainer._affine_least_squares(
+                np.vstack(points), np.vstack(targets), config.ridge
+            )
+            old = current.encoder(lang)
+            step = 1.0
+            for _attempt in range(60):
+                blended = AffineMap(
+                    old.linear + step * (candidate.linear - old.linear),
+                    old.offset + step * (candidate.offset - old.offset),
+                )
+                if config.project:
+                    blended = project_to_class(blended, config.spec)
+                if blended.smallest_gain() < SINGULAR_TOL:
+                    step /= 2.0
+                    continue
+                trial = current.with_encoder(lang, blended)
+                trial_total = total_edge_loss(trial, corpora)
+                if trial_total <= total + 1e-12:
+                    current, total = trial, trial_total
+                    break
+                step /= 2.0
+    return current
 
 
 def chain_setup(n_langs=3, d=3, n=40, seed=0, sigma=0.0, nuisance=0, extra_edges=()):
@@ -231,6 +275,74 @@ class TestJointRefine:
             new_objective = total_edge_loss(current, corpora)
             assert new_objective <= objective + 1e-9
             objective = new_objective
+
+    @pytest.mark.parametrize(
+        "setup, config",
+        [
+            (  # noisy cycle with a chord
+                dict(n_langs=4, n=80, sigma=0.08, nuisance=1, seed=5,
+                     extra_edges=(("L0", "L3"),)),
+                TrainConfig(anchor="L0", sweeps=3),
+            ),
+            (  # projection onto the function class after every blend
+                dict(n_langs=4, n=60, sigma=0.1, nuisance=1, seed=5,
+                     extra_edges=(("L1", "L3"),)),
+                TrainConfig(anchor="L0", sweeps=2, project=True,
+                            spec=FunctionClassSpec(dim=4, rho=3.0, offset_bound=2.0)),
+            ),
+            (  # a cycle L1-L2-L3 with degree-1 leaves L0 and L4
+                dict(n_langs=5, n=60, sigma=0.08, nuisance=1, seed=9,
+                     extra_edges=(("L1", "L3"),)),
+                TrainConfig(anchor="L2", sweeps=2),
+            ),
+        ],
+        ids=["noisy-cycle-chord", "projected", "leaves"],
+    )
+    def test_matches_full_rescore_reference(self, setup, config):
+        graph, _codecs, corpora, _ = chain_setup(**setup)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], config.anchor)
+        refined = joint_refine(estimate, corpora, config)
+        expected = reference_joint_refine(estimate, corpora, config)
+        assert refined.anchor == expected.anchor
+        assert refined.languages == expected.languages
+        changed = False
+        for lang in expected.languages:
+            got, want = refined.encoder(lang), expected.encoder(lang)
+            assert np.array_equal(got.linear, want.linear)
+            assert np.array_equal(got.offset, want.offset)
+            changed |= not np.array_equal(want.linear, estimate.encoder(lang).linear)
+        assert changed  # refinement moved something, so the comparison has teeth
+        assert total_edge_loss(refined, corpora) == total_edge_loss(expected, corpora)
+
+    def test_trial_scores_only_incident_edges(self, monkeypatch):
+        graph, _codecs, corpora, _ = chain_setup(
+            n_langs=5, n=60, sigma=0.08, nuisance=1, seed=9, extra_edges=(("L1", "L3"),)
+        )
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L2")
+        scored = []
+        trials = []
+        edge_loss, rescore = trainer._edge_loss, trainer._rescore
+
+        def counting_edge_loss(inv_b, enc_a, corpus):
+            scored.append(corpus.edge)
+            return edge_loss(inv_b, enc_a, corpus)
+
+        def counting_rescore(lang, *args):
+            before = len(scored)
+            result = rescore(lang, *args)
+            trials.append((lang, scored[before:]))
+            return result
+
+        monkeypatch.setattr(trainer, "_edge_loss", counting_edge_loss)
+        monkeypatch.setattr(trainer, "_rescore", counting_rescore)
+        joint_refine(estimate, corpora, TrainConfig(anchor="L2", sweeps=2))
+        assert trials
+        for lang, edges in trials:
+            assert len(edges) <= len(graph.neighbors(lang))
+            assert all(lang in edge for edge in edges)
+        # one scoring of every corpus for the incumbent, then incident edges only
+        assert len(scored) == len(corpora) + sum(len(edges) for _lang, edges in trials)
+        assert len(scored) < len(corpora) * (1 + len(trials))
 
     def test_projection_requires_spec(self):
         with pytest.raises(ValueError):
