@@ -22,9 +22,7 @@ from .evaluation import (
 from .generative import (
     FunctionClassSpec,
     LatentSampler,
-    generate_corpus,
     randomized_generate,
-    sample_ground_truth_codecs,
     sample_randomized_codecs,
 )
 from .impossibility import (
@@ -286,35 +284,24 @@ def _run_demo_worst_case(config: ExperimentConfig) -> int:
 def _run_generate(config: ExperimentConfig) -> int:
     graph = io.load_graph(config.graph)
     spec = FunctionClassSpec(config.dim, config.radius, config.rho, config.offset_bound)
-    randomized = config.sigma > 0 or config.nuisance_dim > 0
-    if randomized:
-        codec_list = sample_randomized_codecs(
-            spec, len(graph.languages), config.nuisance_dim, config.sigma, config.seed
-        )
-    else:
-        codec_list = sample_ground_truth_codecs(spec, len(graph.languages), config.seed)
+    codec_list = sample_randomized_codecs(
+        spec, len(graph.languages), config.nuisance_dim, config.sigma, config.seed
+    )
     codecs = dict(zip(graph.languages, codec_list))
     out = Path(config.out)
-    io.save_codecs(
-        codecs, spec, out / "codecs.json",
-        sigma=config.sigma if randomized else 0.0,
-        nuisance_dim=config.nuisance_dim if randomized else 0,
-    )
+    io.save_codecs(codecs, spec, out / "codecs.json")
     sampler = LatentSampler(spec.dim, spec.radius, config.seed)
     for edge in graph.edge_pairs():
         n = graph.sample_count(*edge)
-        if randomized:
-            corpus = randomized_generate(edge, codecs, n, sampler, config.seed)
-        else:
-            corpus = generate_corpus(edge, codecs, n, sampler, config.seed)
+        corpus = randomized_generate(edge, codecs, n, sampler, config.seed)
         io.save_corpus(corpus, out / io.corpus_filename(edge))
         _print(f"corpus {edge[0]}->{edge[1]} n={n}")
     io.write_summary_json(
         {
             "seed": config.seed,
             "spec": spec.to_dict(),
-            "sigma": config.sigma if randomized else 0.0,
-            "nuisance_dim": config.nuisance_dim if randomized else 0,
+            "sigma": config.sigma,
+            "nuisance_dim": config.nuisance_dim,
             "edges": [list(e) for e in graph.edge_pairs()],
         },
         out / "generate_summary.json",
@@ -368,7 +355,7 @@ def _run_train(config: ExperimentConfig) -> int:
 def _run_eval(config: ExperimentConfig) -> int:
     graph = io.load_graph(config.graph)
     graph.require_connected()
-    spec, codecs, _sigma, _k = io.load_codecs(config.codecs)
+    spec, codecs = io.load_codecs(config.codecs)
     estimate, _enc_spec = io.load_encoders(config.encoders)
     sampler = LatentSampler(spec.dim, spec.radius, config.seed)
     records = verify_chain_bound(
@@ -406,12 +393,9 @@ def _run_eval(config: ExperimentConfig) -> int:
 def _run_sweep(config: ExperimentConfig) -> int:
     spec = FunctionClassSpec(config.dim, config.radius, config.rho, config.offset_bound)
     edge = ("A", "B")
-    if config.sigma > 0 or config.nuisance_dim > 0:
-        codec_list = sample_randomized_codecs(
-            spec, 2, config.nuisance_dim, config.sigma, config.seed
-        )
-    else:
-        codec_list = sample_ground_truth_codecs(spec, 2, config.seed)
+    codec_list = sample_randomized_codecs(
+        spec, 2, config.nuisance_dim, config.sigma, config.seed
+    )
     codecs = dict(zip(edge, codec_list))
     sampler = LatentSampler(spec.dim, spec.radius, config.seed)
     result = sample_complexity_sweep(

@@ -2,9 +2,9 @@
 
 Population losses are Monte-Carlo integrals against fresh seeded latent draws.
 The measured loss of a learned composite is its squared gap to the ground-truth
-composite on the source sentence distribution; in the randomized setting the
-reference is the conditional-mean translation (nuisance noise decoded at its
-mean seed), so a perfectly trained map scores zero in both settings.
+composite on the source sentence distribution. The reference is the
+conditional-mean translation (nuisance noise decoded at its mean seed), so a
+perfectly trained map scores zero with or without noise.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ import numpy as np
 from .affine import AffineMap
 from .errors import DomainError
 from .generative import (
-    AlignedCorpus,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
-    generate_corpus,
     randomized_generate,
 )
 from .seeding import derive_seed
@@ -42,16 +40,16 @@ class EvalConfig:
             raise ValueError("mc_slack must be nonnegative")
 
 
-def _check_sampler(codec, sampler: LatentSampler) -> None:
-    latent = codec.latent_dim if isinstance(codec, RandomizedCodec) else codec.dim
-    if latent != sampler.dim:
+def _check_sampler(codec: RandomizedCodec, sampler: LatentSampler) -> None:
+    if codec.latent_dim != sampler.dim:
         raise ValueError(
-            f"sampler dimension {sampler.dim} does not match codec latent dimension {latent}"
+            f"sampler dimension {sampler.dim} does not match codec latent dimension"
+            f" {codec.latent_dim}"
         )
 
 
 def _pair_samples(
-    codecs: Mapping[str, object],
+    codecs: Mapping[str, RandomizedCodec],
     src: str,
     dst: str,
     sampler: LatentSampler,
@@ -65,23 +63,16 @@ def _pair_samples(
     src_codec, dst_codec = codecs[src], codecs[dst]
     _check_sampler(src_codec, sampler)
     z = sampler.fork(seed, "pop", src, dst).sample(m)
-    if isinstance(src_codec, RandomizedCodec):
-        rng = np.random.default_rng(
-            derive_seed(seed, "pop-noise", sampler.seed, src, dst)
-        )
-        r = src_codec.draw_decoder_seeds(rng, m)
-        x = src_codec.decode(z, r)
-        reference = dst_codec.mean_decode(src_codec.encode(x))
-    else:
-        x = src_codec.decode(z)
-        reference = dst_codec.decode(src_codec.encode(x))
-    return x, reference
+    rng = np.random.default_rng(derive_seed(seed, "pop-noise", sampler.seed, src, dst))
+    r = src_codec.draw_decoder_seeds(rng, m)
+    x = src_codec.decode(z, r)
+    return x, dst_codec.mean_decode(src_codec.encode(x))
 
 
 def _population_loss_detail(
     composite: AffineMap,
     pair: tuple[str, str],
-    codecs: Mapping[str, object],
+    codecs: Mapping[str, RandomizedCodec],
     sampler: LatentSampler,
     m: int,
     seed: int,
@@ -99,7 +90,7 @@ def _population_loss_detail(
 def population_loss(
     estimate: EncoderEstimate,
     pair: tuple[str, str],
-    codecs: Mapping[str, object],
+    codecs: Mapping[str, RandomizedCodec],
     sampler: LatentSampler,
     m: int,
     seed: int,
@@ -109,12 +100,6 @@ def population_loss(
         raise ValueError("need at least 1000 samples")
     composite = estimate.composite(*pair)
     return _population_loss_detail(composite, pair, codecs, sampler, m, seed)[0]
-
-
-def compose_zero_shot(estimate: EncoderEstimate, pair: tuple[str, str]) -> AffineMap:
-    """The single affine map translating pair[0] sentences into pair[1] sentences."""
-    src, dst = pair
-    return estimate.composite(src, dst)
 
 
 def shortest_path_and_diameter(
@@ -211,7 +196,7 @@ class PairEvalRecord:
 def verify_chain_bound(
     estimate: EncoderEstimate,
     graph: TranslationGraph,
-    codecs: Mapping[str, object],
+    codecs: Mapping[str, RandomizedCodec],
     sampler: LatentSampler,
     config: EvalConfig,
 ) -> list[PairEvalRecord]:
@@ -336,18 +321,9 @@ class SweepResult:
         return {n: float(np.median(g)) for n, g in sorted(by_n.items())}
 
 
-def _make_corpus(edge, codecs, n, sampler, seed) -> AlignedCorpus:
-    kinds = {isinstance(codecs[lang], RandomizedCodec) for lang in edge}
-    if kinds == {True}:
-        return randomized_generate(edge, codecs, n, sampler, seed)
-    if kinds == {False}:
-        return generate_corpus(edge, codecs, n, sampler, seed)
-    raise ValueError("edge endpoints mix randomized and deterministic codecs")
-
-
 def sample_complexity_sweep(
     edge: tuple[str, str],
-    codecs: Mapping[str, object],
+    codecs: Mapping[str, RandomizedCodec],
     n_list: Sequence[int],
     trials: int,
     sampler: LatentSampler,
@@ -372,11 +348,11 @@ def sample_complexity_sweep(
     rows = []
     for n in n_list:
         for trial in range(trials):
-            train = _make_corpus(
+            train = randomized_generate(
                 edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial)
             )
             fitted = fit_edge(train, ridge)
-            fresh = _make_corpus(
+            fresh = randomized_generate(
                 edge,
                 codecs,
                 population_samples,

@@ -1,10 +1,11 @@
-"""Encoder-decoder generative model: latent ball, affine codecs, graphs, corpora.
+"""Encoder-decoder generative model: latent ball, codecs, graphs, corpora.
 
-Sentences here are vectors. Every language owns an invertible affine codec;
-aligned corpora arise by decoding shared latent draws through two codecs. The
-randomized variant embeds the latent next to nuisance noise coordinates under
-one invertible map, so encoding recovers the latent exactly and distributional
-invariance of the latent holds by construction rather than approximately.
+Sentences here are vectors. Every language owns one codec: an invertible
+affine map applied to the latent stacked with scaled nuisance noise
+coordinates. Aligned corpora arise by decoding shared latent draws through two
+codecs. Encoding recovers the latent exactly, so distributional invariance of
+the latent holds by construction rather than approximately. The deterministic
+model is the codec with no nuisance coordinates and zero noise scale.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .affine import SINGULAR_TOL, AffineMap
+from .affine import SINGULAR_TOL
 from .errors import DomainError, GraphError
 from .seeding import derive_seed
 
@@ -111,63 +112,20 @@ def _digest(*arrays: np.ndarray) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineCodec:
-    """Ground-truth encoder/decoder pair: decode(z) = W z + b, encode = exact inverse."""
-
-    W: np.ndarray
-    b: np.ndarray
-    _W_inv: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        W = np.array(self.W, dtype=np.float64)
-        b = np.array(self.b, dtype=np.float64).reshape(-1)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"W must be square, got {W.shape}")
-        if b.shape[0] != W.shape[0]:
-            raise ValueError("b dimension does not match W")
-        if np.linalg.svd(W, compute_uv=False)[-1] < SINGULAR_TOL:
-            raise ValueError("codec matrix is numerically singular")
-        W.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_W_inv", np.linalg.inv(W))
-
-    @property
-    def dim(self) -> int:
-        return self.W.shape[0]
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) @ self.W.T + self.b
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.b) @ self._W_inv.T
-
-    def decoder_map(self) -> AffineMap:
-        return AffineMap(self.W, self.b)
-
-    def encoder_map(self) -> AffineMap:
-        return AffineMap(self._W_inv, -self._W_inv @ self.b)
-
-    def digest(self) -> str:
-        return _digest(self.W, self.b)
-
-
-@dataclass(frozen=True, eq=False)
 class RandomizedCodec:
     """Codec whose decoder mixes the latent with scaled nuisance noise.
 
     decode(z, r) applies one invertible map to the stacked vector (z, sigma*r);
     encode drops the nuisance coordinates after inverting, so it recovers the
-    latent exactly for every noise seed. Encoder seeds are accepted for
-    interface symmetry but the encoder is deterministic (a degenerate seed
-    distribution).
+    latent exactly for every noise seed. With the defaults (no nuisance
+    coordinates, zero noise scale) decode is W z + b and encode its exact
+    inverse.
     """
 
     W: np.ndarray
     b: np.ndarray
-    nuisance_dim: int
-    sigma: float
+    nuisance_dim: int = 0
+    sigma: float = 0.0
     _W_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -200,9 +158,6 @@ class RandomizedCodec:
     def draw_decoder_seeds(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return _truncated_normal(rng, (m, self.nuisance_dim))
 
-    def draw_encoder_seeds(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.zeros((m, 0))
-
     def decode(self, z: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         if r is None:
@@ -214,8 +169,7 @@ class RandomizedCodec:
         """Decode at the mean (zero) noise seed: the conditional-mean sentence."""
         return self.decode(z, None)
 
-    def encode(self, x: np.ndarray, r_prime: np.ndarray | None = None) -> np.ndarray:
-        del r_prime  # encoder seed distribution is degenerate
+    def encode(self, x: np.ndarray) -> np.ndarray:
         full = (np.asarray(x, dtype=np.float64) - self.b) @ self._W_inv.T
         return full[:, : self.latent_dim]
 
@@ -245,21 +199,6 @@ def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray
     return direction * (radius * rng.random() ** (1.0 / dim))
 
 
-def sample_ground_truth_codecs(
-    spec: FunctionClassSpec, count: int, seed: int
-) -> list[AffineCodec]:
-    """Draw one codec per language: banded singular values, offset in the offset ball."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(derive_seed(seed, "ground-truth-codecs"))
-    codecs = []
-    for _ in range(count):
-        W = _band_matrix(rng, spec.dim, spec.rho)
-        b = _ball_point(rng, spec.dim, spec.offset_bound)
-        codecs.append(AffineCodec(W, b))
-    return codecs
-
-
 def sample_randomized_codecs(
     spec: FunctionClassSpec,
     count: int,
@@ -267,12 +206,16 @@ def sample_randomized_codecs(
     sigma: float,
     seed: int,
 ) -> list[RandomizedCodec]:
-    """Randomized analog of ``sample_ground_truth_codecs`` on the stacked space."""
+    """Draw one codec per language: banded singular values, offset in the offset ball."""
     if count < 1:
         raise ValueError("count must be at least 1")
     if nuisance_dim < 0:
         raise ValueError("nuisance_dim must be nonnegative")
-    rng = np.random.default_rng(derive_seed(seed, "randomized-codecs"))
+    # Noiseless codecs keep the deterministic model's stream label, so a seed
+    # reproduces the codecs it has always drawn.
+    noiseless = nuisance_dim == 0 and sigma == 0
+    label = "ground-truth-codecs" if noiseless else "randomized-codecs"
+    rng = np.random.default_rng(derive_seed(seed, label))
     total = spec.dim + nuisance_dim
     codecs = []
     for _ in range(count):
@@ -292,6 +235,7 @@ class TranslationGraph:
 
     languages: tuple[str, ...]
     edges: tuple[tuple[str, str, int], ...]
+    _adjacency: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         languages = tuple(self.languages)
@@ -312,8 +256,15 @@ class TranslationGraph:
                 raise GraphError(f"negative sample count on edge {key}")
             seen.add(key)
             canonical.append((key[0], key[1], int(n)))
+        adjacency: dict[str, list[str]] = {lang: [] for lang in languages}
+        for a, b, _n in canonical:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
         object.__setattr__(self, "languages", languages)
         object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(
+            self, "_adjacency", {k: tuple(sorted(v)) for k, v in adjacency.items()}
+        )
 
     def edge_pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple((a, b) for a, b, _n in self.edges)
@@ -326,13 +277,7 @@ class TranslationGraph:
         raise GraphError(f"no edge {key}")
 
     def neighbors(self, lang: str) -> tuple[str, ...]:
-        out = []
-        for a, b, _n in self.edges:
-            if a == lang:
-                out.append(b)
-            elif b == lang:
-                out.append(a)
-        return tuple(sorted(out))
+        return self._adjacency.get(lang, ())
 
     def is_connected(self) -> bool:
         if not self.languages:
@@ -419,35 +364,6 @@ class AlignedCorpus:
         return self.pairs[:, 1, :]
 
 
-def generate_corpus(
-    edge: tuple[str, str],
-    codecs: Mapping[str, AffineCodec],
-    n: int,
-    sampler: LatentSampler,
-    seed: int,
-) -> AlignedCorpus:
-    """Decode n shared latents through both endpoint codecs."""
-    a, b = edge
-    for lang in (a, b):
-        if lang not in codecs:
-            raise DomainError(f"no codec for language {lang!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    z = sampler.fork(seed, "latent", a, b).sample(n)
-    x = codecs[a].decode(z)
-    x_prime = codecs[b].decode(z)
-    meta = {
-        "edge": [a, b],
-        "n": n,
-        "seed": seed,
-        "sampler_seed": sampler.seed,
-        "sigma": 0.0,
-        "nuisance_dim": 0,
-        "codec_digest": {a: codecs[a].digest(), b: codecs[b].digest()},
-    }
-    return AlignedCorpus((a, b), np.stack([x, x_prime], axis=1), meta)
-
-
 def randomized_generate(
     edge: tuple[str, str],
     codecs: Mapping[str, RandomizedCodec],
@@ -457,9 +373,8 @@ def randomized_generate(
 ) -> AlignedCorpus:
     """Decode n shared latents with independent noise seeds per side.
 
-    With zero noise scale and no nuisance coordinates this reproduces
-    ``generate_corpus`` bit for bit, because the latent stream derivation is
-    identical and the noise draws come from a separate generator.
+    The noise draws come from a generator separate from the latent stream, so
+    the latents of an edge do not depend on the codecs' noise settings.
     """
     a, b = edge
     for lang in (a, b):
@@ -576,9 +491,7 @@ def invariance_test(
     z = sampler.fork("invariance-latents").sample(m)
     rng = np.random.default_rng(derive_seed(sampler.seed, "invariance-noise"))
     r = codec.draw_decoder_seeds(rng, m)
-    x = codec.decode(z, r)
-    r_prime = codec.draw_encoder_seeds(rng, m)
-    z_round = codec.encode(x, r_prime)
+    z_round = codec.encode(codec.decode(z, r))
     cmp = paired_moment_gaps(z_round, z)
     return InvarianceResult(
         cmp.mean_gap, cmp.cov_gap, cmp.holds, cmp.mean_se, cmp.cov_se
@@ -592,13 +505,13 @@ class PropositionZeroResult(NamedTuple):
 
 
 def target_side_samples(
-    codecs: Mapping[str, AffineCodec],
+    codecs: Mapping[str, RandomizedCodec],
     sources: Sequence[str],
     target: str,
     sampler: LatentSampler,
     m: int,
     share_latents: bool = False,
-    decoder_override: Mapping[str, AffineCodec] | None = None,
+    decoder_override: Mapping[str, RandomizedCodec] | None = None,
 ) -> dict[str, np.ndarray]:
     """The target half of each (source, target) corpus, one sample set per source."""
     if target not in codecs:
@@ -617,13 +530,13 @@ def target_side_samples(
 
 
 def proposition_zero_check(
-    codecs: Mapping[str, AffineCodec],
+    codecs: Mapping[str, RandomizedCodec],
     sources: Sequence[str],
     target: str,
     sampler: LatentSampler,
     m: int,
     share_latents: bool = False,
-    decoder_override: Mapping[str, AffineCodec] | None = None,
+    decoder_override: Mapping[str, RandomizedCodec] | None = None,
 ) -> PropositionZeroResult:
     """Target-side marginals from different source pairs must coincide.
 

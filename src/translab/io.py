@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import zipfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,7 +20,6 @@ from .distributions import DeterministicTranslator, FiniteDistribution, Sentence
 from .errors import ConditioningError, SchemaError
 from .evaluation import PairEvalRecord, SweepRow
 from .generative import (
-    AffineCodec,
     AlignedCorpus,
     FunctionClassSpec,
     RandomizedCodec,
@@ -263,12 +263,13 @@ def save_graph(graph: TranslationGraph, path) -> None:
 
 
 def save_codecs(
-    codecs: Mapping[str, object],
-    spec: FunctionClassSpec,
-    path,
-    sigma: float = 0.0,
-    nuisance_dim: int = 0,
+    codecs: Mapping[str, RandomizedCodec], spec: FunctionClassSpec, path
 ) -> None:
+    """Write codecs that share one noise setting, which the document records once."""
+    settings = {(codec.sigma, codec.nuisance_dim) for codec in codecs.values()}
+    if len(settings) != 1:
+        raise ValueError("codecs must share one sigma and nuisance_dim")
+    ((sigma, nuisance_dim),) = settings
     payload = {
         "spec": spec.to_dict(),
         "sigma": sigma,
@@ -281,23 +282,30 @@ def save_codecs(
     _write_json(payload, path)
 
 
-def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, object], float, int]:
+def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
+    """Read a codec document, naming the file and language of any defect."""
     payload = _read_json(path)
     try:
         spec = FunctionClassSpec.from_dict(payload["spec"])
         sigma = float(payload.get("sigma", 0.0))
         nuisance = int(payload.get("nuisance_dim", 0))
-        codecs: dict[str, object] = {}
-        for lang, entry in payload["codecs"].items():
-            W = np.array(entry["W"])
-            b = np.array(entry["b"])
-            if nuisance > 0 or sigma > 0:
-                codecs[lang] = RandomizedCodec(W, b, nuisance, sigma)
-            else:
-                codecs[lang] = AffineCodec(W, b)
+        entries = dict(payload["codecs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed codec document: {exc}") from exc
-    return spec, codecs, sigma, nuisance
+    codecs = {}
+    for lang, entry in entries.items():
+        try:
+            W, b = np.array(entry["W"]), np.array(entry["b"])
+            codec = RandomizedCodec(W, b, nuisance, sigma)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: malformed codec {lang!r}: {exc}") from exc
+        if codec.latent_dim != spec.dim:
+            raise SchemaError(
+                f"{path}: codec {lang!r} has latent dimension {codec.latent_dim}"
+                f" ('W' rows minus nuisance_dim), but the spec's 'd' is {spec.dim}"
+            )
+        codecs[lang] = codec
+    return spec, codecs
 
 
 def save_corpus(corpus: AlignedCorpus, path) -> None:
@@ -311,13 +319,39 @@ def save_corpus(corpus: AlignedCorpus, path) -> None:
 
 
 def load_corpus(path) -> AlignedCorpus:
-    with np.load(path, allow_pickle=False) as npz:
-        try:
-            pairs = np.array(npz["pairs"])
-            edge = tuple(str(x) for x in npz["edge"])
-            meta = json.loads(str(npz["meta"][()]))
-        except KeyError as exc:
-            raise SchemaError(f"{path}: malformed corpus file: {exc}") from exc
+    """Read a corpus NPZ, naming the file and the field of any defect."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise SchemaError(f"{path}: not an NPZ corpus file: {exc}") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise SchemaError(f"{path}: not an NPZ corpus file")
+    fields = {}
+    with npz:
+        for name in ("pairs", "edge", "meta"):
+            try:
+                fields[name] = npz[name]
+            except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+                raise SchemaError(f"{path}: corpus field {name!r} is unreadable: {exc}") from exc
+    pairs = fields["pairs"]
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[1] != 2:
+        raise SchemaError(
+            f"{path}: corpus field 'pairs' must be a numeric (n, 2, dim) array,"
+            f" got {pairs.dtype} of shape {pairs.shape}"
+        )
+    if not np.all(np.isfinite(pairs)):
+        raise SchemaError(f"{path}: corpus field 'pairs' has a non-finite entry")
+    edge = tuple(str(x) for x in np.ravel(fields["edge"]))
+    if len(edge) != 2:
+        raise SchemaError(f"{path}: corpus field 'edge' must name two languages, got {edge}")
+    try:
+        meta = json.loads(str(fields["meta"][()]))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: corpus field 'meta' is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{path}: corpus field 'meta' must be a JSON object")
     return AlignedCorpus(edge, pairs, meta)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from translab.affine import AffineMap
 from translab.distributions import DeterministicTranslator, FiniteDistribution
 
 
@@ -16,3 +17,8 @@ def random_translator(rng: np.random.Generator, domain, codomain) -> Determinist
     return DeterministicTranslator(
         {atom: codomain[rng.integers(len(codomain))] for atom in domain}
     )
+
+
+def encoder_map(codec) -> AffineMap:
+    """The exact inverse of a noiseless codec's decoder, as one affine map."""
+    return AffineMap(codec.W, codec.b).inverse()

@@ -30,11 +30,9 @@ from translab.generative import (
     FunctionClassSpec,
     LatentSampler,
     TranslationGraph,
-    generate_corpus,
     moment_tv_lower_bound,
     proposition_zero_check,
     randomized_generate,
-    sample_ground_truth_codecs,
     sample_randomized_codecs,
     six_language_demo_graph,
     target_side_samples,
@@ -157,7 +155,7 @@ def test_criterion_05_generated_marginals_coincide():
     for i in range(runs):
         seed = MASTER_SEED + 100 + i
         codecs = dict(
-            zip(sources + ["T"], sample_ground_truth_codecs(spec, 4, seed=seed))
+            zip(sources + ["T"], sample_randomized_codecs(spec, 4, 0, 0.0, seed=seed))
         )
         sampler = LatentSampler(4, 1.0, seed=seed)
         check = proposition_zero_check(codecs, sources, "T", sampler, 10_000)
@@ -186,9 +184,9 @@ def test_criterion_06_realizable_exact_recovery():
     langs = [f"L{i}" for i in range(5)]
     graph = chain_graph(langs, 50)
     seed = MASTER_SEED + 6
-    codecs = dict(zip(langs, sample_ground_truth_codecs(spec, 5, seed=seed)))
+    codecs = dict(zip(langs, sample_randomized_codecs(spec, 5, 0, 0.0, seed=seed)))
     sampler = LatentSampler(4, 1.0, seed=seed)
-    corpora = [generate_corpus(e, codecs, 50, sampler, seed=seed) for e in graph.edge_pairs()]
+    corpora = [randomized_generate(e, codecs, 50, sampler, seed=seed) for e in graph.edge_pairs()]
     estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
     worst = 0.0
     n_pairs = 0
@@ -263,12 +261,12 @@ def test_criterion_08_gauge_invariance():
     langs = [f"L{i}" for i in range(5)]
     graph = chain_graph(langs, 50)
     seed = MASTER_SEED + 8
-    codecs = dict(zip(langs, sample_ground_truth_codecs(spec, 5, seed=seed)))
+    codecs = dict(zip(langs, sample_randomized_codecs(spec, 5, 0, 0.0, seed=seed)))
     sampler = LatentSampler(4, 1.0, seed=seed)
-    corpora = [generate_corpus(e, codecs, 50, sampler, seed=seed) for e in graph.edge_pairs()]
+    corpora = [randomized_generate(e, codecs, 50, sampler, seed=seed) for e in graph.edge_pairs()]
     estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
 
-    gauge_codec = sample_ground_truth_codecs(spec, 1, seed=seed + 1)[0]
+    gauge_codec = sample_randomized_codecs(spec, 1, 0, 0.0, seed=seed + 1)[0]
     gauge = AffineMap(gauge_codec.W, gauge_codec.b)
     transformed = estimate.with_gauge(gauge)
 

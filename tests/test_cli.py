@@ -287,6 +287,53 @@ class TestPipeline:
         assert str(copied) in err
         assert "('L0', 'L1')" in err and "('L1', 'L2')" in err
 
+    @pytest.mark.parametrize(
+        "defect, field",
+        [("nan", "pairs"), ("shape", "pairs"), ("meta", "meta"), ("not_npz", None)],
+    )
+    def test_train_with_bad_corpus_exits_2(self, tmp_path, capsys, defect, field):
+        import numpy as np
+
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        out = tmp_path / "run"
+        run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2"],
+            capsys,
+        )
+        path = out / io.corpus_filename(("L0", "L1"))
+        if defect == "not_npz":
+            path.write_text("not an npz file")
+        else:
+            with np.load(path) as npz:
+                fields = {name: npz[name] for name in npz.files}
+            if defect == "nan":
+                fields["pairs"] = fields["pairs"].copy()
+                fields["pairs"][0, 0, 0] = np.nan
+            elif defect == "shape":
+                fields["pairs"] = fields["pairs"][:, 0, :]
+            else:
+                fields["meta"] = np.array("{not json")
+            np.savez(path, **fields)
+        code, _, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert str(path) in err
+        assert field is None or f"'{field}'" in err
+
+    def test_eval_with_codecs_of_wrong_latent_dimension_exits_2(self, tmp_path, capsys):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        codecs_path = out / "codecs.json"
+        payload = json.loads(codecs_path.read_text())
+        payload["spec"]["d"] = 3
+        codecs_path.write_text(json.dumps(payload))
+        code, _, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert str(codecs_path) in err and "'L0'" in err and "latent dimension" in err
+
 
 class TestSweepCommand:
     def test_small_sweep_writes_slope(self, tmp_path, capsys):

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import encoder_map
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.evaluation import (
     EvalConfig,
     PairEvalRecord,
-    compose_zero_shot,
     concentration_bound,
     path_bound,
     population_loss,
@@ -20,11 +20,10 @@ from translab.evaluation import (
     verify_chain_bound,
 )
 from translab.generative import (
-    AffineCodec,
     FunctionClassSpec,
     LatentSampler,
+    RandomizedCodec,
     TranslationGraph,
-    sample_ground_truth_codecs,
     sample_randomized_codecs,
     six_language_demo_graph,
 )
@@ -36,7 +35,7 @@ class TestPopulationLoss:
     def test_truth_estimate_scores_zero(self):
         _graph, codecs, _corpora, sampler = chain_setup()
         estimate = EncoderEstimate(
-            {lang: codecs[lang].encoder_map() for lang in codecs}, anchor=None
+            {lang: encoder_map(codecs[lang]) for lang in codecs}, anchor=None
         )
         loss = population_loss(estimate, ("L0", "L2"), codecs, sampler, 2000, seed=1)
         assert loss <= 1e-12
@@ -46,8 +45,8 @@ class TestPopulationLoss:
         # uniform on [-1, 1], so the loss is delta^2 * E[x^2] = delta^2 / 3
         delta = 0.3
         codecs = {
-            "A": AffineCodec(np.eye(1), np.zeros(1)),
-            "B": AffineCodec(np.array([[2.0]]), np.zeros(1)),
+            "A": RandomizedCodec(np.eye(1), np.zeros(1)),
+            "B": RandomizedCodec(np.array([[2.0]]), np.zeros(1)),
         }
         estimate = EncoderEstimate(
             {
@@ -73,32 +72,42 @@ class TestPopulationLoss:
     def test_unknown_language(self):
         _graph, codecs, _corpora, sampler = chain_setup()
         estimate = EncoderEstimate(
-            {lang: codecs[lang].encoder_map() for lang in codecs}, anchor=None
+            {lang: encoder_map(codecs[lang]) for lang in codecs}, anchor=None
         )
         with pytest.raises(DomainError):
             population_loss(estimate, ("L0", "Lx"), codecs, sampler, 2000, seed=0)
+
+    def test_sampler_must_match_codec_latent_dimension(self):
+        _graph, codecs, _corpora, _sampler = chain_setup(d=3, nuisance=1, sigma=0.1)
+        estimate = EncoderEstimate(
+            {lang: AffineMap.identity(4) for lang in codecs}, anchor=None
+        )
+        with pytest.raises(ValueError, match="latent dimension 3"):
+            population_loss(
+                estimate, ("L0", "L1"), codecs, LatentSampler(4, 1.0, 0), 2000, seed=0
+            )
 
 
 class TestComposeZeroShot:
     def test_same_language_is_identity(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        composite = compose_zero_shot(estimate, ("L1", "L1"))
+        composite = estimate.composite("L1", "L1")
         assert composite.max_entry_difference(AffineMap.identity(3)) <= 1e-12
 
     def test_adjacent_pair_equals_fitted_map(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
         results = [fit_edge(c) for c in corpora]
         estimate = anchor_spanning_tree(graph, results, "L0")
-        composite = compose_zero_shot(estimate, results[0].edge)
+        composite = estimate.composite(*results[0].edge)
         assert composite.max_entry_difference(results[0].transform) <= 1e-10
 
     def test_composites_telescope(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=4)
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        direct = compose_zero_shot(estimate, ("L0", "L3"))
-        stepped = compose_zero_shot(estimate, ("L1", "L3")).compose(
-            compose_zero_shot(estimate, ("L0", "L1"))
+        direct = estimate.composite("L0", "L3")
+        stepped = estimate.composite("L1", "L3").compose(
+            estimate.composite("L0", "L1")
         )
         assert direct.max_entry_difference(stepped) <= 1e-10
 
@@ -287,7 +296,7 @@ class TestSampleSizeFormulas:
 class TestSweep:
     def test_noiseless_sweep_is_degenerate(self):
         spec = FunctionClassSpec(dim=2)
-        codecs = dict(zip("AB", sample_ground_truth_codecs(spec, 2, seed=0)))
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
         sampler = LatentSampler(2, 1.0, seed=0)
         result = sample_complexity_sweep(
             ("A", "B"), codecs, [8, 16], 5, sampler, seed=0, population_samples=2000

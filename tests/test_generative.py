@@ -3,23 +3,23 @@
 import numpy as np
 import pytest
 
+from helpers import encoder_map
+from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.generative import (
-    AffineCodec,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
-    generate_corpus,
     invariance_test,
     moment_tv_lower_bound,
     proposition_zero_check,
     randomized_generate,
-    sample_ground_truth_codecs,
     sample_randomized_codecs,
     six_language_demo_graph,
     two_sample_moment_gaps,
 )
+from translab.seeding import derive_seed
 
 
 class TestFunctionClassSpec:
@@ -74,61 +74,77 @@ class TestLatentSampler:
 class TestGroundTruthCodecs:
     def test_singular_values_inside_band(self):
         spec = FunctionClassSpec(dim=4, rho=2.0)
-        for codec in sample_ground_truth_codecs(spec, 5, seed=0):
+        for codec in sample_randomized_codecs(spec, 5, 0, 0.0, seed=0):
             s = np.linalg.svd(codec.W, compute_uv=False)
             assert s.max() <= 2.0 + 1e-9
             assert s.min() >= 0.5 - 1e-9
 
     def test_unit_band_collapses_to_isometries(self):
         spec = FunctionClassSpec(dim=4, rho=1.0, offset_bound=0.0)
-        for codec in sample_ground_truth_codecs(spec, 3, seed=0):
+        for codec in sample_randomized_codecs(spec, 3, 0, 0.0, seed=0):
             assert np.allclose(codec.W.T @ codec.W, np.eye(4), atol=1e-9)
             assert np.allclose(codec.b, 0.0)
 
     def test_composite_operator_norm_within_rho_squared(self):
         spec = FunctionClassSpec(dim=4, rho=2.0)
-        c0, c1 = sample_ground_truth_codecs(spec, 2, seed=3)
-        composite = c1.encoder_map().compose(c0.decoder_map())
+        c0, c1 = sample_randomized_codecs(spec, 2, 0, 0.0, seed=3)
+        composite = encoder_map(c1).compose(AffineMap(c0.W, c0.b))
         assert composite.operator_norm() <= spec.rho**2 + 1e-9
 
     def test_roundtrip_inversion(self):
         spec = FunctionClassSpec(dim=5)
-        codec = sample_ground_truth_codecs(spec, 1, seed=2)[0]
+        codec = sample_randomized_codecs(spec, 1, 0, 0.0, seed=2)[0]
         z = LatentSampler(5, 1.0, seed=0).sample(1000)
         assert np.abs(codec.encode(codec.decode(z)) - z).max() <= 1e-9
 
     def test_decoded_points_respect_sup_bound(self):
         spec = FunctionClassSpec(dim=4)
-        codec = sample_ground_truth_codecs(spec, 1, seed=7)[0]
+        codec = sample_randomized_codecs(spec, 1, 0, 0.0, seed=7)[0]
         z = LatentSampler(4, spec.radius, seed=0).sample(2000)
         assert np.linalg.norm(codec.decode(z), axis=1).max() <= spec.M + 1e-9
 
     def test_sampling_is_bit_deterministic(self):
         spec = FunctionClassSpec(dim=3)
-        a = sample_ground_truth_codecs(spec, 4, seed=11)
-        b = sample_ground_truth_codecs(spec, 4, seed=11)
+        a = sample_randomized_codecs(spec, 4, 0, 0.0, seed=11)
+        b = sample_randomized_codecs(spec, 4, 0, 0.0, seed=11)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.W, cb.W) and np.array_equal(ca.b, cb.b)
 
     def test_rejects_singular_matrix(self):
         with pytest.raises(ValueError):
-            AffineCodec(np.zeros((2, 2)), np.zeros(2))
+            RandomizedCodec(np.zeros((2, 2)), np.zeros(2))
+
+    def test_noiseless_codecs_reproduce_ground_truth_stream(self):
+        # inline reference for the deterministic model's codec stream
+        spec = FunctionClassSpec(dim=3, rho=2.0, offset_bound=1.0)
+        rng = np.random.default_rng(derive_seed(5, "ground-truth-codecs"))
+        codecs = sample_randomized_codecs(spec, 4, 0, 0.0, seed=5)
+        for codec in codecs:
+            u, s, vt = np.linalg.svd(rng.standard_normal((3, 3)))
+            W = u @ np.diag(np.clip(s, 0.5, 2.0)) @ vt
+            direction = rng.standard_normal(3)
+            direction /= np.linalg.norm(direction)
+            b = direction * (1.0 * rng.random() ** (1.0 / 3))
+            assert np.array_equal(codec.W, W) and np.array_equal(codec.b, b)
+            assert codec.nuisance_dim == 0 and codec.sigma == 0.0
+        noisy = sample_randomized_codecs(spec, 4, 0, 0.1, seed=5)
+        assert not np.array_equal(noisy[0].W, codecs[0].W)
 
 
 class TestGenerateCorpus:
     def _codecs(self, d=3, seed=0, count=2):
         spec = FunctionClassSpec(dim=d)
-        return dict(zip("AB", sample_ground_truth_codecs(spec, count, seed=seed)))
+        return dict(zip("AB", sample_randomized_codecs(spec, count, 0, 0.0, seed=seed)))
 
     def test_same_language_gives_identical_sides(self):
         codecs = self._codecs()
         codecs["B"] = codecs["A"]
-        corpus = generate_corpus(("A", "B"), codecs, 50, LatentSampler(3, 1.0, 0), seed=0)
+        corpus = randomized_generate(("A", "B"), codecs, 50, LatentSampler(3, 1.0, 0), seed=0)
         assert np.array_equal(corpus.source_points, corpus.target_points)
 
     def test_shared_latent_alignment(self):
         codecs = self._codecs()
-        corpus = generate_corpus(("A", "B"), codecs, 200, LatentSampler(3, 1.0, 0), seed=1)
+        corpus = randomized_generate(("A", "B"), codecs, 200, LatentSampler(3, 1.0, 0), seed=1)
         za = codecs["A"].encode(corpus.source_points)
         zb = codecs["B"].encode(corpus.target_points)
         assert np.abs(za - zb).max() <= 1e-9
@@ -136,7 +152,7 @@ class TestGenerateCorpus:
     def test_sample_mean_near_decoded_origin(self):
         codecs = self._codecs(seed=4)
         m = 50_000
-        corpus = generate_corpus(("A", "B"), codecs, m, LatentSampler(3, 1.0, 2), seed=2)
+        corpus = randomized_generate(("A", "B"), codecs, m, LatentSampler(3, 1.0, 2), seed=2)
         gap = np.linalg.norm(corpus.source_points.mean(axis=0) - codecs["A"].b)
         rho = 2.0
         assert gap <= rho * 4 / np.sqrt(m * (3 + 2))
@@ -144,27 +160,25 @@ class TestGenerateCorpus:
     def test_unknown_language(self):
         codecs = self._codecs()
         with pytest.raises(DomainError):
-            generate_corpus(("A", "C"), codecs, 10, LatentSampler(3, 1.0, 0), seed=0)
+            randomized_generate(("A", "C"), codecs, 10, LatentSampler(3, 1.0, 0), seed=0)
 
     def test_reproducible_from_seed(self):
         codecs = self._codecs()
-        a = generate_corpus(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
-        b = generate_corpus(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
+        a = randomized_generate(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
+        b = randomized_generate(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
         assert np.array_equal(a.pairs, b.pairs)
 
 
 class TestRandomizedGenerate:
     def test_degenerate_noise_reduces_bitwise(self):
         spec = FunctionClassSpec(dim=3)
-        plain = dict(zip("AB", sample_ground_truth_codecs(spec, 2, seed=0)))
-        lifted = {
-            lang: RandomizedCodec(codec.W, codec.b, nuisance_dim=0, sigma=0.0)
-            for lang, codec in plain.items()
-        }
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
         sampler = LatentSampler(3, 1.0, seed=7)
-        a = generate_corpus(("A", "B"), plain, 100, sampler, seed=3)
-        b = randomized_generate(("A", "B"), lifted, 100, LatentSampler(3, 1.0, seed=7), seed=3)
-        assert np.array_equal(a.pairs, b.pairs)
+        corpus = randomized_generate(("A", "B"), codecs, 100, sampler, seed=3)
+        z = sampler.fork(3, "latent", "A", "B").sample(100)
+        expected = np.stack([z @ codecs[lang].W.T + codecs[lang].b for lang in "AB"], axis=1)
+        assert np.array_equal(corpus.pairs, expected)
+        assert corpus.meta["sigma"] == 0.0 and corpus.meta["nuisance_dim"] == 0
 
     def test_encoder_recovers_latents_exactly(self):
         spec = FunctionClassSpec(dim=3)
@@ -213,14 +227,11 @@ class TestInvariance:
             def draw_decoder_seeds(self, rng, m):
                 return good.draw_decoder_seeds(rng, m)
 
-            def draw_encoder_seeds(self, rng, m):
-                return good.draw_encoder_seeds(rng, m)
-
             def decode(self, z, r=None):
                 return good.decode(z, r)
 
-            def encode(self, x, r_prime=None):
-                return other.encode(x, r_prime)  # wrong inverse
+            def encode(self, x):
+                return other.encode(x)  # wrong inverse
 
         result = invariance_test(Corrupted(), LatentSampler(3, 1.0, seed=1), 5000)
         assert not result.holds
@@ -252,7 +263,7 @@ class TestPropositionZero:
     def _setup(self, seed=0, d=4):
         spec = FunctionClassSpec(dim=d)
         langs = ["S0", "S1", "T"]
-        codecs = dict(zip(langs, sample_ground_truth_codecs(spec, 3, seed=seed)))
+        codecs = dict(zip(langs, sample_randomized_codecs(spec, 3, 0, 0.0, seed=seed)))
         return codecs, LatentSampler(d, 1.0, seed=seed)
 
     def test_shared_latents_give_zero_stat(self):
@@ -271,7 +282,7 @@ class TestPropositionZero:
     def test_mismatched_decoder_fails(self):
         codecs, sampler = self._setup(seed=2)
         spec = FunctionClassSpec(dim=4)
-        rogue = sample_ground_truth_codecs(spec, 1, seed=99)[0]
+        rogue = sample_randomized_codecs(spec, 1, 0, 0.0, seed=99)[0]
         result = proposition_zero_check(
             codecs,
             ["S0", "S1"],

@@ -13,8 +13,7 @@ from translab.generative import (
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
-    generate_corpus,
-    sample_ground_truth_codecs,
+    randomized_generate,
     sample_randomized_codecs,
 )
 from translab.impossibility import (
@@ -105,13 +104,13 @@ class TestGraphAndCodecFiles:
 
     def test_deterministic_codecs_round_trip(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
-        codecs = dict(zip("AB", sample_ground_truth_codecs(spec, 2, seed=0)))
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
         path = tmp_path / "codecs.json"
         io.save_codecs(codecs, spec, path)
-        spec2, codecs2, sigma, nuisance = io.load_codecs(path)
+        spec2, codecs2 = io.load_codecs(path)
         assert spec2 == spec
-        assert sigma == 0.0 and nuisance == 0
         for lang in codecs:
+            assert codecs2[lang].sigma == 0.0 and codecs2[lang].nuisance_dim == 0
             assert np.allclose(codecs2[lang].W, codecs[lang].W)
             assert np.allclose(codecs2[lang].b, codecs[lang].b)
 
@@ -119,25 +118,109 @@ class TestGraphAndCodecFiles:
         spec = FunctionClassSpec(dim=3)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 2, 0.1, seed=0)))
         path = tmp_path / "codecs.json"
-        io.save_codecs(codecs, spec, path, sigma=0.1, nuisance_dim=2)
-        _spec2, codecs2, sigma, nuisance = io.load_codecs(path)
-        assert sigma == 0.1 and nuisance == 2
+        io.save_codecs(codecs, spec, path)
+        _spec2, codecs2 = io.load_codecs(path)
         assert isinstance(codecs2["A"], RandomizedCodec)
-        assert codecs2["A"].sigma == 0.1
+        assert codecs2["A"].sigma == 0.1 and codecs2["A"].nuisance_dim == 2
         assert np.allclose(codecs2["A"].W, codecs["A"].W)
+
+    def test_codecs_with_mixed_noise_settings_are_rejected(self, tmp_path):
+        spec = FunctionClassSpec(dim=3)
+        noisy = sample_randomized_codecs(spec, 1, 2, 0.1, seed=0)[0]
+        plain = sample_randomized_codecs(spec, 1, 0, 0.0, seed=0)[0]
+        with pytest.raises(ValueError, match="share one sigma"):
+            io.save_codecs({"A": noisy, "B": plain}, spec, tmp_path / "codecs.json")
+
+    @pytest.mark.parametrize("d, nuisance", [(4, 0), (3, 1)])
+    def test_codec_latent_dimension_must_match_spec(self, tmp_path, d, nuisance):
+        spec = FunctionClassSpec(dim=3)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
+        path = tmp_path / "codecs.json"
+        io.save_codecs(codecs, spec, path)
+        payload = json.loads(path.read_text())
+        payload["spec"]["d"] = d
+        payload["nuisance_dim"] = nuisance
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_codecs(path)
+        message = str(info.value)
+        assert str(path) in message and "'A'" in message and "latent dimension" in message
 
 
 class TestCorpusFiles:
     def test_round_trip(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
-        codecs = dict(zip("AB", sample_ground_truth_codecs(spec, 2, seed=0)))
-        corpus = generate_corpus(("A", "B"), codecs, 32, LatentSampler(3, 1.0, 0), seed=1)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
+        corpus = randomized_generate(("A", "B"), codecs, 32, LatentSampler(3, 1.0, 0), seed=1)
         path = tmp_path / io.corpus_filename(("A", "B"))
         io.save_corpus(corpus, path)
         again = io.load_corpus(path)
         assert again.edge == corpus.edge
         assert np.array_equal(again.pairs, corpus.pairs)
         assert again.meta == corpus.meta
+
+    def _saved(self, tmp_path):
+        spec = FunctionClassSpec(dim=3)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
+        corpus = randomized_generate(("A", "B"), codecs, 8, LatentSampler(3, 1.0, 0), seed=1)
+        path = tmp_path / io.corpus_filename(("A", "B"))
+        io.save_corpus(corpus, path)
+        with np.load(path) as npz:
+            fields = {name: npz[name] for name in npz.files}
+        return path, fields
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("pairs", "nan", "non-finite"),
+            ("pairs", "inf", "non-finite"),
+            ("pairs", "flat", "(n, 2, dim)"),
+            ("pairs", "text", "(n, 2, dim)"),
+            ("meta", "not json {", "not JSON"),
+            ("meta", "[1, 2]", "JSON object"),
+            ("edge", "one", "two languages"),
+        ],
+    )
+    def test_bad_field_names_file_and_field(self, tmp_path, field, value, expected):
+        path, fields = self._saved(tmp_path)
+        if value in ("nan", "inf"):
+            pairs = fields["pairs"].copy()
+            pairs[3, 1, 2] = float(value)
+            fields["pairs"] = pairs
+        elif value == "flat":
+            fields["pairs"] = fields["pairs"][:, 0, :]
+        elif value == "text":
+            fields["pairs"] = np.array([[["x"] * 3] * 2])
+        elif value == "one":
+            fields["edge"] = np.array(["A"])
+        else:
+            fields[field] = np.array(value)
+        np.savez(path, **fields)
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        message = str(info.value)
+        assert str(path) in message and f"'{field}'" in message and expected in message
+
+    def test_missing_field_is_schema_error(self, tmp_path):
+        path, fields = self._saved(tmp_path)
+        del fields["meta"]
+        np.savez(path, **fields)
+        with pytest.raises(SchemaError, match="'meta'"):
+            io.load_corpus(path)
+
+    @pytest.mark.parametrize("content", [b"", b"not an npz file", b"PK\x03\x04broken"])
+    def test_file_that_is_not_npz_is_schema_error(self, tmp_path, content):
+        path = tmp_path / "corpus_A__B.npz"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match="not an NPZ corpus file") as info:
+            io.load_corpus(path)
+        assert str(path) in str(info.value)
+
+    def test_npy_array_is_not_a_corpus(self, tmp_path):
+        path = tmp_path / "corpus_A__B.npy"
+        np.save(path, np.zeros((4, 2, 3)))
+        with pytest.raises(SchemaError, match="not an NPZ corpus file"):
+            io.load_corpus(path)
 
 
 class TestEncoderFiles:

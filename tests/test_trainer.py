@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import encoder_map
 from translab import trainer
 from translab.affine import SINGULAR_TOL, AffineMap
 from translab.errors import (
@@ -15,9 +16,7 @@ from translab.generative import (
     FunctionClassSpec,
     LatentSampler,
     TranslationGraph,
-    generate_corpus,
     randomized_generate,
-    sample_ground_truth_codecs,
     sample_randomized_codecs,
 )
 from translab.trainer import (
@@ -82,17 +81,13 @@ def chain_setup(n_langs=3, d=3, n=40, seed=0, sigma=0.0, nuisance=0, extra_edges
     edges += [(a, b, n) for a, b in extra_edges]
     graph = TranslationGraph(tuple(langs), tuple(edges))
     sampler = LatentSampler(d, 1.0, seed=seed)
-    if sigma > 0 or nuisance > 0:
-        codecs = dict(zip(langs, sample_randomized_codecs(spec, n_langs, nuisance, sigma, seed)))
-        corpora = [randomized_generate(e, codecs, n, sampler, seed) for e in graph.edge_pairs()]
-    else:
-        codecs = dict(zip(langs, sample_ground_truth_codecs(spec, n_langs, seed)))
-        corpora = [generate_corpus(e, codecs, n, sampler, seed) for e in graph.edge_pairs()]
+    codecs = dict(zip(langs, sample_randomized_codecs(spec, n_langs, nuisance, sigma, seed)))
+    corpora = [randomized_generate(e, codecs, n, sampler, seed) for e in graph.edge_pairs()]
     return graph, codecs, corpora, sampler
 
 
 def truth_composite(codecs, src, dst) -> AffineMap:
-    return codecs[dst].encoder_map().inverse().compose(codecs[src].encoder_map())
+    return encoder_map(codecs[dst]).inverse().compose(encoder_map(codecs[src]))
 
 
 class TestFitEdge:
@@ -215,7 +210,7 @@ class TestEmpiricalEdgeLoss:
     def test_truth_encoders_fit_noiseless_corpora(self):
         _graph, codecs, corpora, _ = chain_setup()
         estimate = EncoderEstimate(
-            {lang: codecs[lang].encoder_map() for lang in codecs}, anchor=None
+            {lang: encoder_map(codecs[lang]) for lang in codecs}, anchor=None
         )
         for corpus in corpora:
             assert empirical_edge_loss(estimate, corpus) <= 1e-12
