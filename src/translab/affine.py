@@ -62,12 +62,6 @@ class AffineMap:
     def identity(cls, dim: int) -> "AffineMap":
         return cls(np.eye(dim), np.zeros(dim))
 
-    def almost_equal(self, other: "AffineMap", tol: float) -> bool:
-        return (
-            np.abs(self.linear - other.linear).max() <= tol
-            and np.abs(self.offset - other.offset).max() <= tol
-        )
-
     def max_entry_difference(self, other: "AffineMap") -> float:
         return float(
             max(

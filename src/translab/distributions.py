@@ -83,10 +83,6 @@ class FiniteDistribution:
         atoms = tuple(masses.keys())
         return cls(atoms, np.array([masses[a] for a in atoms]))
 
-    @classmethod
-    def point_mass(cls, atom: Atom) -> "FiniteDistribution":
-        return cls((atom,), np.array([1.0]))
-
     def weight(self, atom: Atom) -> float:
         pos = self._index.get(atom)
         return 0.0 if pos is None else float(self.weights[pos])

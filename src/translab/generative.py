@@ -148,10 +148,6 @@ class RandomizedCodec:
         object.__setattr__(self, "_W_inv", np.linalg.inv(W))
 
     @property
-    def total_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
     def latent_dim(self) -> int:
         return self.W.shape[0] - self.nuisance_dim
 
@@ -332,14 +328,18 @@ def six_language_demo_graph(samples_per_edge: int = 200) -> TranslationGraph:
 
 @dataclass(frozen=True, eq=False)
 class AlignedCorpus:
-    """n aligned sentence pairs for one edge, plus generator metadata."""
+    """n aligned sentence pairs for one edge, plus generator metadata.
+
+    A float64 ``pairs`` array is taken over without a copy and made read-only;
+    other inputs are converted to a new float64 array.
+    """
 
     edge: tuple[str, str]
     pairs: np.ndarray  # (n, 2, dim)
     meta: Mapping[str, object]
 
     def __post_init__(self):
-        pairs = np.array(self.pairs, dtype=np.float64)
+        pairs = np.asarray(self.pairs, dtype=np.float64)
         if pairs.ndim != 3 or pairs.shape[1] != 2:
             raise ValueError(f"pairs must have shape (n, 2, dim), got {pairs.shape}")
         pairs.setflags(write=False)

@@ -433,7 +433,8 @@ class BruteForceResult:
     """Outcome of the exhaustive search over (encoder, decoder) tables.
 
     ``value`` is +inf and the tables are None when no epsilon-universal encoder
-    exists for the requested representation size (``feasible`` False).
+    exists for the requested representation size (``feasible`` False); ``blocks``
+    is None exactly then. Two-to-one results have one block, the target's.
     """
 
     objective: str
@@ -446,10 +447,6 @@ class BruteForceResult:
     blocks: tuple[tuple[str, tuple[Atom, ...]], ...] | None
     n_encoders: int
     n_feasible: int
-
-
-def _z_atoms(z_size: int) -> tuple[str, ...]:
-    return tuple(f"z{i}" for i in range(z_size))
 
 
 def _encoder_tables(z_size: int, n_atoms: int) -> np.ndarray:
@@ -475,97 +472,65 @@ def brute_force_min_error(
 ) -> BruteForceResult:
     """Exhaustively minimize the translation-error objective over valid (g, h).
 
+    Each instance becomes a list of tasks, (source marginal, ground-truth
+    translator, target block) triples. Many-to-many gives one task per ordered
+    pair and one block per language, for the ``sum``, ``max`` or ``avg``
+    (sum over K^2) objective. Two-to-one is the ``sum`` objective over two
+    tasks and one target block; other objectives raise ``DomainError``.
+
     Every deterministic encoder into a ``z_size``-point representation set is
-    enumerated (with every block partition in the many-to-many case); encoders
-    failing the epsilon-universality definition are discarded; the decoder is
-    optimized exactly for each surviving encoder. Tables are visited in
-    lexicographic order and the first minimizer is kept, so results are
-    reproducible bit for bit.
+    enumerated with every block partition; encoders failing the
+    epsilon-universality definition are discarded; the decoder is optimized
+    exactly for each surviving encoder. Tables are visited in lexicographic
+    order and the first minimizer is kept, so results are reproducible bit
+    for bit.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    if isinstance(instance, TwoToOneInstance):
-        if objective != "sum":
-            raise ValueError("two-to-one search supports only the 'sum' objective")
-        return _brute_force_two_to_one(instance, z_size, epsilon)
     if objective not in ("sum", "max", "avg"):
         raise ValueError(f"unknown objective {objective!r}")
-    return _brute_force_many_to_many(instance, z_size, epsilon, objective)
-
-
-def _brute_force_two_to_one(
-    instance: TwoToOneInstance, z_size: int, epsilon: float
-) -> BruteForceResult:
-    atoms = instance.marginals[0].support + instance.marginals[1].support
-    n_atoms = len(atoms)
-    _check_budget(n_atoms, z_size)
-    codomain = instance.target_sentences
-    n_y = len(codomain)
-    y_index = {y: i for i, y in enumerate(codomain)}
-
-    w = np.concatenate([instance.marginals[0].weights, instance.marginals[1].weights])
-    lang = np.array(
-        [0] * len(instance.marginals[0]) + [1] * len(instance.marginals[1])
-    )
-    truth = np.array(
-        [y_index[instance.translators[int(lang[i])](atoms[i])] for i in range(n_atoms)]
-    )
-
-    tables = _encoder_tables(z_size, n_atoms)
-    onehot = (tables[:, :, None] == np.arange(z_size)).astype(np.float64)
-    push0 = np.einsum("gsz,s->gz", onehot, w * (lang == 0))
-    push1 = np.einsum("gsz,s->gz", onehot, w * (lang == 1))
-    tv = 0.5 * np.abs(push0 - push1).sum(axis=1)
-    feasible = tv <= epsilon + WEIGHT_TOL
-    n_feasible = int(feasible.sum())
-    if n_feasible == 0:
-        return BruteForceResult(
-            "sum", epsilon, z_size, False, math.inf, None, None, None,
-            len(tables), 0,
-        )
-
-    # Optimal decoder decomposes per representation atom for the sum objective:
-    # each z keeps the ground-truth image carrying the most mass mapped into it.
-    match_weights = np.zeros((n_atoms, n_y))
-    match_weights[np.arange(n_atoms), truth] = w
-    matched = np.einsum("gsz,sy->gzy", onehot, match_weights)
-    values = (push0 + push1).sum(axis=1) - matched.max(axis=2).sum(axis=1)
-
-    feasible_idx = np.flatnonzero(feasible)
-    best_pos = int(np.argmin(values[feasible_idx]))
-    best_g = int(feasible_idx[best_pos])
-    value = float(values[best_g])
-
-    z_names = _z_atoms(z_size)
-    encoder = DeterministicTranslator(
-        {atoms[i]: z_names[tables[best_g, i]] for i in range(n_atoms)}
-    )
-    decoder = DeterministicTranslator(
-        {z_names[z]: codomain[int(np.argmax(matched[best_g, z]))] for z in range(z_size)}
-    )
-    return BruteForceResult(
-        "sum", epsilon, z_size, True, value, encoder, decoder, None,
-        len(tables), n_feasible,
-    )
-
-
-def _brute_force_many_to_many(
-    instance: ManyToManyInstance, z_size: int, epsilon: float, objective: str
-) -> BruteForceResult:
+    if isinstance(instance, TwoToOneInstance):
+        if objective != "sum":
+            raise DomainError(
+                f"two-to-one search supports only the 'sum' objective, got {objective!r}"
+            )
+        tasks = [(m, f, 0) for m, f in zip(instance.marginals, instance.translators)]
+        blocks, codomain = (instance.target_language,), instance.target_sentences
+        return _search(tasks, blocks, codomain, 1.0, z_size, epsilon, objective)
     pairs = instance.pairs()
     if not pairs:
-        raise ValueError("instance has no joints to evaluate")
+        raise DomainError("instance has no translation pairs to evaluate")
     languages = tuple(sorted(instance.languages))
-    lang_index = {lang: i for i, lang in enumerate(languages)}
+    block = {lang: i for i, lang in enumerate(languages)}
+    tasks = [
+        (instance.source_marginal(s, d), instance.translators[(s, d)], block[d])
+        for (s, d) in pairs
+    ]
+    codomain = [y for lang in languages for y in instance.sentence_pool.get(lang, ())]
+    coeff = 1.0 if objective in ("sum", "max") else 1.0 / (instance.K**2)
+    return _search(tasks, languages, codomain, coeff, z_size, epsilon, objective)
 
+
+def _search(
+    tasks: Sequence[tuple[FiniteDistribution, DeterministicTranslator, int]],
+    block_names: Sequence[str],
+    codomain: Sequence[Atom],
+    coeff: float,
+    z_size: int,
+    epsilon: float,
+    objective: str,
+) -> BruteForceResult:
+    """The one exhaustive search core; ``coeff`` scales the sum/avg objective.
+
+    A feasible encoder keeps each task inside its target block, and tasks
+    sharing a block push forward within epsilon of each other in TV.
+    """
     atoms: list[Atom] = []
     atom_task: list[int] = []
     atom_weight: list[float] = []
     truth_atoms: list[Atom] = []
-    task_target = np.array([lang_index[dst] for (_src, dst) in pairs])
-    for t, (src, dst) in enumerate(pairs):
-        marginal = instance.source_marginal(src, dst)
-        f = instance.translators[(src, dst)]
+    task_target = np.array([block for (_m, _f, block) in tasks])
+    for t, (marginal, f, _block) in enumerate(tasks):
         for x, wx in marginal.items():
             atoms.append(x)
             atom_task.append(t)
@@ -574,15 +539,12 @@ def _brute_force_many_to_many(
     n_atoms = len(atoms)
     _check_budget(n_atoms, z_size)
 
-    codomain: list[Atom] = []
-    for lang in languages:
-        codomain.extend(instance.sentence_pool.get(lang, ()))
     y_index = {y: i for i, y in enumerate(codomain)}
     n_y = len(codomain)
     truth = np.array([y_index[y] for y in truth_atoms])
     w = np.array(atom_weight)
     atom_task_arr = np.array(atom_task)
-    n_tasks = len(pairs)
+    n_tasks = len(tasks)
 
     tables = _encoder_tables(z_size, n_atoms)
     onehot = (tables[:, :, None] == np.arange(z_size)).astype(np.float64)
@@ -601,7 +563,6 @@ def _brute_force_many_to_many(
             tv = 0.5 * np.abs(push[ta] - push[tb]).sum(axis=1)
             tv_ok &= tv <= epsilon + WEIGHT_TOL
 
-    coeff = 1.0 if objective in ("sum", "max") else 1.0 / (instance.K**2)
     if objective in ("sum", "avg"):
         match_weights = np.zeros((n_atoms, n_y))
         match_weights[np.arange(n_atoms), truth] = coeff * w
@@ -616,10 +577,10 @@ def _brute_force_many_to_many(
             )
         decoder_tables = _encoder_tables(n_y, z_size)  # all h: Z -> codomain
 
-    z_names = _z_atoms(z_size)
+    z_names = tuple(f"z{i}" for i in range(z_size))
     best: tuple[float, int, np.ndarray, tuple[int, ...]] | None = None
     n_feasible_total = 0
-    for partition in itertools.product(range(len(languages)), repeat=z_size):
+    for partition in itertools.product(range(len(block_names)), repeat=z_size):
         part = np.array(partition)
         in_block = part[None, :] == task_target[:, None]  # (task, z)
         leak = np.zeros(len(tables))
@@ -670,7 +631,7 @@ def _brute_force_many_to_many(
     )
     blocks = tuple(
         (lang, tuple(z_names[z] for z in range(z_size) if partition[z] == i))
-        for i, lang in enumerate(languages)
+        for i, lang in enumerate(block_names)
     )
     return BruteForceResult(
         objective, epsilon, z_size, True, value, encoder, decoder, blocks,

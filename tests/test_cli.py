@@ -107,6 +107,30 @@ class TestBoundAndBrute:
         assert code == 0
         assert "holds=true" in out
 
+    @pytest.mark.parametrize("objective", ["max", "avg"])
+    def test_brute_two_to_one_other_objective_exits_2(self, tmp_path, capsys, objective):
+        path = tmp_path / "worst.json"
+        io.save_instance(make_worst_case(0.5), path)
+        code, _, err = run_cli(
+            ["brute", "--instance", str(path), "--objective", objective], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:") and f"'{objective}'" in err
+
+    def test_brute_without_pairs_exits_2(self, tmp_path, capsys):
+        import numpy as np
+
+        from translab.impossibility import random_many_to_many_instance
+
+        path = tmp_path / "mm.json"
+        io.save_instance(random_many_to_many_instance(np.random.default_rng(12)), path)
+        payload = json.loads(path.read_text())
+        payload["translators"] = {}
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(["brute", "--instance", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "no translation pairs" in err
+
 
 class TestDemoWorstCase:
     def test_delta_08(self, capsys):

@@ -7,6 +7,7 @@ from helpers import encoder_map
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.generative import (
+    AlignedCorpus,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
@@ -167,6 +168,22 @@ class TestGenerateCorpus:
         a = randomized_generate(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
         b = randomized_generate(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
         assert np.array_equal(a.pairs, b.pairs)
+
+
+class TestAlignedCorpus:
+    def test_float64_pairs_are_taken_over_and_frozen(self):
+        pairs = np.zeros((3, 2, 2))
+        corpus = AlignedCorpus(("A", "B"), pairs, {})
+        assert corpus.pairs is pairs
+        assert not pairs.flags.writeable
+
+    def test_int_pairs_are_converted(self):
+        pairs = np.arange(12).reshape(3, 2, 2)
+        corpus = AlignedCorpus(("A", "B"), pairs, {})
+        assert corpus.pairs.dtype == np.float64
+        assert np.array_equal(corpus.pairs, pairs)
+        assert not corpus.pairs.flags.writeable
+        assert pairs.flags.writeable
 
 
 class TestRandomizedGenerate:

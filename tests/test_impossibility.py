@@ -260,15 +260,20 @@ class TestPerfectTranslator:
 
 
 def literal_two_to_one_minimum(inst, z_size, epsilon):
-    """Fully nested-loop reference search, no shortcuts."""
+    """Fully nested-loop reference search, no shortcuts.
+
+    Returns the minimum and the number of epsilon-universal encoder tables.
+    """
     atoms = inst.marginals[0].support + inst.marginals[1].support
     zs = [f"z{i}" for i in range(z_size)]
     best = None
+    n_feasible = 0
     for g_table in itertools.product(zs, repeat=len(atoms)):
         g = DeterministicTranslator(dict(zip(atoms, g_table)))
         tv = tv_distance(pushforward(inst.marginals[0], g), pushforward(inst.marginals[1], g))
         if tv > epsilon + WEIGHT_TOL:
             continue
+        n_feasible += 1
         for h_table in itertools.product(inst.target_sentences, repeat=z_size):
             h = DeterministicTranslator(dict(zip(zs, h_table)))
             composed = h.after(g)
@@ -277,15 +282,21 @@ def literal_two_to_one_minimum(inst, z_size, epsilon):
             ) + zero_one_error(inst.marginals[1], composed, inst.translators[1])
             if best is None or value < best:
                 best = value
-    return best
+    return best, n_feasible
 
 
 def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
+    """Nested-loop reference search over block partitions, encoders and decoders.
+
+    Returns the minimum (None if infeasible) and the number of feasible
+    (partition, encoder) pairs.
+    """
     zs = [f"z{i}" for i in range(z_size)]
     langs = sorted(inst.languages)
     atoms = [x for (s, d) in inst.pairs() for x in inst.source_marginal(s, d).support]
     codomain = [y for lang in langs for y in inst.sentence_pool.get(lang, ())]
     best = None
+    n_feasible = 0
     for assignment in itertools.product(langs, repeat=z_size):
         blocks = {
             lang: frozenset(z for z, owner in zip(zs, assignment) if owner == lang)
@@ -296,6 +307,7 @@ def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
             rep = PartitionedRepresentation(tuple(zs), blocks, g)
             if not check_epsilon_universal_partitioned(rep, inst, epsilon):
                 continue
+            n_feasible += 1
             for h_table in itertools.product(codomain, repeat=z_size):
                 h = DeterministicTranslator(dict(zip(zs, h_table)))
                 composed = h.after(g)
@@ -305,10 +317,15 @@ def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
                     )
                     for (s, d) in inst.pairs()
                 ]
-                value = max(errors) if objective == "max" else sum(errors) / inst.K**2
+                if objective == "sum":
+                    value = sum(errors)
+                elif objective == "max":
+                    value = max(errors)
+                else:
+                    value = sum(errors) / inst.K**2
                 if best is None or value < best:
                     best = value
-    return best
+    return best, n_feasible
 
 
 class TestBruteForce:
@@ -344,22 +361,26 @@ class TestBruteForce:
         for _ in range(8):
             inst = random_two_to_one_instance(rng, max_sentences=2, max_targets=2)
             for epsilon in (0.0, 0.25):
-                expected = literal_two_to_one_minimum(inst, 2, epsilon)
+                expected, n_feasible = literal_two_to_one_minimum(inst, 2, epsilon)
                 result = brute_force_min_error(inst, 2, epsilon, "sum")
                 assert result.feasible
                 assert result.value == pytest.approx(expected, abs=TOL)
+                assert result.n_feasible == n_feasible
 
     def test_many_to_many_matches_literal_search(self):
         rng = np.random.default_rng(99)
         for _ in range(3):
             inst = random_many_to_many_instance(rng, n_languages=2, atom_budget=4)
             for epsilon in (0.0, 0.5):
-                for objective in ("max", "avg"):
-                    expected = literal_many_to_many_minimum(inst, 2, epsilon, objective)
+                for objective in ("max", "avg", "sum"):
+                    expected, n_feasible = literal_many_to_many_minimum(
+                        inst, 2, epsilon, objective
+                    )
                     result = brute_force_min_error(inst, 2, epsilon, objective)
                     assert result.feasible == (expected is not None)
                     if expected is not None:
                         assert result.value == pytest.approx(expected, abs=TOL)
+                    assert result.n_feasible == n_feasible
 
     def test_value_non_increasing_in_epsilon(self):
         rng = np.random.default_rng(17)
@@ -379,6 +400,11 @@ class TestBruteForce:
             inst.marginals[0], composed, inst.translators[0]
         ) + zero_one_error(inst.marginals[1], composed, inst.translators[1])
         assert attained == pytest.approx(result.value, abs=TOL)
+
+    def test_two_to_one_result_has_the_single_target_block(self):
+        result = brute_force_min_error(make_worst_case(0.6), 3, 0.0, "sum")
+        assert result.feasible
+        assert result.blocks == (("L", ("z0", "z1", "z2")),)
 
     def test_too_small_representation_is_infeasible(self):
         # three targets cannot share two representation atoms
