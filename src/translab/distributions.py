@@ -45,7 +45,7 @@ class FiniteDistribution:
     """Probability weights over an ordered finite support.
 
     Atoms may be sentences, representation points, or (source, target) pairs.
-    Weights are float64, nonnegative, and sum to one within ``WEIGHT_TOL``.
+    Weights are finite float64, nonnegative, and sum to one within ``WEIGHT_TOL``.
     Instances are immutable; all operations on them are pure functions.
     """
 
@@ -67,6 +67,8 @@ class FiniteDistribution:
             if atom in index:
                 raise ValueError(f"duplicate atom in support: {atom!r}")
             index[atom] = pos
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"non-finite weight: {weights.tolist()}")
         if np.any(weights < -WEIGHT_TOL):
             raise ValueError(f"negative weight: {weights.min()}")
         total = float(weights.sum())

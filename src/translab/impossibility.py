@@ -435,6 +435,8 @@ class BruteForceResult:
     ``value`` is +inf and the tables are None when no epsilon-universal encoder
     exists for the requested representation size (``feasible`` False); ``blocks``
     is None exactly then. Two-to-one results have one block, the target's.
+    ``n_encoders`` counts encoder tables and ``n_feasible`` counts feasible
+    (block partition, encoder) pairs.
     """
 
     objective: str
@@ -479,11 +481,11 @@ def brute_force_min_error(
     tasks and one target block; other objectives raise ``DomainError``.
 
     Every deterministic encoder into a ``z_size``-point representation set is
-    enumerated with every block partition; encoders failing the
-    epsilon-universality definition are discarded; the decoder is optimized
-    exactly for each surviving encoder. Tables are visited in lexicographic
-    order and the first minimizer is kept, so results are reproducible bit
-    for bit.
+    enumerated; the block partitions it is epsilon-universal with are counted
+    in closed form rather than visited (see ``_search``), and the decoder is
+    optimized exactly once for each feasible encoder. The minimizer reported
+    is the first in (partition, table) lexicographic order, so results are
+    reproducible bit for bit.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -522,15 +524,43 @@ def _search(
 ) -> BruteForceResult:
     """The one exhaustive search core; ``coeff`` scales the sum/avg objective.
 
-    A feasible encoder keeps each task inside its target block, and tasks
-    sharing a block push forward within epsilon of each other in TV.
+    A (partition, encoder) pair is feasible when each task leaks at most
+    ``WEIGHT_TOL`` of its mass outside its target block, and tasks sharing a
+    block push forward within epsilon of each other in TV.
+
+    Partitions are never enumerated. An atom is heavy if its weight exceeds
+    ``WEIGHT_TOL``. A table pins z to block k when it maps a heavy atom of a
+    task with target block k onto z; z is free when no heavy atom reaches it.
+    If each task's light atoms weigh at most ``WEIGHT_TOL`` together
+    (``DomainError`` otherwise), a partition passes the leak test exactly when
+    it puts every pinned z in its pin's block: a pinned z outside that block
+    leaks the heavy atom's weight, which exceeds the tolerance, while the
+    light atoms, wherever they land, can never leak more than it. So a table
+    is feasible with some partition iff it passes the TV test and pins no z to
+    two blocks, and then with exactly K^(number of free z) partitions;
+    ``n_feasible`` sums those counts.
+
+    The objective does not depend on the partition, so each feasible table is
+    scored once. The first minimizer in (partition, table) product order is
+    reproduced: of the minimizing tables' first compatible partitions (pinned
+    z in their blocks, free z in block 0), take the smallest read as a base-K
+    number with z0 most significant, and report the first minimizing table
+    compatible with it.
     """
     atoms: list[Atom] = []
     atom_task: list[int] = []
     atom_weight: list[float] = []
     truth_atoms: list[Atom] = []
     task_target = np.array([block for (_m, _f, block) in tasks])
-    for t, (marginal, f, _block) in enumerate(tasks):
+    for t, (marginal, f, block) in enumerate(tasks):
+        light = sum(float(wx) for wx in marginal.weights if wx <= WEIGHT_TOL)
+        if light > WEIGHT_TOL:
+            source = getattr(marginal.support[0], "source_tag", None)
+            raise DomainError(
+                f"task {source}->{block_names[block]}: sentences of weight at most"
+                f" {WEIGHT_TOL} weigh {light!r} together, above {WEIGHT_TOL}; the"
+                f" exact search needs them to stay within it"
+            )
         for x, wx in marginal.items():
             atoms.append(x)
             atom_task.append(t)
@@ -545,9 +575,11 @@ def _search(
     w = np.array(atom_weight)
     atom_task_arr = np.array(atom_task)
     n_tasks = len(tasks)
+    n_blocks = len(block_names)
 
     tables = _encoder_tables(z_size, n_atoms)
-    onehot = (tables[:, :, None] == np.arange(z_size)).astype(np.float64)
+    hits = tables[:, :, None] == np.arange(z_size)  # (n_g, atom, z)
+    onehot = hits.astype(np.float64)
     push = np.stack(
         [
             np.einsum("gsz,s->gz", onehot, w * (atom_task_arr == t))
@@ -555,7 +587,6 @@ def _search(
         ]
     )  # (task, n_g, z)
 
-    # TV feasibility does not depend on the block partition.
     tv_ok = np.ones(len(tables), dtype=bool)
     for k in set(task_target.tolist()):
         task_ids = [t for t in range(n_tasks) if task_target[t] == k]
@@ -563,79 +594,73 @@ def _search(
             tv = 0.5 * np.abs(push[ta] - push[tb]).sum(axis=1)
             tv_ok &= tv <= epsilon + WEIGHT_TOL
 
-    if objective in ("sum", "avg"):
-        match_weights = np.zeros((n_atoms, n_y))
-        match_weights[np.arange(n_atoms), truth] = coeff * w
-        matched = np.einsum("gsz,sy->gzy", onehot, match_weights)
-        sep_values = coeff * w.sum() - matched.max(axis=2).sum(axis=1)
+    if objective == "max" and n_y**z_size > 65536:
+        raise BudgetError(f"{n_y}^{z_size} decoder tables exceed the enumeration budget")
 
-    decoder_tables = None
-    if objective == "max":
-        if n_y**z_size > 65536:
-            raise BudgetError(
-                f"{n_y}^{z_size} decoder tables exceed the enumeration budget"
-            )
-        decoder_tables = _encoder_tables(n_y, z_size)  # all h: Z -> codomain
-
-    z_names = tuple(f"z{i}" for i in range(z_size))
-    best: tuple[float, int, np.ndarray, tuple[int, ...]] | None = None
-    n_feasible_total = 0
-    for partition in itertools.product(range(len(block_names)), repeat=z_size):
-        part = np.array(partition)
-        in_block = part[None, :] == task_target[:, None]  # (task, z)
-        leak = np.zeros(len(tables))
-        for t in range(n_tasks):
-            outside = ~in_block[t]
-            if outside.any():
-                leak = np.maximum(leak, push[t][:, outside].sum(axis=1))
-        feasible = tv_ok & (leak <= WEIGHT_TOL)
-        n_here = int(feasible.sum())
-        if n_here == 0:
-            continue
-        n_feasible_total += n_here
-        feasible_idx = np.flatnonzero(feasible)
-
-        if objective in ("sum", "avg"):
-            pos = int(np.argmin(sep_values[feasible_idx]))
-            g = int(feasible_idx[pos])
-            value = float(sep_values[g])
-            if best is None or value < best[0]:
-                h_table = matched[g].argmax(axis=1)
-                best = (value, g, h_table, partition)
-        else:
-            for g in feasible_idx:
-                cost = np.zeros((n_tasks, z_size, n_y))
-                g_row = tables[g]
-                for s in range(n_atoms):
-                    t = atom_task[s]
-                    cost[t, g_row[s], :] += w[s]
-                    cost[t, g_row[s], truth[s]] -= w[s]
-                errs = cost[:, np.arange(z_size)[None, :], decoder_tables].sum(axis=2)
-                obj = errs.max(axis=0)  # (n_h,)
-                h_pos = int(np.argmin(obj))
-                value = float(obj[h_pos])
-                if best is None or value < best[0]:
-                    best = (value, int(g), decoder_tables[h_pos], partition)
-
-    if best is None:
+    heavy = w > WEIGHT_TOL
+    atom_block = task_target[atom_task_arr]
+    pinned = np.stack(
+        [hits[:, heavy & (atom_block == k), :].any(axis=1) for k in range(n_blocks)]
+    )  # (block, n_g, z)
+    n_pins = pinned.sum(axis=0)
+    feasible_idx = np.flatnonzero(tv_ok & (n_pins <= 1).all(axis=1))
+    if len(feasible_idx) == 0:
         return BruteForceResult(
             objective, epsilon, z_size, False, math.inf, None, None, None,
             len(tables), 0,
         )
-    value, g, h_table, partition = best
+    n_free = (n_pins[feasible_idx] == 0).sum(axis=1)
+    n_feasible = int((n_blocks**n_free).sum())
+    # First compatible partition of each feasible table: argmax picks the
+    # pinned block, or block 0 for a free z.
+    first_partition = pinned[:, feasible_idx, :].argmax(axis=0)  # (n_feasible, z)
+
+    if objective in ("sum", "avg"):
+        match_weights = np.zeros((n_atoms, n_y))
+        match_weights[np.arange(n_atoms), truth] = coeff * w
+        matched = np.einsum("gsz,sy->gzy", onehot[feasible_idx], match_weights)
+        values = coeff * w.sum() - matched.max(axis=2).sum(axis=1)
+        h_tables = matched.argmax(axis=2)
+    else:
+        decoder_tables = _encoder_tables(n_y, z_size)  # all h: Z -> codomain
+        values = np.empty(len(feasible_idx))
+        h_tables = np.empty((len(feasible_idx), z_size), dtype=int)
+        for i, g in enumerate(feasible_idx):
+            cost = np.zeros((n_tasks, z_size, n_y))
+            g_row = tables[g]
+            for s in range(n_atoms):
+                t = atom_task[s]
+                cost[t, g_row[s], :] += w[s]
+                cost[t, g_row[s], truth[s]] -= w[s]
+            errs = cost[:, np.arange(z_size)[None, :], decoder_tables].sum(axis=2)
+            obj = errs.max(axis=0)  # (n_h,)
+            h_pos = int(np.argmin(obj))
+            values[i] = obj[h_pos]
+            h_tables[i] = decoder_tables[h_pos]
+
+    # Product-order tie-break: the smallest first compatible partition over
+    # the minimizers, then the first minimizer compatible with it.
+    minimizers = np.flatnonzero(values == values.min())
+    candidates = first_partition[minimizers]
+    partition = candidates[np.argmin(candidates @ n_blocks ** np.arange(z_size - 1, -1, -1))]
+    free = n_pins[feasible_idx[minimizers]] == 0
+    i = int(minimizers[np.argmax(((candidates == partition) | free).all(axis=1))])
+    g = int(feasible_idx[i])
+
+    z_names = tuple(f"z{z}" for z in range(z_size))
     encoder = DeterministicTranslator(
-        {atoms[i]: z_names[tables[g, i]] for i in range(n_atoms)}
+        {atoms[s]: z_names[tables[g, s]] for s in range(n_atoms)}
     )
     decoder = DeterministicTranslator(
-        {z_names[z]: codomain[int(h_table[z])] for z in range(z_size)}
+        {z_names[z]: codomain[int(h_tables[i, z])] for z in range(z_size)}
     )
     blocks = tuple(
-        (lang, tuple(z_names[z] for z in range(z_size) if partition[z] == i))
-        for i, lang in enumerate(block_names)
+        (lang, tuple(z_names[z] for z in range(z_size) if partition[z] == k))
+        for k, lang in enumerate(block_names)
     )
     return BruteForceResult(
-        objective, epsilon, z_size, True, value, encoder, decoder, blocks,
-        len(tables), n_feasible_total,
+        objective, epsilon, z_size, True, float(values[i]), encoder, decoder,
+        blocks, len(tables), n_feasible,
     )
 
 

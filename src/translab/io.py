@@ -35,7 +35,9 @@ def _read_json(path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise
-    except json.JSONDecodeError as exc:
+    except IsADirectoryError as exc:
+        raise SchemaError(f"{path}: is a directory, not a JSON file") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -56,11 +58,19 @@ def _sentence_entry(sentence: Sentence):
     return [sentence.target_tag, sentence.body]
 
 
-def _parse_sentence(lang: str, entry) -> Sentence:
+def _parse_sentence(lang: str, entry, languages) -> Sentence:
     if isinstance(entry, str):
         return Sentence(lang, entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return Sentence(lang, str(entry[1]), target_tag=str(entry[0]))
+    if (
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(part, str) for part in entry)
+    ):
+        if entry[0] not in languages:
+            raise SchemaError(
+                f"sentence {entry!r} of {lang!r} is tagged for unknown language {entry[0]!r}"
+            )
+        return Sentence(lang, entry[1], target_tag=entry[0])
     raise SchemaError(f"sentence entry for {lang!r} must be an id or [target, id]: {entry!r}")
 
 
@@ -129,9 +139,41 @@ def instance_to_dict(instance) -> dict:
     raise TypeError(f"unsupported instance type: {type(instance)!r}")
 
 
-def instance_from_dict(payload: dict):
+def _instance_weights(lang: str, raw) -> list[float]:
+    """One language's raw marginal weights, each a finite nonnegative number."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"marginal for {lang!r} must be a list of weights")
+    weights = []
+    for i, w in enumerate(raw):
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise SchemaError(f"marginal for {lang!r} weight {i} is not a number: {w!r}")
+        try:
+            value = float(w)
+        except OverflowError:
+            value = float("inf")
+        if not np.isfinite(value) or value < 0:
+            raise SchemaError(
+                f"marginal for {lang!r} weight {i} must be finite and nonnegative, got {w!r}"
+            )
+        weights.append(value)
+    return weights
+
+
+def instance_from_dict(payload):
+    """Build an instance from its document; any defect raises ``SchemaError``."""
     try:
-        languages = list(payload["languages"])
+        return _build_instance(payload)
+    except SchemaError:
+        raise
+    except ValueError as exc:  # from the instance and distribution constructors
+        raise SchemaError(f"invalid instance: {exc}") from exc
+
+
+def _build_instance(payload):
+    if not isinstance(payload, dict):
+        raise SchemaError("instance document must be a JSON object")
+    try:
+        languages = payload["languages"]
         raw_sentences = payload["sentences"]
         raw_marginals = payload.get("marginals", payload.get("distributions"))
         raw_translators = payload["translators"]
@@ -139,12 +181,28 @@ def instance_from_dict(payload: dict):
         raise SchemaError(f"instance document missing key {exc}") from exc
     if raw_marginals is None:
         raise SchemaError("instance document missing key 'marginals'")
+    if not isinstance(languages, list) or not all(isinstance(l, str) for l in languages):
+        raise SchemaError("'languages' must be a list of language ids")
+    if not isinstance(raw_sentences, dict) or not all(
+        isinstance(entries, list) for entries in raw_sentences.values()
+    ):
+        raise SchemaError("'sentences' must map each language to a list of sentences")
+    if not isinstance(raw_marginals, dict):
+        raise SchemaError("'marginals' must map each language to a list of weights")
+    raw_marginals = {lang: _instance_weights(lang, raw) for lang, raw in raw_marginals.items()}
+    if not isinstance(raw_translators, dict):
+        raise SchemaError("'translators' must map 'src->dst' keys to tables")
+    for key, table in raw_translators.items():
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise SchemaError(f"translator {key!r} must map sentence ids to sentence ids")
 
     sentences: dict[str, list[Sentence]] = {}
     for lang in languages:
         sentences[lang] = [
-            _parse_sentence(lang, entry) for entry in raw_sentences.get(lang, [])
+            _parse_sentence(lang, entry, languages) for entry in raw_sentences.get(lang, [])
         ]
+        if len(set(sentences[lang])) != len(sentences[lang]):
+            raise SchemaError(f"sentences for {lang!r} list a sentence twice")
     pair_keys = sorted(_parse_pair_key(k) for k in raw_translators)
     for src, dst in pair_keys:
         if src not in languages or dst not in languages:
@@ -239,7 +297,12 @@ def instance_from_dict(payload: dict):
 
 
 def load_instance(path):
-    return instance_from_dict(_read_json(path))
+    """Read an instance document; every defect is a ``SchemaError`` naming the file."""
+    payload = _read_json(path)
+    try:
+        return instance_from_dict(payload)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def save_instance(instance, path) -> None:

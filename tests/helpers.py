@@ -1,9 +1,14 @@
 """Shared construction helpers for the test suite."""
 
-import numpy as np
+import math
 
+import numpy as np
+from hypothesis import strategies as st
+
+from translab import io
 from translab.affine import AffineMap
 from translab.distributions import DeterministicTranslator, FiniteDistribution
+from translab.impossibility import random_many_to_many_instance, random_two_to_one_instance
 
 
 def random_distribution(rng: np.random.Generator, atoms) -> FiniteDistribution:
@@ -22,3 +27,70 @@ def random_translator(rng: np.random.Generator, domain, codomain) -> Determinist
 def encoder_map(codec) -> AffineMap:
     """The exact inverse of a noiseless codec's decoder, as one affine map."""
     return AffineMap(codec.W, codec.b).inverse()
+
+
+# ---------------------------------------------------------------------------
+# Damaged instance documents for the loader and CLI tests
+
+
+def _parent(payload, path):
+    for key in path[:-1]:
+        payload = payload[key]
+    return payload
+
+
+def _set(payload, path, value):
+    _parent(payload, path)[path[-1]] = value
+    return payload
+
+
+#: Defects of a ``make_worst_case`` document, each with a fragment of its message.
+WORST_CASE_DEFECTS = {
+    "nan_weight": (lambda p: _set(p, ("marginals", "L0", 0), math.nan), "'L0' weight 0"),
+    "negative_weight": (
+        lambda p: _set(p, ("marginals", "L0"), [1.5, -0.5]), "'L0' weight 1"
+    ),
+    "weights_sum_to_0.9": (lambda p: _set(p, ("marginals", "L0"), [0.5, 0.4]), "sum"),
+    "non_numeric_weight": (
+        lambda p: _set(p, ("marginals", "L0", 0), "0.5"), "not a number"
+    ),
+    "duplicate_sentence": (
+        lambda p: _set(p, ("sentences", "L0"), ["a0", "a0"]), "twice"
+    ),
+    "document_is_a_list": (lambda p: [p], "JSON object"),
+    "languages_is_a_number": (lambda p: _set(p, ("languages",), 3), "'languages'"),
+    "weight_count": (lambda p: _set(p, ("marginals", "L0"), [1.0]), "1 weights"),
+}
+
+LEAF_REPLACEMENTS = (math.nan, math.inf, -1, "x", [], {}, None)
+
+
+def _walk(node, path=()):
+    """Yield (path, container, child) for every dict entry and list item of a JSON document."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in items:
+        yield path + (key,), node, child
+        yield from _walk(child, path + (key,))
+
+
+@st.composite
+def damaged_instance_documents(draw):
+    """A valid two-to-one or many-to-many document with one leaf replaced or one key dropped."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        instance = random_two_to_one_instance(rng)
+    else:
+        instance = random_many_to_many_instance(rng, n_languages=2, atom_budget=4)
+    payload = io.instance_to_dict(instance)
+    nodes = list(_walk(payload))
+    if draw(st.booleans()):
+        keys = [path for path, container, _child in nodes if isinstance(container, dict)]
+        path = draw(st.sampled_from(keys))
+        del _parent(payload, path)[path[-1]]
+        return payload
+    leaves = [path for path, _container, child in nodes if not isinstance(child, (dict, list))]
+    return _set(payload, draw(st.sampled_from(leaves)), draw(st.sampled_from(LEAF_REPLACEMENTS)))

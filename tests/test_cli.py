@@ -1,9 +1,17 @@
 """CLI behavior: validation, subcommands, exit codes, reproducibility."""
 
 import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
 from translab import cli, io
 from translab.generative import TranslationGraph
 from translab.impossibility import make_worst_case
@@ -130,6 +138,41 @@ class TestBoundAndBrute:
         code, _, err = run_cli(["brute", "--instance", str(path)], capsys)
         assert code == 2
         assert err.startswith("error:") and "no translation pairs" in err
+
+
+class TestMalformedInstanceFiles:
+    @pytest.mark.parametrize("mode", ["bound", "brute"])
+    @pytest.mark.parametrize("defect", sorted(WORST_CASE_DEFECTS))
+    def test_defect_exits_2_naming_the_file(self, tmp_path, capsys, mode, defect):
+        damage, message = WORST_CASE_DEFECTS[defect]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(damage(io.instance_to_dict(make_worst_case(0.5)))))
+        code, out, err = run_cli([mode, "--instance", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_many_to_many_nan_weight_exits_2(self, tmp_path, capsys):
+        from translab.impossibility import random_many_to_many_instance
+
+        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(12)))
+        payload["marginals"]["L0"][0] = math.nan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
+        assert code == 2
+        assert "bound_max" not in out
+        assert "marginal for 'L0' weight 0" in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(damaged_instance_documents())
+    def test_bound_and_brute_exit_0_or_2_on_damaged_files(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "instance.json"
+            path.write_text(json.dumps(payload))
+            for mode in ("bound", "brute"):
+                with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                    assert cli.main([mode, "--instance", str(path)]) in (0, 2)
 
 
 class TestDemoWorstCase:

@@ -52,6 +52,11 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError, match="negative"):
             FiniteDistribution(("a", "b"), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            FiniteDistribution(("a", "b"), np.array([bad, 0.5]))
+
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
             FiniteDistribution(("a", "b"), np.array([0.5, 0.4]))

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from translab import cli, impossibility, io
 from translab.distributions import (
     WEIGHT_TOL,
     DeterministicTranslator,
@@ -17,6 +19,7 @@ from translab.distributions import (
 )
 from translab.errors import BudgetError, DomainError
 from translab.impossibility import (
+    BruteForceResult,
     ManyToManyInstance,
     PartitionedRepresentation,
     TwoToOneInstance,
@@ -30,6 +33,7 @@ from translab.impossibility import (
     random_many_to_many_instance,
     random_two_to_one_instance,
     two_to_one_bound,
+    _encoder_tables,
 )
 
 TOL = 1e-12
@@ -326,6 +330,263 @@ def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
                 if best is None or value < best:
                     best = value
     return best, n_feasible
+
+
+def reference_partition_search(tasks, block_names, codomain, coeff, z_size, epsilon, objective):
+    """The per-partition search that ``_search`` replaced, kept as a test oracle.
+
+    It visits every block partition in product order and, for each, every
+    encoder table, keeping the first minimizer; ``n_feasible`` counts
+    feasible (partition, encoder) pairs.
+    """
+    atoms, atom_task, atom_weight, truth_atoms = [], [], [], []
+    task_target = np.array([block for (_m, _f, block) in tasks])
+    for t, (marginal, f, _block) in enumerate(tasks):
+        for x, wx in marginal.items():
+            atoms.append(x)
+            atom_task.append(t)
+            atom_weight.append(float(wx))
+            truth_atoms.append(f(x))
+    n_atoms = len(atoms)
+
+    y_index = {y: i for i, y in enumerate(codomain)}
+    n_y = len(codomain)
+    truth = np.array([y_index[y] for y in truth_atoms])
+    w = np.array(atom_weight)
+    atom_task_arr = np.array(atom_task)
+    n_tasks = len(tasks)
+
+    tables = _encoder_tables(z_size, n_atoms)
+    onehot = (tables[:, :, None] == np.arange(z_size)).astype(np.float64)
+    push = np.stack(
+        [
+            np.einsum("gsz,s->gz", onehot, w * (atom_task_arr == t))
+            for t in range(n_tasks)
+        ]
+    )  # (task, n_g, z)
+
+    # TV feasibility does not depend on the block partition.
+    tv_ok = np.ones(len(tables), dtype=bool)
+    for k in set(task_target.tolist()):
+        task_ids = [t for t in range(n_tasks) if task_target[t] == k]
+        for ta, tb in itertools.combinations(task_ids, 2):
+            tv = 0.5 * np.abs(push[ta] - push[tb]).sum(axis=1)
+            tv_ok &= tv <= epsilon + WEIGHT_TOL
+
+    if objective in ("sum", "avg"):
+        match_weights = np.zeros((n_atoms, n_y))
+        match_weights[np.arange(n_atoms), truth] = coeff * w
+        matched = np.einsum("gsz,sy->gzy", onehot, match_weights)
+        sep_values = coeff * w.sum() - matched.max(axis=2).sum(axis=1)
+
+    decoder_tables = None
+    if objective == "max":
+        if n_y**z_size > 65536:
+            raise BudgetError(
+                f"{n_y}^{z_size} decoder tables exceed the enumeration budget"
+            )
+        decoder_tables = _encoder_tables(n_y, z_size)  # all h: Z -> codomain
+
+    z_names = tuple(f"z{i}" for i in range(z_size))
+    best = None
+    n_feasible_total = 0
+    for partition in itertools.product(range(len(block_names)), repeat=z_size):
+        part = np.array(partition)
+        in_block = part[None, :] == task_target[:, None]  # (task, z)
+        leak = np.zeros(len(tables))
+        for t in range(n_tasks):
+            outside = ~in_block[t]
+            if outside.any():
+                leak = np.maximum(leak, push[t][:, outside].sum(axis=1))
+        feasible = tv_ok & (leak <= WEIGHT_TOL)
+        n_here = int(feasible.sum())
+        if n_here == 0:
+            continue
+        n_feasible_total += n_here
+        feasible_idx = np.flatnonzero(feasible)
+
+        if objective in ("sum", "avg"):
+            pos = int(np.argmin(sep_values[feasible_idx]))
+            g = int(feasible_idx[pos])
+            value = float(sep_values[g])
+            if best is None or value < best[0]:
+                h_table = matched[g].argmax(axis=1)
+                best = (value, g, h_table, partition)
+        else:
+            for g in feasible_idx:
+                cost = np.zeros((n_tasks, z_size, n_y))
+                g_row = tables[g]
+                for s in range(n_atoms):
+                    t = atom_task[s]
+                    cost[t, g_row[s], :] += w[s]
+                    cost[t, g_row[s], truth[s]] -= w[s]
+                errs = cost[:, np.arange(z_size)[None, :], decoder_tables].sum(axis=2)
+                obj = errs.max(axis=0)  # (n_h,)
+                h_pos = int(np.argmin(obj))
+                value = float(obj[h_pos])
+                if best is None or value < best[0]:
+                    best = (value, int(g), decoder_tables[h_pos], partition)
+
+    if best is None:
+        return BruteForceResult(
+            objective, epsilon, z_size, False, math.inf, None, None, None,
+            len(tables), 0,
+        )
+    value, g, h_table, partition = best
+    encoder = DeterministicTranslator(
+        {atoms[i]: z_names[tables[g, i]] for i in range(n_atoms)}
+    )
+    decoder = DeterministicTranslator(
+        {z_names[z]: codomain[int(h_table[z])] for z in range(z_size)}
+    )
+    blocks = tuple(
+        (lang, tuple(z_names[z] for z in range(z_size) if partition[z] == i))
+        for i, lang in enumerate(block_names)
+    )
+    return BruteForceResult(
+        objective, epsilon, z_size, True, value, encoder, decoder, blocks,
+        len(tables), n_feasible_total,
+    )
+
+
+def reference_brute_force(inst, z_size, epsilon, objective):
+    """``brute_force_min_error`` with the per-partition search as its core."""
+    with mock.patch.object(impossibility, "_search", reference_partition_search):
+        return brute_force_min_error(inst, z_size, epsilon, objective)
+
+
+def result_fields(result):
+    return (
+        result.objective,
+        result.epsilon,
+        result.z_size,
+        result.feasible,
+        result.value.hex(),
+        None if result.encoder is None else result.encoder.mapping,
+        None if result.decoder is None else result.decoder.mapping,
+        result.blocks,
+        result.n_encoders,
+        result.n_feasible,
+    )
+
+
+def reweighted(inst, weights_for):
+    """The same many-to-many instance with each pair's weights set by ``weights_for(n)``."""
+    marginals = {
+        pair: FiniteDistribution(
+            inst.source_marginal(*pair).support, weights_for(len(inst.joints[pair]))
+        )
+        for pair in inst.pairs()
+    }
+    return ManyToManyInstance.from_marginals(
+        inst.languages, marginals, inst.translators, inst.sentence_pool
+    )
+
+
+def uniform(n):
+    return np.full(n, 1.0 / n)
+
+
+def first_atom_only(n):
+    return np.eye(n)[0]
+
+
+class TestPartitionFreeSearch:
+    """Every result field agrees with the per-partition reference search."""
+
+    @pytest.mark.parametrize(
+        "n_languages, z_size, atom_budget",
+        [(2, 1, 8), (2, 2, 8), (2, 3, 8), (2, 4, 6), (3, 1, 6), (3, 2, 7), (3, 3, 7), (3, 4, 6)],
+    )
+    def test_many_to_many_matches_reference(self, n_languages, z_size, atom_budget):
+        rng = np.random.default_rng(100 + 10 * n_languages + z_size)
+        n_feasible = 0
+        for _ in range(3):
+            inst = random_many_to_many_instance(
+                rng, n_languages=n_languages, atom_budget=atom_budget
+            )
+            for epsilon in (0.0, 0.2):
+                for objective in ("sum", "avg", "max"):
+                    expected = reference_brute_force(inst, z_size, epsilon, objective)
+                    result = brute_force_min_error(inst, z_size, epsilon, objective)
+                    assert result_fields(result) == result_fields(expected)
+                    n_feasible += result.feasible
+        if z_size >= n_languages:
+            assert n_feasible > 0
+
+    def test_two_to_one_matches_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            inst = random_two_to_one_instance(rng, max_sentences=3)
+            for z_size in (1, 2, 3):
+                for epsilon in (0.0, 0.1, 0.3):
+                    expected = reference_brute_force(inst, z_size, epsilon, "sum")
+                    result = brute_force_min_error(inst, z_size, epsilon, "sum")
+                    assert result_fields(result) == result_fields(expected)
+
+    @pytest.mark.parametrize("z_size", [1, 2, 3, 4])
+    def test_zero_weight_atoms_match_reference(self, z_size):
+        inst = make_worst_case(1.0)
+        for epsilon in (0.0, 0.5):
+            expected = reference_brute_force(inst, z_size, epsilon, "sum")
+            result = brute_force_min_error(inst, z_size, epsilon, "sum")
+            assert result_fields(result) == result_fields(expected)
+
+    def test_many_to_many_zero_weight_atoms_match_reference(self):
+        rng = np.random.default_rng(9)
+        for n_languages, budget in ((2, 8), (3, 8)):
+            inst = reweighted(
+                random_many_to_many_instance(rng, n_languages=n_languages, atom_budget=budget),
+                first_atom_only,
+            )
+            for z_size in (2, 3):
+                for objective in ("sum", "max"):
+                    expected = reference_brute_force(inst, z_size, 0.0, objective)
+                    result = brute_force_min_error(inst, z_size, 0.0, objective)
+                    assert result_fields(result) == result_fields(expected)
+
+    def test_uniform_weights_with_ties_match_reference(self):
+        rng = np.random.default_rng(5)
+        for n_languages, budget in ((2, 4), (3, 6)):
+            inst = reweighted(
+                random_many_to_many_instance(rng, n_languages=n_languages, atom_budget=budget),
+                uniform,
+            )
+            for objective in ("sum", "avg", "max"):
+                for epsilon in (0.0, 0.2):
+                    expected = reference_brute_force(inst, 3, epsilon, objective)
+                    result = brute_force_min_error(inst, 3, epsilon, objective)
+                    assert result_fields(result) == result_fields(expected)
+
+    def light_atom_instance(self):
+        # L0's two light sentences weigh 1.6e-12 together, above WEIGHT_TOL
+        a = (Sentence("L0", "a0"), Sentence("L0", "a1"), Sentence("L0", "a2"))
+        b = (Sentence("L1", "b0"),)
+        y = (Sentence("L", "y0"),)
+        return TwoToOneInstance(
+            ("L0", "L1"),
+            "L",
+            (
+                FiniteDistribution(a, np.array([1.0 - 1.6e-12, 0.8e-12, 0.8e-12])),
+                FiniteDistribution(b, np.array([1.0])),
+            ),
+            (
+                DeterministicTranslator({x: y[0] for x in a}),
+                DeterministicTranslator({b[0]: y[0]}),
+            ),
+        )
+
+    def test_light_atoms_above_tolerance_are_a_domain_error(self):
+        with pytest.raises(DomainError, match="L0->L"):
+            brute_force_min_error(self.light_atom_instance(), 2, 0.0, "sum")
+
+    def test_brute_exits_2_on_light_atoms_above_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "light.json"
+        io.save_instance(self.light_atom_instance(), path)
+        code = cli.main(["brute", "--instance", str(path), "--z-size", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "L0->L" in err
 
 
 class TestBruteForce:

@@ -1,10 +1,14 @@
 """Round-trip tests for every file schema."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
 from translab import io
 from translab.distributions import tv_distance
 from translab.errors import SchemaError
@@ -92,6 +96,56 @@ class TestInstanceRoundTrip:
         with pytest.raises(SchemaError):
             io.load_instance(path)
 
+    def test_not_utf8_or_a_directory_is_schema_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"languages": []}')
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            io.load_instance(path)
+        with pytest.raises(SchemaError, match="is a directory"):
+            io.load_instance(tmp_path)
+
+
+class TestInstanceDefects:
+    @pytest.mark.parametrize("defect", sorted(WORST_CASE_DEFECTS))
+    def test_defect_is_schema_error_naming_the_file(self, tmp_path, defect):
+        damage, message = WORST_CASE_DEFECTS[defect]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(damage(io.instance_to_dict(make_worst_case(0.5)))))
+        with pytest.raises(SchemaError, match=re.escape(message)) as exc:
+            io.load_instance(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_many_to_many_raw_weight_names_language_and_index(self, tmp_path, bad):
+        # each pair conditions the raw weights on its target, so a single-atom
+        # pair would turn any raw weight into 1.0 (or NaN/NaN) unchecked
+        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
+        lang = payload["languages"][0]
+        payload["marginals"][lang][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=f"marginal for '{lang}' weight 0"):
+            io.load_instance(path)
+
+    @pytest.mark.parametrize("tag", [None, ["L2"], "L9"])
+    def test_bad_target_tag_names_the_sentence(self, tmp_path, tag):
+        # str() used to turn a null or list tag into a new language's name, so
+        # the sentence left its pair and the pair's marginal changed silently
+        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(12)))
+        assert payload["sentences"]["L0"][2] == ["L2", "s1"]
+        payload["sentences"]["L0"][2][0] = tag
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="'L0'"):
+            io.load_instance(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_instance_documents())
+    def test_damaged_document_loads_or_is_schema_error(self, payload):
+        try:
+            io.instance_from_dict(payload)
+        except SchemaError:
+            pass
 
 class TestGraphAndCodecFiles:
     def test_graph_round_trip(self, tmp_path):
