@@ -14,7 +14,6 @@ from pathlib import Path
 from . import io
 from .errors import SchemaError, TranslabError
 from .evaluation import (
-    EvalConfig,
     sample_complexity_sweep,
     shortest_path_and_diameter,
     verify_chain_bound,
@@ -58,7 +57,6 @@ class ExperimentConfig:
     n_list: list[int] = field(default_factory=list)
     trials: int = 20
     samples: int = 10_000
-    mc_slack: float = 0.05
     holds_allowance: float = 0.05
     anchor: str | None = None
     sweeps: int = 0
@@ -126,8 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--codecs", type=Path, required=True)
     p.add_argument("--encoders", type=Path, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--mc-slack", type=float, default=0.05)
+    p.add_argument(
+        "--samples", type=int, default=10_000,
+        help="ignored: population losses are computed in closed form",
+    )
     p.add_argument("--holds-allowance", type=float, default=0.05)
 
     p = sub.add_parser("sweep", help="generalization-gap sweep on a single edge")
@@ -190,8 +190,6 @@ def parse_and_validate(argv) -> ExperimentConfig:
         check(all(n >= 1 for n in config.n_list), "n_list: sizes must be positive")
         check(config.trials >= 5, f"trials: must be at least 5, got {config.trials}")
     if config.mode == "eval":
-        check(config.samples >= 1000, f"samples: must be at least 1000, got {config.samples}")
-        check(config.mc_slack >= 0, f"mc_slack: must be nonnegative, got {config.mc_slack}")
         check(
             0 <= config.holds_allowance <= 1,
             f"holds_allowance: must lie in [0, 1], got {config.holds_allowance}",
@@ -357,14 +355,7 @@ def _run_eval(config: ExperimentConfig) -> int:
     graph.require_connected()
     spec, codecs = io.load_codecs(config.codecs)
     estimate, _enc_spec = io.load_encoders(config.encoders)
-    sampler = LatentSampler(spec.dim, spec.radius, config.seed)
-    records = verify_chain_bound(
-        estimate,
-        graph,
-        codecs,
-        sampler,
-        EvalConfig(samples=config.samples, seed=config.seed, mc_slack=config.mc_slack),
-    )
+    records = verify_chain_bound(estimate, graph, codecs, spec)
     _paths, diameter = shortest_path_and_diameter(graph)
     out = Path(config.out)
     io.write_pair_eval_csv(records, out / "pair_eval.csv")
@@ -373,8 +364,6 @@ def _run_eval(config: ExperimentConfig) -> int:
     io.write_summary_json(
         {
             "seed": config.seed,
-            "samples": config.samples,
-            "mc_slack": config.mc_slack,
             "diameter": diameter,
             "n_pairs": len(records),
             "holds_false": n_false,

@@ -1,10 +1,13 @@
 """Population losses, zero-shot composites, chained path bounds, and sample-size formulas.
 
-Population losses are Monte-Carlo integrals against fresh seeded latent draws.
-The measured loss of a learned composite is its squared gap to the ground-truth
-composite on the source sentence distribution. The reference is the
-conditional-mean translation (nuisance noise decoded at its mean seed), so a
-perfectly trained map scores zero with or without noise.
+Population losses are exact. A sentence is an affine image of a latent uniform
+on the radius-B ball and truncated-normal nuisance noise, both with mean zero
+and known second moments, and every learned map is affine, so the squared gap
+between a learned map and its reference is a sum of squares in those moments.
+The measured loss of a learned composite is its squared gap to the
+ground-truth composite on the source sentence distribution. The reference is
+the conditional-mean translation (nuisance noise decoded at its mean seed), so
+a perfectly trained map scores zero with or without noise.
 """
 
 from __future__ import annotations
@@ -18,88 +21,69 @@ import numpy as np
 from .affine import AffineMap
 from .errors import DomainError
 from .generative import (
+    NOISE_VARIANCE,
+    FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
+    latent_second_moment,
     randomized_generate,
 )
 from .seeding import derive_seed
 from .trainer import EncoderEstimate, fit_edge
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    samples: int = 10_000
-    seed: int = 0
-    mc_slack: float = 0.05
+def _affine_loss(
+    transform: AffineMap,
+    src: RandomizedCodec,
+    dst: RandomizedCodec,
+    radius: float,
+    target_noise: bool,
+) -> float:
+    """E||T(x) - y||^2 for x decoded by ``src`` and y by ``dst`` from one latent.
 
-    def __post_init__(self):
-        if self.samples < 1000:
-            raise ValueError("need at least 1000 evaluation samples")
-        if self.mc_slack < 0:
-            raise ValueError("mc_slack must be nonnegative")
+    With M = A W_a for T(x) = A x + c and d latent coordinates, the gap is
+    (A b_a + c - b_b) + (M[:, :d] - W_b[:, :d]) z + sigma_a M[:, d:] r, minus
+    sigma_b W_b[:, d:] r' when the target carries its own noise r'. The terms
+    are uncorrelated, so the loss is a sum of squared norms and never negative.
+    """
+    d = src.latent_dim
+    M = transform.linear @ src.W
+    offset = transform.linear @ src.b + transform.offset - dst.b
+    loss = np.sum(offset**2) + latent_second_moment(d, radius) * np.sum(
+        (M[:, :d] - dst.W[:, :d]) ** 2
+    )
+    loss += src.sigma**2 * NOISE_VARIANCE * np.sum(M[:, d:] ** 2)
+    if target_noise:
+        loss += dst.sigma**2 * NOISE_VARIANCE * np.sum(dst.W[:, d:] ** 2)
+    return float(loss)
 
 
-def _check_sampler(codec: RandomizedCodec, sampler: LatentSampler) -> None:
-    if codec.latent_dim != sampler.dim:
+def _codec(
+    codecs: Mapping[str, RandomizedCodec], lang: str, spec: FunctionClassSpec
+) -> RandomizedCodec:
+    if lang not in codecs:
+        raise DomainError(f"no codec for language {lang!r}")
+    codec = codecs[lang]
+    if codec.latent_dim != spec.dim:
         raise ValueError(
-            f"sampler dimension {sampler.dim} does not match codec latent dimension"
+            f"spec dimension {spec.dim} does not match codec latent dimension"
             f" {codec.latent_dim}"
         )
-
-
-def _pair_samples(
-    codecs: Mapping[str, RandomizedCodec],
-    src: str,
-    dst: str,
-    sampler: LatentSampler,
-    m: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation inputs from the source language plus ground-truth references."""
-    for lang in (src, dst):
-        if lang not in codecs:
-            raise DomainError(f"no codec for language {lang!r}")
-    src_codec, dst_codec = codecs[src], codecs[dst]
-    _check_sampler(src_codec, sampler)
-    z = sampler.fork(seed, "pop", src, dst).sample(m)
-    rng = np.random.default_rng(derive_seed(seed, "pop-noise", sampler.seed, src, dst))
-    r = src_codec.draw_decoder_seeds(rng, m)
-    x = src_codec.decode(z, r)
-    return x, dst_codec.mean_decode(src_codec.encode(x))
-
-
-def _population_loss_detail(
-    composite: AffineMap,
-    pair: tuple[str, str],
-    codecs: Mapping[str, RandomizedCodec],
-    sampler: LatentSampler,
-    m: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Loss and standard error of the learned ``composite`` translating ``pair``."""
-    src, dst = pair
-    x, reference = _pair_samples(codecs, src, dst, sampler, m, seed)
-    learned = composite(x)
-    squared = np.sum((learned - reference) ** 2, axis=1)
-    loss = float(squared.mean())
-    stderr = float(squared.std(ddof=1) / math.sqrt(m))
-    return loss, stderr
+    return codec
 
 
 def population_loss(
     estimate: EncoderEstimate,
     pair: tuple[str, str],
     codecs: Mapping[str, RandomizedCodec],
-    sampler: LatentSampler,
-    m: int,
-    seed: int,
+    spec: FunctionClassSpec,
 ) -> float:
-    """Monte-Carlo squared gap between the learned and ground-truth composites."""
-    if m < 1000:
-        raise ValueError("need at least 1000 samples")
-    composite = estimate.composite(*pair)
-    return _population_loss_detail(composite, pair, codecs, sampler, m, seed)[0]
+    """Exact squared gap between the learned and ground-truth composites."""
+    src, dst = (_codec(codecs, lang, spec) for lang in pair)
+    return _affine_loss(
+        estimate.composite(*pair), src, dst, spec.radius, target_noise=False
+    )
 
 
 def shortest_path_and_diameter(
@@ -177,7 +161,6 @@ class PairEvalRecord:
     path: tuple[str, ...]
     path_len: int
     measured_loss: float
-    mc_stderr: float
     edge_losses: tuple[float, ...]
     rho_hat: float
     bound: float
@@ -197,12 +180,11 @@ def verify_chain_bound(
     estimate: EncoderEstimate,
     graph: TranslationGraph,
     codecs: Mapping[str, RandomizedCodec],
-    sampler: LatentSampler,
-    config: EvalConfig,
+    spec: FunctionClassSpec,
 ) -> list[PairEvalRecord]:
     """Check the chained path bound for every unordered language pair.
 
-    Edge losses entering the bound are measured population losses in the
+    Edge losses entering the bound are exact population losses in the
     direction the path traverses them. rho_hat is the largest operator norm
     among the maps the chaining composes: the inverted destination encoder and
     the encoders of the path's nodes. Each encoder's norm, smallest gain and
@@ -212,20 +194,21 @@ def verify_chain_bound(
     encoders = {
         lang: estimate.encoder(lang) for path in paths.values() for lang in path
     }
+    lang_codecs = {lang: _codec(codecs, lang, spec) for lang in encoders}
     inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
     norms = {lang: enc.operator_norm() for lang, enc in encoders.items()}
     gains = {lang: enc.smallest_gain() for lang, enc in encoders.items()}
     edge_loss_cache: dict[tuple[str, str], float] = {}
 
-    def loss_detail(a: str, b: str) -> tuple[float, float]:
+    def loss(a: str, b: str) -> float:
         composite = inverses[b].compose(encoders[a])
-        return _population_loss_detail(
-            composite, (a, b), codecs, sampler, config.samples, config.seed
+        return _affine_loss(
+            composite, lang_codecs[a], lang_codecs[b], spec.radius, target_noise=False
         )
 
     def directed_edge_loss(a: str, b: str) -> float:
         if (a, b) not in edge_loss_cache:
-            edge_loss_cache[(a, b)] = loss_detail(a, b)[0]
+            edge_loss_cache[(a, b)] = loss(a, b)
         return edge_loss_cache[(a, b)]
 
     records = []
@@ -235,8 +218,7 @@ def verify_chain_bound(
         )
         rho_hat = max(1.0 / gains[dst], max(norms[node] for node in path))
         bound = 2.0 * rho_hat**2 * sum(losses)
-        measured, stderr = loss_detail(src, dst)
-        holds = measured <= bound * (1.0 + config.mc_slack) + 1e-9
+        measured = loss(src, dst)
         records.append(
             PairEvalRecord(
                 src=src,
@@ -244,11 +226,10 @@ def verify_chain_bound(
                 path=path,
                 path_len=len(path) - 1,
                 measured_loss=measured,
-                mc_stderr=stderr,
                 edge_losses=losses,
                 rho_hat=rho_hat,
                 bound=bound,
-                holds=holds,
+                holds=measured <= bound + 1e-9,
             )
         )
     return records
@@ -329,15 +310,14 @@ def sample_complexity_sweep(
     sampler: LatentSampler,
     seed: int,
     ridge: float = 1e-10,
-    population_samples: int = 100_000,
 ) -> SweepResult:
     """Fit one edge at increasing corpus sizes and track the generalization gap.
 
-    For each (n, trial): fit on a fresh corpus, record the in-sample loss and
-    the loss on a large fresh sample, and their absolute gap. The log-log slope
-    of the median gap against n is fitted by least squares. A run where every
-    gap is below 1e-10 (the noiseless realizable regime) is flagged degenerate
-    and gets no slope.
+    For each (n, trial): fit on a fresh corpus, record the in-sample loss, the
+    exact population loss against noisy targets, and their absolute gap. The
+    log-log slope of the median gap against n is fitted by least squares. A
+    run where every gap is below 1e-10 (the noiseless realizable regime) is
+    flagged degenerate and gets no slope.
     """
     if len(n_list) < 2:
         raise ValueError("n_list needs at least two sizes")
@@ -352,15 +332,13 @@ def sample_complexity_sweep(
                 edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial)
             )
             fitted = fit_edge(train, ridge)
-            fresh = randomized_generate(
-                edge,
-                codecs,
-                population_samples,
-                sampler,
-                derive_seed(seed, "sweep-pop", n, trial),
+            pop = _affine_loss(
+                fitted.transform,
+                codecs[edge[0]],
+                codecs[edge[1]],
+                sampler.radius,
+                target_noise=True,
             )
-            residual = fitted.transform(fresh.source_points) - fresh.target_points
-            pop = float(np.mean(np.sum(residual**2, axis=1)))
             gap = abs(pop - fitted.empirical_loss)
             rows.append(SweepRow(int(n), trial, fitted.empirical_loss, pop, gap))
     result = SweepResult(tuple(rows), None, False)

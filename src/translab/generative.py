@@ -11,6 +11,7 @@ model is the codec with no nuisance coordinates and zero noise scale.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -23,6 +24,19 @@ from .seeding import derive_seed
 
 #: Noise seeds are standard normal truncated at this many deviations per coordinate.
 NOISE_CUTOFF = 3.0
+
+#: Variance of one noise coordinate: 1 - 2c phi(c) / (2 Phi(c) - 1) at c = NOISE_CUTOFF.
+NOISE_VARIANCE = 1.0 - (
+    2.0 * NOISE_CUTOFF * math.exp(-0.5 * NOISE_CUTOFF**2) / math.sqrt(2.0 * math.pi)
+) / (2.0 * float(ndtr(NOISE_CUTOFF)) - 1.0)
+
+
+def latent_second_moment(dim: int, radius: float) -> float:
+    """Per-coordinate second moment of a latent uniform on the radius-B ball in R^d.
+
+    E z z^T = B^2 / (d + 2) * I, and the latent has mean zero.
+    """
+    return radius**2 / (dim + 2)
 
 
 @dataclass(frozen=True)

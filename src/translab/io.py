@@ -2,13 +2,17 @@
 
 JSON carries structured inputs and summaries, CSV carries tabular results.
 All text output is UTF-8 with LF line endings and full-precision floats
-(``repr``), so identical runs emit byte-identical files.
+(``repr``), so identical runs emit byte-identical files. Every writer fills a
+temporary file beside its target and then renames it over the target, so an
+interrupted write leaves the earlier file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import zipfile
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -41,9 +45,23 @@ def _read_json(path) -> dict:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode: str, **kwargs):
+    """Open a temporary file beside ``path`` that replaces ``path`` once closed cleanly."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(payload: dict, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -372,13 +390,14 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
 
 
 def save_corpus(corpus: AlignedCorpus, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        pairs=corpus.pairs,
-        edge=np.array(list(corpus.edge)),
-        meta=np.array(json.dumps(dict(corpus.meta), sort_keys=True)),
-    )
+    # Through a file handle, np.savez keeps the name as given (no ".npz" added).
+    with _atomic_open(path, "wb") as fh:
+        np.savez(
+            fh,
+            pairs=corpus.pairs,
+            edge=np.array(list(corpus.edge)),
+            meta=np.array(json.dumps(dict(corpus.meta), sort_keys=True)),
+        )
 
 
 def load_corpus(path) -> AlignedCorpus:
@@ -493,8 +512,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -554,7 +572,6 @@ def write_pair_eval_csv(records: Sequence[PairEvalRecord], path) -> None:
         "path_len",
         "path",
         "measured_loss",
-        "mc_stderr",
         "rho_hat",
         "bound",
         "holds",
@@ -566,7 +583,6 @@ def write_pair_eval_csv(records: Sequence[PairEvalRecord], path) -> None:
             r.path_len,
             "->".join(r.path),
             r.measured_loss,
-            r.mc_stderr,
             r.rho_hat,
             r.bound,
             r.holds,

@@ -9,6 +9,7 @@ from translab import io
 from translab.affine import AffineMap
 from translab.distributions import DeterministicTranslator, FiniteDistribution
 from translab.impossibility import random_many_to_many_instance, random_two_to_one_instance
+from translab.seeding import derive_seed
 
 
 def random_distribution(rng: np.random.Generator, atoms) -> FiniteDistribution:
@@ -27,6 +28,27 @@ def random_translator(rng: np.random.Generator, domain, codomain) -> Determinist
 def encoder_map(codec) -> AffineMap:
     """The exact inverse of a noiseless codec's decoder, as one affine map."""
     return AffineMap(codec.W, codec.b).inverse()
+
+
+def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_noise):
+    """Monte Carlo mean and standard error of E||T(x) - y||^2 over m seeded draws.
+
+    x decodes a latent draw through the ``src`` codec with its nuisance noise.
+    y decodes the same latent through the ``dst`` codec: with fresh noise of its
+    own when ``target_noise`` (the sweep's corpora), else at the mean noise seed
+    (the reference of the chained-bound evaluation). This is an independent
+    route to the closed-form population losses in ``translab.evaluation``.
+    """
+    src_codec, dst_codec = codecs[src], codecs[dst]
+    z = sampler.fork(seed, "pop", src, dst).sample(m)
+    rng = np.random.default_rng(derive_seed(seed, "pop-noise", sampler.seed, src, dst))
+    x = src_codec.decode(z, src_codec.draw_decoder_seeds(rng, m))
+    if target_noise:
+        y = dst_codec.decode(z, dst_codec.draw_decoder_seeds(rng, m))
+    else:
+        y = dst_codec.mean_decode(src_codec.encode(x))
+    squared = np.sum((transform(x) - y) ** 2, axis=1)
+    return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(m))
 
 
 # ---------------------------------------------------------------------------

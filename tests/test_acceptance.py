@@ -18,7 +18,6 @@ from translab.distributions import (
     disagreement_bound_check,
 )
 from translab.evaluation import (
-    EvalConfig,
     concentration_bound,
     population_loss,
     required_sample_size,
@@ -192,9 +191,7 @@ def test_criterion_06_realizable_exact_recovery():
     n_pairs = 0
     for i in range(5):
         for j in range(i + 1, 5):
-            loss = population_loss(
-                estimate, (langs[i], langs[j]), codecs, sampler, 4000, seed=seed
-            )
+            loss = population_loss(estimate, (langs[i], langs[j]), codecs, spec)
             worst = max(worst, loss)
             n_pairs += 1
     report(
@@ -215,9 +212,7 @@ def _randomized_chain_records(seed):
         for e in graph.edge_pairs()
     ]
     estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-    return verify_chain_bound(
-        estimate, graph, codecs, sampler, EvalConfig(samples=10_000, seed=seed)
-    )
+    return verify_chain_bound(estimate, graph, codecs, spec)
 
 
 def test_criterion_07a_chained_bound_holds():
@@ -291,8 +286,8 @@ def test_criterion_08_gauge_invariance():
             ),
         )
     for pair in (("L0", "L4"), ("L1", "L3"), ("L4", "L0")):
-        a = population_loss(estimate, pair, codecs, sampler, 4000, seed=seed)
-        b = population_loss(transformed, pair, codecs, sampler, 4000, seed=seed)
+        a = population_loss(estimate, pair, codecs, spec)
+        b = population_loss(transformed, pair, codecs, spec)
         worst = max(worst, abs(a - b))
     report(
         "criterion 8 (gauge invariance of composites and losses)",

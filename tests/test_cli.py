@@ -401,6 +401,46 @@ class TestPipeline:
         assert code == 2
         assert str(codecs_path) in err and "'L0'" in err and "latent dimension" in err
 
+    def test_eval_pair_table_does_not_depend_on_seed_or_samples(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        out = tmp_path / "run"
+        run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2",
+             "--sigma", "0.05", "--nuisance-dim", "1", "--seed", "4"],
+            capsys,
+        )
+        run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out), "--seed", "4"],
+            capsys,
+        )
+        tables = []
+        for seed, samples in (("1", "2000"), ("2", "10")):
+            eval_out = tmp_path / f"eval-{seed}"
+            code, _, _ = run_cli(
+                ["eval", "--graph", str(graph_path),
+                 "--codecs", str(out / "codecs.json"),
+                 "--encoders", str(out / "encoders.json"),
+                 "--out", str(eval_out), "--seed", seed, "--samples", samples],
+                capsys,
+            )
+            assert code == 0
+            tables.append((eval_out / "pair_eval.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_mc_slack_flag_exits_2(self, tmp_path, capsys):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["eval", "--graph", str(graph_path),
+                 "--codecs", str(out / "codecs.json"),
+                 "--encoders", str(out / "encoders.json"),
+                 "--out", str(out), "--mc-slack", "0.05"]
+            )
+        assert exc.value.code == 2
+        assert "--mc-slack" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_small_sweep_writes_slope(self, tmp_path, capsys):

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import encoder_map
+from helpers import encoder_map, monte_carlo_pair_loss
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.evaluation import (
-    EvalConfig,
     PairEvalRecord,
+    _affine_loss,
     concentration_bound,
     path_bound,
     population_loss,
@@ -20,15 +20,22 @@ from translab.evaluation import (
     verify_chain_bound,
 )
 from translab.generative import (
+    NOISE_VARIANCE,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
+    _truncated_normal,
+    latent_second_moment,
     sample_randomized_codecs,
     six_language_demo_graph,
 )
 from translab.trainer import EncoderEstimate, anchor_spanning_tree, fit_edge
 from test_trainer import chain_setup
+
+
+def spec_of(sampler: LatentSampler) -> FunctionClassSpec:
+    return FunctionClassSpec(dim=sampler.dim, radius=sampler.radius)
 
 
 class TestPopulationLoss:
@@ -37,7 +44,7 @@ class TestPopulationLoss:
         estimate = EncoderEstimate(
             {lang: encoder_map(codecs[lang]) for lang in codecs}, anchor=None
         )
-        loss = population_loss(estimate, ("L0", "L2"), codecs, sampler, 2000, seed=1)
+        loss = population_loss(estimate, ("L0", "L2"), codecs, spec_of(sampler))
         assert loss <= 1e-12
 
     def test_one_dimensional_closed_form(self):
@@ -55,8 +62,7 @@ class TestPopulationLoss:
             },
             anchor="A",
         )
-        sampler = LatentSampler(1, 1.0, seed=0)
-        loss = population_loss(estimate, ("A", "B"), codecs, sampler, 200_000, seed=0)
+        loss = population_loss(estimate, ("A", "B"), codecs, FunctionClassSpec(dim=1))
         assert loss == pytest.approx(delta**2 / 3.0, rel=0.02)
 
     def test_gauge_invariance(self):
@@ -65,8 +71,8 @@ class TestPopulationLoss:
         estimate = anchor_spanning_tree(graph, results, "L0")
         f = AffineMap(np.diag([1.2, 0.8, 1.0]), np.array([0.5, 0, -0.5]))
         transformed = estimate.with_gauge(f)
-        a = population_loss(estimate, ("L0", "L2"), codecs, sampler, 4000, seed=2)
-        b = population_loss(transformed, ("L0", "L2"), codecs, sampler, 4000, seed=2)
+        a = population_loss(estimate, ("L0", "L2"), codecs, spec_of(sampler))
+        b = population_loss(transformed, ("L0", "L2"), codecs, spec_of(sampler))
         assert abs(a - b) <= 1e-9
 
     def test_unknown_language(self):
@@ -75,17 +81,64 @@ class TestPopulationLoss:
             {lang: encoder_map(codecs[lang]) for lang in codecs}, anchor=None
         )
         with pytest.raises(DomainError):
-            population_loss(estimate, ("L0", "Lx"), codecs, sampler, 2000, seed=0)
+            population_loss(estimate, ("L0", "Lx"), codecs, spec_of(sampler))
 
-    def test_sampler_must_match_codec_latent_dimension(self):
+    def test_spec_must_match_codec_latent_dimension(self):
         _graph, codecs, _corpora, _sampler = chain_setup(d=3, nuisance=1, sigma=0.1)
         estimate = EncoderEstimate(
             {lang: AffineMap.identity(4) for lang in codecs}, anchor=None
         )
         with pytest.raises(ValueError, match="latent dimension 3"):
-            population_loss(
-                estimate, ("L0", "L1"), codecs, LatentSampler(4, 1.0, 0), 2000, seed=0
+            population_loss(estimate, ("L0", "L1"), codecs, FunctionClassSpec(dim=4))
+
+
+class TestMonteCarloCrossCheck:
+    """The closed forms against sampling, an independent route to the same numbers."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_latent_second_moment(self, d):
+        radius, m = 1.5, 200_000
+        z = LatentSampler(d, radius, seed=d).sample(m)
+        products = z[:, :, None] * z[:, None, :]
+        expected = latent_second_moment(d, radius) * np.eye(d)
+        gap = np.abs(products.mean(axis=0) - expected)
+        stderr = products.std(axis=0, ddof=1) / math.sqrt(m)
+        assert np.all(gap <= 4.0 * stderr)
+
+    def test_noise_variance(self):
+        from scipy.stats import truncnorm
+
+        m = 200_000
+        squared = _truncated_normal(np.random.default_rng(0), m) ** 2
+        stderr = squared.std(ddof=1) / math.sqrt(m)
+        assert abs(squared.mean() - NOISE_VARIANCE) <= 4.0 * stderr
+        assert NOISE_VARIANCE == pytest.approx(truncnorm.var(-3, 3), rel=1e-12)
+
+    @pytest.mark.parametrize("target_noise", [False, True], ids=["eval", "sweep"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_closed_form_matches_monte_carlo(self, d, k, sigma, target_noise):
+        spec = FunctionClassSpec(dim=d)
+        seed = 100 * d + 10 * k + int(100 * sigma)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, k, sigma, seed)))
+        # a deliberately imperfect map: the noise-passing composite, perturbed
+        rng = np.random.default_rng(seed)
+        a, b = codecs["A"], codecs["B"]
+        linear = b.W @ np.linalg.inv(a.W) + 0.1 * rng.standard_normal((d + k, d + k))
+        transform = AffineMap(linear, b.b - linear @ a.b + 0.1 * rng.standard_normal(d + k))
+        if target_noise:
+            exact = _affine_loss(transform, a, b, spec.radius, True)
+        else:
+            estimate = EncoderEstimate(
+                {"A": AffineMap.identity(d + k), "B": transform.inverse()}, anchor="A"
             )
+            exact = population_loss(estimate, ("A", "B"), codecs, spec)
+        sampler = LatentSampler(d, spec.radius, seed)
+        mc, stderr = monte_carlo_pair_loss(
+            transform, codecs, "A", "B", sampler, 200_000, seed, target_noise
+        )
+        assert abs(exact - mc) <= 4.0 * stderr
 
 
 class TestComposeZeroShot:
@@ -177,7 +230,7 @@ class TestVerifyChainBound:
             n_langs=2, sigma=0.1, nuisance=2, n=200, seed=4
         )
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        fitted_loss = population_loss(estimate, ("L0", "L1"), codecs, sampler, 4000, seed=3)
+        fitted_loss = population_loss(estimate, ("L0", "L1"), codecs, spec_of(sampler))
         dst = codecs["L1"]
         floor = (
             0.1**2
@@ -195,7 +248,7 @@ class TestVerifyChainBound:
             },
             anchor=None,
         )
-        naive_loss = population_loss(passthrough, ("L0", "L1"), codecs, sampler, 4000, seed=3)
+        naive_loss = population_loss(passthrough, ("L0", "L1"), codecs, spec_of(sampler))
         assert naive_loss == pytest.approx(floor, rel=0.15)
 
     def test_randomized_chain_records_hold(self):
@@ -203,9 +256,7 @@ class TestVerifyChainBound:
             n_langs=4, sigma=0.05, nuisance=1, n=120, seed=2
         )
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        records = verify_chain_bound(
-            estimate, graph, codecs, sampler, EvalConfig(samples=4000, seed=2)
-        )
+        records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
         assert len(records) == 6
         assert all(r.holds for r in records)
         assert all(r.rho_hat >= 1.0 for r in records)
@@ -213,20 +264,26 @@ class TestVerifyChainBound:
     def test_noiseless_run_all_hold(self):
         graph, codecs, corpora, sampler = chain_setup(n_langs=4, d=3, n=40)
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        records = verify_chain_bound(
-            estimate, graph, codecs, sampler, EvalConfig(samples=2000, seed=0)
-        )
+        records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
         assert len(records) == 6
         assert all(r.holds for r in records)
         assert all(r.measured_loss <= 1e-10 for r in records)
         adjacent = [r for r in records if (r.src, r.dst) == ("L0", "L1")]
         assert adjacent[0].path_len == 1
 
+    def test_noiseless_losses_are_nonnegative(self):
+        graph, codecs, corpora, sampler = chain_setup(n_langs=5, d=3, n=40, seed=7)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
+        assert len(records) == 10
+        assert all(r.measured_loss >= 0.0 for r in records)
+        assert all(loss >= 0.0 for r in records for loss in r.edge_losses)
+
     def test_record_invariants_enforced(self):
         with pytest.raises(ValueError):
             PairEvalRecord(
                 src="A", dst="B", path=("A", "B"), path_len=1,
-                measured_loss=0.0, mc_stderr=0.0, edge_losses=(0.1,),
+                measured_loss=0.0, edge_losses=(0.1,),
                 rho_hat=2.0, bound=0.123, holds=True,  # not 2 * 4 * 0.1
             )
 
@@ -299,7 +356,7 @@ class TestSweep:
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
         sampler = LatentSampler(2, 1.0, seed=0)
         result = sample_complexity_sweep(
-            ("A", "B"), codecs, [8, 16], 5, sampler, seed=0, population_samples=2000
+            ("A", "B"), codecs, [8, 16], 5, sampler, seed=0
         )
         assert result.degenerate
         assert result.slope is None
@@ -310,7 +367,7 @@ class TestSweep:
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 1, 0.1, seed=0)))
         sampler = LatentSampler(2, 1.0, seed=0)
         result = sample_complexity_sweep(
-            ("A", "B"), codecs, [16, 32], 5, sampler, seed=0, population_samples=4000
+            ("A", "B"), codecs, [16, 32], 5, sampler, seed=0
         )
         assert all(row.gap >= 0 for row in result.rows)
         keys = {(row.n, row.trial) for row in result.rows}

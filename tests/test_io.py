@@ -277,6 +277,68 @@ class TestCorpusFiles:
             io.load_corpus(path)
 
 
+class TestAtomicWrites:
+    """A write that fails partway keeps the earlier file and leaves no temporary file."""
+
+    class Boom(Exception):
+        pass
+
+    def _assert_unchanged(self, path, before):
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+    def test_json(self, tmp_path):
+        path = tmp_path / "summary.json"
+        io.write_summary_json({"a": 1}, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            io.write_summary_json({"a": 2, "b": object()}, path)
+        self._assert_unchanged(path, before)
+
+    def test_csv(self, tmp_path):
+        from translab.evaluation import SweepRow
+
+        class Unprintable:
+            def __str__(self):
+                raise TestAtomicWrites.Boom
+
+        path = tmp_path / "sweep.csv"
+        io.write_sweep_csv([SweepRow(8, 0, 0.1, 0.2, 0.1)], path)
+        before = path.read_bytes()
+        rows = [SweepRow(8, 0, 0.3, 0.4, 0.1), SweepRow(Unprintable(), 0, 0.3, 0.4, 0.1)]
+        with pytest.raises(self.Boom):
+            io.write_sweep_csv(rows, path)
+        self._assert_unchanged(path, before)
+
+    @staticmethod
+    def _corpus():
+        spec = FunctionClassSpec(dim=3)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
+        return randomized_generate(("A", "B"), codecs, 8, LatentSampler(3, 1.0, 0), seed=1)
+
+    def test_corpus(self, tmp_path, monkeypatch):
+        corpus = self._corpus()
+        path = tmp_path / io.corpus_filename(("A", "B"))
+        io.save_corpus(corpus, path)
+        before = path.read_bytes()
+
+        def failing_savez(fh, **arrays):
+            fh.write(b"PK partial")
+            raise self.Boom
+
+        monkeypatch.setattr(io.np, "savez", failing_savez)
+        with pytest.raises(self.Boom):
+            io.save_corpus(corpus, path)
+        self._assert_unchanged(path, before)
+
+    def test_corpus_keeps_the_given_name(self, tmp_path):
+        corpus = self._corpus()
+        path = tmp_path / "corpus.bin"
+        io.save_corpus(corpus, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.bin"]
+        assert np.array_equal(io.load_corpus(path).pairs, corpus.pairs)
+
+
 class TestEncoderFiles:
     def test_round_trip(self, tmp_path):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
@@ -354,13 +416,13 @@ class TestCsvEmission:
 
         record = PairEvalRecord(
             src="A", dst="B", path=("A", "B"), path_len=1,
-            measured_loss=0.5, mc_stderr=0.01, edge_losses=(0.5,),
+            measured_loss=0.5, edge_losses=(0.5,),
             rho_hat=1.0, bound=1.0, holds=True,
         )
         pair_path = tmp_path / "pair.csv"
         io.write_pair_eval_csv([record], pair_path)
         lines = pair_path.read_text().splitlines()
-        assert lines[0] == "src,dst,path_len,path,measured_loss,mc_stderr,rho_hat,bound,holds"
+        assert lines[0] == "src,dst,path_len,path,measured_loss,rho_hat,bound,holds"
         assert lines[1].startswith("A,B,1,A->B,0.5,")
         assert lines[1].endswith("true")
 
