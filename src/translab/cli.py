@@ -13,11 +13,7 @@ from pathlib import Path
 
 from . import io
 from .errors import SchemaError, TranslabError
-from .evaluation import (
-    sample_complexity_sweep,
-    shortest_path_and_diameter,
-    verify_chain_bound,
-)
+from .evaluation import sample_complexity_sweep, verify_chain_bound
 from .generative import (
     FunctionClassSpec,
     LatentSampler,
@@ -25,6 +21,7 @@ from .generative import (
     sample_randomized_codecs,
 )
 from .impossibility import (
+    MAX_Z_SIZE,
     bound_report,
     brute_force_min_error,
     make_worst_case,
@@ -167,7 +164,10 @@ def parse_and_validate(argv) -> ExperimentConfig:
     if config.mode == "demo-worst-case":
         check(0 <= config.delta <= 1, f"delta: must lie in [0, 1], got {config.delta}")
     if config.mode in ("brute", "demo-worst-case"):
-        check(1 <= config.z_size <= 4, f"z_size: must lie in [1, 4], got {config.z_size}")
+        check(
+            1 <= config.z_size <= MAX_Z_SIZE,
+            f"z_size: must lie in [1, {MAX_Z_SIZE}], got {config.z_size}",
+        )
     if config.mode in ("generate", "sweep"):
         check(config.dim >= 1, f"dim: must be at least 1, got {config.dim}")
         check(config.radius > 0, f"radius: must be positive, got {config.radius}")
@@ -356,7 +356,8 @@ def _run_eval(config: ExperimentConfig) -> int:
     spec, codecs = io.load_codecs(config.codecs)
     estimate, _enc_spec = io.load_encoders(config.encoders)
     records = verify_chain_bound(estimate, graph, codecs, spec)
-    _paths, diameter = shortest_path_and_diameter(graph)
+    # Records cover every language pair along its shortest path.
+    diameter = max((r.path_len for r in records), default=0)
     out = Path(config.out)
     io.write_pair_eval_csv(records, out / "pair_eval.csv")
     n_false = sum(1 for r in records if not r.holds)

@@ -168,12 +168,18 @@ class RandomizedCodec:
     def draw_decoder_seeds(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return _truncated_normal(rng, (m, self.nuisance_dim))
 
-    def decode(self, z: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    def decode(
+        self, z: np.ndarray, r: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Decode latents z with noise seeds r (zero if None), into ``out`` if given."""
         z = np.asarray(z, dtype=np.float64)
-        if r is None:
-            r = np.zeros((z.shape[0], self.nuisance_dim))
-        stacked = np.concatenate([z, self.sigma * np.asarray(r)], axis=1)
-        return stacked @ self.W.T + self.b
+        if self.nuisance_dim == 0:
+            stacked = z
+        else:
+            if r is None:
+                r = np.zeros((z.shape[0], self.nuisance_dim))
+            stacked = np.concatenate([z, self.sigma * np.asarray(r)], axis=1)
+        return np.add(stacked @ self.W.T, self.b, out=out)
 
     def mean_decode(self, z: np.ndarray) -> np.ndarray:
         """Decode at the mean (zero) noise seed: the conditional-mean sentence."""
@@ -400,8 +406,12 @@ def randomized_generate(
     noise_rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
     r = codecs[a].draw_decoder_seeds(noise_rng, n)
     r_prime = codecs[b].draw_decoder_seeds(noise_rng, n)
-    x = codecs[a].decode(z, r)
-    x_prime = codecs[b].decode(z, r_prime)
+    dim = codecs[a].W.shape[0]
+    if codecs[b].W.shape[0] != dim:
+        raise DomainError(f"codecs of {a!r} and {b!r} decode to different dimensions")
+    pairs = np.empty((n, 2, dim))
+    codecs[a].decode(z, r, out=pairs[:, 0, :])
+    codecs[b].decode(z, r_prime, out=pairs[:, 1, :])
     meta = {
         "edge": [a, b],
         "n": n,
@@ -411,7 +421,7 @@ def randomized_generate(
         "nuisance_dim": max(codecs[a].nuisance_dim, codecs[b].nuisance_dim),
         "codec_digest": {a: codecs[a].digest(), b: codecs[b].digest()},
     }
-    return AlignedCorpus((a, b), np.stack([x, x_prime], axis=1), meta)
+    return AlignedCorpus((a, b), pairs, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 
 from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
 from translab import cli, io
+from translab.evaluation import shortest_path_and_diameter
 from translab.generative import TranslationGraph
-from translab.impossibility import make_worst_case
+from translab.impossibility import MAX_Z_SIZE, make_worst_case
 
 
 def run_cli(args, capsys):
@@ -54,6 +55,16 @@ class TestParseAndValidate:
             )
         fields = " ".join(exc.value.violations)
         assert "n_list" in fields and "trials" in fields
+
+    @pytest.mark.parametrize("z_size", [0, MAX_Z_SIZE + 1])
+    def test_z_size_outside_the_search_budget_is_a_violation(self, tmp_path, z_size):
+        instance = tmp_path / "i.json"
+        io.save_instance(make_worst_case(0.5), instance)
+        with pytest.raises(cli.ValidationFailure) as exc:
+            cli.parse_and_validate(
+                ["brute", "--instance", str(instance), "--z-size", str(z_size)]
+            )
+        assert f"z_size: must lie in [1, {MAX_Z_SIZE}], got {z_size}" in exc.value.violations
 
     def test_missing_file_is_a_violation(self):
         with pytest.raises(cli.ValidationFailure) as exc:
@@ -400,6 +411,14 @@ class TestPipeline:
         code, _, err = self._eval(graph_path, out, capsys)
         assert code == 2
         assert str(codecs_path) in err and "'L0'" in err and "latent dimension" in err
+
+    def test_eval_summary_reports_the_graph_diameter(self, tmp_path, capsys):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        code, _, _ = self._eval(graph_path, out, capsys)
+        assert code == 0
+        summary = json.loads((out / "eval_summary.json").read_text())
+        _paths, diameter = shortest_path_and_diameter(io.load_graph(graph_path))
+        assert summary["diameter"] == diameter == 2
 
     def test_eval_pair_table_does_not_depend_on_seed_or_samples(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"

@@ -197,6 +197,27 @@ class TestRandomizedGenerate:
         assert np.array_equal(corpus.pairs, expected)
         assert corpus.meta["sigma"] == 0.0 and corpus.meta["nuisance_dim"] == 0
 
+    def test_noisy_pairs_match_the_stacked_formula_bitwise(self):
+        spec = FunctionClassSpec(dim=3)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 2, 0.1, seed=1)))
+        sampler = LatentSampler(3, 1.0, seed=4)
+        corpus = randomized_generate(("A", "B"), codecs, 300, sampler, seed=5)
+        z = sampler.fork(5, "latent", "A", "B").sample(300)
+        noise_rng = np.random.default_rng(derive_seed(5, "noise", sampler.seed, "A", "B"))
+        sides = []
+        for lang in "AB":
+            codec = codecs[lang]
+            r = codec.draw_decoder_seeds(noise_rng, 300)
+            stacked = np.concatenate([z, codec.sigma * r], axis=1)
+            sides.append(stacked @ codec.W.T + codec.b)
+        assert np.array_equal(corpus.pairs, np.stack(sides, axis=1))
+
+    def test_codecs_of_different_dimensions_are_a_domain_error(self):
+        a = sample_randomized_codecs(FunctionClassSpec(dim=3), 1, 0, 0.0, seed=0)[0]
+        b = sample_randomized_codecs(FunctionClassSpec(dim=3), 1, 1, 0.1, seed=0)[0]
+        with pytest.raises(DomainError, match="different dimensions"):
+            randomized_generate(("A", "B"), {"A": a, "B": b}, 10, LatentSampler(3, 1.0, 0), 0)
+
     def test_encoder_recovers_latents_exactly(self):
         spec = FunctionClassSpec(dim=3)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 2, 0.1, seed=1)))

@@ -34,6 +34,9 @@ from translab.impossibility import (
     random_two_to_one_instance,
     two_to_one_bound,
     _encoder_tables,
+    _orbit_members,
+    _orbit_sizes,
+    _restricted_growth_tables,
 )
 
 TOL = 1e-12
@@ -449,9 +452,123 @@ def reference_partition_search(tasks, block_names, codomain, coeff, z_size, epsi
     )
 
 
+def reference_table_search(tasks, block_names, codomain, coeff, z_size, epsilon, objective):
+    """The full-table partition-free search that the orbit search replaced, kept as a test oracle.
+
+    It scores every one of the z_size**n_atoms encoder tables rather than one
+    table per orbit under relabelling of z. Tasks whose light atoms weigh more
+    than ``WEIGHT_TOL`` together are not rejected here.
+    """
+    atoms, atom_task, atom_weight, truth_atoms = [], [], [], []
+    task_target = np.array([block for (_m, _f, block) in tasks])
+    for t, (marginal, f, _block) in enumerate(tasks):
+        for x, wx in marginal.items():
+            atoms.append(x)
+            atom_task.append(t)
+            atom_weight.append(float(wx))
+            truth_atoms.append(f(x))
+    n_atoms = len(atoms)
+
+    y_index = {y: i for i, y in enumerate(codomain)}
+    n_y = len(codomain)
+    truth = np.array([y_index[y] for y in truth_atoms])
+    w = np.array(atom_weight)
+    atom_task_arr = np.array(atom_task)
+    n_tasks = len(tasks)
+    n_blocks = len(block_names)
+
+    tables = _encoder_tables(z_size, n_atoms)
+    hits = tables[:, :, None] == np.arange(z_size)  # (n_g, atom, z)
+    onehot = hits.astype(np.float64)
+    push = np.stack(
+        [
+            np.einsum("gsz,s->gz", onehot, w * (atom_task_arr == t))
+            for t in range(n_tasks)
+        ]
+    )  # (task, n_g, z)
+
+    tv_ok = np.ones(len(tables), dtype=bool)
+    for k in set(task_target.tolist()):
+        task_ids = [t for t in range(n_tasks) if task_target[t] == k]
+        for ta, tb in itertools.combinations(task_ids, 2):
+            tv = 0.5 * np.abs(push[ta] - push[tb]).sum(axis=1)
+            tv_ok &= tv <= epsilon + WEIGHT_TOL
+
+    if objective == "max" and n_y**z_size > 65536:
+        raise BudgetError(f"{n_y}^{z_size} decoder tables exceed the enumeration budget")
+
+    heavy = w > WEIGHT_TOL
+    atom_block = task_target[atom_task_arr]
+    pinned = np.stack(
+        [hits[:, heavy & (atom_block == k), :].any(axis=1) for k in range(n_blocks)]
+    )  # (block, n_g, z)
+    n_pins = pinned.sum(axis=0)
+    feasible_idx = np.flatnonzero(tv_ok & (n_pins <= 1).all(axis=1))
+    if len(feasible_idx) == 0:
+        return BruteForceResult(
+            objective, epsilon, z_size, False, math.inf, None, None, None,
+            len(tables), 0,
+        )
+    n_free = (n_pins[feasible_idx] == 0).sum(axis=1)
+    n_feasible = int((n_blocks**n_free).sum())
+    first_partition = pinned[:, feasible_idx, :].argmax(axis=0)  # (n_feasible, z)
+
+    if objective in ("sum", "avg"):
+        match_weights = np.zeros((n_atoms, n_y))
+        match_weights[np.arange(n_atoms), truth] = coeff * w
+        matched = np.einsum("gsz,sy->gzy", onehot[feasible_idx], match_weights)
+        values = coeff * w.sum() - matched.max(axis=2).sum(axis=1)
+        h_tables = matched.argmax(axis=2)
+    else:
+        decoder_tables = _encoder_tables(n_y, z_size)  # all h: Z -> codomain
+        values = np.empty(len(feasible_idx))
+        h_tables = np.empty((len(feasible_idx), z_size), dtype=int)
+        for i, g in enumerate(feasible_idx):
+            cost = np.zeros((n_tasks, z_size, n_y))
+            g_row = tables[g]
+            for s in range(n_atoms):
+                t = atom_task[s]
+                cost[t, g_row[s], :] += w[s]
+                cost[t, g_row[s], truth[s]] -= w[s]
+            errs = cost[:, np.arange(z_size)[None, :], decoder_tables].sum(axis=2)
+            obj = errs.max(axis=0)  # (n_h,)
+            h_pos = int(np.argmin(obj))
+            values[i] = obj[h_pos]
+            h_tables[i] = decoder_tables[h_pos]
+
+    minimizers = np.flatnonzero(values == values.min())
+    candidates = first_partition[minimizers]
+    partition = candidates[np.argmin(candidates @ n_blocks ** np.arange(z_size - 1, -1, -1))]
+    free = n_pins[feasible_idx[minimizers]] == 0
+    i = int(minimizers[np.argmax(((candidates == partition) | free).all(axis=1))])
+    g = int(feasible_idx[i])
+
+    z_names = tuple(f"z{z}" for z in range(z_size))
+    encoder = DeterministicTranslator(
+        {atoms[s]: z_names[tables[g, s]] for s in range(n_atoms)}
+    )
+    decoder = DeterministicTranslator(
+        {z_names[z]: codomain[int(h_tables[i, z])] for z in range(z_size)}
+    )
+    blocks = tuple(
+        (lang, tuple(z_names[z] for z in range(z_size) if partition[z] == k))
+        for k, lang in enumerate(block_names)
+    )
+    return BruteForceResult(
+        objective, epsilon, z_size, True, float(values[i]), encoder, decoder,
+        blocks, len(tables), n_feasible,
+    )
+
+
 def reference_brute_force(inst, z_size, epsilon, objective):
     """``brute_force_min_error`` with the per-partition search as its core."""
     with mock.patch.object(impossibility, "_search", reference_partition_search):
+        return brute_force_min_error(inst, z_size, epsilon, objective)
+
+
+def reference_table_brute_force(inst, z_size, epsilon, objective):
+    """``brute_force_min_error`` with the full-table search as its core."""
+    with mock.patch.object(impossibility, "_search", reference_table_search):
         return brute_force_min_error(inst, z_size, epsilon, objective)
 
 
@@ -491,13 +608,15 @@ def first_atom_only(n):
     return np.eye(n)[0]
 
 
+SEARCH_GRID = [
+    (2, 1, 8), (2, 2, 8), (2, 3, 8), (2, 4, 6), (3, 1, 6), (3, 2, 7), (3, 3, 7), (3, 4, 6)
+]
+
+
 class TestPartitionFreeSearch:
     """Every result field agrees with the per-partition reference search."""
 
-    @pytest.mark.parametrize(
-        "n_languages, z_size, atom_budget",
-        [(2, 1, 8), (2, 2, 8), (2, 3, 8), (2, 4, 6), (3, 1, 6), (3, 2, 7), (3, 3, 7), (3, 4, 6)],
-    )
+    @pytest.mark.parametrize("n_languages, z_size, atom_budget", SEARCH_GRID)
     def test_many_to_many_matches_reference(self, n_languages, z_size, atom_budget):
         rng = np.random.default_rng(100 + 10 * n_languages + z_size)
         n_feasible = 0
@@ -587,6 +706,135 @@ class TestPartitionFreeSearch:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "L0->L" in err
+
+
+def stirling2(n, k):
+    """Ways to split n labelled items into k nonempty unlabelled blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+class TestRestrictedGrowthTables:
+    @pytest.mark.parametrize("z_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
+    def test_row_count_is_a_sum_of_stirling_numbers(self, n_atoms, z_size):
+        rows = _restricted_growth_tables(z_size, n_atoms)
+        assert rows.shape == (
+            sum(stirling2(n_atoms, k) for k in range(1, z_size + 1)),
+            n_atoms,
+        )
+
+    def test_eight_atoms_into_four_points_give_2795_rows(self):
+        assert len(_restricted_growth_tables(4, 8)) == 2795
+
+    @pytest.mark.parametrize("z_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_atoms", [1, 3, 6, 8])
+    def test_orbit_sizes_sum_to_all_tables(self, n_atoms, z_size):
+        rows = _restricted_growth_tables(z_size, n_atoms)
+        assert int(_orbit_sizes(rows, z_size).sum()) == z_size**n_atoms
+
+    @pytest.mark.parametrize("z_size", [2, 3, 4])
+    def test_rows_are_in_lexicographic_order(self, z_size):
+        rows = [tuple(r) for r in _restricted_growth_tables(z_size, 7).tolist()]
+        assert rows == sorted(set(rows))
+
+    @pytest.mark.parametrize("z_size, n_atoms", [(2, 5), (3, 5), (4, 5), (4, 6)])
+    def test_each_row_is_the_smallest_table_of_its_orbit(self, z_size, n_atoms):
+        rows = _restricted_growth_tables(z_size, n_atoms)
+        seen = set()
+        for row in rows:
+            orbit = {
+                tuple(perm[z] for z in row)
+                for perm in itertools.permutations(range(z_size))
+            }
+            assert min(orbit) == tuple(row)
+            assert not orbit & seen
+            seen |= orbit
+        assert len(seen) == z_size**n_atoms
+
+    @pytest.mark.parametrize("z_size, n_atoms", [(1, 4), (3, 4), (4, 5)])
+    def test_orbit_members_of_every_row_are_all_tables_in_order(self, z_size, n_atoms):
+        members = _orbit_members(_restricted_growth_tables(z_size, n_atoms), z_size)
+        assert np.array_equal(members, _encoder_tables(z_size, n_atoms))
+
+
+def bench_shaped_instances(rng, count):
+    """K=3 instances with exactly the full eight-sentence budget."""
+    instances = []
+    while len(instances) < count:
+        inst = random_many_to_many_instance(rng, n_languages=3, atom_budget=8)
+        if sum(len(j) for j in inst.joints.values()) == 8:
+            instances.append(inst)
+    return instances
+
+
+class TestOrbitSearch:
+    """Every result field agrees with the full-table reference search."""
+
+    @pytest.mark.parametrize("n_languages, z_size, atom_budget", SEARCH_GRID)
+    def test_many_to_many_matches_full_table_search(self, n_languages, z_size, atom_budget):
+        rng = np.random.default_rng(100 + 10 * n_languages + z_size)
+        for _ in range(3):
+            inst = random_many_to_many_instance(
+                rng, n_languages=n_languages, atom_budget=atom_budget
+            )
+            for epsilon in (0.0, 0.2):
+                for objective in ("sum", "avg", "max"):
+                    expected = reference_table_brute_force(inst, z_size, epsilon, objective)
+                    result = brute_force_min_error(inst, z_size, epsilon, objective)
+                    assert result_fields(result) == result_fields(expected)
+
+    def test_two_to_one_matches_full_table_search(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            inst = random_two_to_one_instance(rng, max_sentences=3)
+            for z_size in (1, 2, 3, 4):
+                for epsilon in (0.0, 0.1, 0.3):
+                    expected = reference_table_brute_force(inst, z_size, epsilon, "sum")
+                    result = brute_force_min_error(inst, z_size, epsilon, "sum")
+                    assert result_fields(result) == result_fields(expected)
+
+    @pytest.mark.parametrize("z_size", [1, 2, 3, 4])
+    def test_worst_case_matches_full_table_search(self, z_size):
+        for delta in (0.0, 0.5, 1.0):
+            for epsilon in (0.0, 0.3):
+                inst = make_worst_case(delta)
+                expected = reference_table_brute_force(inst, z_size, epsilon, "sum")
+                result = brute_force_min_error(inst, z_size, epsilon, "sum")
+                assert result_fields(result) == result_fields(expected)
+
+    def test_uniform_weights_with_ties_match_full_table_search(self):
+        rng = np.random.default_rng(5)
+        for n_languages, budget in ((2, 6), (3, 6)):
+            inst = reweighted(
+                random_many_to_many_instance(rng, n_languages=n_languages, atom_budget=budget),
+                uniform,
+            )
+            for z_size in (3, 4):
+                for objective in ("sum", "avg", "max"):
+                    expected = reference_table_brute_force(inst, z_size, 0.2, objective)
+                    result = brute_force_min_error(inst, z_size, 0.2, objective)
+                    assert result_fields(result) == result_fields(expected)
+
+    @pytest.mark.parametrize("objective", ["sum", "avg", "max"])
+    def test_bench_shape_matches_full_table_search(self, objective):
+        # K=3, exactly 8 sentences, |Z|=4: 2,795 orbits instead of 65,536 tables
+        for inst in bench_shaped_instances(np.random.default_rng([3, 2008]), 3):
+            expected = reference_table_brute_force(inst, 4, 0.1, objective)
+            result = brute_force_min_error(inst, 4, 0.1, objective)
+            assert result.n_encoders == 4**8
+            assert result_fields(result) == result_fields(expected)
+
+    def test_max_decoder_budget_is_checked_before_any_table_work(self):
+        rng = np.random.default_rng(2)
+        inst = random_many_to_many_instance(rng, n_languages=3, pool_size=8, atom_budget=6)
+        with mock.patch.object(impossibility, "_restricted_growth_tables") as enumerate_:
+            with pytest.raises(BudgetError, match="decoder tables"):
+                brute_force_min_error(inst, 4, 0.0, "max")
+        enumerate_.assert_not_called()
 
 
 class TestBruteForce:
