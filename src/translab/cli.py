@@ -7,6 +7,7 @@ allowance, 2 invalid input (bad flags, malformed files, failed preconditions).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -153,7 +154,11 @@ def parse_and_validate(argv) -> ExperimentConfig:
         except ValueError:
             raise ValidationFailure(["n_list: entries must be integers"]) from None
 
-    violations = []
+    violations = [
+        f"{name}: must be finite, got {value}"
+        for name, value in vars(config).items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
 
     def check(ok: bool, message: str):
         if not ok:
@@ -281,6 +286,12 @@ def _run_demo_worst_case(config: ExperimentConfig) -> int:
 
 def _run_generate(config: ExperimentConfig) -> int:
     graph = io.load_graph(config.graph)
+    for a, b, n in graph.edges:
+        if n < 1:
+            raise SchemaError(
+                f"{config.graph}: edge {a}->{b} has n={n}; generate needs at least"
+                " one pair per edge"
+            )
     spec = FunctionClassSpec(config.dim, config.radius, config.rho, config.offset_bound)
     codec_list = sample_randomized_codecs(
         spec, len(graph.languages), config.nuisance_dim, config.sigma, config.seed
@@ -291,8 +302,11 @@ def _run_generate(config: ExperimentConfig) -> int:
     sampler = LatentSampler(spec.dim, spec.radius, config.seed)
     for edge in graph.edge_pairs():
         n = graph.sample_count(*edge)
-        corpus = randomized_generate(edge, codecs, n, sampler, config.seed)
-        io.save_corpus(corpus, out / io.corpus_filename(edge))
+        # Unnamed, so the corpus is freed before the next edge is drawn.
+        io.save_corpus(
+            randomized_generate(edge, codecs, n, sampler, config.seed),
+            out / io.corpus_filename(edge),
+        )
         _print(f"corpus {edge[0]}->{edge[1]} n={n}")
     io.write_summary_json(
         {
@@ -309,7 +323,9 @@ def _run_generate(config: ExperimentConfig) -> int:
 
 def _run_train(config: ExperimentConfig) -> int:
     graph = io.load_graph(config.graph)
-    corpora = []
+    # One corpus at a time: each is fitted and dropped before the next loads,
+    # unless refinement needs them all.
+    corpora, results = [], []
     for edge in graph.edge_pairs():
         path = Path(config.corpus_dir) / io.corpus_filename(edge)
         corpus = io.load_corpus(path)
@@ -318,8 +334,10 @@ def _run_train(config: ExperimentConfig) -> int:
                 f"{path}: corpus is for edge {corpus.edge}, but the graph edge"
                 f" {edge} loads from this file"
             )
-        corpora.append(corpus)
-    results = [fit_edge(corpus, config.ridge) for corpus in corpora]
+        results.append(fit_edge(corpus, config.ridge))
+        if config.sweeps > 0:
+            corpora.append(corpus)
+        del corpus
     anchor = config.anchor or min(graph.languages)
     estimate = anchor_spanning_tree(graph, results, anchor)
     if config.sweeps > 0:

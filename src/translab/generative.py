@@ -109,7 +109,9 @@ class LatentSampler:
         gauss = self._rng.standard_normal((m, self.dim))
         norms = np.maximum(np.linalg.norm(gauss, axis=1, keepdims=True), 1e-300)
         radii = self.radius * self._rng.random(m) ** (1.0 / self.dim)
-        return gauss / norms * radii[:, None]
+        # In place, in the order of gauss / norms * radii[:, None]: same bits.
+        np.divide(gauss, norms, out=gauss)
+        return np.multiply(gauss, radii[:, None], out=gauss)
 
     def fork(self, *parts) -> "LatentSampler":
         return LatentSampler(self.dim, self.radius, derive_seed(self.seed, *parts))

@@ -418,16 +418,24 @@ def load_corpus(path) -> AlignedCorpus:
             except (KeyError, ValueError, zipfile.BadZipFile) as exc:
                 raise SchemaError(f"{path}: corpus field {name!r} is unreadable: {exc}") from exc
     pairs = fields["pairs"]
-    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[1] != 2:
+    if (
+        pairs.dtype.kind not in "iuf"
+        or pairs.ndim != 3
+        or pairs.shape[1] != 2
+        or pairs.size == 0
+    ):
         raise SchemaError(
-            f"{path}: corpus field 'pairs' must be a numeric (n, 2, dim) array,"
-            f" got {pairs.dtype} of shape {pairs.shape}"
+            f"{path}: corpus field 'pairs' must be a numeric (n, 2, dim) array"
+            f" with n, dim >= 1, got {pairs.dtype} of shape {pairs.shape}"
         )
     if not np.all(np.isfinite(pairs)):
         raise SchemaError(f"{path}: corpus field 'pairs' has a non-finite entry")
-    edge = tuple(str(x) for x in np.ravel(fields["edge"]))
-    if len(edge) != 2:
-        raise SchemaError(f"{path}: corpus field 'edge' must name two languages, got {edge}")
+    raw_edge = fields["edge"]
+    edge = tuple(str(x) for x in np.ravel(raw_edge))
+    if raw_edge.dtype.kind != "U" or len(edge) != 2:
+        raise SchemaError(
+            f"{path}: corpus field 'edge' must name two languages, got {raw_edge!r}"
+        )
     try:
         meta = json.loads(str(fields["meta"][()]))
     except ValueError as exc:

@@ -132,7 +132,9 @@ def _affine_least_squares(
 ) -> AffineMap:
     """Minimize mean squared residual of an affine map, regularizing only if needed."""
     n, d = points.shape
-    design = np.hstack([points, np.ones((n, 1))])
+    design = np.empty((n, d + 1))
+    design[:, :d] = points
+    design[:, d] = 1.0
     gram = design.T @ design
     rhs = design.T @ targets
     if np.linalg.cond(gram) > COND_LIMIT:
@@ -159,8 +161,12 @@ def fit_edge(corpus: AlignedCorpus, ridge: float = 1e-10) -> EdgeRegressionResul
             f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {corpus.n}"
         )
     transform = _affine_least_squares(corpus.source_points, corpus.target_points, ridge)
-    residual = transform(corpus.source_points) - corpus.target_points
-    loss = float(np.mean(np.sum(residual**2, axis=1)))
+    # (T(x) - y)^2 in one (n, d) array, in the order of the out-of-place formula.
+    residual = corpus.source_points @ transform.linear.T
+    residual += transform.offset
+    residual -= corpus.target_points
+    np.square(residual, out=residual)
+    loss = float(np.mean(np.sum(residual, axis=1)))
     return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n)
 
 

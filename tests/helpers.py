@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from translab.affine import AffineMap
 from translab.distributions import DeterministicTranslator, FiniteDistribution
 from translab.impossibility import random_many_to_many_instance, random_two_to_one_instance
 from translab.seeding import derive_seed
+from translab.trainer import COND_LIMIT
 
 
 def random_distribution(rng: np.random.Generator, atoms) -> FiniteDistribution:
@@ -49,6 +51,33 @@ def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_
         y = dst_codec.mean_decode(src_codec.encode(x))
     squared = np.sum((transform(x) - y) ** 2, axis=1)
     return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(m))
+
+
+# ---------------------------------------------------------------------------
+# Out-of-place references for the in-place kernels
+
+
+def out_of_place_latent_sample(dim, radius, seed, m):
+    """``LatentSampler(dim, radius, seed).sample(m)`` as fresh-array arithmetic."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((m, dim))
+    norms = np.maximum(np.linalg.norm(gauss, axis=1, keepdims=True), 1e-300)
+    radii = radius * rng.random(m) ** (1.0 / dim)
+    return gauss / norms * radii[:, None]
+
+
+def out_of_place_fit_edge(corpus, ridge=1e-10):
+    """``fit_edge``'s (transform, loss) with an ``np.hstack`` design and a fresh residual."""
+    points, targets = corpus.source_points, corpus.target_points
+    n, d = points.shape
+    design = np.hstack([points, np.ones((n, 1))])
+    gram = design.T @ design
+    if np.linalg.cond(gram) > COND_LIMIT:
+        gram = gram + ridge * np.eye(d + 1)
+    theta = np.linalg.solve(gram, design.T @ targets)
+    transform = AffineMap(theta[:d].T, theta[d])
+    loss = float(np.mean(np.sum((transform(points) - targets) ** 2, axis=1)))
+    return transform, loss
 
 
 # ---------------------------------------------------------------------------
@@ -116,3 +145,84 @@ def damaged_instance_documents(draw):
         return payload
     leaves = [path for path, _container, child in nodes if not isinstance(child, (dict, list))]
     return _set(payload, draw(st.sampled_from(leaves)), draw(st.sampled_from(LEAF_REPLACEMENTS)))
+
+
+# ---------------------------------------------------------------------------
+# Damaged corpus files for the loader and CLI tests
+
+
+def _not_a_json_object(text: str) -> bool:
+    try:
+        return not isinstance(json.loads(text), dict)
+    except ValueError:
+        return True
+
+
+@st.composite
+def damaged_corpus_fields(draw):
+    """The fields of a valid ("L1", "L2") corpus NPZ with one defect, and the field it is in."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n, dim = draw(st.integers(4, 12)), draw(st.integers(1, 3))
+    fields = {
+        "pairs": rng.standard_normal((n, 2, dim)),
+        "edge": np.array(["L1", "L2"]),
+        "meta": np.array(json.dumps({"n": n})),
+    }
+    defect = draw(
+        st.sampled_from(["non_finite", "ndim", "shape", "dtype", "missing", "edge", "meta"])
+    )
+    if defect == "non_finite":
+        pairs = fields["pairs"].astype(draw(st.sampled_from([np.float64, np.float32])))
+        pairs[tuple(draw(st.integers(0, size - 1)) for size in pairs.shape)] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+        fields["pairs"] = pairs
+        return fields, "pairs"
+    if defect == "ndim":
+        shape = draw(st.lists(st.integers(1, 4), max_size=5).filter(lambda s: len(s) != 3))
+        fields["pairs"] = np.asarray(rng.standard_normal(shape))
+        return fields, "pairs"
+    if defect == "shape":
+        shape = draw(
+            st.tuples(st.integers(0, 6), st.integers(0, 4), st.integers(0, 3)).filter(
+                lambda s: s[1] != 2 or 0 in s
+            )
+        )
+        fields["pairs"] = rng.standard_normal(shape)
+        return fields, "pairs"
+    if defect == "dtype":
+        pairs = fields["pairs"]
+        fields["pairs"] = draw(
+            st.sampled_from([pairs > 0, pairs.astype(str), pairs + 1j, pairs.astype(object)])
+        )
+        return fields, "pairs"
+    if defect == "missing":
+        name = draw(st.sampled_from(sorted(fields)))
+        del fields[name]
+        return fields, name
+    if defect == "edge":
+        fields["edge"] = draw(
+            st.sampled_from(
+                [
+                    np.array(["L1"]),
+                    np.array(["L1", "L2", "L3"]),
+                    np.array([], dtype=str),
+                    np.array("L1"),
+                    np.array([1, 2]),
+                    np.array([b"L1", b"L2"]),
+                    np.array(["L1", "L2"], dtype=object),
+                ]
+            )
+        )
+        return fields, "edge"
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+    fields["meta"] = draw(
+        st.one_of(
+            text.filter(_not_a_json_object).map(np.array),
+            st.one_of(st.integers(), st.lists(st.integers(), max_size=3), text).map(
+                lambda value: np.array(json.dumps(value))
+            ),
+            st.sampled_from([np.array(3.0), np.array([1, 2]), np.array(b"{}")]),
+        )
+    )
+    return fields, "meta"

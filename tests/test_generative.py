@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import encoder_map
+from helpers import encoder_map, out_of_place_latent_sample
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.generative import (
@@ -64,6 +64,14 @@ class TestLatentSampler:
         c = base.fork("y").sample(10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("dim", [1, 6])
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_in_place_draws_match_the_out_of_place_formula_bitwise(self, dim, radius):
+        z = LatentSampler(dim, radius, seed=11).sample(1000)
+        reference = out_of_place_latent_sample(dim, radius, 11, 1000)
+        assert np.array_equal(z, reference)
+        assert [v.hex() for v in z.ravel()] == [v.hex() for v in reference.ravel()]
 
     def test_empirical_mean_matches_ball_symmetry(self):
         # per-coordinate variance of the uniform ball is B^2 / (d + 2)

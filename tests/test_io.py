@@ -3,13 +3,17 @@
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
-from translab import io
+from helpers import WORST_CASE_DEFECTS, damaged_corpus_fields, damaged_instance_documents
+from translab import cli, io
 from translab.distributions import tv_distance
 from translab.errors import SchemaError
 from translab.generative import (
@@ -275,6 +279,29 @@ class TestCorpusFiles:
         np.save(path, np.zeros((4, 2, 3)))
         with pytest.raises(SchemaError, match="not an NPZ corpus file"):
             io.load_corpus(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(damaged_corpus_fields())
+    def test_damaged_file_is_schema_error_and_train_exits_2(self, damaged):
+        fields, field = damaged
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            graph_path = tmp / "graph.json"
+            io.save_graph(TranslationGraph(("L1", "L2"), (("L1", "L2", 8),)), graph_path)
+            path = tmp / io.corpus_filename(("L1", "L2"))
+            np.savez(path, **fields)
+            with pytest.raises(SchemaError) as info:
+                io.load_corpus(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}: corpus field '{field}'"), message
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = cli.main(
+                    ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp),
+                     "--out", str(tmp / "run")]
+                )
+            assert code == 2
+            assert err.getvalue() == f"error: {message}\n"
 
 
 class TestAtomicWrites:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import encoder_map
+from helpers import encoder_map, out_of_place_fit_edge
 from translab import trainer
 from translab.affine import SINGULAR_TOL, AffineMap
 from translab.errors import (
@@ -119,6 +119,18 @@ class TestFitEdge:
         residual = result.transform(corpora[0].source_points) - corpora[0].target_points
         recomputed = float(np.mean(np.sum(residual**2, axis=1)))
         assert abs(recomputed - result.empirical_loss) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"sigma": 0.1, "nuisance": 1, "n": 500, "seed": 4}]
+    )
+    def test_in_place_fit_matches_the_out_of_place_formula_bitwise(self, kwargs):
+        _g, _c, corpora, _ = chain_setup(**kwargs)
+        for corpus in corpora:
+            result = fit_edge(corpus)
+            transform, loss = out_of_place_fit_edge(corpus)
+            assert np.array_equal(result.transform.linear, transform.linear)
+            assert np.array_equal(result.transform.offset, transform.offset)
+            assert result.empirical_loss.hex() == loss.hex()
 
     def test_first_order_optimality(self):
         _g, _c, corpora, _ = chain_setup(sigma=0.1, nuisance=1, n=60, seed=3)
