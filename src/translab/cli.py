@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import io
@@ -27,39 +26,9 @@ from .impossibility import (
     brute_force_min_error,
     make_worst_case,
 )
-from .trainer import TrainConfig, anchor_spanning_tree, fit_edge, joint_refine
+from .trainer import anchor_spanning_tree, fit_edge, joint_refine
 
 MODES = ("bound", "brute", "demo-worst-case", "generate", "train", "eval", "sweep")
-
-
-@dataclass
-class ExperimentConfig:
-    mode: str
-    instance: Path | None = None
-    graph: Path | None = None
-    codecs: Path | None = None
-    corpus_dir: Path | None = None
-    encoders: Path | None = None
-    out: Path | None = None
-    instance_id: str = ""
-    epsilon: float = 0.0
-    delta: float = 0.0
-    z_size: int = 2
-    objective: str = "sum"
-    dim: int = 4
-    radius: float = 1.0
-    rho: float = 2.0
-    offset_bound: float = 1.0
-    sigma: float = 0.0
-    nuisance_dim: int = 0
-    n_list: list[int] = field(default_factory=list)
-    trials: int = 20
-    samples: int = 10_000
-    holds_allowance: float = 0.05
-    anchor: str | None = None
-    sweeps: int = 0
-    ridge: float = 1e-10
-    seed: int = 0
 
 
 class ValidationFailure(Exception):
@@ -141,71 +110,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_and_validate(argv) -> ExperimentConfig:
-    """Parse flags into a config, collecting every range violation (not just the first)."""
-    namespace = _build_parser().parse_args(argv)
-    values = vars(namespace)
-    config = ExperimentConfig(mode=values.pop("mode"))
-    for key, value in values.items():
-        setattr(config, key.replace("-", "_"), value)
-    if isinstance(config.n_list, str):
+#: Range rules, checked in this order for each setting the mode has:
+#: (setting, test, requirement; ``{}`` takes the value).
+_RANGES = (
+    ("epsilon", lambda v: v >= 0, "must be nonnegative, got {}"),
+    ("seed", lambda v: v >= 0, "must be nonnegative, got {}"),
+    ("delta", lambda v: 0 <= v <= 1, "must lie in [0, 1], got {}"),
+    ("z_size", lambda v: 1 <= v <= MAX_Z_SIZE, f"must lie in [1, {MAX_Z_SIZE}], got {{}}"),
+    ("dim", lambda v: v >= 1, "must be at least 1, got {}"),
+    ("radius", lambda v: v > 0, "must be positive, got {}"),
+    ("rho", lambda v: v >= 1, "must be at least 1, got {}"),
+    ("offset_bound", lambda v: v >= 0, "must be nonnegative, got {}"),
+    ("sigma", lambda v: v >= 0, "must be nonnegative, got {}"),
+    ("nuisance_dim", lambda v: v >= 0, "must be nonnegative, got {}"),
+    ("n_list", lambda v: len(v) >= 2, "need at least two sizes"),
+    ("n_list", lambda v: v == sorted(set(v)), "must be strictly ascending"),
+    ("n_list", lambda v: all(n >= 1 for n in v), "sizes must be positive"),
+    ("trials", lambda v: v >= 5, "must be at least 5, got {}"),
+    ("holds_allowance", lambda v: 0 <= v <= 1, "must lie in [0, 1], got {}"),
+    ("sweeps", lambda v: v >= 0, "must be nonnegative, got {}"),
+    ("ridge", lambda v: v >= 0, "must be nonnegative, got {}"),
+)
+
+
+def parse_and_validate(argv) -> argparse.Namespace:
+    """Parse flags, collecting every range violation (not just the first)."""
+    config = _build_parser().parse_args(argv)
+    values = vars(config)
+    if config.mode == "sweep":
         try:
             config.n_list = [int(tok) for tok in config.n_list.split(",") if tok.strip()]
         except ValueError:
             raise ValidationFailure(["n_list: entries must be integers"]) from None
 
+    rules = [rule for rule in _RANGES if rule[0] in values]
     violations = [
-        f"{name}: must be finite, got {value}"
-        for name, value in vars(config).items()
-        if isinstance(value, float) and not math.isfinite(value)
+        f"{name}: must be finite, got {values[name]}"
+        for name in dict.fromkeys(name for name, _test, _text in rules)
+        if isinstance(values[name], float) and not math.isfinite(values[name])
     ]
-
-    def check(ok: bool, message: str):
-        if not ok:
-            violations.append(message)
-
-    check(config.epsilon >= 0, f"epsilon: must be nonnegative, got {config.epsilon}")
-    check(config.seed >= 0, f"seed: must be nonnegative, got {config.seed}")
-    if config.mode == "demo-worst-case":
-        check(0 <= config.delta <= 1, f"delta: must lie in [0, 1], got {config.delta}")
-    if config.mode in ("brute", "demo-worst-case"):
-        check(
-            1 <= config.z_size <= MAX_Z_SIZE,
-            f"z_size: must lie in [1, {MAX_Z_SIZE}], got {config.z_size}",
-        )
-    if config.mode in ("generate", "sweep"):
-        check(config.dim >= 1, f"dim: must be at least 1, got {config.dim}")
-        check(config.radius > 0, f"radius: must be positive, got {config.radius}")
-        check(config.rho >= 1, f"rho: must be at least 1, got {config.rho}")
-        check(
-            config.offset_bound >= 0,
-            f"offset_bound: must be nonnegative, got {config.offset_bound}",
-        )
-        check(config.sigma >= 0, f"sigma: must be nonnegative, got {config.sigma}")
-        check(
-            config.nuisance_dim >= 0,
-            f"nuisance_dim: must be nonnegative, got {config.nuisance_dim}",
-        )
-    if config.mode == "sweep":
-        check(len(config.n_list) >= 2, "n_list: need at least two sizes")
-        check(
-            config.n_list == sorted(set(config.n_list)),
-            "n_list: must be strictly ascending",
-        )
-        check(all(n >= 1 for n in config.n_list), "n_list: sizes must be positive")
-        check(config.trials >= 5, f"trials: must be at least 5, got {config.trials}")
-    if config.mode == "eval":
-        check(
-            0 <= config.holds_allowance <= 1,
-            f"holds_allowance: must lie in [0, 1], got {config.holds_allowance}",
-        )
-    if config.mode == "train":
-        check(config.sweeps >= 0, f"sweeps: must be nonnegative, got {config.sweeps}")
-        check(config.ridge >= 0, f"ridge: must be nonnegative, got {config.ridge}")
-    if config.mode in ("generate", "train", "eval", "sweep"):
-        check(config.out is not None, "out: required for this mode")
+    violations += [
+        f"{name}: {text.format(values[name])}"
+        for name, test, text in rules
+        if not test(values[name])
+    ]
+    if config.mode in ("generate", "train", "eval", "sweep") and config.out is None:
+        violations.append("out: required for this mode")
     for name in ("instance", "graph", "codecs", "encoders", "corpus_dir"):
-        path = getattr(config, name)
+        path = values.get(name)
         if path is not None and not Path(path).exists():
             violations.append(f"{name}: path not found: {path}")
 
@@ -218,26 +170,34 @@ def _print(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _run_bound(config: ExperimentConfig) -> int:
-    instance = io.load_instance(config.instance)
-    instance_id = config.instance_id or Path(config.instance).stem
+def _load_instance(config):
+    """The ``--instance`` file and its id (``--instance-id``, else the file stem)."""
+    return io.load_instance(config.instance), config.instance_id or config.instance.stem
+
+
+def _write_report(config, report, stem: str) -> None:
+    """``<stem>.json`` and ``<stem>.csv`` under ``--out``, if it is given."""
+    if config.out:
+        io.write_summary_json(
+            {"seed": config.seed, "report": io.bound_report_to_dict(report)},
+            config.out / f"{stem}.json",
+        )
+        io.write_bound_report_csv([report], config.out / f"{stem}.csv")
+
+
+def _run_bound(config) -> int:
+    instance, instance_id = _load_instance(config)
     report = bound_report(instance, config.epsilon, instance_id)
     if report.kind == "two_to_one":
         _print(f"bound_sum={report.bound_sum:.6g}")
     else:
         _print(f"bound_max={report.bound_max:.6g} bound_avg={report.bound_avg:.6g}")
-    if config.out:
-        io.write_summary_json(
-            {"seed": config.seed, "report": io.bound_report_to_dict(report)},
-            Path(config.out) / "bound_report.json",
-        )
-        io.write_bound_report_csv([report], Path(config.out) / "bound_report.csv")
+    _write_report(config, report, "bound_report")
     return 0
 
 
-def _run_brute(config: ExperimentConfig) -> int:
-    instance = io.load_instance(config.instance)
-    instance_id = config.instance_id or Path(config.instance).stem
+def _run_brute(config) -> int:
+    instance, instance_id = _load_instance(config)
     brute = brute_force_min_error(
         instance, config.z_size, config.epsilon, config.objective
     )
@@ -257,16 +217,11 @@ def _run_brute(config: ExperimentConfig) -> int:
             f"objective={config.objective} bf_value={brute.value:.6g}{bound_text}"
             f" holds={str(report.holds).lower()}"
         )
-    if config.out:
-        io.write_summary_json(
-            {"seed": config.seed, "report": io.bound_report_to_dict(report)},
-            Path(config.out) / "brute_report.json",
-        )
-        io.write_bound_report_csv([report], Path(config.out) / "brute_report.csv")
+    _write_report(config, report, "brute_report")
     return 1 if report.holds is False else 0
 
 
-def _run_demo_worst_case(config: ExperimentConfig) -> int:
+def _run_demo_worst_case(config) -> int:
     instance = make_worst_case(config.delta)
     brute = brute_force_min_error(instance, config.z_size, config.epsilon, "sum")
     report = bound_report(instance, config.epsilon, f"worst-case-{config.delta}", brute)
@@ -275,16 +230,31 @@ def _run_demo_worst_case(config: ExperimentConfig) -> int:
         f" holds={str(report.holds).lower()}"
     )
     if config.out:
-        io.save_instance(instance, Path(config.out) / "worst_case_instance.json")
-        io.write_summary_json(
-            {"seed": config.seed, "report": io.bound_report_to_dict(report)},
-            Path(config.out) / "worst_case_report.json",
-        )
-        io.write_bound_report_csv([report], Path(config.out) / "worst_case_report.csv")
+        io.save_instance(instance, config.out / "worst_case_instance.json")
+    _write_report(config, report, "worst_case_report")
     return 1 if report.holds is False else 0
 
 
-def _run_generate(config: ExperimentConfig) -> int:
+def _draw_codecs(config, languages):
+    """The spec, one codec per language and the latent sampler of ``generate`` and ``sweep``.
+
+    Also returns the summary fields that record them.
+    """
+    spec = FunctionClassSpec(config.dim, config.radius, config.rho, config.offset_bound)
+    codec_list = sample_randomized_codecs(
+        spec, len(languages), config.nuisance_dim, config.sigma, config.seed
+    )
+    summary = {
+        "seed": config.seed,
+        "spec": spec.to_dict(),
+        "sigma": config.sigma,
+        "nuisance_dim": config.nuisance_dim,
+    }
+    sampler = LatentSampler(spec.dim, spec.radius, config.seed)
+    return spec, dict(zip(languages, codec_list)), sampler, summary
+
+
+def _run_generate(config) -> int:
     graph = io.load_graph(config.graph)
     for a, b, n in graph.edges:
         if n < 1:
@@ -292,63 +262,46 @@ def _run_generate(config: ExperimentConfig) -> int:
                 f"{config.graph}: edge {a}->{b} has n={n}; generate needs at least"
                 " one pair per edge"
             )
-    spec = FunctionClassSpec(config.dim, config.radius, config.rho, config.offset_bound)
-    codec_list = sample_randomized_codecs(
-        spec, len(graph.languages), config.nuisance_dim, config.sigma, config.seed
-    )
-    codecs = dict(zip(graph.languages, codec_list))
-    out = Path(config.out)
-    io.save_codecs(codecs, spec, out / "codecs.json")
-    sampler = LatentSampler(spec.dim, spec.radius, config.seed)
-    for edge in graph.edge_pairs():
-        n = graph.sample_count(*edge)
+    spec, codecs, sampler, summary = _draw_codecs(config, graph.languages)
+    io.save_codecs(codecs, spec, config.out / "codecs.json")
+    for a, b, n in graph.edges:
         # Unnamed, so the corpus is freed before the next edge is drawn.
         io.save_corpus(
-            randomized_generate(edge, codecs, n, sampler, config.seed),
-            out / io.corpus_filename(edge),
+            randomized_generate((a, b), codecs, n, sampler, config.seed),
+            config.out / io.corpus_filename((a, b)),
         )
-        _print(f"corpus {edge[0]}->{edge[1]} n={n}")
-    io.write_summary_json(
-        {
-            "seed": config.seed,
-            "spec": spec.to_dict(),
-            "sigma": config.sigma,
-            "nuisance_dim": config.nuisance_dim,
-            "edges": [list(e) for e in graph.edge_pairs()],
-        },
-        out / "generate_summary.json",
-    )
+        _print(f"corpus {a}->{b} n={n}")
+    summary["edges"] = [[a, b] for a, b, _n in graph.edges]
+    io.write_summary_json(summary, config.out / "generate_summary.json")
     return 0
 
 
-def _run_train(config: ExperimentConfig) -> int:
+def _run_train(config) -> int:
     graph = io.load_graph(config.graph)
     # One corpus at a time: each is fitted and dropped before the next loads,
     # unless refinement needs them all.
     corpora, results = [], []
     for edge in graph.edge_pairs():
-        path = Path(config.corpus_dir) / io.corpus_filename(edge)
+        path = config.corpus_dir / io.corpus_filename(edge)
         corpus = io.load_corpus(path)
         if corpus.edge != edge:
             raise SchemaError(
                 f"{path}: corpus is for edge {corpus.edge}, but the graph edge"
                 f" {edge} loads from this file"
             )
-        results.append(fit_edge(corpus, config.ridge))
+        try:
+            results.append(fit_edge(corpus, config.ridge))
+        except TranslabError as exc:
+            raise type(exc)(f"{path}: edge {edge[0]}->{edge[1]}: {exc}") from exc
         if config.sweeps > 0:
             corpora.append(corpus)
         del corpus
     anchor = config.anchor or min(graph.languages)
     estimate = anchor_spanning_tree(graph, results, anchor)
     if config.sweeps > 0:
-        estimate = joint_refine(
-            estimate,
-            corpora,
-            TrainConfig(anchor=anchor, sweeps=config.sweeps, ridge=config.ridge),
-        )
-    out = Path(config.out)
-    io.save_encoders(estimate, out / "encoders.json")
-    io.write_edge_loss_csv(results, out / "edge_losses.csv")
+        estimate = joint_refine(estimate, corpora, config.sweeps, config.ridge)
+    io.save_encoders(estimate, config.out / "encoders.json")
+    io.write_edge_loss_csv(results, config.out / "edge_losses.csv")
     for result in results:
         _print(
             f"edge {result.edge[0]}->{result.edge[1]} n={result.n}"
@@ -363,12 +316,12 @@ def _run_train(config: ExperimentConfig) -> int:
                 f"{r.edge[0]}->{r.edge[1]}": r.empirical_loss for r in results
             },
         },
-        out / "train_summary.json",
+        config.out / "train_summary.json",
     )
     return 0
 
 
-def _run_eval(config: ExperimentConfig) -> int:
+def _run_eval(config) -> int:
     graph = io.load_graph(config.graph)
     graph.require_connected()
     spec, codecs = io.load_codecs(config.codecs)
@@ -376,8 +329,7 @@ def _run_eval(config: ExperimentConfig) -> int:
     records = verify_chain_bound(estimate, graph, codecs, spec)
     # Records cover every language pair along its shortest path.
     diameter = max((r.path_len for r in records), default=0)
-    out = Path(config.out)
-    io.write_pair_eval_csv(records, out / "pair_eval.csv")
+    io.write_pair_eval_csv(records, config.out / "pair_eval.csv")
     n_false = sum(1 for r in records if not r.holds)
     fraction_false = n_false / len(records) if records else 0.0
     io.write_summary_json(
@@ -388,7 +340,7 @@ def _run_eval(config: ExperimentConfig) -> int:
             "holds_false": n_false,
             "holds_false_fraction": fraction_false,
         },
-        out / "eval_summary.json",
+        config.out / "eval_summary.json",
     )
     for r in records:
         _print(
@@ -398,32 +350,20 @@ def _run_eval(config: ExperimentConfig) -> int:
     return 1 if fraction_false > config.holds_allowance else 0
 
 
-def _run_sweep(config: ExperimentConfig) -> int:
-    spec = FunctionClassSpec(config.dim, config.radius, config.rho, config.offset_bound)
+def _run_sweep(config) -> int:
     edge = ("A", "B")
-    codec_list = sample_randomized_codecs(
-        spec, 2, config.nuisance_dim, config.sigma, config.seed
-    )
-    codecs = dict(zip(edge, codec_list))
-    sampler = LatentSampler(spec.dim, spec.radius, config.seed)
+    _spec, codecs, sampler, summary = _draw_codecs(config, edge)
     result = sample_complexity_sweep(
         edge, codecs, config.n_list, config.trials, sampler, config.seed
     )
-    out = Path(config.out)
-    io.write_sweep_csv(result.rows, out / "sweep.csv")
-    io.write_summary_json(
-        {
-            "seed": config.seed,
-            "spec": spec.to_dict(),
-            "sigma": config.sigma,
-            "nuisance_dim": config.nuisance_dim,
-            "n_list": list(config.n_list),
-            "trials": config.trials,
-            "slope": result.slope,
-            "degenerate": result.degenerate,
-        },
-        out / "sweep_summary.json",
+    io.write_sweep_csv(result.rows, config.out / "sweep.csv")
+    summary.update(
+        n_list=config.n_list,
+        trials=config.trials,
+        slope=result.slope,
+        degenerate=result.degenerate,
     )
+    io.write_summary_json(summary, config.out / "sweep_summary.json")
     if result.degenerate:
         _print("sweep degenerate=true (all gaps below 1e-10); slope undefined")
     else:
@@ -442,7 +382,7 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     return _RUNNERS[config.mode](config)
 
 

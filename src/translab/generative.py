@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .affine import SINGULAR_TOL
-from .errors import DomainError, GraphError
+from .errors import DomainError, GraphError, SchemaError
 from .seeding import derive_seed
 
 #: Noise seeds are standard normal truncated at this many deviations per coordinate.
@@ -62,6 +62,8 @@ class FunctionClassSpec:
             raise ValueError("rho must be at least 1")
         if self.offset_bound < 0:
             raise ValueError("offset_bound must be nonnegative")
+        if not all(map(math.isfinite, (self.radius, self.rho, self.offset_bound))):
+            raise ValueError("radius, rho and offset_bound must be finite")
 
     @property
     def M(self) -> float:
@@ -182,10 +184,6 @@ class RandomizedCodec:
                 r = np.zeros((z.shape[0], self.nuisance_dim))
             stacked = np.concatenate([z, self.sigma * np.asarray(r)], axis=1)
         return np.add(stacked @ self.W.T, self.b, out=out)
-
-    def mean_decode(self, z: np.ndarray) -> np.ndarray:
-        """Decode at the mean (zero) noise seed: the conditional-mean sentence."""
-        return self.decode(z, None)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         full = (np.asarray(x, dtype=np.float64) - self.b) @ self._W_inv.T
@@ -324,10 +322,31 @@ class TranslationGraph:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TranslationGraph":
-        return cls(
-            tuple(payload["languages"]),
-            tuple((e["a"], e["b"], int(e.get("n", 0))) for e in payload["edges"]),
-        )
+        """Build a graph from its document; a malformed document raises ``SchemaError``."""
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("languages"), list)
+            and isinstance(payload.get("edges"), list)
+        ):
+            raise SchemaError("graph document needs a 'languages' list and an 'edges' list")
+        for lang in payload["languages"]:
+            if not isinstance(lang, str):
+                raise SchemaError(f"language id {lang!r} is not a string")
+        edges = []
+        for i, entry in enumerate(payload["edges"]):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"edge {i} is not an object: {entry!r}")
+            a, b, n = entry.get("a"), entry.get("b"), entry.get("n", 0)
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise SchemaError(
+                    f"edge {i} needs language ids 'a' and 'b', got {a!r} and {b!r}"
+                )
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                raise SchemaError(
+                    f"edge {a}->{b} has n={n!r}; n must be a non-negative integer"
+                )
+            edges.append((a, b, n))
+        return cls(tuple(payload["languages"]), tuple(edges))
 
 
 def six_language_demo_graph(samples_per_edge: int = 200) -> TranslationGraph:
@@ -470,43 +489,35 @@ def paired_moment_gaps(a: np.ndarray, b: np.ndarray) -> MomentComparison:
     return MomentComparison(mean_gap, mean_se, cov_gap, cov_se, max_stat, holds)
 
 
+def _mean_gap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Norm of the gap between the means of two INDEPENDENT sample sets, and its SE."""
+    gap = float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
+    se = float(
+        np.sqrt(
+            (a.var(axis=0, ddof=1) / a.shape[0] + b.var(axis=0, ddof=1) / b.shape[0]).sum()
+        )
+    )
+    return gap, se
+
+
 def two_sample_moment_gaps(a: np.ndarray, b: np.ndarray) -> MomentComparison:
     """Compare mean and covariance of two INDEPENDENT sample sets."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ma, mb = a.shape[0], b.shape[0]
-    mean_gap = float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
-    mean_se = float(
-        np.sqrt(
-            (a.var(axis=0, ddof=1) / ma + b.var(axis=0, ddof=1) / mb).sum()
-        )
-    )
+    mean_gap, mean_se = _mean_gap(a, b)
     ca = a - a.mean(axis=0)
     cb = b - b.mean(axis=0)
-    pa = ca[:, :, None] * ca[:, None, :]
-    pb = cb[:, :, None] * cb[:, None, :]
-    cov_gap = float(np.linalg.norm(pa.mean(axis=0) - pb.mean(axis=0)))
-    cov_se = float(
-        np.sqrt(
-            (pa.var(axis=0, ddof=1) / ma + pb.var(axis=0, ddof=1) / mb).sum()
-        )
+    cov_gap, cov_se = _mean_gap(
+        ca[:, :, None] * ca[:, None, :], cb[:, :, None] * cb[:, None, :]
     )
     stat = max(_stat(mean_gap, mean_se), _stat(cov_gap, cov_se))
     holds = stat <= 3.0
     return MomentComparison(mean_gap, mean_se, cov_gap, cov_se, stat, holds)
 
 
-class InvarianceResult(NamedTuple):
-    mean_gap: float
-    cov_gap: float
-    holds: bool
-    mean_se: float
-    cov_se: float
-
-
 def invariance_test(
     codec: RandomizedCodec, sampler: LatentSampler, m: int
-) -> InvarianceResult:
+) -> MomentComparison:
     """Round-trip latents through decode/encode and compare moments to the originals.
 
     The nuisance construction recovers latents exactly, so both gaps are zero
@@ -518,10 +529,7 @@ def invariance_test(
     rng = np.random.default_rng(derive_seed(sampler.seed, "invariance-noise"))
     r = codec.draw_decoder_seeds(rng, m)
     z_round = codec.encode(codec.decode(z, r))
-    cmp = paired_moment_gaps(z_round, z)
-    return InvarianceResult(
-        cmp.mean_gap, cmp.cov_gap, cmp.holds, cmp.mean_se, cmp.cov_se
-    )
+    return paired_moment_gaps(z_round, z)
 
 
 class PropositionZeroResult(NamedTuple):
@@ -603,15 +611,7 @@ def moment_tv_lower_bound(
     """
     if sup_norm <= 0:
         raise ValueError("sup_norm must be positive")
-    a = np.asarray(samples_a, dtype=np.float64)
-    b = np.asarray(samples_b, dtype=np.float64)
-    gap = float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
-    se = float(
-        np.sqrt(
-            (
-                a.var(axis=0, ddof=1) / a.shape[0]
-                + b.var(axis=0, ddof=1) / b.shape[0]
-            ).sum()
-        )
+    gap, se = _mean_gap(
+        np.asarray(samples_a, dtype=np.float64), np.asarray(samples_b, dtype=np.float64)
     )
     return gap / (2.0 * sup_norm), se / (2.0 * sup_norm)

@@ -264,10 +264,7 @@ def check_epsilon_universal_partitioned(
 
 def two_to_one_bound(instance: TwoToOneInstance, epsilon: float) -> float:
     """Lower bound on Err0 + Err1 for any epsilon-universal encoder/decoder pair."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    tv = tv_distance(instance.target_marginal(0), instance.target_marginal(1))
-    return max(0.0, tv - epsilon)
+    return bound_report(instance, epsilon).bound_sum
 
 
 class PairTV(NamedTuple):
@@ -301,17 +298,8 @@ def many_to_many_bounds(
     Returns ``(max_bound, avg_bound)``, both clipped below at zero. The average
     is normalized by K^2 over ordered pairs, matching the error objective.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if instance.K < 2:
-        raise ValueError("need at least two languages")
-    tvs = target_marginal_tvs(instance)
-    tv_max = max((row.tv for row in tvs), default=0.0)
-    tv_sum = sum(row.tv for row in tvs)
-    k = instance.K
-    max_bound = max(0.0, 0.5 * tv_max - epsilon / 2.0)
-    avg_bound = max(0.0, tv_sum / (k * k * (k - 1)) - epsilon / 2.0)
-    return max_bound, avg_bound
+    report = bound_report(instance, epsilon)
+    return report.bound_max, report.bound_avg
 
 
 @dataclass(frozen=True)
@@ -337,26 +325,39 @@ def bound_report(
     instance_id: str = "",
     brute: "BruteForceResult | None" = None,
 ) -> BoundReport:
-    """Evaluate every applicable bound; attach a brute-force result if given."""
+    """Evaluate every applicable bound; attach a brute-force result if given.
+
+    Two-to-one: Err0 + Err1 >= TV - epsilon. Many-to-many: the maximum pair
+    error is at least max TV / 2 - epsilon / 2, and the average over the K^2
+    ordered pairs at least sum TV / (K^2 (K - 1)) - epsilon / 2. Each bound is
+    clipped below at zero.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
     if isinstance(instance, TwoToOneInstance):
         tv = tv_distance(instance.target_marginal(0), instance.target_marginal(1))
         pair_tvs = (
             PairTV(instance.target_language, *instance.source_languages, tv),
         )
         bound_sum = max(0.0, tv - epsilon)
-        bound_max_, bound_avg = None, None
+        bound_max, bound_avg = None, None
         kind = "two_to_one"
     else:
+        k = instance.K
+        if k < 2:
+            raise ValueError("need at least two languages")
         pair_tvs = target_marginal_tvs(instance)
         tv = max((row.tv for row in pair_tvs), default=0.0)
+        tv_sum = sum(row.tv for row in pair_tvs)
         bound_sum = None
-        bound_max_, bound_avg = many_to_many_bounds(instance, epsilon)
+        bound_max = max(0.0, 0.5 * tv - epsilon / 2.0)
+        bound_avg = max(0.0, tv_sum / (k * k * (k - 1)) - epsilon / 2.0)
         kind = "many_to_many"
     holds = None
     if brute is not None and brute.feasible:
         reference = {
             "sum": bound_sum,
-            "max": bound_max_,
+            "max": bound_max,
             "avg": bound_avg,
         }[brute.objective]
         if reference is not None:
@@ -368,7 +369,7 @@ def bound_report(
         pair_tvs=pair_tvs,
         tv_max=tv,
         bound_sum=bound_sum,
-        bound_max=bound_max_,
+        bound_max=bound_max,
         bound_avg=bound_avg,
         bf_value=None if brute is None else brute.value,
         bf_objective=None if brute is None else brute.objective,

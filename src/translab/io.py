@@ -21,7 +21,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .distributions import DeterministicTranslator, FiniteDistribution, Sentence
-from .errors import ConditioningError, SchemaError
+from .errors import ConditioningError, GraphError, SchemaError
 from .evaluation import PairEvalRecord, SweepRow
 from .generative import (
     AlignedCorpus,
@@ -332,11 +332,12 @@ def save_instance(instance, path) -> None:
 
 
 def load_graph(path) -> TranslationGraph:
+    """Read a graph document, naming the file and the edge of any defect."""
     payload = _read_json(path)
     try:
         return TranslationGraph.from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed graph document: {exc}") from exc
+    except (SchemaError, GraphError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def save_graph(graph: TranslationGraph, path) -> None:
@@ -363,22 +364,51 @@ def save_codecs(
     _write_json(payload, path)
 
 
+def _spec(path, raw) -> FunctionClassSpec:
+    try:
+        return FunctionClassSpec.from_dict(raw)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed 'spec': {exc}") from exc
+
+
+def _array_field(path, owner: str, entry, name: str, ndim: int) -> np.ndarray:
+    """``entry[name]`` as a finite float array; ``owner`` names the entry in messages."""
+    try:
+        value = np.array(entry[name], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(
+            f"{path}: {owner} field {name!r} is missing or not numeric: {exc}"
+        ) from exc
+    if value.ndim != ndim:
+        raise SchemaError(
+            f"{path}: {owner} field {name!r} must have {ndim} dimension(s),"
+            f" got shape {value.shape}"
+        )
+    if not np.all(np.isfinite(value)):
+        raise SchemaError(f"{path}: {owner} field {name!r} has a non-finite entry")
+    return value
+
+
 def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
-    """Read a codec document, naming the file and language of any defect."""
+    """Read a codec document, naming the file, codec and field of any defect."""
     payload = _read_json(path)
     try:
-        spec = FunctionClassSpec.from_dict(payload["spec"])
+        raw_spec = payload["spec"]
         sigma = float(payload.get("sigma", 0.0))
         nuisance = int(payload.get("nuisance_dim", 0))
         entries = dict(payload["codecs"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed codec document: {exc}") from exc
+    spec = _spec(path, raw_spec)
+    if not np.isfinite(sigma):
+        raise SchemaError(f"{path}: codec field 'sigma' is not finite: {sigma}")
     codecs = {}
     for lang, entry in entries.items():
+        W = _array_field(path, f"codec {lang!r}", entry, "W", 2)
+        b = _array_field(path, f"codec {lang!r}", entry, "b", 1)
         try:
-            W, b = np.array(entry["W"]), np.array(entry["b"])
             codec = RandomizedCodec(W, b, nuisance, sigma)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{path}: malformed codec {lang!r}: {exc}") from exc
         if codec.latent_dim != spec.dim:
             raise SchemaError(
@@ -457,24 +487,6 @@ def save_encoders(
     _write_json(payload, path)
 
 
-def _encoder_field(path, lang: str, entry, name: str, ndim: int) -> np.ndarray:
-    """One encoder's ``W`` (ndim 2) or ``b`` (ndim 1) as a finite float array."""
-    try:
-        value = np.array(entry[name], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(
-            f"{path}: encoder {lang!r} field {name!r} is missing or not numeric: {exc}"
-        ) from exc
-    if value.ndim != ndim:
-        raise SchemaError(
-            f"{path}: encoder {lang!r} field {name!r} must have {ndim} dimension(s),"
-            f" got shape {value.shape}"
-        )
-    if not np.all(np.isfinite(value)):
-        raise SchemaError(f"{path}: encoder {lang!r} field {name!r} has a non-finite entry")
-    return value
-
-
 def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
     """Read an encoder document, naming the file, language and field of any defect."""
     payload = _read_json(path)
@@ -483,10 +495,12 @@ def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
         anchor = payload.get("anchor")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed encoder document: {exc}") from exc
+    if anchor is not None and not isinstance(anchor, str):
+        raise SchemaError(f"{path}: 'anchor' must be a language id or null, got {anchor!r}")
     encoders = {}
     for lang, entry in entries.items():
-        W = _encoder_field(path, lang, entry, "W", 2)
-        b = _encoder_field(path, lang, entry, "b", 1)
+        W = _array_field(path, f"encoder {lang!r}", entry, "W", 2)
+        b = _array_field(path, f"encoder {lang!r}", entry, "b", 1)
         if W.shape[0] != W.shape[1] or b.shape[0] != W.shape[0]:
             raise SchemaError(
                 f"{path}: encoder {lang!r} needs a square 'W' and a matching 'b',"
@@ -500,7 +514,7 @@ def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
     except (ConditioningError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     spec = payload.get("spec")
-    return estimate, None if spec is None else FunctionClassSpec.from_dict(spec)
+    return estimate, None if spec is None else _spec(path, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -110,23 +110,6 @@ class EncoderEstimate:
         }
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    anchor: str
-    sweeps: int = 0
-    ridge: float = 1e-10
-    project: bool = False
-    spec: FunctionClassSpec | None = None
-
-    def __post_init__(self):
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
-        if self.sweeps < 0:
-            raise ValueError("sweeps must be nonnegative")
-        if self.project and self.spec is None:
-            raise ValueError("projection requires a function-class spec")
-
-
 def _affine_least_squares(
     points: np.ndarray, targets: np.ndarray, ridge: float
 ) -> AffineMap:
@@ -135,8 +118,15 @@ def _affine_least_squares(
     design = np.empty((n, d + 1))
     design[:, :d] = points
     design[:, d] = 1.0
-    gram = design.T @ design
-    rhs = design.T @ targets
+    # Huge entries overflow the normal equations; report that instead of warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design
+        rhs = design.T @ targets
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise ConditioningError(
+            "normal equations overflow: the largest entry magnitude is"
+            f" {max(np.abs(points).max(), np.abs(targets).max()):.3g}"
+        )
     if np.linalg.cond(gram) > COND_LIMIT:
         gram = gram + ridge * np.eye(d + 1)
     try:
@@ -161,13 +151,19 @@ def fit_edge(corpus: AlignedCorpus, ridge: float = 1e-10) -> EdgeRegressionResul
             f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {corpus.n}"
         )
     transform = _affine_least_squares(corpus.source_points, corpus.target_points, ridge)
-    # (T(x) - y)^2 in one (n, d) array, in the order of the out-of-place formula.
+    return EdgeRegressionResult(
+        corpus.edge, transform, _mean_squared_residual(transform, corpus), corpus.n
+    )
+
+
+def _mean_squared_residual(transform: AffineMap, corpus: AlignedCorpus) -> float:
+    """Mean of ||T(x) - y||^2 over the corpus pairs (x, y)."""
+    # In one (n, d) array, in the order of the out-of-place (T(x) - y)**2.
     residual = corpus.source_points @ transform.linear.T
     residual += transform.offset
     residual -= corpus.target_points
     np.square(residual, out=residual)
-    loss = float(np.mean(np.sum(residual, axis=1)))
-    return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n)
+    return float(np.mean(np.sum(residual, axis=1)))
 
 
 def anchor_spanning_tree(
@@ -212,8 +208,7 @@ def anchor_spanning_tree(
 
 def _edge_loss(inv_b: AffineMap, enc_a: AffineMap, corpus: AlignedCorpus) -> float:
     """Mean squared residual of the composite inv_b ∘ enc_a on one corpus."""
-    residual = inv_b.compose(enc_a)(corpus.source_points) - corpus.target_points
-    return float(np.mean(np.sum(residual**2, axis=1)))
+    return _mean_squared_residual(inv_b.compose(enc_a), corpus)
 
 
 def empirical_edge_loss(estimate: EncoderEstimate, corpus: AlignedCorpus) -> float:
@@ -247,7 +242,9 @@ def _rescore(
 def joint_refine(
     estimate: EncoderEstimate,
     corpora: Sequence[AlignedCorpus],
-    config: TrainConfig,
+    sweeps: int,
+    ridge: float = 1e-10,
+    spec: FunctionClassSpec | None = None,
 ) -> EncoderEstimate:
     """Alternating per-language updates of the summed edge objective.
 
@@ -255,6 +252,7 @@ def joint_refine(
     candidate comes from a representation-space least-squares consensus; it is
     blended toward the incumbent until the true objective does not increase,
     so every sweep is monotone (a failed search leaves the encoder unchanged).
+    Given ``spec``, every blend is projected onto its function class first.
 
     A trial inverts the blended map once and re-scores only the corpora
     incident to the updated language; the other per-corpus losses are reused.
@@ -262,7 +260,9 @@ def joint_refine(
     equals ``total_edge_loss`` bit for bit. Encoders are re-validated once, in
     the returned estimate; zero sweeps return ``estimate`` itself.
     """
-    if config.sweeps == 0:
+    if sweeps < 0 or ridge < 0:
+        raise ValueError("sweeps and ridge must be nonnegative")
+    if sweeps == 0:
         return estimate
     encoders = dict(estimate.encoders)
     incident: dict[str, list[int]] = {lang: [] for lang in encoders}
@@ -276,7 +276,7 @@ def joint_refine(
         _edge_loss(inverses[c.edge[1]], encoders[c.edge[0]], c) for c in corpora
     ]
     total = float(sum(losses))
-    for _ in range(config.sweeps):
+    for _ in range(sweeps):
         sweep_start = total
         for lang in sorted(encoders):
             if lang == estimate.anchor or not incident[lang]:
@@ -292,7 +292,7 @@ def joint_refine(
                     points.append(corpus.target_points)
                     targets.append(encoders[a](corpus.source_points))
             candidate = _affine_least_squares(
-                np.vstack(points), np.vstack(targets), config.ridge
+                np.vstack(points), np.vstack(targets), ridge
             )
             old = encoders[lang]
             step = 1.0
@@ -301,8 +301,8 @@ def joint_refine(
                     old.linear + step * (candidate.linear - old.linear),
                     old.offset + step * (candidate.offset - old.offset),
                 )
-                if config.project:
-                    blended = project_to_class(blended, config.spec)
+                if spec is not None:
+                    blended = project_to_class(blended, spec)
                 if blended.smallest_gain() < SINGULAR_TOL:
                     step /= 2.0
                     continue

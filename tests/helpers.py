@@ -1,17 +1,21 @@
 """Shared construction helpers for the test suite."""
 
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from translab import io
 from translab.affine import AffineMap
+from translab.generative import FunctionClassSpec, TranslationGraph, sample_randomized_codecs
 from translab.distributions import DeterministicTranslator, FiniteDistribution
 from translab.impossibility import random_many_to_many_instance, random_two_to_one_instance
 from translab.seeding import derive_seed
-from translab.trainer import COND_LIMIT
+from translab.trainer import COND_LIMIT, EncoderEstimate
 
 
 def random_distribution(rng: np.random.Generator, atoms) -> FiniteDistribution:
@@ -48,7 +52,7 @@ def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_
     if target_noise:
         y = dst_codec.decode(z, dst_codec.draw_decoder_seeds(rng, m))
     else:
-        y = dst_codec.mean_decode(src_codec.encode(x))
+        y = dst_codec.decode(src_codec.encode(x))
     squared = np.sum((transform(x) - y) ** 2, axis=1)
     return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(m))
 
@@ -128,15 +132,8 @@ def _walk(node, path=()):
         yield from _walk(child, path + (key,))
 
 
-@st.composite
-def damaged_instance_documents(draw):
-    """A valid two-to-one or many-to-many document with one leaf replaced or one key dropped."""
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    if draw(st.booleans()):
-        instance = random_two_to_one_instance(rng)
-    else:
-        instance = random_many_to_many_instance(rng, n_languages=2, atom_budget=4)
-    payload = io.instance_to_dict(instance)
+def _damage(draw, payload):
+    """``payload`` with one dict key dropped or one leaf set to a ``LEAF_REPLACEMENTS`` value."""
     nodes = list(_walk(payload))
     if draw(st.booleans()):
         keys = [path for path, container, _child in nodes if isinstance(container, dict)]
@@ -145,6 +142,49 @@ def damaged_instance_documents(draw):
         return payload
     leaves = [path for path, _container, child in nodes if not isinstance(child, (dict, list))]
     return _set(payload, draw(st.sampled_from(leaves)), draw(st.sampled_from(LEAF_REPLACEMENTS)))
+
+
+@st.composite
+def damaged_instance_documents(draw):
+    """A valid two-to-one or many-to-many document with one leaf replaced or one key dropped."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        instance = random_two_to_one_instance(rng)
+    else:
+        instance = random_many_to_many_instance(rng, n_languages=2, atom_budget=4)
+    return _damage(draw, io.instance_to_dict(instance))
+
+
+def _saved_document(save, *args) -> dict:
+    """The JSON document that ``save(*args, path)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document.json"
+        save(*args, path)
+        return json.loads(path.read_text())
+
+
+#: A valid document of each JSON input kind besides instances.
+GRAPH_DOCUMENT = TranslationGraph(
+    ("L0", "L1", "L2"), (("L0", "L1", 8), ("L1", "L2", 8))
+).to_dict()
+CODEC_DOCUMENT = _saved_document(
+    io.save_codecs,
+    dict(zip(("L0", "L1"), sample_randomized_codecs(FunctionClassSpec(dim=2), 2, 1, 0.1, 0))),
+    FunctionClassSpec(dim=2),
+)
+ENCODER_DOCUMENT = _saved_document(
+    io.save_encoders,
+    EncoderEstimate(
+        {"L0": AffineMap.identity(2), "L1": AffineMap(np.diag([2.0, 0.5]), np.ones(2))}, "L0"
+    ),
+)
+ENCODER_DOCUMENT["spec"] = FunctionClassSpec(dim=2).to_dict()
+
+
+@st.composite
+def damaged_documents(draw, template: dict):
+    """A copy of ``template`` with one leaf replaced or one key dropped."""
+    return _damage(draw, copy.deepcopy(template))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
 from translab import cli, io
 from translab.evaluation import shortest_path_and_diameter
-from translab.generative import TranslationGraph, six_language_demo_graph
+from translab.generative import AlignedCorpus, TranslationGraph, six_language_demo_graph
 from translab.impossibility import MAX_Z_SIZE, make_worst_case
 
 
@@ -405,6 +406,44 @@ class TestPipeline:
         assert err.startswith(f"error: {graph_path}: edge L1->L2 has n=0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["x", math.nan, 1.5])
+    def test_generate_with_a_malformed_edge_count_exits_2(self, tmp_path, capsys, n):
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(
+            json.dumps({"languages": ["L0", "L1"], "edges": [{"a": "L0", "b": "L1", "n": n}]})
+        )
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: {graph_path}: edge L0->L1 has n={n!r}; n must be a non-negative integer\n"
+        )
+        assert not out.exists()
+
+    def test_train_on_overflowing_entries_exits_2_naming_file_and_edge(self, tmp_path, capfd):
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 20),)), graph_path)
+        path = tmp_path / io.corpus_filename(("L0", "L1"))
+        pairs = np.random.default_rng(0).random((20, 2, 2)) * 1e200
+        io.save_corpus(AlignedCorpus(("L0", "L1"), pairs, {}), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(
+                ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
+                 "--out", str(tmp_path / "run")]
+            )
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}: edge L0->L1: normal equations overflow:"
+            f" the largest entry magnitude is {pairs.max():.3g}\n"
+        )
+
     def test_train_rejects_corpus_for_another_edge(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
         self._write_graph(graph_path)
@@ -470,6 +509,37 @@ class TestPipeline:
         code, _, err = self._eval(graph_path, out, capsys)
         assert code == 2
         assert str(codecs_path) in err and "'L0'" in err and "latent dimension" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("b", math.inf), ("W", math.nan), ("sigma", math.nan), ("sigma", math.inf)],
+    )
+    def test_eval_with_non_finite_codecs_exits_2(self, tmp_path, capsys, field, value):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        codecs_path = out / "codecs.json"
+        payload = json.loads(codecs_path.read_text())
+        if field == "sigma":
+            payload["sigma"] = value
+        else:
+            payload["codecs"]["L1"][field][0] = value if field == "b" else [value, 0.0]
+        codecs_path.write_text(json.dumps(payload))
+        code, stdout, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {codecs_path}: codec ")
+        assert f"'{field}'" in err and (field == "sigma" or "'L1'" in err)
+        assert not (out / "pair_eval.csv").exists()
+
+    @pytest.mark.parametrize("spec", [{}, {"d": "x"}, 5])
+    def test_eval_with_malformed_encoder_spec_exits_2(self, tmp_path, capsys, spec):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        encoders_path = out / "encoders.json"
+        payload = json.loads(encoders_path.read_text())
+        payload["spec"] = spec
+        encoders_path.write_text(json.dumps(payload))
+        code, _, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert err.startswith(f"error: {encoders_path}: malformed 'spec'")
 
     def test_eval_summary_reports_the_graph_diameter(self, tmp_path, capsys):
         graph_path, out = self._generate_and_train(tmp_path, capsys)

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import WORST_CASE_DEFECTS, damaged_corpus_fields, damaged_instance_documents
+from helpers import (
+    CODEC_DOCUMENT,
+    ENCODER_DOCUMENT,
+    GRAPH_DOCUMENT,
+    WORST_CASE_DEFECTS,
+    damaged_corpus_fields,
+    damaged_documents,
+    damaged_instance_documents,
+)
 from translab import cli, io
 from translab.distributions import tv_distance
 from translab.errors import SchemaError
@@ -203,6 +211,108 @@ class TestGraphAndCodecFiles:
             io.load_codecs(path)
         message = str(info.value)
         assert str(path) in message and "'A'" in message and "latent dimension" in message
+
+
+class TestGraphDefects:
+    @pytest.mark.parametrize(
+        "edge, expected",
+        [
+            ({"a": "L0", "b": "L1", "n": "x"}, "edge L0->L1 has n='x'"),
+            ({"a": "L0", "b": "L1", "n": math.nan}, "edge L0->L1 has n=nan"),
+            ({"a": "L0", "b": "L1", "n": 1.5}, "edge L0->L1 has n=1.5"),
+            ({"a": "L0", "b": "L1", "n": True}, "edge L0->L1 has n=True"),
+            ({"a": "L0", "b": "L1", "n": -1}, "edge L0->L1 has n=-1"),
+            ({"a": "L0", "b": 1, "n": 4}, "edge 0 needs language ids"),
+            (["L0", "L1", 4], "edge 0 is not an object"),
+        ],
+    )
+    def test_bad_edge_names_file_and_edge(self, tmp_path, edge, expected):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"languages": ["L0", "L1"], "edges": [edge]}))
+        with pytest.raises(SchemaError) as info:
+            io.load_graph(path)
+        assert str(info.value).startswith(f"{path}: {expected}")
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            ({"languages": ["L0", 1], "edges": []}, "language id 1 is not a string"),
+            ({"languages": ["L0"]}, "'edges' list"),
+            ([], "'languages' list"),
+            ({"languages": ["L0", "L0"], "edges": []}, "duplicate language ids"),
+        ],
+    )
+    def test_bad_document_names_the_file(self, tmp_path, payload, expected):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_graph(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert expected in str(info.value)
+
+    @settings(max_examples=80, deadline=None)
+    @given(damaged_documents(GRAPH_DOCUMENT))
+    def test_damaged_graph_loads_or_is_schema_error_and_generate_exits_2(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            path.write_text(json.dumps(payload))
+            try:
+                io.load_graph(path)
+            except SchemaError as exc:
+                message = str(exc)
+            else:
+                return
+            assert message.startswith(f"{path}: "), message
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = cli.main(
+                    ["generate", "--graph", str(path), "--out", str(Path(tmp) / "run")]
+                )
+            assert code == 2
+            assert err.getvalue() == f"error: {message}\n"
+
+
+class TestCodecDefects:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("W", math.inf), ("W", math.nan), ("b", math.inf), ("b", -math.inf)],
+    )
+    def test_non_finite_entry_names_file_codec_and_field(self, tmp_path, field, value):
+        payload = json.loads(json.dumps(CODEC_DOCUMENT))
+        entry = payload["codecs"]["L1"]
+        if field == "W":
+            entry["W"][1][0] = value
+        else:
+            entry["b"][2] = value
+        path = tmp_path / "codecs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_codecs(path)
+        assert str(info.value) == f"{path}: codec 'L1' field '{field}' has a non-finite entry"
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_names_file_and_field(self, tmp_path, sigma):
+        payload = dict(CODEC_DOCUMENT, sigma=sigma)
+        path = tmp_path / "codecs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_codecs(path)
+        assert str(info.value).startswith(f"{path}: codec field 'sigma' is not finite")
+
+    @settings(max_examples=80, deadline=None)
+    @given(damaged_documents(CODEC_DOCUMENT))
+    def test_damaged_document_loads_or_is_schema_error(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "codecs.json"
+            path.write_text(json.dumps(payload))
+            try:
+                spec, codecs = io.load_codecs(path)
+            except SchemaError as exc:
+                assert str(exc).startswith(f"{path}: "), str(exc)
+                return
+            for codec in codecs.values():
+                assert np.isfinite(codec.sigma) and np.all(np.isfinite(codec.W))
+            assert all(np.isfinite([spec.radius, spec.rho, spec.offset_bound]))
 
 
 class TestCorpusFiles:
@@ -428,6 +538,27 @@ class TestEncoderFiles:
         with pytest.raises(SchemaError) as info:
             io.load_encoders(path)
         assert str(path) in str(info.value) and "'L2'" in str(info.value)
+
+    @pytest.mark.parametrize("spec", [{}, {"d": "x"}, 5, {"d": 3, "B": math.nan, "rho": 2.0,
+                                                         "offset_bound": 1.0}])
+    def test_malformed_spec_is_schema_error(self, tmp_path, spec):
+        path, payload = self._saved(tmp_path)
+        payload["spec"] = spec
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_encoders(path)
+        assert str(info.value).startswith(f"{path}: malformed 'spec'")
+
+    @settings(max_examples=80, deadline=None)
+    @given(damaged_documents(ENCODER_DOCUMENT))
+    def test_damaged_document_loads_or_is_schema_error(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "encoders.json"
+            path.write_text(json.dumps(payload))
+            try:
+                io.load_encoders(path)
+            except SchemaError as exc:
+                assert str(exc).startswith(f"{path}: "), str(exc)
 
     def test_anchor_not_identity_is_schema_error(self, tmp_path):
         path, payload = self._saved(tmp_path)

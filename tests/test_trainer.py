@@ -21,7 +21,6 @@ from translab.generative import (
 )
 from translab.trainer import (
     EncoderEstimate,
-    TrainConfig,
     anchor_spanning_tree,
     empirical_edge_loss,
     fit_edge,
@@ -31,11 +30,11 @@ from translab.trainer import (
 )
 
 
-def reference_joint_refine(estimate, corpora, config):
+def reference_joint_refine(estimate, corpora, sweeps, ridge=1e-10, spec=None):
     """Full-rescore refinement: every trial re-validates and re-scores all edges."""
     current = estimate
     total = total_edge_loss(current, corpora)
-    for _ in range(config.sweeps):
+    for _ in range(sweeps):
         for lang in current.languages:
             if lang == current.anchor:
                 continue
@@ -51,7 +50,7 @@ def reference_joint_refine(estimate, corpora, config):
             if not points:
                 continue
             candidate = trainer._affine_least_squares(
-                np.vstack(points), np.vstack(targets), config.ridge
+                np.vstack(points), np.vstack(targets), ridge
             )
             old = current.encoder(lang)
             step = 1.0
@@ -60,8 +59,8 @@ def reference_joint_refine(estimate, corpora, config):
                     old.linear + step * (candidate.linear - old.linear),
                     old.offset + step * (candidate.offset - old.offset),
                 )
-                if config.project:
-                    blended = project_to_class(blended, config.spec)
+                if spec is not None:
+                    blended = project_to_class(blended, spec)
                 if blended.smallest_gain() < SINGULAR_TOL:
                     step /= 2.0
                     continue
@@ -255,7 +254,7 @@ class TestJointRefine:
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
         results = [fit_edge(c) for c in corpora]
         estimate = anchor_spanning_tree(graph, results, "L0")
-        refined = joint_refine(estimate, corpora, TrainConfig(anchor="L0", sweeps=0))
+        refined = joint_refine(estimate, corpora, 0)
         assert refined is estimate
 
     def test_noiseless_tree_is_already_optimal(self):
@@ -263,7 +262,7 @@ class TestJointRefine:
         results = [fit_edge(c) for c in corpora]
         estimate = anchor_spanning_tree(graph, results, "L0")
         before = total_edge_loss(estimate, corpora)
-        refined = joint_refine(estimate, corpora, TrainConfig(anchor="L0", sweeps=2))
+        refined = joint_refine(estimate, corpora, 2)
         after = total_edge_loss(refined, corpora)
         assert before <= 1e-12
         assert after <= before + 1e-12
@@ -278,38 +277,38 @@ class TestJointRefine:
         objective = total_edge_loss(estimate, corpora)
         current = estimate
         for _ in range(3):
-            current = joint_refine(current, corpora, TrainConfig(anchor="L0", sweeps=1))
+            current = joint_refine(current, corpora, 1)
             new_objective = total_edge_loss(current, corpora)
             assert new_objective <= objective + 1e-9
             objective = new_objective
 
     @pytest.mark.parametrize(
-        "setup, config",
+        "setup, anchor, refine",
         [
             (  # noisy cycle with a chord
                 dict(n_langs=4, n=80, sigma=0.08, nuisance=1, seed=5,
                      extra_edges=(("L0", "L3"),)),
-                TrainConfig(anchor="L0", sweeps=3),
+                "L0", dict(sweeps=3),
             ),
             (  # projection onto the function class after every blend
                 dict(n_langs=4, n=60, sigma=0.1, nuisance=1, seed=5,
                      extra_edges=(("L1", "L3"),)),
-                TrainConfig(anchor="L0", sweeps=2, project=True,
-                            spec=FunctionClassSpec(dim=4, rho=3.0, offset_bound=2.0)),
+                "L0",
+                dict(sweeps=2, spec=FunctionClassSpec(dim=4, rho=3.0, offset_bound=2.0)),
             ),
             (  # a cycle L1-L2-L3 with degree-1 leaves L0 and L4
                 dict(n_langs=5, n=60, sigma=0.08, nuisance=1, seed=9,
                      extra_edges=(("L1", "L3"),)),
-                TrainConfig(anchor="L2", sweeps=2),
+                "L2", dict(sweeps=2),
             ),
         ],
         ids=["noisy-cycle-chord", "projected", "leaves"],
     )
-    def test_matches_full_rescore_reference(self, setup, config):
+    def test_matches_full_rescore_reference(self, setup, anchor, refine):
         graph, _codecs, corpora, _ = chain_setup(**setup)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], config.anchor)
-        refined = joint_refine(estimate, corpora, config)
-        expected = reference_joint_refine(estimate, corpora, config)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], anchor)
+        refined = joint_refine(estimate, corpora, **refine)
+        expected = reference_joint_refine(estimate, corpora, **refine)
         assert refined.anchor == expected.anchor
         assert refined.languages == expected.languages
         changed = False
@@ -342,7 +341,7 @@ class TestJointRefine:
 
         monkeypatch.setattr(trainer, "_edge_loss", counting_edge_loss)
         monkeypatch.setattr(trainer, "_rescore", counting_rescore)
-        joint_refine(estimate, corpora, TrainConfig(anchor="L2", sweeps=2))
+        joint_refine(estimate, corpora, 2)
         assert trials
         for lang, edges in trials:
             assert len(edges) <= len(graph.neighbors(lang))
@@ -350,10 +349,6 @@ class TestJointRefine:
         # one scoring of every corpus for the incumbent, then incident edges only
         assert len(scored) == len(corpora) + sum(len(edges) for _lang, edges in trials)
         assert len(scored) < len(corpora) * (1 + len(trials))
-
-    def test_projection_requires_spec(self):
-        with pytest.raises(ValueError):
-            TrainConfig(anchor="L0", project=True)
 
 
 class TestProjectToClass:
