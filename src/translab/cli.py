@@ -26,7 +26,7 @@ from .impossibility import (
     brute_force_min_error,
     make_worst_case,
 )
-from .trainer import anchor_spanning_tree, fit_edge, joint_refine
+from .trainer import anchor_spanning_tree, factor_corpus, fit_edge, joint_refine
 
 MODES = ("bound", "brute", "demo-worst-case", "generate", "train", "eval", "sweep")
 
@@ -278,9 +278,9 @@ def _run_generate(config) -> int:
 
 def _run_train(config) -> int:
     graph = io.load_graph(config.graph)
-    # One corpus at a time: each is fitted and dropped before the next loads,
-    # unless refinement needs them all.
-    corpora, results = [], []
+    # One corpus at a time: each is fitted, reduced to its factor if
+    # refinement follows, and dropped before the next loads.
+    factors, results = [], []
     for edge in graph.edge_pairs():
         path = config.corpus_dir / io.corpus_filename(edge)
         corpus = io.load_corpus(path)
@@ -294,12 +294,12 @@ def _run_train(config) -> int:
         except TranslabError as exc:
             raise type(exc)(f"{path}: edge {edge[0]}->{edge[1]}: {exc}") from exc
         if config.sweeps > 0:
-            corpora.append(corpus)
+            factors.append(factor_corpus(corpus))
         del corpus
     anchor = config.anchor or min(graph.languages)
     estimate = anchor_spanning_tree(graph, results, anchor)
     if config.sweeps > 0:
-        estimate = joint_refine(estimate, corpora, config.sweeps, config.ridge)
+        estimate = joint_refine(estimate, factors, config.sweeps, config.ridge)
     io.save_encoders(estimate, config.out / "encoders.json")
     io.write_edge_loss_csv(results, config.out / "edge_losses.csv")
     for result in results:

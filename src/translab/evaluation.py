@@ -128,6 +128,11 @@ def shortest_path_and_diameter(
     return paths, diameter
 
 
+def _chain_bound(rho_hat: float, edge_losses: Sequence[float]) -> float:
+    """The chained path bound: 2 * rho_hat^2 * (sum of the path's edge losses)."""
+    return 2.0 * rho_hat**2 * sum(edge_losses)
+
+
 def path_bound(
     edge_losses: Mapping[tuple[str, str], float],
     rho_hat: float,
@@ -141,15 +146,15 @@ def path_bound(
         raise ValueError("rho_hat must be nonnegative")
     if len(path) < 2:
         raise ValueError("path needs at least two nodes")
-    total = 0.0
+    losses = []
     for a, b in zip(path, path[1:]):
         if (a, b) in edge_losses:
-            total += edge_losses[(a, b)]
+            losses.append(edge_losses[(a, b)])
         elif (b, a) in edge_losses:
-            total += edge_losses[(b, a)]
+            losses.append(edge_losses[(b, a)])
         else:
             raise DomainError(f"no edge loss for path step ({a!r}, {b!r})")
-    return 2.0 * rho_hat**2 * total
+    return _chain_bound(rho_hat, losses)
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,7 @@ class PairEvalRecord:
             raise ValueError("path endpoints do not match the pair")
         if self.path_len != len(self.path) - 1:
             raise ValueError("path_len must count the edges of the path")
-        recomputed = 2.0 * self.rho_hat**2 * sum(self.edge_losses)
+        recomputed = _chain_bound(self.rho_hat, self.edge_losses)
         if abs(recomputed - self.bound) > 1e-9 * max(1.0, abs(self.bound)):
             raise ValueError("bound is not recomputable from rho_hat and edge losses")
 
@@ -217,7 +222,7 @@ def verify_chain_bound(
             directed_edge_loss(a, b) for a, b in zip(path, path[1:])
         )
         rho_hat = max(1.0 / gains[dst], max(norms[node] for node in path))
-        bound = 2.0 * rho_hat**2 * sum(losses)
+        bound = _chain_bound(rho_hat, losses)
         measured = loss(src, dst)
         records.append(
             PairEvalRecord(

@@ -79,12 +79,30 @@ class FunctionClassSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FunctionClassSpec":
+        """Build a spec from its document; a field of the wrong JSON type raises ``SchemaError``."""
         return cls(
-            dim=int(payload["d"]),
-            radius=float(payload["B"]),
-            rho=float(payload["rho"]),
-            offset_bound=float(payload["offset_bound"]),
+            dim=json_integer(payload["d"], "d"),
+            radius=json_number(payload["B"], "B"),
+            rho=json_number(payload["rho"], "rho"),
+            offset_bound=json_number(payload["offset_bound"], "offset_bound"),
         )
+
+
+def json_integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer (a bool is not); else ``SchemaError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"field {name!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (a bool or string is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"field {name!r} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"field {name!r} is too large for a float") from None
 
 
 class LatentSampler:

@@ -28,6 +28,8 @@ from .generative import (
     FunctionClassSpec,
     RandomizedCodec,
     TranslationGraph,
+    json_integer,
+    json_number,
 )
 from .impossibility import BoundReport, ManyToManyInstance, TwoToOneInstance
 from .trainer import EdgeRegressionResult, EncoderEstimate
@@ -367,7 +369,7 @@ def save_codecs(
 def _spec(path, raw) -> FunctionClassSpec:
     try:
         return FunctionClassSpec.from_dict(raw)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed 'spec': {exc}") from exc
 
 
@@ -394,11 +396,14 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
     payload = _read_json(path)
     try:
         raw_spec = payload["spec"]
-        sigma = float(payload.get("sigma", 0.0))
-        nuisance = int(payload.get("nuisance_dim", 0))
         entries = dict(payload["codecs"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed codec document: {exc}") from exc
+    try:
+        sigma = json_number(payload.get("sigma", 0.0), "sigma")
+        nuisance = json_integer(payload.get("nuisance_dim", 0), "nuisance_dim")
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: codec {exc}") from exc
     spec = _spec(path, raw_spec)
     if not np.isfinite(sigma):
         raise SchemaError(f"{path}: codec field 'sigma' is not finite: {sigma}")

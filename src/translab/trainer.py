@@ -5,14 +5,16 @@ per language are then pinned down by anchoring one of them to the identity and
 propagating fitted maps along a breadth-first spanning tree; only composites
 are identifiable, so the anchor choice is a gauge choice. An optional
 alternating refinement pass re-solves one encoder at a time against the
-representation-space consensus and backtracks whenever the true objective
-would increase, so the total edge loss is non-increasing by construction.
+representation-space consensus and backtracks whenever the objective would
+increase, so the summed edge loss is non-increasing by construction.
 
-Refinement keeps its working state outside ``EncoderEstimate``: the current
-encoders, their cached inverses and one loss per corpus. A trial update of
-one language re-scores only the corpora on that language's edges and sums the
-full per-corpus list, so the objective it compares is bit-identical to a full
-``total_edge_loss``; the estimate is validated once, when refinement ends.
+Refinement never reads a corpus. Everything it computes from one is a
+quadratic form in the rows of Z = [x, y, 1], so each corpus enters as its
+``EdgeFactor``: the triangular factor R of Z, with ||Z M|| = ||R M|| for every
+M. Refinement keeps its working state outside ``EncoderEstimate``: the current
+encoders, their cached inverses and one loss per edge. A trial update of one
+language re-scores only the edges of that language and sums the full per-edge
+list; the estimate is validated once, when refinement ends.
 """
 
 from __future__ import annotations
@@ -44,6 +46,36 @@ class EdgeRegressionResult:
     transform: AffineMap
     empirical_loss: float
     n: int
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeFactor:
+    """One edge's corpus reduced to the triangular factor R of Z = [x, y, 1].
+
+    ``r`` has 2 * dim + 1 columns (source, target, constant) and
+    min(n, 2 * dim + 1) rows; R^T R = Z^T Z, so R stands in for the n rows of Z
+    in every sum of squares.
+    """
+
+    edge: tuple[str, str]
+    n: int
+    r: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return (self.r.shape[1] - 1) // 2
+
+
+def factor_corpus(corpus: AlignedCorpus) -> EdgeFactor:
+    """The ``EdgeFactor`` of a corpus: ``np.linalg.qr`` of its rows [x, y, 1]."""
+    n, d = corpus.n, corpus.dim
+    rows = np.empty((n, 2 * d + 1))
+    rows[:, :d] = corpus.source_points
+    rows[:, d : 2 * d] = corpus.target_points
+    rows[:, 2 * d] = 1.0
+    r = np.linalg.qr(rows, mode="r")
+    r.setflags(write=False)
+    return EdgeFactor(corpus.edge, n, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +150,16 @@ def _affine_least_squares(
     design = np.empty((n, d + 1))
     design[:, :d] = points
     design[:, d] = 1.0
+    return _least_squares(design, targets, ridge)
+
+
+def _least_squares(design: np.ndarray, targets: np.ndarray, ridge: float) -> AffineMap:
+    """The affine map whose parameters minimize ||design @ theta - targets||.
+
+    The last design column multiplies the offset: all ones for sentence rows,
+    the constant column of R for factored ones.
+    """
+    d = design.shape[1] - 1
     # Huge entries overflow the normal equations; report that instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
         gram = design.T @ design
@@ -125,7 +167,7 @@ def _affine_least_squares(
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise ConditioningError(
             "normal equations overflow: the largest entry magnitude is"
-            f" {max(np.abs(points).max(), np.abs(targets).max()):.3g}"
+            f" {max(np.abs(design).max(), np.abs(targets).max()):.3g}"
         )
     if np.linalg.cond(gram) > COND_LIMIT:
         gram = gram + ridge * np.eye(d + 1)
@@ -164,6 +206,18 @@ def _mean_squared_residual(transform: AffineMap, corpus: AlignedCorpus) -> float
     residual -= corpus.target_points
     np.square(residual, out=residual)
     return float(np.mean(np.sum(residual, axis=1)))
+
+
+def _factor_loss(transform: AffineMap, factor: EdgeFactor) -> float:
+    """``_mean_squared_residual`` from the factor: ||R [A^T; -I; c^T]||_F^2 / n.
+
+    A sum of squares, so never negative, unlike the Gram form of the same loss.
+    """
+    r, d = factor.r, transform.dim
+    residual = r[:, :d] @ transform.linear.T
+    residual -= r[:, d : 2 * d]
+    residual += r[:, 2 * d :] * transform.offset
+    return float(np.vdot(residual, residual)) / factor.n
 
 
 def anchor_spanning_tree(
@@ -206,15 +260,10 @@ def anchor_spanning_tree(
     return EncoderEstimate(encoders, anchor)
 
 
-def _edge_loss(inv_b: AffineMap, enc_a: AffineMap, corpus: AlignedCorpus) -> float:
-    """Mean squared residual of the composite inv_b ∘ enc_a on one corpus."""
-    return _mean_squared_residual(inv_b.compose(enc_a), corpus)
-
-
 def empirical_edge_loss(estimate: EncoderEstimate, corpus: AlignedCorpus) -> float:
     """Mean squared gap between the estimate's composite and the aligned targets."""
     a, b = corpus.edge
-    return _edge_loss(estimate.encoder(b).inverse(), estimate.encoder(a), corpus)
+    return _mean_squared_residual(estimate.composite(a, b), corpus)
 
 
 def total_edge_loss(
@@ -228,37 +277,66 @@ def _rescore(
     encoders: Mapping[str, AffineMap],
     inverses: Mapping[str, AffineMap],
     losses: Sequence[float],
-    corpora: Sequence[AlignedCorpus],
+    factors: Sequence[EdgeFactor],
     incident: Mapping[str, Sequence[int]],
 ) -> list[float]:
-    """``losses`` with the corpora on ``lang``'s edges re-scored under the given maps."""
+    """``losses`` with the edges of ``lang`` re-scored under the given maps."""
     trial = list(losses)
     for i in incident[lang]:
-        a, b = corpora[i].edge
-        trial[i] = _edge_loss(inverses[b], encoders[a], corpora[i])
+        a, b = factors[i].edge
+        trial[i] = _factor_loss(inverses[b].compose(encoders[a]), factors[i])
     return trial
+
+
+def _consensus(
+    lang: str,
+    encoders: Mapping[str, AffineMap],
+    factors: Sequence[EdgeFactor],
+    incident: Sequence[int],
+    ridge: float,
+) -> AffineMap:
+    """Least-squares map from ``lang``'s sentences to its neighbours' representations.
+
+    Stacks the unscaled R blocks of ``lang``'s edges, so each edge weighs by
+    its n as its rows would: the own-side columns and the constant column are
+    the design, the other side's columns mapped by the neighbour's encoder are
+    the targets.
+    """
+    designs, targets = [], []
+    for i in incident:
+        factor = factors[i]
+        a, b = factor.edge
+        r, d = factor.r, factor.dim
+        own, other, neighbour = (0, d, b) if lang == a else (d, 0, a)
+        enc = encoders[neighbour]
+        designs.append(np.hstack((r[:, own : own + d], r[:, 2 * d :])))
+        targets.append(r[:, other : other + d] @ enc.linear.T + r[:, 2 * d :] * enc.offset)
+    return _least_squares(np.vstack(designs), np.vstack(targets), ridge)
 
 
 def joint_refine(
     estimate: EncoderEstimate,
-    corpora: Sequence[AlignedCorpus],
+    factors: Sequence[EdgeFactor],
     sweeps: int,
     ridge: float = 1e-10,
     spec: FunctionClassSpec | None = None,
 ) -> EncoderEstimate:
     """Alternating per-language updates of the summed edge objective.
 
-    Languages are revisited in sorted id order, the anchor skipped. Each
-    candidate comes from a representation-space least-squares consensus; it is
-    blended toward the incumbent until the true objective does not increase,
-    so every sweep is monotone (a failed search leaves the encoder unchanged).
-    Given ``spec``, every blend is projected onto its function class first.
+    ``factors`` holds one ``factor_corpus`` per edge. Languages are revisited
+    in sorted id order, the anchor skipped. Each candidate comes from a
+    representation-space least-squares consensus; it is blended toward the
+    incumbent until the objective does not increase, so every sweep is
+    monotone (a failed search leaves the encoder unchanged). Given ``spec``,
+    every blend is projected onto its function class first; a blend whose
+    inverse is numerically singular halves the step.
 
-    A trial inverts the blended map once and re-scores only the corpora
-    incident to the updated language; the other per-corpus losses are reused.
-    The objective is the sum of the per-corpus list in ``corpora`` order, so it
-    equals ``total_edge_loss`` bit for bit. Encoders are re-validated once, in
-    the returned estimate; zero sweeps return ``estimate`` itself.
+    A trial inverts the blended map once and re-scores only the edges of the
+    updated language; the other per-edge losses are reused. The objective is
+    the sum of the per-edge R-form losses in ``factors`` order, which equals
+    ``total_edge_loss`` on the corpora up to rounding, not bit for bit.
+    Encoders are re-validated once, in the returned estimate; zero sweeps
+    return ``estimate`` itself.
     """
     if sweeps < 0 or ridge < 0:
         raise ValueError("sweeps and ridge must be nonnegative")
@@ -266,14 +344,14 @@ def joint_refine(
         return estimate
     encoders = dict(estimate.encoders)
     incident: dict[str, list[int]] = {lang: [] for lang in encoders}
-    for i, corpus in enumerate(corpora):
-        for lang in set(corpus.edge):
+    for i, factor in enumerate(factors):
+        for lang in set(factor.edge):
             if lang not in incident:
                 raise DomainError(f"no encoder for language {lang!r}")
             incident[lang].append(i)
     inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
     losses = [
-        _edge_loss(inverses[c.edge[1]], encoders[c.edge[0]], c) for c in corpora
+        _factor_loss(inverses[f.edge[1]].compose(encoders[f.edge[0]]), f) for f in factors
     ]
     total = float(sum(losses))
     for _ in range(sweeps):
@@ -281,19 +359,7 @@ def joint_refine(
         for lang in sorted(encoders):
             if lang == estimate.anchor or not incident[lang]:
                 continue
-            points, targets = [], []
-            for i in incident[lang]:
-                corpus = corpora[i]
-                a, b = corpus.edge
-                if lang == a:
-                    points.append(corpus.source_points)
-                    targets.append(encoders[b](corpus.target_points))
-                else:
-                    points.append(corpus.target_points)
-                    targets.append(encoders[a](corpus.source_points))
-            candidate = _affine_least_squares(
-                np.vstack(points), np.vstack(targets), ridge
-            )
+            candidate = _consensus(lang, encoders, factors, incident[lang], ridge)
             old = encoders[lang]
             step = 1.0
             for _attempt in range(60):
@@ -303,13 +369,15 @@ def joint_refine(
                 )
                 if spec is not None:
                     blended = project_to_class(blended, spec)
-                if blended.smallest_gain() < SINGULAR_TOL:
+                try:
+                    inverse = blended.inverse()
+                except ConditioningError:
                     step /= 2.0
                     continue
                 trial_encoders = {**encoders, lang: blended}
-                trial_inverses = {**inverses, lang: blended.inverse()}
+                trial_inverses = {**inverses, lang: inverse}
                 trial_losses = _rescore(
-                    lang, trial_encoders, trial_inverses, losses, corpora, incident
+                    lang, trial_encoders, trial_inverses, losses, factors, incident
                 )
                 trial_total = float(sum(trial_losses))
                 if trial_total <= total + 1e-12:

@@ -119,6 +119,10 @@ WORST_CASE_DEFECTS = {
 
 LEAF_REPLACEMENTS = (math.nan, math.inf, -1, "x", [], {}, None)
 
+#: Leaves of the wrong JSON type for an integer or number field, but which
+#: ``int(...)`` or ``float(...)`` would turn into one.
+MISTYPED_NUMBER_LEAVES = (3.7, 2.0, "1", True, False)
+
 
 def _walk(node, path=()):
     """Yield (path, container, child) for every dict entry and list item of a JSON document."""
@@ -132,8 +136,8 @@ def _walk(node, path=()):
         yield from _walk(child, path + (key,))
 
 
-def _damage(draw, payload):
-    """``payload`` with one dict key dropped or one leaf set to a ``LEAF_REPLACEMENTS`` value."""
+def _damage(draw, payload, replacements=LEAF_REPLACEMENTS):
+    """``payload`` with one dict key dropped or one leaf set to one of ``replacements``."""
     nodes = list(_walk(payload))
     if draw(st.booleans()):
         keys = [path for path, container, _child in nodes if isinstance(container, dict)]
@@ -141,7 +145,7 @@ def _damage(draw, payload):
         del _parent(payload, path)[path[-1]]
         return payload
     leaves = [path for path, _container, child in nodes if not isinstance(child, (dict, list))]
-    return _set(payload, draw(st.sampled_from(leaves)), draw(st.sampled_from(LEAF_REPLACEMENTS)))
+    return _set(payload, draw(st.sampled_from(leaves)), draw(st.sampled_from(replacements)))
 
 
 @st.composite
@@ -182,9 +186,9 @@ ENCODER_DOCUMENT["spec"] = FunctionClassSpec(dim=2).to_dict()
 
 
 @st.composite
-def damaged_documents(draw, template: dict):
+def damaged_documents(draw, template: dict, replacements=LEAF_REPLACEMENTS):
     """A copy of ``template`` with one leaf replaced or one key dropped."""
-    return _damage(draw, copy.deepcopy(template))
+    return _damage(draw, copy.deepcopy(template), replacements)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
-from translab import cli, io
+from translab import cli, io, trainer
+from translab.affine import AffineMap
 from translab.evaluation import shortest_path_and_diameter
 from translab.generative import AlignedCorpus, TranslationGraph, six_language_demo_graph
 from translab.impossibility import MAX_Z_SIZE, make_worst_case
@@ -530,6 +531,26 @@ class TestPipeline:
         assert f"'{field}'" in err and (field == "sigma" or "'L1'" in err)
         assert not (out / "pair_eval.csv").exists()
 
+    @pytest.mark.parametrize(
+        "owner, field, value",
+        [("spec", "d", 3.7), ("spec", "B", "1"), (None, "nuisance_dim", True),
+         (None, "sigma", "0.1")],
+    )
+    def test_eval_with_mistyped_codec_number_exits_2(
+        self, tmp_path, capsys, owner, field, value
+    ):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        codecs_path = out / "codecs.json"
+        payload = json.loads(codecs_path.read_text())
+        (payload[owner] if owner else payload)[field] = value
+        codecs_path.write_text(json.dumps(payload))
+        code, stdout, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {codecs_path}: ")
+        assert f"field {field!r} must be a JSON" in err
+        assert not (out / "pair_eval.csv").exists()
+
     @pytest.mark.parametrize("spec", [{}, {"d": "x"}, 5])
     def test_eval_with_malformed_encoder_spec_exits_2(self, tmp_path, capsys, spec):
         graph_path, out = self._generate_and_train(tmp_path, capsys)
@@ -590,12 +611,67 @@ class TestPipeline:
         assert "--mc-slack" in capsys.readouterr().err
 
 
+class TestRefinementWork:
+    def test_train_takes_at_most_one_svd_per_refinement_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        langs = ("L0", "L1", "L2", "L3")
+        graph = TranslationGraph(
+            langs, tuple((a, b, 60) for a, b in (("L0", "L1"), ("L1", "L2"),
+                                                 ("L2", "L3"), ("L0", "L3")))
+        )
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(graph, graph_path)
+        out = tmp_path / "run"
+        code, _, _ = run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "3",
+             "--sigma", "0.08", "--nuisance-dim", "1", "--seed", "5"],
+            capsys,
+        )
+        assert code == 0
+        counts = {"svd": 0, "trials": 0}
+        refining = []
+        smallest_gain, refine, rescore = AffineMap.smallest_gain, cli.joint_refine, trainer._rescore
+
+        def counting_smallest_gain(self):
+            counts["svd"] += bool(refining)
+            return smallest_gain(self)
+
+        def flagged_refine(*args, **kwargs):
+            refining.append(True)
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                refining.pop()
+
+        def counting_rescore(*args):
+            counts["trials"] += 1
+            return rescore(*args)
+
+        monkeypatch.setattr(AffineMap, "smallest_gain", counting_smallest_gain)
+        monkeypatch.setattr(cli, "joint_refine", flagged_refine)
+        monkeypatch.setattr(trainer, "_rescore", counting_rescore)
+        code, _, _ = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out), "--sweeps", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert counts["trials"] > 0
+        # One inverse per incumbent encoder and one check per returned encoder,
+        # then the blended map's inverse is the trial's only SVD.
+        assert counts["svd"] <= counts["trials"] + 2 * len(langs)
+
+
 class TestStreamingMemory:
     """``generate`` and ``train`` hold about one edge's corpus at a time.
 
     Peaks are traced numpy and Python allocations, in units of one corpus's
     ``pairs`` array. Holding every corpus of the six edges at once reads
-    about 3.1 for ``generate`` and 7.1 for ``train``.
+    about 3.1 for ``generate`` and 7.1 for ``train``. ``train --sweeps 1``
+    keeps one R factor per edge instead; it reads about 3.2, the loaded corpus
+    plus the [x, y, 1] rows and ``np.linalg.qr``'s copy of them, where keeping
+    every corpus for refinement read 12.3.
     """
 
     N = 20_000
@@ -625,6 +701,11 @@ class TestStreamingMemory:
         )
         assert generate_peak < 2.5
         assert train_peak < 2.0
+        refine_peak = self._peak(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out), "--sweeps", "1"]
+        )
+        assert refine_peak < 4.0
 
 
 class TestSweepCommand:

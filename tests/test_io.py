@@ -16,6 +16,8 @@ from helpers import (
     CODEC_DOCUMENT,
     ENCODER_DOCUMENT,
     GRAPH_DOCUMENT,
+    LEAF_REPLACEMENTS,
+    MISTYPED_NUMBER_LEAVES,
     WORST_CASE_DEFECTS,
     damaged_corpus_fields,
     damaged_documents,
@@ -272,6 +274,12 @@ class TestGraphDefects:
             assert err.getvalue() == f"error: {message}\n"
 
 
+def assert_json_typed_spec(document):
+    """A spec document that loaded has a JSON integer 'd' and JSON numbers elsewhere."""
+    assert type(document["d"]) is int
+    assert all(type(document[key]) in (int, float) for key in ("B", "rho", "offset_bound"))
+
+
 class TestCodecDefects:
     @pytest.mark.parametrize(
         "field, value",
@@ -299,8 +307,30 @@ class TestCodecDefects:
             io.load_codecs(path)
         assert str(info.value).startswith(f"{path}: codec field 'sigma' is not finite")
 
+    @pytest.mark.parametrize(
+        "owner, field, value",
+        [
+            ("spec", "d", 3.7), ("spec", "d", 2.0), ("spec", "d", True),
+            ("spec", "B", "1"), ("spec", "rho", "2"), ("spec", "offset_bound", False),
+            (None, "sigma", "0.1"), (None, "sigma", True),
+            (None, "nuisance_dim", 1.9), (None, "nuisance_dim", True),
+        ],
+    )
+    def test_mistyped_number_names_file_and_field(self, tmp_path, owner, field, value):
+        payload = json.loads(json.dumps(CODEC_DOCUMENT))
+        (payload[owner] if owner else payload)[field] = value
+        path = tmp_path / "codecs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_codecs(path)
+        kind = "integer" if field in ("d", "nuisance_dim") else "number"
+        prefix = f"{path}: malformed 'spec': " if owner else f"{path}: codec "
+        assert str(info.value) == (
+            f"{prefix}field {field!r} must be a JSON {kind}, got {value!r}"
+        )
+
     @settings(max_examples=80, deadline=None)
-    @given(damaged_documents(CODEC_DOCUMENT))
+    @given(damaged_documents(CODEC_DOCUMENT, LEAF_REPLACEMENTS + MISTYPED_NUMBER_LEAVES))
     def test_damaged_document_loads_or_is_schema_error(self, payload):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "codecs.json"
@@ -313,6 +343,9 @@ class TestCodecDefects:
             for codec in codecs.values():
                 assert np.isfinite(codec.sigma) and np.all(np.isfinite(codec.W))
             assert all(np.isfinite([spec.radius, spec.rho, spec.offset_bound]))
+            assert_json_typed_spec(payload["spec"])
+            assert type(payload.get("nuisance_dim", 0)) is int
+            assert type(payload.get("sigma", 0.0)) in (int, float)
 
 
 class TestCorpusFiles:
@@ -550,15 +583,18 @@ class TestEncoderFiles:
         assert str(info.value).startswith(f"{path}: malformed 'spec'")
 
     @settings(max_examples=80, deadline=None)
-    @given(damaged_documents(ENCODER_DOCUMENT))
+    @given(damaged_documents(ENCODER_DOCUMENT, LEAF_REPLACEMENTS + MISTYPED_NUMBER_LEAVES))
     def test_damaged_document_loads_or_is_schema_error(self, payload):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "encoders.json"
             path.write_text(json.dumps(payload))
             try:
-                io.load_encoders(path)
+                _estimate, spec = io.load_encoders(path)
             except SchemaError as exc:
                 assert str(exc).startswith(f"{path}: "), str(exc)
+                return
+            if spec is not None:
+                assert_json_typed_spec(payload["spec"])
 
     def test_anchor_not_identity_is_schema_error(self, tmp_path):
         path, payload = self._saved(tmp_path)
