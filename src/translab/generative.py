@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .affine import SINGULAR_TOL
 from .errors import DomainError, GraphError, SchemaError
@@ -28,7 +27,7 @@ NOISE_CUTOFF = 3.0
 #: Variance of one noise coordinate: 1 - 2c phi(c) / (2 Phi(c) - 1) at c = NOISE_CUTOFF.
 NOISE_VARIANCE = 1.0 - (
     2.0 * NOISE_CUTOFF * math.exp(-0.5 * NOISE_CUTOFF**2) / math.sqrt(2.0 * math.pi)
-) / (2.0 * float(ndtr(NOISE_CUTOFF)) - 1.0)
+) / math.erf(NOISE_CUTOFF / math.sqrt(2.0))
 
 
 def latent_second_moment(dim: int, radius: float) -> float:
@@ -212,10 +211,18 @@ class RandomizedCodec:
 
 
 def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal truncated to [-NOISE_CUTOFF, NOISE_CUTOFF], via inverse CDF."""
+    """Standard normal truncated to [-NOISE_CUTOFF, NOISE_CUTOFF], via inverse CDF.
+
+    scipy is imported here, on the first non-empty draw, so that modes which
+    draw no noise start without it.
+    """
+    u = rng.random(shape)
+    if u.size == 0:
+        return u
+    from scipy.special import ndtr, ndtri
+
     lo = ndtr(-NOISE_CUTOFF)
     hi = ndtr(NOISE_CUTOFF)
-    u = rng.random(shape)
     return ndtri(lo + (hi - lo) * u)
 
 

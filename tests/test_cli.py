@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -724,3 +727,90 @@ class TestSweepCommand:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["degenerate"] is False
         assert (out / "sweep.csv").exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs translab.cli.main with every scipy import made to raise ImportError.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from translab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_fresh(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+class TestColdStart:
+    """Only noisy ``generate`` and ``sweep`` load scipy, on their first noise draw."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cold")
+        instance = root / "worst.json"
+        io.save_instance(make_worst_case(0.5), instance)
+        graph = root / "graph.json"
+        edges = (("L0", "L1", 40), ("L1", "L2", 40))
+        io.save_graph(TranslationGraph(("L0", "L1", "L2"), edges), graph)
+        run = root / "run"
+        with redirect_stdout(StringIO()):
+            for argv in (
+                ["generate", "--graph", str(graph), "--out", str(run), "--dim", "2"],
+                ["train", "--graph", str(graph), "--corpus-dir", str(run), "--out", str(run)],
+            ):
+                assert cli.main(argv) == 0
+        return root, instance, graph, run
+
+    def test_import_loads_no_scipy(self):
+        result = run_fresh(
+            "import sys, translab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            "bound", "brute", "demo-worst-case", "generate",
+            "train-sweeps-0", "train-sweeps-1", "eval",
+        ],
+    )
+    def test_mode_runs_without_scipy(self, inputs, mode):
+        root, instance, graph, run = inputs
+        out = str(root / mode)
+        argv = {
+            "bound": ["bound", "--instance", str(instance)],
+            "brute": ["brute", "--instance", str(instance), "--out", out],
+            "demo-worst-case": ["demo-worst-case", "--delta", "0.5", "--out", out],
+            "generate": ["generate", "--graph", str(graph), "--dim", "2", "--out", out],
+            "train-sweeps-0": [
+                "train", "--graph", str(graph), "--corpus-dir", str(run), "--out", out,
+                "--sweeps", "0",
+            ],
+            "train-sweeps-1": [
+                "train", "--graph", str(graph), "--corpus-dir", str(run), "--out", out,
+                "--sweeps", "1",
+            ],
+            "eval": [
+                "eval", "--graph", str(graph), "--codecs", str(run / "codecs.json"),
+                "--encoders", str(run / "encoders.json"), "--out", out,
+            ],
+        }[mode]
+        result = run_fresh(WITHOUT_SCIPY, *argv)
+        assert result.returncode == 0, result.stderr
+
+    def test_noisy_generate_needs_scipy(self, inputs):
+        root, _instance, graph, _run = inputs
+        argv = [
+            "generate", "--graph", str(graph), "--dim", "2", "--nuisance-dim", "1",
+            "--sigma", "0.1", "--out", str(root / "noisy"),
+        ]
+        result = run_fresh(WITHOUT_SCIPY, *argv)
+        assert result.returncode != 0 and "ModuleNotFoundError" in result.stderr

@@ -1,5 +1,6 @@
 """Tests for population losses, path bounds, and the sample-size formulas."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -113,6 +114,26 @@ class TestMonteCarloCrossCheck:
         stderr = squared.std(ddof=1) / math.sqrt(m)
         assert abs(squared.mean() - NOISE_VARIANCE) <= 4.0 * stderr
         assert NOISE_VARIANCE == pytest.approx(truncnorm.var(-3, 3), rel=1e-12)
+
+    def test_noise_bits_are_pinned(self):
+        # Seeded corpora depend on these bits: a rewrite of ndtr(-c) or of the
+        # variance formula that moves a last bit must fail here.
+        assert NOISE_VARIANCE.hex() == "0x1.f25937a6d464dp-1"
+        draw = _truncated_normal(np.random.default_rng(0), (1000, 3))
+        assert draw.dtype == np.float64 and draw.shape == (1000, 3)
+        assert (
+            hashlib.sha256(draw.tobytes()).hexdigest()
+            == "9b6f75724e5c48760d0f6d0182744b0f53cd3dedefd2048c4c8ac21d5f4c966b"
+        )
+
+    def test_empty_noise_draw_keeps_generator_calls(self):
+        rng = np.random.default_rng(0)
+        reference = np.random.default_rng(0)
+        empty = _truncated_normal(rng, (5, 0))
+        reference.random((5, 0))
+        assert empty.dtype == np.float64 and empty.shape == (5, 0)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(_truncated_normal(rng, 4), _truncated_normal(reference, 4))
 
     @pytest.mark.parametrize("target_noise", [False, True], ids=["eval", "sweep"])
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3])
