@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-dir", type=Path, required=True)
     p.add_argument("--anchor", default=None)
     p.add_argument("--sweeps", type=int, default=0)
-    p.add_argument("--ridge", type=float, default=1e-10)
 
     p = sub.add_parser("eval", help="verify the chained path bound on every pair")
     common(p)
@@ -129,7 +128,6 @@ _RANGES = (
     ("trials", lambda v: v >= 5, "must be at least 5, got {}"),
     ("holds_allowance", lambda v: 0 <= v <= 1, "must lie in [0, 1], got {}"),
     ("sweeps", lambda v: v >= 0, "must be nonnegative, got {}"),
-    ("ridge", lambda v: v >= 0, "must be nonnegative, got {}"),
 )
 
 
@@ -207,11 +205,7 @@ def _run_brute(config) -> int:
             f"objective={config.objective} infeasible=true z_size={config.z_size}"
         )
     else:
-        bound_value = {
-            "sum": report.bound_sum,
-            "max": report.bound_max,
-            "avg": report.bound_avg,
-        }[config.objective]
+        bound_value = report.bound_for(config.objective)
         bound_text = "" if bound_value is None else f" bound={bound_value:.6g}"
         _print(
             f"objective={config.objective} bf_value={brute.value:.6g}{bound_text}"
@@ -278,6 +272,8 @@ def _run_generate(config) -> int:
 
 def _run_train(config) -> int:
     graph = io.load_graph(config.graph)
+    if not graph.edges:
+        raise SchemaError(f"{config.graph}: graph has no edges; train needs at least one")
     # One corpus at a time: each is fitted, reduced to its factor if
     # refinement follows, and dropped before the next loads.
     factors, results = [], []
@@ -290,7 +286,7 @@ def _run_train(config) -> int:
                 f" {edge} loads from this file"
             )
         try:
-            results.append(fit_edge(corpus, config.ridge))
+            results.append(fit_edge(corpus))
         except TranslabError as exc:
             raise type(exc)(f"{path}: edge {edge[0]}->{edge[1]}: {exc}") from exc
         if config.sweeps > 0:
@@ -299,7 +295,7 @@ def _run_train(config) -> int:
     anchor = config.anchor or min(graph.languages)
     estimate = anchor_spanning_tree(graph, results, anchor)
     if config.sweeps > 0:
-        estimate = joint_refine(estimate, factors, config.sweeps, config.ridge)
+        estimate = joint_refine(estimate, factors, config.sweeps)
     io.save_encoders(estimate, config.out / "encoders.json")
     io.write_edge_loss_csv(results, config.out / "edge_losses.csv")
     for result in results:

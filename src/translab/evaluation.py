@@ -92,39 +92,20 @@ def shortest_path_and_diameter(
     """All-pairs BFS shortest paths (lexicographically smallest) and the diameter.
 
     Paths are keyed by sorted language pairs and run from the smaller id to the
-    larger one.
+    larger one; each is read off the ``bfs_tree`` of its smaller id.
     """
     graph.require_connected()
     langs = sorted(graph.languages)
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    diameter = 0
-    for src in langs:
-        dist = {src: 0}
-        best: dict[str, tuple[str, ...]] = {src: (src,)}
-        frontier = [src]
-        level = 0
-        while frontier:
-            level += 1
-            next_frontier = sorted(
-                {
-                    nb
-                    for node in frontier
-                    for nb in graph.neighbors(node)
-                    if nb not in dist
-                }
-            )
-            for node in next_frontier:
-                dist[node] = level
-                best[node] = min(
-                    best[parent] + (node,)
-                    for parent in graph.neighbors(node)
-                    if dist.get(parent) == level - 1
-                )
-            frontier = next_frontier
-        for dst in langs:
-            if src < dst:
-                paths[(src, dst)] = best[dst]
-                diameter = max(diameter, dist[dst])
+    for i, src in enumerate(langs):
+        parents = graph.bfs_tree(src)
+        for dst in langs[i + 1 :]:
+            path, node = [], dst
+            while node is not None:
+                path.append(node)
+                node = parents[node]
+            paths[(src, dst)] = tuple(reversed(path))
+    diameter = max((len(path) - 1 for path in paths.values()), default=0)
     return paths, diameter
 
 
@@ -314,7 +295,6 @@ def sample_complexity_sweep(
     trials: int,
     sampler: LatentSampler,
     seed: int,
-    ridge: float = 1e-10,
 ) -> SweepResult:
     """Fit one edge at increasing corpus sizes and track the generalization gap.
 
@@ -336,7 +316,7 @@ def sample_complexity_sweep(
             train = randomized_generate(
                 edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial)
             )
-            fitted = fit_edge(train, ridge)
+            fitted = fit_edge(train)
             pop = _affine_loss(
                 fitted.transform,
                 codecs[edge[0]],

@@ -320,20 +320,24 @@ class TranslationGraph:
     def neighbors(self, lang: str) -> tuple[str, ...]:
         return self._adjacency.get(lang, ())
 
+    def bfs_tree(self, root: str) -> dict[str, str | None]:
+        """Breadth-first parent of each language reachable from ``root`` (root: None).
+
+        Keys are in visit order. The queue is FIFO over sorted neighbours, so each
+        language is reached along its lexicographically smallest shortest path.
+        """
+        parents: dict[str, str | None] = {root: None}
+        queue = [root]
+        for current in queue:  # grows while it is read
+            for nb in self._adjacency[current]:
+                if nb not in parents:
+                    parents[nb] = current
+                    queue.append(nb)
+        return parents
+
     def is_connected(self) -> bool:
-        if not self.languages:
-            return True
-        seen = {self.languages[0]}
-        frontier = [self.languages[0]]
-        while frontier:
-            nxt = []
-            for lang in frontier:
-                for nb in self.neighbors(lang):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        return len(seen) == len(self.languages)
+        reached = self.bfs_tree(self.languages[0]) if self.languages else {}
+        return len(reached) == len(self.languages)
 
     def require_connected(self) -> None:
         if not self.is_connected():
@@ -354,6 +358,8 @@ class TranslationGraph:
             and isinstance(payload.get("edges"), list)
         ):
             raise SchemaError("graph document needs a 'languages' list and an 'edges' list")
+        if not payload["languages"]:
+            raise SchemaError("graph document lists no languages")
         for lang in payload["languages"]:
             if not isinstance(lang, str):
                 raise SchemaError(f"language id {lang!r} is not a string")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -318,6 +318,11 @@ class BoundReport:
     bf_objective: str | None = None
     holds: bool | None = None
 
+    def bound_for(self, objective: str) -> float | None:
+        """The bound a brute-force minimum of ``objective`` is checked against."""
+        bounds = {"sum": self.bound_sum, "max": self.bound_max, "avg": self.bound_avg}
+        return bounds[objective]
+
 
 def bound_report(
     instance,
@@ -353,16 +358,7 @@ def bound_report(
         bound_max = max(0.0, 0.5 * tv - epsilon / 2.0)
         bound_avg = max(0.0, tv_sum / (k * k * (k - 1)) - epsilon / 2.0)
         kind = "many_to_many"
-    holds = None
-    if brute is not None and brute.feasible:
-        reference = {
-            "sum": bound_sum,
-            "max": bound_max,
-            "avg": bound_avg,
-        }[brute.objective]
-        if reference is not None:
-            holds = brute.value >= reference - 1e-9
-    return BoundReport(
+    report = BoundReport(
         instance_id=instance_id,
         epsilon=epsilon,
         kind=kind,
@@ -373,8 +369,12 @@ def bound_report(
         bound_avg=bound_avg,
         bf_value=None if brute is None else brute.value,
         bf_objective=None if brute is None else brute.objective,
-        holds=holds,
     )
+    if brute is not None and brute.feasible:
+        reference = report.bound_for(brute.objective)
+        if reference is not None:
+            report = replace(report, holds=brute.value >= reference - 1e-9)
+    return report
 
 
 # ---------------------------------------------------------------------------

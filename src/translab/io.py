@@ -179,6 +179,35 @@ def _instance_weights(lang: str, raw) -> list[float]:
     return weights
 
 
+def _sentence_weights(lang: str, raw_marginals, sentences) -> list[float]:
+    """``lang``'s marginal weights, checked to give one weight per sentence."""
+    weights = raw_marginals.get(lang)
+    if weights is None:
+        raise SchemaError(f"no marginal for source language {lang!r}")
+    if len(weights) != len(sentences[lang]):
+        raise SchemaError(
+            f"marginal for {lang!r} has {len(weights)} weights for {len(sentences[lang])} sentences"
+        )
+    return weights
+
+
+def _translator(src: str, dst: str, atoms, targets, raw_translators):
+    """The ``src->dst`` table on ``atoms``, mapping to the ``targets`` sentences by body."""
+    table = raw_translators[f"{src}->{dst}"]
+    by_body = {s.body: s for s in targets}
+    mapping = {}
+    for atom in atoms:
+        if atom.body not in table:
+            raise SchemaError(f"translator {src}->{dst} misses {atom.body!r}")
+        image_body = table[atom.body]
+        if image_body not in by_body:
+            raise SchemaError(
+                f"translator {src}->{dst} maps to unknown sentence {image_body!r}"
+            )
+        mapping[atom] = by_body[image_body]
+    return DeterministicTranslator(mapping)
+
+
 def instance_from_dict(payload):
     """Build an instance from its document; any defect raises ``SchemaError``."""
     try:
@@ -245,25 +274,11 @@ def _build_instance(payload):
         translators = []
         for lang in (l0, l1):
             atoms = sentences[lang]
-            weights = raw_marginals[lang]
-            if len(weights) != len(atoms):
-                raise SchemaError(
-                    f"marginal for {lang!r} has {len(weights)} weights for {len(atoms)} sentences"
-                )
+            weights = _sentence_weights(lang, raw_marginals, sentences)
             marginals.append(FiniteDistribution(tuple(atoms), np.array(weights)))
-            table = raw_translators[f"{lang}->{target}"]
-            target_by_body = {s.body: s for s in sentences[target]}
-            mapping = {}
-            for atom in atoms:
-                if atom.body not in table:
-                    raise SchemaError(f"translator {lang}->{target} misses {atom.body!r}")
-                image_body = table[atom.body]
-                if image_body not in target_by_body:
-                    raise SchemaError(
-                        f"translator {lang}->{target} maps to unknown sentence {image_body!r}"
-                    )
-                mapping[atom] = target_by_body[image_body]
-            translators.append(DeterministicTranslator(mapping))
+            translators.append(
+                _translator(lang, target, atoms, sentences[target], raw_translators)
+            )
         return TwoToOneInstance(
             source_languages=(l0, l1),
             target_language=target,
@@ -281,13 +296,7 @@ def _build_instance(payload):
     pair_marginals = {}
     translators = {}
     for src, dst in pair_keys:
-        weights = raw_marginals.get(src)
-        if weights is None:
-            raise SchemaError(f"no marginal for source language {src!r}")
-        if len(weights) != len(sentences[src]):
-            raise SchemaError(
-                f"marginal for {src!r} has {len(weights)} weights for {len(sentences[src])} sentences"
-            )
+        weights = _sentence_weights(src, raw_marginals, sentences)
         atoms = [s for s in sentences[src] if s.target_tag == dst]
         if not atoms:
             raise SchemaError(f"no sentences of {src!r} tagged for target {dst!r}")
@@ -298,19 +307,7 @@ def _build_instance(payload):
         pair_marginals[(src, dst)] = FiniteDistribution(
             tuple(atoms), np.array([index[a] / mass for a in atoms])
         )
-        table = raw_translators[f"{src}->{dst}"]
-        dst_by_body = {s.body: s for s in pool[dst]}
-        mapping = {}
-        for atom in atoms:
-            if atom.body not in table:
-                raise SchemaError(f"translator {src}->{dst} misses {atom.body!r}")
-            image_body = table[atom.body]
-            if image_body not in dst_by_body:
-                raise SchemaError(
-                    f"translator {src}->{dst} maps to unknown sentence {image_body!r}"
-                )
-            mapping[atom] = dst_by_body[image_body]
-        translators[(src, dst)] = DeterministicTranslator(mapping)
+        translators[(src, dst)] = _translator(src, dst, atoms, pool[dst], raw_translators)
     return ManyToManyInstance.from_marginals(
         languages, pair_marginals, translators, pool
     )

@@ -37,6 +37,9 @@ from .generative import AlignedCorpus, FunctionClassSpec, TranslationGraph
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
 
+#: Weight of the identity added to the normal equations past ``COND_LIMIT`` or when singular.
+RIDGE = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class EdgeRegressionResult:
@@ -142,18 +145,16 @@ class EncoderEstimate:
         }
 
 
-def _affine_least_squares(
-    points: np.ndarray, targets: np.ndarray, ridge: float
-) -> AffineMap:
+def _affine_least_squares(points: np.ndarray, targets: np.ndarray) -> AffineMap:
     """Minimize mean squared residual of an affine map, regularizing only if needed."""
     n, d = points.shape
     design = np.empty((n, d + 1))
     design[:, :d] = points
     design[:, d] = 1.0
-    return _least_squares(design, targets, ridge)
+    return _least_squares(design, targets)
 
 
-def _least_squares(design: np.ndarray, targets: np.ndarray, ridge: float) -> AffineMap:
+def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
     """The affine map whose parameters minimize ||design @ theta - targets||.
 
     The last design column multiplies the offset: all ones for sentence rows,
@@ -170,12 +171,12 @@ def _least_squares(design: np.ndarray, targets: np.ndarray, ridge: float) -> Aff
             f" {max(np.abs(design).max(), np.abs(targets).max()):.3g}"
         )
     if np.linalg.cond(gram) > COND_LIMIT:
-        gram = gram + ridge * np.eye(d + 1)
+        gram = gram + RIDGE * np.eye(d + 1)
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         try:
-            theta = np.linalg.solve(gram + ridge * np.eye(d + 1), rhs)
+            theta = np.linalg.solve(gram + RIDGE * np.eye(d + 1), rhs)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("normal equations singular even with ridge") from exc
     if not np.all(np.isfinite(theta)):
@@ -183,16 +184,14 @@ def _least_squares(design: np.ndarray, targets: np.ndarray, ridge: float) -> Aff
     return AffineMap(theta[:d].T, theta[d])
 
 
-def fit_edge(corpus: AlignedCorpus, ridge: float = 1e-10) -> EdgeRegressionResult:
+def fit_edge(corpus: AlignedCorpus) -> EdgeRegressionResult:
     """Least-squares fit of the source-to-target composite map on one corpus."""
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     d = corpus.dim
     if corpus.n < d + 1:
         raise InsufficientDataError(
             f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {corpus.n}"
         )
-    transform = _affine_least_squares(corpus.source_points, corpus.target_points, ridge)
+    transform = _affine_least_squares(corpus.source_points, corpus.target_points)
     return EdgeRegressionResult(
         corpus.edge, transform, _mean_squared_residual(transform, corpus), corpus.n
     )
@@ -241,22 +240,15 @@ def anchor_spanning_tree(
     dim = dims.pop()
 
     encoders: dict[str, AffineMap] = {anchor: AffineMap.identity(dim)}
-    frontier = [anchor]
-    while frontier:
-        current = frontier.pop(0)
-        for nb in graph.neighbors(current):
-            if nb in encoders:
-                continue
-            key = (min(nb, current), max(nb, current))
-            result = results.get(key)
-            if result is None:
-                raise GraphError(f"tree edge {key} has no fitted map")
-            if key == (nb, current):
-                to_parent = result.transform
-            else:
-                to_parent = result.transform.inverse()
-            encoders[nb] = encoders[current].compose(to_parent)
-            frontier.append(nb)
+    for lang, parent in graph.bfs_tree(anchor).items():
+        if parent is None:
+            continue
+        key = (min(lang, parent), max(lang, parent))
+        result = results.get(key)
+        if result is None:
+            raise GraphError(f"tree edge {key} has no fitted map")
+        to_parent = result.transform if key == (lang, parent) else result.transform.inverse()
+        encoders[lang] = encoders[parent].compose(to_parent)
     return EncoderEstimate(encoders, anchor)
 
 
@@ -293,7 +285,6 @@ def _consensus(
     encoders: Mapping[str, AffineMap],
     factors: Sequence[EdgeFactor],
     incident: Sequence[int],
-    ridge: float,
 ) -> AffineMap:
     """Least-squares map from ``lang``'s sentences to its neighbours' representations.
 
@@ -311,14 +302,13 @@ def _consensus(
         enc = encoders[neighbour]
         designs.append(np.hstack((r[:, own : own + d], r[:, 2 * d :])))
         targets.append(r[:, other : other + d] @ enc.linear.T + r[:, 2 * d :] * enc.offset)
-    return _least_squares(np.vstack(designs), np.vstack(targets), ridge)
+    return _least_squares(np.vstack(designs), np.vstack(targets))
 
 
 def joint_refine(
     estimate: EncoderEstimate,
     factors: Sequence[EdgeFactor],
     sweeps: int,
-    ridge: float = 1e-10,
     spec: FunctionClassSpec | None = None,
 ) -> EncoderEstimate:
     """Alternating per-language updates of the summed edge objective.
@@ -338,8 +328,8 @@ def joint_refine(
     Encoders are re-validated once, in the returned estimate; zero sweeps
     return ``estimate`` itself.
     """
-    if sweeps < 0 or ridge < 0:
-        raise ValueError("sweeps and ridge must be nonnegative")
+    if sweeps < 0:
+        raise ValueError("sweeps must be nonnegative")
     if sweeps == 0:
         return estimate
     encoders = dict(estimate.encoders)
@@ -359,7 +349,7 @@ def joint_refine(
         for lang in sorted(encoders):
             if lang == estimate.anchor or not incident[lang]:
                 continue
-            candidate = _consensus(lang, encoders, factors, incident[lang], ridge)
+            candidate = _consensus(lang, encoders, factors, incident[lang])
             old = encoders[lang]
             step = 1.0
             for _attempt in range(60):

@@ -85,6 +85,46 @@ def out_of_place_fit_edge(corpus, ridge=1e-10):
 
 
 # ---------------------------------------------------------------------------
+# Graph traversal reference
+
+
+def random_connected_graph(rng: np.random.Generator, k: int, chords: int) -> TranslationGraph:
+    """A random spanning tree plus up to ``chords`` extra edges, all listed in shuffled order.
+
+    Language ids mix letters and numbers and are listed out of sorted order;
+    each edge names its endpoints in a random order.
+    """
+    ids = rng.choice(26 * 10, size=k, replace=False)
+    langs = [f"{chr(ord('a') + i % 26)}{i // 26}" for i in ids]
+    edges = {tuple(sorted((langs[i], langs[rng.integers(i)]))) for i in range(1, k)}
+    for _ in range(chords):
+        a, b = rng.choice(k, size=2, replace=False)
+        edges.add(tuple(sorted((langs[a], langs[b]))))
+    listed = [(b, a) if rng.integers(2) else (a, b) for a, b in sorted(edges)]
+    listed = [listed[i] for i in rng.permutation(len(listed))]
+    return TranslationGraph(tuple(langs), tuple((a, b, 1) for a, b in listed))
+
+
+def lexicographic_shortest_path(graph: TranslationGraph, src: str, dst: str) -> tuple:
+    """The lexicographically smallest of all shortest ``src`` -> ``dst`` paths.
+
+    Enumerates every simple path, one edge longer per round, from the edge
+    list alone; independent of ``TranslationGraph``'s own traversal.
+    """
+    adjacent = {lang: set() for lang in graph.languages}
+    for a, b, _n in graph.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    paths = [(src,)]
+    while paths:
+        arrived = [path for path in paths if path[-1] == dst]
+        if arrived:
+            return min(arrived)
+        paths = [path + (nb,) for path in paths for nb in adjacent[path[-1]] if nb not in path]
+    raise ValueError(f"no path from {src!r} to {dst!r}")
+
+
+# ---------------------------------------------------------------------------
 # Damaged instance documents for the loader and CLI tests
 
 

@@ -83,7 +83,6 @@ class TestParseAndValidate:
             ("generate", "--rho"),
             ("generate", "--offset-bound"),
             ("generate", "--sigma"),
-            ("train", "--ridge"),
             ("eval", "--holds-allowance"),
             ("sweep", "--sigma"),
         ],
@@ -98,7 +97,6 @@ class TestParseAndValidate:
             "brute": ["--instance", str(instance)],
             "demo-worst-case": [] if flag == "--delta" else ["--delta", "0.5"],
             "generate": ["--graph", str(graph)],
-            "train": ["--graph", str(graph), "--corpus-dir", str(tmp_path)],
             "eval": ["--graph", str(graph), "--codecs", str(graph),
                      "--encoders", str(graph)],
             "sweep": [],
@@ -111,6 +109,17 @@ class TestParseAndValidate:
         name = flag[2:].replace("-", "_")
         assert f"invalid: {name}: must be finite, got {float(value)}" in err
         assert not out.exists()
+
+    def test_train_has_no_ridge_flag(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 10),)), graph)
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_and_validate(
+                ["train", "--graph", str(graph), "--corpus-dir", str(tmp_path),
+                 "--out", str(tmp_path / "run"), "--ridge", "1e-10"]
+            )
+        assert exc.value.code == 2
+        assert "--ridge" in capsys.readouterr().err
 
     def test_missing_file_is_a_violation(self):
         with pytest.raises(cli.ValidationFailure) as exc:
@@ -427,6 +436,43 @@ class TestPipeline:
             f"error: {graph_path}: edge L0->L1 has n={n!r}; n must be a non-negative integer\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["generate", "train", "eval"])
+    def test_graph_without_languages_exits_2_naming_the_file(self, tmp_path, capsys, mode):
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps({"languages": [], "edges": []}))
+        inputs = {
+            "generate": [],
+            "train": ["--corpus-dir", str(tmp_path)],
+            "eval": ["--codecs", str(graph_path), "--encoders", str(graph_path)],
+        }[mode]
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            [mode, "--graph", str(graph_path), *inputs, "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {graph_path}: graph document lists no languages\n"
+        assert not out.exists()
+
+    def test_train_on_a_graph_without_edges_exits_2_naming_the_file(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0",), ()), graph_path)
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2"],
+            capsys,
+        )
+        assert code == 0
+        code, stdout, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(tmp_path / "trained")],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {graph_path}: graph has no edges; train needs at least one\n"
+        assert not (tmp_path / "trained").exists()
 
     def test_train_on_overflowing_entries_exits_2_naming_file_and_edge(self, tmp_path, capfd):
         graph_path = tmp_path / "graph.json"

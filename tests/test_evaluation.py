@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import encoder_map, monte_carlo_pair_loss
+from helpers import (
+    encoder_map,
+    lexicographic_shortest_path,
+    monte_carlo_pair_loss,
+    random_connected_graph,
+)
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.evaluation import (
@@ -219,6 +224,23 @@ class TestShortestPaths:
         graph = TranslationGraph(("A", "B", "C"), (("A", "B", 1),))
         with pytest.raises(GraphError):
             shortest_path_and_diameter(graph)
+
+    def test_paths_are_lexicographic_minima_of_all_shortest_paths(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            graph = random_connected_graph(
+                rng, int(rng.integers(2, 11)), int(rng.integers(0, 9))
+            )
+            langs = sorted(graph.languages)
+            expected = {
+                (a, b): lexicographic_shortest_path(graph, a, b)
+                for a in langs
+                for b in langs
+                if a < b
+            }
+            paths, diameter = shortest_path_and_diameter(graph)
+            assert paths == expected, f"seed {seed}"
+            assert diameter == max(len(p) - 1 for p in expected.values()), f"seed {seed}"
 
 
 class TestPathBound:

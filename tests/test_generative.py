@@ -385,6 +385,16 @@ class TestTranslationGraph:
         with pytest.raises(GraphError):
             split.require_connected()
 
+    def test_bfs_tree_parents_in_visit_order(self):
+        graph = TranslationGraph(
+            ("D", "C", "B", "A", "E"),
+            (("D", "C", 1), ("A", "C", 1), ("B", "A", 1), ("D", "B", 1)),
+        )
+        tree = graph.bfs_tree("A")
+        assert list(tree.items()) == [("A", None), ("B", "A"), ("C", "A"), ("D", "B")]
+        assert graph.bfs_tree("E") == {"E": None}
+        assert not graph.is_connected()
+
     def test_round_trip_dict(self):
         graph = TranslationGraph(("A", "B", "C"), (("A", "B", 7), ("B", "C", 9)))
         again = TranslationGraph.from_dict(graph.to_dict())

@@ -242,6 +242,7 @@ class TestGraphDefects:
             ({"languages": ["L0"]}, "'edges' list"),
             ([], "'languages' list"),
             ({"languages": ["L0", "L0"], "edges": []}, "duplicate language ids"),
+            ({"languages": [], "edges": []}, "graph document lists no languages"),
         ],
     )
     def test_bad_document_names_the_file(self, tmp_path, payload, expected):

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import encoder_map, out_of_place_fit_edge
+from helpers import (
+    encoder_map,
+    lexicographic_shortest_path,
+    out_of_place_fit_edge,
+    random_connected_graph,
+)
 from translab import trainer
 from translab.affine import SINGULAR_TOL, AffineMap
 from translab.errors import (
@@ -26,6 +31,7 @@ from translab.generative import (
     sample_randomized_codecs,
 )
 from translab.trainer import (
+    EdgeRegressionResult,
     EncoderEstimate,
     anchor_spanning_tree,
     empirical_edge_loss,
@@ -37,7 +43,7 @@ from translab.trainer import (
 )
 
 
-def reference_joint_refine(estimate, factors, sweeps, ridge=1e-10, spec=None):
+def reference_joint_refine(estimate, factors, sweeps, spec=None):
     """Full-rescore refinement in the R arithmetic.
 
     Every trial re-validates the estimate and re-scores every edge from its
@@ -72,9 +78,7 @@ def reference_joint_refine(estimate, factors, sweeps, ridge=1e-10, spec=None):
                 targets.append(other @ enc.linear.T + ones * enc.offset)
             if not designs:
                 continue
-            candidate = trainer._least_squares(
-                np.vstack(designs), np.vstack(targets), ridge
-            )
+            candidate = trainer._least_squares(np.vstack(designs), np.vstack(targets))
             old = current.encoder(lang)
             step = 1.0
             for _attempt in range(60):
@@ -209,6 +213,32 @@ class TestAnchorSpanningTree:
         graph = TranslationGraph(("A", "B", "C"), (("A", "B", 10),))
         with pytest.raises(GraphError):
             anchor_spanning_tree(graph, [], "A")
+
+    def test_tree_parents_follow_lexicographic_shortest_paths(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            graph = random_connected_graph(
+                rng, int(rng.integers(2, 11)), int(rng.integers(0, 9))
+            )
+            maps = {}
+            for edge in graph.edge_pairs():
+                q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+                maps[edge] = AffineMap(q * rng.uniform(0.8, 1.25, 2), rng.standard_normal(2))
+            results = [EdgeRegressionResult(edge, t, 0.0, 1) for edge, t in maps.items()]
+            anchor = graph.languages[rng.integers(len(graph.languages))]
+            estimate = anchor_spanning_tree(graph, results, anchor)
+            assert sorted(estimate.encoders) == sorted(graph.languages)
+            for lang in graph.languages:
+                if lang == anchor:
+                    continue
+                # E_L = E_P ∘ T(L -> P), bit for bit, only for L's tree parent P.
+                parent = lexicographic_shortest_path(graph, anchor, lang)[-2]
+                key = (min(lang, parent), max(lang, parent))
+                to_parent = maps[key] if key[0] == lang else maps[key].inverse()
+                expected = estimate.encoder(parent).compose(to_parent)
+                got = estimate.encoder(lang)
+                assert np.array_equal(got.linear, expected.linear), f"seed {seed}, {lang}"
+                assert np.array_equal(got.offset, expected.offset), f"seed {seed}, {lang}"
 
     def test_missing_tree_edge_fails(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
