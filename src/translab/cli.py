@@ -319,15 +319,19 @@ def _run_train(config) -> int:
 
 def _run_eval(config) -> int:
     graph = io.load_graph(config.graph)
+    if len(graph.languages) < 2:
+        raise SchemaError(
+            f"{config.graph}: graph has fewer than two languages; eval needs at least two"
+        )
     graph.require_connected()
     spec, codecs = io.load_codecs(config.codecs)
     estimate, _enc_spec = io.load_encoders(config.encoders)
     records = verify_chain_bound(estimate, graph, codecs, spec)
     # Records cover every language pair along its shortest path.
-    diameter = max((r.path_len for r in records), default=0)
+    diameter = max(r.path_len for r in records)
     io.write_pair_eval_csv(records, config.out / "pair_eval.csv")
     n_false = sum(1 for r in records if not r.holds)
-    fraction_false = n_false / len(records) if records else 0.0
+    fraction_false = n_false / len(records)
     io.write_summary_json(
         {
             "seed": config.seed,

@@ -11,9 +11,10 @@ model is the codec with no nuisance coordinates and zero noise scale.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -477,172 +478,113 @@ def randomized_generate(
 
 
 # ---------------------------------------------------------------------------
-# Moment tests
+# Exact moment checks
 
 
-class MomentComparison(NamedTuple):
+class MomentGap(NamedTuple):
     mean_gap: float
-    mean_se: float
     cov_gap: float
-    cov_se: float
-    max_stat: float
     holds: bool
 
 
-def _stat(gap: float, se: float) -> float:
-    if gap <= 1e-15:
-        return 0.0
-    if se <= 1e-30:
-        return float("inf")
-    return gap / se
+def affine_moments(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    latent_dim: int,
+    nuisance_dim: int,
+    radius: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and covariance of f(z, r) for an affine f of the latent and noise seed.
 
-
-def paired_moment_gaps(a: np.ndarray, b: np.ndarray) -> MomentComparison:
-    """Compare mean and covariance of two PAIRED sample sets (same underlying draws).
-
-    Gaps are norms of the moment differences; standard errors aggregate the
-    per-entry variances of the paired differences, so an exact match yields
-    zero gap and zero tolerance.
+    z is uniform on the radius-B ball in R^d and r has independent truncated
+    normal coordinates; both have mean zero and diagonal covariance. f is read
+    at the origin and at each unit vector e_j: the mean is f(0, 0) and the
+    covariance is sum_j var_j c_j c_j^T with c_j = f(e_j) - f(0, 0).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m = a.shape[0]
-    diff = a - b
-    mean_gap = float(np.linalg.norm(diff.mean(axis=0)))
-    mean_se = float(np.sqrt(diff.var(axis=0, ddof=1).sum() / m))
-    ca = a - a.mean(axis=0)
-    cb = b - b.mean(axis=0)
-    prods = ca[:, :, None] * ca[:, None, :] - cb[:, :, None] * cb[:, None, :]
-    cov_gap = float(np.linalg.norm(prods.mean(axis=0)))
-    cov_se = float(np.sqrt(prods.var(axis=0, ddof=1).sum() / m))
-    max_stat = max(_stat(mean_gap, mean_se), _stat(cov_gap, cov_se))
-    holds = mean_gap <= 3.0 * mean_se + 1e-9 and cov_gap <= 3.0 * cov_se + 1e-9
-    return MomentComparison(mean_gap, mean_se, cov_gap, cov_se, max_stat, holds)
-
-
-def _mean_gap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Norm of the gap between the means of two INDEPENDENT sample sets, and its SE."""
-    gap = float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
-    se = float(
-        np.sqrt(
-            (a.var(axis=0, ddof=1) / a.shape[0] + b.var(axis=0, ddof=1) / b.shape[0]).sum()
-        )
+    points = np.eye(1 + latent_dim + nuisance_dim, latent_dim + nuisance_dim, k=-1)
+    values = np.asarray(f(points[:, :latent_dim], points[:, latent_dim:]), dtype=np.float64)
+    mean = values[0]
+    columns = values[1:] - mean
+    var = np.repeat(
+        [latent_second_moment(latent_dim, radius), NOISE_VARIANCE],
+        [latent_dim, nuisance_dim],
     )
-    return gap, se
+    return mean, (columns.T * var) @ columns
 
 
-def two_sample_moment_gaps(a: np.ndarray, b: np.ndarray) -> MomentComparison:
-    """Compare mean and covariance of two INDEPENDENT sample sets."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    mean_gap, mean_se = _mean_gap(a, b)
-    ca = a - a.mean(axis=0)
-    cb = b - b.mean(axis=0)
-    cov_gap, cov_se = _mean_gap(
-        ca[:, :, None] * ca[:, None, :], cb[:, :, None] * cb[:, None, :]
-    )
-    stat = max(_stat(mean_gap, mean_se), _stat(cov_gap, cov_se))
-    holds = stat <= 3.0
-    return MomentComparison(mean_gap, mean_se, cov_gap, cov_se, stat, holds)
+def moment_gap(
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
+) -> MomentGap:
+    """Norms of the mean and covariance differences of two (mean, cov) pairs.
+
+    Both must be at most 1e-9 times the largest covariance entry (at least 1)
+    for the moments to count as equal.
+    """
+    mean_gap = float(np.linalg.norm(a[0] - b[0]))
+    cov_gap = float(np.linalg.norm(a[1] - b[1]))
+    tol = 1e-9 * max(1.0, np.abs(a[1]).max(initial=0.0), np.abs(b[1]).max(initial=0.0))
+    return MomentGap(mean_gap, cov_gap, mean_gap <= tol and cov_gap <= tol)
 
 
-def invariance_test(
-    codec: RandomizedCodec, sampler: LatentSampler, m: int
-) -> MomentComparison:
-    """Round-trip latents through decode/encode and compare moments to the originals.
+def invariance_test(codec: RandomizedCodec, radius: float = 1.0) -> MomentGap:
+    """Compare the moments of encode(decode(z, r)) with those of the latent itself.
 
     The nuisance construction recovers latents exactly, so both gaps are zero
-    up to floating point; a corrupted codec fails the 3-standard-error check.
+    up to rounding; a corrupted codec shifts the mean or the covariance. Only
+    the law is compared, so an encoder off by a rotation of the latent passes.
     """
-    if m < 1000:
-        raise ValueError("need at least 1000 samples for a stable moment test")
-    z = sampler.fork("invariance-latents").sample(m)
-    rng = np.random.default_rng(derive_seed(sampler.seed, "invariance-noise"))
-    r = codec.draw_decoder_seeds(rng, m)
-    z_round = codec.encode(codec.decode(z, r))
-    return paired_moment_gaps(z_round, z)
+    d = codec.latent_dim
+    round_trip = affine_moments(
+        lambda z, r: codec.encode(codec.decode(z, r)), d, codec.nuisance_dim, radius
+    )
+    return moment_gap(round_trip, (np.zeros(d), latent_second_moment(d, radius) * np.eye(d)))
 
 
 class PropositionZeroResult(NamedTuple):
-    max_stat: float
     holds: bool
-    comparisons: tuple
-
-
-def target_side_samples(
-    codecs: Mapping[str, RandomizedCodec],
-    sources: Sequence[str],
-    target: str,
-    sampler: LatentSampler,
-    m: int,
-    share_latents: bool = False,
-    decoder_override: Mapping[str, RandomizedCodec] | None = None,
-) -> dict[str, np.ndarray]:
-    """The target half of each (source, target) corpus, one sample set per source."""
-    if target not in codecs:
-        raise DomainError(f"no codec for language {target!r}")
-    samples = {}
-    for src in sources:
-        if src not in codecs:
-            raise DomainError(f"no codec for language {src!r}")
-        stream = "shared" if share_latents else src
-        z = sampler.fork("prop-zero", stream).sample(m)
-        decoder = codecs[target]
-        if decoder_override and src in decoder_override:
-            decoder = decoder_override[src]
-        samples[src] = decoder.decode(z)
-    return samples
+    comparisons: tuple[tuple[str, str, MomentGap], ...]
+    moments: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def proposition_zero_check(
     codecs: Mapping[str, RandomizedCodec],
     sources: Sequence[str],
     target: str,
-    sampler: LatentSampler,
-    m: int,
-    share_latents: bool = False,
+    radius: float = 1.0,
     decoder_override: Mapping[str, RandomizedCodec] | None = None,
 ) -> PropositionZeroResult:
     """Target-side marginals from different source pairs must coincide.
 
-    Generates the target half of each (source, target) corpus and runs
-    two-sample moment tests across sources. ``decoder_override`` substitutes a
+    The target half of each (source, target) corpus is the target decoder
+    applied to the shared latent and fresh target noise; its exact moments are
+    compared across every pair of sources. ``decoder_override`` substitutes a
     different target decoder for selected sources, which deliberately violates
-    the premise and should flip ``holds`` to False. With ``share_latents`` all
-    sources reuse one latent stream, making the samples identical.
+    the premise and should flip ``holds`` to False.
     """
     if len(sources) < 2:
         raise ValueError("need at least two source languages")
-    if m < 1000:
-        raise ValueError("need at least 1000 samples for a stable moment test")
-    samples = target_side_samples(
-        codecs, sources, target, sampler, m, share_latents, decoder_override
+    if target not in codecs:
+        raise DomainError(f"no codec for language {target!r}")
+    moments = {}
+    for src in sources:
+        if src not in codecs:
+            raise DomainError(f"no codec for language {src!r}")
+        decoder = (decoder_override or {}).get(src, codecs[target])
+        moments[src] = affine_moments(
+            decoder.decode, decoder.latent_dim, decoder.nuisance_dim, radius
+        )
+    comparisons = tuple(
+        (a, b, moment_gap(moments[a], moments[b]))
+        for a, b in itertools.combinations(sorted(sources), 2)
     )
-    comparisons = []
-    max_stat = 0.0
-    holds = True
-    ordered = sorted(sources)
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            cmp = two_sample_moment_gaps(samples[ordered[i]], samples[ordered[j]])
-            comparisons.append((ordered[i], ordered[j], cmp))
-            max_stat = max(max_stat, cmp.max_stat)
-            holds = holds and cmp.holds
-    return PropositionZeroResult(max_stat, holds, tuple(comparisons))
+    return PropositionZeroResult(all(c.holds for *_, c in comparisons), comparisons, moments)
 
 
-def moment_tv_lower_bound(
-    samples_a: np.ndarray, samples_b: np.ndarray, sup_norm: float
-) -> tuple[float, float]:
-    """A valid TV lower bound from sample means, with its standard-error scale.
+def moment_tv_lower_bound(mean_a: np.ndarray, mean_b: np.ndarray, sup_norm: float) -> float:
+    """A valid TV lower bound from the means of two laws on the sup_norm ball.
 
-    For distributions supported in the sup_norm ball, any unit direction u has
-    |E_P(u.X) - E_Q(u.X)| <= 2 * sup_norm * TV(P, Q), so the mean gap divided
-    by 2 * sup_norm underestimates TV. Returns (lower bound, one SE of it).
+    Any unit direction u has |E_P(u.X) - E_Q(u.X)| <= 2 * sup_norm * TV(P, Q),
+    so the mean gap divided by 2 * sup_norm underestimates TV.
     """
     if sup_norm <= 0:
         raise ValueError("sup_norm must be positive")
-    gap, se = _mean_gap(
-        np.asarray(samples_a, dtype=np.float64), np.asarray(samples_b, dtype=np.float64)
-    )
-    return gap / (2.0 * sup_norm), se / (2.0 * sup_norm)
+    return float(np.linalg.norm(np.subtract(mean_a, mean_b))) / (2.0 * sup_norm)

@@ -234,6 +234,8 @@ def anchor_spanning_tree(
     if anchor not in graph.languages:
         raise DomainError(f"anchor {anchor!r} is not a graph node")
     results = {r.edge: r for r in edge_results}
+    if not results:
+        raise GraphError("no fitted edge maps were given; anchoring needs one per tree edge")
     dims = {r.transform.dim for r in results.values()}
     if len(dims) != 1:
         raise ValueError(f"edge maps disagree on dimension: {sorted(dims)}")

@@ -474,6 +474,30 @@ class TestPipeline:
         assert err == f"error: {graph_path}: graph has no edges; train needs at least one\n"
         assert not (tmp_path / "trained").exists()
 
+    def test_eval_on_a_single_language_graph_exits_2_naming_the_file(self, tmp_path, capsys):
+        pair_graph = tmp_path / "pair.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 20),)), pair_graph)
+        run = tmp_path / "run"
+        for argv in (
+            ["generate", "--graph", str(pair_graph), "--out", str(run), "--dim", "2"],
+            ["train", "--graph", str(pair_graph), "--corpus-dir", str(run), "--out", str(run)],
+        ):
+            assert run_cli(argv, capsys)[0] == 0
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0",), ()), graph_path)
+        out = tmp_path / "evaluated"
+        code, stdout, err = run_cli(
+            ["eval", "--graph", str(graph_path), "--codecs", str(run / "codecs.json"),
+             "--encoders", str(run / "encoders.json"), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: {graph_path}: graph has fewer than two languages; eval needs at least two\n"
+        )
+        assert not out.exists()
+
     def test_train_on_overflowing_entries_exits_2_naming_file_and_edge(self, tmp_path, capfd):
         graph_path = tmp_path / "graph.json"
         io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 20),)), graph_path)
@@ -794,7 +818,10 @@ def run_fresh(code, *args):
 
 
 class TestColdStart:
-    """Only noisy ``generate`` and ``sweep`` load scipy, on their first noise draw."""
+    """Only noisy ``generate`` and ``sweep`` load scipy, on their first noise draw.
+
+    The exact moment checks draw nothing, so they never load it.
+    """
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -850,6 +877,18 @@ class TestColdStart:
             ],
         }[mode]
         result = run_fresh(WITHOUT_SCIPY, *argv)
+        assert result.returncode == 0, result.stderr
+
+    def test_moment_checks_run_without_scipy(self):
+        result = run_fresh(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from translab.generative import FunctionClassSpec, invariance_test,"
+            " proposition_zero_check, sample_randomized_codecs\n"
+            "codecs = sample_randomized_codecs(FunctionClassSpec(dim=3), 3, 2, 0.2, seed=0)\n"
+            "assert invariance_test(codecs[0]).holds\n"
+            "assert proposition_zero_check(dict(zip('ABT', codecs)), 'AB', 'T').holds\n"
+        )
         assert result.returncode == 0, result.stderr
 
     def test_noisy_generate_needs_scipy(self, inputs):

@@ -1,4 +1,4 @@
-"""Tests for codecs, latent sampling, corpora, and the moment tests."""
+"""Tests for codecs, latent sampling, corpora, and the exact moment checks."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,18 @@ from translab.generative import (
     AlignedCorpus,
     FunctionClassSpec,
     LatentSampler,
+    NOISE_VARIANCE,
     RandomizedCodec,
     TranslationGraph,
+    affine_moments,
     invariance_test,
+    latent_second_moment,
+    moment_gap,
     moment_tv_lower_bound,
     proposition_zero_check,
     randomized_generate,
     sample_randomized_codecs,
     six_language_demo_graph,
-    two_sample_moment_gaps,
 )
 from translab.seeding import derive_seed
 
@@ -258,20 +261,25 @@ class TestInvariance:
     def test_exact_construction_holds(self):
         spec = FunctionClassSpec(dim=3)
         codec = sample_randomized_codecs(spec, 1, 2, 0.3, seed=0)[0]
-        result = invariance_test(codec, LatentSampler(3, 1.0, seed=1), 5000)
-        assert result.mean_gap <= 1e-9
-        assert result.cov_gap <= 1e-9
+        result = invariance_test(codec)
+        assert result.mean_gap <= 1e-12
+        assert result.cov_gap <= 1e-12
         assert result.holds
+
+    def test_many_noisy_codecs_hold_to_rounding(self):
+        spec = FunctionClassSpec(dim=4)
+        codecs = sample_randomized_codecs(spec, 200, 3, 0.2, seed=0)
+        results = [invariance_test(codec) for codec in codecs]
+        assert all(r.holds for r in results)
+        assert max(max(r.mean_gap, r.cov_gap) for r in results) <= 1e-14
 
     def test_corrupted_encoder_fails(self):
         spec = FunctionClassSpec(dim=3)
         good, other = sample_randomized_codecs(spec, 2, 2, 0.3, seed=0)
 
         class Corrupted:
+            latent_dim = good.latent_dim
             nuisance_dim = good.nuisance_dim
-
-            def draw_decoder_seeds(self, rng, m):
-                return good.draw_decoder_seeds(rng, m)
 
             def decode(self, z, r=None):
                 return good.decode(z, r)
@@ -279,89 +287,134 @@ class TestInvariance:
             def encode(self, x):
                 return other.encode(x)  # wrong inverse
 
-        result = invariance_test(Corrupted(), LatentSampler(3, 1.0, seed=1), 5000)
+        result = invariance_test(Corrupted())
         assert not result.holds
 
-    def test_requires_enough_samples(self):
-        spec = FunctionClassSpec(dim=2)
-        codec = sample_randomized_codecs(spec, 1, 1, 0.1, seed=0)[0]
-        with pytest.raises(ValueError):
-            invariance_test(codec, LatentSampler(2, 1.0, seed=0), 100)
+    def test_inverse_off_by_one_millionth_fails(self):
+        spec = FunctionClassSpec(dim=4)
+        codec = sample_randomized_codecs(spec, 1, 3, 0.2, seed=1)[0]
+        inverse = np.linalg.inv(codec.W)
+        inverse[0, 0] += 1e-6
 
-    def test_two_sample_gap_shrinks_like_root_m(self):
-        # the moment statistic between independent equal-distribution batches
-        # scales as 1/sqrt(m); regression over a 16x range of m
-        sampler = LatentSampler(3, 1.0, seed=6)
-        sizes = [1000, 4000, 16000]
-        medians = []
-        for m in sizes:
-            gaps = []
-            for trial in range(10):
-                a = sampler.fork("a", m, trial).sample(m)
-                b = sampler.fork("b", m, trial).sample(m)
-                gaps.append(two_sample_moment_gaps(a, b).mean_gap)
-            medians.append(np.median(gaps))
-        slope = np.polyfit(np.log(sizes), np.log(medians), 1)[0]
-        assert slope == pytest.approx(-0.5, abs=0.25)
+        class Perturbed:
+            latent_dim = codec.latent_dim
+            nuisance_dim = codec.nuisance_dim
+            decode = staticmethod(codec.decode)
+
+            def encode(self, x):
+                return ((x - codec.b) @ inverse.T)[:, : codec.latent_dim]
+
+        result = invariance_test(Perturbed())
+        assert result.cov_gap > 1e-8
+        assert not result.holds
+
+    def test_radius_scales_the_latent_covariance(self):
+        codec = sample_randomized_codecs(FunctionClassSpec(dim=2), 1, 1, 0.1, seed=3)[0]
+        assert invariance_test(codec, radius=2.5).holds
+
+
+class TestAffineMoments:
+    def test_matches_the_codec_algebra(self):
+        spec = FunctionClassSpec(dim=3)
+        codec = sample_randomized_codecs(spec, 1, 2, 0.3, seed=4)[0]
+        mean, cov = affine_moments(codec.decode, 3, 2, 1.5)
+        scale = np.r_[np.full(3, latent_second_moment(3, 1.5)), np.full(2, 0.09 * NOISE_VARIANCE)]
+        assert np.allclose(mean, codec.b, atol=1e-15)
+        assert np.allclose(cov, codec.W @ np.diag(scale) @ codec.W.T, atol=1e-14)
+
+    @pytest.mark.parametrize("k,sigma", [(0, 0.0), (2, 0.2)])
+    def test_monte_carlo_corpus_moments_match(self, k, sigma):
+        # sampled corpora from the real generator against the closed form:
+        # each side's mean and covariance entries within 4 standard errors
+        spec = FunctionClassSpec(dim=3)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, k, sigma, seed=5)))
+        m = 100_000
+        corpus = randomized_generate(
+            ("A", "B"), codecs, m, LatentSampler(3, spec.radius, seed=5), seed=5
+        )
+        for codec, points in (
+            (codecs["A"], corpus.source_points),
+            (codecs["B"], corpus.target_points),
+        ):
+            mean, cov = affine_moments(codec.decode, 3, k, spec.radius)
+            mean_se = points.std(axis=0, ddof=1) / np.sqrt(m)
+            assert np.all(np.abs(points.mean(axis=0) - mean) <= 4.0 * mean_se)
+            centred = points - mean
+            products = centred[:, :, None] * centred[:, None, :]
+            cov_se = products.std(axis=0, ddof=1) / np.sqrt(m)
+            assert np.all(np.abs(products.mean(axis=0) - cov) <= 4.0 * cov_se)
+
+    def test_moment_gap_tolerance_scales_with_covariance(self):
+        cov = np.diag([1e6, 1.0])
+        assert moment_gap((np.zeros(2), cov), (np.full(2, 1e-4), cov)).holds
+        assert not moment_gap((np.zeros(2), cov), (np.full(2, 1e-2), cov)).holds
+        small = np.eye(2) * 1e-3
+        assert not moment_gap((np.zeros(2), small), (np.zeros(2), small * 1.00001)).holds
 
 
 class TestPropositionZero:
-    def _setup(self, seed=0, d=4):
+    def _setup(self, seed=0, d=4, k=0, sigma=0.0):
         spec = FunctionClassSpec(dim=d)
         langs = ["S0", "S1", "T"]
-        codecs = dict(zip(langs, sample_randomized_codecs(spec, 3, 0, 0.0, seed=seed)))
-        return codecs, LatentSampler(d, 1.0, seed=seed)
+        return dict(zip(langs, sample_randomized_codecs(spec, 3, k, sigma, seed=seed)))
 
-    def test_shared_latents_give_zero_stat(self):
-        codecs, sampler = self._setup()
-        result = proposition_zero_check(
-            codecs, ["S0", "S1"], "T", sampler, 2000, share_latents=True
-        )
-        assert result.max_stat == 0.0
+    def test_distinct_sources_give_zero_gaps(self):
+        codecs = self._setup(seed=1, k=3, sigma=0.2)
+        result = proposition_zero_check(codecs, ["S0", "S1"], "T")
         assert result.holds
-
-    def test_independent_streams_pass(self):
-        codecs, sampler = self._setup(seed=1)
-        result = proposition_zero_check(codecs, ["S0", "S1"], "T", sampler, 10_000)
-        assert result.holds
+        (_a, _b, gap), = result.comparisons
+        assert gap.mean_gap == 0.0 and gap.cov_gap == 0.0
 
     def test_mismatched_decoder_fails(self):
-        codecs, sampler = self._setup(seed=2)
+        codecs = self._setup(seed=2)
         spec = FunctionClassSpec(dim=4)
         rogue = sample_randomized_codecs(spec, 1, 0, 0.0, seed=99)[0]
         result = proposition_zero_check(
-            codecs,
-            ["S0", "S1"],
-            "T",
-            sampler,
-            10_000,
-            decoder_override={"S1": rogue},
+            codecs, ["S0", "S1"], "T", decoder_override={"S1": rogue}
         )
         assert not result.holds
 
+    def test_target_noise_enters_the_moments(self):
+        # same target map, but one override decodes without its noise
+        codecs = self._setup(seed=3, k=2, sigma=0.3)
+        target = codecs["T"]
+        quiet = RandomizedCodec(target.W, target.b, target.nuisance_dim, 0.0)
+        result = proposition_zero_check(
+            codecs, ["S0", "S1"], "T", decoder_override={"S1": quiet}
+        )
+        (_a, _b, gap), = result.comparisons
+        assert gap.mean_gap == 0.0 and gap.cov_gap > 1e-3
+        assert not result.holds
+
     def test_needs_two_sources(self):
-        codecs, sampler = self._setup()
+        codecs = self._setup()
         with pytest.raises(ValueError):
-            proposition_zero_check(codecs, ["S0"], "T", sampler, 2000)
+            proposition_zero_check(codecs, ["S0"], "T")
+
+    def test_unknown_language_is_rejected(self):
+        codecs = self._setup()
+        with pytest.raises(DomainError):
+            proposition_zero_check(codecs, ["S0", "X"], "T")
 
 
 class TestMomentTvLowerBound:
     def test_underestimates_tv_for_shifted_samples(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((20000, 3)) * 0.1
-        shift = np.array([0.5, 0.0, 0.0])
-        b = rng.standard_normal((20000, 3)) * 0.1 + shift
-        sup_norm = 2.0
-        lb, se = moment_tv_lower_bound(a, b, sup_norm)
-        assert lb == pytest.approx(np.linalg.norm(shift) / (2 * sup_norm), rel=0.05)
-        assert se < lb / 10
+        # uniform laws on [0, 1] and [s, 1 + s]: TV is s, the means differ by s
+        shift = 0.3
+        sup_norm = 1.0 + shift
+        lb = moment_tv_lower_bound(np.array([0.5]), np.array([0.5 + shift]), sup_norm)
+        assert lb == pytest.approx(shift / (2 * sup_norm))
+        assert lb <= shift
 
     def test_equal_samples_give_tiny_bound(self):
-        sampler = LatentSampler(3, 1.0, seed=3)
-        a = sampler.fork("a").sample(20000)
-        b = sampler.fork("b").sample(20000)
-        lb, se = moment_tv_lower_bound(a, b, 2.0)
-        assert lb <= 3 * se
+        codec = sample_randomized_codecs(FunctionClassSpec(dim=3), 1, 1, 0.1, seed=3)[0]
+        mean_a, _ = affine_moments(codec.decode, 3, 1, 1.0)
+        mean_b, _ = affine_moments(codec.decode, 3, 1, 1.0)
+        assert moment_tv_lower_bound(mean_a, mean_b, 2.0) == 0.0
+
+    def test_rejects_nonpositive_sup_norm(self):
+        with pytest.raises(ValueError):
+            moment_tv_lower_bound(np.zeros(2), np.ones(2), 0.0)
 
 
 class TestTranslationGraph:

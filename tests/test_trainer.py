@@ -240,6 +240,11 @@ class TestAnchorSpanningTree:
                 assert np.array_equal(got.linear, expected.linear), f"seed {seed}, {lang}"
                 assert np.array_equal(got.offset, expected.offset), f"seed {seed}, {lang}"
 
+    def test_no_edge_maps_is_a_clear_error(self):
+        graph = TranslationGraph(("A",), ())
+        with pytest.raises(GraphError, match="no fitted edge maps were given"):
+            anchor_spanning_tree(graph, [], "A")
+
     def test_missing_tree_edge_fails(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
         results = [fit_edge(corpora[0])]  # second edge missing
