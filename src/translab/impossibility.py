@@ -31,6 +31,11 @@ from .errors import BudgetError, DomainError
 #: Hard enumeration budget: |Z|^(#sentences) encoder tables, |Sigma*_L|^|Z| decoder tables.
 MAX_ENCODER_DOMAIN = 8
 MAX_Z_SIZE = 4
+MAX_DECODER_TABLES = 65536
+#: Float64 entries (0.25 MB) in one block of ``max`` errors, indexed by encoder
+#: table, task and decoder table. A block holds as many encoder tables as fit,
+#: and at least one, so near the decoder budget one table's errors can exceed it.
+MAX_BLOCK_ELEMENTS = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +458,6 @@ class BruteForceResult:
     n_feasible: int
 
 
-def _encoder_tables(z_size: int, n_atoms: int) -> np.ndarray:
-    """All encoder tables as an array in lexicographic row order."""
-    grids = np.meshgrid(*([np.arange(z_size)] * n_atoms), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
 def _restricted_growth_tables(z_size: int, n_atoms: int) -> np.ndarray:
     """One encoder table per orbit under relabelling of z, in lexicographic row order.
 
@@ -633,7 +632,8 @@ def _search(
 
     y_index = {y: i for i, y in enumerate(codomain)}
     n_y = len(codomain)
-    if objective == "max" and n_y**z_size > 65536:
+    n_h = n_y**z_size
+    if objective == "max" and n_h > MAX_DECODER_TABLES:
         raise BudgetError(f"{n_y}^{z_size} decoder tables exceed the enumeration budget")
     truth = np.array([y_index[y] for y in truth_atoms])
     w = np.array(atom_weight)
@@ -652,29 +652,39 @@ def _search(
     if objective in ("sum", "avg"):
         match_weights = np.zeros((n_atoms, n_y))
         match_weights[np.arange(n_atoms), truth] = coeff * w
-    else:
-        decoder_tables = _encoder_tables(n_y, z_size)  # all h: Z -> codomain
 
     def score(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective value and best decoder table of each encoder table."""
+        """Objective value and best decoder table of each encoder table.
+
+        ``max`` scores every decoder table h: Z -> codomain, in blocks of
+        encoder tables: cost[g, t, z, y] is task t's error mass on z when h
+        decodes z to y, and h's error on task t is its costs summed in z
+        order. Decoders are numbered in lexicographic table order (z0 most
+        significant), so argmin picks the first minimizing table.
+        """
         if objective in ("sum", "avg"):
             onehot = (tables[:, :, None] == np.arange(z_size)).astype(np.float64)
             matched = np.einsum("gsz,sy->gzy", onehot, match_weights)
             return coeff * w.sum() - matched.max(axis=2).sum(axis=1), matched.argmax(axis=2)
+        block = max(1, MAX_BLOCK_ELEMENTS // (n_tasks * n_h))
+        h_pos = np.empty(len(tables), dtype=np.int64)
         values = np.empty(len(tables))
-        h_tables = np.empty((len(tables), z_size), dtype=int)
-        for i, g_row in enumerate(tables):
-            cost = np.zeros((n_tasks, z_size, n_y))
+        for start in range(0, len(tables), block):
+            g = tables[start : start + block]
+            rows = np.arange(len(g))
+            cost = np.zeros((len(g), n_tasks, z_size, n_y))
             for s in range(n_atoms):
                 t = atom_task[s]
-                cost[t, g_row[s], :] += w[s]
-                cost[t, g_row[s], truth[s]] -= w[s]
-            errs = cost[:, np.arange(z_size)[None, :], decoder_tables].sum(axis=2)
-            obj = errs.max(axis=0)  # (n_h,)
-            h_pos = int(np.argmin(obj))
-            values[i] = obj[h_pos]
-            h_tables[i] = decoder_tables[h_pos]
-        return values, h_tables
+                cost[rows, t, g[:, s], :] += w[s]
+                cost[rows, t, g[:, s], truth[s]] -= w[s]
+            errs = cost[:, :, 0]
+            for z in range(1, z_size):
+                errs = (errs[..., None] + cost[:, :, z, None, :]).reshape(len(g), n_tasks, -1)
+            obj = errs.max(axis=1)  # (block, n_h)
+            best = obj.argmin(axis=1)
+            h_pos[start : start + block] = best
+            values[start : start + block] = obj[rows, best]
+        return values, np.stack(np.unravel_index(h_pos, (n_y,) * z_size), axis=1)
 
     reps = _restricted_growth_tables(z_size, n_atoms)
     rows = np.arange(len(reps))

@@ -96,6 +96,8 @@ def test_criterion_03_many_to_many_soundness():
     rng = np.random.default_rng(MASTER_SEED + 1)
     violations = 0
     checked = 0
+    # bf/bound over the feasible checks with a positive bound: how tight each bound is
+    ratios = {"max": [], "avg": []}
     for _ in range(50):
         instance = random_many_to_many_instance(rng, n_languages=3)
         for epsilon in (0.0, 0.1):
@@ -106,14 +108,24 @@ def test_criterion_03_many_to_many_soundness():
                 checked += 1
                 if r_max.value < max_bound - 1e-9:
                     violations += 1
+                if max_bound > 0:
+                    ratios["max"].append(r_max.value / max_bound)
             if r_avg.feasible:
                 checked += 1
                 if r_avg.value < avg_bound - 1e-9:
                     violations += 1
+                if avg_bound > 0:
+                    ratios["avg"].append(r_avg.value / avg_bound)
+    tightness = " ".join(
+        f"{objective}_ratio_min={min(values, default=math.nan):.3f}"
+        f" {objective}_ratio_median={np.median(values) if values else math.nan:.3f}"
+        f" (n={len(values)})"
+        for objective, values in ratios.items()
+    )
     report(
         "criterion 3 (many-to-many soundness, 50 K=3 instances)",
         violations == 0 and checked >= 100,
-        f"violations={violations} checks={checked}",
+        f"violations={violations} checks={checked} {tightness}",
     )
 
 

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import random_distribution, random_translator
 
 from translab import cli, impossibility, io
 from translab.distributions import (
@@ -33,13 +35,18 @@ from translab.impossibility import (
     random_many_to_many_instance,
     random_two_to_one_instance,
     two_to_one_bound,
-    _encoder_tables,
     _orbit_members,
     _orbit_sizes,
     _restricted_growth_tables,
 )
 
 TOL = 1e-12
+
+
+def _encoder_tables(z_size: int, n_atoms: int) -> np.ndarray:
+    """All encoder tables as an array in lexicographic row order."""
+    grids = np.meshgrid(*([np.arange(z_size)] * n_atoms), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 def two_source_marginals():
@@ -826,6 +833,60 @@ class TestOrbitSearch:
             expected = reference_table_brute_force(inst, 4, 0.1, objective)
             result = brute_force_min_error(inst, 4, 0.1, objective)
             assert result.n_encoders == 4**8
+            assert result_fields(result) == result_fields(expected)
+
+    @pytest.mark.parametrize("tables_per_block", [1, 3, 7])
+    def test_max_result_does_not_depend_on_the_block_size(self, tables_per_block):
+        # Small blocks leave a partial last block, which the default size hides
+        # on the bench shape (its 24 or 48 expanded tables fill whole blocks).
+        cases = [
+            (inst, 4, 0.1)
+            for inst in bench_shaped_instances(np.random.default_rng([3, 2008]), 3)
+        ]
+        for n_languages, z_size, atom_budget in SEARCH_GRID:
+            rng = np.random.default_rng(100 + 10 * n_languages + z_size)
+            for _ in range(3):
+                inst = random_many_to_many_instance(
+                    rng, n_languages=n_languages, atom_budget=atom_budget
+                )
+                cases += [(inst, z_size, epsilon) for epsilon in (0.0, 0.2)]
+        for inst, z_size, epsilon in cases:
+            expected = brute_force_min_error(inst, z_size, epsilon, "max")
+            n_y = sum(len(pool) for pool in inst.sentence_pool.values())
+            elements = tables_per_block * len(inst.pairs()) * n_y**z_size
+            with mock.patch.object(impossibility, "MAX_BLOCK_ELEMENTS", elements):
+                result = brute_force_min_error(inst, z_size, epsilon, "max")
+            assert result_fields(result) == result_fields(expected)
+
+    def test_max_at_the_decoder_budget_matches_and_stays_small(self):
+        # Two sources into L2 and 5 + 5 + 6 pool sentences: 16^4 = 65,536
+        # decoder tables, the most the budget allows. One block then holds one
+        # encoder table, whose (task, decoder) errors take 1 MiB; the traced
+        # peak of a whole search reads about 2 MiB (the per-table loop it
+        # replaced read about 8.5 MiB).
+        rng = np.random.default_rng(15)
+        languages = ("L0", "L1", "L2")
+        pool = {
+            lang: tuple(Sentence(lang, f"y{j}") for j in range(n))
+            for lang, n in zip(languages, (5, 5, 6))
+        }
+        marginals, translators = {}, {}
+        for src in ("L0", "L1"):
+            xs = tuple(Sentence(src, f"s{i}", target_tag="L2") for i in range(2))
+            marginals[(src, "L2")] = random_distribution(rng, xs)
+            translators[(src, "L2")] = random_translator(rng, xs, pool["L2"][:3])
+        inst = ManyToManyInstance.from_marginals(languages, marginals, translators, pool)
+        assert sum(len(p) for p in pool.values()) ** 4 == impossibility.MAX_DECODER_TABLES
+        for epsilon in (0.0, 0.5):
+            tracemalloc.start()
+            try:
+                result = brute_force_min_error(inst, 4, epsilon, "max")
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+            expected = reference_table_brute_force(inst, 4, epsilon, "max")
+            assert result.feasible
             assert result_fields(result) == result_fields(expected)
 
     def test_max_decoder_budget_is_checked_before_any_table_work(self):
