@@ -1,116 +1,4 @@
 """translab: lower bounds for invariant-representation translation, and the
 generative counterpoint where graph-anchored training provably composes."""
 
-from .affine import AffineMap
-from .distributions import (
-    DeterministicTranslator,
-    FiniteDistribution,
-    Sentence,
-    data_processing_check,
-    disagreement_bound_check,
-    pushforward,
-    tv_distance,
-    zero_one_error,
-)
-from .evaluation import (
-    PairEvalRecord,
-    SweepResult,
-    concentration_bound,
-    path_bound,
-    population_loss,
-    required_sample_size,
-    sample_complexity_sweep,
-    shortest_path_and_diameter,
-    verify_chain_bound,
-)
-from .generative import (
-    AlignedCorpus,
-    FunctionClassSpec,
-    LatentSampler,
-    RandomizedCodec,
-    TranslationGraph,
-    invariance_test,
-    proposition_zero_check,
-    randomized_generate,
-    sample_randomized_codecs,
-    six_language_demo_graph,
-)
-from .impossibility import (
-    BoundReport,
-    BruteForceResult,
-    ManyToManyInstance,
-    PartitionedRepresentation,
-    TwoToOneInstance,
-    brute_force_min_error,
-    check_epsilon_universal,
-    check_epsilon_universal_partitioned,
-    make_worst_case,
-    many_to_many_bounds,
-    perfect_universal_translator,
-    two_to_one_bound,
-)
-from .trainer import (
-    EdgeFactor,
-    EdgeRegressionResult,
-    EncoderEstimate,
-    anchor_spanning_tree,
-    empirical_edge_loss,
-    factor_corpus,
-    fit_edge,
-    joint_refine,
-    project_to_class,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineMap",
-    "AlignedCorpus",
-    "BoundReport",
-    "BruteForceResult",
-    "DeterministicTranslator",
-    "EdgeFactor",
-    "EdgeRegressionResult",
-    "EncoderEstimate",
-    "FiniteDistribution",
-    "FunctionClassSpec",
-    "LatentSampler",
-    "ManyToManyInstance",
-    "PairEvalRecord",
-    "PartitionedRepresentation",
-    "RandomizedCodec",
-    "Sentence",
-    "SweepResult",
-    "TranslationGraph",
-    "TwoToOneInstance",
-    "anchor_spanning_tree",
-    "brute_force_min_error",
-    "check_epsilon_universal",
-    "check_epsilon_universal_partitioned",
-    "concentration_bound",
-    "data_processing_check",
-    "disagreement_bound_check",
-    "empirical_edge_loss",
-    "factor_corpus",
-    "fit_edge",
-    "invariance_test",
-    "joint_refine",
-    "make_worst_case",
-    "many_to_many_bounds",
-    "path_bound",
-    "perfect_universal_translator",
-    "population_loss",
-    "project_to_class",
-    "proposition_zero_check",
-    "pushforward",
-    "randomized_generate",
-    "required_sample_size",
-    "sample_complexity_sweep",
-    "sample_randomized_codecs",
-    "shortest_path_and_diameter",
-    "six_language_demo_graph",
-    "tv_distance",
-    "two_to_one_bound",
-    "verify_chain_bound",
-    "zero_one_error",
-]

@@ -326,6 +326,17 @@ def _run_eval(config) -> int:
     graph.require_connected()
     spec, codecs = io.load_codecs(config.codecs)
     estimate, _enc_spec = io.load_encoders(config.encoders)
+    for lang in graph.languages:
+        if lang not in codecs:
+            raise SchemaError(f"{config.codecs}: no codec for graph language {lang!r}")
+        if lang not in estimate.encoders:
+            raise SchemaError(f"{config.encoders}: no encoder for graph language {lang!r}")
+        dim, codec_dim = estimate.encoders[lang].dim, codecs[lang].W.shape[0]
+        if dim != codec_dim:
+            raise SchemaError(
+                f"{config.encoders}: encoder {lang!r} has dimension {dim},"
+                f" but its codec in {config.codecs} has dimension {codec_dim}"
+            )
     records = verify_chain_bound(estimate, graph, codecs, spec)
     # Records cover every language pair along its shortest path.
     diameter = max(r.path_len for r in records)

@@ -92,17 +92,6 @@ class FiniteDistribution:
     def items(self) -> Iterator[tuple[Atom, float]]:
         return zip(self.support, self.weights)
 
-    def condition(self, predicate) -> "FiniteDistribution":
-        """Restrict to atoms satisfying ``predicate`` and renormalize."""
-        kept = [(a, w) for a, w in self.items() if predicate(a)]
-        mass = sum(w for _, w in kept)
-        if mass <= WEIGHT_TOL:
-            raise ValueError("conditioning event has zero mass")
-        return FiniteDistribution(
-            tuple(a for a, _ in kept),
-            np.array([w / mass for _, w in kept]),
-        )
-
     def __len__(self) -> int:
         return len(self.support)
 

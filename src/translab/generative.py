@@ -311,16 +311,6 @@ class TranslationGraph:
     def edge_pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple((a, b) for a, b, _n in self.edges)
 
-    def sample_count(self, a: str, b: str) -> int:
-        key = (min(a, b), max(a, b))
-        for ea, eb, n in self.edges:
-            if (ea, eb) == key:
-                return n
-        raise GraphError(f"no edge {key}")
-
-    def neighbors(self, lang: str) -> tuple[str, ...]:
-        return self._adjacency.get(lang, ())
-
     def bfs_tree(self, root: str) -> dict[str, str | None]:
         """Breadth-first parent of each language reachable from ``root`` (root: None).
 

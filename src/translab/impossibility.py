@@ -9,6 +9,7 @@ bounds can be checked without trusting either route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -458,6 +459,7 @@ class BruteForceResult:
     n_feasible: int
 
 
+@functools.cache
 def _restricted_growth_tables(z_size: int, n_atoms: int) -> np.ndarray:
     """One encoder table per orbit under relabelling of z, in lexicographic row order.
 
@@ -465,6 +467,7 @@ def _restricted_growth_tables(z_size: int, n_atoms: int) -> np.ndarray:
     than the largest entry before it, so z labels appear in first-use order
     and each row is the smallest table of its orbit. There are
     sum_{k <= z_size} S(n_atoms, k) rows (Stirling numbers of the second kind).
+    Built once per argument pair; the shared array is read-only.
     """
     rows = np.zeros((1, 0), dtype=np.int64)
     top = np.full(1, -1)
@@ -474,6 +477,7 @@ def _restricted_growth_tables(z_size: int, n_atoms: int) -> np.ndarray:
         value = np.arange(len(parent)) - np.repeat(np.cumsum(n_next) - n_next, n_next)
         rows = np.column_stack([rows[parent], value])
         top = np.maximum(top[parent], value)
+    rows.setflags(write=False)
     return rows
 
 

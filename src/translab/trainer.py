@@ -32,7 +32,7 @@ from .errors import (
     InsufficientDataError,
     InternalConsistencyError,
 )
-from .generative import AlignedCorpus, FunctionClassSpec, TranslationGraph
+from .generative import AlignedCorpus, TranslationGraph
 
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
@@ -123,11 +123,6 @@ class EncoderEstimate:
     def composite(self, src: str, dst: str) -> AffineMap:
         """The translator src -> dst implied by the encoders."""
         return self.encoder(dst).inverse().compose(self.encoder(src))
-
-    def with_encoder(self, lang: str, enc: AffineMap) -> "EncoderEstimate":
-        updated = dict(self.encoders)
-        updated[lang] = enc
-        return EncoderEstimate(updated, self.anchor)
 
     def with_gauge(self, f: AffineMap) -> "EncoderEstimate":
         """Compose every encoder with a fixed invertible map (composites unchanged)."""
@@ -311,7 +306,6 @@ def joint_refine(
     estimate: EncoderEstimate,
     factors: Sequence[EdgeFactor],
     sweeps: int,
-    spec: FunctionClassSpec | None = None,
 ) -> EncoderEstimate:
     """Alternating per-language updates of the summed edge objective.
 
@@ -319,8 +313,7 @@ def joint_refine(
     in sorted id order, the anchor skipped. Each candidate comes from a
     representation-space least-squares consensus; it is blended toward the
     incumbent until the objective does not increase, so every sweep is
-    monotone (a failed search leaves the encoder unchanged). Given ``spec``,
-    every blend is projected onto its function class first; a blend whose
+    monotone (a failed search leaves the encoder unchanged). A blend whose
     inverse is numerically singular halves the step.
 
     A trial inverts the blended map once and re-scores only the edges of the
@@ -359,8 +352,6 @@ def joint_refine(
                     old.linear + step * (candidate.linear - old.linear),
                     old.offset + step * (candidate.offset - old.offset),
                 )
-                if spec is not None:
-                    blended = project_to_class(blended, spec)
                 try:
                     inverse = blended.inverse()
                 except ConditioningError:
@@ -383,15 +374,3 @@ def joint_refine(
             )
     return EncoderEstimate(encoders, estimate.anchor)
 
-
-def project_to_class(affine: AffineMap, spec: FunctionClassSpec) -> AffineMap:
-    """Clip singular values into [1/rho, rho] and the offset into its ball; idempotent."""
-    u, s, vt = np.linalg.svd(affine.linear)
-    clipped = np.clip(s, 1.0 / spec.rho, spec.rho)
-    linear = u @ np.diag(clipped) @ vt
-    offset = affine.offset
-    norm = float(np.linalg.norm(offset))
-    if norm > spec.offset_bound:
-        scale = spec.offset_bound / norm if norm > 0 else 0.0
-        offset = offset * scale
-    return AffineMap(linear, offset)

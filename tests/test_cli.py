@@ -584,6 +584,43 @@ class TestPipeline:
         assert code == 2
         assert str(codecs_path) in err and "'L0'" in err and "latent dimension" in err
 
+    def test_eval_with_encoders_of_another_dimension_exits_2(self, tmp_path, capsys):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        wider = tmp_path / "wider"
+        run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(wider), "--dim", "2",
+             "--nuisance-dim", "1"],
+            capsys,
+        )
+        code, stdout, err = run_cli(
+            ["eval", "--graph", str(graph_path),
+             "--codecs", str(wider / "codecs.json"),
+             "--encoders", str(out / "encoders.json"), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: {out / 'encoders.json'}: encoder 'L0' has dimension 2,"
+            f" but its codec in {wider / 'codecs.json'} has dimension 3\n"
+        )
+        assert not (out / "pair_eval.csv").exists()
+
+    def test_eval_with_a_language_missing_from_the_encoders_exits_2(
+        self, tmp_path, capsys
+    ):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        encoders_path = out / "encoders.json"
+        payload = json.loads(encoders_path.read_text())
+        assert payload["anchor"] != "L2"
+        del payload["encoders"]["L2"]
+        encoders_path.write_text(json.dumps(payload))
+        code, stdout, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {encoders_path}: no encoder for graph language 'L2'\n"
+        assert not (out / "pair_eval.csv").exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [("b", math.inf), ("W", math.nan), ("sigma", math.nan), ("sigma", math.inf)],

@@ -74,17 +74,6 @@ class TestFiniteDistribution:
         assert d.weight("a") == 0.25
         assert d.weight("zzz") == 0.0
 
-    def test_condition_renormalizes(self):
-        d = dist([("a", 0.2), ("b", 0.3), ("c", 0.5)])
-        conditioned = d.condition(lambda atom: atom != "c")
-        assert conditioned.weight("a") == pytest.approx(0.4, abs=TOL)
-        assert conditioned.weight("b") == pytest.approx(0.6, abs=TOL)
-
-    def test_condition_on_null_event_fails(self):
-        d = dist([("a", 1.0)])
-        with pytest.raises(ValueError, match="zero mass"):
-            d.condition(lambda atom: False)
-
 
 class TestSentence:
     def test_equality_is_fieldwise(self):

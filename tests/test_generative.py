@@ -458,4 +458,4 @@ class TestTranslationGraph:
         graph = six_language_demo_graph()
         assert len(graph.languages) == 6
         assert graph.is_connected()
-        assert graph.sample_count("L1", "L3") == 200
+        assert ("L1", "L3", 200) in graph.edges

@@ -737,6 +737,13 @@ class TestRestrictedGrowthTables:
     def test_eight_atoms_into_four_points_give_2795_rows(self):
         assert len(_restricted_growth_tables(4, 8)) == 2795
 
+    def test_rows_are_built_once_per_argument_pair_and_read_only(self):
+        rows = _restricted_growth_tables(3, 6)
+        assert _restricted_growth_tables(3, 6) is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1
+
     @pytest.mark.parametrize("z_size", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_atoms", [1, 3, 6, 8])
     def test_orbit_sizes_sum_to_all_tables(self, n_atoms, z_size):

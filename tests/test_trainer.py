@@ -38,12 +38,11 @@ from translab.trainer import (
     factor_corpus,
     fit_edge,
     joint_refine,
-    project_to_class,
     total_edge_loss,
 )
 
 
-def reference_joint_refine(estimate, factors, sweeps, spec=None):
+def reference_joint_refine(estimate, factors, sweeps):
     """Full-rescore refinement in the R arithmetic.
 
     Every trial re-validates the estimate and re-scores every edge from its
@@ -86,12 +85,10 @@ def reference_joint_refine(estimate, factors, sweeps, spec=None):
                     old.linear + step * (candidate.linear - old.linear),
                     old.offset + step * (candidate.offset - old.offset),
                 )
-                if spec is not None:
-                    blended = project_to_class(blended, spec)
                 if blended.smallest_gain() < SINGULAR_TOL:
                     step /= 2.0
                     continue
-                trial = current.with_encoder(lang, blended)
+                trial = EncoderEstimate({**current.encoders, lang: blended}, current.anchor)
                 trial_total = objective(trial)
                 if trial_total <= total + 1e-12:
                     current, total = trial, trial_total
@@ -352,19 +349,13 @@ class TestJointRefine:
                      extra_edges=(("L0", "L3"),)),
                 "L0", dict(sweeps=3),
             ),
-            (  # projection onto the function class after every blend
-                dict(n_langs=4, n=60, sigma=0.1, nuisance=1, seed=5,
-                     extra_edges=(("L1", "L3"),)),
-                "L0",
-                dict(sweeps=2, spec=FunctionClassSpec(dim=4, rho=3.0, offset_bound=2.0)),
-            ),
             (  # a cycle L1-L2-L3 with degree-1 leaves L0 and L4
                 dict(n_langs=5, n=60, sigma=0.08, nuisance=1, seed=9,
                      extra_edges=(("L1", "L3"),)),
                 "L2", dict(sweeps=2),
             ),
         ],
-        ids=["noisy-cycle-chord", "projected", "leaves"],
+        ids=["noisy-cycle-chord", "leaves"],
     )
     def test_matches_full_rescore_reference(self, setup, anchor, refine):
         graph, _codecs, corpora, _ = chain_setup(**setup)
@@ -407,7 +398,7 @@ class TestJointRefine:
         joint_refine(estimate, factors_of(corpora), 2)
         assert trials
         for lang, edges in trials:
-            assert len(edges) <= len(graph.neighbors(lang))
+            assert len(edges) <= sum(lang in edge for edge in graph.edge_pairs())
             assert all(lang in edge for edge in edges)
         # one scoring of every corpus for the incumbent, then incident edges only
         assert len(scored) == len(corpora) + sum(len(edges) for _lang, edges in trials)
@@ -468,48 +459,27 @@ class TestFactorLoss:
         )
 
 
-class TestProjectToClass:
-    def test_in_class_map_is_unchanged(self):
-        spec = FunctionClassSpec(dim=3, rho=2.0, offset_bound=1.0)
-        affine = AffineMap(np.diag([1.5, 0.8, 1.0]), np.array([0.3, 0, 0]))
-        projected = project_to_class(affine, spec)
-        assert projected.max_entry_difference(affine) <= 1e-12
-
-    def test_oversized_scale_is_clipped(self):
-        spec = FunctionClassSpec(dim=2, rho=2.0)
-        affine = AffineMap(10 * np.eye(2), np.zeros(2))
-        projected = project_to_class(affine, spec)
-        assert projected.operator_norm() == pytest.approx(2.0, abs=1e-10)
-
-    def test_oversized_offset_is_rescaled(self):
-        spec = FunctionClassSpec(dim=2, rho=2.0, offset_bound=1.0)
-        affine = AffineMap(np.eye(2), np.array([3.0, 4.0]))
-        projected = project_to_class(affine, spec)
-        assert np.linalg.norm(projected.offset) == pytest.approx(1.0, abs=1e-12)
-
-    def test_idempotent(self):
-        spec = FunctionClassSpec(dim=3, rho=2.0)
-        rng = np.random.default_rng(1)
-        affine = AffineMap(3 * rng.standard_normal((3, 3)), rng.standard_normal(3) * 4)
-        once = project_to_class(affine, spec)
-        twice = project_to_class(once, spec)
-        assert twice.max_entry_difference(once) <= 1e-12
-
-
 def test_trace_targets_of_trainer_and_affine_resolve():
-    """Each ``trainer`` and ``affine`` function the per-layer trace wraps still exists.
+    """Every function the per-layer trace wraps still exists, in every layer.
 
-    ``bench/tracing.py`` skips a target it cannot find, so a rename would drop
-    its span silently; its table is read here, not edited.
+    ``bench/tracing.py`` skips a target it cannot find, so a rename or a
+    deletion would drop its span silently; its table is read here, not edited.
+    The only unresolved targets are three stale ``generative`` names that the
+    trace table still lists but the package no longer defines.
     """
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    targets = [(m, attr) for m, attr, _name in tracing.TARGETS if m in ("trainer", "affine")]
-    assert {m for m, _attr in targets} == {"trainer", "affine"}
-    for module_name, attribute in targets:
+    unresolved = set()
+    for module_name, attribute, _name in tracing.TARGETS:
         owner = importlib.import_module(f"translab.{module_name}")
         for part in attribute.split("."):
             owner = getattr(owner, part, None)
-        assert callable(owner), f"translab.{module_name}.{attribute} is gone"
+        if not callable(owner):
+            unresolved.add(f"translab.{module_name}.{attribute}")
+    assert unresolved == {
+        "translab.generative.AffineCodec.decode",
+        "translab.generative.generate_corpus",
+        "translab.generative.sample_ground_truth_codecs",
+    }
