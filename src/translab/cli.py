@@ -186,10 +186,10 @@ def _write_report(config, report, stem: str) -> None:
 def _run_bound(config) -> int:
     instance, instance_id = _load_instance(config)
     report = bound_report(instance, config.epsilon, instance_id)
-    if report.kind == "two_to_one":
-        _print(f"bound_sum={report.bound_sum:.6g}")
-    else:
-        _print(f"bound_max={report.bound_max:.6g} bound_avg={report.bound_avg:.6g}")
+    _print(
+        f"bound_sum={report.bound_sum:.6g} bound_max={report.bound_max:.6g}"
+        f" bound_avg={report.bound_avg:.6g}"
+    )
     _write_report(config, report, "bound_report")
     return 0
 
@@ -205,10 +205,9 @@ def _run_brute(config) -> int:
             f"objective={config.objective} infeasible=true z_size={config.z_size}"
         )
     else:
-        bound_value = report.bound_for(config.objective)
-        bound_text = "" if bound_value is None else f" bound={bound_value:.6g}"
         _print(
-            f"objective={config.objective} bf_value={brute.value:.6g}{bound_text}"
+            f"objective={config.objective} bf_value={brute.value:.6g}"
+            f" bound={report.bound_for(config.objective):.6g}"
             f" holds={str(report.holds).lower()}"
         )
     _write_report(config, report, "brute_report")

@@ -1,10 +1,10 @@
 """Lower bounds for translation through shared representations, with brute-force verification.
 
-The two bound computations (`two_to_one_bound`, `many_to_many_bounds`) evaluate
-closed-form expressions from pushforward total-variation gaps. The exhaustive
-search (`brute_force_min_error`) independently minimizes the same objectives
-over every deterministic encoder/decoder pair on small instances, so the
-bounds can be checked without trusting either route.
+The bounds (`bound_report`) are closed-form expressions in pushforward
+total-variation gaps. The exhaustive search (`brute_force_min_error`)
+independently minimizes the same objectives over every deterministic
+encoder/decoder pair on small instances, so the bounds can be checked
+without trusting either route.
 """
 
 from __future__ import annotations
@@ -44,67 +44,28 @@ MAX_BLOCK_ELEMENTS = 32768
 
 
 @dataclass(frozen=True, eq=False)
-class TwoToOneInstance:
-    """Two source languages with marginals and ground-truth translators into one target."""
-
-    source_languages: tuple[str, str]
-    target_language: str
-    marginals: tuple[FiniteDistribution, FiniteDistribution]
-    translators: tuple[DeterministicTranslator, DeterministicTranslator]
-    target_sentences: tuple[Atom, ...] = ()
-
-    def __post_init__(self):
-        l0, l1 = self.source_languages
-        if l0 == l1:
-            raise ValueError("source languages must be distinct")
-        if self.target_language in (l0, l1):
-            raise ValueError("target language must differ from both sources")
-        for lang, marginal, f in zip(
-            self.source_languages, self.marginals, self.translators
-        ):
-            for atom in marginal.support:
-                if getattr(atom, "source_tag", None) != lang:
-                    raise ValueError(f"atom {atom!r} does not belong to {lang!r}")
-                f(atom)  # raises DomainError if not total on the support
-        targets = tuple(self.target_sentences)
-        if not targets:
-            seen: dict[Atom, None] = {}
-            for f in self.translators:
-                for atom in f.domain:
-                    seen.setdefault(f(atom))
-            targets = tuple(seen)
-        for y in targets:
-            if getattr(y, "source_tag", None) != self.target_language:
-                raise ValueError(f"target sentence {y!r} not in {self.target_language!r}")
-        object.__setattr__(self, "target_sentences", targets)
-
-    def target_marginal(self, i: int) -> FiniteDistribution:
-        """Distribution of ground-truth translations of source i."""
-        return pushforward(self.marginals[i], self.translators[i])
-
-
-@dataclass(frozen=True, eq=False)
 class ManyToManyInstance:
-    """K languages with joint parallel distributions for a set of ordered pairs.
+    """K languages with a source marginal and a ground-truth translator per ordered pair.
 
-    Each joint is a weighted list of (source sentence, target sentence) pairs
-    generated by the deterministic ground-truth translator of that pair.
     Source sentences carry their target language as a prefix tag, so sentence
-    sets of distinct ordered pairs never overlap.
+    sets of distinct ordered pairs never overlap. A two-source instance is the
+    K = 3 case with two pairs into one target. ``sentence_pool`` holds every
+    language, empty where none was given; by default it collects the
+    translators' images.
     """
 
     languages: tuple[str, ...]
-    joints: Mapping[tuple[str, str], FiniteDistribution]
+    marginals: Mapping[tuple[str, str], FiniteDistribution]
     translators: Mapping[tuple[str, str], DeterministicTranslator]
-    sentence_pool: Mapping[str, tuple[Atom, ...]] | None = None
+    sentence_pool: Mapping[str, Sequence[Atom]] | None = None
 
     def __post_init__(self):
         languages = tuple(self.languages)
         if len(set(languages)) != len(languages):
             raise ValueError("duplicate language ids")
-        joints = dict(self.joints)
+        marginals = dict(self.marginals)
         translators = dict(self.translators)
-        for (src, dst), joint in joints.items():
+        for (src, dst), marginal in marginals.items():
             if src == dst:
                 raise ValueError(f"self-pair {src!r}->{dst!r} not allowed")
             if src not in languages or dst not in languages:
@@ -112,82 +73,65 @@ class ManyToManyInstance:
             f = translators.get((src, dst))
             if f is None:
                 raise ValueError(f"missing translator for pair {src!r}->{dst!r}")
-            seen_sources: set[Atom] = set()
-            for (x, y), _w in joint.items():
+            for x in marginal.support:
                 if getattr(x, "source_tag", None) != src:
                     raise ValueError(f"{x!r} is not a {src!r} sentence")
                 if getattr(x, "target_tag", None) != dst:
                     raise ValueError(f"{x!r} lacks the {dst!r} target prefix")
-                if getattr(y, "source_tag", None) != dst:
-                    raise ValueError(f"{y!r} is not a {dst!r} sentence")
-                if y != f(x):
-                    raise ValueError(
-                        f"joint pair ({x!r}, {y!r}) contradicts the ground-truth translator"
-                    )
-                if x in seen_sources:
-                    raise ValueError(f"source sentence {x!r} repeated in joint")
-                seen_sources.add(x)
+                if getattr(f(x), "source_tag", None) != dst:
+                    raise ValueError(f"{f(x)!r} is not a {dst!r} sentence")
         pool = self.sentence_pool
         if pool is None:
             collected: dict[str, dict[Atom, None]] = {lang: {} for lang in languages}
-            for key in sorted(joints):
+            for key in sorted(marginals):
                 f = translators[key]
                 for atom in f.domain:
                     collected[key[1]].setdefault(f(atom))
             pool = {lang: tuple(atoms) for lang, atoms in collected.items()}
         else:
-            pool = {lang: tuple(atoms) for lang, atoms in dict(pool).items()}
+            pool = dict(pool)
+            unknown = set(pool) - set(languages)
+            if unknown:
+                raise ValueError(f"pool for unknown language {sorted(unknown)[0]!r}")
+            pool = {lang: tuple(pool.get(lang, ())) for lang in languages}
             for lang, members in pool.items():
                 for atom in members:
                     if getattr(atom, "source_tag", None) != lang:
                         raise ValueError(f"pool sentence {atom!r} not in {lang!r}")
             for (src, dst), f in translators.items():
-                if (src, dst) not in joints:
+                if (src, dst) not in marginals:
                     continue
-                allowed = set(pool.get(dst, ()))
+                allowed = set(pool[dst])
                 for atom in f.domain:
                     if f(atom) not in allowed:
                         raise ValueError(
                             f"translator image {f(atom)!r} missing from {dst!r} pool"
                         )
         object.__setattr__(self, "languages", languages)
-        object.__setattr__(self, "joints", joints)
+        object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "translators", translators)
         object.__setattr__(self, "sentence_pool", pool)
-
-    @classmethod
-    def from_marginals(
-        cls,
-        languages: Sequence[str],
-        pair_marginals: Mapping[tuple[str, str], FiniteDistribution],
-        translators: Mapping[tuple[str, str], DeterministicTranslator],
-        sentence_pool: Mapping[str, Sequence[Atom]] | None = None,
-    ) -> "ManyToManyInstance":
-        """Build joints as (x, f*(x)) weighted by the given source marginals."""
-        joints = {}
-        for key in pair_marginals:
-            marginal = pair_marginals[key]
-            f = translators[key]
-            joints[key] = FiniteDistribution(
-                tuple((x, f(x)) for x in marginal.support),
-                marginal.weights,
-            )
-        if sentence_pool is not None:
-            sentence_pool = {l: tuple(a) for l, a in sentence_pool.items()}
-        return cls(tuple(languages), joints, translators, sentence_pool)
 
     @property
     def K(self) -> int:
         return len(self.languages)
 
+    @property
+    def joints(self) -> dict[tuple[str, str], FiniteDistribution]:
+        """Each pair's parallel distribution over (x, f*(x)) pairs."""
+        return {
+            key: FiniteDistribution(
+                tuple((x, self.translators[key](x)) for x in marginal.support),
+                marginal.weights,
+            )
+            for key, marginal in self.marginals.items()
+        }
+
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.joints))
+        return tuple(sorted(self.marginals))
 
     def source_marginal(self, src: str, dst: str) -> FiniteDistribution:
-        joint = self.joints[(src, dst)]
-        return FiniteDistribution(
-            tuple(x for (x, _y) in joint.support), joint.weights
-        )
+        return self.marginals[(src, dst)]
 
     def target_marginal(self, src: str, dst: str) -> FiniteDistribution:
         return pushforward(
@@ -268,11 +212,6 @@ def check_epsilon_universal_partitioned(
 # Closed-form bounds
 
 
-def two_to_one_bound(instance: TwoToOneInstance, epsilon: float) -> float:
-    """Lower bound on Err0 + Err1 for any epsilon-universal encoder/decoder pair."""
-    return bound_report(instance, epsilon).bound_sum
-
-
 class PairTV(NamedTuple):
     target: str
     source_a: str
@@ -296,90 +235,63 @@ def target_marginal_tvs(instance: ManyToManyInstance) -> tuple[PairTV, ...]:
     return tuple(rows)
 
 
-def many_to_many_bounds(
-    instance: ManyToManyInstance, epsilon: float
-) -> tuple[float, float]:
-    """Lower bounds on the maximum and the average per-pair translation error.
-
-    Returns ``(max_bound, avg_bound)``, both clipped below at zero. The average
-    is normalized by K^2 over ordered pairs, matching the error objective.
-    """
-    report = bound_report(instance, epsilon)
-    return report.bound_max, report.bound_avg
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Bounds and (optionally) the brute-force minimum for one instance."""
+    """Every bound and (optionally) the brute-force minimum for one instance."""
 
     instance_id: str
     epsilon: float
-    kind: str
     pair_tvs: tuple[PairTV, ...]
     tv_max: float
-    bound_sum: float | None
-    bound_max: float | None
-    bound_avg: float | None
+    bound_sum: float
+    bound_max: float
+    bound_avg: float
     bf_value: float | None = None
     bf_objective: str | None = None
     holds: bool | None = None
 
-    def bound_for(self, objective: str) -> float | None:
+    def bound_for(self, objective: str) -> float:
         """The bound a brute-force minimum of ``objective`` is checked against."""
         bounds = {"sum": self.bound_sum, "max": self.bound_max, "avg": self.bound_avg}
         return bounds[objective]
 
 
 def bound_report(
-    instance,
+    instance: ManyToManyInstance,
     epsilon: float,
     instance_id: str = "",
     brute: "BruteForceResult | None" = None,
 ) -> BoundReport:
-    """Evaluate every applicable bound; attach a brute-force result if given.
+    """Evaluate the three bounds; attach a brute-force result if given.
 
-    Two-to-one: Err0 + Err1 >= TV - epsilon. Many-to-many: the maximum pair
-    error is at least max TV / 2 - epsilon / 2, and the average over the K^2
-    ordered pairs at least sum TV / (K^2 (K - 1)) - epsilon / 2. Each bound is
-    clipped below at zero.
+    Two sources a, b of one target give Err_a + Err_b >= TV_ab - epsilon. The
+    sum over all pairs contains both errors of any two sources that share a
+    target, so it is at least max TV - epsilon on every instance. The maximum
+    pair error is at least max TV / 2 - epsilon / 2, and the average over the
+    K^2 ordered pairs at least sum TV / (K^2 (K - 1)) - epsilon / 2. Each bound
+    is clipped below at zero; with no two sources sharing a target, all are 0.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    if isinstance(instance, TwoToOneInstance):
-        tv = tv_distance(instance.target_marginal(0), instance.target_marginal(1))
-        pair_tvs = (
-            PairTV(instance.target_language, *instance.source_languages, tv),
-        )
-        bound_sum = max(0.0, tv - epsilon)
-        bound_max, bound_avg = None, None
-        kind = "two_to_one"
-    else:
-        k = instance.K
-        if k < 2:
-            raise ValueError("need at least two languages")
-        pair_tvs = target_marginal_tvs(instance)
-        tv = max((row.tv for row in pair_tvs), default=0.0)
-        tv_sum = sum(row.tv for row in pair_tvs)
-        bound_sum = None
-        bound_max = max(0.0, 0.5 * tv - epsilon / 2.0)
-        bound_avg = max(0.0, tv_sum / (k * k * (k - 1)) - epsilon / 2.0)
-        kind = "many_to_many"
+    k = instance.K
+    if k < 2:
+        raise ValueError("need at least two languages")
+    pair_tvs = target_marginal_tvs(instance)
+    tv = max((row.tv for row in pair_tvs), default=0.0)
+    tv_sum = sum(row.tv for row in pair_tvs)
     report = BoundReport(
         instance_id=instance_id,
         epsilon=epsilon,
-        kind=kind,
         pair_tvs=pair_tvs,
         tv_max=tv,
-        bound_sum=bound_sum,
-        bound_max=bound_max,
-        bound_avg=bound_avg,
+        bound_sum=max(0.0, tv - epsilon),
+        bound_max=max(0.0, 0.5 * tv - epsilon / 2.0),
+        bound_avg=max(0.0, tv_sum / (k * k * (k - 1)) - epsilon / 2.0),
         bf_value=None if brute is None else brute.value,
         bf_objective=None if brute is None else brute.objective,
     )
     if brute is not None and brute.feasible:
-        reference = report.bound_for(brute.objective)
-        if reference is not None:
-            report = replace(report, holds=brute.value >= reference - 1e-9)
+        report = replace(report, holds=brute.value >= report.bound_for(brute.objective) - 1e-9)
     return report
 
 
@@ -387,47 +299,52 @@ def bound_report(
 # Worst-case construction
 
 
-def make_worst_case(delta: float) -> TwoToOneInstance:
-    """Two-sentence instance whose target marginals sit exactly delta apart in TV.
+def make_worst_case(delta: float) -> ManyToManyInstance:
+    """Two-source instance whose target marginals sit exactly delta apart in TV.
 
-    The sources share a target domain but weight it oppositely, which realizes
-    the domain-mismatch regime where the bound is tight by construction.
+    L0 = (a0, a1) and L1 = (b0, b1) translate a0, b0 to y0 and a1, b1 to y1
+    in L, with weights ((1 + delta)/2, (1 - delta)/2) for L0 and the reverse
+    for L1, so ``bound_sum`` is max(0, delta - epsilon). That bound is not
+    tight here: each z that two sentences share serves opposite targets, so
+    brute force gives a ``sum`` of 1.0 at delta 0.8 and 0.5 (epsilon 0,
+    |Z| = 2).
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     hi, lo = (1.0 + delta) / 2.0, (1.0 - delta) / 2.0
-    a = (Sentence("L0", "a0"), Sentence("L0", "a1"))
-    b = (Sentence("L1", "b0"), Sentence("L1", "b1"))
-    y = (Sentence("L", "y0"), Sentence("L", "y1"))
-    return TwoToOneInstance(
-        source_languages=("L0", "L1"),
-        target_language="L",
-        marginals=(
-            FiniteDistribution(a, np.array([hi, lo])),
-            FiniteDistribution(b, np.array([lo, hi])),
-        ),
-        translators=(
-            DeterministicTranslator({a[0]: y[0], a[1]: y[1]}),
-            DeterministicTranslator({b[0]: y[0], b[1]: y[1]}),
-        ),
-        target_sentences=y,
-    )
+    return _two_sources_into_l((hi, lo), (lo, hi), (0, 1), (0, 1), 2)
 
 
-def perfect_universal_translator(instance, target: str) -> DeterministicTranslator:
+def _two_sources_into_l(weights0, weights1, images0, images1, n_targets) -> ManyToManyInstance:
+    """Pairs L0->L and L1->L over sentences a0.. of L0, b0.. of L1 and y0.. of L.
+
+    ``images0`` and ``images1`` give the index of each source sentence's
+    translation among the ``n_targets`` sentences of L.
+    """
+    y = tuple(Sentence("L", f"y{i}") for i in range(n_targets))
+    marginals, translators = {}, {}
+    for src, prefix, weights, images in (
+        ("L0", "a", weights0, images0), ("L1", "b", weights1, images1)
+    ):
+        xs = tuple(Sentence(src, f"{prefix}{i}", target_tag="L") for i in range(len(weights)))
+        marginals[(src, "L")] = FiniteDistribution(xs, np.array(weights))
+        translators[(src, "L")] = DeterministicTranslator(
+            {x: y[int(j)] for x, j in zip(xs, images)}
+        )
+    return ManyToManyInstance(("L0", "L1", "L"), marginals, translators, {"L": y})
+
+
+def perfect_universal_translator(
+    instance: ManyToManyInstance, target: str
+) -> DeterministicTranslator:
     """The piecewise translator that dispatches each sentence to its pair's ground truth."""
-    if isinstance(instance, TwoToOneInstance):
-        if target != instance.target_language:
-            raise DomainError(f"instance has no translators into {target!r}")
-        per_source = dict(zip(instance.source_languages, instance.translators))
-    else:
-        per_source = {
-            src: instance.translators[(src, dst)]
-            for (src, dst) in instance.pairs()
-            if dst == target
-        }
-        if not per_source:
-            raise DomainError(f"instance has no translators into {target!r}")
+    per_source = {
+        src: instance.translators[(src, dst)]
+        for (src, dst) in instance.pairs()
+        if dst == target
+    }
+    if not per_source:
+        raise DomainError(f"instance has no translators into {target!r}")
     return dispatch_by_source_tag(per_source)
 
 
@@ -441,7 +358,7 @@ class BruteForceResult:
 
     ``value`` is +inf and the tables are None when no epsilon-universal encoder
     exists for the requested representation size (``feasible`` False); ``blocks``
-    is None exactly then. Two-to-one results have one block, the target's.
+    is None exactly then, and otherwise lists one block per language.
     ``n_encoders`` counts encoder tables and ``n_feasible`` counts feasible
     (block partition, encoder) pairs, both over the full space of tables
     although the search visits one table per relabelling orbit.
@@ -507,18 +424,17 @@ def _check_budget(n_atoms: int, z_size: int) -> None:
 
 
 def brute_force_min_error(
-    instance,
+    instance: ManyToManyInstance,
     z_size: int,
     epsilon: float,
     objective: str = "sum",
 ) -> BruteForceResult:
     """Exhaustively minimize the translation-error objective over valid (g, h).
 
-    Each instance becomes a list of tasks, (source marginal, ground-truth
-    translator, target block) triples. Many-to-many gives one task per ordered
-    pair and one block per language, for the ``sum``, ``max`` or ``avg``
-    (sum over K^2) objective. Two-to-one is the ``sum`` objective over two
-    tasks and one target block; other objectives raise ``DomainError``.
+    The instance becomes a list of tasks, (source marginal, ground-truth
+    translator, target block) triples: one task per ordered pair and one
+    block per language, for the ``sum``, ``max`` or ``avg`` (sum over K^2)
+    objective.
 
     Every deterministic encoder into a ``z_size``-point representation set is
     covered, but only one table per orbit under relabelling of z is scored;
@@ -533,14 +449,6 @@ def brute_force_min_error(
         raise ValueError("epsilon must be nonnegative")
     if objective not in ("sum", "max", "avg"):
         raise ValueError(f"unknown objective {objective!r}")
-    if isinstance(instance, TwoToOneInstance):
-        if objective != "sum":
-            raise DomainError(
-                f"two-to-one search supports only the 'sum' objective, got {objective!r}"
-            )
-        tasks = [(m, f, 0) for m, f in zip(instance.marginals, instance.translators)]
-        blocks, codomain = (instance.target_language,), instance.target_sentences
-        return _search(tasks, blocks, codomain, 1.0, z_size, epsilon, objective)
     pairs = instance.pairs()
     if not pairs:
         raise DomainError("instance has no translation pairs to evaluate")
@@ -550,7 +458,7 @@ def brute_force_min_error(
         (instance.source_marginal(s, d), instance.translators[(s, d)], block[d])
         for (s, d) in pairs
     ]
-    codomain = [y for lang in languages for y in instance.sentence_pool.get(lang, ())]
+    codomain = [y for lang in languages for y in instance.sentence_pool[lang]]
     coeff = 1.0 if objective in ("sum", "max") else 1.0 / (instance.K**2)
     return _search(tasks, languages, codomain, coeff, z_size, epsilon, objective)
 
@@ -759,32 +667,20 @@ def random_two_to_one_instance(
     rng: np.random.Generator,
     max_sentences: int = 3,
     max_targets: int = 3,
-) -> TwoToOneInstance:
-    """Random small instance: marginal weights and translator tables drawn uniformly."""
+) -> ManyToManyInstance:
+    """Random two-source instance: marginal weights and translator tables drawn uniformly."""
     n0 = int(rng.integers(1, max_sentences + 1))
     n1 = int(rng.integers(1, max_sentences + 1))
     nt = int(rng.integers(1, max_targets + 1))
-    a = tuple(Sentence("L0", f"a{i}") for i in range(n0))
-    b = tuple(Sentence("L1", f"b{i}") for i in range(n1))
-    y = tuple(Sentence("L", f"y{i}") for i in range(nt))
 
     def _weights(n: int) -> np.ndarray:
         raw = rng.random(n) + 0.05
         return raw / raw.sum()
 
-    return TwoToOneInstance(
-        source_languages=("L0", "L1"),
-        target_language="L",
-        marginals=(
-            FiniteDistribution(a, _weights(n0)),
-            FiniteDistribution(b, _weights(n1)),
-        ),
-        translators=(
-            DeterministicTranslator({s: y[rng.integers(nt)] for s in a}),
-            DeterministicTranslator({s: y[rng.integers(nt)] for s in b}),
-        ),
-        target_sentences=y,
-    )
+    weights0, weights1 = _weights(n0), _weights(n1)
+    images0 = [rng.integers(nt) for _ in range(n0)]
+    images1 = [rng.integers(nt) for _ in range(n1)]
+    return _two_sources_into_l(weights0, weights1, images0, images1, nt)
 
 
 def random_many_to_many_instance(
@@ -828,6 +724,4 @@ def random_many_to_many_instance(
         translators[(src, dst)] = DeterministicTranslator(
             {x: pool[dst][rng.integers(pool_size)] for x in xs}
         )
-    return ManyToManyInstance.from_marginals(
-        languages, marginals, translators, pool
-    )
+    return ManyToManyInstance(languages, marginals, translators, pool)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import zipfile
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .affine import AffineMap
-from .distributions import DeterministicTranslator, FiniteDistribution, Sentence
+from .distributions import WEIGHT_TOL, DeterministicTranslator, FiniteDistribution, Sentence
 from .errors import ConditioningError, GraphError, SchemaError
 from .evaluation import PairEvalRecord, SweepRow
 from .generative import (
@@ -31,7 +32,7 @@ from .generative import (
     json_integer,
     json_number,
 )
-from .impossibility import BoundReport, ManyToManyInstance, TwoToOneInstance
+from .impossibility import BoundReport, ManyToManyInstance
 from .trainer import EdgeRegressionResult, EncoderEstimate
 
 
@@ -101,66 +102,42 @@ def _parse_pair_key(key: str) -> tuple[str, str]:
     return src, dst
 
 
-def instance_to_dict(instance) -> dict:
-    if isinstance(instance, TwoToOneInstance):
-        l0, l1 = instance.source_languages
-        target = instance.target_language
-        sentences = {
-            l0: [s.body for s in instance.marginals[0].support],
-            l1: [s.body for s in instance.marginals[1].support],
-            target: [s.body for s in instance.target_sentences],
-        }
-        translators = {}
-        for lang, f in zip(instance.source_languages, instance.translators):
-            translators[f"{lang}->{target}"] = {
-                s.body: f(s).body for s in f.domain
-            }
-        return {
-            "languages": [l0, l1, target],
-            "sentences": sentences,
-            "marginals": {
-                l0: [float(w) for w in instance.marginals[0].weights],
-                l1: [float(w) for w in instance.marginals[1].weights],
-            },
-            "translators": translators,
-        }
-    if isinstance(instance, ManyToManyInstance):
-        targets_of: dict[str, list[str]] = {}
-        for (src, dst) in instance.pairs():
-            targets_of.setdefault(src, []).append(dst)
-        sentences: dict[str, list] = {lang: [] for lang in instance.languages}
-        marginals: dict[str, list[float]] = {}
-        for lang in instance.languages:
-            weights = []
-            share = 1.0 / len(targets_of[lang]) if lang in targets_of else 0.0
-            for dst in sorted(targets_of.get(lang, [])):
-                marginal = instance.source_marginal(lang, dst)
-                for atom, w in marginal.items():
-                    sentences[lang].append(_sentence_entry(atom))
-                    weights.append(float(w) * share)
-            for atom in instance.sentence_pool.get(lang, ()):
+def instance_to_dict(instance: ManyToManyInstance) -> dict:
+    targets_of: dict[str, list[str]] = {}
+    for (src, dst) in instance.pairs():
+        targets_of.setdefault(src, []).append(dst)
+    sentences: dict[str, list] = {lang: [] for lang in instance.languages}
+    marginals: dict[str, list[float]] = {}
+    for lang in instance.languages:
+        weights = []
+        share = 1.0 / len(targets_of[lang]) if lang in targets_of else 0.0
+        for dst in sorted(targets_of.get(lang, [])):
+            marginal = instance.source_marginal(lang, dst)
+            for atom, w in marginal.items():
                 sentences[lang].append(_sentence_entry(atom))
-                weights.append(0.0)
-            if lang in targets_of:
-                marginals[lang] = weights
-        translators = {
-            f"{src}->{dst}": {
-                x.body: instance.translators[(src, dst)](x).body
-                for x in instance.source_marginal(src, dst).support
-            }
-            for (src, dst) in instance.pairs()
+                weights.append(float(w) * share)
+        for atom in instance.sentence_pool[lang]:
+            sentences[lang].append(_sentence_entry(atom))
+            weights.append(0.0)
+        if lang in targets_of:
+            marginals[lang] = weights
+    translators = {
+        f"{src}->{dst}": {
+            x.body: instance.translators[(src, dst)](x).body
+            for x in instance.source_marginal(src, dst).support
         }
-        return {
-            "languages": list(instance.languages),
-            "sentences": sentences,
-            "marginals": marginals,
-            "translators": translators,
-        }
-    raise TypeError(f"unsupported instance type: {type(instance)!r}")
+        for (src, dst) in instance.pairs()
+    }
+    return {
+        "languages": list(instance.languages),
+        "sentences": sentences,
+        "marginals": marginals,
+        "translators": translators,
+    }
 
 
 def _instance_weights(lang: str, raw) -> list[float]:
-    """One language's raw marginal weights, each a finite nonnegative number."""
+    """One language's raw marginal weights: finite, nonnegative and summing to one."""
     if not isinstance(raw, list):
         raise SchemaError(f"marginal for {lang!r} must be a list of weights")
     weights = []
@@ -176,18 +153,9 @@ def _instance_weights(lang: str, raw) -> list[float]:
                 f"marginal for {lang!r} weight {i} must be finite and nonnegative, got {w!r}"
             )
         weights.append(value)
-    return weights
-
-
-def _sentence_weights(lang: str, raw_marginals, sentences) -> list[float]:
-    """``lang``'s marginal weights, checked to give one weight per sentence."""
-    weights = raw_marginals.get(lang)
-    if weights is None:
-        raise SchemaError(f"no marginal for source language {lang!r}")
-    if len(weights) != len(sentences[lang]):
-        raise SchemaError(
-            f"marginal for {lang!r} has {len(weights)} weights for {len(sentences[lang])} sentences"
-        )
+    total = math.fsum(weights)
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise SchemaError(f"marginal for {lang!r} weights sum to {total!r}, expected 1")
     return weights
 
 
@@ -224,12 +192,10 @@ def _build_instance(payload):
     try:
         languages = payload["languages"]
         raw_sentences = payload["sentences"]
-        raw_marginals = payload.get("marginals", payload.get("distributions"))
+        raw_marginals = payload["marginals"]
         raw_translators = payload["translators"]
     except KeyError as exc:
         raise SchemaError(f"instance document missing key {exc}") from exc
-    if raw_marginals is None:
-        raise SchemaError("instance document missing key 'marginals'")
     if not isinstance(languages, list) or not all(isinstance(l, str) for l in languages):
         raise SchemaError("'languages' must be a list of language ids")
     if not isinstance(raw_sentences, dict) or not all(
@@ -257,38 +223,20 @@ def _build_instance(payload):
         if src not in languages or dst not in languages:
             raise SchemaError(f"translator pair {src}->{dst} references unknown language")
 
-    targets = {dst for _src, dst in pair_keys}
-    sources = {src for src, _dst in pair_keys}
-    tagged = any(s.target_tag is not None for lang in languages for s in sentences[lang])
-    two_to_one = (
-        not tagged
-        and len(targets) == 1
-        and len(sources) == 2
-        and set(raw_marginals) == sources
-    )
+    # Untagged shorthand: in a document without [target, id] entries, a
+    # language with exactly one outgoing translator, which is no translator's
+    # target, holds only that pair's sentences.
+    if all(s.target_tag is None for lang in languages for s in sentences[lang]):
+        targets_of: dict[str, list[str]] = {}
+        for src, dst in pair_keys:
+            targets_of.setdefault(src, []).append(dst)
+        targets = {dst for _src, dst in pair_keys}
+        for src, dsts in targets_of.items():
+            if len(dsts) == 1 and src not in targets:
+                sentences[src] = [Sentence(src, s.body, dsts[0]) for s in sentences[src]]
 
-    if two_to_one:
-        target = targets.pop()
-        l0, l1 = sorted(sources)
-        marginals = []
-        translators = []
-        for lang in (l0, l1):
-            atoms = sentences[lang]
-            weights = _sentence_weights(lang, raw_marginals, sentences)
-            marginals.append(FiniteDistribution(tuple(atoms), np.array(weights)))
-            translators.append(
-                _translator(lang, target, atoms, sentences[target], raw_translators)
-            )
-        return TwoToOneInstance(
-            source_languages=(l0, l1),
-            target_language=target,
-            marginals=tuple(marginals),
-            translators=tuple(translators),
-            target_sentences=tuple(sentences[target]),
-        )
-
-    # Many-to-many: per-language marginals over tagged sentences; conditioning
-    # on the target tag recovers each ordered pair's source marginal.
+    # Per-language marginals over tagged sentences; conditioning on the
+    # target tag recovers each ordered pair's source marginal.
     pool = {
         lang: tuple(s for s in sentences[lang] if s.target_tag is None)
         for lang in languages
@@ -296,7 +244,14 @@ def _build_instance(payload):
     pair_marginals = {}
     translators = {}
     for src, dst in pair_keys:
-        weights = _sentence_weights(src, raw_marginals, sentences)
+        weights = raw_marginals.get(src)
+        if weights is None:
+            raise SchemaError(f"no marginal for source language {src!r}")
+        if len(weights) != len(sentences[src]):
+            raise SchemaError(
+                f"marginal for {src!r} has {len(weights)} weights"
+                f" for {len(sentences[src])} sentences"
+            )
         atoms = [s for s in sentences[src] if s.target_tag == dst]
         if not atoms:
             raise SchemaError(f"no sentences of {src!r} tagged for target {dst!r}")
@@ -304,13 +259,14 @@ def _build_instance(payload):
         mass = sum(index[a] for a in atoms)
         if mass <= 0:
             raise SchemaError(f"pair {src}->{dst} has zero marginal mass")
+        # Weights that already sum to one are kept as written, so a pair that
+        # holds all of its language's mass reads back bit for bit.
+        scale = 1.0 if abs(mass - 1.0) <= WEIGHT_TOL else mass
         pair_marginals[(src, dst)] = FiniteDistribution(
-            tuple(atoms), np.array([index[a] / mass for a in atoms])
+            tuple(atoms), np.array([index[a] / scale for a in atoms])
         )
         translators[(src, dst)] = _translator(src, dst, atoms, pool[dst], raw_translators)
-    return ManyToManyInstance.from_marginals(
-        languages, pair_marginals, translators, pool
-    )
+    return ManyToManyInstance(languages, pair_marginals, translators, pool)
 
 
 def load_instance(path):
@@ -322,7 +278,7 @@ def load_instance(path):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def save_instance(instance, path) -> None:
+def save_instance(instance: ManyToManyInstance, path) -> None:
     _write_json(instance_to_dict(instance), path)
 
 
@@ -574,7 +530,6 @@ def bound_report_to_dict(report: BoundReport) -> dict:
     return {
         "instance_id": report.instance_id,
         "epsilon": report.epsilon,
-        "kind": report.kind,
         "pair_tvs": [
             {"target": t, "source_a": a, "source_b": b, "tv": tv}
             for t, a, b, tv in report.pair_tvs

@@ -36,12 +36,11 @@ from translab.generative import (
     six_language_demo_graph,
 )
 from translab.impossibility import (
+    bound_report,
     brute_force_min_error,
     make_worst_case,
-    many_to_many_bounds,
     random_many_to_many_instance,
     random_two_to_one_instance,
-    two_to_one_bound,
 )
 from translab.trainer import anchor_spanning_tree, empirical_edge_loss, fit_edge
 
@@ -67,7 +66,7 @@ def test_criterion_01_two_to_one_soundness():
     for _ in range(200):
         instance = random_two_to_one_instance(rng, max_sentences=3, max_targets=3)
         for epsilon in (0.0, 0.1, 0.3):
-            bound = two_to_one_bound(instance, epsilon)
+            bound = bound_report(instance, epsilon).bound_sum
             result = brute_force_min_error(instance, 3, epsilon, "sum")
             assert result.feasible
             if result.value < bound - 1e-9:
@@ -82,7 +81,7 @@ def test_criterion_01_two_to_one_soundness():
 
 def test_criterion_02_worst_case_demo():
     instance = make_worst_case(0.8)
-    bound = two_to_one_bound(instance, 0.0)
+    bound = bound_report(instance, 0.0).bound_sum
     result = brute_force_min_error(instance, 2, 0.0, "sum")
     ok = abs(bound - 0.8) <= 1e-12 and result.value >= 0.8 - 1e-9
     report(
@@ -97,25 +96,20 @@ def test_criterion_03_many_to_many_soundness():
     violations = 0
     checked = 0
     # bf/bound over the feasible checks with a positive bound: how tight each bound is
-    ratios = {"max": [], "avg": []}
+    ratios = {"sum": [], "max": [], "avg": []}
     for _ in range(50):
         instance = random_many_to_many_instance(rng, n_languages=3)
         for epsilon in (0.0, 0.1):
-            max_bound, avg_bound = many_to_many_bounds(instance, epsilon)
-            r_max = brute_force_min_error(instance, 3, epsilon, "max")
-            r_avg = brute_force_min_error(instance, 3, epsilon, "avg")
-            if r_max.feasible:
-                checked += 1
-                if r_max.value < max_bound - 1e-9:
-                    violations += 1
-                if max_bound > 0:
-                    ratios["max"].append(r_max.value / max_bound)
-            if r_avg.feasible:
-                checked += 1
-                if r_avg.value < avg_bound - 1e-9:
-                    violations += 1
-                if avg_bound > 0:
-                    ratios["avg"].append(r_avg.value / avg_bound)
+            bounds = bound_report(instance, epsilon)
+            for objective, values in ratios.items():
+                bound = bounds.bound_for(objective)
+                result = brute_force_min_error(instance, 3, epsilon, objective)
+                if result.feasible:
+                    checked += 1
+                    if result.value < bound - 1e-9:
+                        violations += 1
+                    if bound > 0:
+                        values.append(result.value / bound)
     tightness = " ".join(
         f"{objective}_ratio_min={min(values, default=math.nan):.3f}"
         f" {objective}_ratio_median={np.median(values) if values else math.nan:.3f}"
@@ -124,7 +118,7 @@ def test_criterion_03_many_to_many_soundness():
     )
     report(
         "criterion 3 (many-to-many soundness, 50 K=3 instances)",
-        violations == 0 and checked >= 100,
+        violations == 0 and checked >= 150,
         f"violations={violations} checks={checked} {tightness}",
     )
 

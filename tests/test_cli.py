@@ -135,7 +135,7 @@ class TestBoundAndBrute:
             ["bound", "--instance", str(instance), "--epsilon", "0"], capsys
         )
         assert code == 0
-        assert "bound_sum=0.8" in out
+        assert out == "bound_sum=0.8 bound_max=0.4 bound_avg=0.0444444\n"
 
     def test_brute_verifies_and_writes_reports(self, tmp_path, capsys):
         instance = tmp_path / "worst.json"
@@ -173,7 +173,7 @@ class TestBoundAndBrute:
         io.save_instance(instance, path)
         code, out, _ = run_cli(["bound", "--instance", str(path)], capsys)
         assert code == 0
-        assert "bound_max=" in out and "bound_avg=" in out
+        assert "bound_sum=" in out and "bound_max=" in out and "bound_avg=" in out
         code, out, _ = run_cli(
             ["brute", "--instance", str(path), "--z-size", "3", "--objective", "max"],
             capsys,
@@ -182,14 +182,39 @@ class TestBoundAndBrute:
         assert "holds=true" in out
 
     @pytest.mark.parametrize("objective", ["max", "avg"])
-    def test_brute_two_to_one_other_objective_exits_2(self, tmp_path, capsys, objective):
+    def test_brute_two_to_one_other_objective_holds(self, tmp_path, capsys, objective):
         path = tmp_path / "worst.json"
         io.save_instance(make_worst_case(0.5), path)
-        code, _, err = run_cli(
+        code, out, _ = run_cli(
             ["brute", "--instance", str(path), "--objective", objective], capsys
         )
+        assert code == 0
+        assert out.startswith(f"objective={objective} ") and "holds=true" in out
+
+    def test_bound_reads_the_untagged_two_source_layout(self, tmp_path, capsys):
+        path = tmp_path / "two_source.json"
+        path.write_text(
+            """{
+  "languages": ["L0", "L1", "L"],
+  "sentences": {"L0": ["a0", "a1"], "L1": ["b0", "b1"], "L": ["y0", "y1"]},
+  "marginals": {"L0": [0.75, 0.25], "L1": [0.25, 0.75]},
+  "translators": {"L0->L": {"a0": "y0", "a1": "y1"}, "L1->L": {"b0": "y0", "b1": "y1"}}
+}
+"""
+        )
+        code, out, _ = run_cli(["bound", "--instance", str(path)], capsys)
+        assert code == 0
+        assert out.startswith("bound_sum=0.5 ")
+
+    def test_distributions_key_without_marginals_exits_2(self, tmp_path, capsys):
+        payload = io.instance_to_dict(make_worst_case(0.5))
+        payload["distributions"] = payload.pop("marginals")
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
         assert code == 2
-        assert err.startswith("error:") and f"'{objective}'" in err
+        assert out == ""
+        assert err == f"error: {path}: instance document missing key 'marginals'\n"
 
     def test_brute_without_pairs_exits_2(self, tmp_path, capsys):
         import numpy as np

@@ -24,20 +24,18 @@ from translab.impossibility import (
     BruteForceResult,
     ManyToManyInstance,
     PartitionedRepresentation,
-    TwoToOneInstance,
     bound_report,
     brute_force_min_error,
     check_epsilon_universal,
     check_epsilon_universal_partitioned,
     make_worst_case,
-    many_to_many_bounds,
     perfect_universal_translator,
     random_many_to_many_instance,
     random_two_to_one_instance,
-    two_to_one_bound,
     _orbit_members,
     _orbit_sizes,
     _restricted_growth_tables,
+    _two_sources_into_l,
 )
 
 TOL = 1e-12
@@ -166,28 +164,25 @@ class TestPartitionedUniversal:
             )
 
 
+def two_source_parts(inst):
+    """Source marginals and translators of the pairs L0->L and L1->L."""
+    marginals = [inst.source_marginal(src, "L") for src in ("L0", "L1")]
+    translators = [inst.translators[(src, "L")] for src in ("L0", "L1")]
+    return marginals, translators
+
+
 class TestTwoToOneBound:
     def test_identical_target_marginals(self):
-        a, b, d0, _ = two_source_marginals()
-        y = Sentence("L", "y0")
-        inst = TwoToOneInstance(
-            ("L0", "L1"),
-            "L",
-            (d0, FiniteDistribution(b, np.array([0.9, 0.1]))),
-            (
-                DeterministicTranslator({a[0]: y, a[1]: y}),
-                DeterministicTranslator({b[0]: y, b[1]: y}),
-            ),
-        )
-        assert two_to_one_bound(inst, 0.0) == pytest.approx(0.0, abs=TOL)
+        inst = _two_sources_into_l((0.9, 0.1), (0.9, 0.1), (0, 0), (0, 0), 1)
+        assert bound_report(inst, 0.0).bound_sum == pytest.approx(0.0, abs=TOL)
 
     def test_worst_case_marginals(self):
         inst = make_worst_case(0.8)
-        assert two_to_one_bound(inst, 0.0) == pytest.approx(0.8, abs=TOL)
+        assert bound_report(inst, 0.0).bound_sum == pytest.approx(0.8, abs=TOL)
 
     def test_clipped_when_epsilon_dominates(self):
         inst = make_worst_case(0.3)
-        assert two_to_one_bound(inst, 0.5) == 0.0
+        assert bound_report(inst, 0.5).bound_sum == 0.0
 
 
 class TestManyToManyBounds:
@@ -206,37 +201,57 @@ class TestManyToManyBounds:
             ("A", "T"): DeterministicTranslator({xa[0]: y[0], xa[1]: y[1]}),
             ("B", "T"): DeterministicTranslator({xb[0]: y[0], xb[1]: y[1]}),
         }
-        return ManyToManyInstance.from_marginals(
+        return ManyToManyInstance(
             langs, marginals, translators, {"T": y, "A": (), "B": ()}
         )
 
+    @staticmethod
+    def bounds(inst, epsilon):
+        report = bound_report(inst, epsilon)
+        return report.bound_sum, report.bound_max, report.bound_avg
+
     def test_equal_marginals_give_zero(self):
         inst = self._two_source_instance(0.0)
-        assert many_to_many_bounds(inst, 0.0) == (0.0, 0.0)
+        assert self.bounds(inst, 0.0) == (0.0, 0.0, 0.0)
 
     def test_max_bound_is_half_the_tv(self):
         inst = self._two_source_instance(0.8)
-        max_bound, avg_bound = many_to_many_bounds(inst, 0.0)
+        sum_bound, max_bound, avg_bound = self.bounds(inst, 0.0)
+        assert sum_bound == pytest.approx(0.8, abs=TOL)
         assert max_bound == pytest.approx(0.4, abs=TOL)
         # one TV term, K = 3: 0.8 / (9 * 2)
         assert avg_bound == pytest.approx(0.8 / 18, abs=TOL)
 
     def test_large_epsilon_clips_to_zero(self):
         inst = self._two_source_instance(0.8)
-        assert many_to_many_bounds(inst, 2.0) == (0.0, 0.0)
+        assert self.bounds(inst, 2.0) == (0.0, 0.0, 0.0)
 
     def test_rejects_single_language(self):
         inst = self._two_source_instance(0.5)
         object.__setattr__(inst, "languages", ("A",))
         with pytest.raises(ValueError):
-            many_to_many_bounds(inst, 0.0)
+            bound_report(inst, 0.0)
+
+    def test_sum_bound_is_attained_on_a_random_instance(self):
+        # Checked where it could fail: brute force attains the sum bound, so a
+        # bound larger by a factor of 1 + 1e-6 would be violated.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            inst = random_many_to_many_instance(rng, n_languages=3, atom_budget=7)
+            result = brute_force_min_error(inst, 3, 0.0, "sum")
+            bound = bound_report(inst, 0.0, brute=result).bound_sum
+            if result.feasible and 0 < bound < 1 and abs(result.value - bound) <= 1e-9:
+                break
+        else:
+            pytest.fail("no random instance attains the sum bound")
+        assert result.value < bound * (1 + 1e-6)
 
 
 class TestMakeWorstCase:
     @pytest.mark.parametrize("delta", [0.0, 0.25, 0.8, 1.0])
     def test_target_marginal_gap_is_delta(self, delta):
         inst = make_worst_case(delta)
-        tv = tv_distance(inst.target_marginal(0), inst.target_marginal(1))
+        tv = tv_distance(inst.target_marginal("L0", "L"), inst.target_marginal("L1", "L"))
         assert tv == pytest.approx(delta, abs=TOL)
 
     def test_rejects_out_of_range(self):
@@ -258,8 +273,8 @@ class TestPerfectTranslator:
     def test_two_to_one_dispatch(self):
         inst = make_worst_case(0.5)
         f = perfect_universal_translator(inst, "L")
-        for i in range(2):
-            assert zero_one_error(inst.marginals[i], f, inst.translators[i]) == 0.0
+        for marginal, truth in zip(*two_source_parts(inst)):
+            assert zero_one_error(marginal, f, truth) == 0.0
 
     def test_unknown_sentence_is_a_domain_error(self):
         inst = make_worst_case(0.5)
@@ -274,29 +289,26 @@ class TestPerfectTranslator:
 
 
 def literal_two_to_one_minimum(inst, z_size, epsilon):
-    """Fully nested-loop reference search, no shortcuts.
+    """Fully nested-loop reference search, no shortcuts and no block partitions.
 
-    Returns the minimum and the number of epsilon-universal encoder tables.
+    Returns the minimum of Err0 + Err1 over encoders whose two pushforwards
+    are within epsilon in TV.
     """
-    atoms = inst.marginals[0].support + inst.marginals[1].support
+    (m0, m1), (f0, f1) = two_source_parts(inst)
+    atoms = m0.support + m1.support
     zs = [f"z{i}" for i in range(z_size)]
     best = None
-    n_feasible = 0
     for g_table in itertools.product(zs, repeat=len(atoms)):
         g = DeterministicTranslator(dict(zip(atoms, g_table)))
-        tv = tv_distance(pushforward(inst.marginals[0], g), pushforward(inst.marginals[1], g))
-        if tv > epsilon + WEIGHT_TOL:
+        if tv_distance(pushforward(m0, g), pushforward(m1, g)) > epsilon + WEIGHT_TOL:
             continue
-        n_feasible += 1
-        for h_table in itertools.product(inst.target_sentences, repeat=z_size):
+        for h_table in itertools.product(inst.sentence_pool["L"], repeat=z_size):
             h = DeterministicTranslator(dict(zip(zs, h_table)))
             composed = h.after(g)
-            value = zero_one_error(
-                inst.marginals[0], composed, inst.translators[0]
-            ) + zero_one_error(inst.marginals[1], composed, inst.translators[1])
+            value = zero_one_error(m0, composed, f0) + zero_one_error(m1, composed, f1)
             if best is None or value < best:
                 best = value
-    return best, n_feasible
+    return best
 
 
 def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
@@ -602,7 +614,7 @@ def reweighted(inst, weights_for):
         )
         for pair in inst.pairs()
     }
-    return ManyToManyInstance.from_marginals(
+    return ManyToManyInstance(
         inst.languages, marginals, inst.translators, inst.sentence_pool
     )
 
@@ -686,20 +698,8 @@ class TestPartitionFreeSearch:
 
     def light_atom_instance(self):
         # L0's two light sentences weigh 1.6e-12 together, above WEIGHT_TOL
-        a = (Sentence("L0", "a0"), Sentence("L0", "a1"), Sentence("L0", "a2"))
-        b = (Sentence("L1", "b0"),)
-        y = (Sentence("L", "y0"),)
-        return TwoToOneInstance(
-            ("L0", "L1"),
-            "L",
-            (
-                FiniteDistribution(a, np.array([1.0 - 1.6e-12, 0.8e-12, 0.8e-12])),
-                FiniteDistribution(b, np.array([1.0])),
-            ),
-            (
-                DeterministicTranslator({x: y[0] for x in a}),
-                DeterministicTranslator({b[0]: y[0]}),
-            ),
+        return _two_sources_into_l(
+            (1.0 - 1.6e-12, 0.8e-12, 0.8e-12), (1.0,), (0, 0, 0), (0,), 1
         )
 
     def test_light_atoms_above_tolerance_are_a_domain_error(self):
@@ -882,7 +882,7 @@ class TestOrbitSearch:
             xs = tuple(Sentence(src, f"s{i}", target_tag="L2") for i in range(2))
             marginals[(src, "L2")] = random_distribution(rng, xs)
             translators[(src, "L2")] = random_translator(rng, xs, pool["L2"][:3])
-        inst = ManyToManyInstance.from_marginals(languages, marginals, translators, pool)
+        inst = ManyToManyInstance(languages, marginals, translators, pool)
         assert sum(len(p) for p in pool.values()) ** 4 == impossibility.MAX_DECODER_TABLES
         for epsilon in (0.0, 0.5):
             tracemalloc.start()
@@ -909,21 +909,7 @@ class TestBruteForce:
     def test_aligned_instance_achieves_zero(self):
         # identical marginals with atom-by-atom matched images: a z per atom
         # index and the right decoder reaches zero error
-        a = (Sentence("L0", "a0"), Sentence("L0", "a1"))
-        b = (Sentence("L1", "b0"), Sentence("L1", "b1"))
-        y = (Sentence("L", "y0"), Sentence("L", "y1"))
-        inst = TwoToOneInstance(
-            ("L0", "L1"),
-            "L",
-            (
-                FiniteDistribution(a, np.array([0.6, 0.4])),
-                FiniteDistribution(b, np.array([0.6, 0.4])),
-            ),
-            (
-                DeterministicTranslator({a[0]: y[0], a[1]: y[1]}),
-                DeterministicTranslator({b[0]: y[0], b[1]: y[1]}),
-            ),
-        )
+        inst = _two_sources_into_l((0.6, 0.4), (0.6, 0.4), (0, 1), (0, 1), 2)
         result = brute_force_min_error(inst, 2, 0.0, "sum")
         assert result.feasible
         assert result.value == pytest.approx(0.0, abs=TOL)
@@ -938,10 +924,12 @@ class TestBruteForce:
         for _ in range(8):
             inst = random_two_to_one_instance(rng, max_sentences=2, max_targets=2)
             for epsilon in (0.0, 0.25):
-                expected, n_feasible = literal_two_to_one_minimum(inst, 2, epsilon)
+                expected = literal_two_to_one_minimum(inst, 2, epsilon)
+                blocked, n_feasible = literal_many_to_many_minimum(inst, 2, epsilon, "sum")
                 result = brute_force_min_error(inst, 2, epsilon, "sum")
                 assert result.feasible
                 assert result.value == pytest.approx(expected, abs=TOL)
+                assert blocked == pytest.approx(expected, abs=TOL)
                 assert result.n_feasible == n_feasible
 
     def test_many_to_many_matches_literal_search(self):
@@ -973,15 +961,17 @@ class TestBruteForce:
         inst = make_worst_case(0.6)
         result = brute_force_min_error(inst, 2, 0.0, "sum")
         composed = result.decoder.after(result.encoder)
-        attained = zero_one_error(
-            inst.marginals[0], composed, inst.translators[0]
-        ) + zero_one_error(inst.marginals[1], composed, inst.translators[1])
+        attained = sum(
+            zero_one_error(marginal, composed, truth)
+            for marginal, truth in zip(*two_source_parts(inst))
+        )
         assert attained == pytest.approx(result.value, abs=TOL)
 
     def test_two_to_one_result_has_the_single_target_block(self):
+        # every z goes to the target's block; the sources' blocks stay empty
         result = brute_force_min_error(make_worst_case(0.6), 3, 0.0, "sum")
         assert result.feasible
-        assert result.blocks == (("L", ("z0", "z1", "z2")),)
+        assert result.blocks == (("L", ("z0", "z1", "z2")), ("L0", ()), ("L1", ()))
 
     def test_too_small_representation_is_infeasible(self):
         # three targets cannot share two representation atoms
@@ -996,28 +986,18 @@ class TestBruteForce:
         with pytest.raises(BudgetError):
             brute_force_min_error(inst, 5, 0.0, "sum")
         # nine sentences exceed the eight-sentence enumeration budget
-        a = tuple(Sentence("L0", f"a{i}") for i in range(5))
-        b = tuple(Sentence("L1", f"b{i}") for i in range(4))
-        y = (Sentence("L", "y0"),)
-        inst9 = TwoToOneInstance(
-            ("L0", "L1"),
-            "L",
-            (
-                FiniteDistribution(a, np.full(5, 0.2)),
-                FiniteDistribution(b, np.full(4, 0.25)),
-            ),
-            (
-                DeterministicTranslator({s: y[0] for s in a}),
-                DeterministicTranslator({s: y[0] for s in b}),
-            ),
-        )
+        inst9 = _two_sources_into_l(np.full(5, 0.2), np.full(4, 0.25), [0] * 5, [0] * 4, 1)
         with pytest.raises(BudgetError):
             brute_force_min_error(inst9, 2, 0.0, "sum")
 
-    def test_two_to_one_rejects_other_objectives(self):
+    def test_two_to_one_accepts_every_objective(self):
         inst = make_worst_case(0.5)
-        with pytest.raises(ValueError):
-            brute_force_min_error(inst, 2, 0.0, "max")
+        for objective in ("max", "avg"):
+            result = brute_force_min_error(inst, 2, 0.0, objective)
+            expected, n_feasible = literal_many_to_many_minimum(inst, 2, 0.0, objective)
+            assert result.value == pytest.approx(expected, abs=TOL)
+            assert result.n_feasible == n_feasible
+            assert bound_report(inst, 0.0, brute=result).holds is True
 
 
 class TestDecodedTvStaysWithinEpsilon:
@@ -1026,20 +1006,18 @@ class TestDecodedTvStaysWithinEpsilon:
         # the decoded marginals within epsilon in TV
         rng = np.random.default_rng(8)
         inst = random_two_to_one_instance(rng, max_sentences=2, max_targets=2)
-        atoms = inst.marginals[0].support + inst.marginals[1].support
+        (m0, m1), _translators = two_source_parts(inst)
+        atoms = m0.support + m1.support
         epsilon = 0.3
         zs = ("z0", "z1")
         for g_table in itertools.product(zs, repeat=len(atoms)):
             g = DeterministicTranslator(dict(zip(atoms, g_table)))
-            if not check_epsilon_universal(g, list(inst.marginals), epsilon):
+            if not check_epsilon_universal(g, [m0, m1], epsilon):
                 continue
-            for h_table in itertools.product(inst.target_sentences, repeat=2):
+            for h_table in itertools.product(inst.sentence_pool["L"], repeat=2):
                 h = DeterministicTranslator(dict(zip(zs, h_table)))
                 composed = h.after(g)
-                tv = tv_distance(
-                    pushforward(inst.marginals[0], composed),
-                    pushforward(inst.marginals[1], composed),
-                )
+                tv = tv_distance(pushforward(m0, composed), pushforward(m1, composed))
                 assert tv <= epsilon + WEIGHT_TOL
 
 
@@ -1048,16 +1026,16 @@ class TestBoundReport:
         inst = make_worst_case(0.8)
         brute = brute_force_min_error(inst, 2, 0.0, "sum")
         report = bound_report(inst, 0.0, "worst08", brute)
-        assert report.kind == "two_to_one"
         assert report.tv_max == pytest.approx(0.8, abs=TOL)
         assert report.bound_sum == pytest.approx(0.8, abs=TOL)
-        assert report.bound_max is None
+        assert report.bound_max == pytest.approx(0.4, abs=TOL)
+        assert report.bound_avg == pytest.approx(0.8 / 18, abs=TOL)
         assert report.holds is True
 
     def test_many_to_many_report(self):
         rng = np.random.default_rng(4)
         inst = random_many_to_many_instance(rng)
         report = bound_report(inst, 0.1, "mm")
-        assert report.kind == "many_to_many"
-        assert report.bound_sum is None
-        assert report.bound_max is not None and report.bound_avg is not None
+        assert report.bound_sum == max(0.0, report.tv_max - 0.1)
+        assert report.bound_max == max(0.0, report.tv_max / 2 - 0.05)
+        assert report.bound_avg is not None

@@ -49,12 +49,14 @@ class TestInstanceRoundTrip:
         path = tmp_path / "worst.json"
         io.save_instance(instance, path)
         again = io.load_instance(path)
-        assert again.source_languages == instance.source_languages
-        assert again.target_language == instance.target_language
-        for i in range(2):
-            assert tv_distance(again.marginals[i], instance.marginals[i]) <= 1e-12
-            for atom in instance.marginals[i].support:
-                assert again.translators[i](atom) == instance.translators[i](atom)
+        assert again.languages == instance.languages
+        assert again.pairs() == (("L0", "L"), ("L1", "L"))
+        for pair in instance.pairs():
+            marginal = instance.source_marginal(*pair)
+            assert np.array_equal(again.source_marginal(*pair).weights, marginal.weights)
+            for atom in marginal.support:
+                assert again.translators[pair](atom) == instance.translators[pair](atom)
+        assert again.sentence_pool == instance.sentence_pool
 
     def test_random_two_to_one(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -63,8 +65,9 @@ class TestInstanceRoundTrip:
             path = tmp_path / f"i{i}.json"
             io.save_instance(instance, path)
             again = io.load_instance(path)
-            assert tv_distance(again.target_marginal(0), instance.target_marginal(0)) <= 1e-12
-            assert tv_distance(again.target_marginal(1), instance.target_marginal(1)) <= 1e-12
+            for pair in instance.pairs():
+                tv = tv_distance(again.target_marginal(*pair), instance.target_marginal(*pair))
+                assert tv <= 1e-12
 
     def test_many_to_many(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -81,14 +84,37 @@ class TestInstanceRoundTrip:
                 assert again.translators[pair](atom) == instance.translators[pair](atom)
         assert again.sentence_pool == instance.sentence_pool
 
-    def test_distributions_key_alias(self, tmp_path):
-        instance = make_worst_case(0.5)
-        payload = io.instance_to_dict(instance)
-        payload["distributions"] = payload.pop("marginals")
-        path = tmp_path / "alias.json"
-        path.write_text(json.dumps(payload))
-        again = io.load_instance(path)
-        assert tv_distance(again.marginals[0], instance.marginals[0]) <= 1e-12
+    def test_untagged_two_source_layout_loads_as_the_tagged_one(self):
+        # sentences of a language whose one translator leads to a language
+        # that translates nothing are read as tagged for that target
+        payload = {
+            "languages": ["L0", "L1", "L"],
+            "sentences": {"L0": ["a0", "a1"], "L1": ["b0", "b1"], "L": ["y0", "y1"]},
+            "marginals": {"L0": [0.75, 0.25], "L1": [0.25, 0.75]},
+            "translators": {
+                "L0->L": {"a0": "y0", "a1": "y1"},
+                "L1->L": {"b0": "y0", "b1": "y1"},
+            },
+        }
+        again = io.instance_from_dict(payload)
+        assert io.instance_to_dict(again) == io.instance_to_dict(make_worst_case(0.5))
+
+    def test_untagged_sentences_of_a_language_that_is_also_a_target_stay_untagged(self):
+        payload = {
+            "languages": ["A", "B"],
+            "sentences": {"A": ["a0"], "B": ["b0"]},
+            "marginals": {"A": [1.0], "B": [1.0]},
+            "translators": {"A->B": {"a0": "b0"}, "B->A": {"b0": "a0"}},
+        }
+        with pytest.raises(SchemaError, match="no sentences of 'A' tagged for target 'B'"):
+            io.instance_from_dict(payload)
+
+    def test_many_to_many_weights_must_sum_to_one(self):
+        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
+        lang = payload["languages"][0]
+        payload["marginals"][lang] = [w / 2 for w in payload["marginals"][lang]]
+        with pytest.raises(SchemaError, match=f"marginal for '{lang}' weights sum to"):
+            io.instance_from_dict(payload)
 
     def test_missing_key_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
