@@ -72,3 +72,17 @@ class AffineMap:
 
     def to_dict(self) -> dict:
         return {"W": self.linear.tolist(), "b": self.offset.tolist()}
+
+
+def compose_stacked(
+    outer: tuple[np.ndarray, np.ndarray], inner: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``AffineMap.compose`` on stacks of maps, with the same arithmetic per map.
+
+    Each side is a (linear, offset) pair of shapes (..., d, d) and (..., d);
+    a single map broadcasts against a stack.
+    """
+    outer_linear, outer_offset = outer
+    inner_linear, inner_offset = inner
+    offset = (outer_linear @ inner_offset[..., None])[..., 0] + outer_offset
+    return outer_linear @ inner_linear, offset

@@ -195,25 +195,3 @@ def data_processing_check(
     before = tv_distance(dist, dist_prime)
     after = tv_distance(pushforward(dist, h), pushforward(dist_prime, h))
     return DataProcessingCheck(before, after, after <= before + WEIGHT_TOL)
-
-
-def dispatch_by_source_tag(
-    translators: Mapping[str, DeterministicTranslator],
-) -> DeterministicTranslator:
-    """Combine per-source-language translators into one map over the union domain.
-
-    Each input sentence is routed to the translator registered under its
-    ``source_tag``; exactly one branch applies because sentence sets of
-    distinct languages are disjoint.
-    """
-    combined: dict[Atom, Atom] = {}
-    for lang in sorted(translators):
-        f = translators[lang]
-        for atom in f.domain:
-            tag = getattr(atom, "source_tag", None)
-            if tag != lang:
-                raise DomainError(
-                    f"translator for {lang!r} lists atom {atom!r} tagged {tag!r}"
-                )
-            combined[atom] = f(atom)
-    return DeterministicTranslator(combined)

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .affine import AffineMap
+from .affine import AffineMap, compose_stacked
 from .errors import DomainError
 from .generative import (
     NOISE_VARIANCE,
@@ -33,30 +33,60 @@ from .seeding import derive_seed
 from .trainer import EncoderEstimate, fit_edge
 
 
-def _affine_loss(
-    transform: AffineMap,
-    src: RandomizedCodec,
-    dst: RandomizedCodec,
+#: Most pairs whose population losses ``verify_chain_bound`` stacks at once.
+PAIR_BLOCK = 64
+
+
+class _CodecStack(NamedTuple):
+    """Decoder parameters of codecs, stacked on a first axis for ``_affine_losses``."""
+
+    W: np.ndarray  # (s, D, D)
+    b: np.ndarray  # (s, D)
+    noise: np.ndarray  # (s,): sigma**2 * NOISE_VARIANCE
+
+    @classmethod
+    def of(cls, codecs: Sequence[RandomizedCodec]) -> "_CodecStack":
+        return cls(
+            np.array([c.W for c in codecs]),
+            np.array([c.b for c in codecs]),
+            np.array([c.sigma**2 * NOISE_VARIANCE for c in codecs]),
+        )
+
+    def take(self, index: np.ndarray) -> "_CodecStack":
+        return _CodecStack(self.W[index], self.b[index], self.noise[index])
+
+
+def _affine_losses(
+    linear: np.ndarray,
+    offset: np.ndarray,
+    src: _CodecStack,
+    dst: _CodecStack,
+    d: int,
     radius: float,
     target_noise: bool,
-) -> float:
-    """E||T(x) - y||^2 for x decoded by ``src`` and y by ``dst`` from one latent.
+) -> list[float]:
+    """E||T_j(x) - y||^2 for each map T_j(x) = A_j x + c_j of a stack.
 
-    With M = A W_a for T(x) = A x + c and d latent coordinates, the gap is
+    ``linear`` is (s, D, D) and ``offset`` (s, D); x is decoded by codec j of
+    ``src`` and y by codec j of ``dst`` from one latent (a codec stack of one
+    broadcasts). With M = A W_a and ``d`` latent coordinates, the gap is
     (A b_a + c - b_b) + (M[:, :d] - W_b[:, :d]) z + sigma_a M[:, d:] r, minus
     sigma_b W_b[:, d:] r' when the target carries its own noise r'. The terms
-    are uncorrelated, so the loss is a sum of squared norms and never negative.
+    are uncorrelated, so the loss is a sum of squared norms and never
+    negative. Each map goes through the same arithmetic as in a stack of one,
+    provided its linear part keeps its memory layout: BLAS rounds a
+    Fortran-ordered product differently.
     """
-    d = src.latent_dim
-    M = transform.linear @ src.W
-    offset = transform.linear @ src.b + transform.offset - dst.b
-    loss = np.sum(offset**2) + latent_second_moment(d, radius) * np.sum(
-        (M[:, :d] - dst.W[:, :d]) ** 2
-    )
-    loss += src.sigma**2 * NOISE_VARIANCE * np.sum(M[:, d:] ** 2)
+    M, shift = compose_stacked((linear, offset), (src.W, src.b))
+    shift -= dst.b
+    # ndarray.sum, not np.sum: the same reduction without the per-call dispatch.
+    loss = (shift**2).sum(axis=1) + latent_second_moment(d, radius) * (
+        (M[:, :, :d] - dst.W[:, :, :d]) ** 2
+    ).sum(axis=(1, 2))
+    loss += src.noise * (M[:, :, d:] ** 2).sum(axis=(1, 2))
     if target_noise:
-        loss += dst.sigma**2 * NOISE_VARIANCE * np.sum(dst.W[:, d:] ** 2)
-    return float(loss)
+        loss += dst.noise * (dst.W[:, :, d:] ** 2).sum(axis=(1, 2))
+    return loss.tolist()
 
 
 def _codec(
@@ -80,10 +110,12 @@ def population_loss(
     spec: FunctionClassSpec,
 ) -> float:
     """Exact squared gap between the learned and ground-truth composites."""
-    src, dst = (_codec(codecs, lang, spec) for lang in pair)
-    return _affine_loss(
-        estimate.composite(*pair), src, dst, spec.radius, target_noise=False
-    )
+    src, dst = (_CodecStack.of([_codec(codecs, lang, spec)]) for lang in pair)
+    composite = estimate.composite(*pair)
+    return _affine_losses(
+        composite.linear[None], composite.offset[None], src, dst, spec.dim, spec.radius,
+        target_noise=False,
+    )[0]
 
 
 def shortest_path_and_diameter(
@@ -174,7 +206,9 @@ def verify_chain_bound(
     direction the path traverses them. rho_hat is the largest operator norm
     among the maps the chaining composes: the inverted destination encoder and
     the encoders of the path's nodes. Each encoder's norm, smallest gain and
-    inverse are computed once per call.
+    inverse are computed once per call. Every directed path edge and every
+    pair is scored once, through ``_affine_losses`` in stacks of at most
+    ``PAIR_BLOCK`` composites, with the arithmetic of one composite at a time.
     """
     paths, _diam = shortest_path_and_diameter(graph)
     encoders = {
@@ -184,27 +218,42 @@ def verify_chain_bound(
     inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
     norms = {lang: enc.operator_norm() for lang, enc in encoders.items()}
     gains = {lang: enc.smallest_gain() for lang, enc in encoders.items()}
-    edge_loss_cache: dict[tuple[str, str], float] = {}
 
-    def loss(a: str, b: str) -> float:
-        composite = inverses[b].compose(encoders[a])
-        return _affine_loss(
-            composite, lang_codecs[a], lang_codecs[b], spec.radius, target_noise=False
+    scored = list(dict.fromkeys(
+        [step for path in paths.values() for step in zip(path, path[1:])] + sorted(paths)
+    ))
+    langs = sorted(encoders)
+    stack = _CodecStack.of([lang_codecs[lang] for lang in langs])
+    position = {lang: i for i, lang in enumerate(langs)}
+    losses: dict[tuple[str, str], float] = {}
+    for start in range(0, len(scored), PAIR_BLOCK):
+        block = scored[start : start + PAIR_BLOCK]
+        linear, offset = compose_stacked(
+            (
+                np.array([inverses[b].linear for _a, b in block]),
+                np.array([inverses[b].offset for _a, b in block]),
+            ),
+            (
+                np.array([encoders[a].linear for a, _b in block]),
+                np.array([encoders[a].offset for a, _b in block]),
+            ),
         )
-
-    def directed_edge_loss(a: str, b: str) -> float:
-        if (a, b) not in edge_loss_cache:
-            edge_loss_cache[(a, b)] = loss(a, b)
-        return edge_loss_cache[(a, b)]
+        losses.update(zip(block, _affine_losses(
+            linear,
+            offset,
+            stack.take(np.array([position[a] for a, _b in block])),
+            stack.take(np.array([position[b] for _a, b in block])),
+            spec.dim,
+            spec.radius,
+            target_noise=False,
+        )))
 
     records = []
     for (src, dst), path in sorted(paths.items()):
-        losses = tuple(
-            directed_edge_loss(a, b) for a, b in zip(path, path[1:])
-        )
+        edge_losses = tuple(losses[step] for step in zip(path, path[1:]))
         rho_hat = max(1.0 / gains[dst], max(norms[node] for node in path))
-        bound = _chain_bound(rho_hat, losses)
-        measured = loss(src, dst)
+        bound = _chain_bound(rho_hat, edge_losses)
+        measured = losses[(src, dst)]
         records.append(
             PairEvalRecord(
                 src=src,
@@ -212,7 +261,7 @@ def verify_chain_bound(
                 path=path,
                 path_len=len(path) - 1,
                 measured_loss=measured,
-                edge_losses=losses,
+                edge_losses=edge_losses,
                 rho_hat=rho_hat,
                 bound=bound,
                 holds=measured <= bound + 1e-9,
@@ -310,6 +359,7 @@ def sample_complexity_sweep(
         raise ValueError("n_list must be strictly ascending")
     if trials < 5:
         raise ValueError("need at least 5 trials per size")
+    src, dst = (_CodecStack.of([codecs[lang]]) for lang in edge)
     rows = []
     for n in n_list:
         for trial in range(trials):
@@ -317,13 +367,11 @@ def sample_complexity_sweep(
                 edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial)
             )
             fitted = fit_edge(train)
-            pop = _affine_loss(
-                fitted.transform,
-                codecs[edge[0]],
-                codecs[edge[1]],
-                sampler.radius,
-                target_noise=True,
-            )
+            transform = fitted.transform
+            pop = _affine_losses(
+                transform.linear[None], transform.offset[None], src, dst,
+                codecs[edge[0]].latent_dim, sampler.radius, target_noise=True,
+            )[0]
             gap = abs(pop - fitted.empirical_loss)
             rows.append(SweepRow(int(n), trial, fitted.empirical_loss, pop, gap))
     result = SweepResult(tuple(rows), None, False)

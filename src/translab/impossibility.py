@@ -23,7 +23,6 @@ from .distributions import (
     DeterministicTranslator,
     FiniteDistribution,
     Sentence,
-    dispatch_by_source_tag,
     pushforward,
     tv_distance,
 )
@@ -137,75 +136,6 @@ class ManyToManyInstance:
         return pushforward(
             self.source_marginal(src, dst), self.translators[(src, dst)]
         )
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionedRepresentation:
-    """A representation set split into per-target blocks, plus the encoder into it."""
-
-    atoms: tuple[Atom, ...]
-    blocks: Mapping[str, frozenset]
-    encoder: DeterministicTranslator
-
-    def __post_init__(self):
-        blocks = {lang: frozenset(block) for lang, block in dict(self.blocks).items()}
-        union: set[Atom] = set()
-        for lang, block in blocks.items():
-            if union & block:
-                raise ValueError(f"block for {lang!r} overlaps another block")
-            union |= block
-        if union != set(self.atoms):
-            raise ValueError("blocks must partition the representation set")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "blocks", blocks)
-
-
-# ---------------------------------------------------------------------------
-# Universality checks
-
-
-def check_epsilon_universal(
-    encoder: DeterministicTranslator,
-    marginals: Sequence[FiniteDistribution],
-    epsilon: float,
-) -> bool:
-    """True iff every pair of pushforward marginals is within epsilon in TV."""
-    if len(marginals) < 2:
-        raise ValueError("need at least two marginals to compare")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    pushed = [pushforward(m, encoder) for m in marginals]
-    for p, q in itertools.combinations(pushed, 2):
-        if tv_distance(p, q) > epsilon + WEIGHT_TOL:
-            return False
-    return True
-
-
-def check_epsilon_universal_partitioned(
-    rep: PartitionedRepresentation,
-    instance: ManyToManyInstance,
-    epsilon: float,
-) -> bool:
-    """Per-target-block universality: support containment plus pairwise TV within blocks.
-
-    A pushforward that leaks mass outside its target's block makes the check
-    fail (returns False); it is not an error.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    by_target: dict[str, list[FiniteDistribution]] = {}
-    for (src, dst) in instance.pairs():
-        pushed = pushforward(instance.source_marginal(src, dst), rep.encoder)
-        block = rep.blocks.get(dst, frozenset())
-        leak = sum(w for atom, w in pushed.items() if atom not in block)
-        if leak > WEIGHT_TOL:
-            return False
-        by_target.setdefault(dst, []).append(pushed)
-    for pushed_list in by_target.values():
-        for p, q in itertools.combinations(pushed_list, 2):
-            if tv_distance(p, q) > epsilon + WEIGHT_TOL:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +262,6 @@ def _two_sources_into_l(weights0, weights1, images0, images1, n_targets) -> Many
             {x: y[int(j)] for x, j in zip(xs, images)}
         )
     return ManyToManyInstance(("L0", "L1", "L"), marginals, translators, {"L": y})
-
-
-def perfect_universal_translator(
-    instance: ManyToManyInstance, target: str
-) -> DeterministicTranslator:
-    """The piecewise translator that dispatches each sentence to its pair's ground truth."""
-    per_source = {
-        src: instance.translators[(src, dst)]
-        for (src, dst) in instance.pairs()
-        if dst == target
-    }
-    if not per_source:
-        raise DomainError(f"instance has no translators into {target!r}")
-    return dispatch_by_source_tag(per_source)
 
 
 # ---------------------------------------------------------------------------

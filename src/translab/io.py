@@ -255,6 +255,12 @@ def _build_instance(payload):
         atoms = [s for s in sentences[src] if s.target_tag == dst]
         if not atoms:
             raise SchemaError(f"no sentences of {src!r} tagged for target {dst!r}")
+        for s, w in zip(sentences[src], weights):
+            if s.target_tag is None and w > WEIGHT_TOL:
+                raise SchemaError(
+                    f"marginal for {src!r} puts weight {w} on untagged sentence"
+                    f" {s.body!r}, which no pair translates"
+                )
         index = {s: w for s, w in zip(sentences[src], weights)}
         mass = sum(index[a] for a in atoms)
         if mass <= 0:

@@ -12,9 +12,15 @@ Refinement never reads a corpus. Everything it computes from one is a
 quadratic form in the rows of Z = [x, y, 1], so each corpus enters as its
 ``EdgeFactor``: the triangular factor R of Z, with ||Z M|| = ||R M|| for every
 M. Refinement keeps its working state outside ``EncoderEstimate``: the current
-encoders, their cached inverses and one loss per edge. A trial update of one
-language re-scores only the edges of that language and sums the full per-edge
-list; the estimate is validated once, when refinement ends.
+encoders, their cached inverses and one loss per edge. Each update of one
+language backtracks down a ladder of 60 rungs, step 2**-k at rung k. The rungs
+are scored in doubling chunks (``RUNG_CHUNKS``) as stacked arrays: one SVD,
+one inverse and, per edge of that language, one R-form loss for every rung of
+the chunk, while the losses of the other edges are reused. The first rung in
+ladder order that does not raise the summed per-edge list is taken, the same
+rung a one-step-at-a-time search takes, so at most 2v - 1 rungs are scored
+where that search visits v. The estimate is validated once, when refinement
+ends.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .affine import SINGULAR_TOL, AffineMap
+from .affine import SINGULAR_TOL, AffineMap, compose_stacked
 from .errors import (
     ConditioningError,
     DomainError,
@@ -39,6 +45,11 @@ COND_LIMIT = 1e12
 
 #: Weight of the identity added to the normal equations past ``COND_LIMIT`` or when singular.
 RIDGE = 1e-10
+
+#: Rungs of refinement's line search scored together, in ladder order: rung k
+#: blends with step 2**-k, and the chunks double until the last one closes the
+#: ladder at 60 rungs.
+RUNG_CHUNKS = (1, 2, 4, 8, 16, 29)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +213,19 @@ def _mean_squared_residual(transform: AffineMap, corpus: AlignedCorpus) -> float
     return float(np.mean(np.sum(residual, axis=1)))
 
 
-def _factor_loss(transform: AffineMap, factor: EdgeFactor) -> float:
-    """``_mean_squared_residual`` from the factor: ||R [A^T; -I; c^T]||_F^2 / n.
+def _factor_losses(linear: np.ndarray, offset: np.ndarray, factor: EdgeFactor) -> list[float]:
+    """``_mean_squared_residual`` of each map of a stack, from the factor.
 
-    A sum of squares, so never negative, unlike the Gram form of the same loss.
+    ``linear`` is (s, d, d) and ``offset`` (s, d). Map j scores
+    ||R [A_j^T; -I; c_j^T]||_F^2 / n, a sum of squares, so never negative,
+    unlike the Gram form of the same loss. Each map goes through the same
+    arithmetic as in a stack of one.
     """
-    r, d = factor.r, transform.dim
-    residual = r[:, :d] @ transform.linear.T
+    r, d = factor.r, factor.dim
+    residual = r[:, :d] @ linear.transpose(0, 2, 1)
     residual -= r[:, d : 2 * d]
-    residual += r[:, 2 * d :] * transform.offset
-    return float(np.vdot(residual, residual)) / factor.n
+    residual += r[:, 2 * d :] * offset[:, None, :]
+    return [float(np.vdot(res, res)) / factor.n for res in residual]
 
 
 def anchor_spanning_tree(
@@ -261,22 +275,6 @@ def total_edge_loss(
     return float(sum(empirical_edge_loss(estimate, c) for c in corpora))
 
 
-def _rescore(
-    lang: str,
-    encoders: Mapping[str, AffineMap],
-    inverses: Mapping[str, AffineMap],
-    losses: Sequence[float],
-    factors: Sequence[EdgeFactor],
-    incident: Mapping[str, Sequence[int]],
-) -> list[float]:
-    """``losses`` with the edges of ``lang`` re-scored under the given maps."""
-    trial = list(losses)
-    for i in incident[lang]:
-        a, b = factors[i].edge
-        trial[i] = _factor_loss(inverses[b].compose(encoders[a]), factors[i])
-    return trial
-
-
 def _consensus(
     lang: str,
     encoders: Mapping[str, AffineMap],
@@ -302,6 +300,70 @@ def _consensus(
     return _least_squares(np.vstack(designs), np.vstack(targets))
 
 
+def _line_search(
+    lang: str,
+    candidate: AffineMap,
+    encoders: Mapping[str, AffineMap],
+    inverses: Mapping[str, AffineMap],
+    losses: Sequence[float],
+    total: float,
+    factors: Sequence[EdgeFactor],
+    incident: Sequence[int],
+) -> tuple[int, AffineMap, AffineMap, list[float], float] | None:
+    """The first accepted rung of the step ladder from ``lang``'s encoder toward ``candidate``.
+
+    Rung k is the blend old + 2**-k (candidate - old) of the current encoder
+    old. Rungs are scored a
+    ``RUNG_CHUNKS`` chunk at a time: one stacked SVD finds the numerically
+    singular blends, which are skipped, one stacked inverse covers the rest,
+    and each edge of ``lang`` scores all of them at once; the other per-edge
+    losses are reused. The accepted rung is the first, in ladder order, whose
+    per-edge losses sum to at most ``total`` + 1e-12, bit for bit the rung a
+    one-rung-at-a-time search takes. Returns the rung, the blended encoder, its
+    inverse, the per-edge losses and their sum, or None when no rung is
+    accepted.
+    """
+    old = encoders[lang]
+    linear_step = candidate.linear - old.linear
+    offset_step = candidate.offset - old.offset
+    start = 0
+    for size in RUNG_CHUNKS:
+        steps = np.ldexp(1.0, -np.arange(start, start + size))
+        linear = old.linear + steps[:, None, None] * linear_step
+        offset = old.offset + steps[:, None] * offset_step
+        regular = np.flatnonzero(
+            np.linalg.svd(linear, compute_uv=False)[:, -1] >= SINGULAR_TOL
+        )
+        if regular.size:
+            linear, offset = linear[regular], offset[regular]
+            inv_linear = np.linalg.inv(linear)
+            inv_offset = (-inv_linear @ offset[..., None])[..., 0]
+            edge_losses = []
+            for i in incident:
+                a, b = factors[i].edge
+                enc, inv = encoders[a], inverses[b]
+                composite = compose_stacked(
+                    (inv_linear, inv_offset) if b == lang else (inv.linear, inv.offset),
+                    (linear, offset) if a == lang else (enc.linear, enc.offset),
+                )
+                edge_losses.append(_factor_losses(*composite, factors[i]))
+            for j, rung_losses in enumerate(zip(*edge_losses)):
+                trial = list(losses)
+                for i, loss in zip(incident, rung_losses):
+                    trial[i] = loss
+                trial_total = float(sum(trial))
+                if trial_total <= total + 1e-12:
+                    return (
+                        start + int(regular[j]),
+                        AffineMap(linear[j], offset[j]),
+                        AffineMap(inv_linear[j], inv_offset[j]),
+                        trial,
+                        trial_total,
+                    )
+        start += size
+    return None
+
+
 def joint_refine(
     estimate: EncoderEstimate,
     factors: Sequence[EdgeFactor],
@@ -311,17 +373,18 @@ def joint_refine(
 
     ``factors`` holds one ``factor_corpus`` per edge. Languages are revisited
     in sorted id order, the anchor skipped. Each candidate comes from a
-    representation-space least-squares consensus; it is blended toward the
-    incumbent until the objective does not increase, so every sweep is
-    monotone (a failed search leaves the encoder unchanged). A blend whose
-    inverse is numerically singular halves the step.
+    representation-space least-squares consensus; ``_line_search`` blends it
+    toward the incumbent down a ladder of halving steps, 2**0 to 2**-59,
+    until the objective does not increase, so every sweep is monotone (a
+    failed search leaves the encoder unchanged). A blend whose inverse is
+    numerically singular is skipped. The ladder is scored in doubling chunks
+    of stacked blends, which takes the same rung as trying one step at a time.
 
-    A trial inverts the blended map once and re-scores only the edges of the
-    updated language; the other per-edge losses are reused. The objective is
-    the sum of the per-edge R-form losses in ``factors`` order, which equals
-    ``total_edge_loss`` on the corpora up to rounding, not bit for bit.
-    Encoders are re-validated once, in the returned estimate; zero sweeps
-    return ``estimate`` itself.
+    A rung re-scores only the edges of the updated language; the other
+    per-edge losses are reused. The objective is the sum of the per-edge
+    R-form losses in ``factors`` order, which equals ``total_edge_loss`` on the
+    corpora up to rounding, not bit for bit. Encoders are re-validated once,
+    in the returned estimate; zero sweeps return ``estimate`` itself.
     """
     if sweeps < 0:
         raise ValueError("sweeps must be nonnegative")
@@ -335,9 +398,10 @@ def joint_refine(
                 raise DomainError(f"no encoder for language {lang!r}")
             incident[lang].append(i)
     inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
-    losses = [
-        _factor_loss(inverses[f.edge[1]].compose(encoders[f.edge[0]]), f) for f in factors
-    ]
+    losses = []
+    for f in factors:
+        composite = inverses[f.edge[1]].compose(encoders[f.edge[0]])
+        losses += _factor_losses(composite.linear[None], composite.offset[None], f)
     total = float(sum(losses))
     for _ in range(sweeps):
         sweep_start = total
@@ -345,32 +409,13 @@ def joint_refine(
             if lang == estimate.anchor or not incident[lang]:
                 continue
             candidate = _consensus(lang, encoders, factors, incident[lang])
-            old = encoders[lang]
-            step = 1.0
-            for _attempt in range(60):
-                blended = AffineMap(
-                    old.linear + step * (candidate.linear - old.linear),
-                    old.offset + step * (candidate.offset - old.offset),
-                )
-                try:
-                    inverse = blended.inverse()
-                except ConditioningError:
-                    step /= 2.0
-                    continue
-                trial_encoders = {**encoders, lang: blended}
-                trial_inverses = {**inverses, lang: inverse}
-                trial_losses = _rescore(
-                    lang, trial_encoders, trial_inverses, losses, factors, incident
-                )
-                trial_total = float(sum(trial_losses))
-                if trial_total <= total + 1e-12:
-                    encoders, inverses = trial_encoders, trial_inverses
-                    losses, total = trial_losses, trial_total
-                    break
-                step /= 2.0
+            accepted = _line_search(
+                lang, candidate, encoders, inverses, losses, total, factors, incident[lang]
+            )
+            if accepted is not None:
+                _rung, encoders[lang], inverses[lang], losses, total = accepted
         if total > sweep_start + 1e-9:
             raise InternalConsistencyError(
                 f"refinement sweep increased the objective: {sweep_start} -> {total}"
             )
     return EncoderEstimate(encoders, estimate.anchor)
-

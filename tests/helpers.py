@@ -1,19 +1,40 @@
 """Shared construction helpers for the test suite."""
 
 import copy
+import itertools
 import json
 import math
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
 from translab import io
 from translab.affine import AffineMap
-from translab.generative import FunctionClassSpec, TranslationGraph, sample_randomized_codecs
-from translab.distributions import DeterministicTranslator, FiniteDistribution
-from translab.impossibility import random_many_to_many_instance, random_two_to_one_instance
+from translab.generative import (
+    NOISE_VARIANCE,
+    FunctionClassSpec,
+    TranslationGraph,
+    latent_second_moment,
+    sample_randomized_codecs,
+)
+from translab.distributions import (
+    WEIGHT_TOL,
+    Atom,
+    DeterministicTranslator,
+    FiniteDistribution,
+    pushforward,
+    tv_distance,
+)
+from translab.errors import DomainError
+from translab.impossibility import (
+    ManyToManyInstance,
+    random_many_to_many_instance,
+    random_two_to_one_instance,
+)
 from translab.seeding import derive_seed
 from translab.trainer import COND_LIMIT, EncoderEstimate
 
@@ -58,7 +79,38 @@ def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_
 
 
 # ---------------------------------------------------------------------------
-# Out-of-place references for the in-place kernels
+# One-map and out-of-place references for the stacked and in-place kernels
+
+
+def scalar_affine_loss(transform, src, dst, radius, target_noise) -> float:
+    """E||T(x) - y||^2 for one map, x decoded by ``src`` and y by ``dst``, one matrix at a time.
+
+    The closed form ``translab.evaluation._affine_losses`` must reproduce bit
+    for bit on every map of a stack.
+    """
+    d = src.latent_dim
+    M = transform.linear @ src.W
+    offset = transform.linear @ src.b + transform.offset - dst.b
+    loss = np.sum(offset**2) + latent_second_moment(d, radius) * np.sum(
+        (M[:, :d] - dst.W[:, :d]) ** 2
+    )
+    loss += src.sigma**2 * NOISE_VARIANCE * np.sum(M[:, d:] ** 2)
+    if target_noise:
+        loss += dst.sigma**2 * NOISE_VARIANCE * np.sum(dst.W[:, d:] ** 2)
+    return float(loss)
+
+
+def scalar_factor_loss(transform, factor) -> float:
+    """One map's R-form edge loss, ||R [A^T; -I; c^T]||_F^2 / n, one matrix at a time.
+
+    The formula refinement's stacked ``trainer._factor_losses`` must reproduce
+    bit for bit on every map of a stack.
+    """
+    r, d = factor.r, transform.dim
+    residual = r[:, :d] @ transform.linear.T
+    residual -= r[:, d : 2 * d]
+    residual += r[:, 2 * d :] * transform.offset
+    return float(np.vdot(residual, residual)) / factor.n
 
 
 def out_of_place_latent_sample(dim, radius, seed, m):
@@ -310,3 +362,108 @@ def damaged_corpus_fields(draw):
         )
     )
     return fields, "meta"
+
+
+# ---------------------------------------------------------------------------
+# Literal-definition oracles for the impossibility side
+
+
+@dataclass(frozen=True, eq=False)
+class PartitionedRepresentation:
+    """A representation set split into per-target blocks, plus the encoder into it."""
+
+    atoms: tuple[Atom, ...]
+    blocks: Mapping[str, frozenset]
+    encoder: DeterministicTranslator
+
+    def __post_init__(self):
+        blocks = {lang: frozenset(block) for lang, block in dict(self.blocks).items()}
+        union: set[Atom] = set()
+        for lang, block in blocks.items():
+            if union & block:
+                raise ValueError(f"block for {lang!r} overlaps another block")
+            union |= block
+        if union != set(self.atoms):
+            raise ValueError("blocks must partition the representation set")
+        object.__setattr__(self, "atoms", tuple(self.atoms))
+        object.__setattr__(self, "blocks", blocks)
+
+
+def check_epsilon_universal(
+    encoder: DeterministicTranslator,
+    marginals: Sequence[FiniteDistribution],
+    epsilon: float,
+) -> bool:
+    """True iff every pair of pushforward marginals is within epsilon in TV."""
+    if len(marginals) < 2:
+        raise ValueError("need at least two marginals to compare")
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    pushed = [pushforward(m, encoder) for m in marginals]
+    for p, q in itertools.combinations(pushed, 2):
+        if tv_distance(p, q) > epsilon + WEIGHT_TOL:
+            return False
+    return True
+
+
+def check_epsilon_universal_partitioned(
+    rep: PartitionedRepresentation,
+    instance: ManyToManyInstance,
+    epsilon: float,
+) -> bool:
+    """Per-target-block universality: support containment plus pairwise TV within blocks.
+
+    A pushforward that leaks mass outside its target's block makes the check
+    fail (returns False); it is not an error.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    by_target: dict[str, list[FiniteDistribution]] = {}
+    for (src, dst) in instance.pairs():
+        pushed = pushforward(instance.source_marginal(src, dst), rep.encoder)
+        block = rep.blocks.get(dst, frozenset())
+        leak = sum(w for atom, w in pushed.items() if atom not in block)
+        if leak > WEIGHT_TOL:
+            return False
+        by_target.setdefault(dst, []).append(pushed)
+    for pushed_list in by_target.values():
+        for p, q in itertools.combinations(pushed_list, 2):
+            if tv_distance(p, q) > epsilon + WEIGHT_TOL:
+                return False
+    return True
+
+
+def dispatch_by_source_tag(
+    translators: Mapping[str, DeterministicTranslator],
+) -> DeterministicTranslator:
+    """Combine per-source-language translators into one map over the union domain.
+
+    Each input sentence is routed to the translator registered under its
+    ``source_tag``; exactly one branch applies because sentence sets of
+    distinct languages are disjoint.
+    """
+    combined: dict[Atom, Atom] = {}
+    for lang in sorted(translators):
+        f = translators[lang]
+        for atom in f.domain:
+            tag = getattr(atom, "source_tag", None)
+            if tag != lang:
+                raise DomainError(
+                    f"translator for {lang!r} lists atom {atom!r} tagged {tag!r}"
+                )
+            combined[atom] = f(atom)
+    return DeterministicTranslator(combined)
+
+
+def perfect_universal_translator(
+    instance: ManyToManyInstance, target: str
+) -> DeterministicTranslator:
+    """The piecewise translator that dispatches each sentence to its pair's ground truth."""
+    per_source = {
+        src: instance.translators[(src, dst)]
+        for (src, dst) in instance.pairs()
+        if dst == target
+    }
+    if not per_source:
+        raise DomainError(f"instance has no translators into {target!r}")
+    return dispatch_by_source_tag(per_source)

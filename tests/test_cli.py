@@ -1,5 +1,6 @@
 """CLI behavior: validation, subcommands, exit codes, reproducibility."""
 
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 
 from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
 from translab import cli, io, trainer
-from translab.affine import AffineMap
 from translab.evaluation import shortest_path_and_diameter
 from translab.generative import AlignedCorpus, TranslationGraph, six_language_demo_graph
 from translab.impossibility import MAX_Z_SIZE, make_worst_case
@@ -254,6 +254,24 @@ class TestMalformedInstanceFiles:
         assert code == 2
         assert "bound_max" not in out
         assert "marginal for 'L0' weight 0" in err
+
+    @pytest.mark.parametrize("mode", ["bound", "brute"])
+    def test_weight_on_an_untagged_source_sentence_exits_2(self, tmp_path, capsys, mode):
+        # Half of A's mass sits on "a9", which no pair translates; it must not
+        # be dropped by renormalizing A->B to [1.0].
+        payload = {
+            "languages": ["A", "B"],
+            "sentences": {"A": [["B", "s0"], "a9"], "B": ["b0"]},
+            "marginals": {"A": [0.5, 0.5]},
+            "translators": {"A->B": {"s0": "b0"}},
+        }
+        path = tmp_path / "untagged.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli([mode, "--instance", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert "marginal for 'A' puts weight 0.5 on untagged sentence 'a9'" in err
 
     @settings(max_examples=40, deadline=None)
     @given(damaged_instance_documents())
@@ -764,13 +782,15 @@ class TestRefinementWork:
             capsys,
         )
         assert code == 0
-        counts = {"svd": 0, "trials": 0}
+        counts = {"svd": 0, "scored": 0, "searches": 0}
         refining = []
-        smallest_gain, refine, rescore = AffineMap.smallest_gain, cli.joint_refine, trainer._rescore
+        svd, refine, line_search = np.linalg.svd, cli.joint_refine, trainer._line_search
+        chunk_ends = list(itertools.accumulate(trainer.RUNG_CHUNKS))
 
-        def counting_smallest_gain(self):
-            counts["svd"] += bool(refining)
-            return smallest_gain(self)
+        def counting_svd(a, *args, **kwargs):
+            if refining:
+                counts["svd"] += len(a) if np.ndim(a) == 3 else 1
+            return svd(a, *args, **kwargs)
 
         def flagged_refine(*args, **kwargs):
             refining.append(True)
@@ -779,23 +799,28 @@ class TestRefinementWork:
             finally:
                 refining.pop()
 
-        def counting_rescore(*args):
-            counts["trials"] += 1
-            return rescore(*args)
+        def counting_line_search(*args):
+            accepted = line_search(*args)
+            visited = 60 if accepted is None else accepted[0] + 1
+            scored = next(end for end in chunk_ends if end >= visited)
+            assert scored <= 2 * visited - 1
+            counts["scored"] += scored
+            counts["searches"] += 1
+            return accepted
 
-        monkeypatch.setattr(AffineMap, "smallest_gain", counting_smallest_gain)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(cli, "joint_refine", flagged_refine)
-        monkeypatch.setattr(trainer, "_rescore", counting_rescore)
+        monkeypatch.setattr(trainer, "_line_search", counting_line_search)
         code, _, _ = run_cli(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
              "--out", str(out), "--sweeps", "2"],
             capsys,
         )
         assert code == 0
-        assert counts["trials"] > 0
+        assert counts["searches"] > 0
         # One inverse per incumbent encoder and one check per returned encoder,
-        # then the blended map's inverse is the trial's only SVD.
-        assert counts["svd"] <= counts["trials"] + 2 * len(langs)
+        # then one singular-value check per rung the chunked ladder scores.
+        assert counts["svd"] == counts["scored"] + 2 * len(langs)
 
 
 class TestStreamingMemory:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_distribution, random_translator
+from helpers import dispatch_by_source_tag, random_distribution, random_translator
 from translab.distributions import (
     DeterministicTranslator,
     FiniteDistribution,
     Sentence,
     data_processing_check,
     disagreement_bound_check,
-    dispatch_by_source_tag,
     pushforward,
     tv_distance,
     zero_one_error,

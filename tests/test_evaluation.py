@@ -11,12 +11,15 @@ from helpers import (
     lexicographic_shortest_path,
     monte_carlo_pair_loss,
     random_connected_graph,
+    scalar_affine_loss,
 )
+from translab import evaluation
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.evaluation import (
     PairEvalRecord,
-    _affine_loss,
+    _CodecStack,
+    _affine_losses,
     concentration_bound,
     path_bound,
     population_loss,
@@ -154,7 +157,10 @@ class TestMonteCarloCrossCheck:
         linear = b.W @ np.linalg.inv(a.W) + 0.1 * rng.standard_normal((d + k, d + k))
         transform = AffineMap(linear, b.b - linear @ a.b + 0.1 * rng.standard_normal(d + k))
         if target_noise:
-            exact = _affine_loss(transform, a, b, spec.radius, True)
+            exact = _affine_losses(
+                transform.linear[None], transform.offset[None], _CodecStack.of([a]),
+                _CodecStack.of([b]), d, spec.radius, True,
+            )[0]
         else:
             estimate = EncoderEstimate(
                 {"A": AffineMap.identity(d + k), "B": transform.inverse()}, anchor="A"
@@ -329,6 +335,61 @@ class TestVerifyChainBound:
                 measured_loss=0.0, edge_losses=(0.1,),
                 rho_hat=2.0, bound=0.123, holds=True,  # not 2 * 4 * 0.1
             )
+
+
+class TestStackedLosses:
+    """Stacked population losses against one pair at a time, bit for bit."""
+
+    @pytest.mark.parametrize("target_noise", [False, True], ids=["eval", "sweep"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.3])
+    @pytest.mark.parametrize("d, k", [(1, 1), (3, 2), (8, 2)])
+    def test_stack_matches_one_pair_at_a_time(self, d, k, sigma, target_noise):
+        spec = FunctionClassSpec(dim=d)
+        langs = [f"L{i}" for i in range(5)]
+        codecs = dict(zip(langs, sample_randomized_codecs(spec, len(langs), k, sigma, d)))
+        rng = np.random.default_rng(10 * d + k)
+        pairs = [tuple(rng.choice(langs, 2, replace=False)) for _ in range(23)]
+        linear = rng.standard_normal((len(pairs), d + k, d + k))
+        offset = rng.standard_normal((len(pairs), d + k))
+        got = _affine_losses(
+            linear,
+            offset,
+            _CodecStack.of([codecs[a] for a, _b in pairs]),
+            _CodecStack.of([codecs[b] for _a, b in pairs]),
+            d,
+            spec.radius,
+            target_noise,
+        )
+        want = [
+            scalar_affine_loss(AffineMap(A, c), codecs[a], codecs[b], spec.radius, target_noise)
+            for A, c, (a, b) in zip(linear, offset, pairs)
+        ]
+        assert [loss.hex() for loss in got] == [loss.hex() for loss in want]
+
+    def test_block_size_leaves_records_identical(self, monkeypatch):
+        graph, codecs, corpora, sampler = chain_setup(
+            n_langs=7, sigma=0.05, nuisance=2, n=80, seed=6,
+            extra_edges=(("L0", "L3"), ("L2", "L6")),
+        )
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        spec = spec_of(sampler)
+        records = verify_chain_bound(estimate, graph, codecs, spec)
+        assert len(records) == 21
+        for record in records:
+            # each loss is the one-pair formula on the estimate's own composite
+            want = scalar_affine_loss(
+                estimate.composite(record.src, record.dst),
+                codecs[record.src], codecs[record.dst], spec.radius, False,
+            )
+            assert record.measured_loss.hex() == want.hex()
+            for (a, b), loss in zip(zip(record.path, record.path[1:]), record.edge_losses):
+                want = scalar_affine_loss(
+                    estimate.composite(a, b), codecs[a], codecs[b], spec.radius, False
+                )
+                assert loss.hex() == want.hex()
+        for block in (1, 3, 7):
+            monkeypatch.setattr(evaluation, "PAIR_BLOCK", block)
+            assert verify_chain_bound(estimate, graph, codecs, spec) == records
 
 
 class TestSampleSizeFormulas:

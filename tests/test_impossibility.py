@@ -7,7 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import random_distribution, random_translator
+from helpers import (
+    PartitionedRepresentation,
+    check_epsilon_universal,
+    check_epsilon_universal_partitioned,
+    perfect_universal_translator,
+    random_distribution,
+    random_translator,
+)
 
 from translab import cli, impossibility, io
 from translab.distributions import (
@@ -23,13 +30,9 @@ from translab.errors import BudgetError, DomainError
 from translab.impossibility import (
     BruteForceResult,
     ManyToManyInstance,
-    PartitionedRepresentation,
     bound_report,
     brute_force_min_error,
-    check_epsilon_universal,
-    check_epsilon_universal_partitioned,
     make_worst_case,
-    perfect_universal_translator,
     random_many_to_many_instance,
     random_two_to_one_instance,
     _orbit_members,

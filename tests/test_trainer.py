@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     lexicographic_shortest_path,
     out_of_place_fit_edge,
     random_connected_graph,
+    scalar_factor_loss,
 )
 from translab import trainer
 from translab.affine import SINGULAR_TOL, AffineMap
@@ -52,7 +54,7 @@ def reference_joint_refine(estimate, factors, sweeps):
 
     def objective(est):
         return float(sum(
-            trainer._factor_loss(est.composite(*f.edge), f) for f in factors
+            scalar_factor_loss(est.composite(*f.edge), f) for f in factors
         ))
 
     current = estimate
@@ -95,6 +97,44 @@ def reference_joint_refine(estimate, factors, sweeps):
                     break
                 step /= 2.0
     return current
+
+
+def reference_rung(rung, lang, old, candidate, encoders, losses, factors, incident):
+    """Rung ``rung`` of the step ladder on its own: blend, invert, re-score ``lang``'s edges.
+
+    Returns None for a numerically singular blend, else the blend, the per-edge
+    losses and their sum, all from one map at a time.
+    """
+    step = 1.0
+    for _ in range(rung):
+        step /= 2.0
+    blended = AffineMap(
+        old.linear + step * (candidate.linear - old.linear),
+        old.offset + step * (candidate.offset - old.offset),
+    )
+    if blended.smallest_gain() < SINGULAR_TOL:
+        return None
+    trial_encoders = {**encoders, lang: blended}
+    trial = list(losses)
+    for i in incident:
+        a, b = factors[i].edge
+        composite = trial_encoders[b].inverse().compose(trial_encoders[a])
+        trial[i] = scalar_factor_loss(composite, factors[i])
+    return blended, trial, float(sum(trial))
+
+
+def reference_line_search(lang, old, candidate, encoders, losses, total, factors, incident):
+    """The first of 60 rungs, tried one at a time, whose objective is at most ``total`` + 1e-12."""
+    for rung in range(60):
+        scored = reference_rung(rung, lang, old, candidate, encoders, losses, factors, incident)
+        if scored is not None and scored[2] <= total + 1e-12:
+            return (rung, *scored)
+    return None
+
+
+def stacked_loss(transform, factor):
+    """``trainer._factor_losses`` of a stack of one map."""
+    return trainer._factor_losses(transform.linear[None], transform.offset[None], factor)[0]
 
 
 def factors_of(corpora):
@@ -379,30 +419,59 @@ class TestJointRefine:
             n_langs=5, n=60, sigma=0.08, nuisance=1, seed=9, extra_edges=(("L1", "L3"),)
         )
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L2")
-        scored = []
-        trials = []
-        edge_loss, rescore = trainer._factor_loss, trainer._rescore
+        events = []
+        factor_losses, line_search, svd = (
+            trainer._factor_losses, trainer._line_search, np.linalg.svd
+        )
 
-        def counting_edge_loss(transform, factor):
-            scored.append(factor.edge)
-            return edge_loss(transform, factor)
+        def counting_factor_losses(linear, offset, factor):
+            events.append(("edge", factor.edge, len(linear)))
+            return factor_losses(linear, offset, factor)
 
-        def counting_rescore(lang, *args):
-            before = len(scored)
-            result = rescore(lang, *args)
-            trials.append((lang, scored[before:]))
-            return result
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 3:  # one stacked singular check per chunk of rungs
+                events.append(("chunk", None, len(a)))
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(trainer, "_factor_loss", counting_edge_loss)
-        monkeypatch.setattr(trainer, "_rescore", counting_rescore)
+        def recording_line_search(lang, *args):
+            events.append(("search", lang, None))
+            accepted = line_search(lang, *args)
+            events.append(("rung", lang, None if accepted is None else accepted[0]))
+            return accepted
+
+        monkeypatch.setattr(trainer, "_factor_losses", counting_factor_losses)
+        monkeypatch.setattr(trainer, "_line_search", recording_line_search)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         joint_refine(estimate, factors_of(corpora), 2)
-        assert trials
-        for lang, edges in trials:
-            assert len(edges) <= sum(lang in edge for edge in graph.edge_pairs())
-            assert all(lang in edge for edge in edges)
-        # one scoring of every corpus for the incumbent, then incident edges only
-        assert len(scored) == len(corpora) + sum(len(edges) for _lang, edges in trials)
-        assert len(scored) < len(corpora) * (1 + len(trials))
+
+        # One scoring of every corpus for the incumbent, a stack of one each.
+        assert events[: len(corpora)] == [("edge", c.edge, 1) for c in corpora]
+        searches = []
+        for kind, key, value in events[len(corpora) :]:
+            if kind == "search":
+                searches.append({"lang": key, "chunks": [], "rung": None})
+            elif kind == "chunk":
+                searches[-1]["chunks"].append((value, []))
+            elif kind == "edge":
+                searches[-1]["chunks"][-1][1].append((key, value))
+            else:
+                searches[-1]["rung"] = value
+        assert searches
+        edge_rungs = 0
+        for search in searches:
+            incident = [c.edge for c in corpora if search["lang"] in c.edge]
+            for size, edges in search["chunks"]:
+                # each incident edge once per chunk, on the chunk's regular rungs
+                assert [edge for edge, _m in edges] == incident
+                assert len({m for _edge, m in edges}) == 1 and edges[0][1] <= size
+                edge_rungs += sum(m for _edge, m in edges)
+            scored = sum(size for size, _edges in search["chunks"])
+            visited = 60 if search["rung"] is None else search["rung"] + 1
+            assert scored <= 2 * visited - 1
+        assert any(len(search["chunks"]) > 2 for search in searches)
+        assert edge_rungs < len(corpora) * sum(
+            size for search in searches for size, _edges in search["chunks"]
+        )
 
     def test_objective_matches_total_edge_loss_to_rounding(self):
         graph, _codecs, corpora, _ = chain_setup(
@@ -412,13 +481,166 @@ class TestJointRefine:
         refined = joint_refine(estimate, factors_of(corpora), 2)
         row_form = total_edge_loss(refined, corpora)
         r_form = sum(
-            trainer._factor_loss(refined.composite(*f.edge), f) for f in factors_of(corpora)
+            scalar_factor_loss(refined.composite(*f.edge), f) for f in factors_of(corpora)
         )
         assert r_form == pytest.approx(row_form, rel=1e-12)
 
 
+class TestLineSearch:
+    """The chunked, stacked step ladder against trying one rung at a time."""
+
+    LANG = "L1"
+
+    def state(self, lang_encoder=None):
+        graph, _codecs, corpora, _ = chain_setup(
+            n_langs=3, n=60, sigma=0.08, nuisance=1, seed=9, extra_edges=(("L0", "L2"),)
+        )
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        factors = factors_of(corpora)
+        encoders = dict(estimate.encoders)
+        if lang_encoder is not None:
+            encoders[self.LANG] = lang_encoder
+        inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
+        losses = [
+            scalar_factor_loss(inverses[f.edge[1]].compose(encoders[f.edge[0]]), f)
+            for f in factors
+        ]
+        incident = [i for i, f in enumerate(factors) if self.LANG in f.edge]
+        return encoders, inverses, losses, factors, incident
+
+    def search_both(self, candidate, encoders, inverses, losses, total, factors, incident):
+        old = encoders[self.LANG]
+        got = trainer._line_search(
+            self.LANG, candidate, encoders, inverses, losses, total, factors, incident
+        )
+        want = reference_line_search(
+            self.LANG, old, candidate, encoders, losses, total, factors, incident
+        )
+        if want is None:
+            assert got is None
+            return None
+        rung, encoder, inverse, trial, trial_total = got
+        assert rung == want[0]
+        assert np.array_equal(encoder.linear, want[1].linear)
+        assert np.array_equal(encoder.offset, want[1].offset)
+        expected_inverse = want[1].inverse()
+        assert np.array_equal(inverse.linear, expected_inverse.linear)
+        assert np.array_equal(inverse.offset, expected_inverse.offset)
+        assert [loss.hex() for loss in trial] == [loss.hex() for loss in want[2]]
+        assert trial_total.hex() == want[3].hex()
+        return rung
+
+    def test_chunks_cover_the_sixty_rung_ladder(self):
+        assert sum(trainer.RUNG_CHUNKS) == 60
+        assert trainer.RUNG_CHUNKS[:5] == (1, 2, 4, 8, 16)
+
+    def test_exactly_singular_rung_is_skipped(self):
+        dim = 4
+        encoders, inverses, losses, factors, incident = self.state(AffineMap.identity(dim))
+        minus_identity = AffineMap(-np.eye(dim), np.zeros(dim))
+        # rung 0 is -I, rung 1 is exactly the zero matrix
+        assert reference_rung(
+            1, self.LANG, encoders[self.LANG], minus_identity, encoders, losses, factors, incident
+        ) is None
+        total = float(sum(losses))
+        rung = self.search_both(minus_identity, encoders, inverses, losses, total, factors, incident)
+        assert rung == 2
+
+    def test_hit_in_every_chunk(self):
+        encoders, inverses, losses, factors, incident = self.state()
+        old = encoders[self.LANG]
+        consensus = trainer._consensus(self.LANG, encoders, factors, incident)
+        # Far along the ascent direction, the objective falls with every halving
+        # by more than the 1e-12 slack, down to rung 35, so any of those rungs can
+        # be made the first acceptable one by the incumbent total.
+        candidate = AffineMap(
+            old.linear - 1000 * (consensus.linear - old.linear),
+            old.offset - 1000 * (consensus.offset - old.offset),
+        )
+        chunk_ends = list(itertools.accumulate(trainer.RUNG_CHUNKS))
+        hit_chunks = set()
+        for target in (0, 2, 5, 10, 20, 35):
+            total = reference_rung(
+                target, self.LANG, old, candidate, encoders, losses, factors, incident
+            )[2]
+            rung = self.search_both(candidate, encoders, inverses, losses, total, factors, incident)
+            assert rung == target
+            hit_chunks.add(next(c for c, end in enumerate(chunk_ends) if end > rung))
+        assert hit_chunks == set(range(len(trainer.RUNG_CHUNKS)))
+
+    def test_exhausted_ladder_scores_sixty_rungs_and_returns_none(self, monkeypatch):
+        encoders, inverses, losses, factors, incident = self.state()
+        consensus = trainer._consensus(self.LANG, encoders, factors, incident)
+        rungs = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                rungs.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        unreachable = float(sum(losses)) - 1.0
+        assert self.search_both(
+            consensus, encoders, inverses, losses, unreachable, factors, incident
+        ) is None
+        assert rungs == list(trainer.RUNG_CHUNKS)
+
+    def test_failed_search_leaves_the_encoder_unchanged(self, monkeypatch):
+        graph, _codecs, corpora, _ = chain_setup(
+            n_langs=3, n=60, sigma=0.08, nuisance=1, seed=9, extra_edges=(("L0", "L2"),)
+        )
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        consensus, line_search = trainer._consensus, trainer._line_search
+        outcomes = []
+
+        def receding_consensus(lang, encoders, *args):
+            # So far along the ascent direction that even rung 59 raises the
+            # objective by more than the 1e-12 slack.
+            toward = consensus(lang, encoders, *args)
+            if lang != self.LANG:
+                return toward
+            old = encoders[lang]
+            return AffineMap(
+                old.linear - 1e8 * (toward.linear - old.linear),
+                old.offset - 1e8 * (toward.offset - old.offset),
+            )
+
+        def recording_line_search(lang, *args):
+            accepted = line_search(lang, *args)
+            outcomes.append((lang, accepted is None))
+            return accepted
+
+        monkeypatch.setattr(trainer, "_consensus", receding_consensus)
+        monkeypatch.setattr(trainer, "_line_search", recording_line_search)
+        refined = joint_refine(estimate, factors_of(corpora), 1)
+        assert outcomes == [("L1", True), ("L2", False)]
+        assert np.array_equal(refined.encoder("L1").linear, estimate.encoder("L1").linear)
+        assert np.array_equal(refined.encoder("L1").offset, estimate.encoder("L1").offset)
+        assert not np.array_equal(refined.encoder("L2").linear, estimate.encoder("L2").linear)
+
+
 class TestFactorLoss:
     """The R-form kernel of refinement against the row form of ``fit_edge``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 9),
+        stack=st.integers(1, 29),
+        extra_rows=st.integers(0, 60),
+    )
+    def test_stack_matches_one_map_at_a_time_bitwise(self, seed, dim, stack, extra_rows):
+        rng = np.random.default_rng(seed)
+        pairs = rng.standard_normal((2 * dim + 1 + extra_rows, 2, dim))
+        factor = factor_corpus(AlignedCorpus(("A", "B"), pairs, {}))
+        linear = rng.standard_normal((stack, dim, dim))
+        offset = rng.standard_normal((stack, dim))
+        got = trainer._factor_losses(linear, offset, factor)
+        want = [
+            scalar_factor_loss(AffineMap(a, c), factor) for a, c in zip(linear, offset)
+        ]
+        assert [loss.hex() for loss in got] == [loss.hex() for loss in want]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -436,7 +658,7 @@ class TestFactorLoss:
             rng.standard_normal((dim, dim)), scale * rng.standard_normal(dim)
         )
         row_form = trainer._mean_squared_residual(transform, corpus)
-        r_form = trainer._factor_loss(transform, factor_corpus(corpus))
+        r_form = stacked_loss(transform, factor_corpus(corpus))
         assert r_form == pytest.approx(row_form, rel=1e-12, abs=0.0)
 
     def test_noiseless_corpus_is_nonnegative_and_tiny(self):
@@ -445,7 +667,7 @@ class TestFactorLoss:
         transform = AffineMap(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
         x = rng.standard_normal((n, dim))
         corpus = AlignedCorpus(("A", "B"), np.stack([x, transform(x)], axis=1), {})
-        loss = trainer._factor_loss(transform, factor_corpus(corpus))
+        loss = stacked_loss(transform, factor_corpus(corpus))
         assert 0.0 <= loss < 1e-20
 
     def test_factor_of_a_short_corpus_has_one_row_per_pair(self):
@@ -453,7 +675,7 @@ class TestFactorLoss:
         factor = factor_corpus(AlignedCorpus(("A", "B"), pairs, {}))
         assert factor.r.shape == (3, 5) and factor.n == 3 and factor.dim == 2
         transform = AffineMap(np.eye(2), np.ones(2))
-        assert trainer._factor_loss(transform, factor) == pytest.approx(
+        assert stacked_loss(transform, factor) == pytest.approx(
             trainer._mean_squared_residual(transform, AlignedCorpus(("A", "B"), pairs, {})),
             rel=1e-12,
         )
