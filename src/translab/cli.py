@@ -52,13 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--instance-id", default="")
 
     p = sub.add_parser("brute", help="bounds plus the exhaustive (g, h) minimum")
     common(p)
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--instance-id", default="")
     p.add_argument("--z-size", type=int, default=2)
     p.add_argument("--objective", default="sum", choices=("sum", "max", "avg"))
 
@@ -82,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--corpus-dir", type=Path, required=True)
-    p.add_argument("--anchor", default=None)
     p.add_argument("--sweeps", type=int, default=0)
 
     p = sub.add_parser("eval", help="verify the chained path bound on every pair")
@@ -169,8 +166,8 @@ def _print(line: str) -> None:
 
 
 def _load_instance(config):
-    """The ``--instance`` file and its id (``--instance-id``, else the file stem)."""
-    return io.load_instance(config.instance), config.instance_id or config.instance.stem
+    """The ``--instance`` file and its id, the file stem."""
+    return io.load_instance(config.instance), config.instance.stem
 
 
 def _write_report(config, report, stem: str) -> None:
@@ -291,7 +288,7 @@ def _run_train(config) -> int:
         if config.sweeps > 0:
             factors.append(factor_corpus(corpus))
         del corpus
-    anchor = config.anchor or min(graph.languages)
+    anchor = min(graph.languages)
     estimate = anchor_spanning_tree(graph, results, anchor)
     if config.sweeps > 0:
         estimate = joint_refine(estimate, factors, config.sweeps)

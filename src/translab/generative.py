@@ -162,7 +162,6 @@ class RandomizedCodec:
     b: np.ndarray
     nuisance_dim: int = 0
     sigma: float = 0.0
-    _W_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         W = np.array(self.W, dtype=np.float64)
@@ -181,7 +180,6 @@ class RandomizedCodec:
         b.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_W_inv", np.linalg.inv(W))
 
     @property
     def latent_dim(self) -> int:
@@ -204,7 +202,7 @@ class RandomizedCodec:
         return np.add(stacked @ self.W.T, self.b, out=out)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        full = (np.asarray(x, dtype=np.float64) - self.b) @ self._W_inv.T
+        full = (np.asarray(x, dtype=np.float64) - self.b) @ np.linalg.inv(self.W).T
         return full[:, : self.latent_dim]
 
     def digest(self) -> str:

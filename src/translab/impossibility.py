@@ -48,15 +48,15 @@ class ManyToManyInstance:
 
     Source sentences carry their target language as a prefix tag, so sentence
     sets of distinct ordered pairs never overlap. A two-source instance is the
-    K = 3 case with two pairs into one target. ``sentence_pool`` holds every
-    language, empty where none was given; by default it collects the
-    translators' images.
+    K = 3 case with two pairs into one target. ``sentence_pool`` lists each
+    language's sentences (a language it omits gets none); it must hold every
+    translator image, so it is the codomain the exhaustive search draws from.
     """
 
     languages: tuple[str, ...]
     marginals: Mapping[tuple[str, str], FiniteDistribution]
     translators: Mapping[tuple[str, str], DeterministicTranslator]
-    sentence_pool: Mapping[str, Sequence[Atom]] | None = None
+    sentence_pool: Mapping[str, Sequence[Atom]]
 
     def __post_init__(self):
         languages = tuple(self.languages)
@@ -79,33 +79,24 @@ class ManyToManyInstance:
                     raise ValueError(f"{x!r} lacks the {dst!r} target prefix")
                 if getattr(f(x), "source_tag", None) != dst:
                     raise ValueError(f"{f(x)!r} is not a {dst!r} sentence")
-        pool = self.sentence_pool
-        if pool is None:
-            collected: dict[str, dict[Atom, None]] = {lang: {} for lang in languages}
-            for key in sorted(marginals):
-                f = translators[key]
-                for atom in f.domain:
-                    collected[key[1]].setdefault(f(atom))
-            pool = {lang: tuple(atoms) for lang, atoms in collected.items()}
-        else:
-            pool = dict(pool)
-            unknown = set(pool) - set(languages)
-            if unknown:
-                raise ValueError(f"pool for unknown language {sorted(unknown)[0]!r}")
-            pool = {lang: tuple(pool.get(lang, ())) for lang in languages}
-            for lang, members in pool.items():
-                for atom in members:
-                    if getattr(atom, "source_tag", None) != lang:
-                        raise ValueError(f"pool sentence {atom!r} not in {lang!r}")
-            for (src, dst), f in translators.items():
-                if (src, dst) not in marginals:
-                    continue
-                allowed = set(pool[dst])
-                for atom in f.domain:
-                    if f(atom) not in allowed:
-                        raise ValueError(
-                            f"translator image {f(atom)!r} missing from {dst!r} pool"
-                        )
+        pool = dict(self.sentence_pool)
+        unknown = set(pool) - set(languages)
+        if unknown:
+            raise ValueError(f"pool for unknown language {sorted(unknown)[0]!r}")
+        pool = {lang: tuple(pool.get(lang, ())) for lang in languages}
+        for lang, members in pool.items():
+            for atom in members:
+                if getattr(atom, "source_tag", None) != lang:
+                    raise ValueError(f"pool sentence {atom!r} not in {lang!r}")
+        for (src, dst), f in translators.items():
+            if (src, dst) not in marginals:
+                continue
+            allowed = set(pool[dst])
+            for atom in f.domain:
+                if f(atom) not in allowed:
+                    raise ValueError(
+                        f"translator image {f(atom)!r} missing from {dst!r} pool"
+                    )
         object.__setattr__(self, "languages", languages)
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "translators", translators)

@@ -180,11 +180,8 @@ def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
         gram = gram + RIDGE * np.eye(d + 1)
     try:
         theta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        try:
-            theta = np.linalg.solve(gram + RIDGE * np.eye(d + 1), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError("normal equations singular even with ridge") from exc
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("normal equations singular even with ridge") from exc
     if not np.all(np.isfinite(theta)):
         raise ConditioningError("least-squares solution is not finite")
     return AffineMap(theta[:d].T, theta[d])

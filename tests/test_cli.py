@@ -121,6 +121,43 @@ class TestParseAndValidate:
         assert exc.value.code == 2
         assert "--ridge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [("train", "--anchor"), ("bound", "--instance-id"), ("brute", "--instance-id")],
+    )
+    def test_removed_flags_exit_2(self, tmp_path, capsys, mode, flag):
+        graph = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 10),)), graph)
+        instance = tmp_path / "worst.json"
+        io.save_instance(make_worst_case(0.5), instance)
+        inputs = {
+            "train": ["--graph", str(graph), "--corpus-dir", str(tmp_path),
+                      "--out", str(tmp_path / "run")],
+            "bound": ["--instance", str(instance)],
+            "brute": ["--instance", str(instance)],
+        }
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_and_validate([mode, *inputs[mode], flag, "L1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_generate_without_out_exits_2(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 10),)), graph)
+        code, out, err = run_cli(["generate", "--graph", str(graph)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "invalid: out: required for this mode\n"
+
+    def test_non_integer_n_list_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--n-list", "32,abc", "--out", str(tmp_path / "sweep")], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "invalid: n_list: entries must be integers\n"
+        assert not (tmp_path / "sweep").exists()
+
     def test_missing_file_is_a_violation(self):
         with pytest.raises(cli.ValidationFailure) as exc:
             cli.parse_and_validate(["bound", "--instance", "/nonexistent.json"])
@@ -180,6 +217,23 @@ class TestBoundAndBrute:
         )
         assert code == 0
         assert "holds=true" in out
+
+    def test_brute_with_one_representation_is_infeasible(self, tmp_path, capsys):
+        from translab.impossibility import random_many_to_many_instance
+
+        instance = random_many_to_many_instance(np.random.default_rng(12))
+        assert instance.K == 3
+        path = tmp_path / "mm.json"
+        io.save_instance(instance, path)
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            ["brute", "--instance", str(path), "--z-size", "1", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert out == "objective=sum infeasible=true z_size=1\n"
+        report = json.loads((out_dir / "brute_report.json").read_text())["report"]
+        assert report["instance_id"] == "mm"
 
     @pytest.mark.parametrize("objective", ["max", "avg"])
     def test_brute_two_to_one_other_objective_holds(self, tmp_path, capsys, objective):
@@ -561,6 +615,61 @@ class TestPipeline:
             f" the largest entry magnitude is {pairs.max():.3g}\n"
         )
 
+    def test_train_with_a_missing_corpus_exits_2(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        out = tmp_path / "run"
+        run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2"],
+            capsys,
+        )
+        path = out / io.corpus_filename(("L1", "L2"))
+        path.unlink()
+        code, stdout, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("missing file:") and str(path) in err
+        assert not (out / "encoders.json").exists()
+
+    def test_train_on_singular_normal_equations_exits_2_naming_file_and_edge(
+        self, tmp_path, capsys
+    ):
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 50),)), graph_path)
+        path = tmp_path / io.corpus_filename(("L0", "L1"))
+        # A duplicated source coordinate at scale 1e3, as in the trainer tests.
+        rng = np.random.default_rng(0)
+        x = rng.integers(-5, 6, (50, 3)) * 1e3
+        x[:, 1] = x[:, 0]
+        pairs = np.stack([x, rng.standard_normal((50, 3))], axis=1)
+        io.save_corpus(AlignedCorpus(("L0", "L1"), pairs, {}), path)
+        code, stdout, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
+             "--out", str(tmp_path / "run")],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: {path}: edge L0->L1: normal equations singular even with ridge\n"
+        )
+
+    def test_eval_with_a_language_missing_from_the_codecs_exits_2(self, tmp_path, capsys):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        codecs_path = out / "codecs.json"
+        payload = json.loads(codecs_path.read_text())
+        del payload["codecs"]["L2"]
+        codecs_path.write_text(json.dumps(payload))
+        code, stdout, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {codecs_path}: no codec for graph language 'L2'\n"
+        assert not (out / "pair_eval.csv").exists()
+
     def test_train_rejects_corpus_for_another_edge(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
         self._write_graph(graph_path)
@@ -884,6 +993,20 @@ class TestSweepCommand:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["degenerate"] is False
         assert (out / "sweep.csv").exists()
+
+    def test_noiseless_sweep_is_degenerate(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code, out_text, _ = run_cli(
+            [
+                "sweep", "--n-list", "16,32", "--trials", "5",
+                "--sigma", "0", "--nuisance-dim", "0", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out_text == "sweep degenerate=true (all gaps below 1e-10); slope undefined\n"
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["degenerate"] is True and summary["slope"] is None
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

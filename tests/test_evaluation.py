@@ -328,13 +328,50 @@ class TestVerifyChainBound:
         assert all(r.measured_loss >= 0.0 for r in records)
         assert all(loss >= 0.0 for r in records for loss in r.edge_losses)
 
-    def test_record_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            PairEvalRecord(
-                src="A", dst="B", path=("A", "B"), path_len=1,
-                measured_loss=0.0, edge_losses=(0.1,),
-                rho_hat=2.0, bound=0.123, holds=True,  # not 2 * 4 * 0.1
-            )
+    def test_record_derives_endpoints_bound_and_verdict(self):
+        path = ("A", "C", "B")
+        below = PairEvalRecord(path, measured_loss=2.4, edge_losses=(0.1, 0.2), rho_hat=2.0)
+        assert (below.src, below.dst, below.path_len) == ("A", "B", 2)
+        assert below.bound == path_bound({("A", "C"): 0.1, ("B", "C"): 0.2}, 2.0, path)
+        assert below.holds is True
+        above = PairEvalRecord(path, measured_loss=2.5, edge_losses=(0.1, 0.2), rho_hat=2.0)
+        assert above.holds is False
+
+    @pytest.mark.parametrize("n_langs", [3, 6])
+    def test_one_svd_and_one_inverse_per_call(self, monkeypatch, n_langs):
+        graph, codecs, corpora, sampler = chain_setup(n_langs=n_langs, seed=n_langs)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        calls = {"svd": 0, "inv": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                patch.setattr(np.linalg, name, counted)
+            records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
+        assert len(records) == n_langs * (n_langs - 1) // 2
+        assert calls == {"svd": 1, "inv": 1}
+
+    def test_rho_hat_is_the_per_encoder_formula_bit_for_bit(self):
+        graph, codecs, corpora, sampler = chain_setup(
+            n_langs=7, sigma=0.05, nuisance=2, n=80, seed=6,
+            extra_edges=(("L0", "L3"), ("L2", "L6")),
+        )
+        spec = spec_of(sampler)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        rng = np.random.default_rng(1)
+        dim = estimate.encoder("L0").dim
+        gauge = AffineMap(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+        for est in (estimate, estimate.with_gauge(gauge)):
+            for record in verify_chain_bound(est, graph, codecs, spec):
+                want = max(
+                    1.0 / est.encoder(record.dst).smallest_gain(),
+                    max(est.encoder(node).operator_norm() for node in record.path),
+                )
+                assert record.rho_hat.hex() == want.hex()
+                assert type(record.rho_hat) is float
+                assert type(record.holds) is bool
 
 
 class TestStackedLosses:

@@ -636,9 +636,7 @@ class TestCsvEmission:
         from translab.evaluation import PairEvalRecord, SweepRow
 
         record = PairEvalRecord(
-            src="A", dst="B", path=("A", "B"), path_len=1,
-            measured_loss=0.5, edge_losses=(0.5,),
-            rho_hat=1.0, bound=1.0, holds=True,
+            path=("A", "B"), measured_loss=0.5, edge_losses=(0.5,), rho_hat=1.0
         )
         pair_path = tmp_path / "pair.csv"
         io.write_pair_eval_csv([record], pair_path)

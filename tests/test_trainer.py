@@ -214,6 +214,40 @@ class TestFitEdge:
             loss = float(np.mean(np.sum(residual**2, axis=1)))
             assert loss >= result.empirical_loss - 1e-15
 
+    @pytest.mark.parametrize("fill", [0.0, 2.5], ids=["zero", "constant"])
+    def test_ridge_fits_a_degenerate_source_coordinate(self, monkeypatch, fill):
+        rng = np.random.default_rng(0)
+        n, d = 50, 3
+        x = rng.standard_normal((n, d))
+        x[:, 1] = fill
+        y = rng.standard_normal((n, d))
+        conds, cond = [], np.linalg.cond
+
+        def recorded_cond(a):
+            conds.append(cond(a))
+            return conds[-1]
+
+        monkeypatch.setattr(np.linalg, "cond", recorded_cond)
+        result = fit_edge(AlignedCorpus(("A", "B"), np.stack([x, y], axis=1), {}))
+        assert conds[-1] > trainer.COND_LIMIT  # the ridge branch was taken
+        assert np.all(np.isfinite(result.transform.linear))
+        assert np.all(np.isfinite(result.transform.offset))
+        # the same fit without that coordinate
+        kept = np.column_stack([x[:, [0, 2]], np.ones(n)])
+        theta = np.linalg.lstsq(kept, y, rcond=None)[0]
+        reference = float(np.mean(np.sum((kept @ theta - y) ** 2, axis=1)))
+        assert abs(result.empirical_loss - reference) <= 1e-9
+
+    def test_duplicated_coordinate_swamping_the_ridge_is_a_conditioning_error(self):
+        # Integer sentences at scale 1e3: the Gram rows of the two copies are
+        # exactly equal, and the ridge is below the rounding of their entries.
+        rng = np.random.default_rng(0)
+        x = rng.integers(-5, 6, (50, 3)) * 1e3
+        x[:, 1] = x[:, 0]
+        pairs = np.stack([x, rng.standard_normal((50, 3))], axis=1)
+        with pytest.raises(ConditioningError, match="singular even with ridge"):
+            fit_edge(AlignedCorpus(("A", "B"), pairs, {}))
+
 
 class TestAnchorSpanningTree:
     def test_two_languages_anchor_is_identity(self):
