@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -14,26 +16,55 @@ SINGULAR_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
-    """x -> linear @ x + offset, applied row-wise to (m, d) point arrays."""
+    """x -> linear @ x + offset, applied row-wise to (m, d) point arrays.
+
+    A stack of maps has a linear part (..., d, d) and offsets (..., d).
+    ``compose``, ``inverse`` and the singular values (computed once per
+    object, kept by indexing) work per map with one map's arithmetic, and a
+    single map broadcasts against a stack. ``stack`` and indexing move maps
+    in and out (``m[None]`` is a stack of one); indexing keeps the memory
+    layout, by which BLAS rounding differs.
+    """
 
     linear: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
         linear = np.array(self.linear, dtype=np.float64)
-        offset = np.array(self.offset, dtype=np.float64).reshape(-1)
-        if linear.ndim != 2 or linear.shape[0] != linear.shape[1]:
+        offset = np.array(self.offset, dtype=np.float64)
+        if linear.ndim < 2 or linear.shape[-2] != linear.shape[-1]:
             raise ValueError(f"linear part must be square, got {linear.shape}")
-        if offset.shape[0] != linear.shape[0]:
+        if offset.shape != linear.shape[:-1]:
             raise ValueError("offset dimension does not match the linear part")
         linear.setflags(write=False)
         offset.setflags(write=False)
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "offset", offset)
 
+    @classmethod
+    def _of(cls, linear: np.ndarray, offset: np.ndarray) -> "AffineMap":
+        """A map on arrays computed here, taken as they are: no copy, no checks."""
+        linear.setflags(write=False)
+        offset.setflags(write=False)
+        new = object.__new__(cls)
+        new.__dict__.update(linear=linear, offset=offset)
+        return new
+
+    @classmethod
+    def stack(cls, maps: Sequence["AffineMap"]) -> "AffineMap":
+        """The maps as one stack, in order, with C-ordered linear parts."""
+        return cls._of(np.array([m.linear for m in maps]), np.array([m.offset for m in maps]))
+
+    def __getitem__(self, index) -> "AffineMap":
+        """The maps at ``index`` on the stack axes."""
+        new = AffineMap._of(self.linear[index], self.offset[index])
+        if "singular_values" in self.__dict__:
+            new.__dict__["singular_values"] = self.singular_values[index]
+        return new
+
     @property
     def dim(self) -> int:
-        return self.linear.shape[0]
+        return self.linear.shape[-1]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -41,22 +72,31 @@ class AffineMap:
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner: (self ∘ inner)(x) = self(inner(x))."""
-        return AffineMap(
+        return AffineMap._of(
             self.linear @ inner.linear,
-            self.linear @ inner.offset + self.offset,
+            (self.linear @ inner.offset[..., None])[..., 0] + self.offset,
         )
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of each linear part, largest first: shape (..., d)."""
+        values = np.linalg.svd(self.linear, compute_uv=False)
+        values.setflags(write=False)
+        return values
+
+    @property
+    def nonsingular(self) -> np.ndarray:
+        """Whether each linear part's smallest singular value reaches ``SINGULAR_TOL``."""
+        return self.singular_values[..., -1] >= SINGULAR_TOL
+
     def inverse(self) -> "AffineMap":
-        if self.smallest_gain() < SINGULAR_TOL:
+        if not self.nonsingular.all():
             raise ConditioningError("linear part is numerically singular")
         inv = np.linalg.inv(self.linear)
-        return AffineMap(inv, -inv @ self.offset)
-
-    def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.linear, 2))
+        return AffineMap._of(inv, (-inv @ self.offset[..., None])[..., 0])
 
     def smallest_gain(self) -> float:
-        return float(np.linalg.svd(self.linear, compute_uv=False)[-1])
+        return float(self.singular_values[-1])
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
@@ -72,17 +112,3 @@ class AffineMap:
 
     def to_dict(self) -> dict:
         return {"W": self.linear.tolist(), "b": self.offset.tolist()}
-
-
-def compose_stacked(
-    outer: tuple[np.ndarray, np.ndarray], inner: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``AffineMap.compose`` on stacks of maps, with the same arithmetic per map.
-
-    Each side is a (linear, offset) pair of shapes (..., d, d) and (..., d);
-    a single map broadcasts against a stack.
-    """
-    outer_linear, outer_offset = outer
-    inner_linear, inner_offset = inner
-    offset = (outer_linear @ inner_offset[..., None])[..., 0] + outer_offset
-    return outer_linear @ inner_linear, offset

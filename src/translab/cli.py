@@ -281,6 +281,11 @@ def _run_train(config) -> int:
                 f"{path}: corpus is for edge {corpus.edge}, but the graph edge"
                 f" {edge} loads from this file"
             )
+        if results and corpus.dim != results[0].transform.dim:
+            raise SchemaError(
+                f"{path}: corpus has dimension {corpus.dim}, but the first corpus"
+                f" has dimension {results[0].transform.dim}"
+            )
         try:
             results.append(fit_edge(corpus))
         except TranslabError as exc:

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .affine import AffineMap, compose_stacked
+from .affine import AffineMap
 from .errors import DomainError
 from .generative import (
     NOISE_VARIANCE,
@@ -37,28 +37,26 @@ from .trainer import EncoderEstimate, fit_edge
 PAIR_BLOCK = 64
 
 
-class _CodecStack(NamedTuple):
-    """Decoder parameters of codecs, stacked on a first axis for ``_affine_losses``."""
+@dataclass(frozen=True)
+class _CodecStack:
+    """Codecs' decoders as one ``AffineMap`` stack, for ``_affine_losses``; indexed like it."""
 
-    W: np.ndarray  # (s, D, D)
-    b: np.ndarray  # (s, D)
+    decoders: AffineMap  # s maps on R^D
     noise: np.ndarray  # (s,): sigma**2 * NOISE_VARIANCE
 
     @classmethod
     def of(cls, codecs: Sequence[RandomizedCodec]) -> "_CodecStack":
         return cls(
-            np.array([c.W for c in codecs]),
-            np.array([c.b for c in codecs]),
+            AffineMap.stack([c.decoder for c in codecs]),
             np.array([c.sigma**2 * NOISE_VARIANCE for c in codecs]),
         )
 
-    def take(self, index: np.ndarray) -> "_CodecStack":
-        return _CodecStack(self.W[index], self.b[index], self.noise[index])
+    def __getitem__(self, index) -> "_CodecStack":
+        return _CodecStack(self.decoders[index], self.noise[index])
 
 
 def _affine_losses(
-    linear: np.ndarray,
-    offset: np.ndarray,
+    maps: AffineMap,
     src: _CodecStack,
     dst: _CodecStack,
     d: int,
@@ -67,25 +65,25 @@ def _affine_losses(
 ) -> list[float]:
     """E||T_j(x) - y||^2 for each map T_j(x) = A_j x + c_j of a stack.
 
-    ``linear`` is (s, D, D) and ``offset`` (s, D); x is decoded by codec j of
-    ``src`` and y by codec j of ``dst`` from one latent (a codec stack of one
-    broadcasts). With M = A W_a and ``d`` latent coordinates, the gap is
-    (A b_a + c - b_b) + (M[:, :d] - W_b[:, :d]) z + sigma_a M[:, d:] r, minus
-    sigma_b W_b[:, d:] r' when the target carries its own noise r'. The terms
-    are uncorrelated, so the loss is a sum of squared norms and never
-    negative. Each map goes through the same arithmetic as in a stack of one,
-    provided its linear part keeps its memory layout: BLAS rounds a
-    Fortran-ordered product differently.
+    x is decoded by codec j of ``src`` and y by codec j of ``dst`` from one
+    latent (a codec stack of one broadcasts). With M = A W_a and ``d`` latent
+    coordinates, the gap is (A b_a + c - b_b) + (M[:, :d] - W_b[:, :d]) z +
+    sigma_a M[:, d:] r, minus sigma_b W_b[:, d:] r' when the target carries
+    its own noise r'. The terms are uncorrelated, so the loss is a sum of
+    squared norms and never negative. Each map goes through the same
+    arithmetic as in a stack of one, provided its linear part keeps its
+    memory layout (see ``AffineMap``).
     """
-    M, shift = compose_stacked((linear, offset), (src.W, src.b))
-    shift -= dst.b
+    composite = maps.compose(src.decoders)
+    M, target = composite.linear, dst.decoders.linear
+    shift = composite.offset - dst.decoders.offset
     # ndarray.sum, not np.sum: the same reduction without the per-call dispatch.
     loss = (shift**2).sum(axis=1) + latent_second_moment(d, radius) * (
-        (M[:, :, :d] - dst.W[:, :, :d]) ** 2
+        (M[:, :, :d] - target[:, :, :d]) ** 2
     ).sum(axis=(1, 2))
     loss += src.noise * (M[:, :, d:] ** 2).sum(axis=(1, 2))
     if target_noise:
-        loss += dst.noise * (dst.W[:, :, d:] ** 2).sum(axis=(1, 2))
+        loss += dst.noise * (target[:, :, d:] ** 2).sum(axis=(1, 2))
     return loss.tolist()
 
 
@@ -111,10 +109,8 @@ def population_loss(
 ) -> float:
     """Exact squared gap between the learned and ground-truth composites."""
     src, dst = (_CodecStack.of([_codec(codecs, lang, spec)]) for lang in pair)
-    composite = estimate.composite(*pair)
     return _affine_losses(
-        composite.linear[None], composite.offset[None], src, dst, spec.dim, spec.radius,
-        target_noise=False,
+        estimate.composite(*pair)[None], src, dst, spec.dim, spec.radius, target_noise=False
     )[0]
 
 
@@ -144,30 +140,6 @@ def shortest_path_and_diameter(
 def _chain_bound(rho_hat: float, edge_losses: Sequence[float]) -> float:
     """The chained path bound: 2 * rho_hat^2 * (sum of the path's edge losses)."""
     return 2.0 * rho_hat**2 * sum(edge_losses)
-
-
-def path_bound(
-    edge_losses: Mapping[tuple[str, str], float],
-    rho_hat: float,
-    path: Sequence[str],
-) -> float:
-    """Chained bound along a path: 2 * rho_hat^2 * (sum of edge losses).
-
-    Edge losses are looked up under the directed key first, then the reverse.
-    """
-    if rho_hat < 0:
-        raise ValueError("rho_hat must be nonnegative")
-    if len(path) < 2:
-        raise ValueError("path needs at least two nodes")
-    losses = []
-    for a, b in zip(path, path[1:]):
-        if (a, b) in edge_losses:
-            losses.append(edge_losses[(a, b)])
-        elif (b, a) in edge_losses:
-            losses.append(edge_losses[(b, a)])
-        else:
-            raise DomainError(f"no edge loss for path step ({a!r}, {b!r})")
-    return _chain_bound(rho_hat, losses)
 
 
 @dataclass(frozen=True)
@@ -218,23 +190,20 @@ def verify_chain_bound(
     direction the path traverses them. rho_hat is the largest operator norm
     among the maps the chaining composes: the inverted destination encoder and
     the encoders of the path's nodes. The encoders of the path languages are
-    stacked once: one SVD gives every norm and smallest gain, and one inverse
-    every inverted encoder (the estimate rejected singular encoders when it
-    was built). Every directed path edge and every pair is scored once,
-    through ``_affine_losses`` in stacks of at most ``PAIR_BLOCK`` composites,
-    with the arithmetic of one composite at a time.
+    stacked once, as one ``AffineMap``: its one SVD gives every norm and
+    smallest gain, and one inverse every inverted encoder. Every directed
+    path edge and every pair is scored once, through ``_affine_losses`` in
+    stacks of at most ``PAIR_BLOCK`` composites, with the arithmetic of one
+    composite at a time.
     """
     paths, _diam = shortest_path_and_diameter(graph)
     langs = sorted({lang for path in paths.values() for lang in path})
-    encoders = [estimate.encoder(lang) for lang in langs]
     stack = _CodecStack.of([_codec(codecs, lang, spec) for lang in langs])
+    encoders = AffineMap.stack([estimate.encoder(lang) for lang in langs])
+    inverses = encoders.inverse()
+    norms = encoders.singular_values[:, 0].tolist()
+    gains = encoders.singular_values[:, -1].tolist()
     position = {lang: i for i, lang in enumerate(langs)}
-    linear = np.array([enc.linear for enc in encoders])
-    offset = np.array([enc.offset for enc in encoders])
-    singular = np.linalg.svd(linear, compute_uv=False)
-    norms, gains = singular[:, 0].tolist(), singular[:, -1].tolist()
-    inv_linear = np.linalg.inv(linear)
-    inv_offset = (-inv_linear @ offset[..., None])[..., 0]
 
     scored = list(dict.fromkeys(
         [step for path in paths.values() for step in zip(path, path[1:])] + sorted(paths)
@@ -244,12 +213,9 @@ def verify_chain_bound(
         block = scored[start : start + PAIR_BLOCK]
         src = np.array([position[a] for a, _b in block])
         dst = np.array([position[b] for _a, b in block])
-        composite = compose_stacked(
-            (inv_linear[dst], inv_offset[dst]), (linear[src], offset[src])
-        )
         losses.update(zip(block, _affine_losses(
-            *composite, stack.take(src), stack.take(dst), spec.dim, spec.radius,
-            target_noise=False,
+            inverses[dst].compose(encoders[src]), stack[src], stack[dst], spec.dim,
+            spec.radius, target_noise=False,
         )))
 
     return [
@@ -362,10 +328,9 @@ def sample_complexity_sweep(
                 edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial)
             )
             fitted = fit_edge(train)
-            transform = fitted.transform
             pop = _affine_losses(
-                transform.linear[None], transform.offset[None], src, dst,
-                codecs[edge[0]].latent_dim, sampler.radius, target_noise=True,
+                fitted.transform[None], src, dst, codecs[edge[0]].latent_dim,
+                sampler.radius, target_noise=True,
             )[0]
             gap = abs(pop - fitted.empirical_loss)
             rows.append(SweepRow(int(n), trial, fitted.empirical_loss, pop, gap))

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .affine import SINGULAR_TOL
+from .affine import AffineMap
 from .errors import DomainError, GraphError, SchemaError
 from .seeding import derive_seed
 
@@ -155,35 +155,33 @@ class RandomizedCodec:
     encode drops the nuisance coordinates after inverting, so it recovers the
     latent exactly for every noise seed. With the defaults (no nuisance
     coordinates, zero noise scale) decode is W z + b and encode its exact
-    inverse.
+    inverse. The map is ``decoder``, which also checks it; ``W`` and ``b``
+    read its linear part and offset.
     """
 
-    W: np.ndarray
-    b: np.ndarray
+    decoder: AffineMap
     nuisance_dim: int = 0
     sigma: float = 0.0
 
     def __post_init__(self):
-        W = np.array(self.W, dtype=np.float64)
-        b = np.array(self.b, dtype=np.float64).reshape(-1)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"W must be square, got {W.shape}")
-        if b.shape[0] != W.shape[0]:
-            raise ValueError("b dimension does not match W")
-        if not 0 <= self.nuisance_dim < W.shape[0]:
+        if not 0 <= self.nuisance_dim < self.decoder.dim:
             raise ValueError("nuisance_dim must be in [0, total dim)")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if np.linalg.svd(W, compute_uv=False)[-1] < SINGULAR_TOL:
+        if not self.decoder.nonsingular:
             raise ValueError("codec matrix is numerically singular")
-        W.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.decoder.linear
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.decoder.offset
 
     @property
     def latent_dim(self) -> int:
-        return self.W.shape[0] - self.nuisance_dim
+        return self.decoder.dim - self.nuisance_dim
 
     def draw_decoder_seeds(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return _truncated_normal(rng, (m, self.nuisance_dim))
@@ -202,7 +200,7 @@ class RandomizedCodec:
         return np.add(stacked @ self.W.T, self.b, out=out)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        full = (np.asarray(x, dtype=np.float64) - self.b) @ np.linalg.inv(self.W).T
+        full = (np.asarray(x, dtype=np.float64) - self.b) @ self.decoder.inverse().linear.T
         return full[:, : self.latent_dim]
 
     def digest(self) -> str:
@@ -261,7 +259,7 @@ def sample_randomized_codecs(
     for _ in range(count):
         W = _band_matrix(rng, total, spec.rho)
         b = _ball_point(rng, total, spec.offset_bound)
-        codecs.append(RandomizedCodec(W, b, nuisance_dim, sigma))
+        codecs.append(RandomizedCodec(AffineMap(W, b), nuisance_dim, sigma))
     return codecs
 
 

@@ -198,6 +198,8 @@ def _build_instance(payload):
         raise SchemaError(f"instance document missing key {exc}") from exc
     if not isinstance(languages, list) or not all(isinstance(l, str) for l in languages):
         raise SchemaError("'languages' must be a list of language ids")
+    if len(languages) < 2:
+        raise SchemaError(f"'languages' must name at least two languages, got {languages}")
     if not isinstance(raw_sentences, dict) or not all(
         isinstance(entries, list) for entries in raw_sentences.values()
     ):
@@ -371,7 +373,7 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
         W = _array_field(path, f"codec {lang!r}", entry, "W", 2)
         b = _array_field(path, f"codec {lang!r}", entry, "b", 1)
         try:
-            codec = RandomizedCodec(W, b, nuisance, sigma)
+            codec = RandomizedCodec(AffineMap(W, b), nuisance, sigma)
         except ValueError as exc:
             raise SchemaError(f"{path}: malformed codec {lang!r}: {exc}") from exc
         if codec.latent_dim != spec.dim:

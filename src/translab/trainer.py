@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .affine import SINGULAR_TOL, AffineMap, compose_stacked
+from .affine import AffineMap
 from .errors import (
     ConditioningError,
     DomainError,
@@ -116,8 +116,9 @@ class EncoderEstimate:
                 and np.array_equal(pinned.offset, np.zeros(pinned.dim))
             ):
                 raise ValueError("anchor encoder must be exactly the identity")
-        for lang, enc in encoders.items():
-            if enc.smallest_gain() < SINGULAR_TOL:
+        stack = AffineMap.stack(list(encoders.values()))
+        for lang, nonsingular in zip(encoders, stack.nonsingular):
+            if not nonsingular:
                 raise ConditioningError(f"encoder for {lang!r} is numerically singular")
         object.__setattr__(self, "encoders", encoders)
 
@@ -210,18 +211,18 @@ def _mean_squared_residual(transform: AffineMap, corpus: AlignedCorpus) -> float
     return float(np.mean(np.sum(residual, axis=1)))
 
 
-def _factor_losses(linear: np.ndarray, offset: np.ndarray, factor: EdgeFactor) -> list[float]:
+def _factor_losses(maps: AffineMap, factor: EdgeFactor) -> list[float]:
     """``_mean_squared_residual`` of each map of a stack, from the factor.
 
-    ``linear`` is (s, d, d) and ``offset`` (s, d). Map j scores
+    ``maps`` is a stack of s maps. Map j = (A_j, c_j) scores
     ||R [A_j^T; -I; c_j^T]||_F^2 / n, a sum of squares, so never negative,
     unlike the Gram form of the same loss. Each map goes through the same
     arithmetic as in a stack of one.
     """
     r, d = factor.r, factor.dim
-    residual = r[:, :d] @ linear.transpose(0, 2, 1)
+    residual = r[:, :d] @ maps.linear.transpose(0, 2, 1)
     residual -= r[:, d : 2 * d]
-    residual += r[:, 2 * d :] * offset[:, None, :]
+    residual += r[:, 2 * d :] * maps.offset[:, None, :]
     return [float(np.vdot(res, res)) / factor.n for res in residual]
 
 
@@ -326,34 +327,33 @@ def _line_search(
     start = 0
     for size in RUNG_CHUNKS:
         steps = np.ldexp(1.0, -np.arange(start, start + size))
-        linear = old.linear + steps[:, None, None] * linear_step
-        offset = old.offset + steps[:, None] * offset_step
-        regular = np.flatnonzero(
-            np.linalg.svd(linear, compute_uv=False)[:, -1] >= SINGULAR_TOL
+        blends = AffineMap(
+            old.linear + steps[:, None, None] * linear_step,
+            old.offset + steps[:, None] * offset_step,
         )
+        regular = np.flatnonzero(blends.nonsingular)
         if regular.size:
-            linear, offset = linear[regular], offset[regular]
-            inv_linear = np.linalg.inv(linear)
-            inv_offset = (-inv_linear @ offset[..., None])[..., 0]
+            if regular.size < size:
+                blends = blends[regular]
+            blend_inverses = blends.inverse()
             edge_losses = []
             for i in incident:
                 a, b = factors[i].edge
-                enc, inv = encoders[a], inverses[b]
-                composite = compose_stacked(
-                    (inv_linear, inv_offset) if b == lang else (inv.linear, inv.offset),
-                    (linear, offset) if a == lang else (enc.linear, enc.offset),
+                composite = (blend_inverses if b == lang else inverses[b]).compose(
+                    blends if a == lang else encoders[a]
                 )
-                edge_losses.append(_factor_losses(*composite, factors[i]))
+                edge_losses.append(_factor_losses(composite, factors[i]))
             for j, rung_losses in enumerate(zip(*edge_losses)):
                 trial = list(losses)
                 for i, loss in zip(incident, rung_losses):
                     trial[i] = loss
                 trial_total = float(sum(trial))
                 if trial_total <= total + 1e-12:
+                    # Copies, not views: an accepted encoder does not hold its chunk.
                     return (
                         start + int(regular[j]),
-                        AffineMap(linear[j], offset[j]),
-                        AffineMap(inv_linear[j], inv_offset[j]),
+                        AffineMap(blends.linear[j], blends.offset[j]),
+                        AffineMap(blend_inverses.linear[j], blend_inverses.offset[j]),
                         trial,
                         trial_total,
                     )
@@ -398,7 +398,7 @@ def joint_refine(
     losses = []
     for f in factors:
         composite = inverses[f.edge[1]].compose(encoders[f.edge[0]])
-        losses += _factor_losses(composite.linear[None], composite.offset[None], f)
+        losses += _factor_losses(composite[None], f)
     total = float(sum(losses))
     for _ in range(sweeps):
         sweep_start = total

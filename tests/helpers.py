@@ -207,6 +207,11 @@ WORST_CASE_DEFECTS = {
     "document_is_a_list": (lambda p: [p], "JSON object"),
     "languages_is_a_number": (lambda p: _set(p, ("languages",), 3), "'languages'"),
     "weight_count": (lambda p: _set(p, ("marginals", "L0"), [1.0]), "1 weights"),
+    "one_language": (
+        lambda p: {"languages": ["L0"], "sentences": {"L0": ["a"]}, "marginals": {},
+                   "translators": {}},
+        "at least two languages",
+    ),
 }
 
 LEAF_REPLACEMENTS = (math.nan, math.inf, -1, "x", [], {}, None)

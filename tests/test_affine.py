@@ -1,0 +1,118 @@
+"""Tests for ``AffineMap`` as one map and as a stack of maps."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from translab.affine import SINGULAR_TOL, AffineMap
+from translab.errors import ConditioningError
+
+
+def random_map(rng, dim, scale, order):
+    linear = np.array(scale * rng.standard_normal((dim, dim)), order=order)
+    return AffineMap(linear, scale * rng.standard_normal(dim))
+
+
+def layout_stack(maps, order):
+    """The maps as one stack whose linear parts keep ``order``'s memory layout."""
+    if order == "C":
+        return AffineMap.stack(maps)
+    transposed = np.array([m.linear.T for m in maps])
+    return AffineMap(transposed.transpose(0, 2, 1), np.array([m.offset for m in maps]))
+
+
+def assert_same_map(got, want):
+    assert np.array_equal(got.linear, want.linear)
+    assert np.array_equal(got.offset, want.offset)
+
+
+class TestStackedMaps:
+    """Each map of a stack gets the single map's results bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 11),
+        dim=st.integers(1, 8),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        order=st.sampled_from(["C", "F"]),
+    )
+    def test_stack_matches_one_map_at_a_time(self, seed, count, dim, scale, order):
+        rng = np.random.default_rng(seed)
+        maps = [random_map(rng, dim, scale, order) for _ in range(count)]
+        inners = [random_map(rng, dim, scale, order) for _ in range(count)]
+        other = random_map(rng, dim, scale, order)
+        stack, inner_stack = layout_stack(maps, order), layout_stack(inners, order)
+        outer_composites = stack.compose(other)
+        inner_composites = other.compose(stack)
+        pairwise = stack.compose(inner_stack)
+        regular = all(m.smallest_gain() >= SINGULAR_TOL for m in maps)
+        inverses = stack.inverse() if regular else None
+        for i, single in enumerate(maps):
+            assert stack[i].linear.flags.f_contiguous == (order == "F" or dim == 1)
+            assert_same_map(stack[i], single)
+            assert np.array_equal(stack.singular_values[i], single.singular_values)
+            assert np.array_equal(stack[i].singular_values, single.singular_values)
+            assert_same_map(outer_composites[i], single.compose(other))
+            assert_same_map(inner_composites[i], other.compose(single))
+            assert_same_map(pairwise[i], single.compose(inners[i]))
+            if regular:
+                assert_same_map(inverses[i], single.inverse())
+        if not regular:
+            with pytest.raises(ConditioningError):
+                stack.inverse()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stack_of_one_keeps_the_layout(self, order):
+        single = random_map(np.random.default_rng(4), 5, 1.0, order)
+        one = single[None]
+        assert one.linear.shape == (1, 5, 5) and one.offset.shape == (1, 5)
+        back = one[0]
+        for m in (single, back):
+            assert m.linear.flags.f_contiguous == (order == "F")
+            assert m.linear.flags.c_contiguous == (order == "C")
+        assert np.shares_memory(back.linear, single.linear)
+        assert_same_map(back, single)
+        assert_same_map(one.inverse()[0], single.inverse())
+
+    def test_indexing_reuses_the_singular_values(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        linear = rng.standard_normal((6, 3, 3))
+        linear[2] = 0.0
+        stack = AffineMap(linear, rng.standard_normal((6, 3)))
+        calls = {"svd": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        regular = np.flatnonzero(stack.nonsingular)
+        assert regular.tolist() == [0, 1, 3, 4, 5]
+        inverses = stack[regular].inverse()
+        assert stack[regular][1].smallest_gain() == stack.singular_values[1, -1]
+        assert calls == {"svd": 1, "inv": 1}
+        assert inverses.linear.shape == (5, 3, 3)
+        with pytest.raises(ConditioningError):
+            stack.inverse()
+
+    def test_maps_are_read_only(self):
+        stack = AffineMap.stack([AffineMap.identity(2), AffineMap(2 * np.eye(2), np.ones(2))])
+        for m in (stack, stack[0], stack[None], stack.inverse(), stack.compose(stack)):
+            assert not m.linear.flags.writeable and not m.offset.flags.writeable
+            assert not m.singular_values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "linear, offset",
+        [
+            (np.ones((2, 3)), np.zeros(2)),
+            (np.ones(3), np.zeros(3)),
+            (np.eye(2), np.zeros(3)),
+            (np.ones((4, 2, 2)), np.zeros((4, 3))),
+            (np.ones((4, 2, 2)), np.zeros(2)),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, linear, offset):
+        with pytest.raises(ValueError):
+            AffineMap(linear, offset)

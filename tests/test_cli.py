@@ -689,6 +689,31 @@ class TestPipeline:
         assert str(copied) in err
         assert "('L0', 'L1')" in err and "('L1', 'L2')" in err
 
+    @pytest.mark.parametrize("sweeps", ["0", "2"])
+    def test_train_on_corpora_of_different_dimensions_exits_2(self, tmp_path, capsys, sweeps):
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        out, other = tmp_path / "run", tmp_path / "run3"
+        for run, dim in ((out, "2"), (other, "3")):
+            code, _, _ = run_cli(
+                ["generate", "--graph", str(graph_path), "--out", str(run), "--dim", dim],
+                capsys,
+            )
+            assert code == 0
+        mixed = out / io.corpus_filename(("L1", "L2"))
+        mixed.write_bytes((other / io.corpus_filename(("L1", "L2"))).read_bytes())
+        code, stdout, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out), "--sweeps", sweeps],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: {mixed}: corpus has dimension 3, but the first corpus has dimension 2\n"
+        )
+        assert not (out / "encoders.json").exists()
+
     @pytest.mark.parametrize(
         "defect, field",
         [("nan", "pairs"), ("shape", "pairs"), ("meta", "meta"), ("not_npz", None)],

@@ -21,7 +21,6 @@ from translab.evaluation import (
     _CodecStack,
     _affine_losses,
     concentration_bound,
-    path_bound,
     population_loss,
     required_sample_size,
     sample_complexity_sweep,
@@ -61,8 +60,8 @@ class TestPopulationLoss:
         # uniform on [-1, 1], so the loss is delta^2 * E[x^2] = delta^2 / 3
         delta = 0.3
         codecs = {
-            "A": RandomizedCodec(np.eye(1), np.zeros(1)),
-            "B": RandomizedCodec(np.array([[2.0]]), np.zeros(1)),
+            "A": RandomizedCodec(AffineMap(np.eye(1), np.zeros(1))),
+            "B": RandomizedCodec(AffineMap(np.array([[2.0]]), np.zeros(1))),
         }
         estimate = EncoderEstimate(
             {
@@ -158,8 +157,8 @@ class TestMonteCarloCrossCheck:
         transform = AffineMap(linear, b.b - linear @ a.b + 0.1 * rng.standard_normal(d + k))
         if target_noise:
             exact = _affine_losses(
-                transform.linear[None], transform.offset[None], _CodecStack.of([a]),
-                _CodecStack.of([b]), d, spec.radius, True,
+                transform[None], _CodecStack.of([a]), _CodecStack.of([b]), d, spec.radius,
+                True,
             )[0]
         else:
             estimate = EncoderEstimate(
@@ -250,22 +249,21 @@ class TestShortestPaths:
 
 
 class TestPathBound:
+    """The chained bound 2 * rho_hat^2 * (sum of edge losses) of a pair record."""
+
+    @staticmethod
+    def bound(path, edge_losses, rho_hat):
+        return PairEvalRecord(tuple(path), 0.0, tuple(edge_losses), rho_hat).bound
+
     def test_single_edge(self):
-        losses = {("A", "B"): 0.02}
-        assert path_bound(losses, 1.5, ("A", "B")) == pytest.approx(2 * 1.5**2 * 0.02)
+        assert self.bound("AB", [0.02], 1.5) == pytest.approx(2 * 1.5**2 * 0.02)
 
     def test_zero_losses(self):
-        losses = {("A", "B"): 0.0, ("B", "C"): 0.0}
-        assert path_bound(losses, 3.0, ("A", "B", "C")) == 0.0
+        assert self.bound("ABC", [0.0, 0.0], 3.0) == 0.0
 
     def test_chain_sums_losses(self):
-        losses = {("A", "B"): 0.1, ("B", "C"): 0.2, ("C", "D"): 0.3, ("D", "E"): 0.4}
         expected = 2 * 2.0**2 * (0.1 + 0.2 + 0.3 + 0.4)
-        assert path_bound(losses, 2.0, ("A", "B", "C", "D", "E")) == pytest.approx(expected)
-
-    def test_missing_edge_loss(self):
-        with pytest.raises(DomainError):
-            path_bound({("A", "B"): 0.1}, 2.0, ("A", "B", "C"))
+        assert self.bound("ABCDE", [0.1, 0.2, 0.3, 0.4], 2.0) == pytest.approx(expected)
 
 
 class TestVerifyChainBound:
@@ -332,7 +330,7 @@ class TestVerifyChainBound:
         path = ("A", "C", "B")
         below = PairEvalRecord(path, measured_loss=2.4, edge_losses=(0.1, 0.2), rho_hat=2.0)
         assert (below.src, below.dst, below.path_len) == ("A", "B", 2)
-        assert below.bound == path_bound({("A", "C"): 0.1, ("B", "C"): 0.2}, 2.0, path)
+        assert below.bound == 2 * 2.0**2 * (0.1 + 0.2)
         assert below.holds is True
         above = PairEvalRecord(path, measured_loss=2.5, edge_losses=(0.1, 0.2), rho_hat=2.0)
         assert above.holds is False
@@ -367,7 +365,7 @@ class TestVerifyChainBound:
             for record in verify_chain_bound(est, graph, codecs, spec):
                 want = max(
                     1.0 / est.encoder(record.dst).smallest_gain(),
-                    max(est.encoder(node).operator_norm() for node in record.path),
+                    max(float(est.encoder(node).singular_values[0]) for node in record.path),
                 )
                 assert record.rho_hat.hex() == want.hex()
                 assert type(record.rho_hat) is float
@@ -389,8 +387,7 @@ class TestStackedLosses:
         linear = rng.standard_normal((len(pairs), d + k, d + k))
         offset = rng.standard_normal((len(pairs), d + k))
         got = _affine_losses(
-            linear,
-            offset,
+            AffineMap(linear, offset),
             _CodecStack.of([codecs[a] for a, _b in pairs]),
             _CodecStack.of([codecs[b] for _a, b in pairs]),
             d,

@@ -101,7 +101,7 @@ class TestGroundTruthCodecs:
         spec = FunctionClassSpec(dim=4, rho=2.0)
         c0, c1 = sample_randomized_codecs(spec, 2, 0, 0.0, seed=3)
         composite = encoder_map(c1).compose(AffineMap(c0.W, c0.b))
-        assert composite.operator_norm() <= spec.rho**2 + 1e-9
+        assert composite.singular_values[0] <= spec.rho**2 + 1e-9
 
     def test_roundtrip_inversion(self):
         spec = FunctionClassSpec(dim=5)
@@ -124,7 +124,7 @@ class TestGroundTruthCodecs:
 
     def test_rejects_singular_matrix(self):
         with pytest.raises(ValueError):
-            RandomizedCodec(np.zeros((2, 2)), np.zeros(2))
+            RandomizedCodec(AffineMap(np.zeros((2, 2)), np.zeros(2)))
 
     def test_noiseless_codecs_reproduce_ground_truth_stream(self):
         # inline reference for the deterministic model's codec stream
@@ -378,7 +378,7 @@ class TestPropositionZero:
         # same target map, but one override decodes without its noise
         codecs = self._setup(seed=3, k=2, sigma=0.3)
         target = codecs["T"]
-        quiet = RandomizedCodec(target.W, target.b, target.nuisance_dim, 0.0)
+        quiet = RandomizedCodec(target.decoder, target.nuisance_dim, 0.0)
         result = proposition_zero_check(
             codecs, ["S0", "S1"], "T", decoder_override={"S1": quiet}
         )

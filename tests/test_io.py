@@ -578,6 +578,23 @@ class TestEncoderFiles:
         assert "'L2'" in message
         assert f"'{field}'" in message or "'W' and a matching 'b'" in message
 
+    def test_load_checks_every_encoder_with_one_svd(self, tmp_path, monkeypatch):
+        graph, _codecs, corpora, _ = chain_setup(n_langs=6)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        path = tmp_path / "encoders.json"
+        io.save_encoders(estimate, path)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        again, _spec = io.load_encoders(path)
+        assert len(again.encoders) == 6
+        assert len(shapes) == 1 and shapes[0][0] == 6
+
     def test_missing_encoders_key_is_schema_error(self, tmp_path):
         path = tmp_path / "encoders.json"
         path.write_text(json.dumps({"anchor": "L0"}))

@@ -134,7 +134,7 @@ def reference_line_search(lang, old, candidate, encoders, losses, total, factors
 
 def stacked_loss(transform, factor):
     """``trainer._factor_losses`` of a stack of one map."""
-    return trainer._factor_losses(transform.linear[None], transform.offset[None], factor)[0]
+    return trainer._factor_losses(transform[None], factor)[0]
 
 
 def factors_of(corpora):
@@ -458,18 +458,24 @@ class TestJointRefine:
             trainer._factor_losses, trainer._line_search, np.linalg.svd
         )
 
-        def counting_factor_losses(linear, offset, factor):
-            events.append(("edge", factor.edge, len(linear)))
-            return factor_losses(linear, offset, factor)
+        searching = []
+
+        def counting_factor_losses(maps, factor):
+            events.append(("edge", factor.edge, len(maps.linear)))
+            return factor_losses(maps, factor)
 
         def counting_svd(a, *args, **kwargs):
-            if np.ndim(a) == 3:  # one stacked singular check per chunk of rungs
+            if searching:  # one stacked singular check per chunk of rungs
                 events.append(("chunk", None, len(a)))
             return svd(a, *args, **kwargs)
 
         def recording_line_search(lang, *args):
             events.append(("search", lang, None))
-            accepted = line_search(lang, *args)
+            searching.append(lang)
+            try:
+                accepted = line_search(lang, *args)
+            finally:
+                searching.pop()
             events.append(("rung", lang, None if accepted is None else accepted[0]))
             return accepted
 
@@ -670,7 +676,7 @@ class TestFactorLoss:
         factor = factor_corpus(AlignedCorpus(("A", "B"), pairs, {}))
         linear = rng.standard_normal((stack, dim, dim))
         offset = rng.standard_normal((stack, dim))
-        got = trainer._factor_losses(linear, offset, factor)
+        got = trainer._factor_losses(AffineMap(linear, offset), factor)
         want = [
             scalar_factor_loss(AffineMap(a, c), factor) for a, c in zip(linear, offset)
         ]
