@@ -7,6 +7,7 @@ allowance, 2 invalid input (bad flags, malformed files, failed preconditions).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -37,7 +38,13 @@ class ValidationFailure(Exception):
         self.violations = violations
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``translab`` parser, built once per process and reused by every call.
+
+    ``parse_args`` leaves the parser unchanged: each call fills a fresh
+    namespace with its own defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="translab",
         description="Bounds, brute-force verification, and generative experiments.",

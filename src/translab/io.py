@@ -368,12 +368,25 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
     spec = _spec(path, raw_spec)
     if not np.isfinite(sigma):
         raise SchemaError(f"{path}: codec field 'sigma' is not finite: {sigma}")
-    codecs = {}
+    decoders = {}
     for lang, entry in entries.items():
         W = _array_field(path, f"codec {lang!r}", entry, "W", 2)
         b = _array_field(path, f"codec {lang!r}", entry, "b", 1)
         try:
-            codec = RandomizedCodec(AffineMap(W, b), nuisance, sigma)
+            decoders[lang] = AffineMap(W, b)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: malformed codec {lang!r}: {exc}") from exc
+    if len({m.linear.shape for m in decoders.values()}) == 1:
+        # One SVD for every decoder; indexing carries each map's singular
+        # values into the codec's singularity check. Decoders of different
+        # sizes cannot stack, and the checks below reject one of them.
+        stack = AffineMap.stack(list(decoders.values()))
+        stack.singular_values
+        decoders = {lang: stack[i] for i, lang in enumerate(decoders)}
+    codecs = {}
+    for lang, decoder in decoders.items():
+        try:
+            codec = RandomizedCodec(decoder, nuisance, sigma)
         except ValueError as exc:
             raise SchemaError(f"{path}: malformed codec {lang!r}: {exc}") from exc
         if codec.latent_dim != spec.dim:

@@ -394,7 +394,8 @@ def joint_refine(
             if lang not in incident:
                 raise DomainError(f"no encoder for language {lang!r}")
             incident[lang].append(i)
-    inverses = {lang: enc.inverse() for lang, enc in encoders.items()}
+    stacked = AffineMap.stack(list(encoders.values())).inverse()
+    inverses = {lang: stacked[i] for i, lang in enumerate(encoders)}
     losses = []
     for f in factors:
         composite = inverses[f.edge[1]].compose(encoders[f.edge[0]])

@@ -1,5 +1,6 @@
 """CLI behavior: validation, subcommands, exit codes, reproducibility."""
 
+import argparse
 import itertools
 import json
 import math
@@ -162,6 +163,88 @@ class TestParseAndValidate:
         with pytest.raises(cli.ValidationFailure) as exc:
             cli.parse_and_validate(["bound", "--instance", "/nonexistent.json"])
         assert any("instance" in v for v in exc.value.violations)
+
+
+class TestParserReuse:
+    """One parser serves every ``cli.main`` call in a process and keeps no call's state."""
+
+    @staticmethod
+    def _call(argv, capsys, out=None):
+        """Exit code, stdout, stderr and the bytes of each file written under ``out``."""
+        try:
+            code = cli.main(argv if out is None else [*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out else {}
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize(
+        "first, second, setting",
+        [
+            (["brute", "--objective", "max"], ["brute"], ("objective", "sum")),
+            (["bound", "--epsilon", "0.3"], ["bound"], ("epsilon", 0.0)),
+            (["brute", "--z-size", "0"], ["brute"], ("z_size", 2)),
+            (["brute", "--z-size", "x"], ["brute"], ("z_size", 2)),
+        ],
+    )
+    def test_a_call_leaves_no_state_for_the_next(
+        self, tmp_path, capsys, first, second, setting
+    ):
+        instance = tmp_path / "worst.json"
+        io.save_instance(make_worst_case(0.6), instance)
+
+        def argv(words):
+            return [words[0], "--instance", str(instance), *words[1:]]
+
+        cli._build_parser.cache_clear()
+        fresh = self._call(argv(second), capsys, tmp_path / "fresh")
+        cli._build_parser.cache_clear()
+        before = self._call(argv(first), capsys, tmp_path / "first")
+        after = self._call(argv(second), capsys, tmp_path / "reused")
+        assert before[:2] != fresh[:2]
+        if "--z-size" in first:
+            assert before[0] == 2 and before[3] == {}
+        assert fresh[0] == 0 and fresh[3]
+        assert after == fresh
+        name, default = setting
+        assert getattr(cli.parse_and_validate(argv(second)), name) == default
+
+    @pytest.mark.parametrize(
+        "argv, code, text",
+        [
+            (["--help"], 0, "usage: translab [-h]"),
+            (["brute", "--help"], 0, "usage: translab brute [-h]"),
+            (["brute", "--z-size", "x"], 2, "argument --z-size: invalid int value: 'x'"),
+        ],
+    )
+    def test_help_and_parse_errors_repeat_exactly(self, capsys, argv, code, text):
+        cli._build_parser.cache_clear()
+        first = self._call(argv, capsys)
+        assert first[0] == code and text in first[1] + first[2]
+        assert self._call(argv, capsys) == first
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        instance = tmp_path / "worst.json"
+        io.save_instance(make_worst_case(0.6), instance)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        for argv in (
+            ["bound", "--instance", str(instance)],
+            ["brute", "--instance", str(instance), "--objective", "max"],
+            ["brute", "--instance", str(instance), "--z-size", "0"],
+            ["bound", "--instance", str(instance), "--epsilon", "0.3"],
+        ):
+            run_cli(argv, capsys)
+        # The top-level parser and one per mode, all from the first call.
+        assert len(built) == 1 + len(cli.MODES)
 
 
 class TestBoundAndBrute:
@@ -818,6 +901,21 @@ class TestPipeline:
         assert f"'{field}'" in err and (field == "sigma" or "'L1'" in err)
         assert not (out / "pair_eval.csv").exists()
 
+    def test_eval_with_a_singular_codec_exits_2(self, tmp_path, capsys):
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        codecs_path = out / "codecs.json"
+        payload = json.loads(codecs_path.read_text())
+        payload["codecs"]["L1"]["W"] = [[0.0, 0.0], [0.0, 0.0]]
+        codecs_path.write_text(json.dumps(payload))
+        code, stdout, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"error: {codecs_path}: malformed codec 'L1': codec matrix is numerically"
+            " singular\n"
+        )
+        assert not (out / "pair_eval.csv").exists()
+
     @pytest.mark.parametrize(
         "owner, field, value",
         [("spec", "d", 3.7), ("spec", "B", "1"), (None, "nuisance_dim", True),
@@ -916,14 +1014,15 @@ class TestRefinementWork:
             capsys,
         )
         assert code == 0
-        counts = {"svd": 0, "scored": 0, "searches": 0}
-        refining = []
+        counts = {"svd": 0, "scored": 0, "searches": 0, "calls_outside_searches": 0}
+        refining, searching = [], []
         svd, refine, line_search = np.linalg.svd, cli.joint_refine, trainer._line_search
         chunk_ends = list(itertools.accumulate(trainer.RUNG_CHUNKS))
 
         def counting_svd(a, *args, **kwargs):
             if refining:
                 counts["svd"] += len(a) if np.ndim(a) == 3 else 1
+                counts["calls_outside_searches"] += not searching
             return svd(a, *args, **kwargs)
 
         def flagged_refine(*args, **kwargs):
@@ -934,7 +1033,11 @@ class TestRefinementWork:
                 refining.pop()
 
         def counting_line_search(*args):
-            accepted = line_search(*args)
+            searching.append(True)
+            try:
+                accepted = line_search(*args)
+            finally:
+                searching.pop()
             visited = 60 if accepted is None else accepted[0] + 1
             scored = next(end for end in chunk_ends if end >= visited)
             assert scored <= 2 * visited - 1
@@ -955,6 +1058,8 @@ class TestRefinementWork:
         # One inverse per incumbent encoder and one check per returned encoder,
         # then one singular-value check per rung the chunked ladder scores.
         assert counts["svd"] == counts["scored"] + 2 * len(langs)
+        # Both per-encoder checks are one stacked call each.
+        assert counts["calls_outside_searches"] == 2
 
 
 class TestStreamingMemory:

@@ -225,6 +225,26 @@ class TestGraphAndCodecFiles:
         with pytest.raises(ValueError, match="share one sigma"):
             io.save_codecs({"A": noisy, "B": plain}, spec, tmp_path / "codecs.json")
 
+    def test_load_checks_every_codec_with_one_svd(self, tmp_path, monkeypatch):
+        spec = FunctionClassSpec(dim=3)
+        codecs = dict(zip("ABCDEF", sample_randomized_codecs(spec, 6, 1, 0.1, seed=0)))
+        path = tmp_path / "codecs.json"
+        io.save_codecs(codecs, spec, path)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        _spec, again = io.load_codecs(path)
+        assert shapes == [(6, 4, 4)]
+        for lang, codec in codecs.items():
+            assert np.array_equal(again[lang].W, codec.W)
+            assert np.array_equal(again[lang].b, codec.b)
+            assert again[lang].decoder.nonsingular
+
     @pytest.mark.parametrize("d, nuisance", [(4, 0), (3, 1)])
     def test_codec_latent_dimension_must_match_spec(self, tmp_path, d, nuisance):
         spec = FunctionClassSpec(dim=3)
@@ -308,6 +328,28 @@ def assert_json_typed_spec(document):
 
 
 class TestCodecDefects:
+    def test_singular_codec_names_file_and_codec(self, tmp_path):
+        payload = json.loads(json.dumps(CODEC_DOCUMENT))
+        payload["codecs"]["L1"]["W"] = [[0.0] * 3] * 3
+        path = tmp_path / "codecs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_codecs(path)
+        assert str(info.value) == (
+            f"{path}: malformed codec 'L1': codec matrix is numerically singular"
+        )
+
+    def test_codec_of_another_size_names_file_and_codec(self, tmp_path):
+        payload = json.loads(json.dumps(CODEC_DOCUMENT))
+        payload["codecs"]["L1"].update(W=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])
+        path = tmp_path / "codecs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_codecs(path)
+        assert str(info.value).startswith(
+            f"{path}: codec 'L1' has latent dimension 1 ('W' rows minus nuisance_dim)"
+        )
+
     @pytest.mark.parametrize(
         "field, value",
         [("W", math.inf), ("W", math.nan), ("b", math.inf), ("b", -math.inf)],
