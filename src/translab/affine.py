@@ -20,8 +20,8 @@ class AffineMap:
 
     A stack of maps has a linear part (..., d, d) and offsets (..., d).
     ``compose``, ``inverse`` and the singular values (computed once per
-    object, kept by indexing) work per map with one map's arithmetic, and a
-    single map broadcasts against a stack. ``stack`` and indexing move maps
+    object, kept by indexing and stacking) work per map with one map's
+    arithmetic, and a single map broadcasts against a stack. ``stack`` and indexing move maps
     in and out (``m[None]`` is a stack of one); indexing keeps the memory
     layout, by which BLAS rounding differs.
     """
@@ -52,8 +52,16 @@ class AffineMap:
 
     @classmethod
     def stack(cls, maps: Sequence["AffineMap"]) -> "AffineMap":
-        """The maps as one stack, in order, with C-ordered linear parts."""
-        return cls._of(np.array([m.linear for m in maps]), np.array([m.offset for m in maps]))
+        """The maps as one stack, in order, with C-ordered linear parts.
+
+        The stack keeps the maps' singular values when every map has them.
+        """
+        new = cls._of(np.array([m.linear for m in maps]), np.array([m.offset for m in maps]))
+        if all("singular_values" in m.__dict__ for m in maps):
+            values = np.array([m.singular_values for m in maps])
+            values.setflags(write=False)
+            new.__dict__["singular_values"] = values
+        return new
 
     def __getitem__(self, index) -> "AffineMap":
         """The maps at ``index`` on the stack axes."""

@@ -26,11 +26,11 @@ from .generative import (
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
+    generate_pairs,
     latent_second_moment,
-    randomized_generate,
 )
 from .seeding import derive_seed
-from .trainer import EncoderEstimate, fit_edge
+from .trainer import EncoderEstimate, fit_affine
 
 
 #: Most pairs whose population losses ``verify_chain_bound`` stacks at once.
@@ -190,11 +190,11 @@ def verify_chain_bound(
     direction the path traverses them. rho_hat is the largest operator norm
     among the maps the chaining composes: the inverted destination encoder and
     the encoders of the path's nodes. The encoders of the path languages are
-    stacked once, as one ``AffineMap``: its one SVD gives every norm and
-    smallest gain, and one inverse every inverted encoder. Every directed
-    path edge and every pair is scored once, through ``_affine_losses`` in
-    stacks of at most ``PAIR_BLOCK`` composites, with the arithmetic of one
-    composite at a time.
+    stacked once, as one ``AffineMap``: its singular values (those of the
+    estimate's own check) give every norm and smallest gain, and one inverse
+    every inverted encoder. Every directed path edge and every pair is scored
+    once, through ``_affine_losses`` in stacks of at most ``PAIR_BLOCK``
+    composites, with the arithmetic of one composite at a time.
     """
     paths, _diam = shortest_path_and_diameter(graph)
     langs = sorted({lang for path in paths.values() for lang in path})
@@ -309,10 +309,12 @@ def sample_complexity_sweep(
     """Fit one edge at increasing corpus sizes and track the generalization gap.
 
     For each (n, trial): fit on a fresh corpus, record the in-sample loss, the
-    exact population loss against noisy targets, and their absolute gap. The
-    log-log slope of the median gap against n is fitted by least squares. A
-    run where every gap is below 1e-10 (the noiseless realizable regime) is
-    flagged degenerate and gets no slope.
+    exact population loss against noisy targets, and their absolute gap. Each
+    size's trials are drawn from their own seeds into one stack, which is
+    fitted and scored at once, bit for bit as one trial at a time. The log-log
+    slope of the median gap against n is fitted by least squares. A run where
+    every gap is below 1e-10 (the noiseless realizable regime) is flagged
+    degenerate and gets no slope.
     """
     if len(n_list) < 2:
         raise ValueError("n_list needs at least two sizes")
@@ -323,17 +325,15 @@ def sample_complexity_sweep(
     src, dst = (_CodecStack.of([codecs[lang]]) for lang in edge)
     rows = []
     for n in n_list:
-        for trial in range(trials):
-            train = randomized_generate(
-                edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial)
-            )
-            fitted = fit_edge(train)
-            pop = _affine_losses(
-                fitted.transform[None], src, dst, codecs[edge[0]].latent_dim,
-                sampler.radius, target_noise=True,
-            )[0]
-            gap = abs(pop - fitted.empirical_loss)
-            rows.append(SweepRow(int(n), trial, fitted.empirical_loss, pop, gap))
+        seeds = [derive_seed(seed, "sweep-train", n, trial) for trial in range(trials)]
+        pairs = generate_pairs(edge, codecs, n, sampler, seeds)
+        fitted, empirical = fit_affine(pairs[..., 0, :], pairs[..., 1, :])
+        del pairs  # freed before the next size is drawn
+        population = _affine_losses(
+            fitted, src, dst, codecs[edge[0]].latent_dim, sampler.radius, target_noise=True
+        )
+        for trial, (emp, pop) in enumerate(zip(empirical, population)):
+            rows.append(SweepRow(int(n), trial, emp, pop, abs(pop - emp)))
     result = SweepResult(tuple(rows), None, False)
     medians = result.median_gaps()
     if max(medians.values()) <= 1e-10:

@@ -423,6 +423,41 @@ class AlignedCorpus:
         return self.pairs[:, 1, :]
 
 
+def generate_pairs(
+    edge: tuple[str, str],
+    codecs: Mapping[str, RandomizedCodec],
+    n: int,
+    sampler: LatentSampler,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """Aligned pairs for each seed, as one (len(seeds), n, 2, dim) array.
+
+    Each seed draws n latents and both sides' noise seeds from its own
+    streams; the noise comes from a generator separate from the latent
+    stream, so the latents of an edge do not depend on the codecs' noise
+    settings. Each seed's draws are decoded straight into its slice, so no
+    more than one seed's draws are held besides the result.
+    """
+    a, b = edge
+    for lang in (a, b):
+        if lang not in codecs:
+            raise DomainError(f"no codec for language {lang!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    dim = codecs[a].W.shape[0]
+    if codecs[b].W.shape[0] != dim:
+        raise DomainError(f"codecs of {a!r} and {b!r} decode to different dimensions")
+    pairs = np.empty((len(seeds), n, 2, dim))
+    for i, seed in enumerate(seeds):
+        z = sampler.fork(seed, "latent", a, b).sample(n)
+        noise_rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
+        r = codecs[a].draw_decoder_seeds(noise_rng, n)
+        r_prime = codecs[b].draw_decoder_seeds(noise_rng, n)
+        codecs[a].decode(z, r, out=pairs[i, :, 0, :])
+        codecs[b].decode(z, r_prime, out=pairs[i, :, 1, :])
+    return pairs
+
+
 def randomized_generate(
     edge: tuple[str, str],
     codecs: Mapping[str, RandomizedCodec],
@@ -432,25 +467,10 @@ def randomized_generate(
 ) -> AlignedCorpus:
     """Decode n shared latents with independent noise seeds per side.
 
-    The noise draws come from a generator separate from the latent stream, so
-    the latents of an edge do not depend on the codecs' noise settings.
+    The pairs are ``generate_pairs`` for the one seed.
     """
+    pairs = generate_pairs(edge, codecs, n, sampler, [seed])[0]
     a, b = edge
-    for lang in (a, b):
-        if lang not in codecs:
-            raise DomainError(f"no codec for language {lang!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    z = sampler.fork(seed, "latent", a, b).sample(n)
-    noise_rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
-    r = codecs[a].draw_decoder_seeds(noise_rng, n)
-    r_prime = codecs[b].draw_decoder_seeds(noise_rng, n)
-    dim = codecs[a].W.shape[0]
-    if codecs[b].W.shape[0] != dim:
-        raise DomainError(f"codecs of {a!r} and {b!r} decode to different dimensions")
-    pairs = np.empty((n, 2, dim))
-    codecs[a].decode(z, r, out=pairs[:, 0, :])
-    codecs[b].decode(z, r_prime, out=pairs[:, 1, :])
     meta = {
         "edge": [a, b],
         "n": n,

@@ -116,11 +116,15 @@ class EncoderEstimate:
                 and np.array_equal(pinned.offset, np.zeros(pinned.dim))
             ):
                 raise ValueError("anchor encoder must be exactly the identity")
+        # One SVD checks every encoder; the encoders kept are views of the
+        # stack, so their singular values come along wherever they are stacked.
         stack = AffineMap.stack(list(encoders.values()))
         for lang, nonsingular in zip(encoders, stack.nonsingular):
             if not nonsingular:
                 raise ConditioningError(f"encoder for {lang!r} is numerically singular")
-        object.__setattr__(self, "encoders", encoders)
+        object.__setattr__(
+            self, "encoders", {lang: stack[i] for i, lang in enumerate(encoders)}
+        )
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -153,11 +157,20 @@ class EncoderEstimate:
 
 
 def _affine_least_squares(points: np.ndarray, targets: np.ndarray) -> AffineMap:
-    """Minimize mean squared residual of an affine map, regularizing only if needed."""
-    n, d = points.shape
-    design = np.empty((n, d + 1))
-    design[:, :d] = points
-    design[:, d] = 1.0
+    """Minimize mean squared residual of an affine map, regularizing only if needed.
+
+    ``points`` (..., n, d) and ``targets`` (..., n, D) may carry leading stack
+    axes, one corpus per slice; the result is then a stack of maps, each bit
+    for bit the fit of its corpus alone.
+    """
+    n, d = points.shape[-2:]
+    if n < d + 1:
+        raise InsufficientDataError(
+            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
+        )
+    design = np.empty(points.shape[:-1] + (d + 1,))
+    design[..., :d] = points
+    design[..., d] = 1.0
     return _least_squares(design, targets)
 
 
@@ -165,50 +178,66 @@ def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
     """The affine map whose parameters minimize ||design @ theta - targets||.
 
     The last design column multiplies the offset: all ones for sentence rows,
-    the constant column of R for factored ones.
+    the constant column of R for factored ones. Leading axes of ``design``
+    and ``targets`` are a stack of problems, solved as one stacked system;
+    the ridge reaches only the slices past ``COND_LIMIT``. Each linear part
+    is a transposed view of the solution, so it is Fortran-ordered, in a
+    stack as alone (see ``AffineMap``).
     """
-    d = design.shape[1] - 1
+    d = design.shape[-1] - 1
+    design_t = design.swapaxes(-1, -2)
     # Huge entries overflow the normal equations; report that instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = design.T @ design
-        rhs = design.T @ targets
+        gram = design_t @ design
+        rhs = design_t @ targets
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise ConditioningError(
             "normal equations overflow: the largest entry magnitude is"
             f" {max(np.abs(design).max(), np.abs(targets).max()):.3g}"
         )
-    if np.linalg.cond(gram) > COND_LIMIT:
-        gram = gram + RIDGE * np.eye(d + 1)
+    ill = np.linalg.cond(gram) > COND_LIMIT
+    gram = np.where(np.asarray(ill)[..., None, None], gram + RIDGE * np.eye(d + 1), gram)
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError("normal equations singular even with ridge") from exc
     if not np.all(np.isfinite(theta)):
         raise ConditioningError("least-squares solution is not finite")
-    return AffineMap(theta[:d].T, theta[d])
+    return AffineMap(theta[..., :d, :].swapaxes(-1, -2), theta[..., d, :])
+
+
+def fit_affine(
+    points: np.ndarray, targets: np.ndarray
+) -> tuple[AffineMap, float | list[float]]:
+    """The least-squares affine map from points to targets, and its mean squared residual.
+
+    Leading axes are a stack of corpora, fitted and scored as one stack: a
+    stack of maps and a list of losses, each bit for bit its corpus's alone.
+    """
+    transform = _affine_least_squares(points, targets)
+    return transform, _mean_squared_residual(transform, points, targets)
 
 
 def fit_edge(corpus: AlignedCorpus) -> EdgeRegressionResult:
     """Least-squares fit of the source-to-target composite map on one corpus."""
-    d = corpus.dim
-    if corpus.n < d + 1:
-        raise InsufficientDataError(
-            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {corpus.n}"
-        )
-    transform = _affine_least_squares(corpus.source_points, corpus.target_points)
-    return EdgeRegressionResult(
-        corpus.edge, transform, _mean_squared_residual(transform, corpus), corpus.n
-    )
+    transform, loss = fit_affine(corpus.source_points, corpus.target_points)
+    return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n)
 
 
-def _mean_squared_residual(transform: AffineMap, corpus: AlignedCorpus) -> float:
-    """Mean of ||T(x) - y||^2 over the corpus pairs (x, y)."""
-    # In one (n, d) array, in the order of the out-of-place (T(x) - y)**2.
-    residual = corpus.source_points @ transform.linear.T
-    residual += transform.offset
-    residual -= corpus.target_points
+def _mean_squared_residual(
+    transform: AffineMap, points: np.ndarray, targets: np.ndarray
+) -> float | list[float]:
+    """Mean of ||T(x) - y||^2 over the pairs (x, y): a float, or a list for a stack.
+
+    With leading stack axes on ``points`` (..., n, d), ``targets`` and
+    ``transform``, slice j scores map j on corpus j, bit for bit as alone.
+    """
+    # In one (..., n, d) array, in the order of the out-of-place (T(x) - y)**2.
+    residual = points @ transform.linear.swapaxes(-1, -2)
+    residual += transform.offset[..., None, :]
+    residual -= targets
     np.square(residual, out=residual)
-    return float(np.mean(np.sum(residual, axis=1)))
+    return np.mean(np.sum(residual, axis=-1), axis=-1).tolist()
 
 
 def _factor_losses(maps: AffineMap, factor: EdgeFactor) -> list[float]:
@@ -264,7 +293,9 @@ def anchor_spanning_tree(
 def empirical_edge_loss(estimate: EncoderEstimate, corpus: AlignedCorpus) -> float:
     """Mean squared gap between the estimate's composite and the aligned targets."""
     a, b = corpus.edge
-    return _mean_squared_residual(estimate.composite(a, b), corpus)
+    return _mean_squared_residual(
+        estimate.composite(a, b), corpus.source_points, corpus.target_points
+    )
 
 
 def total_edge_loss(
@@ -327,7 +358,7 @@ def _line_search(
     start = 0
     for size in RUNG_CHUNKS:
         steps = np.ldexp(1.0, -np.arange(start, start + size))
-        blends = AffineMap(
+        blends = AffineMap._of(
             old.linear + steps[:, None, None] * linear_step,
             old.offset + steps[:, None] * offset_step,
         )

@@ -19,6 +19,7 @@ from translab.generative import (
     FunctionClassSpec,
     TranslationGraph,
     latent_second_moment,
+    randomized_generate,
     sample_randomized_codecs,
 )
 from translab.distributions import (
@@ -30,13 +31,14 @@ from translab.distributions import (
     tv_distance,
 )
 from translab.errors import DomainError
+from translab.evaluation import SweepRow, _affine_losses, _CodecStack
 from translab.impossibility import (
     ManyToManyInstance,
     random_many_to_many_instance,
     random_two_to_one_instance,
 )
 from translab.seeding import derive_seed
-from translab.trainer import COND_LIMIT, EncoderEstimate
+from translab.trainer import COND_LIMIT, EncoderEstimate, fit_edge
 
 
 def random_distribution(rng: np.random.Generator, atoms) -> FiniteDistribution:
@@ -134,6 +136,30 @@ def out_of_place_fit_edge(corpus, ridge=1e-10):
     transform = AffineMap(theta[:d].T, theta[d])
     loss = float(np.mean(np.sum((transform(points) - targets) ** 2, axis=1)))
     return transform, loss
+
+
+def per_trial_sweep_rows(edge, codecs, n_list, trials, sampler, seed) -> list:
+    """``sample_complexity_sweep``'s rows, one (n, trial) at a time.
+
+    Each trial's corpus comes from ``randomized_generate``, is fitted by
+    ``fit_edge`` and scored as a stack of one map, the route the stacked
+    sweep must reproduce bit for bit.
+    """
+    src, dst = (_CodecStack.of([codecs[lang]]) for lang in edge)
+    rows = []
+    for n in n_list:
+        for trial in range(trials):
+            train = randomized_generate(
+                edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial)
+            )
+            fitted = fit_edge(train)
+            pop = _affine_losses(
+                fitted.transform[None], src, dst, codecs[edge[0]].latent_dim,
+                sampler.radius, target_noise=True,
+            )[0]
+            gap = abs(pop - fitted.empirical_loss)
+            rows.append(SweepRow(int(n), trial, fitted.empirical_loss, pop, gap))
+    return rows
 
 
 # ---------------------------------------------------------------------------

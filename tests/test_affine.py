@@ -97,6 +97,32 @@ class TestStackedMaps:
         with pytest.raises(ConditioningError):
             stack.inverse()
 
+    def test_stack_keeps_the_singular_values_only_when_every_map_has_them(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        checked = AffineMap(rng.standard_normal((4, 3, 3)), rng.standard_normal((4, 3)))
+        want = np.linalg.svd(checked.linear, compute_uv=False)
+        assert not checked.singular_values.flags.writeable
+        maps = [checked[i] for i in range(4)]
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        restacked = AffineMap.stack(maps[::-1])
+        assert "singular_values" in restacked.__dict__
+        assert np.array_equal(restacked.singular_values, want[::-1])
+        assert not restacked.singular_values.flags.writeable
+        restacked.inverse()
+        assert calls == []
+        fresh = AffineMap(checked.linear[0], checked.offset[0])
+        mixed = AffineMap.stack([maps[1], fresh])
+        assert "singular_values" not in mixed.__dict__
+        assert np.array_equal(mixed.singular_values, want[[1, 0]])
+        assert len(calls) == 1
+
     def test_maps_are_read_only(self):
         stack = AffineMap.stack([AffineMap.identity(2), AffineMap(2 * np.eye(2), np.ones(2))])
         for m in (stack, stack[0], stack[None], stack.inverse(), stack.compose(stack)):

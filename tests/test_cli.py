@@ -1055,11 +1055,45 @@ class TestRefinementWork:
         )
         assert code == 0
         assert counts["searches"] > 0
-        # One inverse per incumbent encoder and one check per returned encoder,
-        # then one singular-value check per rung the chunked ladder scores.
-        assert counts["svd"] == counts["scored"] + 2 * len(langs)
-        # Both per-encoder checks are one stacked call each.
-        assert counts["calls_outside_searches"] == 2
+        # One check per returned encoder, then one singular-value check per
+        # rung the chunked ladder scores; the incumbents' stacked inverse
+        # reuses the singular values of the estimate's own check.
+        assert counts["svd"] == counts["scored"] + len(langs)
+        # The returned estimate's check is the one stacked call outside searches.
+        assert counts["calls_outside_searches"] == 1
+
+    def test_eval_on_forty_languages_takes_two_svds(self, tmp_path, capsys, monkeypatch):
+        langs = tuple(f"L{i:02d}" for i in range(40))
+        edges = [(a, b, 30) for a, b in zip(langs, langs[1:])]
+        edges += [(langs[i], langs[i + 7], 30) for i in range(0, 30, 6)]
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(langs, tuple(edges)), graph_path)
+        out = tmp_path / "run"
+        for argv in (
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "3",
+             "--sigma", "0.05", "--nuisance-dim", "1", "--seed", "2"],
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
+             "--out", str(out)],
+        ):
+            assert run_cli(argv, capsys)[0] == 0
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code, _, _ = run_cli(
+            ["eval", "--graph", str(graph_path), "--codecs", str(out / "codecs.json"),
+             "--encoders", str(out / "encoders.json"), "--out", str(out)],
+            capsys,
+        )
+        assert code in (0, 1)
+        assert (out / "pair_eval.csv").exists()
+        # One stacked check of the codecs and one of the encoders; the chain
+        # bound's encoder stack reuses the encoders' singular values.
+        assert shapes == [(40, 4, 4), (40, 4, 4)]
 
 
 class TestStreamingMemory:
@@ -1123,6 +1157,15 @@ class TestSweepCommand:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["degenerate"] is False
         assert (out / "sweep.csv").exists()
+
+    def test_too_few_pairs_for_the_fit_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["sweep", "--n-list", "2,4", "--dim", "1", "--nuisance-dim", "1",
+             "--out", str(tmp_path / "sweep")],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: need at least 3 pairs for an affine fit in dimension 2, got 2\n"
 
     def test_noiseless_sweep_is_degenerate(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -10,6 +10,7 @@ from helpers import (
     encoder_map,
     lexicographic_shortest_path,
     monte_carlo_pair_loss,
+    per_trial_sweep_rows,
     random_connected_graph,
     scalar_affine_loss,
 )
@@ -336,7 +337,8 @@ class TestVerifyChainBound:
         assert above.holds is False
 
     @pytest.mark.parametrize("n_langs", [3, 6])
-    def test_one_svd_and_one_inverse_per_call(self, monkeypatch, n_langs):
+    def test_reuses_the_estimate_svd_and_takes_one_inverse(self, monkeypatch, n_langs):
+        """The estimate's check already took the encoders' singular values."""
         graph, codecs, corpora, sampler = chain_setup(n_langs=n_langs, seed=n_langs)
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
         calls = {"svd": 0, "inv": 0}
@@ -349,7 +351,7 @@ class TestVerifyChainBound:
                 patch.setattr(np.linalg, name, counted)
             records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
         assert len(records) == n_langs * (n_langs - 1) // 2
-        assert calls == {"svd": 1, "inv": 1}
+        assert calls == {"svd": 0, "inv": 1}
 
     def test_rho_hat_is_the_per_encoder_formula_bit_for_bit(self):
         graph, codecs, corpora, sampler = chain_setup(
@@ -510,6 +512,54 @@ class TestSweep:
         assert all(row.gap >= 0 for row in result.rows)
         keys = {(row.n, row.trial) for row in result.rows}
         assert len(keys) == len(result.rows) == 2 * 5
+
+    @pytest.mark.parametrize(
+        "dim, nuisance, sigma, n_list, trials, seed",
+        [
+            # The benchmark's criterion-9 settings.
+            (1, 1, 0.05, [32, 64, 128, 256, 512, 1024, 2048, 4096], 20, 3),
+            (3, 1, 0.1, [8, 16, 64, 256], 7, 35),
+            # Noiseless and realizable: every gap is rounding, the run degenerate.
+            (2, 0, 0.0, [8, 16, 32], 5, 67),
+        ],
+    )
+    def test_stacked_rows_match_one_trial_at_a_time_bit_for_bit(
+        self, dim, nuisance, sigma, n_list, trials, seed
+    ):
+        spec = FunctionClassSpec(dim=dim)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, nuisance, sigma, seed)))
+        sampler = LatentSampler(dim, 1.0, seed)
+        result = sample_complexity_sweep(("A", "B"), codecs, n_list, trials, sampler, seed)
+        want = per_trial_sweep_rows(("A", "B"), codecs, n_list, trials, sampler, seed)
+        assert len(result.rows) == len(want) == len(n_list) * trials
+        for got_row, want_row in zip(result.rows, want):
+            assert (got_row.n, got_row.trial) == (want_row.n, want_row.trial)
+            for got_value, want_value in zip(got_row[2:], want_row[2:]):
+                assert got_value.hex() == want_value.hex()
+        assert result.degenerate == (sigma == 0.0)
+
+    def test_one_solve_and_one_loss_stack_per_size(self, monkeypatch):
+        spec = FunctionClassSpec(dim=1)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 1, 0.05, seed=3)))
+        n_list = [32, 64, 128, 256, 512, 1024, 2048, 4096]
+        calls = {"solve": 0, "losses": 0}
+        solve, losses = np.linalg.solve, evaluation._affine_losses
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        def counting_losses(*args, **kwargs):
+            calls["losses"] += 1
+            return losses(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(evaluation, "_affine_losses", counting_losses)
+        result = sample_complexity_sweep(
+            ("A", "B"), codecs, n_list, 20, LatentSampler(1, 1.0, 3), seed=3
+        )
+        assert len(result.rows) == 160
+        assert calls == {"solve": 8, "losses": 8}
 
     def test_validation(self):
         spec = FunctionClassSpec(dim=2)

@@ -29,6 +29,7 @@ from translab.generative import (
     FunctionClassSpec,
     LatentSampler,
     TranslationGraph,
+    generate_pairs,
     randomized_generate,
     sample_randomized_codecs,
 )
@@ -38,6 +39,7 @@ from translab.trainer import (
     anchor_spanning_tree,
     empirical_edge_loss,
     factor_corpus,
+    fit_affine,
     fit_edge,
     joint_refine,
     total_edge_loss,
@@ -247,6 +249,47 @@ class TestFitEdge:
         pairs = np.stack([x, rng.standard_normal((50, 3))], axis=1)
         with pytest.raises(ConditioningError, match="singular even with ridge"):
             fit_edge(AlignedCorpus(("A", "B"), pairs, {}))
+
+
+class TestStackedFit:
+    """T corpora fitted as one stack against T ``fit_edge`` calls."""
+
+    @pytest.mark.parametrize(
+        "d, nuisance, sigma, n", [(1, 1, 0.05, 32), (3, 1, 0.1, 200), (2, 0, 0.0, 9)]
+    )
+    def test_stack_matches_one_corpus_at_a_time_bit_for_bit(self, d, nuisance, sigma, n):
+        spec = FunctionClassSpec(d)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, nuisance, sigma, 5)))
+        sampler = LatentSampler(d, 1.0, 5)
+        pairs = generate_pairs(("A", "B"), codecs, n, sampler, range(6))
+        maps, losses = fit_affine(pairs[..., 0, :], pairs[..., 1, :])
+        assert maps.linear.shape == (6, d + nuisance, d + nuisance) and len(losses) == 6
+        for t in range(6):
+            want = fit_edge(AlignedCorpus(("A", "B"), pairs[t], {}))
+            got = maps[t]
+            assert got.linear.tobytes() == want.transform.linear.tobytes()
+            assert got.offset.tobytes() == want.transform.offset.tobytes()
+            assert got.linear.flags.f_contiguous == want.transform.linear.flags.f_contiguous
+            assert got.linear.flags.f_contiguous or d + nuisance == 1
+            assert losses[t].hex() == want.empirical_loss.hex()
+
+    def test_ridge_reaches_only_the_degenerate_corpus(self):
+        rng = np.random.default_rng(11)
+        pairs = rng.standard_normal((3, 40, 2, 2))
+        pairs[1, :, 0, 1] = 0.0  # corpus 1's second source coordinate never varies
+        maps, _losses = fit_affine(pairs[..., 0, :], pairs[..., 1, :])
+        for t in range(3):
+            corpus = AlignedCorpus(("A", "B"), pairs[t], {})
+            ridged, _ = out_of_place_fit_edge(corpus, ridge=trainer.RIDGE)
+            assert np.array_equal(maps[t].linear, ridged.linear)
+            if t != 1:
+                plain, _ = out_of_place_fit_edge(corpus, ridge=0.0)
+                assert np.array_equal(maps[t].linear, plain.linear)
+                assert np.array_equal(maps[t].offset, plain.offset)
+        # Without the ridge corpus 1's normal equations are singular.
+        with pytest.raises(np.linalg.LinAlgError):
+            out_of_place_fit_edge(AlignedCorpus(("A", "B"), pairs[1], {}), ridge=0.0)
+        assert np.all(maps.linear[1][:, 1] == 0.0)
 
 
 class TestAnchorSpanningTree:
@@ -626,6 +669,31 @@ class TestLineSearch:
         ) is None
         assert rungs == list(trainer.RUNG_CHUNKS)
 
+    def test_chunks_take_their_blends_without_the_copying_constructor(self, monkeypatch):
+        encoders, inverses, losses, factors, incident = self.state()
+        consensus = trainer._consensus(self.LANG, encoders, factors, incident)
+        copied = []
+        post_init = AffineMap.__post_init__
+
+        def counting_post_init(m):
+            copied.append(m.linear.shape)
+            post_init(m)
+
+        monkeypatch.setattr(AffineMap, "__post_init__", counting_post_init)
+        unreachable = float(sum(losses)) - 1.0
+        assert trainer._line_search(
+            self.LANG, consensus, encoders, inverses, losses, unreachable, factors, incident
+        ) is None
+        assert copied == []
+        accepted = trainer._line_search(
+            self.LANG, consensus, encoders, inverses, losses, float(sum(losses)), factors,
+            incident,
+        )
+        # Only the accepted encoder and its inverse are copied out of the chunk.
+        shape = encoders[self.LANG].linear.shape
+        assert accepted is not None and copied == [shape, shape]
+        assert not accepted[1].linear.flags.writeable and not accepted[2].offset.flags.writeable
+
     def test_failed_search_leaves_the_encoder_unchanged(self, monkeypatch):
         graph, _codecs, corpora, _ = chain_setup(
             n_langs=3, n=60, sigma=0.08, nuisance=1, seed=9, extra_edges=(("L0", "L2"),)
@@ -697,7 +765,9 @@ class TestFactorLoss:
         transform = AffineMap(
             rng.standard_normal((dim, dim)), scale * rng.standard_normal(dim)
         )
-        row_form = trainer._mean_squared_residual(transform, corpus)
+        row_form = trainer._mean_squared_residual(
+            transform, corpus.source_points, corpus.target_points
+        )
         r_form = stacked_loss(transform, factor_corpus(corpus))
         assert r_form == pytest.approx(row_form, rel=1e-12, abs=0.0)
 
@@ -716,8 +786,7 @@ class TestFactorLoss:
         assert factor.r.shape == (3, 5) and factor.n == 3 and factor.dim == 2
         transform = AffineMap(np.eye(2), np.ones(2))
         assert stacked_loss(transform, factor) == pytest.approx(
-            trainer._mean_squared_residual(transform, AlignedCorpus(("A", "B"), pairs, {})),
-            rel=1e-12,
+            trainer._mean_squared_residual(transform, pairs[:, 0], pairs[:, 1]), rel=1e-12
         )
 
 
