@@ -110,13 +110,5 @@ class AffineMap:
     def identity(cls, dim: int) -> "AffineMap":
         return cls(np.eye(dim), np.zeros(dim))
 
-    def max_entry_difference(self, other: "AffineMap") -> float:
-        return float(
-            max(
-                np.abs(self.linear - other.linear).max(),
-                np.abs(self.offset - other.offset).max(),
-            )
-        )
-
     def to_dict(self) -> dict:
         return {"W": self.linear.tolist(), "b": self.offset.tolist()}

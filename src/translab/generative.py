@@ -25,10 +25,25 @@ from .seeding import derive_seed
 #: Noise seeds are standard normal truncated at this many deviations per coordinate.
 NOISE_CUTOFF = 3.0
 
+#: Latents are normalized and decoded this many rows at a time, so no
+#: full-size temporary lives next to a corpus and its latents.
+ROW_BLOCK = 1 << 15
+
 #: Variance of one noise coordinate: 1 - 2c phi(c) / (2 Phi(c) - 1) at c = NOISE_CUTOFF.
 NOISE_VARIANCE = 1.0 - (
     2.0 * NOISE_CUTOFF * math.exp(-0.5 * NOISE_CUTOFF**2) / math.sqrt(2.0 * math.pi)
 ) / math.erf(NOISE_CUTOFF / math.sqrt(2.0))
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of ``ROW_BLOCK`` rows covering ``range(n)`` in order; the last has the rest.
+
+    A 1-row remainder joins the block before it: a one-row product takes
+    BLAS's matrix-vector path, which rounds differently from the matrix
+    product of the whole array. So a block holds one row only when n == 1.
+    """
+    stops = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
 def latent_second_moment(dim: int, radius: float) -> float:
@@ -116,8 +131,8 @@ class LatentSampler:
     def __init__(self, dim: int, radius: float = 1.0, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not (math.isfinite(radius) and radius >= 0):
+            raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
         self.dim = dim
         self.radius = float(radius)
         self.seed = int(seed)
@@ -127,11 +142,17 @@ class LatentSampler:
         if m < 1:
             raise ValueError("m must be at least 1")
         gauss = self._rng.standard_normal((m, self.dim))
-        norms = np.maximum(np.linalg.norm(gauss, axis=1, keepdims=True), 1e-300)
-        radii = self.radius * self._rng.random(m) ** (1.0 / self.dim)
-        # In place, in the order of gauss / norms * radii[:, None]: same bits.
-        np.divide(gauss, norms, out=gauss)
-        return np.multiply(gauss, radii[:, None], out=gauss)
+        radii = self._rng.random(m)
+        # In place, as radius * u ** (1 / dim) and then gauss / norms * radii
+        # block by block: the same bits as the whole-array formula.
+        radii **= 1.0 / self.dim
+        radii *= self.radius
+        for rows in _row_blocks(m):
+            block = gauss[rows]
+            norms = np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-300)
+            np.divide(block, norms, out=block)
+            np.multiply(block, radii[rows, None], out=block)
+        return gauss
 
     def fork(self, *parts) -> "LatentSampler":
         return LatentSampler(self.dim, self.radius, derive_seed(self.seed, *parts))
@@ -220,7 +241,10 @@ def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
     lo = ndtr(-NOISE_CUTOFF)
     hi = ndtr(NOISE_CUTOFF)
-    return ndtri(lo + (hi - lo) * u)
+    # In place, as ndtri(lo + (hi - lo) * u): the same bits.
+    u *= hi - lo
+    u += lo
+    return ndtri(u, out=u)
 
 
 def _band_matrix(rng: np.random.Generator, dim: int, rho: float) -> np.ndarray:
@@ -435,8 +459,9 @@ def generate_pairs(
     Each seed draws n latents and both sides' noise seeds from its own
     streams; the noise comes from a generator separate from the latent
     stream, so the latents of an edge do not depend on the codecs' noise
-    settings. Each seed's draws are decoded straight into its slice, so no
-    more than one seed's draws are held besides the result.
+    settings. Each seed's draws are decoded straight into its slice, one
+    row block at a time, so no more than one seed's draws are held besides
+    the result, and no full-size temporary.
     """
     a, b = edge
     for lang in (a, b):
@@ -448,13 +473,15 @@ def generate_pairs(
     if codecs[b].W.shape[0] != dim:
         raise DomainError(f"codecs of {a!r} and {b!r} decode to different dimensions")
     pairs = np.empty((len(seeds), n, 2, dim))
+    blocks = _row_blocks(n)
     for i, seed in enumerate(seeds):
         z = sampler.fork(seed, "latent", a, b).sample(n)
         noise_rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
         r = codecs[a].draw_decoder_seeds(noise_rng, n)
         r_prime = codecs[b].draw_decoder_seeds(noise_rng, n)
-        codecs[a].decode(z, r, out=pairs[i, :, 0, :])
-        codecs[b].decode(z, r_prime, out=pairs[i, :, 1, :])
+        for rows in blocks:
+            codecs[a].decode(z[rows], r[rows], out=pairs[i, rows, 0, :])
+            codecs[b].decode(z[rows], r_prime[rows], out=pairs[i, rows, 1, :])
     return pairs
 
 

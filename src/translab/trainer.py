@@ -140,13 +140,6 @@ class EncoderEstimate:
         """The translator src -> dst implied by the encoders."""
         return self.encoder(dst).inverse().compose(self.encoder(src))
 
-    def with_gauge(self, f: AffineMap) -> "EncoderEstimate":
-        """Compose every encoder with a fixed invertible map (composites unchanged)."""
-        return EncoderEstimate(
-            {lang: f.compose(enc) for lang, enc in self.encoders.items()},
-            anchor=None,
-        )
-
     def to_dict(self) -> dict:
         return {
             "anchor": self.anchor,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from translab import io
 from translab.affine import AffineMap
 from translab.generative import (
+    NOISE_CUTOFF,
     NOISE_VARIANCE,
     FunctionClassSpec,
     TranslationGraph,
@@ -51,6 +52,23 @@ def random_translator(rng: np.random.Generator, domain, codomain) -> Determinist
     codomain = tuple(codomain)
     return DeterministicTranslator(
         {atom: codomain[rng.integers(len(codomain))] for atom in domain}
+    )
+
+
+def max_entry_difference(a: AffineMap, b: AffineMap) -> float:
+    """Largest absolute difference between two maps' linear entries and offsets."""
+    return float(
+        max(np.abs(a.linear - b.linear).max(), np.abs(a.offset - b.offset).max())
+    )
+
+
+def with_gauge(estimate: EncoderEstimate, f: AffineMap) -> EncoderEstimate:
+    """``estimate`` with every encoder composed with the fixed invertible map ``f``.
+
+    Composites are unchanged, so gauge-free quantities must not move.
+    """
+    return EncoderEstimate(
+        {lang: f.compose(enc) for lang, enc in estimate.encoders.items()}, anchor=None
     )
 
 
@@ -115,6 +133,24 @@ def scalar_factor_loss(transform, factor) -> float:
     return float(np.vdot(residual, residual)) / factor.n
 
 
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Assert two float64 arrays agree bit for bit: every entry's ``.hex()`` matches.
+
+    The 64-bit patterns are compared at once, which is as strict as ``.hex()``
+    on every number (and stricter on NaN payloads); a failure shows the
+    first differing entry in hex.
+    """
+    assert actual.shape == expected.shape
+    differ = np.flatnonzero(actual.view(np.uint64) != expected.view(np.uint64))
+    if differ.size:
+        i = differ[0]
+        a, b = actual.ravel()[i], expected.ravel()[i]
+        raise AssertionError(
+            f"{differ.size} of {actual.size} entries differ; first at flat index {i}: "
+            f"{a.hex()} != {b.hex()}"
+        )
+
+
 def out_of_place_latent_sample(dim, radius, seed, m):
     """``LatentSampler(dim, radius, seed).sample(m)`` as fresh-array arithmetic."""
     rng = np.random.default_rng(seed)
@@ -122,6 +158,24 @@ def out_of_place_latent_sample(dim, radius, seed, m):
     norms = np.maximum(np.linalg.norm(gauss, axis=1, keepdims=True), 1e-300)
     radii = radius * rng.random(m) ** (1.0 / dim)
     return gauss / norms * radii[:, None]
+
+
+def whole_array_pairs(edge, codecs, n, sampler, seed) -> np.ndarray:
+    """``generate_pairs(edge, codecs, n, sampler, [seed])[0]``, decoded as whole arrays.
+
+    The latents come from ``out_of_place_latent_sample`` and the noise seeds
+    from the out-of-place inverse CDF, in the generator's stream order; each
+    side is then one ``decode`` call over all n rows.
+    """
+    from scipy.special import ndtr, ndtri
+
+    a, b = edge
+    latent = sampler.fork(seed, "latent", a, b)
+    z = out_of_place_latent_sample(latent.dim, latent.radius, latent.seed, n)
+    rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
+    lo, hi = ndtr(-NOISE_CUTOFF), ndtr(NOISE_CUTOFF)
+    seeds = [ndtri(lo + (hi - lo) * rng.random((n, codecs[lang].nuisance_dim))) for lang in edge]
+    return np.stack([codecs[lang].decode(z, r) for lang, r in zip(edge, seeds)], axis=1)
 
 
 def out_of_place_fit_edge(corpus, ridge=1e-10):

@@ -1,9 +1,17 @@
 """Tests for codecs, latent sampling, corpora, and the exact moment checks."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import encoder_map, out_of_place_latent_sample
+from helpers import (
+    assert_same_bits,
+    encoder_map,
+    out_of_place_latent_sample,
+    whole_array_pairs,
+)
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.generative import (
@@ -11,9 +19,12 @@ from translab.generative import (
     FunctionClassSpec,
     LatentSampler,
     NOISE_VARIANCE,
+    ROW_BLOCK,
     RandomizedCodec,
     TranslationGraph,
+    _row_blocks,
     affine_moments,
+    generate_pairs,
     invariance_test,
     latent_second_moment,
     moment_gap,
@@ -75,6 +86,18 @@ class TestLatentSampler:
         reference = out_of_place_latent_sample(dim, radius, 11, 1000)
         assert np.array_equal(z, reference)
         assert [v.hex() for v in z.ravel()] == [v.hex() for v in reference.ravel()]
+
+    @pytest.mark.parametrize(
+        "m", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+    )
+    def test_row_blocks_match_the_out_of_place_formula_bitwise(self, m):
+        z = LatentSampler(6, 1.5, seed=11).sample(m)
+        assert_same_bits(z, out_of_place_latent_sample(6, 1.5, 11, m))
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_a_negative_or_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            LatentSampler(3, radius)
 
     def test_empirical_mean_matches_ball_symmetry(self):
         # per-coordinate variance of the uniform ball is B^2 / (d + 2)
@@ -255,6 +278,62 @@ class TestRandomizedGenerate:
         expected = sigma * truncnorm.std(-3, 3)
         observed = noise.std(axis=0)
         assert np.allclose(observed, expected, rtol=0.05)
+
+
+class TestRowBlocks:
+    """Latents are normalized and decoded ``ROW_BLOCK`` rows at a time."""
+
+    #: (latent dim, nuisance dim, sigma) of each codec setting.
+    SETTINGS = {"noiseless dim 6": (6, 0, 0.0), "dim 2 + 1 nuisance": (2, 1, 0.05)}
+
+    @staticmethod
+    def _codecs(dim, nuisance_dim, sigma):
+        spec = FunctionClassSpec(dim=dim)
+        return dict(zip("AB", sample_randomized_codecs(spec, 2, nuisance_dim, sigma, seed=3)))
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 2 * ROW_BLOCK + 1, 5 * ROW_BLOCK + 3]
+    )
+    def test_blocks_cover_the_rows_and_hold_one_row_only_when_n_is_1(self, n):
+        blocks = [range(n)[rows] for rows in _row_blocks(n)]
+        assert [i for block in blocks for i in block] == list(range(n))
+        assert all(len(block) <= ROW_BLOCK + 1 for block in blocks)
+        assert n == 1 or all(len(block) > 1 for block in blocks)
+
+    @pytest.mark.parametrize("setting", SETTINGS.values(), ids=SETTINGS.keys())
+    @pytest.mark.parametrize(
+        "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+    )
+    def test_pairs_match_the_whole_array_decode_bitwise(self, setting, n):
+        dim, nuisance_dim, sigma = setting
+        codecs = self._codecs(dim, nuisance_dim, sigma)
+        sampler = LatentSampler(dim, 1.0, seed=5)
+        pairs = generate_pairs(("A", "B"), codecs, n, sampler, [7])[0]
+        assert_same_bits(pairs, whole_array_pairs(("A", "B"), codecs, n, sampler, 7))
+
+    @pytest.mark.parametrize("nuisance_dim, sigma, limit", [(0, 0.0, 1.5), (1, 0.05, 2.0)])
+    def test_traced_peak_is_the_pairs_and_the_latents(self, nuisance_dim, sigma, limit):
+        # numpy reports its data buffers to tracemalloc, so the traced peak
+        # past the returned pairs counts the latents, the noise seeds and
+        # whatever temporaries the draws and the decode make.
+        n, dim = 8 * ROW_BLOCK + 1, 6
+        codecs = self._codecs(dim, nuisance_dim, sigma)
+        sampler = LatentSampler(dim, 1.0, seed=5)
+        generate_pairs(("A", "B"), codecs, 2, sampler, [0])  # imports outside the trace
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            pairs = generate_pairs(("A", "B"), codecs, n, sampler, [7])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        latent_bytes = n * dim * np.dtype(np.float64).itemsize
+        ratio = (peak - pairs.nbytes) / latent_bytes
+        assert ratio <= limit, f"traced peak past the pairs is {ratio:.2f}x the latents"
 
 
 class TestInvariance:

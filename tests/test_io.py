@@ -22,6 +22,7 @@ from helpers import (
     damaged_corpus_fields,
     damaged_documents,
     damaged_instance_documents,
+    max_entry_difference,
 )
 from translab import cli, io
 from translab.distributions import tv_distance
@@ -589,7 +590,7 @@ class TestEncoderFiles:
         assert again.anchor == "L0"
         assert spec == FunctionClassSpec(dim=3)
         for lang in estimate.languages:
-            assert again.encoder(lang).max_entry_difference(estimate.encoder(lang)) == 0.0
+            assert max_entry_difference(again.encoder(lang), estimate.encoder(lang)) == 0.0
 
     def _saved(self, tmp_path):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
