@@ -156,8 +156,13 @@ def parse_and_validate(argv) -> argparse.Namespace:
         for name, test, text in rules
         if not test(values[name])
     ]
-    if config.mode in ("generate", "train", "eval", "sweep") and config.out is None:
-        violations.append("out: required for this mode")
+    if config.out is None:
+        if config.mode in ("generate", "train", "eval", "sweep"):
+            violations.append("out: required for this mode")
+    else:
+        existing = next(p for p in (config.out, *config.out.parents) if p.exists())
+        if not existing.is_dir():
+            violations.append(f"out: not a directory: {existing}")
     for name in ("instance", "graph", "codecs", "encoders", "corpus_dir"):
         path = values.get(name)
         if path is not None and not Path(path).exists():

@@ -3,13 +3,13 @@
 Sentences are opaque atoms; the only structure the computations ever inspect is the
 language tag (and, in the many-to-many setting, the target-language prefix).
 Distributions are weight vectors over an explicit finite support, so total
-variation, pushforwards and 0-1 translation error are all exact computations.
+variation and pushforwards are exact computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -153,45 +153,3 @@ def pushforward(dist: FiniteDistribution, f: DeterministicTranslator) -> FiniteD
         masses[image] = masses.get(image, 0.0) + float(w)
     return FiniteDistribution.from_dict(masses)
 
-
-def zero_one_error(
-    dist: FiniteDistribution,
-    f: DeterministicTranslator,
-    f_star: DeterministicTranslator,
-) -> float:
-    """Mass of atoms where f and f_star disagree: E[1(f(X) != f_star(X))]."""
-    return float(sum(w for atom, w in dist.items() if f(atom) != f_star(atom)))
-
-
-class DisagreementCheck(NamedTuple):
-    tv: float
-    disagreement: float
-    holds: bool
-
-
-def disagreement_bound_check(
-    dist: FiniteDistribution,
-    f: DeterministicTranslator,
-    f_prime: DeterministicTranslator,
-) -> DisagreementCheck:
-    """Check that TV between pushforwards is at most the disagreement mass."""
-    tv = tv_distance(pushforward(dist, f), pushforward(dist, f_prime))
-    disagreement = zero_one_error(dist, f, f_prime)
-    return DisagreementCheck(tv, disagreement, tv <= disagreement + WEIGHT_TOL)
-
-
-class DataProcessingCheck(NamedTuple):
-    before: float
-    after: float
-    holds: bool
-
-
-def data_processing_check(
-    dist: FiniteDistribution,
-    dist_prime: FiniteDistribution,
-    h: DeterministicTranslator,
-) -> DataProcessingCheck:
-    """Check that applying a map never increases total variation."""
-    before = tv_distance(dist, dist_prime)
-    after = tv_distance(pushforward(dist, h), pushforward(dist_prime, h))
-    return DataProcessingCheck(before, after, after <= before + WEIGHT_TOL)

@@ -101,19 +101,6 @@ def _codec(
     return codec
 
 
-def population_loss(
-    estimate: EncoderEstimate,
-    pair: tuple[str, str],
-    codecs: Mapping[str, RandomizedCodec],
-    spec: FunctionClassSpec,
-) -> float:
-    """Exact squared gap between the learned and ground-truth composites."""
-    src, dst = (_CodecStack.of([_codec(codecs, lang, spec)]) for lang in pair)
-    return _affine_losses(
-        estimate.composite(*pair)[None], src, dst, spec.dim, spec.radius, target_noise=False
-    )[0]
-
-
 def shortest_path_and_diameter(
     graph: TranslationGraph,
 ) -> tuple[dict[tuple[str, str], tuple[str, ...]], int]:

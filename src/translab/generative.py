@@ -11,10 +11,9 @@ model is the codec with no nuisance coordinates and zero noise scale.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -508,116 +507,3 @@ def randomized_generate(
         "codec_digest": {a: codecs[a].digest(), b: codecs[b].digest()},
     }
     return AlignedCorpus((a, b), pairs, meta)
-
-
-# ---------------------------------------------------------------------------
-# Exact moment checks
-
-
-class MomentGap(NamedTuple):
-    mean_gap: float
-    cov_gap: float
-    holds: bool
-
-
-def affine_moments(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    latent_dim: int,
-    nuisance_dim: int,
-    radius: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact mean and covariance of f(z, r) for an affine f of the latent and noise seed.
-
-    z is uniform on the radius-B ball in R^d and r has independent truncated
-    normal coordinates; both have mean zero and diagonal covariance. f is read
-    at the origin and at each unit vector e_j: the mean is f(0, 0) and the
-    covariance is sum_j var_j c_j c_j^T with c_j = f(e_j) - f(0, 0).
-    """
-    points = np.eye(1 + latent_dim + nuisance_dim, latent_dim + nuisance_dim, k=-1)
-    values = np.asarray(f(points[:, :latent_dim], points[:, latent_dim:]), dtype=np.float64)
-    mean = values[0]
-    columns = values[1:] - mean
-    var = np.repeat(
-        [latent_second_moment(latent_dim, radius), NOISE_VARIANCE],
-        [latent_dim, nuisance_dim],
-    )
-    return mean, (columns.T * var) @ columns
-
-
-def moment_gap(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-) -> MomentGap:
-    """Norms of the mean and covariance differences of two (mean, cov) pairs.
-
-    Both must be at most 1e-9 times the largest covariance entry (at least 1)
-    for the moments to count as equal.
-    """
-    mean_gap = float(np.linalg.norm(a[0] - b[0]))
-    cov_gap = float(np.linalg.norm(a[1] - b[1]))
-    tol = 1e-9 * max(1.0, np.abs(a[1]).max(initial=0.0), np.abs(b[1]).max(initial=0.0))
-    return MomentGap(mean_gap, cov_gap, mean_gap <= tol and cov_gap <= tol)
-
-
-def invariance_test(codec: RandomizedCodec, radius: float = 1.0) -> MomentGap:
-    """Compare the moments of encode(decode(z, r)) with those of the latent itself.
-
-    The nuisance construction recovers latents exactly, so both gaps are zero
-    up to rounding; a corrupted codec shifts the mean or the covariance. Only
-    the law is compared, so an encoder off by a rotation of the latent passes.
-    """
-    d = codec.latent_dim
-    round_trip = affine_moments(
-        lambda z, r: codec.encode(codec.decode(z, r)), d, codec.nuisance_dim, radius
-    )
-    return moment_gap(round_trip, (np.zeros(d), latent_second_moment(d, radius) * np.eye(d)))
-
-
-class PropositionZeroResult(NamedTuple):
-    holds: bool
-    comparisons: tuple[tuple[str, str, MomentGap], ...]
-    moments: dict[str, tuple[np.ndarray, np.ndarray]]
-
-
-def proposition_zero_check(
-    codecs: Mapping[str, RandomizedCodec],
-    sources: Sequence[str],
-    target: str,
-    radius: float = 1.0,
-    decoder_override: Mapping[str, RandomizedCodec] | None = None,
-) -> PropositionZeroResult:
-    """Target-side marginals from different source pairs must coincide.
-
-    The target half of each (source, target) corpus is the target decoder
-    applied to the shared latent and fresh target noise; its exact moments are
-    compared across every pair of sources. ``decoder_override`` substitutes a
-    different target decoder for selected sources, which deliberately violates
-    the premise and should flip ``holds`` to False.
-    """
-    if len(sources) < 2:
-        raise ValueError("need at least two source languages")
-    if target not in codecs:
-        raise DomainError(f"no codec for language {target!r}")
-    moments = {}
-    for src in sources:
-        if src not in codecs:
-            raise DomainError(f"no codec for language {src!r}")
-        decoder = (decoder_override or {}).get(src, codecs[target])
-        moments[src] = affine_moments(
-            decoder.decode, decoder.latent_dim, decoder.nuisance_dim, radius
-        )
-    comparisons = tuple(
-        (a, b, moment_gap(moments[a], moments[b]))
-        for a, b in itertools.combinations(sorted(sources), 2)
-    )
-    return PropositionZeroResult(all(c.holds for *_, c in comparisons), comparisons, moments)
-
-
-def moment_tv_lower_bound(mean_a: np.ndarray, mean_b: np.ndarray, sup_norm: float) -> float:
-    """A valid TV lower bound from the means of two laws on the sup_norm ball.
-
-    Any unit direction u has |E_P(u.X) - E_Q(u.X)| <= 2 * sup_norm * TV(P, Q),
-    so the mean gap divided by 2 * sup_norm underestimates TV.
-    """
-    if sup_norm <= 0:
-        raise ValueError("sup_norm must be positive")
-    return float(np.linalg.norm(np.subtract(mean_a, mean_b))) / (2.0 * sup_norm)

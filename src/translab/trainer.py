@@ -149,24 +149,6 @@ class EncoderEstimate:
         }
 
 
-def _affine_least_squares(points: np.ndarray, targets: np.ndarray) -> AffineMap:
-    """Minimize mean squared residual of an affine map, regularizing only if needed.
-
-    ``points`` (..., n, d) and ``targets`` (..., n, D) may carry leading stack
-    axes, one corpus per slice; the result is then a stack of maps, each bit
-    for bit the fit of its corpus alone.
-    """
-    n, d = points.shape[-2:]
-    if n < d + 1:
-        raise InsufficientDataError(
-            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
-        )
-    design = np.empty(points.shape[:-1] + (d + 1,))
-    design[..., :d] = points
-    design[..., d] = 1.0
-    return _least_squares(design, targets)
-
-
 def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
     """The affine map whose parameters minimize ||design @ theta - targets||.
 
@@ -204,10 +186,21 @@ def fit_affine(
 ) -> tuple[AffineMap, float | list[float]]:
     """The least-squares affine map from points to targets, and its mean squared residual.
 
-    Leading axes are a stack of corpora, fitted and scored as one stack: a
-    stack of maps and a list of losses, each bit for bit its corpus's alone.
+    ``points`` (..., n, d) and ``targets`` (..., n, D) may carry leading stack
+    axes, one corpus per slice, fitted and scored as one stack: a stack of
+    maps and a list of losses, each bit for bit its corpus's alone. The ridge
+    enters only if a slice needs it (see ``_least_squares``).
     """
-    transform = _affine_least_squares(points, targets)
+    n, d = points.shape[-2:]
+    if n < d + 1:
+        raise InsufficientDataError(
+            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
+        )
+    design = np.empty(points.shape[:-1] + (d + 1,))
+    design[..., :d] = points
+    design[..., d] = 1.0
+    transform = _least_squares(design, targets)
+    del design  # so the design and the residual are never held at once
     return transform, _mean_squared_residual(transform, points, targets)
 
 

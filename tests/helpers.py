@@ -32,7 +32,7 @@ from translab.distributions import (
     tv_distance,
 )
 from translab.errors import DomainError
-from translab.evaluation import SweepRow, _affine_losses, _CodecStack
+from translab.evaluation import SweepRow, _affine_losses, _codec, _CodecStack
 from translab.impossibility import (
     ManyToManyInstance,
     random_many_to_many_instance,
@@ -96,6 +96,102 @@ def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_
         y = dst_codec.decode(src_codec.encode(x))
     squared = np.sum((transform(x) - y) ** 2, axis=1)
     return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(m))
+
+
+# ---------------------------------------------------------------------------
+# Paper-check oracles: the 0-1 error, the population loss, exact moments
+
+
+def zero_one_error(dist, f, f_star) -> float:
+    """Mass of atoms where f and f_star disagree: E[1(f(X) != f_star(X))]."""
+    return float(sum(w for atom, w in dist.items() if f(atom) != f_star(atom)))
+
+
+def population_loss(estimate, pair, codecs, spec) -> float:
+    """Exact squared gap between the learned and ground-truth composites of ``pair``."""
+    src, dst = (_CodecStack.of([_codec(codecs, lang, spec)]) for lang in pair)
+    return _affine_losses(
+        estimate.composite(*pair)[None], src, dst, spec.dim, spec.radius, target_noise=False
+    )[0]
+
+
+def affine_moments(f, latent_dim, nuisance_dim, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and covariance of f(z, r) for an affine f of the latent and noise seed.
+
+    z is uniform on the radius-B ball in R^d and r has independent truncated
+    normal coordinates; both have mean zero and diagonal covariance. f is read
+    at the origin and at each unit vector e_j: the mean is f(0, 0) and the
+    covariance is sum_j var_j c_j c_j^T with c_j = f(e_j) - f(0, 0).
+    """
+    points = np.eye(1 + latent_dim + nuisance_dim, latent_dim + nuisance_dim, k=-1)
+    values = np.asarray(f(points[:, :latent_dim], points[:, latent_dim:]), dtype=np.float64)
+    mean = values[0]
+    columns = values[1:] - mean
+    var = np.repeat(
+        [latent_second_moment(latent_dim, radius), NOISE_VARIANCE],
+        [latent_dim, nuisance_dim],
+    )
+    return mean, (columns.T * var) @ columns
+
+
+def moment_gap(a, b) -> tuple[float, float, bool]:
+    """Norms of the mean and covariance differences of two (mean, cov) pairs, and a verdict.
+
+    The verdict is True when both are at most 1e-9 times the largest
+    covariance entry (at least 1), so the moments count as equal.
+    """
+    mean_gap = float(np.linalg.norm(a[0] - b[0]))
+    cov_gap = float(np.linalg.norm(a[1] - b[1]))
+    tol = 1e-9 * max(1.0, np.abs(a[1]).max(initial=0.0), np.abs(b[1]).max(initial=0.0))
+    return mean_gap, cov_gap, mean_gap <= tol and cov_gap <= tol
+
+
+def invariance_gap(codec, radius=1.0) -> tuple[float, float, bool]:
+    """``moment_gap`` between encode(decode(z, r)) and the latent itself.
+
+    The nuisance construction recovers latents exactly, so both gaps are zero
+    up to rounding; a corrupted codec shifts the mean or the covariance. Only
+    the law is compared, so an encoder off by a rotation of the latent passes.
+    """
+    d = codec.latent_dim
+    round_trip = affine_moments(
+        lambda z, r: codec.encode(codec.decode(z, r)), d, codec.nuisance_dim, radius
+    )
+    return moment_gap(round_trip, (np.zeros(d), latent_second_moment(d, radius) * np.eye(d)))
+
+
+def target_moments(codecs_by_source, target, radius=1.0) -> dict:
+    """Exact moments of the target half of each source's (source, target) corpus.
+
+    ``codecs_by_source`` maps each source language to the codecs its corpus
+    is decoded with. The target half is the target codec applied to the
+    shared latent and fresh target noise, so Proposition 0 says the moments
+    coincide when every corpus has the same target codec; a mapping with
+    another target codec breaks that premise.
+    """
+    if len(codecs_by_source) < 2:
+        raise ValueError("need at least two source languages")
+    moments = {}
+    for src, codecs in codecs_by_source.items():
+        for lang in (src, target):
+            if lang not in codecs:
+                raise DomainError(f"no codec for language {lang!r}")
+        decoder = codecs[target]
+        moments[src] = affine_moments(
+            decoder.decode, decoder.latent_dim, decoder.nuisance_dim, radius
+        )
+    return moments
+
+
+def moment_tv_lower_bound(mean_a, mean_b, sup_norm) -> float:
+    """A valid TV lower bound from the means of two laws on the sup_norm ball.
+
+    Any unit direction u has |E_P(u.X) - E_Q(u.X)| <= 2 * sup_norm * TV(P, Q),
+    so the mean gap divided by 2 * sup_norm underestimates TV.
+    """
+    if sup_norm <= 0:
+        raise ValueError("sup_norm must be positive")
+    return float(np.linalg.norm(np.subtract(mean_a, mean_b))) / (2.0 * sup_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,34 @@ class TestParseAndValidate:
         assert out == ""
         assert err == "invalid: out: required for this mode\n"
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "file-sub"])
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_out_through_a_file_exits_2_naming_it(self, tmp_path, capsys, mode, under_file):
+        instance = tmp_path / "i.json"
+        io.save_instance(make_worst_case(0.5), instance)
+        graph = tmp_path / "graph.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 10),)), graph)
+        inputs = {
+            "bound": ["--instance", str(instance)],
+            "brute": ["--instance", str(instance)],
+            "demo-worst-case": ["--delta", "0.5"],
+            "generate": ["--graph", str(graph)],
+            "train": ["--graph", str(graph), "--corpus-dir", str(tmp_path)],
+            "eval": ["--graph", str(graph), "--codecs", str(graph),
+                     "--encoders", str(graph)],
+            "sweep": [],
+        }[mode]
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        out = blocker / "sub" if under_file else blocker
+        code, stdout, err = run_cli([mode, *inputs, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"invalid: out: not a directory: {blocker}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "not a directory\n"
+
     def test_non_integer_n_list_exits_2(self, tmp_path, capsys):
         code, out, err = run_cli(
             ["sweep", "--n-list", "32,abc", "--out", str(tmp_path / "sweep")], capsys
@@ -1182,7 +1210,8 @@ class TestSweepCommand:
         assert summary["degenerate"] is True and summary["slope"] is None
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # Runs translab.cli.main with every scipy import made to raise ImportError.
 WITHOUT_SCIPY = """
@@ -1194,7 +1223,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 def run_fresh(code, *args):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
@@ -1266,11 +1295,13 @@ class TestColdStart:
         result = run_fresh(
             "import sys\n"
             "sys.modules['scipy'] = None\n"
-            "from translab.generative import FunctionClassSpec, invariance_test,"
-            " proposition_zero_check, sample_randomized_codecs\n"
+            "from helpers import invariance_gap, moment_gap, target_moments\n"
+            "from translab.generative import FunctionClassSpec, sample_randomized_codecs\n"
             "codecs = sample_randomized_codecs(FunctionClassSpec(dim=3), 3, 2, 0.2, seed=0)\n"
-            "assert invariance_test(codecs[0]).holds\n"
-            "assert proposition_zero_check(dict(zip('ABT', codecs)), 'AB', 'T').holds\n"
+            "codecs = dict(zip('ABT', codecs))\n"
+            "assert invariance_gap(codecs['A'])[2]\n"
+            "moments = target_moments({'A': codecs, 'B': codecs}, 'T')\n"
+            "assert moment_gap(moments['A'], moments['B'])[2]\n"
         )
         assert result.returncode == 0, result.stderr
 

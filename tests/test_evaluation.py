@@ -12,6 +12,7 @@ from helpers import (
     max_entry_difference,
     monte_carlo_pair_loss,
     per_trial_sweep_rows,
+    population_loss,
     random_connected_graph,
     scalar_affine_loss,
     with_gauge,
@@ -24,7 +25,6 @@ from translab.evaluation import (
     _CodecStack,
     _affine_losses,
     concentration_bound,
-    population_loss,
     required_sample_size,
     sample_complexity_sweep,
     shortest_path_and_diameter,

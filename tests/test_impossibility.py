@@ -14,6 +14,7 @@ from helpers import (
     perfect_universal_translator,
     random_distribution,
     random_translator,
+    zero_one_error,
 )
 
 from translab import cli, impossibility, io
@@ -24,7 +25,6 @@ from translab.distributions import (
     Sentence,
     pushforward,
     tv_distance,
-    zero_one_error,
 )
 from translab.errors import BudgetError, DomainError
 from translab.impossibility import (
