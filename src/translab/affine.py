@@ -109,6 +109,3 @@ class AffineMap:
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
         return cls(np.eye(dim), np.zeros(dim))
-
-    def to_dict(self) -> dict:
-        return {"W": self.linear.tolist(), "b": self.offset.tolist()}

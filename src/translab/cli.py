@@ -248,7 +248,7 @@ def _draw_codecs(config, languages):
     )
     summary = {
         "seed": config.seed,
-        "spec": spec.to_dict(),
+        "spec": io.spec_to_dict(spec),
         "sigma": config.sigma,
         "nuisance_dim": config.nuisance_dim,
     }

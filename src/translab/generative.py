@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .affine import AffineMap
-from .errors import DomainError, GraphError, SchemaError
+from .errors import DomainError, GraphError
 from .seeding import derive_seed
 
 #: Noise seeds are standard normal truncated at this many deviations per coordinate.
@@ -82,41 +82,6 @@ class FunctionClassSpec:
     @property
     def M(self) -> float:
         return self.rho * self.radius + self.offset_bound
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.dim,
-            "B": self.radius,
-            "rho": self.rho,
-            "offset_bound": self.offset_bound,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FunctionClassSpec":
-        """Build a spec from its document; a field of the wrong JSON type raises ``SchemaError``."""
-        return cls(
-            dim=json_integer(payload["d"], "d"),
-            radius=json_number(payload["B"], "B"),
-            rho=json_number(payload["rho"], "rho"),
-            offset_bound=json_number(payload["offset_bound"], "offset_bound"),
-        )
-
-
-def json_integer(value, name: str) -> int:
-    """``value`` if it is a JSON integer (a bool is not); else ``SchemaError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"field {name!r} must be a JSON integer, got {value!r}")
-    return value
-
-
-def json_number(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number (a bool or string is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field {name!r} must be a JSON number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"field {name!r} is too large for a float") from None
 
 
 class LatentSampler:
@@ -358,36 +323,6 @@ class TranslationGraph:
             "languages": list(self.languages),
             "edges": [{"a": a, "b": b, "n": n} for a, b, n in self.edges],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TranslationGraph":
-        """Build a graph from its document; a malformed document raises ``SchemaError``."""
-        if not (
-            isinstance(payload, dict)
-            and isinstance(payload.get("languages"), list)
-            and isinstance(payload.get("edges"), list)
-        ):
-            raise SchemaError("graph document needs a 'languages' list and an 'edges' list")
-        if not payload["languages"]:
-            raise SchemaError("graph document lists no languages")
-        for lang in payload["languages"]:
-            if not isinstance(lang, str):
-                raise SchemaError(f"language id {lang!r} is not a string")
-        edges = []
-        for i, entry in enumerate(payload["edges"]):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"edge {i} is not an object: {entry!r}")
-            a, b, n = entry.get("a"), entry.get("b"), entry.get("n", 0)
-            if not (isinstance(a, str) and isinstance(b, str)):
-                raise SchemaError(
-                    f"edge {i} needs language ids 'a' and 'b', got {a!r} and {b!r}"
-                )
-            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise SchemaError(
-                    f"edge {a}->{b} has n={n!r}; n must be a non-negative integer"
-                )
-            edges.append((a, b, n))
-        return cls(tuple(payload["languages"]), tuple(edges))
 
 
 def six_language_demo_graph(samples_per_edge: int = 200) -> TranslationGraph:

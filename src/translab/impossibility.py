@@ -422,10 +422,11 @@ def _search(
 
     The objective does not depend on the partition, so each table is scored
     once. The first minimizer in (partition, table) product order is
-    reproduced on the expanded tables: of the minimizing tables' first
-    compatible partitions (pinned z in their blocks, free z in block 0), take
-    the smallest read as a base-K number with z0 most significant, and report
-    the first minimizing table compatible with it.
+    reproduced on the expanded tables: it is the first minimizing table whose
+    first compatible partition (pinned z in their blocks, free z in block 0)
+    is smallest read as a base-K number with z0 most significant. A table
+    compatible with a smaller partition P has P as its first one: the two
+    could first differ only at a z that is neither pinned nor free.
     """
     atoms: list[Atom] = []
     atom_task: list[int] = []
@@ -535,19 +536,16 @@ def _search(
     near = reps[feasible][rep_values <= rep_values.min() + 1e-9]
     tables = _orbit_members(near, z_size)
     values, h_tables = score(tables)
-    pinned = pins(tables)
-    n_pins = pinned.sum(axis=0)
     # First compatible partition of each table: argmax picks the pinned
     # block, or block 0 for a free z.
-    first_partition = pinned.argmax(axis=0)  # (table, z)
+    first_partition = pins(tables).argmax(axis=0)  # (table, z)
 
-    # Product-order tie-break: the smallest first compatible partition over
-    # the minimizers, then the first minimizer compatible with it.
+    # Product-order tie-break: the minimizer whose first compatible partition
+    # is smallest in base K, the first such table on a tie.
     minimizers = np.flatnonzero(values == values.min())
-    candidates = first_partition[minimizers]
-    partition = candidates[np.argmin(candidates @ n_blocks ** np.arange(z_size - 1, -1, -1))]
-    free = n_pins[minimizers] == 0
-    i = int(minimizers[np.argmax(((candidates == partition) | free).all(axis=1))])
+    keys = first_partition[minimizers] @ n_blocks ** np.arange(z_size - 1, -1, -1)
+    i = int(minimizers[np.argmin(keys)])
+    partition = first_partition[i]
 
     z_names = tuple(f"z{z}" for z in range(z_size))
     encoder = DeterministicTranslator(

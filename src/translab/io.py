@@ -1,10 +1,11 @@
-"""File schemas: instance/graph/codec/corpus/encoder documents plus CSV emission.
+"""Every file layout: instance/graph/codec/corpus/encoder documents plus CSV emission.
 
-JSON carries structured inputs and summaries, CSV carries tabular results.
-All text output is UTF-8 with LF line endings and full-precision floats
-(``repr``), so identical runs emit byte-identical files. Every writer fills a
-temporary file beside its target and then renames it over the target, so an
-interrupted write leaves the earlier file intact.
+No other module reads or writes files. JSON carries structured inputs and
+summaries, CSV tabular results. All text output is UTF-8 with LF line endings
+and full-precision floats (``repr``), so identical runs emit byte-identical
+files. Every writer fills a temporary file beside its target and then renames
+it over the target, so an interrupted write leaves the earlier file intact.
+Every loader's ``SchemaError`` starts with the file's path.
 """
 
 from __future__ import annotations
@@ -24,28 +25,45 @@ from .affine import AffineMap
 from .distributions import WEIGHT_TOL, DeterministicTranslator, FiniteDistribution, Sentence
 from .errors import ConditioningError, GraphError, SchemaError
 from .evaluation import PairEvalRecord, SweepRow
-from .generative import (
-    AlignedCorpus,
-    FunctionClassSpec,
-    RandomizedCodec,
-    TranslationGraph,
-    json_integer,
-    json_number,
-)
+from .generative import AlignedCorpus, FunctionClassSpec, RandomizedCodec, TranslationGraph
 from .impossibility import BoundReport, ManyToManyInstance
 from .trainer import EdgeRegressionResult, EncoderEstimate
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise a ``SchemaError`` or ``GraphError`` from inside as one naming ``path``."""
+    try:
+        yield
+    except (SchemaError, GraphError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise
     except IsADirectoryError as exc:
-        raise SchemaError(f"{path}: is a directory, not a JSON file") from exc
+        raise SchemaError("is a directory, not a JSON file") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer (a bool is not); else ``SchemaError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"field {name!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (a bool or string is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"field {name!r} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"field {name!r} is too large for a float") from None
 
 
 @contextlib.contextmanager
@@ -279,11 +297,8 @@ def _build_instance(payload):
 
 def load_instance(path):
     """Read an instance document; every defect is a ``SchemaError`` naming the file."""
-    payload = _read_json(path)
-    try:
-        return instance_from_dict(payload)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    with _naming(path):
+        return instance_from_dict(_read_json(path))
 
 
 def save_instance(instance: ManyToManyInstance, path) -> None:
@@ -295,16 +310,70 @@ def save_instance(instance: ManyToManyInstance, path) -> None:
 
 
 def load_graph(path) -> TranslationGraph:
-    """Read a graph document, naming the file and the edge of any defect."""
-    payload = _read_json(path)
-    try:
-        return TranslationGraph.from_dict(payload)
-    except (SchemaError, GraphError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    """Read a graph document, naming the file and the edge or language id of any defect."""
+    with _naming(path):
+        payload = _read_json(path)
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("languages"), list)
+            and isinstance(payload.get("edges"), list)
+        ):
+            raise SchemaError("graph document needs a 'languages' list and an 'edges' list")
+        if not payload["languages"]:
+            raise SchemaError("graph document lists no languages")
+        for lang in payload["languages"]:
+            if not isinstance(lang, str):
+                raise SchemaError(f"language id {lang!r} is not a string")
+            if any(c in lang for c in ("/", os.sep, "\0")):
+                raise SchemaError(f"language id {lang!r} holds a path separator or NUL")
+        edges = []
+        for i, entry in enumerate(payload["edges"]):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"edge {i} is not an object: {entry!r}")
+            a, b, n = entry.get("a"), entry.get("b"), entry.get("n", 0)
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise SchemaError(
+                    f"edge {i} needs language ids 'a' and 'b', got {a!r} and {b!r}"
+                )
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                raise SchemaError(
+                    f"edge {a}->{b} has n={n!r}; n must be a non-negative integer"
+                )
+            edges.append((a, b, n))
+        graph = TranslationGraph(tuple(payload["languages"]), tuple(edges))
+        edge_of: dict[str, tuple[str, str]] = {}
+        for edge in graph.edge_pairs():
+            name = corpus_filename(edge)
+            if edge_of.setdefault(name, edge) != edge:
+                raise SchemaError(
+                    f"edges {edge_of[name]} and {edge} both store their corpus in {name}"
+                )
+        return graph
 
 
 def save_graph(graph: TranslationGraph, path) -> None:
     _write_json(graph.to_dict(), path)
+
+
+def spec_to_dict(spec: FunctionClassSpec) -> dict:
+    """The spec's document, as codec, encoder and summary files record it."""
+    return {"d": spec.dim, "B": spec.radius, "rho": spec.rho, "offset_bound": spec.offset_bound}
+
+
+def _spec(raw) -> FunctionClassSpec:
+    try:
+        return FunctionClassSpec(
+            dim=_integer(raw["d"], "d"),
+            radius=_number(raw["B"], "B"),
+            rho=_number(raw["rho"], "rho"),
+            offset_bound=_number(raw["offset_bound"], "offset_bound"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed 'spec': {exc}") from exc
+
+
+def _affine_entry(W: np.ndarray, b: np.ndarray) -> dict:
+    return {"W": W.tolist(), "b": b.tolist()}
 
 
 def save_codecs(
@@ -316,86 +385,76 @@ def save_codecs(
         raise ValueError("codecs must share one sigma and nuisance_dim")
     ((sigma, nuisance_dim),) = settings
     payload = {
-        "spec": spec.to_dict(),
+        "spec": spec_to_dict(spec),
         "sigma": sigma,
         "nuisance_dim": nuisance_dim,
         "codecs": {
-            lang: {"W": codec.W.tolist(), "b": codec.b.tolist()}
-            for lang, codec in sorted(codecs.items())
+            lang: _affine_entry(codec.W, codec.b) for lang, codec in sorted(codecs.items())
         },
     }
     _write_json(payload, path)
 
 
-def _spec(path, raw) -> FunctionClassSpec:
-    try:
-        return FunctionClassSpec.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed 'spec': {exc}") from exc
-
-
-def _array_field(path, owner: str, entry, name: str, ndim: int) -> np.ndarray:
+def _array_field(owner: str, entry, name: str, ndim: int) -> np.ndarray:
     """``entry[name]`` as a finite float array; ``owner`` names the entry in messages."""
     try:
         value = np.array(entry[name], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(
-            f"{path}: {owner} field {name!r} is missing or not numeric: {exc}"
-        ) from exc
+        raise SchemaError(f"{owner} field {name!r} is missing or not numeric: {exc}") from exc
     if value.ndim != ndim:
         raise SchemaError(
-            f"{path}: {owner} field {name!r} must have {ndim} dimension(s),"
-            f" got shape {value.shape}"
+            f"{owner} field {name!r} must have {ndim} dimension(s), got shape {value.shape}"
         )
     if not np.all(np.isfinite(value)):
-        raise SchemaError(f"{path}: {owner} field {name!r} has a non-finite entry")
+        raise SchemaError(f"{owner} field {name!r} has a non-finite entry")
     return value
 
 
 def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
     """Read a codec document, naming the file, codec and field of any defect."""
-    payload = _read_json(path)
-    try:
-        raw_spec = payload["spec"]
-        entries = dict(payload["codecs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed codec document: {exc}") from exc
-    try:
-        sigma = json_number(payload.get("sigma", 0.0), "sigma")
-        nuisance = json_integer(payload.get("nuisance_dim", 0), "nuisance_dim")
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: codec {exc}") from exc
-    spec = _spec(path, raw_spec)
-    if not np.isfinite(sigma):
-        raise SchemaError(f"{path}: codec field 'sigma' is not finite: {sigma}")
-    decoders = {}
-    for lang, entry in entries.items():
-        W = _array_field(path, f"codec {lang!r}", entry, "W", 2)
-        b = _array_field(path, f"codec {lang!r}", entry, "b", 1)
+    with _naming(path):
+        payload = _read_json(path)
         try:
-            decoders[lang] = AffineMap(W, b)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: malformed codec {lang!r}: {exc}") from exc
-    if len({m.linear.shape for m in decoders.values()}) == 1:
-        # One SVD for every decoder; indexing carries each map's singular
-        # values into the codec's singularity check. Decoders of different
-        # sizes cannot stack, and the checks below reject one of them.
-        stack = AffineMap.stack(list(decoders.values()))
-        stack.singular_values
-        decoders = {lang: stack[i] for i, lang in enumerate(decoders)}
-    codecs = {}
-    for lang, decoder in decoders.items():
+            raw_spec = payload["spec"]
+            entries = dict(payload["codecs"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed codec document: {exc}") from exc
         try:
-            codec = RandomizedCodec(decoder, nuisance, sigma)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: malformed codec {lang!r}: {exc}") from exc
-        if codec.latent_dim != spec.dim:
-            raise SchemaError(
-                f"{path}: codec {lang!r} has latent dimension {codec.latent_dim}"
-                f" ('W' rows minus nuisance_dim), but the spec's 'd' is {spec.dim}"
-            )
-        codecs[lang] = codec
-    return spec, codecs
+            sigma = _number(payload.get("sigma", 0.0), "sigma")
+            nuisance = _integer(payload.get("nuisance_dim", 0), "nuisance_dim")
+        except SchemaError as exc:
+            raise SchemaError(f"codec {exc}") from exc
+        spec = _spec(raw_spec)
+        if not np.isfinite(sigma):
+            raise SchemaError(f"codec field 'sigma' is not finite: {sigma}")
+        decoders = {}
+        for lang, entry in entries.items():
+            W = _array_field(f"codec {lang!r}", entry, "W", 2)
+            b = _array_field(f"codec {lang!r}", entry, "b", 1)
+            try:
+                decoders[lang] = AffineMap(W, b)
+            except ValueError as exc:
+                raise SchemaError(f"malformed codec {lang!r}: {exc}") from exc
+        if len({m.linear.shape for m in decoders.values()}) == 1:
+            # One SVD for every decoder; indexing carries each map's singular
+            # values into the codec's singularity check. Decoders of different
+            # sizes cannot stack, and the checks below reject one of them.
+            stack = AffineMap.stack(list(decoders.values()))
+            stack.singular_values
+            decoders = {lang: stack[i] for i, lang in enumerate(decoders)}
+        codecs = {}
+        for lang, decoder in decoders.items():
+            try:
+                codec = RandomizedCodec(decoder, nuisance, sigma)
+            except ValueError as exc:
+                raise SchemaError(f"malformed codec {lang!r}: {exc}") from exc
+            if codec.latent_dim != spec.dim:
+                raise SchemaError(
+                    f"codec {lang!r} has latent dimension {codec.latent_dim}"
+                    f" ('W' rows minus nuisance_dim), but the spec's 'd' is {spec.dim}"
+                )
+            codecs[lang] = codec
+        return spec, codecs
 
 
 def save_corpus(corpus: AlignedCorpus, path) -> None:
@@ -411,47 +470,46 @@ def save_corpus(corpus: AlignedCorpus, path) -> None:
 
 def load_corpus(path) -> AlignedCorpus:
     """Read a corpus NPZ, naming the file and the field of any defect."""
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise SchemaError(f"{path}: not an NPZ corpus file: {exc}") from exc
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise SchemaError(f"{path}: not an NPZ corpus file")
-    fields = {}
-    with npz:
-        for name in ("pairs", "edge", "meta"):
-            try:
-                fields[name] = npz[name]
-            except (KeyError, ValueError, zipfile.BadZipFile) as exc:
-                raise SchemaError(f"{path}: corpus field {name!r} is unreadable: {exc}") from exc
-    pairs = fields["pairs"]
-    if (
-        pairs.dtype.kind not in "iuf"
-        or pairs.ndim != 3
-        or pairs.shape[1] != 2
-        or pairs.size == 0
-    ):
-        raise SchemaError(
-            f"{path}: corpus field 'pairs' must be a numeric (n, 2, dim) array"
-            f" with n, dim >= 1, got {pairs.dtype} of shape {pairs.shape}"
-        )
-    if not np.all(np.isfinite(pairs)):
-        raise SchemaError(f"{path}: corpus field 'pairs' has a non-finite entry")
-    raw_edge = fields["edge"]
-    edge = tuple(str(x) for x in np.ravel(raw_edge))
-    if raw_edge.dtype.kind != "U" or len(edge) != 2:
-        raise SchemaError(
-            f"{path}: corpus field 'edge' must name two languages, got {raw_edge!r}"
-        )
-    try:
-        meta = json.loads(str(fields["meta"][()]))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: corpus field 'meta' is not JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise SchemaError(f"{path}: corpus field 'meta' must be a JSON object")
-    return AlignedCorpus(edge, pairs, meta)
+    with _naming(path):
+        try:
+            npz = np.load(path, allow_pickle=False)
+        except FileNotFoundError:
+            raise
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise SchemaError(f"not an NPZ corpus file: {exc}") from exc
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise SchemaError("not an NPZ corpus file")
+        fields = {}
+        with npz:
+            for name in ("pairs", "edge", "meta"):
+                try:
+                    fields[name] = npz[name]
+                except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+                    raise SchemaError(f"corpus field {name!r} is unreadable: {exc}") from exc
+        pairs = fields["pairs"]
+        if (
+            pairs.dtype.kind not in "iuf"
+            or pairs.ndim != 3
+            or pairs.shape[1] != 2
+            or pairs.size == 0
+        ):
+            raise SchemaError(
+                "corpus field 'pairs' must be a numeric (n, 2, dim) array"
+                f" with n, dim >= 1, got {pairs.dtype} of shape {pairs.shape}"
+            )
+        if not np.all(np.isfinite(pairs)):
+            raise SchemaError("corpus field 'pairs' has a non-finite entry")
+        raw_edge = fields["edge"]
+        edge = tuple(str(x) for x in np.ravel(raw_edge))
+        if raw_edge.dtype.kind != "U" or len(edge) != 2:
+            raise SchemaError(f"corpus field 'edge' must name two languages, got {raw_edge!r}")
+        try:
+            meta = json.loads(str(fields["meta"][()]))
+        except ValueError as exc:
+            raise SchemaError(f"corpus field 'meta' is not JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise SchemaError("corpus field 'meta' must be a JSON object")
+        return AlignedCorpus(edge, pairs, meta)
 
 
 def corpus_filename(edge: tuple[str, str]) -> str:
@@ -461,39 +519,46 @@ def corpus_filename(edge: tuple[str, str]) -> str:
 def save_encoders(
     estimate: EncoderEstimate, path, spec: FunctionClassSpec | None = None
 ) -> None:
-    payload = estimate.to_dict()
-    payload["spec"] = None if spec is None else spec.to_dict()
+    payload = {
+        "anchor": estimate.anchor,
+        "encoders": {
+            lang: _affine_entry(enc.linear, enc.offset)
+            for lang, enc in sorted(estimate.encoders.items())
+        },
+        "spec": None if spec is None else spec_to_dict(spec),
+    }
     _write_json(payload, path)
 
 
 def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
     """Read an encoder document, naming the file, language and field of any defect."""
-    payload = _read_json(path)
-    try:
-        entries = dict(payload["encoders"])
-        anchor = payload.get("anchor")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed encoder document: {exc}") from exc
-    if anchor is not None and not isinstance(anchor, str):
-        raise SchemaError(f"{path}: 'anchor' must be a language id or null, got {anchor!r}")
-    encoders = {}
-    for lang, entry in entries.items():
-        W = _array_field(path, f"encoder {lang!r}", entry, "W", 2)
-        b = _array_field(path, f"encoder {lang!r}", entry, "b", 1)
-        if W.shape[0] != W.shape[1] or b.shape[0] != W.shape[0]:
-            raise SchemaError(
-                f"{path}: encoder {lang!r} needs a square 'W' and a matching 'b',"
-                f" got shapes {W.shape} and {b.shape}"
-            )
-        encoders[lang] = AffineMap(W, b)
-    if len({enc.dim for enc in encoders.values()}) > 1:
-        raise SchemaError(f"{path}: encoders disagree on dimension")
-    try:
-        estimate = EncoderEstimate(encoders, anchor)
-    except (ConditioningError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    spec = payload.get("spec")
-    return estimate, None if spec is None else _spec(path, spec)
+    with _naming(path):
+        payload = _read_json(path)
+        try:
+            entries = dict(payload["encoders"])
+            anchor = payload.get("anchor")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed encoder document: {exc}") from exc
+        if anchor is not None and not isinstance(anchor, str):
+            raise SchemaError(f"'anchor' must be a language id or null, got {anchor!r}")
+        encoders = {}
+        for lang, entry in entries.items():
+            W = _array_field(f"encoder {lang!r}", entry, "W", 2)
+            b = _array_field(f"encoder {lang!r}", entry, "b", 1)
+            if W.shape[0] != W.shape[1] or b.shape[0] != W.shape[0]:
+                raise SchemaError(
+                    f"encoder {lang!r} needs a square 'W' and a matching 'b',"
+                    f" got shapes {W.shape} and {b.shape}"
+                )
+            encoders[lang] = AffineMap(W, b)
+        if len({enc.dim for enc in encoders.values()}) > 1:
+            raise SchemaError("encoders disagree on dimension")
+        try:
+            estimate = EncoderEstimate(encoders, anchor)
+        except (ConditioningError, ValueError) as exc:
+            raise SchemaError(str(exc)) from exc
+        spec = payload.get("spec")
+        return estimate, None if spec is None else _spec(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -520,48 +585,25 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+#: The ``BoundReport`` fields of the bound CSV, in column order; the JSON report has them too.
+_BOUND_COLUMNS = (
+    "instance_id", "epsilon", "tv_max", "bound_sum", "bound_max", "bound_avg", "bf_value", "holds"
+)
+
+
 def write_bound_report_csv(reports: Sequence[BoundReport], path) -> None:
-    header = [
-        "instance_id",
-        "epsilon",
-        "tv_max",
-        "bound_sum",
-        "bound_max",
-        "bound_avg",
-        "bf_value",
-        "holds",
-    ]
-    rows = [
-        (
-            r.instance_id,
-            r.epsilon,
-            r.tv_max,
-            r.bound_sum,
-            r.bound_max,
-            r.bound_avg,
-            r.bf_value,
-            r.holds,
-        )
-        for r in reports
-    ]
-    _write_csv(path, header, rows)
+    rows = [[getattr(r, name) for name in _BOUND_COLUMNS] for r in reports]
+    _write_csv(path, _BOUND_COLUMNS, rows)
 
 
 def bound_report_to_dict(report: BoundReport) -> dict:
     return {
-        "instance_id": report.instance_id,
-        "epsilon": report.epsilon,
+        **{name: getattr(report, name) for name in _BOUND_COLUMNS},
         "pair_tvs": [
             {"target": t, "source_a": a, "source_b": b, "tv": tv}
             for t, a, b, tv in report.pair_tvs
         ],
-        "tv_max": report.tv_max,
-        "bound_sum": report.bound_sum,
-        "bound_max": report.bound_max,
-        "bound_avg": report.bound_avg,
-        "bf_value": report.bf_value,
         "bf_objective": report.bf_objective,
-        "holds": report.holds,
     }
 
 
@@ -593,12 +635,7 @@ def write_pair_eval_csv(records: Sequence[PairEvalRecord], path) -> None:
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    header = ["n", "trial", "empirical_loss", "population_loss", "gap"]
-    _write_csv(
-        path,
-        header,
-        [(r.n, r.trial, r.empirical_loss, r.population_loss, r.gap) for r in rows],
-    )
+    _write_csv(path, SweepRow._fields, rows)
 
 
 def write_edge_loss_csv(results: Sequence[EdgeRegressionResult], path) -> None:

@@ -140,14 +140,6 @@ class EncoderEstimate:
         """The translator src -> dst implied by the encoders."""
         return self.encoder(dst).inverse().compose(self.encoder(src))
 
-    def to_dict(self) -> dict:
-        return {
-            "anchor": self.anchor,
-            "encoders": {
-                lang: self.encoders[lang].to_dict() for lang in sorted(self.encoders)
-            },
-        }
-
 
 def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
     """The affine map whose parameters minimize ||design @ theta - targets||.

@@ -455,7 +455,7 @@ ENCODER_DOCUMENT = _saved_document(
         {"L0": AffineMap.identity(2), "L1": AffineMap(np.diag([2.0, 0.5]), np.ones(2))}, "L0"
     ),
 )
-ENCODER_DOCUMENT["spec"] = FunctionClassSpec(dim=2).to_dict()
+ENCODER_DOCUMENT["spec"] = io.spec_to_dict(FunctionClassSpec(dim=2))
 
 
 @st.composite

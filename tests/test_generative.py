@@ -17,6 +17,7 @@ from helpers import (
     target_moments,
     whole_array_pairs,
 )
+from translab import io
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.generative import (
@@ -529,9 +530,10 @@ class TestTranslationGraph:
         assert graph.bfs_tree("E") == {"E": None}
         assert not graph.is_connected()
 
-    def test_round_trip_dict(self):
+    def test_round_trip_dict(self, tmp_path):
         graph = TranslationGraph(("A", "B", "C"), (("A", "B", 7), ("B", "C", 9)))
-        again = TranslationGraph.from_dict(graph.to_dict())
+        io.save_graph(graph, tmp_path / "graph.json")
+        again = io.load_graph(tmp_path / "graph.json")
         assert again.languages == graph.languages
         assert again.edges == graph.edges
 

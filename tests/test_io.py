@@ -34,6 +34,7 @@ from translab.generative import (
     TranslationGraph,
     randomized_generate,
     sample_randomized_codecs,
+    six_language_demo_graph,
 )
 from translab.impossibility import (
     make_worst_case,
@@ -219,6 +220,26 @@ class TestGraphAndCodecFiles:
         assert codecs2["A"].sigma == 0.1 and codecs2["A"].nuisance_dim == 2
         assert np.allclose(codecs2["A"].W, codecs["A"].W)
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        spec = FunctionClassSpec(dim=3)
+        graph, codecs, corpora, _ = chain_setup(n_langs=4, sigma=0.1, nuisance=2)
+        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+
+        io.save_graph(six_language_demo_graph(), first)
+        io.save_graph(io.load_graph(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+        io.save_codecs(codecs, spec, first)
+        loaded_spec, loaded_codecs = io.load_codecs(first)
+        io.save_codecs(loaded_codecs, loaded_spec, second)
+        assert second.read_bytes() == first.read_bytes()
+
+        io.save_encoders(estimate, first, spec)
+        loaded_estimate, loaded_spec = io.load_encoders(first)
+        io.save_encoders(loaded_estimate, second, loaded_spec)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_codecs_with_mixed_noise_settings_are_rejected(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
         noisy = sample_randomized_codecs(spec, 1, 2, 0.1, seed=0)[0]
@@ -262,7 +283,61 @@ class TestGraphAndCodecFiles:
         assert str(path) in message and "'A'" in message and "latent dimension" in message
 
 
+#: Graphs whose language ids cannot name corpus files, and the defect each reports.
+UNSAFE_ID_GRAPHS = {
+    "escaping-id": (
+        ["A", "x/../../../esc"],
+        [("A", "x/../../../esc")],
+        "language id 'x/../../../esc' holds a path separator or NUL",
+    ),
+    "null-byte-id": (
+        ["A", "x\x00y"],
+        [("A", "x\x00y")],
+        "language id 'x\\x00y' holds a path separator or NUL",
+    ),
+    "shared-corpus-file": (
+        ["A", "C", "A__B", "B__C"],
+        [("A__B", "C"), ("A", "B__C")],
+        "edges ('A__B', 'C') and ('A', 'B__C') both store their corpus in corpus_A__B__C.npz",
+    ),
+}
+
+
+def write_unsafe_id_graph(path, case):
+    languages, edges, _expected = UNSAFE_ID_GRAPHS[case]
+    edges = [{"a": a, "b": b, "n": 4} for a, b in edges]
+    path.write_text(json.dumps({"languages": languages, "edges": edges}))
+
+
 class TestGraphDefects:
+    @pytest.mark.parametrize("case", UNSAFE_ID_GRAPHS)
+    def test_id_that_cannot_name_a_corpus_file_names_file_and_id(self, tmp_path, case):
+        path = tmp_path / "graph.json"
+        write_unsafe_id_graph(path, case)
+        with pytest.raises(SchemaError) as info:
+            io.load_graph(path)
+        assert str(info.value) == f"{path}: {UNSAFE_ID_GRAPHS[case][2]}"
+
+    @pytest.mark.parametrize("mode", ["generate", "train", "eval"])
+    @pytest.mark.parametrize("case", UNSAFE_ID_GRAPHS)
+    def test_id_that_cannot_name_a_corpus_file_exits_2_writing_nothing(
+        self, tmp_path, capsys, case, mode
+    ):
+        path = tmp_path / "inputs" / "graph.json"
+        path.parent.mkdir()
+        write_unsafe_id_graph(path, case)
+        inputs = {
+            "generate": [],
+            "train": ["--corpus-dir", str(path.parent)],
+            "eval": ["--codecs", str(path), "--encoders", str(path)],
+        }[mode]
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "runs" / "out"
+        code = cli.main([mode, "--graph", str(path), *inputs, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: {UNSAFE_ID_GRAPHS[case][2]}\n"
+        assert sorted(tmp_path.rglob("*")) == before
     @pytest.mark.parametrize(
         "edge, expected",
         [
