@@ -2,14 +2,15 @@
 
 Sentences are opaque atoms; the only structure the computations ever inspect is the
 language tag (and, in the many-to-many setting, the target-language prefix).
-Distributions are weight vectors over an explicit finite support, so total
-variation and pushforwards are exact computations.
+Distributions are weight vectors over an explicit finite support, and
+translators explicit tables, so ``impossibility`` turns an instance into
+arrays once and computes pushforwards and total variation on them exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Hashable, Iterator, Mapping
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class FiniteDistribution:
 
     support: tuple[Atom, ...]
     weights: np.ndarray
-    _index: dict[Atom, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         support = tuple(self.support)
@@ -62,11 +62,9 @@ class FiniteDistribution:
             raise ValueError(
                 f"{len(support)} atoms but {weights.shape[0]} weights"
             )
-        index: dict[Atom, int] = {}
-        for pos, atom in enumerate(support):
-            if atom in index:
-                raise ValueError(f"duplicate atom in support: {atom!r}")
-            index[atom] = pos
+        duplicates = [atom for pos, atom in enumerate(support) if atom in support[:pos]]
+        if duplicates:
+            raise ValueError(f"duplicate atom in support: {duplicates[0]!r}")
         if not np.all(np.isfinite(weights)):
             raise ValueError(f"non-finite weight: {weights.tolist()}")
         if np.any(weights < -WEIGHT_TOL):
@@ -78,16 +76,6 @@ class FiniteDistribution:
         weights.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", index)
-
-    @classmethod
-    def from_dict(cls, masses: Mapping[Atom, float]) -> "FiniteDistribution":
-        atoms = tuple(masses.keys())
-        return cls(atoms, np.array([masses[a] for a in atoms]))
-
-    def weight(self, atom: Atom) -> float:
-        pos = self._index.get(atom)
-        return 0.0 if pos is None else float(self.weights[pos])
 
     def items(self) -> Iterator[tuple[Atom, float]]:
         return zip(self.support, self.weights)
@@ -114,42 +102,3 @@ class DeterministicTranslator:
     @property
     def domain(self) -> tuple[Atom, ...]:
         return tuple(self.mapping.keys())
-
-    def after(self, inner: "DeterministicTranslator") -> "DeterministicTranslator":
-        """Composition self ∘ inner, total on inner's domain."""
-        return DeterministicTranslator({a: self(inner(a)) for a in inner.domain})
-
-    @classmethod
-    def identity(cls, atoms: Iterable[Atom]) -> "DeterministicTranslator":
-        return cls({a: a for a in atoms})
-
-    @classmethod
-    def constant(cls, atoms: Iterable[Atom], value: Atom) -> "DeterministicTranslator":
-        return cls({a: value for a in atoms})
-
-
-def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Total variation distance, computed as half the L1 gap over the unioned support.
-
-    Atoms absent from one distribution carry weight zero.
-    """
-    gaps: dict[Atom, float] = {}
-    for atom, w in p.items():
-        gaps[atom] = w
-    for atom, w in q.items():
-        gaps[atom] = gaps.get(atom, 0.0) - w
-    return 0.5 * float(sum(abs(v) for v in gaps.values()))
-
-
-def pushforward(dist: FiniteDistribution, f: DeterministicTranslator) -> FiniteDistribution:
-    """Distribution of f(X) for X ~ dist; raises DomainError if f is not total on it.
-
-    Output atoms are ordered by first appearance of their preimages, which
-    keeps the result deterministic for a given input.
-    """
-    masses: dict[Atom, float] = {}
-    for atom, w in dist.items():
-        image = f(atom)
-        masses[image] = masses.get(image, 0.0) + float(w)
-    return FiniteDistribution.from_dict(masses)
-

@@ -1,10 +1,10 @@
 """Lower bounds for translation through shared representations, with brute-force verification.
 
 The bounds (`bound_report`) are closed-form expressions in pushforward
-total-variation gaps. The exhaustive search (`brute_force_min_error`)
-independently minimizes the same objectives over every deterministic
-encoder/decoder pair on small instances, so the bounds can be checked
-without trusting either route.
+total-variation gaps; the exhaustive search (`brute_force_min_error`)
+minimizes the same objectives over every deterministic encoder/decoder pair
+on small instances. Both read an instance's one array form, `Tasks`, and
+share no other code, so the bounds are checked without trusting either route.
 """
 
 from __future__ import annotations
@@ -12,20 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import (
-    WEIGHT_TOL,
-    Atom,
-    DeterministicTranslator,
-    FiniteDistribution,
-    Sentence,
-    pushforward,
-    tv_distance,
-)
+from .distributions import WEIGHT_TOL, Atom, DeterministicTranslator, FiniteDistribution, Sentence
 from .errors import BudgetError, DomainError
 
 #: Hard enumeration budget: |Z|^(#sentences) encoder tables, |Sigma*_L|^|Z| decoder tables.
@@ -42,6 +34,27 @@ MAX_BLOCK_ELEMENTS = 32768
 # Instances
 
 
+class Tasks(NamedTuple):
+    """An instance as arrays, one task per ordered pair: what the bounds and the search read.
+
+    Tasks are the sorted pairs and blocks the sorted languages; the codomain
+    lists the blocks' pools in block order. Atoms run task by task, each in its
+    source marginal's order, with their task, weight and the codomain index of
+    their ground-truth translation; ``task_block`` is each task's target block,
+    and ``rivals`` lists the pairs of tasks that share one, block by block.
+    """
+
+    pairs: tuple[tuple[str, str], ...]
+    block_names: tuple[str, ...]
+    codomain: tuple[Atom, ...]
+    atoms: tuple[Atom, ...]
+    atom_task: np.ndarray
+    weight: np.ndarray
+    truth: np.ndarray
+    task_block: np.ndarray
+    rivals: tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class ManyToManyInstance:
     """K languages with a source marginal and a ground-truth translator per ordered pair.
@@ -51,12 +64,14 @@ class ManyToManyInstance:
     K = 3 case with two pairs into one target. ``sentence_pool`` lists each
     language's sentences (a language it omits gets none); it must hold every
     translator image, so it is the codomain the exhaustive search draws from.
+    ``tasks`` is the array form, built once by the constructor.
     """
 
     languages: tuple[str, ...]
     marginals: Mapping[tuple[str, str], FiniteDistribution]
     translators: Mapping[tuple[str, str], DeterministicTranslator]
     sentence_pool: Mapping[str, Sequence[Atom]]
+    tasks: Tasks = field(init=False, repr=False)
 
     def __post_init__(self):
         languages = tuple(self.languages)
@@ -64,6 +79,15 @@ class ManyToManyInstance:
             raise ValueError("duplicate language ids")
         marginals = dict(self.marginals)
         translators = dict(self.translators)
+        pool = dict(self.sentence_pool)
+        unknown = set(pool) - set(languages)
+        if unknown:
+            raise ValueError(f"pool for unknown language {sorted(unknown)[0]!r}")
+        pool = {lang: tuple(pool.get(lang, ())) for lang in languages}
+        for lang, members in pool.items():
+            for atom in members:
+                if getattr(atom, "source_tag", None) != lang:
+                    raise ValueError(f"pool sentence {atom!r} not in {lang!r}")
         for (src, dst), marginal in marginals.items():
             if src == dst:
                 raise ValueError(f"self-pair {src!r}->{dst!r} not allowed")
@@ -79,28 +103,31 @@ class ManyToManyInstance:
                     raise ValueError(f"{x!r} lacks the {dst!r} target prefix")
                 if getattr(f(x), "source_tag", None) != dst:
                     raise ValueError(f"{f(x)!r} is not a {dst!r} sentence")
-        pool = dict(self.sentence_pool)
-        unknown = set(pool) - set(languages)
-        if unknown:
-            raise ValueError(f"pool for unknown language {sorted(unknown)[0]!r}")
-        pool = {lang: tuple(pool.get(lang, ())) for lang in languages}
-        for lang, members in pool.items():
-            for atom in members:
-                if getattr(atom, "source_tag", None) != lang:
-                    raise ValueError(f"pool sentence {atom!r} not in {lang!r}")
-        for (src, dst), f in translators.items():
-            if (src, dst) not in marginals:
-                continue
-            allowed = set(pool[dst])
             for atom in f.domain:
-                if f(atom) not in allowed:
-                    raise ValueError(
-                        f"translator image {f(atom)!r} missing from {dst!r} pool"
-                    )
+                if f(atom) not in pool[dst]:
+                    raise ValueError(f"translator image {f(atom)!r} missing from {dst!r} pool")
         object.__setattr__(self, "languages", languages)
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "translators", translators)
         object.__setattr__(self, "sentence_pool", pool)
+
+        pairs = tuple(sorted(marginals))
+        block_names = tuple(sorted(languages))
+        codomain = tuple(y for lang in block_names for y in pool[lang])
+        y_index = {y: i for i, y in enumerate(codomain)}
+        atoms = [(t, x) for t, pair in enumerate(pairs) for x in marginals[pair].support]
+        task_block = [block_names.index(dst) for _src, dst in pairs]
+        members = [[t for t, kt in enumerate(task_block) if kt == k] for k in range(self.K)]
+        rivals = [rival for ts in members for rival in itertools.combinations(ts, 2)]
+        tasks = Tasks(
+            pairs, block_names, codomain, tuple(x for _t, x in atoms),
+            atom_task=np.array([t for t, _x in atoms], dtype=np.int64),
+            weight=np.array([w for pair in pairs for w in marginals[pair].weights]),
+            truth=np.array([y_index[translators[pairs[t]](x)] for t, x in atoms], dtype=np.int64),
+            task_block=np.array(task_block, dtype=np.int64),
+            rivals=tuple(rivals),
+        )
+        object.__setattr__(self, "tasks", tasks)
 
     @property
     def K(self) -> int:
@@ -111,22 +138,16 @@ class ManyToManyInstance:
         """Each pair's parallel distribution over (x, f*(x)) pairs."""
         return {
             key: FiniteDistribution(
-                tuple((x, self.translators[key](x)) for x in marginal.support),
-                marginal.weights,
+                tuple(zip(m.support, map(self.translators[key], m.support))), m.weights
             )
-            for key, marginal in self.marginals.items()
+            for key, m in self.marginals.items()
         }
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.marginals))
+        return self.tasks.pairs
 
     def source_marginal(self, src: str, dst: str) -> FiniteDistribution:
         return self.marginals[(src, dst)]
-
-    def target_marginal(self, src: str, dst: str) -> FiniteDistribution:
-        return pushforward(
-            self.source_marginal(src, dst), self.translators[(src, dst)]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +162,25 @@ class PairTV(NamedTuple):
 
 
 def target_marginal_tvs(instance: ManyToManyInstance) -> tuple[PairTV, ...]:
-    """TV gaps between target-language marginals, per target and source pair."""
+    """TV gaps between target-language marginals, per target and source pair.
+
+    Each task's weights are scatter-added onto the codomain, which gives its
+    target marginal. A gap sums |p - q| over the two tasks' images in order of
+    first appearance, the first task's atoms before the second's. That is the
+    order in which TV over two pushforward distributions meets their atoms,
+    and summing in another (say, pool) order can move the last bit.
+    """
+    tasks = instance.tasks
+    n_tasks, n_y = len(tasks.pairs), len(tasks.codomain)
+    pushed = np.bincount(
+        tasks.atom_task * n_y + tasks.truth, tasks.weight, n_tasks * n_y
+    ).reshape(n_tasks, n_y)
     rows = []
-    by_target: dict[str, list[str]] = {}
-    for (src, dst) in instance.pairs():
-        by_target.setdefault(dst, []).append(src)
-    for dst in sorted(by_target):
-        sources = sorted(by_target[dst])
-        for a, b in itertools.combinations(sources, 2):
-            tv = tv_distance(
-                instance.target_marginal(a, dst), instance.target_marginal(b, dst)
-            )
-            rows.append(PairTV(dst, a, b, tv))
+    for a, b in tasks.rivals:
+        images = tasks.truth[(tasks.atom_task == a) | (tasks.atom_task == b)]
+        order = list(dict.fromkeys(images.tolist()))
+        tv = 0.5 * float(sum(np.abs(pushed[a, order] - pushed[b, order])))
+        rows.append(PairTV(tasks.pairs[a][1], tasks.pairs[a][0], tasks.pairs[b][0], tv))
     return tuple(rows)
 
 
@@ -183,7 +211,7 @@ def bound_report(
     instance_id: str = "",
     brute: "BruteForceResult | None" = None,
 ) -> BoundReport:
-    """Evaluate the three bounds; attach a brute-force result if given.
+    """Evaluate the three bounds on the array form's TVs; attach a brute-force result if given.
 
     Two sources a, b of one target give Err_a + Err_b >= TV_ab - epsilon. The
     sum over all pairs contains both errors of any two sources that share a
@@ -338,10 +366,9 @@ def brute_force_min_error(
 ) -> BruteForceResult:
     """Exhaustively minimize the translation-error objective over valid (g, h).
 
-    The instance becomes a list of tasks, (source marginal, ground-truth
-    translator, target block) triples: one task per ordered pair and one
-    block per language, for the ``sum``, ``max`` or ``avg`` (sum over K^2)
-    objective.
+    The search reads the instance's array form, ``instance.tasks``: one task
+    per ordered pair and one block per language, for the ``sum``, ``max`` or
+    ``avg`` (sum over K^2) objective.
 
     Every deterministic encoder into a ``z_size``-point representation set is
     covered, but only one table per orbit under relabelling of z is scored;
@@ -356,30 +383,20 @@ def brute_force_min_error(
         raise ValueError("epsilon must be nonnegative")
     if objective not in ("sum", "max", "avg"):
         raise ValueError(f"unknown objective {objective!r}")
-    pairs = instance.pairs()
-    if not pairs:
+    if not instance.tasks.pairs:
         raise DomainError("instance has no translation pairs to evaluate")
-    languages = tuple(sorted(instance.languages))
-    block = {lang: i for i, lang in enumerate(languages)}
-    tasks = [
-        (instance.source_marginal(s, d), instance.translators[(s, d)], block[d])
-        for (s, d) in pairs
-    ]
-    codomain = [y for lang in languages for y in instance.sentence_pool[lang]]
     coeff = 1.0 if objective in ("sum", "max") else 1.0 / (instance.K**2)
-    return _search(tasks, languages, codomain, coeff, z_size, epsilon, objective)
+    return _search(instance.tasks, coeff, z_size, epsilon, objective)
 
 
 def _search(
-    tasks: Sequence[tuple[FiniteDistribution, DeterministicTranslator, int]],
-    block_names: Sequence[str],
-    codomain: Sequence[Atom],
+    tasks: Tasks,
     coeff: float,
     z_size: int,
     epsilon: float,
     objective: str,
 ) -> BruteForceResult:
-    """The one exhaustive search core; ``coeff`` scales the sum/avg objective.
+    """The one exhaustive search core, over an instance's array form; ``coeff`` scales sum/avg.
 
     A (partition, encoder) pair is feasible when each task leaks at most
     ``WEIGHT_TOL`` of its mass outside its target block, and tasks sharing a
@@ -428,45 +445,33 @@ def _search(
     compatible with a smaller partition P has P as its first one: the two
     could first differ only at a z that is neither pinned nor free.
     """
-    atoms: list[Atom] = []
-    atom_task: list[int] = []
-    atom_weight: list[float] = []
-    truth_atoms: list[Atom] = []
-    task_target = np.array([block for (_m, _f, block) in tasks])
-    for t, (marginal, f, block) in enumerate(tasks):
-        light = sum(float(wx) for wx in marginal.weights if wx <= WEIGHT_TOL)
-        if light > WEIGHT_TOL:
-            source = getattr(marginal.support[0], "source_tag", None)
-            raise DomainError(
-                f"task {source}->{block_names[block]}: sentences of weight at most"
-                f" {WEIGHT_TOL} weigh {light!r} together, above {WEIGHT_TOL}; the"
-                f" exact search needs them to stay within it"
-            )
-        for x, wx in marginal.items():
-            atoms.append(x)
-            atom_task.append(t)
-            atom_weight.append(float(wx))
-            truth_atoms.append(f(x))
-    n_atoms = len(atoms)
+    atom_task, w, truth = tasks.atom_task, tasks.weight, tasks.truth
+    n_tasks = len(tasks.pairs)
+    light = w <= WEIGHT_TOL
+    light_mass = np.bincount(atom_task[light], w[light], n_tasks)
+    if (light_mass > WEIGHT_TOL).any():
+        t = int(np.argmax(light_mass > WEIGHT_TOL))
+        src, dst = tasks.pairs[t]
+        raise DomainError(
+            f"task {src}->{dst}: sentences of weight at most {WEIGHT_TOL} weigh"
+            f" {float(light_mass[t])!r} together, above {WEIGHT_TOL}; the exact search"
+            f" needs them to stay within it"
+        )
+    n_atoms = len(w)
     _check_budget(n_atoms, z_size)
 
-    y_index = {y: i for i, y in enumerate(codomain)}
-    n_y = len(codomain)
+    n_y = len(tasks.codomain)
     n_h = n_y**z_size
     if objective == "max" and n_h > MAX_DECODER_TABLES:
         raise BudgetError(f"{n_y}^{z_size} decoder tables exceed the enumeration budget")
-    truth = np.array([y_index[y] for y in truth_atoms])
-    w = np.array(atom_weight)
-    n_tasks = len(tasks)
-    n_blocks = len(block_names)
-    heavy_block = {s: int(task_target[atom_task[s]]) for s in np.flatnonzero(w > WEIGHT_TOL)}
+    n_blocks = len(tasks.block_names)
+    heavy = np.flatnonzero(w > WEIGHT_TOL)
 
     def pins(tables: np.ndarray) -> np.ndarray:
         """(block, table, z): whether a heavy atom aimed at the block reaches z."""
         pinned = np.zeros((n_blocks, len(tables), z_size), dtype=bool)
-        rows = np.arange(len(tables))
-        for s, k in heavy_block.items():
-            pinned[k, rows, tables[:, s]] = True
+        rows = np.arange(len(tables))[:, None]
+        pinned[tasks.task_block[atom_task[heavy]], rows, tables[:, heavy]] = True
         return pinned
 
     if objective in ("sum", "avg"):
@@ -494,9 +499,8 @@ def _search(
             rows = np.arange(len(g))
             cost = np.zeros((len(g), n_tasks, z_size, n_y))
             for s in range(n_atoms):
-                t = atom_task[s]
-                cost[rows, t, g[:, s], :] += w[s]
-                cost[rows, t, g[:, s], truth[s]] -= w[s]
+                cost[rows, atom_task[s], g[:, s], :] += w[s]
+                cost[rows, atom_task[s], g[:, s], truth[s]] -= w[s]
             errs = cost[:, :, 0]
             for z in range(1, z_size):
                 errs = (errs[..., None] + cost[:, :, z, None, :]).reshape(len(g), n_tasks, -1)
@@ -513,19 +517,15 @@ def _search(
         push[atom_task[s], rows, reps[:, s]] += w[s]
 
     tv_ok = np.ones(len(reps), dtype=bool)
-    for k in set(task_target.tolist()):
-        task_ids = [t for t in range(n_tasks) if task_target[t] == k]
-        for ta, tb in itertools.combinations(task_ids, 2):
-            tv = 0.5 * np.abs(push[ta] - push[tb]).sum(axis=1)
-            tv_ok &= tv <= epsilon + WEIGHT_TOL
+    for ta, tb in tasks.rivals:
+        tv_ok &= 0.5 * np.abs(push[ta] - push[tb]).sum(axis=1) <= epsilon + WEIGHT_TOL
 
     n_pins = pins(reps).sum(axis=0)
     feasible = tv_ok & (n_pins <= 1).all(axis=1)
     n_encoders = z_size**n_atoms
     if not feasible.any():
         return BruteForceResult(
-            objective, epsilon, z_size, False, math.inf, None, None, None,
-            n_encoders, 0,
+            objective, epsilon, z_size, False, math.inf, None, None, None, n_encoders, 0
         )
     n_free = (n_pins[feasible] == 0).sum(axis=1)
     n_feasible = int((_orbit_sizes(reps[feasible], z_size) * n_blocks**n_free).sum())
@@ -548,15 +548,13 @@ def _search(
     partition = first_partition[i]
 
     z_names = tuple(f"z{z}" for z in range(z_size))
-    encoder = DeterministicTranslator(
-        {atoms[s]: z_names[tables[i, s]] for s in range(n_atoms)}
-    )
+    encoder = DeterministicTranslator({x: z_names[z] for x, z in zip(tasks.atoms, tables[i])})
     decoder = DeterministicTranslator(
-        {z_names[z]: codomain[int(h_tables[i, z])] for z in range(z_size)}
+        {z_names[z]: tasks.codomain[int(h_tables[i, z])] for z in range(z_size)}
     )
     blocks = tuple(
         (lang, tuple(z_names[z] for z in range(z_size) if partition[z] == k))
-        for k, lang in enumerate(block_names)
+        for k, lang in enumerate(tasks.block_names)
     )
     return BruteForceResult(
         objective, epsilon, z_size, True, float(values[i]), encoder, decoder,

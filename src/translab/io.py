@@ -121,31 +121,16 @@ def _parse_pair_key(key: str) -> tuple[str, str]:
 
 
 def instance_to_dict(instance: ManyToManyInstance) -> dict:
-    targets_of: dict[str, list[str]] = {}
-    for (src, dst) in instance.pairs():
-        targets_of.setdefault(src, []).append(dst)
+    """The instance's document: each pair's weights as they are, under its ``src->dst`` key."""
     sentences: dict[str, list] = {lang: [] for lang in instance.languages}
-    marginals: dict[str, list[float]] = {}
-    for lang in instance.languages:
-        weights = []
-        share = 1.0 / len(targets_of[lang]) if lang in targets_of else 0.0
-        for dst in sorted(targets_of.get(lang, [])):
-            marginal = instance.source_marginal(lang, dst)
-            for atom, w in marginal.items():
-                sentences[lang].append(_sentence_entry(atom))
-                weights.append(float(w) * share)
-        for atom in instance.sentence_pool[lang]:
-            sentences[lang].append(_sentence_entry(atom))
-            weights.append(0.0)
-        if lang in targets_of:
-            marginals[lang] = weights
-    translators = {
-        f"{src}->{dst}": {
-            x.body: instance.translators[(src, dst)](x).body
-            for x in instance.source_marginal(src, dst).support
-        }
-        for (src, dst) in instance.pairs()
-    }
+    marginals, translators = {}, {}
+    for (src, dst) in instance.pairs():
+        marginal, f = instance.source_marginal(src, dst), instance.translators[(src, dst)]
+        sentences[src] += [_sentence_entry(x) for x in marginal.support]
+        marginals[f"{src}->{dst}"] = marginal.weights.tolist()
+        translators[f"{src}->{dst}"] = {x.body: f(x).body for x in marginal.support}
+    for lang, pool in instance.sentence_pool.items():
+        sentences[lang] += [_sentence_entry(y) for y in pool]
     return {
         "languages": list(instance.languages),
         "sentences": sentences,
@@ -154,26 +139,63 @@ def instance_to_dict(instance: ManyToManyInstance) -> dict:
     }
 
 
-def _instance_weights(lang: str, raw) -> list[float]:
-    """One language's raw marginal weights: finite, nonnegative and summing to one."""
+def _instance_weights(key: str, raw) -> list[float]:
+    """The weights under one ``marginals`` key: finite, nonnegative and summing to one."""
     if not isinstance(raw, list):
-        raise SchemaError(f"marginal for {lang!r} must be a list of weights")
+        raise SchemaError(f"marginal for {key!r} must be a list of weights")
     weights = []
     for i, w in enumerate(raw):
         if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise SchemaError(f"marginal for {lang!r} weight {i} is not a number: {w!r}")
+            raise SchemaError(f"marginal for {key!r} weight {i} is not a number: {w!r}")
         try:
             value = float(w)
         except OverflowError:
             value = float("inf")
         if not np.isfinite(value) or value < 0:
             raise SchemaError(
-                f"marginal for {lang!r} weight {i} must be finite and nonnegative, got {w!r}"
+                f"marginal for {key!r} weight {i} must be finite and nonnegative, got {w!r}"
             )
         weights.append(value)
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_TOL:
-        raise SchemaError(f"marginal for {lang!r} weights sum to {total!r}, expected 1")
+        raise SchemaError(f"marginal for {key!r} weights sum to {total!r}, expected 1")
+    return weights
+
+
+def _pair_weights(raw_marginals, sentences, tagged) -> dict[tuple[str, str], list[float]]:
+    """Each pair's weights, aligned with its ``tagged`` sentences.
+
+    Weights under ``src->dst`` keys are read as written. A per-language
+    marginal is aligned with all of the language's sentences; a pair's weights
+    are its slice, divided by the slice's mass unless that is 1 within
+    ``WEIGHT_TOL``. Both layouts take the same checks and the same path.
+    """
+    by_pair = any("->" in key for key in raw_marginals)
+    for key in raw_marginals:
+        if by_pair and ("->" not in key or _parse_pair_key(key) not in tagged):
+            raise SchemaError(f"marginal key {key!r} names no translator pair")
+    weights = {}
+    for (src, dst), atoms in tagged.items():
+        key, owned = (f"{src}->{dst}", atoms) if by_pair else (src, sentences[src])
+        raw = raw_marginals.get(key)
+        if raw is None:
+            raise SchemaError(f"no marginal for {'pair' if by_pair else 'language'} {key!r}")
+        if len(raw) != len(owned):
+            raise SchemaError(
+                f"marginal for {key!r} has {len(raw)} weights for {len(owned)} sentences"
+            )
+        for s, w in zip(owned, raw):
+            if s.target_tag is None and w > WEIGHT_TOL:
+                raise SchemaError(
+                    f"marginal for {src!r} puts weight {w} on untagged sentence"
+                    f" {s.body!r}, which no pair translates"
+                )
+        index = dict(zip(owned, raw))
+        mass = sum(index[a] for a in atoms)
+        if mass <= 0:
+            raise SchemaError(f"pair {src}->{dst} has zero marginal mass")
+        scale = 1.0 if by_pair or abs(mass - 1.0) <= WEIGHT_TOL else mass
+        weights[(src, dst)] = [index[a] / scale for a in atoms]
     return weights
 
 
@@ -223,7 +245,7 @@ def _build_instance(payload):
     ):
         raise SchemaError("'sentences' must map each language to a list of sentences")
     if not isinstance(raw_marginals, dict):
-        raise SchemaError("'marginals' must map each language to a list of weights")
+        raise SchemaError("'marginals' must map 'src->dst' keys or languages to weight lists")
     raw_marginals = {lang: _instance_weights(lang, raw) for lang, raw in raw_marginals.items()}
     if not isinstance(raw_translators, dict):
         raise SchemaError("'translators' must map 'src->dst' keys to tables")
@@ -255,44 +277,21 @@ def _build_instance(payload):
             if len(dsts) == 1 and src not in targets:
                 sentences[src] = [Sentence(src, s.body, dsts[0]) for s in sentences[src]]
 
-    # Per-language marginals over tagged sentences; conditioning on the
-    # target tag recovers each ordered pair's source marginal.
     pool = {
         lang: tuple(s for s in sentences[lang] if s.target_tag is None)
         for lang in languages
     }
-    pair_marginals = {}
-    translators = {}
+    tagged = {}
     for src, dst in pair_keys:
-        weights = raw_marginals.get(src)
-        if weights is None:
-            raise SchemaError(f"no marginal for source language {src!r}")
-        if len(weights) != len(sentences[src]):
-            raise SchemaError(
-                f"marginal for {src!r} has {len(weights)} weights"
-                f" for {len(sentences[src])} sentences"
-            )
-        atoms = [s for s in sentences[src] if s.target_tag == dst]
-        if not atoms:
+        tagged[(src, dst)] = [s for s in sentences[src] if s.target_tag == dst]
+        if not tagged[(src, dst)]:
             raise SchemaError(f"no sentences of {src!r} tagged for target {dst!r}")
-        for s, w in zip(sentences[src], weights):
-            if s.target_tag is None and w > WEIGHT_TOL:
-                raise SchemaError(
-                    f"marginal for {src!r} puts weight {w} on untagged sentence"
-                    f" {s.body!r}, which no pair translates"
-                )
-        index = {s: w for s, w in zip(sentences[src], weights)}
-        mass = sum(index[a] for a in atoms)
-        if mass <= 0:
-            raise SchemaError(f"pair {src}->{dst} has zero marginal mass")
-        # Weights that already sum to one are kept as written, so a pair that
-        # holds all of its language's mass reads back bit for bit.
-        scale = 1.0 if abs(mass - 1.0) <= WEIGHT_TOL else mass
-        pair_marginals[(src, dst)] = FiniteDistribution(
-            tuple(atoms), np.array([index[a] / scale for a in atoms])
-        )
+    weights = _pair_weights(raw_marginals, sentences, tagged)
+    marginals, translators = {}, {}
+    for (src, dst), atoms in tagged.items():
+        marginals[(src, dst)] = FiniteDistribution(tuple(atoms), np.array(weights[(src, dst)]))
         translators[(src, dst)] = _translator(src, dst, atoms, pool[dst], raw_translators)
-    return ManyToManyInstance(languages, pair_marginals, translators, pool)
+    return ManyToManyInstance(languages, marginals, translators, pool)
 
 
 def load_instance(path):

@@ -23,14 +23,7 @@ from translab.generative import (
     randomized_generate,
     sample_randomized_codecs,
 )
-from translab.distributions import (
-    WEIGHT_TOL,
-    Atom,
-    DeterministicTranslator,
-    FiniteDistribution,
-    pushforward,
-    tv_distance,
-)
+from translab.distributions import WEIGHT_TOL, Atom, DeterministicTranslator, FiniteDistribution
 from translab.errors import DomainError
 from translab.evaluation import SweepRow, _affine_losses, _codec, _CodecStack
 from translab.impossibility import (
@@ -40,6 +33,64 @@ from translab.impossibility import (
 )
 from translab.seeding import derive_seed
 from translab.trainer import COND_LIMIT, EncoderEstimate, fit_edge
+
+
+# ---------------------------------------------------------------------------
+# Operations on distributions and translators, the reference for the array form
+
+
+def distribution_from_dict(masses: Mapping[Atom, float]) -> FiniteDistribution:
+    atoms = tuple(masses.keys())
+    return FiniteDistribution(atoms, np.array([masses[a] for a in atoms]))
+
+
+def weight(dist: FiniteDistribution, atom: Atom) -> float:
+    """``dist``'s weight on ``atom``: 0 off its support."""
+    return next((float(w) for a, w in dist.items() if a == atom), 0.0)
+
+
+def after(outer: DeterministicTranslator, inner: DeterministicTranslator) -> DeterministicTranslator:
+    """Composition outer ∘ inner, total on inner's domain."""
+    return DeterministicTranslator({a: outer(inner(a)) for a in inner.domain})
+
+
+def identity_translator(atoms) -> DeterministicTranslator:
+    return DeterministicTranslator({a: a for a in atoms})
+
+
+def constant_translator(atoms, value: Atom) -> DeterministicTranslator:
+    return DeterministicTranslator({a: value for a in atoms})
+
+
+def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
+    """Total variation distance, computed as half the L1 gap over the unioned support.
+
+    Atoms absent from one distribution carry weight zero.
+    """
+    gaps: dict[Atom, float] = {}
+    for atom, w in p.items():
+        gaps[atom] = w
+    for atom, w in q.items():
+        gaps[atom] = gaps.get(atom, 0.0) - w
+    return 0.5 * float(sum(abs(v) for v in gaps.values()))
+
+
+def pushforward(dist: FiniteDistribution, f: DeterministicTranslator) -> FiniteDistribution:
+    """Distribution of f(X) for X ~ dist; raises DomainError if f is not total on it.
+
+    Output atoms are ordered by first appearance of their preimages, which
+    keeps the result deterministic for a given input.
+    """
+    masses: dict[Atom, float] = {}
+    for atom, w in dist.items():
+        image = f(atom)
+        masses[image] = masses.get(image, 0.0) + float(w)
+    return distribution_from_dict(masses)
+
+
+def target_marginal(instance: ManyToManyInstance, src: str, dst: str) -> FiniteDistribution:
+    """The pair's target marginal, pushed forward through its ground-truth translator."""
+    return pushforward(instance.source_marginal(src, dst), instance.translators[(src, dst)])
 
 
 def random_distribution(rng: np.random.Generator, atoms) -> FiniteDistribution:
@@ -367,24 +418,87 @@ def _set(payload, path, value):
     return payload
 
 
-#: Defects of a ``make_worst_case`` document, each with a fragment of its message.
+def per_language_document(instance: ManyToManyInstance) -> dict:
+    """The instance's document in the per-language layout, which the reader still reads.
+
+    Each source language's marginal is aligned with all of its sentences: each
+    pair's weights times 1/(number of the language's targets), then 0 on
+    every pool sentence. Reading it back divides each pair's slice by its
+    float mass, so the weights can come back a few ulps off.
+    """
+    targets_of: dict[str, list[str]] = {}
+    for (src, dst) in instance.pairs():
+        targets_of.setdefault(src, []).append(dst)
+    document = io.instance_to_dict(instance)
+    marginals: dict[str, list[float]] = {}
+    for lang, dsts in targets_of.items():
+        share = 1.0 / len(dsts)
+        marginals[lang] = [
+            float(w) * share for dst in dsts for w in instance.source_marginal(lang, dst).weights
+        ] + [0.0] * len(instance.sentence_pool[lang])
+    document["marginals"] = marginals
+    return document
+
+
+#: Defects of a ``make_worst_case`` instance's document, each with a fragment of
+#: its message. Each damage writes the instance's document, in the per-language
+#: layout where it names a language's weights, and damages it.
 WORST_CASE_DEFECTS = {
-    "nan_weight": (lambda p: _set(p, ("marginals", "L0", 0), math.nan), "'L0' weight 0"),
-    "negative_weight": (
-        lambda p: _set(p, ("marginals", "L0"), [1.5, -0.5]), "'L0' weight 1"
+    "nan_weight": (
+        lambda i: _set(per_language_document(i), ("marginals", "L0", 0), math.nan),
+        "'L0' weight 0",
     ),
-    "weights_sum_to_0.9": (lambda p: _set(p, ("marginals", "L0"), [0.5, 0.4]), "sum"),
+    "negative_weight": (
+        lambda i: _set(per_language_document(i), ("marginals", "L0"), [1.5, -0.5]),
+        "'L0' weight 1",
+    ),
+    "weights_sum_to_0.9": (
+        lambda i: _set(per_language_document(i), ("marginals", "L0"), [0.5, 0.4]), "sum"
+    ),
     "non_numeric_weight": (
-        lambda p: _set(p, ("marginals", "L0", 0), "0.5"), "not a number"
+        lambda i: _set(per_language_document(i), ("marginals", "L0", 0), "0.5"),
+        "not a number",
+    ),
+    "weight_count": (
+        lambda i: _set(per_language_document(i), ("marginals", "L0"), [1.0]), "1 weights"
+    ),
+    "pair_nan_weight": (
+        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0->L", 0), math.nan),
+        "marginal for 'L0->L' weight 0 must be finite",
+    ),
+    "pair_negative_weight": (
+        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0->L"), [1.5, -0.5]),
+        "marginal for 'L0->L' weight 1 must be finite and nonnegative",
+    ),
+    "pair_weights_sum_to_0.9": (
+        lambda i: _set(io.instance_to_dict(i), ("marginals", "L1->L"), [0.5, 0.4]),
+        "marginal for 'L1->L' weights sum to 0.9",
+    ),
+    "pair_non_numeric_weight": (
+        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0->L", 1), "0.5"),
+        "marginal for 'L0->L' weight 1 is not a number",
+    ),
+    "pair_weight_count": (
+        lambda i: _set(io.instance_to_dict(i), ("marginals", "L1->L"), [0.5, 0.25, 0.25]),
+        "marginal for 'L1->L' has 3 weights for 2 sentences",
+    ),
+    "unknown_pair_key": (
+        lambda i: _set(io.instance_to_dict(i), ("marginals", "L9->L"), [1.0]),
+        "marginal key 'L9->L' names no translator pair",
+    ),
+    "pair_and_language_keys": (
+        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0"), [1.0, 0.0]),
+        "marginal key 'L0' names no translator pair",
     ),
     "duplicate_sentence": (
-        lambda p: _set(p, ("sentences", "L0"), ["a0", "a0"]), "twice"
+        lambda i: _set(io.instance_to_dict(i), ("sentences", "L0"), ["a0", "a0"]), "twice"
     ),
-    "document_is_a_list": (lambda p: [p], "JSON object"),
-    "languages_is_a_number": (lambda p: _set(p, ("languages",), 3), "'languages'"),
-    "weight_count": (lambda p: _set(p, ("marginals", "L0"), [1.0]), "1 weights"),
+    "document_is_a_list": (lambda i: [io.instance_to_dict(i)], "JSON object"),
+    "languages_is_a_number": (
+        lambda i: _set(io.instance_to_dict(i), ("languages",), 3), "'languages'"
+    ),
     "one_language": (
-        lambda p: {"languages": ["L0"], "sentences": {"L0": ["a"]}, "marginals": {},
+        lambda i: {"languages": ["L0"], "sentences": {"L0": ["a"]}, "marginals": {},
                    "translators": {}},
         "at least two languages",
     ),
@@ -423,13 +537,17 @@ def _damage(draw, payload, replacements=LEAF_REPLACEMENTS):
 
 @st.composite
 def damaged_instance_documents(draw):
-    """A valid two-to-one or many-to-many document with one leaf replaced or one key dropped."""
+    """A valid two-to-one or many-to-many document, in either layout, with one defect.
+
+    The defect is one leaf replaced or one key dropped.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     if draw(st.booleans()):
         instance = random_two_to_one_instance(rng)
     else:
         instance = random_many_to_many_instance(rng, n_languages=2, atom_budget=4)
-    return _damage(draw, io.instance_to_dict(instance))
+    layout = draw(st.sampled_from([io.instance_to_dict, per_language_document]))
+    return _damage(draw, layout(instance))
 
 
 def _saved_document(save, *args) -> dict:

@@ -16,15 +16,17 @@ from helpers import (
     moment_gap,
     moment_tv_lower_bound,
     population_loss,
+    pushforward,
     random_distribution,
     random_translator,
     target_moments,
+    tv_distance,
     with_gauge,
     zero_one_error,
 )
 from translab import cli, io
 from translab.affine import AffineMap
-from translab.distributions import WEIGHT_TOL, pushforward, tv_distance
+from translab.distributions import WEIGHT_TOL
 from translab.evaluation import (
     concentration_bound,
     required_sample_size,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
+from helpers import WORST_CASE_DEFECTS, damaged_instance_documents, per_language_document
 from translab import cli, io, trainer
 from translab.evaluation import shortest_path_and_diameter
 from translab.generative import AlignedCorpus, TranslationGraph, six_language_demo_graph
@@ -390,6 +390,7 @@ class TestBoundAndBrute:
         io.save_instance(random_many_to_many_instance(np.random.default_rng(12)), path)
         payload = json.loads(path.read_text())
         payload["translators"] = {}
+        payload["marginals"] = {}
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(["brute", "--instance", str(path)], capsys)
         assert code == 2
@@ -402,7 +403,7 @@ class TestMalformedInstanceFiles:
     def test_defect_exits_2_naming_the_file(self, tmp_path, capsys, mode, defect):
         damage, message = WORST_CASE_DEFECTS[defect]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(damage(io.instance_to_dict(make_worst_case(0.5)))))
+        path.write_text(json.dumps(damage(make_worst_case(0.5))))
         code, out, err = run_cli([mode, "--instance", str(path)], capsys)
         assert code == 2
         assert out == ""
@@ -411,14 +412,16 @@ class TestMalformedInstanceFiles:
     def test_many_to_many_nan_weight_exits_2(self, tmp_path, capsys):
         from translab.impossibility import random_many_to_many_instance
 
-        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(12)))
-        payload["marginals"]["L0"][0] = math.nan
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
-        assert code == 2
-        assert "bound_max" not in out
-        assert "marginal for 'L0' weight 0" in err
+        instance = random_many_to_many_instance(np.random.default_rng(12))
+        for layout, key in ((per_language_document, "L0"), (io.instance_to_dict, "L0->L2")):
+            payload = layout(instance)
+            payload["marginals"][key][0] = math.nan
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(payload))
+            code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
+            assert code == 2
+            assert "bound_max" not in out
+            assert f"marginal for '{key}' weight 0" in err
 
     @pytest.mark.parametrize("mode", ["bound", "brute"])
     def test_weight_on_an_untagged_source_sentence_exits_2(self, tmp_path, capsys, mode):

@@ -17,7 +17,6 @@ from helpers import (
     target_moments,
     whole_array_pairs,
 )
-from translab import io
 from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.generative import (
@@ -529,13 +528,6 @@ class TestTranslationGraph:
         assert list(tree.items()) == [("A", None), ("B", "A"), ("C", "A"), ("D", "B")]
         assert graph.bfs_tree("E") == {"E": None}
         assert not graph.is_connected()
-
-    def test_round_trip_dict(self, tmp_path):
-        graph = TranslationGraph(("A", "B", "C"), (("A", "B", 7), ("B", "C", 9)))
-        io.save_graph(graph, tmp_path / "graph.json")
-        again = io.load_graph(tmp_path / "graph.json")
-        assert again.languages == graph.languages
-        assert again.edges == graph.edges
 
     def test_demo_graph_shape(self):
         graph = six_language_demo_graph()

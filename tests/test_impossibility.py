@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 from helpers import (
     PartitionedRepresentation,
+    after,
     check_epsilon_universal,
     check_epsilon_universal_partitioned,
+    constant_translator,
     perfect_universal_translator,
+    pushforward,
     random_distribution,
     random_translator,
+    target_marginal,
+    tv_distance,
     zero_one_error,
 )
 
@@ -23,8 +28,6 @@ from translab.distributions import (
     DeterministicTranslator,
     FiniteDistribution,
     Sentence,
-    pushforward,
-    tv_distance,
 )
 from translab.errors import BudgetError, DomainError
 from translab.impossibility import (
@@ -35,6 +38,7 @@ from translab.impossibility import (
     make_worst_case,
     random_many_to_many_instance,
     random_two_to_one_instance,
+    target_marginal_tvs,
     _orbit_members,
     _orbit_sizes,
     _restricted_growth_tables,
@@ -61,7 +65,7 @@ def two_source_marginals():
 class TestEpsilonUniversal:
     def test_constant_encoder_is_universal_at_zero(self):
         _a, _b, d0, d1 = two_source_marginals()
-        g = DeterministicTranslator.constant(d0.support + d1.support, "z0")
+        g = constant_translator(d0.support + d1.support, "z0")
         assert check_epsilon_universal(g, [d0, d1], 0.0)
 
     def test_merged_pairwise_images(self):
@@ -78,13 +82,13 @@ class TestEpsilonUniversal:
 
     def test_requires_two_marginals(self):
         _a, _b, d0, _d1 = two_source_marginals()
-        g = DeterministicTranslator.constant(d0.support, "z0")
+        g = constant_translator(d0.support, "z0")
         with pytest.raises(ValueError):
             check_epsilon_universal(g, [d0], 0.0)
 
     def test_rejects_negative_epsilon(self):
         _a, _b, d0, d1 = two_source_marginals()
-        g = DeterministicTranslator.constant(d0.support + d1.support, "z0")
+        g = constant_translator(d0.support + d1.support, "z0")
         with pytest.raises(ValueError):
             check_epsilon_universal(g, [d0, d1], -0.1)
 
@@ -254,7 +258,7 @@ class TestMakeWorstCase:
     @pytest.mark.parametrize("delta", [0.0, 0.25, 0.8, 1.0])
     def test_target_marginal_gap_is_delta(self, delta):
         inst = make_worst_case(delta)
-        tv = tv_distance(inst.target_marginal("L0", "L"), inst.target_marginal("L1", "L"))
+        tv = tv_distance(target_marginal(inst, "L0", "L"), target_marginal(inst, "L1", "L"))
         assert tv == pytest.approx(delta, abs=TOL)
 
     def test_rejects_out_of_range(self):
@@ -307,7 +311,7 @@ def literal_two_to_one_minimum(inst, z_size, epsilon):
             continue
         for h_table in itertools.product(inst.sentence_pool["L"], repeat=z_size):
             h = DeterministicTranslator(dict(zip(zs, h_table)))
-            composed = h.after(g)
+            composed = after(h, g)
             value = zero_one_error(m0, composed, f0) + zero_one_error(m1, composed, f1)
             if best is None or value < best:
                 best = value
@@ -339,7 +343,7 @@ def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
             n_feasible += 1
             for h_table in itertools.product(codomain, repeat=z_size):
                 h = DeterministicTranslator(dict(zip(zs, h_table)))
-                composed = h.after(g)
+                composed = after(h, g)
                 errors = [
                     zero_one_error(
                         inst.source_marginal(s, d), composed, inst.translators[(s, d)]
@@ -582,15 +586,40 @@ def reference_table_search(tasks, block_names, codomain, coeff, z_size, epsilon,
     )
 
 
+def on_task_tuples(reference):
+    """A ``_search`` stand-in that calls ``reference`` on task tuples rebuilt from the arrays.
+
+    Each task is the (source marginal, ground-truth translator, target block)
+    triple the reference searches take, with the block names and codomain.
+    """
+
+    def search(tasks, coeff, z_size, epsilon, objective):
+        triples = []
+        for t in range(len(tasks.pairs)):
+            mine = np.flatnonzero(tasks.atom_task == t)
+            atoms = [tasks.atoms[s] for s in mine]
+            truth = {tasks.atoms[s]: tasks.codomain[tasks.truth[s]] for s in mine}
+            triples.append((
+                FiniteDistribution(atoms, tasks.weight[mine]),
+                DeterministicTranslator(truth),
+                int(tasks.task_block[t]),
+            ))
+        return reference(
+            triples, tasks.block_names, tasks.codomain, coeff, z_size, epsilon, objective
+        )
+
+    return search
+
+
 def reference_brute_force(inst, z_size, epsilon, objective):
     """``brute_force_min_error`` with the per-partition search as its core."""
-    with mock.patch.object(impossibility, "_search", reference_partition_search):
+    with mock.patch.object(impossibility, "_search", on_task_tuples(reference_partition_search)):
         return brute_force_min_error(inst, z_size, epsilon, objective)
 
 
 def reference_table_brute_force(inst, z_size, epsilon, objective):
     """``brute_force_min_error`` with the full-table search as its core."""
-    with mock.patch.object(impossibility, "_search", reference_table_search):
+    with mock.patch.object(impossibility, "_search", on_task_tuples(reference_table_search)):
         return brute_force_min_error(inst, z_size, epsilon, objective)
 
 
@@ -963,7 +992,7 @@ class TestBruteForce:
     def test_reported_minimizer_attains_value(self):
         inst = make_worst_case(0.6)
         result = brute_force_min_error(inst, 2, 0.0, "sum")
-        composed = result.decoder.after(result.encoder)
+        composed = after(result.decoder, result.encoder)
         attained = sum(
             zero_one_error(marginal, composed, truth)
             for marginal, truth in zip(*two_source_parts(inst))
@@ -1019,7 +1048,7 @@ class TestDecodedTvStaysWithinEpsilon:
                 continue
             for h_table in itertools.product(inst.sentence_pool["L"], repeat=2):
                 h = DeterministicTranslator(dict(zip(zs, h_table)))
-                composed = h.after(g)
+                composed = after(h, g)
                 tv = tv_distance(pushforward(m0, composed), pushforward(m1, composed))
                 assert tv <= epsilon + WEIGHT_TOL
 
@@ -1042,3 +1071,47 @@ class TestBoundReport:
         assert report.bound_sum == max(0.0, report.tv_max - 0.1)
         assert report.bound_max == max(0.0, report.tv_max / 2 - 0.05)
         assert report.bound_avg is not None
+
+
+def reference_pair_tvs(inst):
+    """(target, source a, source b, TV of the pushforwards), in the report's row order."""
+    rows = []
+    for dst in sorted(inst.languages):
+        sources = sorted(src for (src, d) in inst.pairs() if d == dst)
+        for a, b in itertools.combinations(sources, 2):
+            tv = tv_distance(target_marginal(inst, a, dst), target_marginal(inst, b, dst))
+            rows.append((dst, a, b, tv))
+    return rows
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            random_two_to_one_instance,
+            lambda rng: random_many_to_many_instance(rng, 3),
+            lambda rng: random_many_to_many_instance(rng, 3, pool_size=4),
+        ],
+        ids=["two_to_one", "k3", "k3_pool4"],
+    )
+    def test_tvs_equal_the_pushforward_tvs_bit_for_bit(self, draw):
+        for seed in range(3000):
+            inst = draw(np.random.default_rng(seed))
+            rows = [(t, a, b, tv.hex()) for t, a, b, tv in target_marginal_tvs(inst)]
+            expected = [(t, a, b, tv.hex()) for t, a, b, tv in reference_pair_tvs(inst)]
+            assert rows == expected, f"seed {seed}"
+
+    def test_tasks_follow_the_sorted_pairs_and_languages(self):
+        inst = random_many_to_many_instance(np.random.default_rng(3), 3, pool_size=3)
+        tasks = inst.tasks
+        assert tasks.pairs == tuple(sorted(inst.marginals)) == inst.pairs()
+        assert tasks.block_names == ("L0", "L1", "L2")
+        assert tasks.codomain == sum((inst.sentence_pool[lang] for lang in tasks.block_names), ())
+        for t, (src, dst) in enumerate(tasks.pairs):
+            mine = tasks.atom_task == t
+            marginal = inst.source_marginal(src, dst)
+            assert tuple(x for x, m in zip(tasks.atoms, mine) if m) == marginal.support
+            assert np.array_equal(tasks.weight[mine], marginal.weights)
+            images = [tasks.codomain[y] for y in tasks.truth[mine]]
+            assert images == [inst.translators[(src, dst)](x) for x in marginal.support]
+            assert tasks.block_names[tasks.task_block[t]] == dst

@@ -23,9 +23,11 @@ from helpers import (
     damaged_documents,
     damaged_instance_documents,
     max_entry_difference,
+    per_language_document,
+    target_marginal,
+    tv_distance,
 )
 from translab import cli, io
-from translab.distributions import tv_distance
 from translab.errors import SchemaError
 from translab.generative import (
     FunctionClassSpec,
@@ -68,23 +70,24 @@ class TestInstanceRoundTrip:
             io.save_instance(instance, path)
             again = io.load_instance(path)
             for pair in instance.pairs():
-                tv = tv_distance(again.target_marginal(*pair), instance.target_marginal(*pair))
+                tv = tv_distance(target_marginal(again, *pair), target_marginal(instance, *pair))
                 assert tv <= 1e-12
 
     def test_many_to_many(self, tmp_path):
         rng = np.random.default_rng(1)
         instance = random_many_to_many_instance(rng)
-        path = tmp_path / "mm.json"
-        io.save_instance(instance, path)
-        again = io.load_instance(path)
-        assert set(again.pairs()) == set(instance.pairs())
-        for pair in instance.pairs():
-            a = instance.source_marginal(*pair)
-            b = again.source_marginal(*pair)
-            assert tv_distance(a, b) <= 1e-9
-            for atom in a.support:
-                assert again.translators[pair](atom) == instance.translators[pair](atom)
-        assert again.sentence_pool == instance.sentence_pool
+        io.save_instance(instance, tmp_path / "mm.json")
+        (tmp_path / "per_language.json").write_text(json.dumps(per_language_document(instance)))
+        for name in ("mm.json", "per_language.json"):
+            again = io.load_instance(tmp_path / name)
+            assert set(again.pairs()) == set(instance.pairs())
+            for pair in instance.pairs():
+                a = instance.source_marginal(*pair)
+                b = again.source_marginal(*pair)
+                assert tv_distance(a, b) <= 1e-9
+                for atom in a.support:
+                    assert again.translators[pair](atom) == instance.translators[pair](atom)
+            assert again.sentence_pool == instance.sentence_pool
 
     def test_untagged_two_source_layout_loads_as_the_tagged_one(self):
         # sentences of a language whose one translator leads to a language
@@ -112,11 +115,13 @@ class TestInstanceRoundTrip:
             io.instance_from_dict(payload)
 
     def test_many_to_many_weights_must_sum_to_one(self):
-        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
-        lang = payload["languages"][0]
-        payload["marginals"][lang] = [w / 2 for w in payload["marginals"][lang]]
-        with pytest.raises(SchemaError, match=f"marginal for '{lang}' weights sum to"):
-            io.instance_from_dict(payload)
+        instance = random_many_to_many_instance(np.random.default_rng(1))
+        for layout in (per_language_document, io.instance_to_dict):
+            payload = layout(instance)
+            key = sorted(payload["marginals"])[0]  # 'L0' or 'L0->L1'
+            payload["marginals"][key] = [w / 2 for w in payload["marginals"][key]]
+            with pytest.raises(SchemaError, match=f"marginal for '{key}' weights sum to"):
+                io.instance_from_dict(payload)
 
     def test_missing_key_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -152,7 +157,7 @@ class TestInstanceDefects:
     def test_defect_is_schema_error_naming_the_file(self, tmp_path, defect):
         damage, message = WORST_CASE_DEFECTS[defect]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(damage(io.instance_to_dict(make_worst_case(0.5)))))
+        path.write_text(json.dumps(damage(make_worst_case(0.5))))
         with pytest.raises(SchemaError, match=re.escape(message)) as exc:
             io.load_instance(path)
         assert str(exc.value).startswith(f"{path}: ")
@@ -161,13 +166,16 @@ class TestInstanceDefects:
     def test_many_to_many_raw_weight_names_language_and_index(self, tmp_path, bad):
         # each pair conditions the raw weights on its target, so a single-atom
         # pair would turn any raw weight into 1.0 (or NaN/NaN) unchecked
-        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
-        lang = payload["languages"][0]
-        payload["marginals"][lang][0] = bad
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match=f"marginal for '{lang}' weight 0"):
-            io.load_instance(path)
+        instance = random_many_to_many_instance(np.random.default_rng(1))
+        for layout in (per_language_document, io.instance_to_dict):
+            payload = layout(instance)
+            key = sorted(payload["marginals"])[0]  # 'L0' or 'L0->L1'
+            payload["marginals"][key][0] = bad
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(SchemaError, match=f"marginal for '{key}' weight 0") as exc:
+                io.load_instance(path)
+            assert str(exc.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("tag", [None, ["L2"], "L9"])
     def test_bad_target_tag_names_the_sentence(self, tmp_path, tag):
@@ -191,12 +199,13 @@ class TestInstanceDefects:
 
 class TestGraphAndCodecFiles:
     def test_graph_round_trip(self, tmp_path):
-        graph = TranslationGraph(("A", "B", "C"), (("A", "B", 10), ("B", "C", 20)))
-        path = tmp_path / "graph.json"
-        io.save_graph(graph, path)
-        again = io.load_graph(path)
-        assert again.languages == graph.languages
-        assert again.edges == graph.edges
+        for n_ab, n_bc in ((10, 20), (7, 9)):
+            graph = TranslationGraph(("A", "B", "C"), (("A", "B", n_ab), ("B", "C", n_bc)))
+            path = tmp_path / "graph.json"
+            io.save_graph(graph, path)
+            again = io.load_graph(path)
+            assert again.languages == graph.languages
+            assert again.edges == graph.edges
 
     def test_deterministic_codecs_round_trip(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
@@ -239,6 +248,24 @@ class TestGraphAndCodecFiles:
         loaded_estimate, loaded_spec = io.load_encoders(first)
         io.save_encoders(loaded_estimate, second, loaded_spec)
         assert second.read_bytes() == first.read_bytes()
+
+        # each pair's weights are written as they are, so they read back exactly
+        instances = [random_many_to_many_instance(np.random.default_rng(s)) for s in range(200)]
+        rng = np.random.default_rng(2)
+        instances += [random_two_to_one_instance(rng) for _ in range(20)]
+        instances += [make_worst_case(delta) for delta in (0.3, 0.5, 0.8)]
+        changed = []
+        for i, instance in enumerate(instances):
+            io.save_instance(instance, first)
+            loaded = io.load_instance(first)
+            io.save_instance(loaded, second)
+            if second.read_bytes() != first.read_bytes() or not all(
+                np.array_equal(loaded.source_marginal(*pair).weights,
+                               instance.source_marginal(*pair).weights)
+                for pair in instance.pairs()
+            ):
+                changed.append(i)
+        assert changed == [], f"{len(changed)} of {len(instances)} instance documents changed"
 
     def test_codecs_with_mixed_noise_settings_are_rejected(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
