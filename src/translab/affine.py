@@ -16,7 +16,7 @@ SINGULAR_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
-    """x -> linear @ x + offset, applied row-wise to (m, d) point arrays.
+    """x -> linear @ x + offset; (m, d) rows of points map to points @ linear.T + offset.
 
     A stack of maps has a linear part (..., d, d) and offsets (..., d).
     ``compose``, ``inverse`` and the singular values (computed once per
@@ -74,10 +74,6 @@ class AffineMap:
     def dim(self) -> int:
         return self.linear.shape[-1]
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        return points @ self.linear.T + self.offset
-
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner: (self ∘ inner)(x) = self(inner(x))."""
         return AffineMap._of(
@@ -102,9 +98,6 @@ class AffineMap:
             raise ConditioningError("linear part is numerically singular")
         inv = np.linalg.inv(self.linear)
         return AffineMap._of(inv, (-inv @ self.offset[..., None])[..., 0])
-
-    def smallest_gain(self) -> float:
-        return float(self.singular_values[-1])
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":

@@ -29,9 +29,6 @@ from .impossibility import (
 )
 from .trainer import anchor_spanning_tree, factor_corpus, fit_edge, joint_refine
 
-MODES = ("bound", "brute", "demo-worst-case", "generate", "train", "eval", "sweep")
-
-
 class ValidationFailure(Exception):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
@@ -344,7 +341,7 @@ def _run_eval(config) -> int:
             raise SchemaError(f"{config.codecs}: no codec for graph language {lang!r}")
         if lang not in estimate.encoders:
             raise SchemaError(f"{config.encoders}: no encoder for graph language {lang!r}")
-        dim, codec_dim = estimate.encoders[lang].dim, codecs[lang].W.shape[0]
+        dim, codec_dim = estimate.encoders[lang].dim, codecs[lang].decoder.dim
         if dim != codec_dim:
             raise SchemaError(
                 f"{config.encoders}: encoder {lang!r} has dimension {dim},"

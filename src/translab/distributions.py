@@ -10,7 +10,7 @@ arrays once and computes pushforwards and total variation on them exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class FiniteDistribution:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
 
-    def items(self) -> Iterator[tuple[Atom, float]]:
-        return zip(self.support, self.weights)
-
     def __len__(self) -> int:
         return len(self.support)
 
@@ -98,7 +95,3 @@ class DeterministicTranslator:
             return self.mapping[atom]
         except KeyError:
             raise DomainError(f"atom outside translator domain: {atom!r}") from None
-
-    @property
-    def domain(self) -> tuple[Atom, ...]:
-        return tuple(self.mapping.keys())

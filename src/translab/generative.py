@@ -3,9 +3,10 @@
 Sentences here are vectors. Every language owns one codec: an invertible
 affine map applied to the latent stacked with scaled nuisance noise
 coordinates. Aligned corpora arise by decoding shared latent draws through two
-codecs. Encoding recovers the latent exactly, so distributional invariance of
-the latent holds by construction rather than approximately. The deterministic
-model is the codec with no nuisance coordinates and zero noise scale.
+codecs. Inverting a codec's map and dropping the nuisance coordinates recovers
+the latent exactly, so distributional invariance of the latent holds by
+construction rather than approximately. The deterministic model is the codec
+with no nuisance coordinates and zero noise scale.
 """
 
 from __future__ import annotations
@@ -136,12 +137,11 @@ def _digest(*arrays: np.ndarray) -> str:
 class RandomizedCodec:
     """Codec whose decoder mixes the latent with scaled nuisance noise.
 
-    decode(z, r) applies one invertible map to the stacked vector (z, sigma*r);
-    encode drops the nuisance coordinates after inverting, so it recovers the
-    latent exactly for every noise seed. With the defaults (no nuisance
-    coordinates, zero noise scale) decode is W z + b and encode its exact
-    inverse. The map is ``decoder``, which also checks it; ``W`` and ``b``
-    read its linear part and offset.
+    decode(z, r) applies one invertible map, ``decoder``, to the stacked vector
+    (z, sigma*r), so inverting it and dropping the nuisance coordinates
+    recovers the latent exactly for every noise seed. With the defaults (no
+    nuisance coordinates, zero noise scale) decode is the map itself. The
+    noise scale ``sigma`` must be finite and nonnegative.
     """
 
     decoder: AffineMap
@@ -151,18 +151,10 @@ class RandomizedCodec:
     def __post_init__(self):
         if not 0 <= self.nuisance_dim < self.decoder.dim:
             raise ValueError("nuisance_dim must be in [0, total dim)")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if not self.decoder.nonsingular:
             raise ValueError("codec matrix is numerically singular")
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.decoder.linear
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.decoder.offset
 
     @property
     def latent_dim(self) -> int:
@@ -182,14 +174,10 @@ class RandomizedCodec:
             if r is None:
                 r = np.zeros((z.shape[0], self.nuisance_dim))
             stacked = np.concatenate([z, self.sigma * np.asarray(r)], axis=1)
-        return np.add(stacked @ self.W.T, self.b, out=out)
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        full = (np.asarray(x, dtype=np.float64) - self.b) @ self.decoder.inverse().linear.T
-        return full[:, : self.latent_dim]
+        return np.add(stacked @ self.decoder.linear.T, self.decoder.offset, out=out)
 
     def digest(self) -> str:
-        return _digest(self.W, self.b)
+        return _digest(self.decoder.linear, self.decoder.offset)
 
 
 def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -403,8 +391,8 @@ def generate_pairs(
             raise DomainError(f"no codec for language {lang!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    dim = codecs[a].W.shape[0]
-    if codecs[b].W.shape[0] != dim:
+    dim = codecs[a].decoder.dim
+    if codecs[b].decoder.dim != dim:
         raise DomainError(f"codecs of {a!r} and {b!r} decode to different dimensions")
     pairs = np.empty((len(seeds), n, 2, dim))
     blocks = _row_blocks(n)

@@ -103,7 +103,7 @@ class ManyToManyInstance:
                     raise ValueError(f"{x!r} lacks the {dst!r} target prefix")
                 if getattr(f(x), "source_tag", None) != dst:
                     raise ValueError(f"{f(x)!r} is not a {dst!r} sentence")
-            for atom in f.domain:
+            for atom in f.mapping:
                 if f(atom) not in pool[dst]:
                     raise ValueError(f"translator image {f(atom)!r} missing from {dst!r} pool")
         object.__setattr__(self, "languages", languages)
@@ -142,12 +142,6 @@ class ManyToManyInstance:
             )
             for key, m in self.marginals.items()
         }
-
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return self.tasks.pairs
-
-    def source_marginal(self, src: str, dst: str) -> FiniteDistribution:
-        return self.marginals[(src, dst)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +214,7 @@ def bound_report(
     K^2 ordered pairs at least sum TV / (K^2 (K - 1)) - epsilon / 2. Each bound
     is clipped below at zero; with no two sources sharing a target, all are 0.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     k = instance.K
     if k < 2:
@@ -379,7 +373,7 @@ def brute_force_min_error(
     table of the orbits that can hold it, so results are reproducible bit for
     bit.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     if objective not in ("sum", "max", "avg"):
         raise ValueError(f"unknown objective {objective!r}")

@@ -124,8 +124,8 @@ def instance_to_dict(instance: ManyToManyInstance) -> dict:
     """The instance's document: each pair's weights as they are, under its ``src->dst`` key."""
     sentences: dict[str, list] = {lang: [] for lang in instance.languages}
     marginals, translators = {}, {}
-    for (src, dst) in instance.pairs():
-        marginal, f = instance.source_marginal(src, dst), instance.translators[(src, dst)]
+    for (src, dst) in instance.tasks.pairs:
+        marginal, f = instance.marginals[(src, dst)], instance.translators[(src, dst)]
         sentences[src] += [_sentence_entry(x) for x in marginal.support]
         marginals[f"{src}->{dst}"] = marginal.weights.tolist()
         translators[f"{src}->{dst}"] = {x.body: f(x).body for x in marginal.support}
@@ -371,8 +371,8 @@ def _spec(raw) -> FunctionClassSpec:
         raise SchemaError(f"malformed 'spec': {exc}") from exc
 
 
-def _affine_entry(W: np.ndarray, b: np.ndarray) -> dict:
-    return {"W": W.tolist(), "b": b.tolist()}
+def _affine_entry(m: AffineMap) -> dict:
+    return {"W": m.linear.tolist(), "b": m.offset.tolist()}
 
 
 def save_codecs(
@@ -388,7 +388,7 @@ def save_codecs(
         "sigma": sigma,
         "nuisance_dim": nuisance_dim,
         "codecs": {
-            lang: _affine_entry(codec.W, codec.b) for lang, codec in sorted(codecs.items())
+            lang: _affine_entry(codec.decoder) for lang, codec in sorted(codecs.items())
         },
     }
     _write_json(payload, path)
@@ -521,8 +521,7 @@ def save_encoders(
     payload = {
         "anchor": estimate.anchor,
         "encoders": {
-            lang: _affine_entry(enc.linear, enc.offset)
-            for lang, enc in sorted(estimate.encoders.items())
+            lang: _affine_entry(enc) for lang, enc in sorted(estimate.encoders.items())
         },
         "spec": None if spec is None else spec_to_dict(spec),
     }

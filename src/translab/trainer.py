@@ -11,16 +11,17 @@ increase, so the summed edge loss is non-increasing by construction.
 Refinement never reads a corpus. Everything it computes from one is a
 quadratic form in the rows of Z = [x, y, 1], so each corpus enters as its
 ``EdgeFactor``: the triangular factor R of Z, with ||Z M|| = ||R M|| for every
-M. Refinement keeps its working state outside ``EncoderEstimate``: the current
-encoders, their cached inverses and one loss per edge. Each update of one
-language backtracks down a ladder of 60 rungs, step 2**-k at rung k. The rungs
-are scored in doubling chunks (``RUNG_CHUNKS``) as stacked arrays: one SVD,
-one inverse and, per edge of that language, one R-form loss for every rung of
-the chunk, while the losses of the other edges are reused. The first rung in
-ladder order that does not raise the summed per-edge list is taken, the same
-rung a one-step-at-a-time search takes, so at most 2v - 1 rungs are scored
-where that search visits v. The estimate is validated once, when refinement
-ends.
+M, so an edge's R-form loss is its row-form mean squared residual up to
+rounding. Refinement keeps its working state outside ``EncoderEstimate``: the
+current encoders, their cached inverses and one loss per edge. Each update of
+one language backtracks down a ladder of 60 rungs, step 2**-k at rung k. The
+rungs are scored in doubling chunks (``RUNG_CHUNKS``) as stacked arrays: one
+SVD, one inverse and, per edge of that language, one R-form loss for every
+rung of the chunk, while the losses of the other edges are reused. The first
+rung in ladder order that does not raise the summed per-edge list is taken,
+the same rung a one-step-at-a-time search takes, so at most 2v - 1 rungs are
+scored where that search visits v. The estimate is validated once, when
+refinement ends.
 """
 
 from __future__ import annotations
@@ -126,19 +127,11 @@ class EncoderEstimate:
             self, "encoders", {lang: stack[i] for i, lang in enumerate(encoders)}
         )
 
-    @property
-    def languages(self) -> tuple[str, ...]:
-        return tuple(sorted(self.encoders))
-
     def encoder(self, lang: str) -> AffineMap:
         try:
             return self.encoders[lang]
         except KeyError:
             raise DomainError(f"no encoder for language {lang!r}") from None
-
-    def composite(self, src: str, dst: str) -> AffineMap:
-        """The translator src -> dst implied by the encoders."""
-        return self.encoder(dst).inverse().compose(self.encoder(src))
 
 
 def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
@@ -268,20 +261,6 @@ def anchor_spanning_tree(
     return EncoderEstimate(encoders, anchor)
 
 
-def empirical_edge_loss(estimate: EncoderEstimate, corpus: AlignedCorpus) -> float:
-    """Mean squared gap between the estimate's composite and the aligned targets."""
-    a, b = corpus.edge
-    return _mean_squared_residual(
-        estimate.composite(a, b), corpus.source_points, corpus.target_points
-    )
-
-
-def total_edge_loss(
-    estimate: EncoderEstimate, corpora: Sequence[AlignedCorpus]
-) -> float:
-    return float(sum(empirical_edge_loss(estimate, c) for c in corpora))
-
-
 def _consensus(
     lang: str,
     encoders: Mapping[str, AffineMap],
@@ -388,9 +367,10 @@ def joint_refine(
 
     A rung re-scores only the edges of the updated language; the other
     per-edge losses are reused. The objective is the sum of the per-edge
-    R-form losses in ``factors`` order, which equals ``total_edge_loss`` on the
-    corpora up to rounding, not bit for bit. Encoders are re-validated once,
-    in the returned estimate; zero sweeps return ``estimate`` itself.
+    R-form losses in ``factors`` order, which equals the summed row-form mean
+    squared residual of each edge's composite on its corpus up to rounding,
+    not bit for bit. Encoders are re-validated once, in the returned
+    estimate; zero sweeps return ``estimate`` itself.
     """
     if sweeps < 0:
         raise ValueError("sweeps must be nonnegative")

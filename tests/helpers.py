@@ -32,7 +32,7 @@ from translab.impossibility import (
     random_two_to_one_instance,
 )
 from translab.seeding import derive_seed
-from translab.trainer import COND_LIMIT, EncoderEstimate, fit_edge
+from translab.trainer import COND_LIMIT, EncoderEstimate, _mean_squared_residual, fit_edge
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +46,12 @@ def distribution_from_dict(masses: Mapping[Atom, float]) -> FiniteDistribution:
 
 def weight(dist: FiniteDistribution, atom: Atom) -> float:
     """``dist``'s weight on ``atom``: 0 off its support."""
-    return next((float(w) for a, w in dist.items() if a == atom), 0.0)
+    return next((float(w) for a, w in zip(dist.support, dist.weights) if a == atom), 0.0)
 
 
 def after(outer: DeterministicTranslator, inner: DeterministicTranslator) -> DeterministicTranslator:
     """Composition outer ∘ inner, total on inner's domain."""
-    return DeterministicTranslator({a: outer(inner(a)) for a in inner.domain})
+    return DeterministicTranslator({a: outer(inner(a)) for a in inner.mapping})
 
 
 def identity_translator(atoms) -> DeterministicTranslator:
@@ -68,9 +68,9 @@ def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
     Atoms absent from one distribution carry weight zero.
     """
     gaps: dict[Atom, float] = {}
-    for atom, w in p.items():
+    for atom, w in zip(p.support, p.weights):
         gaps[atom] = w
-    for atom, w in q.items():
+    for atom, w in zip(q.support, q.weights):
         gaps[atom] = gaps.get(atom, 0.0) - w
     return 0.5 * float(sum(abs(v) for v in gaps.values()))
 
@@ -82,7 +82,7 @@ def pushforward(dist: FiniteDistribution, f: DeterministicTranslator) -> FiniteD
     keeps the result deterministic for a given input.
     """
     masses: dict[Atom, float] = {}
-    for atom, w in dist.items():
+    for atom, w in zip(dist.support, dist.weights):
         image = f(atom)
         masses[image] = masses.get(image, 0.0) + float(w)
     return distribution_from_dict(masses)
@@ -90,7 +90,7 @@ def pushforward(dist: FiniteDistribution, f: DeterministicTranslator) -> FiniteD
 
 def target_marginal(instance: ManyToManyInstance, src: str, dst: str) -> FiniteDistribution:
     """The pair's target marginal, pushed forward through its ground-truth translator."""
-    return pushforward(instance.source_marginal(src, dst), instance.translators[(src, dst)])
+    return pushforward(instance.marginals[(src, dst)], instance.translators[(src, dst)])
 
 
 def random_distribution(rng: np.random.Generator, atoms) -> FiniteDistribution:
@@ -123,9 +123,39 @@ def with_gauge(estimate: EncoderEstimate, f: AffineMap) -> EncoderEstimate:
     )
 
 
+def apply(m: AffineMap, points) -> np.ndarray:
+    """``m`` applied to each row of an (n, d) point array: points @ linear.T + offset."""
+    return np.asarray(points, dtype=np.float64) @ m.linear.T + m.offset
+
+
+def composite(estimate: EncoderEstimate, src: str, dst: str) -> AffineMap:
+    """The translator src -> dst implied by the encoders: E_dst^{-1} ∘ E_src."""
+    return estimate.encoder(dst).inverse().compose(estimate.encoder(src))
+
+
+def empirical_edge_loss(estimate: EncoderEstimate, corpus) -> float:
+    """The row-form edge loss: mean squared gap of the composite on the aligned pairs."""
+    a, b = corpus.edge
+    return _mean_squared_residual(
+        composite(estimate, a, b), corpus.source_points, corpus.target_points
+    )
+
+
+def total_edge_loss(estimate: EncoderEstimate, corpora) -> float:
+    """The summed row-form edge loss, which ``joint_refine``'s R-form equals up to rounding."""
+    return float(sum(empirical_edge_loss(estimate, c) for c in corpora))
+
+
 def encoder_map(codec) -> AffineMap:
     """The exact inverse of a noiseless codec's decoder, as one affine map."""
-    return AffineMap(codec.W, codec.b).inverse()
+    return codec.decoder.inverse()
+
+
+def encode(codec, x) -> np.ndarray:
+    """The latents of ``x``, the exact inverse of ``decode`` for every noise seed."""
+    shifted = np.asarray(x, dtype=np.float64) - codec.decoder.offset
+    full = shifted @ codec.decoder.inverse().linear.T
+    return full[:, : codec.latent_dim]
 
 
 def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_noise):
@@ -144,8 +174,8 @@ def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_
     if target_noise:
         y = dst_codec.decode(z, dst_codec.draw_decoder_seeds(rng, m))
     else:
-        y = dst_codec.decode(src_codec.encode(x))
-    squared = np.sum((transform(x) - y) ** 2, axis=1)
+        y = dst_codec.decode(encode(src_codec, x))
+    squared = np.sum((apply(transform, x) - y) ** 2, axis=1)
     return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(m))
 
 
@@ -155,14 +185,14 @@ def monte_carlo_pair_loss(transform, codecs, src, dst, sampler, m, seed, target_
 
 def zero_one_error(dist, f, f_star) -> float:
     """Mass of atoms where f and f_star disagree: E[1(f(X) != f_star(X))]."""
-    return float(sum(w for atom, w in dist.items() if f(atom) != f_star(atom)))
+    return float(sum(w for atom, w in zip(dist.support, dist.weights) if f(atom) != f_star(atom)))
 
 
 def population_loss(estimate, pair, codecs, spec) -> float:
     """Exact squared gap between the learned and ground-truth composites of ``pair``."""
     src, dst = (_CodecStack.of([_codec(codecs, lang, spec)]) for lang in pair)
     return _affine_losses(
-        estimate.composite(*pair)[None], src, dst, spec.dim, spec.radius, target_noise=False
+        composite(estimate, *pair)[None], src, dst, spec.dim, spec.radius, target_noise=False
     )[0]
 
 
@@ -197,17 +227,21 @@ def moment_gap(a, b) -> tuple[float, float, bool]:
     return mean_gap, cov_gap, mean_gap <= tol and cov_gap <= tol
 
 
-def invariance_gap(codec, radius=1.0) -> tuple[float, float, bool]:
-    """``moment_gap`` between encode(decode(z, r)) and the latent itself.
+def invariance_gap(codec, radius=1.0, inverse=None) -> tuple[float, float, bool]:
+    """``moment_gap`` between inverse(decode(z, r)) and the latent itself.
 
+    ``inverse`` maps sentences back to latents and defaults to ``encode``.
     The nuisance construction recovers latents exactly, so both gaps are zero
-    up to rounding; a corrupted codec shifts the mean or the covariance. Only
-    the law is compared, so an encoder off by a rotation of the latent passes.
+    up to rounding; a corrupted inverse shifts the mean or the covariance. Only
+    the law is compared, so an inverse off by a rotation of the latent passes.
     """
     d = codec.latent_dim
-    round_trip = affine_moments(
-        lambda z, r: codec.encode(codec.decode(z, r)), d, codec.nuisance_dim, radius
-    )
+
+    def recovered(z, r):
+        x = codec.decode(z, r)
+        return encode(codec, x) if inverse is None else inverse(x)
+
+    round_trip = affine_moments(recovered, d, codec.nuisance_dim, radius)
     return moment_gap(round_trip, (np.zeros(d), latent_second_moment(d, radius) * np.eye(d)))
 
 
@@ -256,14 +290,14 @@ def scalar_affine_loss(transform, src, dst, radius, target_noise) -> float:
     for bit on every map of a stack.
     """
     d = src.latent_dim
-    M = transform.linear @ src.W
-    offset = transform.linear @ src.b + transform.offset - dst.b
+    M = transform.linear @ src.decoder.linear
+    offset = transform.linear @ src.decoder.offset + transform.offset - dst.decoder.offset
     loss = np.sum(offset**2) + latent_second_moment(d, radius) * np.sum(
-        (M[:, :d] - dst.W[:, :d]) ** 2
+        (M[:, :d] - dst.decoder.linear[:, :d]) ** 2
     )
     loss += src.sigma**2 * NOISE_VARIANCE * np.sum(M[:, d:] ** 2)
     if target_noise:
-        loss += dst.sigma**2 * NOISE_VARIANCE * np.sum(dst.W[:, d:] ** 2)
+        loss += dst.sigma**2 * NOISE_VARIANCE * np.sum(dst.decoder.linear[:, d:] ** 2)
     return float(loss)
 
 
@@ -335,7 +369,7 @@ def out_of_place_fit_edge(corpus, ridge=1e-10):
         gram = gram + ridge * np.eye(d + 1)
     theta = np.linalg.solve(gram, design.T @ targets)
     transform = AffineMap(theta[:d].T, theta[d])
-    loss = float(np.mean(np.sum((transform(points) - targets) ** 2, axis=1)))
+    loss = float(np.mean(np.sum((apply(transform, points) - targets) ** 2, axis=1)))
     return transform, loss
 
 
@@ -427,14 +461,14 @@ def per_language_document(instance: ManyToManyInstance) -> dict:
     float mass, so the weights can come back a few ulps off.
     """
     targets_of: dict[str, list[str]] = {}
-    for (src, dst) in instance.pairs():
+    for (src, dst) in instance.tasks.pairs:
         targets_of.setdefault(src, []).append(dst)
     document = io.instance_to_dict(instance)
     marginals: dict[str, list[float]] = {}
     for lang, dsts in targets_of.items():
         share = 1.0 / len(dsts)
         marginals[lang] = [
-            float(w) * share for dst in dsts for w in instance.source_marginal(lang, dst).weights
+            float(w) * share for dst in dsts for w in instance.marginals[(lang, dst)].weights
         ] + [0.0] * len(instance.sentence_pool[lang])
     document["marginals"] = marginals
     return document
@@ -718,10 +752,10 @@ def check_epsilon_universal_partitioned(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     by_target: dict[str, list[FiniteDistribution]] = {}
-    for (src, dst) in instance.pairs():
-        pushed = pushforward(instance.source_marginal(src, dst), rep.encoder)
+    for (src, dst) in instance.tasks.pairs:
+        pushed = pushforward(instance.marginals[(src, dst)], rep.encoder)
         block = rep.blocks.get(dst, frozenset())
-        leak = sum(w for atom, w in pushed.items() if atom not in block)
+        leak = sum(w for atom, w in zip(pushed.support, pushed.weights) if atom not in block)
         if leak > WEIGHT_TOL:
             return False
         by_target.setdefault(dst, []).append(pushed)
@@ -744,7 +778,7 @@ def dispatch_by_source_tag(
     combined: dict[Atom, Atom] = {}
     for lang in sorted(translators):
         f = translators[lang]
-        for atom in f.domain:
+        for atom in f.mapping:
             tag = getattr(atom, "source_tag", None)
             if tag != lang:
                 raise DomainError(
@@ -760,7 +794,7 @@ def perfect_universal_translator(
     """The piecewise translator that dispatches each sentence to its pair's ground truth."""
     per_source = {
         src: instance.translators[(src, dst)]
-        for (src, dst) in instance.pairs()
+        for (src, dst) in instance.tasks.pairs
         if dst == target
     }
     if not per_source:

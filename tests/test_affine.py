@@ -47,7 +47,7 @@ class TestStackedMaps:
         outer_composites = stack.compose(other)
         inner_composites = other.compose(stack)
         pairwise = stack.compose(inner_stack)
-        regular = all(m.smallest_gain() >= SINGULAR_TOL for m in maps)
+        regular = all(m.singular_values[-1] >= SINGULAR_TOL for m in maps)
         inverses = stack.inverse() if regular else None
         for i, single in enumerate(maps):
             assert stack[i].linear.flags.f_contiguous == (order == "F" or dim == 1)
@@ -91,7 +91,7 @@ class TestStackedMaps:
         regular = np.flatnonzero(stack.nonsingular)
         assert regular.tolist() == [0, 1, 3, 4, 5]
         inverses = stack[regular].inverse()
-        assert stack[regular][1].smallest_gain() == stack.singular_values[1, -1]
+        assert stack[regular][1].singular_values[-1] == stack.singular_values[1, -1]
         assert calls == {"svd": 1, "inv": 1}
         assert inverses.linear.shape == (5, 3, 3)
         with pytest.raises(ConditioningError):

@@ -151,7 +151,7 @@ class TestParseAndValidate:
         assert err == "invalid: out: required for this mode\n"
 
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "file-sub"])
-    @pytest.mark.parametrize("mode", cli.MODES)
+    @pytest.mark.parametrize("mode", cli._RUNNERS)
     def test_out_through_a_file_exits_2_naming_it(self, tmp_path, capsys, mode, under_file):
         instance = tmp_path / "i.json"
         io.save_instance(make_worst_case(0.5), instance)
@@ -272,7 +272,7 @@ class TestParserReuse:
         ):
             run_cli(argv, capsys)
         # The top-level parser and one per mode, all from the first call.
-        assert len(built) == 1 + len(cli.MODES)
+        assert len(built) == 1 + len(cli._RUNNERS)
 
 
 class TestBoundAndBrute:

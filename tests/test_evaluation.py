@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    composite,
     encoder_map,
     lexicographic_shortest_path,
     max_entry_difference,
@@ -156,8 +157,10 @@ class TestMonteCarloCrossCheck:
         # a deliberately imperfect map: the noise-passing composite, perturbed
         rng = np.random.default_rng(seed)
         a, b = codecs["A"], codecs["B"]
-        linear = b.W @ np.linalg.inv(a.W) + 0.1 * rng.standard_normal((d + k, d + k))
-        transform = AffineMap(linear, b.b - linear @ a.b + 0.1 * rng.standard_normal(d + k))
+        da, db = a.decoder, b.decoder
+        linear = db.linear @ np.linalg.inv(da.linear) + 0.1 * rng.standard_normal((d + k, d + k))
+        offset = db.offset - linear @ da.offset + 0.1 * rng.standard_normal(d + k)
+        transform = AffineMap(linear, offset)
         if target_noise:
             exact = _affine_losses(
                 transform[None], _CodecStack.of([a]), _CodecStack.of([b]), d, spec.radius,
@@ -179,23 +182,21 @@ class TestComposeZeroShot:
     def test_same_language_is_identity(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        composite = estimate.composite("L1", "L1")
-        assert max_entry_difference(composite, AffineMap.identity(3)) <= 1e-12
+        same = composite(estimate, "L1", "L1")
+        assert max_entry_difference(same, AffineMap.identity(3)) <= 1e-12
 
     def test_adjacent_pair_equals_fitted_map(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=3)
         results = [fit_edge(c) for c in corpora]
         estimate = anchor_spanning_tree(graph, results, "L0")
-        composite = estimate.composite(*results[0].edge)
-        assert max_entry_difference(composite, results[0].transform) <= 1e-10
+        adjacent = composite(estimate, *results[0].edge)
+        assert max_entry_difference(adjacent, results[0].transform) <= 1e-10
 
     def test_composites_telescope(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=4)
         estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        direct = estimate.composite("L0", "L3")
-        stepped = estimate.composite("L1", "L3").compose(
-            estimate.composite("L0", "L1")
-        )
+        direct = composite(estimate, "L0", "L3")
+        stepped = composite(estimate, "L1", "L3").compose(composite(estimate, "L0", "L1"))
         assert max_entry_difference(direct, stepped) <= 1e-10
 
 
@@ -285,14 +286,14 @@ class TestVerifyChainBound:
         floor = (
             0.1**2
             * truncnorm.var(-3, 3)
-            * float(np.sum(dst.W[:, dst.latent_dim :] ** 2))
+            * float(np.sum(dst.decoder.linear[:, dst.latent_dim :] ** 2))
         )
         assert fitted_loss <= 0.2 * floor
         passthrough = EncoderEstimate(
             {
                 lang: AffineMap(
-                    np.linalg.inv(codecs[lang].W),
-                    -np.linalg.inv(codecs[lang].W) @ codecs[lang].b,
+                    np.linalg.inv(codecs[lang].decoder.linear),
+                    -np.linalg.inv(codecs[lang].decoder.linear) @ codecs[lang].decoder.offset,
                 )
                 for lang in codecs
             },
@@ -368,7 +369,7 @@ class TestVerifyChainBound:
         for est in (estimate, with_gauge(estimate, gauge)):
             for record in verify_chain_bound(est, graph, codecs, spec):
                 want = max(
-                    1.0 / est.encoder(record.dst).smallest_gain(),
+                    1.0 / est.encoder(record.dst).singular_values[-1],
                     max(float(est.encoder(node).singular_values[0]) for node in record.path),
                 )
                 assert record.rho_hat.hex() == want.hex()
@@ -416,13 +417,13 @@ class TestStackedLosses:
         for record in records:
             # each loss is the one-pair formula on the estimate's own composite
             want = scalar_affine_loss(
-                estimate.composite(record.src, record.dst),
+                composite(estimate, record.src, record.dst),
                 codecs[record.src], codecs[record.dst], spec.radius, False,
             )
             assert record.measured_loss.hex() == want.hex()
             for (a, b), loss in zip(zip(record.path, record.path[1:]), record.edge_losses):
                 want = scalar_affine_loss(
-                    estimate.composite(a, b), codecs[a], codecs[b], spec.radius, False
+                    composite(estimate, a, b), codecs[a], codecs[b], spec.radius, False
                 )
                 assert loss.hex() == want.hex()
         for block in (1, 3, 7):

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     affine_moments,
     assert_same_bits,
+    encode,
     encoder_map,
     invariance_gap,
     moment_gap,
@@ -110,27 +111,27 @@ class TestGroundTruthCodecs:
     def test_singular_values_inside_band(self):
         spec = FunctionClassSpec(dim=4, rho=2.0)
         for codec in sample_randomized_codecs(spec, 5, 0, 0.0, seed=0):
-            s = np.linalg.svd(codec.W, compute_uv=False)
+            s = np.linalg.svd(codec.decoder.linear, compute_uv=False)
             assert s.max() <= 2.0 + 1e-9
             assert s.min() >= 0.5 - 1e-9
 
     def test_unit_band_collapses_to_isometries(self):
         spec = FunctionClassSpec(dim=4, rho=1.0, offset_bound=0.0)
         for codec in sample_randomized_codecs(spec, 3, 0, 0.0, seed=0):
-            assert np.allclose(codec.W.T @ codec.W, np.eye(4), atol=1e-9)
-            assert np.allclose(codec.b, 0.0)
+            assert np.allclose(codec.decoder.linear.T @ codec.decoder.linear, np.eye(4), atol=1e-9)
+            assert np.allclose(codec.decoder.offset, 0.0)
 
     def test_composite_operator_norm_within_rho_squared(self):
         spec = FunctionClassSpec(dim=4, rho=2.0)
         c0, c1 = sample_randomized_codecs(spec, 2, 0, 0.0, seed=3)
-        composite = encoder_map(c1).compose(AffineMap(c0.W, c0.b))
+        composite = encoder_map(c1).compose(c0.decoder)
         assert composite.singular_values[0] <= spec.rho**2 + 1e-9
 
     def test_roundtrip_inversion(self):
         spec = FunctionClassSpec(dim=5)
         codec = sample_randomized_codecs(spec, 1, 0, 0.0, seed=2)[0]
         z = LatentSampler(5, 1.0, seed=0).sample(1000)
-        assert np.abs(codec.encode(codec.decode(z)) - z).max() <= 1e-9
+        assert np.abs(encode(codec, codec.decode(z)) - z).max() <= 1e-9
 
     def test_decoded_points_respect_sup_bound(self):
         spec = FunctionClassSpec(dim=4)
@@ -143,11 +144,19 @@ class TestGroundTruthCodecs:
         a = sample_randomized_codecs(spec, 4, 0, 0.0, seed=11)
         b = sample_randomized_codecs(spec, 4, 0, 0.0, seed=11)
         for ca, cb in zip(a, b):
-            assert np.array_equal(ca.W, cb.W) and np.array_equal(ca.b, cb.b)
+            assert np.array_equal(ca.decoder.linear, cb.decoder.linear)
+            assert np.array_equal(ca.decoder.offset, cb.decoder.offset)
 
     def test_rejects_singular_matrix(self):
         with pytest.raises(ValueError):
             RandomizedCodec(AffineMap(np.zeros((2, 2)), np.zeros(2)))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            RandomizedCodec(AffineMap(np.eye(2), np.zeros(2)), 1, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            sample_randomized_codecs(FunctionClassSpec(dim=1), 2, 1, sigma, seed=0)
 
     def test_noiseless_codecs_reproduce_ground_truth_stream(self):
         # inline reference for the deterministic model's codec stream
@@ -160,10 +169,11 @@ class TestGroundTruthCodecs:
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             b = direction * (1.0 * rng.random() ** (1.0 / 3))
-            assert np.array_equal(codec.W, W) and np.array_equal(codec.b, b)
+            assert np.array_equal(codec.decoder.linear, W)
+            assert np.array_equal(codec.decoder.offset, b)
             assert codec.nuisance_dim == 0 and codec.sigma == 0.0
         noisy = sample_randomized_codecs(spec, 4, 0, 0.1, seed=5)
-        assert not np.array_equal(noisy[0].W, codecs[0].W)
+        assert not np.array_equal(noisy[0].decoder.linear, codecs[0].decoder.linear)
 
 
 class TestGenerateCorpus:
@@ -180,15 +190,15 @@ class TestGenerateCorpus:
     def test_shared_latent_alignment(self):
         codecs = self._codecs()
         corpus = randomized_generate(("A", "B"), codecs, 200, LatentSampler(3, 1.0, 0), seed=1)
-        za = codecs["A"].encode(corpus.source_points)
-        zb = codecs["B"].encode(corpus.target_points)
+        za = encode(codecs["A"], corpus.source_points)
+        zb = encode(codecs["B"], corpus.target_points)
         assert np.abs(za - zb).max() <= 1e-9
 
     def test_sample_mean_near_decoded_origin(self):
         codecs = self._codecs(seed=4)
         m = 50_000
         corpus = randomized_generate(("A", "B"), codecs, m, LatentSampler(3, 1.0, 2), seed=2)
-        gap = np.linalg.norm(corpus.source_points.mean(axis=0) - codecs["A"].b)
+        gap = np.linalg.norm(corpus.source_points.mean(axis=0) - codecs["A"].decoder.offset)
         rho = 2.0
         assert gap <= rho * 4 / np.sqrt(m * (3 + 2))
 
@@ -227,7 +237,8 @@ class TestRandomizedGenerate:
         sampler = LatentSampler(3, 1.0, seed=7)
         corpus = randomized_generate(("A", "B"), codecs, 100, sampler, seed=3)
         z = sampler.fork(3, "latent", "A", "B").sample(100)
-        expected = np.stack([z @ codecs[lang].W.T + codecs[lang].b for lang in "AB"], axis=1)
+        decoders = [codecs[lang].decoder for lang in "AB"]
+        expected = np.stack([z @ m.linear.T + m.offset for m in decoders], axis=1)
         assert np.array_equal(corpus.pairs, expected)
         assert corpus.meta["sigma"] == 0.0 and corpus.meta["nuisance_dim"] == 0
 
@@ -243,7 +254,7 @@ class TestRandomizedGenerate:
             codec = codecs[lang]
             r = codec.draw_decoder_seeds(noise_rng, 300)
             stacked = np.concatenate([z, codec.sigma * r], axis=1)
-            sides.append(stacked @ codec.W.T + codec.b)
+            sides.append(stacked @ codec.decoder.linear.T + codec.decoder.offset)
         assert np.array_equal(corpus.pairs, np.stack(sides, axis=1))
 
     def test_codecs_of_different_dimensions_are_a_domain_error(self):
@@ -257,8 +268,8 @@ class TestRandomizedGenerate:
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 2, 0.1, seed=1)))
         sampler = LatentSampler(3, 1.0, seed=4)
         corpus = randomized_generate(("A", "B"), codecs, 500, sampler, seed=5)
-        za = codecs["A"].encode(corpus.source_points)
-        zb = codecs["B"].encode(corpus.target_points)
+        za = encode(codecs["A"], corpus.source_points)
+        zb = encode(codecs["B"], corpus.target_points)
         assert np.abs(za - zb).max() <= 1e-9
 
     def test_nuisance_coordinate_scale(self):
@@ -272,8 +283,8 @@ class TestRandomizedGenerate:
         corpus = randomized_generate(
             ("A", "B"), codecs, 40_000, LatentSampler(2, 1.0, seed=1), seed=1
         )
-        codec = codecs["B"]
-        stacked = (corpus.target_points - codec.b) @ np.linalg.inv(codec.W).T
+        decoder = codecs["B"].decoder
+        stacked = (corpus.target_points - decoder.offset) @ np.linalg.inv(decoder.linear).T
         noise = stacked[:, 2:]
         expected = sigma * truncnorm.std(-3, 3)
         observed = noise.std(axis=0)
@@ -355,35 +366,19 @@ class TestInvariance:
     def test_corrupted_encoder_fails(self):
         spec = FunctionClassSpec(dim=3)
         good, other = sample_randomized_codecs(spec, 2, 2, 0.3, seed=0)
-
-        class Corrupted:
-            latent_dim = good.latent_dim
-            nuisance_dim = good.nuisance_dim
-
-            def decode(self, z, r=None):
-                return good.decode(z, r)
-
-            def encode(self, x):
-                return other.encode(x)  # wrong inverse
-
-        *_, holds = invariance_gap(Corrupted())
+        *_, holds = invariance_gap(good, inverse=lambda x: encode(other, x))
         assert not holds
 
     def test_inverse_off_by_one_millionth_fails(self):
         spec = FunctionClassSpec(dim=4)
         codec = sample_randomized_codecs(spec, 1, 3, 0.2, seed=1)[0]
-        inverse = np.linalg.inv(codec.W)
+        inverse = np.linalg.inv(codec.decoder.linear)
         inverse[0, 0] += 1e-6
 
-        class Perturbed:
-            latent_dim = codec.latent_dim
-            nuisance_dim = codec.nuisance_dim
-            decode = staticmethod(codec.decode)
+        def perturbed(x):
+            return ((x - codec.decoder.offset) @ inverse.T)[:, : codec.latent_dim]
 
-            def encode(self, x):
-                return ((x - codec.b) @ inverse.T)[:, : codec.latent_dim]
-
-        _, cov_gap, holds = invariance_gap(Perturbed())
+        _, cov_gap, holds = invariance_gap(codec, inverse=perturbed)
         assert cov_gap > 1e-8
         assert not holds
 
@@ -399,8 +394,9 @@ class TestAffineMoments:
         codec = sample_randomized_codecs(spec, 1, 2, 0.3, seed=4)[0]
         mean, cov = affine_moments(codec.decode, 3, 2, 1.5)
         scale = np.r_[np.full(3, latent_second_moment(3, 1.5)), np.full(2, 0.09 * NOISE_VARIANCE)]
-        assert np.allclose(mean, codec.b, atol=1e-15)
-        assert np.allclose(cov, codec.W @ np.diag(scale) @ codec.W.T, atol=1e-14)
+        assert np.allclose(mean, codec.decoder.offset, atol=1e-15)
+        linear = codec.decoder.linear
+        assert np.allclose(cov, linear @ np.diag(scale) @ linear.T, atol=1e-14)
 
     @pytest.mark.parametrize("k,sigma", [(0, 0.0), (2, 0.2)])
     def test_monte_carlo_corpus_moments_match(self, k, sigma):

@@ -106,8 +106,8 @@ class TestPartitionedUniversal:
         atoms = tuple(f"z{i}" for i in range(len(langs)))
         blocks = {lang: frozenset({atoms[i]}) for i, lang in enumerate(langs)}
         mapping = {}
-        for (src, dst) in inst.pairs():
-            for x in inst.source_marginal(src, dst).support:
+        for (src, dst) in inst.tasks.pairs:
+            for x in inst.marginals[(src, dst)].support:
                 mapping[x] = atoms[langs.index(dst)]
         rep = PartitionedRepresentation(atoms, blocks, DeterministicTranslator(mapping))
         assert check_epsilon_universal_partitioned(rep, inst, 0.0)
@@ -119,8 +119,8 @@ class TestPartitionedUniversal:
         blocks = {lang: frozenset({atoms[i]}) for i, lang in enumerate(langs)}
         mapping = {}
         first = True
-        for (src, dst) in inst.pairs():
-            for x in inst.source_marginal(src, dst).support:
+        for (src, dst) in inst.tasks.pairs:
+            for x in inst.marginals[(src, dst)].support:
                 block = langs.index(dst)
                 if first:  # misplace exactly one sentence
                     block = (block + 1) % len(langs)
@@ -141,7 +141,7 @@ class TestPartitionedUniversal:
                 for lang in langs
             }
             all_sentences = [
-                x for (s, d) in inst.pairs() for x in inst.source_marginal(s, d).support
+                x for (s, d) in inst.tasks.pairs for x in inst.marginals[(s, d)].support
             ]
             mapping = {x: atoms[rng.integers(3)] for x in all_sentences}
             rep = PartitionedRepresentation(atoms, blocks, DeterministicTranslator(mapping))
@@ -150,9 +150,11 @@ class TestPartitionedUniversal:
             # literal re-evaluation of the partitioned definition
             expected = True
             pushed_by_target = {}
-            for (src, dst) in inst.pairs():
-                pushed = pushforward(inst.source_marginal(src, dst), rep.encoder)
-                if sum(w for z, w in pushed.items() if z not in blocks[dst]) > WEIGHT_TOL:
+            for (src, dst) in inst.tasks.pairs:
+                pushed = pushforward(inst.marginals[(src, dst)], rep.encoder)
+                weights = zip(pushed.support, pushed.weights)
+                leak = sum(w for z, w in weights if z not in blocks[dst])
+                if leak > WEIGHT_TOL:
                     expected = False
                 pushed_by_target.setdefault(dst, []).append(pushed)
             for group in pushed_by_target.values():
@@ -173,7 +175,7 @@ class TestPartitionedUniversal:
 
 def two_source_parts(inst):
     """Source marginals and translators of the pairs L0->L and L1->L."""
-    marginals = [inst.source_marginal(src, "L") for src in ("L0", "L1")]
+    marginals = [inst.marginals[(src, "L")] for src in ("L0", "L1")]
     translators = [inst.translators[(src, "L")] for src in ("L0", "L1")]
     return marginals, translators
 
@@ -272,9 +274,9 @@ class TestPerfectTranslator:
     def test_zero_error_on_every_marginal(self):
         rng = np.random.default_rng(3)
         inst = random_many_to_many_instance(rng)
-        for (src, dst) in inst.pairs():
+        for (src, dst) in inst.tasks.pairs:
             f = perfect_universal_translator(inst, dst)
-            marginal = inst.source_marginal(src, dst)
+            marginal = inst.marginals[(src, dst)]
             assert zero_one_error(marginal, f, inst.translators[(src, dst)]) == 0.0
 
     def test_two_to_one_dispatch(self):
@@ -326,7 +328,7 @@ def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
     """
     zs = [f"z{i}" for i in range(z_size)]
     langs = sorted(inst.languages)
-    atoms = [x for (s, d) in inst.pairs() for x in inst.source_marginal(s, d).support]
+    atoms = [x for (s, d) in inst.tasks.pairs for x in inst.marginals[(s, d)].support]
     codomain = [y for lang in langs for y in inst.sentence_pool.get(lang, ())]
     best = None
     n_feasible = 0
@@ -346,9 +348,9 @@ def literal_many_to_many_minimum(inst, z_size, epsilon, objective):
                 composed = after(h, g)
                 errors = [
                     zero_one_error(
-                        inst.source_marginal(s, d), composed, inst.translators[(s, d)]
+                        inst.marginals[(s, d)], composed, inst.translators[(s, d)]
                     )
-                    for (s, d) in inst.pairs()
+                    for (s, d) in inst.tasks.pairs
                 ]
                 if objective == "sum":
                     value = sum(errors)
@@ -371,7 +373,7 @@ def reference_partition_search(tasks, block_names, codomain, coeff, z_size, epsi
     atoms, atom_task, atom_weight, truth_atoms = [], [], [], []
     task_target = np.array([block for (_m, _f, block) in tasks])
     for t, (marginal, f, _block) in enumerate(tasks):
-        for x, wx in marginal.items():
+        for x, wx in zip(marginal.support, marginal.weights):
             atoms.append(x)
             atom_task.append(t)
             atom_weight.append(float(wx))
@@ -488,7 +490,7 @@ def reference_table_search(tasks, block_names, codomain, coeff, z_size, epsilon,
     atoms, atom_task, atom_weight, truth_atoms = [], [], [], []
     task_target = np.array([block for (_m, _f, block) in tasks])
     for t, (marginal, f, _block) in enumerate(tasks):
-        for x, wx in marginal.items():
+        for x, wx in zip(marginal.support, marginal.weights):
             atoms.append(x)
             atom_task.append(t)
             atom_weight.append(float(wx))
@@ -642,9 +644,9 @@ def reweighted(inst, weights_for):
     """The same many-to-many instance with each pair's weights set by ``weights_for(n)``."""
     marginals = {
         pair: FiniteDistribution(
-            inst.source_marginal(*pair).support, weights_for(len(inst.joints[pair]))
+            inst.marginals[pair].support, weights_for(len(inst.joints[pair]))
         )
-        for pair in inst.pairs()
+        for pair in inst.tasks.pairs
     }
     return ManyToManyInstance(
         inst.languages, marginals, inst.translators, inst.sentence_pool
@@ -892,7 +894,7 @@ class TestOrbitSearch:
         for inst, z_size, epsilon in cases:
             expected = brute_force_min_error(inst, z_size, epsilon, "max")
             n_y = sum(len(pool) for pool in inst.sentence_pool.values())
-            elements = tables_per_block * len(inst.pairs()) * n_y**z_size
+            elements = tables_per_block * len(inst.tasks.pairs) * n_y**z_size
             with mock.patch.object(impossibility, "MAX_BLOCK_ELEMENTS", elements):
                 result = brute_force_min_error(inst, z_size, epsilon, "max")
             assert result_fields(result) == result_fields(expected)
@@ -950,6 +952,11 @@ class TestBruteForce:
         inst = make_worst_case(0.8)
         result = brute_force_min_error(inst, 2, 0.0, "sum")
         assert result.value >= 0.8 - 1e-9
+
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan])
+    def test_rejects_a_negative_or_nan_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            brute_force_min_error(make_worst_case(0.5), 2, epsilon)
 
     def test_matches_literal_search(self):
         rng = np.random.default_rng(42)
@@ -1072,12 +1079,17 @@ class TestBoundReport:
         assert report.bound_max == max(0.0, report.tv_max / 2 - 0.05)
         assert report.bound_avg is not None
 
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan])
+    def test_rejects_a_negative_or_nan_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            bound_report(make_worst_case(0.5), epsilon)
+
 
 def reference_pair_tvs(inst):
     """(target, source a, source b, TV of the pushforwards), in the report's row order."""
     rows = []
     for dst in sorted(inst.languages):
-        sources = sorted(src for (src, d) in inst.pairs() if d == dst)
+        sources = sorted(src for (src, d) in inst.tasks.pairs if d == dst)
         for a, b in itertools.combinations(sources, 2):
             tv = tv_distance(target_marginal(inst, a, dst), target_marginal(inst, b, dst))
             rows.append((dst, a, b, tv))
@@ -1104,12 +1116,12 @@ class TestArrayForm:
     def test_tasks_follow_the_sorted_pairs_and_languages(self):
         inst = random_many_to_many_instance(np.random.default_rng(3), 3, pool_size=3)
         tasks = inst.tasks
-        assert tasks.pairs == tuple(sorted(inst.marginals)) == inst.pairs()
+        assert tasks.pairs == tuple(sorted(inst.marginals))
         assert tasks.block_names == ("L0", "L1", "L2")
         assert tasks.codomain == sum((inst.sentence_pool[lang] for lang in tasks.block_names), ())
         for t, (src, dst) in enumerate(tasks.pairs):
             mine = tasks.atom_task == t
-            marginal = inst.source_marginal(src, dst)
+            marginal = inst.marginals[(src, dst)]
             assert tuple(x for x, m in zip(tasks.atoms, mine) if m) == marginal.support
             assert np.array_equal(tasks.weight[mine], marginal.weights)
             images = [tasks.codomain[y] for y in tasks.truth[mine]]

@@ -54,10 +54,10 @@ class TestInstanceRoundTrip:
         io.save_instance(instance, path)
         again = io.load_instance(path)
         assert again.languages == instance.languages
-        assert again.pairs() == (("L0", "L"), ("L1", "L"))
-        for pair in instance.pairs():
-            marginal = instance.source_marginal(*pair)
-            assert np.array_equal(again.source_marginal(*pair).weights, marginal.weights)
+        assert again.tasks.pairs == (("L0", "L"), ("L1", "L"))
+        for pair in instance.tasks.pairs:
+            marginal = instance.marginals[pair]
+            assert np.array_equal(again.marginals[pair].weights, marginal.weights)
             for atom in marginal.support:
                 assert again.translators[pair](atom) == instance.translators[pair](atom)
         assert again.sentence_pool == instance.sentence_pool
@@ -69,7 +69,7 @@ class TestInstanceRoundTrip:
             path = tmp_path / f"i{i}.json"
             io.save_instance(instance, path)
             again = io.load_instance(path)
-            for pair in instance.pairs():
+            for pair in instance.tasks.pairs:
                 tv = tv_distance(target_marginal(again, *pair), target_marginal(instance, *pair))
                 assert tv <= 1e-12
 
@@ -80,10 +80,10 @@ class TestInstanceRoundTrip:
         (tmp_path / "per_language.json").write_text(json.dumps(per_language_document(instance)))
         for name in ("mm.json", "per_language.json"):
             again = io.load_instance(tmp_path / name)
-            assert set(again.pairs()) == set(instance.pairs())
-            for pair in instance.pairs():
-                a = instance.source_marginal(*pair)
-                b = again.source_marginal(*pair)
+            assert set(again.tasks.pairs) == set(instance.tasks.pairs)
+            for pair in instance.tasks.pairs:
+                a = instance.marginals[pair]
+                b = again.marginals[pair]
                 assert tv_distance(a, b) <= 1e-9
                 for atom in a.support:
                     assert again.translators[pair](atom) == instance.translators[pair](atom)
@@ -216,8 +216,8 @@ class TestGraphAndCodecFiles:
         assert spec2 == spec
         for lang in codecs:
             assert codecs2[lang].sigma == 0.0 and codecs2[lang].nuisance_dim == 0
-            assert np.allclose(codecs2[lang].W, codecs[lang].W)
-            assert np.allclose(codecs2[lang].b, codecs[lang].b)
+            assert np.allclose(codecs2[lang].decoder.linear, codecs[lang].decoder.linear)
+            assert np.allclose(codecs2[lang].decoder.offset, codecs[lang].decoder.offset)
 
     def test_randomized_codecs_round_trip(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
@@ -227,7 +227,7 @@ class TestGraphAndCodecFiles:
         _spec2, codecs2 = io.load_codecs(path)
         assert isinstance(codecs2["A"], RandomizedCodec)
         assert codecs2["A"].sigma == 0.1 and codecs2["A"].nuisance_dim == 2
-        assert np.allclose(codecs2["A"].W, codecs["A"].W)
+        assert np.allclose(codecs2["A"].decoder.linear, codecs["A"].decoder.linear)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
@@ -260,9 +260,9 @@ class TestGraphAndCodecFiles:
             loaded = io.load_instance(first)
             io.save_instance(loaded, second)
             if second.read_bytes() != first.read_bytes() or not all(
-                np.array_equal(loaded.source_marginal(*pair).weights,
-                               instance.source_marginal(*pair).weights)
-                for pair in instance.pairs()
+                np.array_equal(loaded.marginals[pair].weights,
+                               instance.marginals[pair].weights)
+                for pair in instance.tasks.pairs
             ):
                 changed.append(i)
         assert changed == [], f"{len(changed)} of {len(instances)} instance documents changed"
@@ -290,8 +290,8 @@ class TestGraphAndCodecFiles:
         _spec, again = io.load_codecs(path)
         assert shapes == [(6, 4, 4)]
         for lang, codec in codecs.items():
-            assert np.array_equal(again[lang].W, codec.W)
-            assert np.array_equal(again[lang].b, codec.b)
+            assert np.array_equal(again[lang].decoder.linear, codec.decoder.linear)
+            assert np.array_equal(again[lang].decoder.offset, codec.decoder.offset)
             assert again[lang].decoder.nonsingular
 
     @pytest.mark.parametrize("d, nuisance", [(4, 0), (3, 1)])
@@ -513,7 +513,7 @@ class TestCodecDefects:
                 assert str(exc).startswith(f"{path}: "), str(exc)
                 return
             for codec in codecs.values():
-                assert np.isfinite(codec.sigma) and np.all(np.isfinite(codec.W))
+                assert np.isfinite(codec.sigma) and np.all(np.isfinite(codec.decoder.linear))
             assert all(np.isfinite([spec.radius, spec.rho, spec.offset_bound]))
             assert_json_typed_spec(payload["spec"])
             assert type(payload.get("nuisance_dim", 0)) is int
@@ -691,7 +691,7 @@ class TestEncoderFiles:
         assert isinstance(again, EncoderEstimate)
         assert again.anchor == "L0"
         assert spec == FunctionClassSpec(dim=3)
-        for lang in estimate.languages:
+        for lang in sorted(estimate.encoders):
             assert max_entry_difference(again.encoder(lang), estimate.encoder(lang)) == 0.0
 
     def _saved(self, tmp_path):

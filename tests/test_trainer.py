@@ -11,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply,
+    composite,
+    empirical_edge_loss,
     encoder_map,
     lexicographic_shortest_path,
     max_entry_difference,
     out_of_place_fit_edge,
     random_connected_graph,
     scalar_factor_loss,
+    total_edge_loss,
     with_gauge,
 )
 from translab import trainer
@@ -39,12 +43,10 @@ from translab.trainer import (
     EdgeRegressionResult,
     EncoderEstimate,
     anchor_spanning_tree,
-    empirical_edge_loss,
     factor_corpus,
     fit_affine,
     fit_edge,
     joint_refine,
-    total_edge_loss,
 )
 
 
@@ -58,13 +60,13 @@ def reference_joint_refine(estimate, factors, sweeps):
 
     def objective(est):
         return float(sum(
-            scalar_factor_loss(est.composite(*f.edge), f) for f in factors
+            scalar_factor_loss(composite(est, *f.edge), f) for f in factors
         ))
 
     current = estimate
     total = objective(current)
     for _ in range(sweeps):
-        for lang in current.languages:
+        for lang in sorted(current.encoders):
             if lang == current.anchor:
                 continue
             designs, targets = [], []
@@ -91,7 +93,7 @@ def reference_joint_refine(estimate, factors, sweeps):
                     old.linear + step * (candidate.linear - old.linear),
                     old.offset + step * (candidate.offset - old.offset),
                 )
-                if blended.smallest_gain() < SINGULAR_TOL:
+                if blended.singular_values[-1] < SINGULAR_TOL:
                     step /= 2.0
                     continue
                 trial = EncoderEstimate({**current.encoders, lang: blended}, current.anchor)
@@ -116,7 +118,7 @@ def reference_rung(rung, lang, old, candidate, encoders, losses, factors, incide
         old.linear + step * (candidate.linear - old.linear),
         old.offset + step * (candidate.offset - old.offset),
     )
-    if blended.smallest_gain() < SINGULAR_TOL:
+    if blended.singular_values[-1] < SINGULAR_TOL:
         return None
     trial_encoders = {**encoders, lang: blended}
     trial = list(losses)
@@ -187,7 +189,7 @@ class TestFitEdge:
     def test_loss_recomputable_from_transform(self):
         _g, _c, corpora, _ = chain_setup(sigma=0.1, nuisance=1, n=60)
         result = fit_edge(corpora[0])
-        residual = result.transform(corpora[0].source_points) - corpora[0].target_points
+        residual = apply(result.transform, corpora[0].source_points) - corpora[0].target_points
         recomputed = float(np.mean(np.sum(residual**2, axis=1)))
         assert abs(recomputed - result.empirical_loss) <= 1e-10
 
@@ -214,7 +216,7 @@ class TestFitEdge:
                 result.transform.linear + 1e-4 * rng.standard_normal((d, d)),
                 result.transform.offset + 1e-4 * rng.standard_normal(d),
             )
-            residual = perturbed(corpus.source_points) - corpus.target_points
+            residual = apply(perturbed, corpus.source_points) - corpus.target_points
             loss = float(np.mean(np.sum(residual**2, axis=1)))
             assert loss >= result.empirical_loss - 1e-15
 
@@ -309,7 +311,7 @@ class TestAnchorSpanningTree:
         estimate = anchor_spanning_tree(graph, results, "L0")
         for result in results:
             a, b = result.edge
-            assert max_entry_difference(estimate.composite(a, b), result.transform) <= 1e-10
+            assert max_entry_difference(composite(estimate, a, b), result.transform) <= 1e-10
 
     def test_anchor_choice_is_a_gauge_choice(self):
         graph, _codecs, corpora, _ = chain_setup(n_langs=4)
@@ -321,7 +323,7 @@ class TestAnchorSpanningTree:
                 if src == dst:
                     continue
                 diff = max_entry_difference(
-                    est0.composite(src, dst), est1.composite(src, dst)
+                    composite(est0, src, dst), composite(est1, src, dst)
                 )
                 assert diff <= 1e-9
 
@@ -390,7 +392,7 @@ class TestEncoderEstimate:
         assert transformed.anchor is None
         for src, dst in (("L0", "L2"), ("L1", "L0")):
             diff = max_entry_difference(
-                estimate.composite(src, dst), transformed.composite(src, dst)
+                composite(estimate, src, dst), composite(transformed, src, dst)
             )
             assert diff <= 1e-9
 
@@ -483,9 +485,9 @@ class TestJointRefine:
         refined = joint_refine(estimate, factors, **refine)
         expected = reference_joint_refine(estimate, factors, **refine)
         assert refined.anchor == expected.anchor
-        assert refined.languages == expected.languages
+        assert sorted(refined.encoders) == sorted(expected.encoders)
         changed = False
-        for lang in expected.languages:
+        for lang in sorted(expected.encoders):
             got, want = refined.encoder(lang), expected.encoder(lang)
             assert np.array_equal(got.linear, want.linear)
             assert np.array_equal(got.offset, want.offset)
@@ -566,7 +568,7 @@ class TestJointRefine:
         refined = joint_refine(estimate, factors_of(corpora), 2)
         row_form = total_edge_loss(refined, corpora)
         r_form = sum(
-            scalar_factor_loss(refined.composite(*f.edge), f) for f in factors_of(corpora)
+            scalar_factor_loss(composite(refined, *f.edge), f) for f in factors_of(corpora)
         )
         assert r_form == pytest.approx(row_form, rel=1e-12)
 
@@ -778,7 +780,7 @@ class TestFactorLoss:
         dim, n = 4, 500
         transform = AffineMap(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
         x = rng.standard_normal((n, dim))
-        corpus = AlignedCorpus(("A", "B"), np.stack([x, transform(x)], axis=1), {})
+        corpus = AlignedCorpus(("A", "B"), np.stack([x, apply(transform, x)], axis=1), {})
         loss = stacked_loss(transform, factor_corpus(corpus))
         assert 0.0 <= loss < 1e-20
 
@@ -797,9 +799,14 @@ def test_trace_targets_of_trainer_and_affine_resolve():
 
     ``bench/tracing.py`` skips a target it cannot find, so a rename or a
     deletion would drop its span silently; its table is read here, not edited.
-    The only unresolved targets are three stale ``generative`` names that the
-    trace table still lists but the package no longer defines, and the TV and
-    pushforward of ``distributions``, which only the tests compute now.
+    A class member is looked up in the ``__dict__`` of each class on the
+    owner's ``__mro__``, so a deleted ``__call__`` does not resolve to the
+    metaclass's ``type.__call__``. The only unresolved targets are names the
+    trace table still lists but the package no longer defines: three stale
+    ``generative`` names; the TV and pushforward of ``distributions``, the
+    point map of ``AffineMap`` and the row-form edge losses of ``trainer``,
+    which ``tests/helpers.py`` holds now; and ``AffineMap.smallest_gain``,
+    which is ``singular_values[..., -1]``.
     """
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
@@ -807,15 +814,24 @@ def test_trace_targets_of_trainer_and_affine_resolve():
     spec.loader.exec_module(tracing)
     unresolved = set()
     for module_name, attribute, _name in tracing.TARGETS:
-        owner = importlib.import_module(f"translab.{module_name}")
-        for part in attribute.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
+        module = importlib.import_module(f"translab.{module_name}")
+        owner_name, _, member = attribute.rpartition(".")
+        if owner_name:
+            owner = getattr(module, owner_name, None)
+            classes = owner.__mro__ if isinstance(owner, type) else ()
+            target = next((c.__dict__[member] for c in classes if member in c.__dict__), None)
+        else:
+            target = getattr(module, member, None)
+        if not callable(target):
             unresolved.add(f"translab.{module_name}.{attribute}")
     assert unresolved == {
+        "translab.affine.AffineMap.__call__",
+        "translab.affine.AffineMap.smallest_gain",
         "translab.distributions.pushforward",
         "translab.distributions.tv_distance",
         "translab.generative.AffineCodec.decode",
         "translab.generative.generate_corpus",
         "translab.generative.sample_ground_truth_codecs",
+        "translab.trainer.empirical_edge_loss",
+        "translab.trainer.total_edge_loss",
     }
