@@ -18,6 +18,7 @@ from .evaluation import sample_complexity_sweep, verify_chain_bound
 from .generative import (
     FunctionClassSpec,
     LatentSampler,
+    TranslationGraph,
     randomized_generate,
     sample_randomized_codecs,
 )
@@ -275,8 +276,16 @@ def _run_generate(config) -> int:
     return 0
 
 
+def _connected_graph(path) -> TranslationGraph:
+    """The graph at ``path``; a disconnected one fails naming the file, before any other read."""
+    graph = io.load_graph(path)
+    if not graph.is_connected():
+        raise SchemaError(f"{path}: translation graph is not connected")
+    return graph
+
+
 def _run_train(config) -> int:
-    graph = io.load_graph(config.graph)
+    graph = _connected_graph(config.graph)
     if not graph.edges:
         raise SchemaError(f"{config.graph}: graph has no edges; train needs at least one")
     # One corpus at a time: each is fitted, reduced to its factor if
@@ -328,12 +337,11 @@ def _run_train(config) -> int:
 
 
 def _run_eval(config) -> int:
-    graph = io.load_graph(config.graph)
+    graph = _connected_graph(config.graph)
     if len(graph.languages) < 2:
         raise SchemaError(
             f"{config.graph}: graph has fewer than two languages; eval needs at least two"
         )
-    graph.require_connected()
     spec, codecs = io.load_codecs(config.codecs)
     estimate, _enc_spec = io.load_encoders(config.encoders)
     for lang in graph.languages:

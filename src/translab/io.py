@@ -97,6 +97,12 @@ def _sentence_entry(sentence: Sentence):
     return [sentence.target_tag, sentence.body]
 
 
+def _check_language_id(lang: str) -> None:
+    """Reject an id holding ``->``, which separates the two ids of a ``src->dst`` key or path."""
+    if "->" in lang:
+        raise SchemaError(f"language id {lang!r} holds '->', which 'src->dst' keys reserve")
+
+
 def _parse_sentence(lang: str, entry, languages) -> Sentence:
     if isinstance(entry, str):
         return Sentence(lang, entry)
@@ -121,7 +127,12 @@ def _parse_pair_key(key: str) -> tuple[str, str]:
 
 
 def instance_to_dict(instance: ManyToManyInstance) -> dict:
-    """The instance's document: each pair's weights as they are, under its ``src->dst`` key."""
+    """The instance's document: each pair's weights as they are, under its ``src->dst`` key.
+
+    A language id holding ``->`` raises ``SchemaError`` (a ``ValueError``).
+    """
+    for lang in instance.languages:
+        _check_language_id(lang)
     sentences: dict[str, list] = {lang: [] for lang in instance.languages}
     marginals, translators = {}, {}
     for (src, dst) in instance.tasks.pairs:
@@ -162,57 +173,20 @@ def _instance_weights(key: str, raw) -> list[float]:
     return weights
 
 
-def _pair_weights(raw_marginals, sentences, tagged) -> dict[tuple[str, str], list[float]]:
-    """Each pair's weights, aligned with its ``tagged`` sentences.
-
-    Weights under ``src->dst`` keys are read as written. A per-language
-    marginal is aligned with all of the language's sentences; a pair's weights
-    are its slice, divided by the slice's mass unless that is 1 within
-    ``WEIGHT_TOL``. Both layouts take the same checks and the same path.
-    """
-    by_pair = any("->" in key for key in raw_marginals)
-    for key in raw_marginals:
-        if by_pair and ("->" not in key or _parse_pair_key(key) not in tagged):
-            raise SchemaError(f"marginal key {key!r} names no translator pair")
-    weights = {}
-    for (src, dst), atoms in tagged.items():
-        key, owned = (f"{src}->{dst}", atoms) if by_pair else (src, sentences[src])
-        raw = raw_marginals.get(key)
-        if raw is None:
-            raise SchemaError(f"no marginal for {'pair' if by_pair else 'language'} {key!r}")
-        if len(raw) != len(owned):
-            raise SchemaError(
-                f"marginal for {key!r} has {len(raw)} weights for {len(owned)} sentences"
-            )
-        for s, w in zip(owned, raw):
-            if s.target_tag is None and w > WEIGHT_TOL:
-                raise SchemaError(
-                    f"marginal for {src!r} puts weight {w} on untagged sentence"
-                    f" {s.body!r}, which no pair translates"
-                )
-        index = dict(zip(owned, raw))
-        mass = sum(index[a] for a in atoms)
-        if mass <= 0:
-            raise SchemaError(f"pair {src}->{dst} has zero marginal mass")
-        scale = 1.0 if by_pair or abs(mass - 1.0) <= WEIGHT_TOL else mass
-        weights[(src, dst)] = [index[a] / scale for a in atoms]
-    return weights
-
-
-def _translator(src: str, dst: str, atoms, targets, raw_translators):
-    """The ``src->dst`` table on ``atoms``, mapping to the ``targets`` sentences by body."""
-    table = raw_translators[f"{src}->{dst}"]
+def _translator(key: str, atoms, targets, table):
+    """The ``key`` pair's table on exactly ``atoms``, mapping to ``targets`` sentences by body."""
     by_body = {s.body: s for s in targets}
     mapping = {}
     for atom in atoms:
         if atom.body not in table:
-            raise SchemaError(f"translator {src}->{dst} misses {atom.body!r}")
+            raise SchemaError(f"translator {key} misses {atom.body!r}")
         image_body = table[atom.body]
         if image_body not in by_body:
-            raise SchemaError(
-                f"translator {src}->{dst} maps to unknown sentence {image_body!r}"
-            )
+            raise SchemaError(f"translator {key} maps to unknown sentence {image_body!r}")
         mapping[atom] = by_body[image_body]
+    if len(mapping) != len(table):
+        extra = sorted(set(table) - {atom.body for atom in atoms})[0]
+        raise SchemaError(f"translator {key} maps {extra!r}, which is no sentence of the pair")
     return DeterministicTranslator(mapping)
 
 
@@ -227,6 +201,13 @@ def instance_from_dict(payload):
 
 
 def _build_instance(payload):
+    """Read the layout ``instance_to_dict`` writes, and nothing else.
+
+    The ``[dst, id]`` sentences of a language name its pairs, which must be
+    exactly the translator keys and the ``marginals`` keys; each pair's weights
+    are taken as written, aligned with its sentences. Content the writer would
+    not write back is an error, never dropped.
+    """
     if not isinstance(payload, dict):
         raise SchemaError("instance document must be a JSON object")
     try:
@@ -240,57 +221,63 @@ def _build_instance(payload):
         raise SchemaError("'languages' must be a list of language ids")
     if len(languages) < 2:
         raise SchemaError(f"'languages' must name at least two languages, got {languages}")
+    for lang in languages:
+        _check_language_id(lang)
     if not isinstance(raw_sentences, dict) or not all(
         isinstance(entries, list) for entries in raw_sentences.values()
     ):
         raise SchemaError("'sentences' must map each language to a list of sentences")
+    for lang in raw_sentences:
+        if lang not in languages:
+            raise SchemaError(f"'sentences' lists sentences of unknown language {lang!r}")
     if not isinstance(raw_marginals, dict):
-        raise SchemaError("'marginals' must map 'src->dst' keys or languages to weight lists")
-    raw_marginals = {lang: _instance_weights(lang, raw) for lang, raw in raw_marginals.items()}
+        raise SchemaError("'marginals' must map 'src->dst' keys to weight lists")
+    raw_marginals = {key: _instance_weights(key, raw) for key, raw in raw_marginals.items()}
     if not isinstance(raw_translators, dict):
         raise SchemaError("'translators' must map 'src->dst' keys to tables")
     for key, table in raw_translators.items():
         if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
             raise SchemaError(f"translator {key!r} must map sentence ids to sentence ids")
 
-    sentences: dict[str, list[Sentence]] = {}
+    pool: dict[str, list[Sentence]] = {lang: [] for lang in languages}
+    tagged: dict[tuple[str, str], list[Sentence]] = {}
     for lang in languages:
-        sentences[lang] = [
-            _parse_sentence(lang, entry, languages) for entry in raw_sentences.get(lang, [])
-        ]
-        if len(set(sentences[lang])) != len(sentences[lang]):
+        entries = raw_sentences.get(lang, [])
+        sentences = [_parse_sentence(lang, entry, languages) for entry in entries]
+        if len(set(sentences)) != len(sentences):
             raise SchemaError(f"sentences for {lang!r} list a sentence twice")
-    pair_keys = sorted(_parse_pair_key(k) for k in raw_translators)
-    for src, dst in pair_keys:
+        for s in sentences:
+            if s.target_tag is None:
+                pool[lang].append(s)
+            else:
+                tagged.setdefault((lang, s.target_tag), []).append(s)
+    for key in raw_translators:
+        src, dst = _parse_pair_key(key)
         if src not in languages or dst not in languages:
-            raise SchemaError(f"translator pair {src}->{dst} references unknown language")
-
-    # Untagged shorthand: in a document without [target, id] entries, a
-    # language with exactly one outgoing translator, which is no translator's
-    # target, holds only that pair's sentences.
-    if all(s.target_tag is None for lang in languages for s in sentences[lang]):
-        targets_of: dict[str, list[str]] = {}
-        for src, dst in pair_keys:
-            targets_of.setdefault(src, []).append(dst)
-        targets = {dst for _src, dst in pair_keys}
-        for src, dsts in targets_of.items():
-            if len(dsts) == 1 and src not in targets:
-                sentences[src] = [Sentence(src, s.body, dsts[0]) for s in sentences[src]]
-
-    pool = {
-        lang: tuple(s for s in sentences[lang] if s.target_tag is None)
-        for lang in languages
-    }
-    tagged = {}
-    for src, dst in pair_keys:
-        tagged[(src, dst)] = [s for s in sentences[src] if s.target_tag == dst]
-        if not tagged[(src, dst)]:
+            raise SchemaError(f"translator pair {key} references unknown language")
+        if (src, dst) not in tagged:
             raise SchemaError(f"no sentences of {src!r} tagged for target {dst!r}")
-    weights = _pair_weights(raw_marginals, sentences, tagged)
+    for key in raw_marginals:
+        if key not in raw_translators:
+            raise SchemaError(f"marginal key {key!r} names no translator pair")
+
     marginals, translators = {}, {}
-    for (src, dst), atoms in tagged.items():
-        marginals[(src, dst)] = FiniteDistribution(tuple(atoms), np.array(weights[(src, dst)]))
-        translators[(src, dst)] = _translator(src, dst, atoms, pool[dst], raw_translators)
+    for (src, dst), atoms in sorted(tagged.items()):
+        key = f"{src}->{dst}"
+        if key not in raw_translators:
+            raise SchemaError(
+                f"sentence {atoms[0].body!r} of {src!r} is tagged for target {dst!r},"
+                f" but no translator {key} exists"
+            )
+        weights = raw_marginals.get(key)
+        if weights is None:
+            raise SchemaError(f"no marginal for pair {key!r}")
+        if len(weights) != len(atoms):
+            raise SchemaError(
+                f"marginal for {key!r} has {len(weights)} weights for {len(atoms)} sentences"
+            )
+        marginals[(src, dst)] = FiniteDistribution(tuple(atoms), np.array(weights))
+        translators[(src, dst)] = _translator(key, atoms, pool[dst], raw_translators[key])
     return ManyToManyInstance(languages, marginals, translators, pool)
 
 
@@ -325,6 +312,7 @@ def load_graph(path) -> TranslationGraph:
                 raise SchemaError(f"language id {lang!r} is not a string")
             if any(c in lang for c in ("/", os.sep, "\0")):
                 raise SchemaError(f"language id {lang!r} holds a path separator or NUL")
+            _check_language_id(lang)
         edges = []
         for i, entry in enumerate(payload["edges"]):
             if not isinstance(entry, dict):

@@ -452,50 +452,9 @@ def _set(payload, path, value):
     return payload
 
 
-def per_language_document(instance: ManyToManyInstance) -> dict:
-    """The instance's document in the per-language layout, which the reader still reads.
-
-    Each source language's marginal is aligned with all of its sentences: each
-    pair's weights times 1/(number of the language's targets), then 0 on
-    every pool sentence. Reading it back divides each pair's slice by its
-    float mass, so the weights can come back a few ulps off.
-    """
-    targets_of: dict[str, list[str]] = {}
-    for (src, dst) in instance.tasks.pairs:
-        targets_of.setdefault(src, []).append(dst)
-    document = io.instance_to_dict(instance)
-    marginals: dict[str, list[float]] = {}
-    for lang, dsts in targets_of.items():
-        share = 1.0 / len(dsts)
-        marginals[lang] = [
-            float(w) * share for dst in dsts for w in instance.marginals[(lang, dst)].weights
-        ] + [0.0] * len(instance.sentence_pool[lang])
-    document["marginals"] = marginals
-    return document
-
-
 #: Defects of a ``make_worst_case`` instance's document, each with a fragment of
-#: its message. Each damage writes the instance's document, in the per-language
-#: layout where it names a language's weights, and damages it.
+#: its message. Each damage writes the instance's document and damages it.
 WORST_CASE_DEFECTS = {
-    "nan_weight": (
-        lambda i: _set(per_language_document(i), ("marginals", "L0", 0), math.nan),
-        "'L0' weight 0",
-    ),
-    "negative_weight": (
-        lambda i: _set(per_language_document(i), ("marginals", "L0"), [1.5, -0.5]),
-        "'L0' weight 1",
-    ),
-    "weights_sum_to_0.9": (
-        lambda i: _set(per_language_document(i), ("marginals", "L0"), [0.5, 0.4]), "sum"
-    ),
-    "non_numeric_weight": (
-        lambda i: _set(per_language_document(i), ("marginals", "L0", 0), "0.5"),
-        "not a number",
-    ),
-    "weight_count": (
-        lambda i: _set(per_language_document(i), ("marginals", "L0"), [1.0]), "1 weights"
-    ),
     "pair_nan_weight": (
         lambda i: _set(io.instance_to_dict(i), ("marginals", "L0->L", 0), math.nan),
         "marginal for 'L0->L' weight 0 must be finite",
@@ -523,6 +482,25 @@ WORST_CASE_DEFECTS = {
     "pair_and_language_keys": (
         lambda i: _set(io.instance_to_dict(i), ("marginals", "L0"), [1.0, 0.0]),
         "marginal key 'L0' names no translator pair",
+    ),
+    "sentences_of_unknown_language": (
+        lambda i: _set(io.instance_to_dict(i), ("sentences", "L9"), ["z0"]),
+        "'sentences' lists sentences of unknown language 'L9'",
+    ),
+    "tag_without_translator": (
+        lambda i: _set(
+            io.instance_to_dict(i), ("sentences", "L0"), [["L", "a0"], ["L", "a1"], ["L1", "orphan"]]
+        ),
+        "sentence 'orphan' of 'L0' is tagged for target 'L1', but no translator L0->L1 exists",
+    ),
+    "translator_entry_without_sentence": (
+        lambda i: _set(io.instance_to_dict(i), ("translators", "L0->L", "zz"), "y0"),
+        "translator L0->L maps 'zz', which is no sentence of the pair",
+    ),
+    "arrow_in_language_id": (
+        lambda i: {"languages": ["a->b", "c"], "sentences": {"a->b": [["c", "s"]], "c": ["y"]},
+                   "marginals": {"a->b->c": [1.0]}, "translators": {"a->b->c": {"s": "y"}}},
+        "language id 'a->b' holds '->'",
     ),
     "duplicate_sentence": (
         lambda i: _set(io.instance_to_dict(i), ("sentences", "L0"), ["a0", "a0"]), "twice"
@@ -571,7 +549,7 @@ def _damage(draw, payload, replacements=LEAF_REPLACEMENTS):
 
 @st.composite
 def damaged_instance_documents(draw):
-    """A valid two-to-one or many-to-many document, in either layout, with one defect.
+    """A valid two-to-one or many-to-many document with one defect.
 
     The defect is one leaf replaced or one key dropped.
     """
@@ -580,8 +558,7 @@ def damaged_instance_documents(draw):
         instance = random_two_to_one_instance(rng)
     else:
         instance = random_many_to_many_instance(rng, n_languages=2, atom_budget=4)
-    layout = draw(st.sampled_from([io.instance_to_dict, per_language_document]))
-    return _damage(draw, layout(instance))
+    return _damage(draw, io.instance_to_dict(instance))
 
 
 def _saved_document(save, *args) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import WORST_CASE_DEFECTS, damaged_instance_documents, per_language_document
+from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
 from translab import cli, io, trainer
 from translab.evaluation import shortest_path_and_diameter
 from translab.generative import AlignedCorpus, TranslationGraph, six_language_demo_graph
@@ -356,13 +356,15 @@ class TestBoundAndBrute:
         assert code == 0
         assert out.startswith(f"objective={objective} ") and "holds=true" in out
 
-    def test_bound_reads_the_untagged_two_source_layout(self, tmp_path, capsys):
+    def test_bound_reads_a_handwritten_two_source_document(self, tmp_path, capsys):
         path = tmp_path / "two_source.json"
         path.write_text(
             """{
   "languages": ["L0", "L1", "L"],
-  "sentences": {"L0": ["a0", "a1"], "L1": ["b0", "b1"], "L": ["y0", "y1"]},
-  "marginals": {"L0": [0.75, 0.25], "L1": [0.25, 0.75]},
+  "sentences": {
+    "L0": [["L", "a0"], ["L", "a1"]], "L1": [["L", "b0"], ["L", "b1"]], "L": ["y0", "y1"]
+  },
+  "marginals": {"L0->L": [0.75, 0.25], "L1->L": [0.25, 0.75]},
   "translators": {"L0->L": {"a0": "y0", "a1": "y1"}, "L1->L": {"b0": "y0", "b1": "y1"}}
 }
 """
@@ -391,6 +393,10 @@ class TestBoundAndBrute:
         payload = json.loads(path.read_text())
         payload["translators"] = {}
         payload["marginals"] = {}
+        payload["sentences"] = {
+            lang: [s for s in entries if isinstance(s, str)]
+            for lang, entries in payload["sentences"].items()
+        }
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(["brute", "--instance", str(path)], capsys)
         assert code == 2
@@ -412,34 +418,14 @@ class TestMalformedInstanceFiles:
     def test_many_to_many_nan_weight_exits_2(self, tmp_path, capsys):
         from translab.impossibility import random_many_to_many_instance
 
-        instance = random_many_to_many_instance(np.random.default_rng(12))
-        for layout, key in ((per_language_document, "L0"), (io.instance_to_dict, "L0->L2")):
-            payload = layout(instance)
-            payload["marginals"][key][0] = math.nan
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(payload))
-            code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
-            assert code == 2
-            assert "bound_max" not in out
-            assert f"marginal for '{key}' weight 0" in err
-
-    @pytest.mark.parametrize("mode", ["bound", "brute"])
-    def test_weight_on_an_untagged_source_sentence_exits_2(self, tmp_path, capsys, mode):
-        # Half of A's mass sits on "a9", which no pair translates; it must not
-        # be dropped by renormalizing A->B to [1.0].
-        payload = {
-            "languages": ["A", "B"],
-            "sentences": {"A": [["B", "s0"], "a9"], "B": ["b0"]},
-            "marginals": {"A": [0.5, 0.5]},
-            "translators": {"A->B": {"s0": "b0"}},
-        }
-        path = tmp_path / "untagged.json"
+        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(12)))
+        payload["marginals"]["L0->L2"][0] = math.nan
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        code, out, err = run_cli([mode, "--instance", str(path)], capsys)
+        code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
         assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {path}: ")
-        assert "marginal for 'A' puts weight 0.5 on untagged sentence 'a9'" in err
+        assert "bound_max" not in out
+        assert "marginal for 'L0->L2' weight 0" in err
 
     @settings(max_examples=40, deadline=None)
     @given(damaged_instance_documents())
@@ -510,31 +496,34 @@ class TestPipeline:
         assert summary["holds_false"] == 0
         assert summary["seed"] == 5
 
-    def test_eval_on_disconnected_graph_exits_2(self, tmp_path, capsys):
-        graph = TranslationGraph(("L0", "L1", "L2"), (("L0", "L1", 10),))
+    @pytest.mark.parametrize("mode", ["train", "train-without-corpora", "eval"])
+    def test_disconnected_graph_exits_2_before_reading_inputs(self, tmp_path, capsys, mode):
         graph_path = tmp_path / "graph.json"
-        io.save_graph(graph, graph_path)
-        out = tmp_path / "run"
-        run_cli(
-            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2"],
-            capsys,
+        io.save_graph(TranslationGraph(("L0", "L1", "L2"), (("L0", "L1", 10),)), graph_path)
+        run, empty = tmp_path / "run", tmp_path / "empty"
+        empty.mkdir()
+        code, _, _ = run_cli(
+            ["generate", "--graph", str(graph_path), "--out", str(run), "--dim", "2"], capsys
         )
-        run_cli(
-            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
-             "--out", str(out)],
-            capsys,
-        )
-        code, _, err = run_cli(
-            [
-                "eval", "--graph", str(graph_path),
-                "--codecs", str(out / "codecs.json"),
-                "--encoders", str(out / "encoders.json"),
-                "--out", str(out),
-            ],
+        assert code == 0
+        # eval gets codec and encoder files that are not JSON: reading one would fail
+        for name in ("codecs.json", "encoders.json"):
+            (tmp_path / name).write_text("{nope")
+        inputs = {
+            "train": ["--corpus-dir", str(run)],
+            "train-without-corpora": ["--corpus-dir", str(empty)],
+            "eval": ["--codecs", str(tmp_path / "codecs.json"),
+                     "--encoders", str(tmp_path / "encoders.json")],
+        }[mode]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            [mode.split("-")[0], "--graph", str(graph_path), *inputs, "--out", str(out)],
             capsys,
         )
         assert code == 2
-        assert "connected" in err
+        assert stdout == ""
+        assert err == f"error: {graph_path}: translation graph is not connected\n"
+        assert not out.exists()
 
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"

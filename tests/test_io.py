@@ -23,11 +23,11 @@ from helpers import (
     damaged_documents,
     damaged_instance_documents,
     max_entry_difference,
-    per_language_document,
     target_marginal,
     tv_distance,
 )
 from translab import cli, io
+from translab.distributions import DeterministicTranslator, FiniteDistribution, Sentence
 from translab.errors import SchemaError
 from translab.generative import (
     FunctionClassSpec,
@@ -39,6 +39,7 @@ from translab.generative import (
     six_language_demo_graph,
 )
 from translab.impossibility import (
+    ManyToManyInstance,
     make_worst_case,
     random_many_to_many_instance,
     random_two_to_one_instance,
@@ -77,51 +78,31 @@ class TestInstanceRoundTrip:
         rng = np.random.default_rng(1)
         instance = random_many_to_many_instance(rng)
         io.save_instance(instance, tmp_path / "mm.json")
-        (tmp_path / "per_language.json").write_text(json.dumps(per_language_document(instance)))
-        for name in ("mm.json", "per_language.json"):
-            again = io.load_instance(tmp_path / name)
-            assert set(again.tasks.pairs) == set(instance.tasks.pairs)
-            for pair in instance.tasks.pairs:
-                a = instance.marginals[pair]
-                b = again.marginals[pair]
-                assert tv_distance(a, b) <= 1e-9
-                for atom in a.support:
-                    assert again.translators[pair](atom) == instance.translators[pair](atom)
-            assert again.sentence_pool == instance.sentence_pool
-
-    def test_untagged_two_source_layout_loads_as_the_tagged_one(self):
-        # sentences of a language whose one translator leads to a language
-        # that translates nothing are read as tagged for that target
-        payload = {
-            "languages": ["L0", "L1", "L"],
-            "sentences": {"L0": ["a0", "a1"], "L1": ["b0", "b1"], "L": ["y0", "y1"]},
-            "marginals": {"L0": [0.75, 0.25], "L1": [0.25, 0.75]},
-            "translators": {
-                "L0->L": {"a0": "y0", "a1": "y1"},
-                "L1->L": {"b0": "y0", "b1": "y1"},
-            },
-        }
-        again = io.instance_from_dict(payload)
-        assert io.instance_to_dict(again) == io.instance_to_dict(make_worst_case(0.5))
+        again = io.load_instance(tmp_path / "mm.json")
+        assert set(again.tasks.pairs) == set(instance.tasks.pairs)
+        for pair in instance.tasks.pairs:
+            a = instance.marginals[pair]
+            b = again.marginals[pair]
+            assert tv_distance(a, b) <= 1e-9
+            for atom in a.support:
+                assert again.translators[pair](atom) == instance.translators[pair](atom)
+        assert again.sentence_pool == instance.sentence_pool
 
     def test_untagged_sentences_of_a_language_that_is_also_a_target_stay_untagged(self):
         payload = {
             "languages": ["A", "B"],
             "sentences": {"A": ["a0"], "B": ["b0"]},
-            "marginals": {"A": [1.0], "B": [1.0]},
+            "marginals": {"A->B": [1.0], "B->A": [1.0]},
             "translators": {"A->B": {"a0": "b0"}, "B->A": {"b0": "a0"}},
         }
         with pytest.raises(SchemaError, match="no sentences of 'A' tagged for target 'B'"):
             io.instance_from_dict(payload)
 
     def test_many_to_many_weights_must_sum_to_one(self):
-        instance = random_many_to_many_instance(np.random.default_rng(1))
-        for layout in (per_language_document, io.instance_to_dict):
-            payload = layout(instance)
-            key = sorted(payload["marginals"])[0]  # 'L0' or 'L0->L1'
-            payload["marginals"][key] = [w / 2 for w in payload["marginals"][key]]
-            with pytest.raises(SchemaError, match=f"marginal for '{key}' weights sum to"):
-                io.instance_from_dict(payload)
+        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
+        payload["marginals"]["L0->L1"] = [w / 2 for w in payload["marginals"]["L0->L1"]]
+        with pytest.raises(SchemaError, match="marginal for 'L0->L1' weights sum to"):
+            io.instance_from_dict(payload)
 
     def test_missing_key_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -164,18 +145,13 @@ class TestInstanceDefects:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
     def test_many_to_many_raw_weight_names_language_and_index(self, tmp_path, bad):
-        # each pair conditions the raw weights on its target, so a single-atom
-        # pair would turn any raw weight into 1.0 (or NaN/NaN) unchecked
-        instance = random_many_to_many_instance(np.random.default_rng(1))
-        for layout in (per_language_document, io.instance_to_dict):
-            payload = layout(instance)
-            key = sorted(payload["marginals"])[0]  # 'L0' or 'L0->L1'
-            payload["marginals"][key][0] = bad
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(payload))
-            with pytest.raises(SchemaError, match=f"marginal for '{key}' weight 0") as exc:
-                io.load_instance(path)
-            assert str(exc.value).startswith(f"{path}: ")
+        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
+        payload["marginals"]["L0->L1"][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="marginal for 'L0->L1' weight 0") as exc:
+            io.load_instance(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("tag", [None, ["L2"], "L9"])
     def test_bad_target_tag_names_the_sentence(self, tmp_path, tag):
@@ -193,9 +169,27 @@ class TestInstanceDefects:
     @given(damaged_instance_documents())
     def test_damaged_document_loads_or_is_schema_error(self, payload):
         try:
-            io.instance_from_dict(payload)
+            instance = io.instance_from_dict(payload)
         except SchemaError:
-            pass
+            return
+        # a document that loads is one the writer writes back: nothing was dropped
+        written = io.instance_to_dict(instance)
+        sentences = {lang: payload["sentences"].get(lang, []) for lang in written["languages"]}
+        assert written == {**payload, "sentences": sentences}
+
+    def test_language_id_with_an_arrow_is_not_written(self, tmp_path):
+        # its pair key 'a->b->c' would read back as the pair ('a', 'b->c')
+        source, target = Sentence("a->b", "s", target_tag="c"), Sentence("c", "y")
+        arrow = ManyToManyInstance(
+            ("a->b", "c"),
+            {("a->b", "c"): FiniteDistribution((source,), np.array([1.0]))},
+            {("a->b", "c"): DeterministicTranslator({source: target})},
+            {"c": (target,)},
+        )
+        path = tmp_path / "arrow.json"
+        with pytest.raises(ValueError, match="language id 'a->b' holds '->'"):
+            io.save_instance(arrow, path)
+        assert not path.exists()
 
 class TestGraphAndCodecFiles:
     def test_graph_round_trip(self, tmp_path):
@@ -252,8 +246,8 @@ class TestGraphAndCodecFiles:
         # each pair's weights are written as they are, so they read back exactly
         instances = [random_many_to_many_instance(np.random.default_rng(s)) for s in range(200)]
         rng = np.random.default_rng(2)
-        instances += [random_two_to_one_instance(rng) for _ in range(20)]
-        instances += [make_worst_case(delta) for delta in (0.3, 0.5, 0.8)]
+        instances += [random_two_to_one_instance(rng) for _ in range(200)]
+        instances += [make_worst_case(delta) for delta in np.linspace(0.0, 1.0, 41)]
         changed = []
         for i, instance in enumerate(instances):
             io.save_instance(instance, first)
@@ -310,7 +304,8 @@ class TestGraphAndCodecFiles:
         assert str(path) in message and "'A'" in message and "latent dimension" in message
 
 
-#: Graphs whose language ids cannot name corpus files, and the defect each reports.
+#: Graphs whose language ids cannot name corpus files, or cannot be told apart
+#: in ``src->dst`` keys and paths, and the defect each reports.
 UNSAFE_ID_GRAPHS = {
     "escaping-id": (
         ["A", "x/../../../esc"],
@@ -321,6 +316,11 @@ UNSAFE_ID_GRAPHS = {
         ["A", "x\x00y"],
         [("A", "x\x00y")],
         "language id 'x\\x00y' holds a path separator or NUL",
+    ),
+    "arrow-id": (
+        ["a->b", "c"],
+        [("a->b", "c")],
+        "language id 'a->b' holds '->', which 'src->dst' keys reserve",
     ),
     "shared-corpus-file": (
         ["A", "C", "A__B", "B__C"],
