@@ -37,53 +37,35 @@ from .trainer import EncoderEstimate, fit_affine
 PAIR_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class _CodecStack:
-    """Codecs' decoders as one ``AffineMap`` stack, for ``_affine_losses``; indexed like it."""
-
-    decoders: AffineMap  # s maps on R^D
-    noise: np.ndarray  # (s,): sigma**2 * NOISE_VARIANCE
-
-    @classmethod
-    def of(cls, codecs: Sequence[RandomizedCodec]) -> "_CodecStack":
-        return cls(
-            AffineMap.stack([c.decoder for c in codecs]),
-            np.array([c.sigma**2 * NOISE_VARIANCE for c in codecs]),
-        )
-
-    def __getitem__(self, index) -> "_CodecStack":
-        return _CodecStack(self.decoders[index], self.noise[index])
-
-
 def _affine_losses(
     maps: AffineMap,
-    src: _CodecStack,
-    dst: _CodecStack,
-    d: int,
+    src: RandomizedCodec,
+    dst: RandomizedCodec,
     radius: float,
     target_noise: bool,
 ) -> list[float]:
     """E||T_j(x) - y||^2 for each map T_j(x) = A_j x + c_j of a stack.
 
-    x is decoded by codec j of ``src`` and y by codec j of ``dst`` from one
-    latent (a codec stack of one broadcasts). With M = A W_a and ``d`` latent
-    coordinates, the gap is (A b_a + c - b_b) + (M[:, :d] - W_b[:, :d]) z +
-    sigma_a M[:, d:] r, minus sigma_b W_b[:, d:] r' when the target carries
-    its own noise r'. The terms are uncorrelated, so the loss is a sum of
-    squared norms and never negative. Each map goes through the same
-    arithmetic as in a stack of one, provided its linear part keeps its
-    memory layout (see ``AffineMap``).
+    x is decoded by codec j of the codec stack ``src`` and y by codec j of
+    ``dst`` from one latent (a codec stack of one, ``c[None]``, broadcasts).
+    With M = A W_a and ``d`` latent coordinates, the gap is (A b_a + c - b_b)
+    + (M[:, :d] - W_b[:, :d]) z + sigma_a M[:, d:] r, minus sigma_b W_b[:, d:] r'
+    when the target carries its own noise r'. The terms are uncorrelated, so
+    the loss is a sum of squared norms and never negative. Each map goes
+    through the same arithmetic as in a stack of one, provided its linear part
+    keeps its memory layout (see ``AffineMap``).
     """
-    composite = maps.compose(src.decoders)
-    M, target = composite.linear, dst.decoders.linear
-    shift = composite.offset - dst.decoders.offset
+    d = src.latent_dim
+    composite = maps.compose(src.decoder)
+    M, target = composite.linear, dst.decoder.linear
+    shift = composite.offset - dst.decoder.offset
     # ndarray.sum, not np.sum: the same reduction without the per-call dispatch.
     loss = (shift**2).sum(axis=1) + latent_second_moment(d, radius) * (
         (M[:, :, :d] - target[:, :, :d]) ** 2
     ).sum(axis=(1, 2))
-    loss += src.noise * (M[:, :, d:] ** 2).sum(axis=(1, 2))
+    loss += src.sigma**2 * NOISE_VARIANCE * (M[:, :, d:] ** 2).sum(axis=(1, 2))
     if target_noise:
-        loss += dst.noise * (target[:, :, d:] ** 2).sum(axis=(1, 2))
+        loss += dst.sigma**2 * NOISE_VARIANCE * (target[:, :, d:] ** 2).sum(axis=(1, 2))
     return loss.tolist()
 
 
@@ -179,13 +161,14 @@ def verify_chain_bound(
     the encoders of the path's nodes. The encoders of the path languages are
     stacked once, as one ``AffineMap``: its singular values (those of the
     estimate's own check) give every norm and smallest gain, and one inverse
-    every inverted encoder. Every directed path edge and every pair is scored
-    once, through ``_affine_losses`` in stacks of at most ``PAIR_BLOCK``
-    composites, with the arithmetic of one composite at a time.
+    every inverted encoder; their codecs form one codec stack. Every directed
+    path edge and every pair is scored once, through ``_affine_losses`` in
+    stacks of at most ``PAIR_BLOCK`` composites, with the arithmetic of one
+    composite at a time.
     """
     paths, _diam = shortest_path_and_diameter(graph)
     langs = sorted({lang for path in paths.values() for lang in path})
-    stack = _CodecStack.of([_codec(codecs, lang, spec) for lang in langs])
+    stack = RandomizedCodec.stack([_codec(codecs, lang, spec) for lang in langs])
     encoders = AffineMap.stack([estimate.encoder(lang) for lang in langs])
     inverses = encoders.inverse()
     norms = encoders.singular_values[:, 0].tolist()
@@ -201,8 +184,8 @@ def verify_chain_bound(
         src = np.array([position[a] for a, _b in block])
         dst = np.array([position[b] for _a, b in block])
         losses.update(zip(block, _affine_losses(
-            inverses[dst].compose(encoders[src]), stack[src], stack[dst], spec.dim,
-            spec.radius, target_noise=False,
+            inverses[dst].compose(encoders[src]), stack[src], stack[dst], spec.radius,
+            target_noise=False,
         )))
 
     return [
@@ -309,16 +292,14 @@ def sample_complexity_sweep(
         raise ValueError("n_list must be strictly ascending")
     if trials < 5:
         raise ValueError("need at least 5 trials per size")
-    src, dst = (_CodecStack.of([codecs[lang]]) for lang in edge)
+    src, dst = (codecs[lang][None] for lang in edge)
     rows = []
     for n in n_list:
         seeds = [derive_seed(seed, "sweep-train", n, trial) for trial in range(trials)]
         pairs = generate_pairs(edge, codecs, n, sampler, seeds)
         fitted, empirical = fit_affine(pairs[..., 0, :], pairs[..., 1, :])
         del pairs  # freed before the next size is drawn
-        population = _affine_losses(
-            fitted, src, dst, codecs[edge[0]].latent_dim, sampler.radius, target_noise=True
-        )
+        population = _affine_losses(fitted, src, dst, sampler.radius, target_noise=True)
         for trial, (emp, pop) in enumerate(zip(empirical, population)):
             rows.append(SweepRow(int(n), trial, emp, pop, abs(pop - emp)))
     result = SweepResult(tuple(rows), None, False)

@@ -141,7 +141,14 @@ class RandomizedCodec:
     (z, sigma*r), so inverting it and dropping the nuisance coordinates
     recovers the latent exactly for every noise seed. With the defaults (no
     nuisance coordinates, zero noise scale) decode is the map itself. The
-    noise scale ``sigma`` must be finite and nonnegative.
+    noise scale ``sigma`` must be finite and nonnegative, and every decoder
+    nonsingular (checked first).
+
+    A stack of codecs shares one ``sigma`` and ``nuisance_dim``, and its
+    decoder is an ``AffineMap`` stack. ``stack`` and indexing move codecs in
+    and out (``c[None]`` is a stack of one) the way ``AffineMap`` moves maps,
+    keeping the decoders' singular values, so they check no decoder twice.
+    ``decode``, ``draw_decoder_seeds`` and ``digest`` act on one codec.
     """
 
     decoder: AffineMap
@@ -149,12 +156,25 @@ class RandomizedCodec:
     sigma: float = 0.0
 
     def __post_init__(self):
+        if not self.decoder.nonsingular.all():
+            raise ValueError("codec matrix is numerically singular")
         if not 0 <= self.nuisance_dim < self.decoder.dim:
             raise ValueError("nuisance_dim must be in [0, total dim)")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
-        if not self.decoder.nonsingular:
-            raise ValueError("codec matrix is numerically singular")
+
+    @classmethod
+    def stack(cls, codecs: Sequence["RandomizedCodec"]) -> "RandomizedCodec":
+        """The codecs as one stack, in order; they must share one noise setting."""
+        settings = {(codec.sigma, codec.nuisance_dim) for codec in codecs}
+        if len(settings) != 1:
+            raise ValueError("codecs must share one sigma and nuisance_dim")
+        ((sigma, nuisance_dim),) = settings
+        return cls(AffineMap.stack([codec.decoder for codec in codecs]), nuisance_dim, sigma)
+
+    def __getitem__(self, index) -> "RandomizedCodec":
+        """The codecs at ``index`` on the stack axes."""
+        return RandomizedCodec(self.decoder[index], self.nuisance_dim, self.sigma)
 
     @property
     def latent_dim(self) -> int:
@@ -220,7 +240,10 @@ def sample_randomized_codecs(
     sigma: float,
     seed: int,
 ) -> list[RandomizedCodec]:
-    """Draw one codec per language: banded singular values, offset in the offset ball."""
+    """Draw one codec per language: banded singular values, offset in the offset ball.
+
+    The codecs are views of one stack, whose decoders are checked at once.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     if nuisance_dim < 0:
@@ -231,12 +254,12 @@ def sample_randomized_codecs(
     label = "ground-truth-codecs" if noiseless else "randomized-codecs"
     rng = np.random.default_rng(derive_seed(seed, label))
     total = spec.dim + nuisance_dim
-    codecs = []
-    for _ in range(count):
-        W = _band_matrix(rng, total, spec.rho)
-        b = _ball_point(rng, total, spec.offset_bound)
-        codecs.append(RandomizedCodec(AffineMap(W, b), nuisance_dim, sigma))
-    return codecs
+    W, b = np.empty((count, total, total)), np.empty((count, total))
+    for i in range(count):
+        W[i] = _band_matrix(rng, total, spec.rho)
+        b[i] = _ball_point(rng, total, spec.offset_bound)
+    codecs = RandomizedCodec(AffineMap(W, b), nuisance_dim, sigma)
+    return [codecs[i] for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -367,14 +367,11 @@ def save_codecs(
     codecs: Mapping[str, RandomizedCodec], spec: FunctionClassSpec, path
 ) -> None:
     """Write codecs that share one noise setting, which the document records once."""
-    settings = {(codec.sigma, codec.nuisance_dim) for codec in codecs.values()}
-    if len(settings) != 1:
-        raise ValueError("codecs must share one sigma and nuisance_dim")
-    ((sigma, nuisance_dim),) = settings
+    stack = RandomizedCodec.stack(list(codecs.values()))
     payload = {
         "spec": spec_to_dict(spec),
-        "sigma": sigma,
-        "nuisance_dim": nuisance_dim,
+        "sigma": stack.sigma,
+        "nuisance_dim": stack.nuisance_dim,
         "codecs": {
             lang: _affine_entry(codec.decoder) for lang, codec in sorted(codecs.items())
         },
@@ -422,26 +419,22 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
                 decoders[lang] = AffineMap(W, b)
             except ValueError as exc:
                 raise SchemaError(f"malformed codec {lang!r}: {exc}") from exc
-        if len({m.linear.shape for m in decoders.values()}) == 1:
-            # One SVD for every decoder; indexing carries each map's singular
-            # values into the codec's singularity check. Decoders of different
-            # sizes cannot stack, and the checks below reject one of them.
-            stack = AffineMap.stack(list(decoders.values()))
-            stack.singular_values
-            decoders = {lang: stack[i] for i, lang in enumerate(decoders)}
-        codecs = {}
-        for lang, decoder in decoders.items():
-            try:
-                codec = RandomizedCodec(decoder, nuisance, sigma)
-            except ValueError as exc:
-                raise SchemaError(f"malformed codec {lang!r}: {exc}") from exc
-            if codec.latent_dim != spec.dim:
+            if decoders[lang].dim - nuisance != spec.dim:
                 raise SchemaError(
-                    f"codec {lang!r} has latent dimension {codec.latent_dim}"
+                    f"codec {lang!r} has latent dimension {decoders[lang].dim - nuisance}"
                     f" ('W' rows minus nuisance_dim), but the spec's 'd' is {spec.dim}"
                 )
-            codecs[lang] = codec
-        return spec, codecs
+        if not decoders:
+            return spec, {}
+        # Every decoder now has the spec's size: one codec stack checks them all.
+        stack = AffineMap.stack(list(decoders.values()))
+        try:
+            codecs = RandomizedCodec(stack, nuisance, sigma)
+        except ValueError as exc:
+            # Singularity is checked first; a bad setting names the first codec.
+            singular = [lang for lang, ok in zip(decoders, stack.nonsingular) if not ok]
+            raise SchemaError(f"malformed codec {(singular or [*decoders])[0]!r}: {exc}") from exc
+        return spec, {lang: codecs[i] for i, lang in enumerate(decoders)}
 
 
 def save_corpus(corpus: AlignedCorpus, path) -> None:
@@ -593,31 +586,18 @@ def bound_report_to_dict(report: BoundReport) -> dict:
     }
 
 
+#: The ``PairEvalRecord`` columns of the pair-eval CSV, in order; ``path`` is written a->b->c.
+_PAIR_COLUMNS = (
+    "src", "dst", "path_len", "path", "measured_loss", "rho_hat", "bound", "holds"
+)
+
+
 def write_pair_eval_csv(records: Sequence[PairEvalRecord], path) -> None:
-    header = [
-        "src",
-        "dst",
-        "path_len",
-        "path",
-        "measured_loss",
-        "rho_hat",
-        "bound",
-        "holds",
-    ]
     rows = [
-        (
-            r.src,
-            r.dst,
-            r.path_len,
-            "->".join(r.path),
-            r.measured_loss,
-            r.rho_hat,
-            r.bound,
-            r.holds,
-        )
+        ["->".join(r.path) if name == "path" else getattr(r, name) for name in _PAIR_COLUMNS]
         for r in records
     ]
-    _write_csv(path, header, rows)
+    _write_csv(path, _PAIR_COLUMNS, rows)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:

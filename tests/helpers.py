@@ -25,7 +25,7 @@ from translab.generative import (
 )
 from translab.distributions import WEIGHT_TOL, Atom, DeterministicTranslator, FiniteDistribution
 from translab.errors import DomainError
-from translab.evaluation import SweepRow, _affine_losses, _codec, _CodecStack
+from translab.evaluation import SweepRow, _affine_losses, _codec
 from translab.impossibility import (
     ManyToManyInstance,
     random_many_to_many_instance,
@@ -189,10 +189,13 @@ def zero_one_error(dist, f, f_star) -> float:
 
 
 def population_loss(estimate, pair, codecs, spec) -> float:
-    """Exact squared gap between the learned and ground-truth composites of ``pair``."""
-    src, dst = (_CodecStack.of([_codec(codecs, lang, spec)]) for lang in pair)
+    """Exact squared gap between the learned and ground-truth composites of ``pair``.
+
+    The composite is scored as a stack of one map, decoded by codec stacks of one.
+    """
+    src, dst = (_codec(codecs, lang, spec)[None] for lang in pair)
     return _affine_losses(
-        composite(estimate, *pair)[None], src, dst, spec.dim, spec.radius, target_noise=False
+        composite(estimate, *pair)[None], src, dst, spec.radius, target_noise=False
     )[0]
 
 
@@ -377,10 +380,10 @@ def per_trial_sweep_rows(edge, codecs, n_list, trials, sampler, seed) -> list:
     """``sample_complexity_sweep``'s rows, one (n, trial) at a time.
 
     Each trial's corpus comes from ``randomized_generate``, is fitted by
-    ``fit_edge`` and scored as a stack of one map, the route the stacked
-    sweep must reproduce bit for bit.
+    ``fit_edge`` and scored as a stack of one map against codec stacks of one
+    (``c[None]``), the route the stacked sweep must reproduce bit for bit.
     """
-    src, dst = (_CodecStack.of([codecs[lang]]) for lang in edge)
+    src, dst = (codecs[lang][None] for lang in edge)
     rows = []
     for n in n_list:
         for trial in range(trials):
@@ -389,8 +392,7 @@ def per_trial_sweep_rows(edge, codecs, n_list, trials, sampler, seed) -> list:
             )
             fitted = fit_edge(train)
             pop = _affine_losses(
-                fitted.transform[None], src, dst, codecs[edge[0]].latent_dim,
-                sampler.radius, target_noise=True,
+                fitted.transform[None], src, dst, sampler.radius, target_noise=True
             )[0]
             gap = abs(pop - fitted.empirical_loss)
             rows.append(SweepRow(int(n), trial, fitted.empirical_loss, pop, gap))

@@ -773,6 +773,19 @@ class TestPipeline:
         assert err == f"error: {codecs_path}: no codec for graph language 'L2'\n"
         assert not (out / "pair_eval.csv").exists()
 
+    def test_eval_with_an_empty_codec_table_exits_2(self, tmp_path, capsys):
+        # An empty table loads as no codecs: no stack of zero decoders is checked.
+        graph_path, out = self._generate_and_train(tmp_path, capsys)
+        codecs_path = out / "codecs.json"
+        payload = json.loads(codecs_path.read_text())
+        payload["codecs"] = {}
+        codecs_path.write_text(json.dumps(payload))
+        code, stdout, err = self._eval(graph_path, out, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {codecs_path}: no codec for graph language 'L0'\n"
+        assert not (out / "pair_eval.csv").exists()
+
     def test_train_rejects_corpus_for_another_edge(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.json"
         self._write_graph(graph_path)

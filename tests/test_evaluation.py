@@ -23,7 +23,6 @@ from translab.affine import AffineMap
 from translab.errors import DomainError, GraphError
 from translab.evaluation import (
     PairEvalRecord,
-    _CodecStack,
     _affine_losses,
     concentration_bound,
     required_sample_size,
@@ -162,10 +161,7 @@ class TestMonteCarloCrossCheck:
         offset = db.offset - linear @ da.offset + 0.1 * rng.standard_normal(d + k)
         transform = AffineMap(linear, offset)
         if target_noise:
-            exact = _affine_losses(
-                transform[None], _CodecStack.of([a]), _CodecStack.of([b]), d, spec.radius,
-                True,
-            )[0]
+            exact = _affine_losses(transform[None], a[None], b[None], spec.radius, True)[0]
         else:
             estimate = EncoderEstimate(
                 {"A": AffineMap.identity(d + k), "B": transform.inverse()}, anchor="A"
@@ -393,9 +389,8 @@ class TestStackedLosses:
         offset = rng.standard_normal((len(pairs), d + k))
         got = _affine_losses(
             AffineMap(linear, offset),
-            _CodecStack.of([codecs[a] for a, _b in pairs]),
-            _CodecStack.of([codecs[b] for _a, b in pairs]),
-            d,
+            RandomizedCodec.stack([codecs[a] for a, _b in pairs]),
+            RandomizedCodec.stack([codecs[b] for _a, b in pairs]),
             spec.radius,
             target_noise,
         )

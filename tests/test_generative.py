@@ -158,13 +158,22 @@ class TestGroundTruthCodecs:
         with pytest.raises(ValueError, match="sigma"):
             sample_randomized_codecs(FunctionClassSpec(dim=1), 2, 1, sigma, seed=0)
 
-    def test_noiseless_codecs_reproduce_ground_truth_stream(self):
+    def test_noiseless_codecs_reproduce_ground_truth_stream(self, monkeypatch):
         # inline reference for the deterministic model's codec stream
         spec = FunctionClassSpec(dim=3, rho=2.0, offset_bound=1.0)
         rng = np.random.default_rng(derive_seed(5, "ground-truth-codecs"))
+        checks, svd = [], np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if kwargs.get("compute_uv") is False:
+                checks.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         codecs = sample_randomized_codecs(spec, 4, 0, 0.0, seed=5)
+        assert checks == [(4, 3, 3)]  # one singularity check for the four codecs
         for codec in codecs:
-            u, s, vt = np.linalg.svd(rng.standard_normal((3, 3)))
+            u, s, vt = svd(rng.standard_normal((3, 3)))
             W = u @ np.diag(np.clip(s, 0.5, 2.0)) @ vt
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
@@ -172,6 +181,20 @@ class TestGroundTruthCodecs:
             assert np.array_equal(codec.decoder.linear, W)
             assert np.array_equal(codec.decoder.offset, b)
             assert codec.nuisance_dim == 0 and codec.sigma == 0.0
+            assert codec.decoder.linear.flags.c_contiguous
+            assert np.array_equal(codec.decoder.singular_values, svd(W, compute_uv=False))
+        # Stacking and indexing keep the bits, the C layout and the singular values.
+        restacked = RandomizedCodec.stack(codecs[::-1])
+        for i, codec in enumerate(codecs):
+            pairs = ((restacked[3 - i], codec.decoder), (codec[None], codec.decoder[None]))
+            for view, want in pairs:
+                assert (view.sigma, view.nuisance_dim) == (codec.sigma, codec.nuisance_dim)
+                assert np.array_equal(view.decoder.linear, want.linear)
+                assert np.array_equal(view.decoder.offset, want.offset)
+                assert view.decoder.linear.flags.c_contiguous
+                cached = view.decoder.__dict__["singular_values"]
+                assert np.array_equal(cached, want.singular_values)
+        assert checks == [(4, 3, 3)]  # and they check no decoder again
         noisy = sample_randomized_codecs(spec, 4, 0, 0.1, seed=5)
         assert not np.array_equal(noisy[0].decoder.linear, codecs[0].decoder.linear)
 

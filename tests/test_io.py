@@ -267,6 +267,12 @@ class TestGraphAndCodecFiles:
         plain = sample_randomized_codecs(spec, 1, 0, 0.0, seed=0)[0]
         with pytest.raises(ValueError, match="share one sigma"):
             io.save_codecs({"A": noisy, "B": plain}, spec, tmp_path / "codecs.json")
+        # The codec stack states the rule: a sigma or a nuisance_dim alone breaks it.
+        louder = RandomizedCodec(noisy.decoder, 2, 0.2)
+        wider = sample_randomized_codecs(FunctionClassSpec(dim=2), 1, 3, 0.1, seed=0)[0]
+        for other in (louder, wider):
+            with pytest.raises(ValueError, match="share one sigma"):
+                RandomizedCodec.stack([noisy, other])
 
     def test_load_checks_every_codec_with_one_svd(self, tmp_path, monkeypatch):
         spec = FunctionClassSpec(dim=3)
