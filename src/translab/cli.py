@@ -16,10 +16,12 @@ from . import io
 from .errors import SchemaError, TranslabError
 from .evaluation import sample_complexity_sweep, verify_chain_bound
 from .generative import (
+    ROW_BLOCK,
+    EdgeDraws,
     FunctionClassSpec,
     LatentSampler,
     TranslationGraph,
-    randomized_generate,
+    corpus_meta,
     sample_randomized_codecs,
 )
 from .impossibility import (
@@ -264,16 +266,50 @@ def _run_generate(config) -> int:
             )
     spec, codecs, sampler, summary = _draw_codecs(config, graph.languages)
     io.save_codecs(codecs, spec, config.out / "codecs.json")
-    for a, b, n in graph.edges:
-        # Unnamed, so the corpus is freed before the next edge is drawn.
-        io.save_corpus(
-            randomized_generate((a, b), codecs, n, sampler, config.seed),
-            config.out / io.corpus_filename((a, b)),
-        )
-        _print(f"corpus {a}->{b} n={n}")
+    if graph.edges:
+        _write_corpora(config, graph.edges, codecs, sampler)
     summary["edges"] = [[a, b] for a, b, _n in graph.edges]
     io.write_summary_json(summary, config.out / "generate_summary.json")
     return 0
+
+
+def _write_corpora(config, edges, codecs, sampler) -> None:
+    """Draw each edge's pairs and stream them into its corpus file, in edge order.
+
+    Two stages on two threads: while this thread decodes edge i's draws a row
+    block at a time and writes each block to the file, one worker thread
+    draws edge i + 1 into the other of two ``EdgeDraws``. So two edges'
+    draws and one row block are held, never a corpus. An edge of one row
+    block is drawn here, after the edge before it is written: its draw
+    takes less time than handing it to the worker and back.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    codec = next(iter(codecs.values()))
+    capacity = max(n for _a, _b, n in edges)
+    slots = [EdgeDraws(capacity, sampler.dim, codec.nuisance_dim) for _ in range(2)]
+
+    def draw(i: int) -> EdgeDraws:
+        a, b, n = edges[i]
+        return slots[i % 2].draw((a, b), codecs, n, sampler, config.seed)
+
+    draws = draw(0)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for i, (a, b, n) in enumerate(edges):
+            following = edges[i + 1][2] if i + 1 < len(edges) else 0
+            pending = worker.submit(draw, i + 1) if following > ROW_BLOCK else None
+            io.write_corpus(
+                config.out / io.corpus_filename((a, b)),
+                (a, b),
+                corpus_meta((a, b), codecs, n, sampler, config.seed),
+                (n, 2, codec.decoder.dim),
+                draws.blocks(),
+            )
+            _print(f"corpus {a}->{b} n={n}")
+            if pending is not None:
+                draws = pending.result()
+            elif following:
+                draws = draw(i + 1)
 
 
 def _connected_graph(path) -> TranslationGraph:

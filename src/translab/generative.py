@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .seeding import derive_seed
 #: Noise seeds are standard normal truncated at this many deviations per coordinate.
 NOISE_CUTOFF = 3.0
 
-#: Latents are normalized and decoded this many rows at a time, so no
-#: full-size temporary lives next to a corpus and its latents.
-ROW_BLOCK = 1 << 15
+#: Latents are normalized and decoded, and corpora written and scored, this
+#: many rows at a time, so no full-size temporary lives next to a corpus and
+#: its latents, and a block's temporaries stay in cache.
+ROW_BLOCK = 1 << 12
 
 #: Variance of one noise coordinate: 1 - 2c phi(c) / (2 Phi(c) - 1) at c = NOISE_CUTOFF.
 NOISE_VARIANCE = 1.0 - (
@@ -106,24 +107,44 @@ class LatentSampler:
     def sample(self, m: int) -> np.ndarray:
         if m < 1:
             raise ValueError("m must be at least 1")
-        gauss = self._rng.standard_normal((m, self.dim))
-        radii = self._rng.random(m)
-        # In place, as radius * u ** (1 / dim) and then gauss / norms * radii
-        # block by block: the same bits as the whole-array formula.
-        radii **= 1.0 / self.dim
-        radii *= self.radius
-        for rows in _row_blocks(m):
-            block = gauss[rows]
-            norms = np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-300)
+        out = np.empty((m, self.dim))
+        self._draw(out, _latent_buffers(m, self.dim))
+        return out
+
+    def _draw(self, out: np.ndarray, buffers: tuple[np.ndarray, ...]) -> None:
+        """Fill ``out`` (m, dim) with the next m latents, in ``_latent_buffers``.
+
+        As radius * u ** (1 / dim) and then gauss / norms * radii, in place
+        and a row block at a time: the same bits as the whole-array formula.
+        The uniforms follow all the normals in the stream, so they are drawn
+        a block at a time too.
+        """
+        self._rng.standard_normal(out=out)
+        for rows in _row_blocks(len(out)):
+            block = out[rows]
+            radii, squares, norms = (array[: len(block)] for array in buffers)
+            self._rng.random(out=radii)
+            radii **= 1.0 / self.dim
+            radii *= self.radius
+            # np.linalg.norm(block, axis=1, keepdims=True), in the buffers.
+            np.multiply(block, block, out=squares)
+            np.add.reduce(squares, axis=1, keepdims=True, out=norms)
+            np.sqrt(norms, out=norms)
+            np.maximum(norms, 1e-300, out=norms)
             np.divide(block, norms, out=block)
-            np.multiply(block, radii[rows, None], out=block)
-        return gauss
+            np.multiply(block, radii[:, None], out=block)
 
     def fork(self, *parts) -> "LatentSampler":
         return LatentSampler(self.dim, self.radius, derive_seed(self.seed, *parts))
 
     def __repr__(self) -> str:
         return f"LatentSampler(dim={self.dim}, radius={self.radius}, seed={self.seed})"
+
+
+def _latent_buffers(m: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radii, squares and norms for normalizing m latents a row block at a time."""
+    rows = min(m, ROW_BLOCK + 1)
+    return np.empty(rows), np.empty((rows, dim)), np.empty((rows, 1))
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -180,8 +201,11 @@ class RandomizedCodec:
     def latent_dim(self) -> int:
         return self.decoder.dim - self.nuisance_dim
 
-    def draw_decoder_seeds(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return _truncated_normal(rng, (m, self.nuisance_dim))
+    def draw_decoder_seeds(
+        self, rng: np.random.Generator, m: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """m noise seeds, (m, nuisance_dim), drawn into ``out`` if given."""
+        return _truncated_normal(rng, (m, self.nuisance_dim), out)
 
     def decode(
         self, z: np.ndarray, r: np.ndarray | None = None, out: np.ndarray | None = None
@@ -200,13 +224,15 @@ class RandomizedCodec:
         return _digest(self.decoder.linear, self.decoder.offset)
 
 
-def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def _truncated_normal(
+    rng: np.random.Generator, shape, out: np.ndarray | None = None
+) -> np.ndarray:
     """Standard normal truncated to [-NOISE_CUTOFF, NOISE_CUTOFF], via inverse CDF.
 
-    scipy is imported here, on the first non-empty draw, so that modes which
-    draw no noise start without it.
+    Drawn into ``out`` if given. scipy is imported here, on the first
+    non-empty draw, so that modes which draw no noise start without it.
     """
-    u = rng.random(shape)
+    u = rng.random(shape, out=out)
     if u.size == 0:
         return u
     from scipy.special import ndtr, ndtri
@@ -392,6 +418,72 @@ class AlignedCorpus:
         return self.pairs[:, 1, :]
 
 
+def _edge_codecs(
+    edge: tuple[str, str], codecs: Mapping[str, RandomizedCodec]
+) -> tuple[RandomizedCodec, RandomizedCodec]:
+    """The edge's two codecs, which must decode to one dimension with one noise setting."""
+    a, b = edge
+    for lang in (a, b):
+        if lang not in codecs:
+            raise DomainError(f"no codec for language {lang!r}")
+    if codecs[b].decoder.dim != codecs[a].decoder.dim:
+        raise DomainError(f"codecs of {a!r} and {b!r} decode to different dimensions")
+    if (codecs[a].sigma, codecs[a].nuisance_dim) != (codecs[b].sigma, codecs[b].nuisance_dim):
+        raise DomainError(f"codecs of {a!r} and {b!r} have different noise settings")
+    return codecs[a], codecs[b]
+
+
+class EdgeDraws:
+    """The draws behind one edge's aligned pairs: shared latents and each side's noise seeds.
+
+    Buffers for up to ``capacity`` pairs, allocated once. ``draw`` fills them
+    from one seed's streams and allocates nothing, so a worker thread may
+    draw one edge while another thread decodes the edge drawn before it.
+    The noise comes from a generator separate from the latent stream, so the
+    latents of an edge do not depend on the codecs' noise settings.
+    """
+
+    def __init__(self, capacity: int, latent_dim: int, nuisance_dim: int):
+        self.n = 0
+        self._codecs: tuple[RandomizedCodec, RandomizedCodec] = ()
+        self._z = np.empty((capacity, latent_dim))
+        self._seeds = np.empty((2, capacity, nuisance_dim))
+        self._buffers = _latent_buffers(capacity, latent_dim)
+
+    def draw(
+        self,
+        edge: tuple[str, str],
+        codecs: Mapping[str, RandomizedCodec],
+        n: int,
+        sampler: LatentSampler,
+        seed: int,
+    ) -> "EdgeDraws":
+        """Draw the edge's n pairs from ``seed``'s streams; returns these draws."""
+        a, b = edge
+        self._codecs = _edge_codecs(edge, codecs)
+        sampler.fork(seed, "latent", a, b)._draw(self._z[:n], self._buffers)
+        noise_rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
+        for codec, seeds in zip(self._codecs, self._seeds[:, :n]):
+            codec.draw_decoder_seeds(noise_rng, n, out=seeds)
+        self.n = n
+        return self
+
+    def decode(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """The pairs at ``rows``, decoded into ``out`` of shape (rows, 2, dim)."""
+        for side, codec in enumerate(self._codecs):
+            codec.decode(self._z[rows], self._seeds[side, rows], out=out[:, side, :])
+        return out
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The pairs ``ROW_BLOCK`` rows at a time, decoded into one reused block array.
+
+        Each block is overwritten by the next, so use it before asking for that.
+        """
+        block = np.empty((min(self.n, ROW_BLOCK + 1), 2, self._codecs[0].decoder.dim))
+        for rows in _row_blocks(self.n):
+            yield self.decode(rows, block[: rows.stop - rows.start])
+
+
 def generate_pairs(
     edge: tuple[str, str],
     codecs: Mapping[str, RandomizedCodec],
@@ -401,33 +493,41 @@ def generate_pairs(
 ) -> np.ndarray:
     """Aligned pairs for each seed, as one (len(seeds), n, 2, dim) array.
 
-    Each seed draws n latents and both sides' noise seeds from its own
-    streams; the noise comes from a generator separate from the latent
-    stream, so the latents of an edge do not depend on the codecs' noise
-    settings. Each seed's draws are decoded straight into its slice, one
-    row block at a time, so no more than one seed's draws are held besides
-    the result, and no full-size temporary.
+    Each seed's ``EdgeDraws`` are decoded straight into its slice, one row
+    block at a time, so no more than one seed's draws are held besides the
+    result, and no full-size temporary.
     """
-    a, b = edge
-    for lang in (a, b):
-        if lang not in codecs:
-            raise DomainError(f"no codec for language {lang!r}")
+    codec, _ = _edge_codecs(edge, codecs)
     if n < 1:
         raise ValueError("n must be at least 1")
-    dim = codecs[a].decoder.dim
-    if codecs[b].decoder.dim != dim:
-        raise DomainError(f"codecs of {a!r} and {b!r} decode to different dimensions")
-    pairs = np.empty((len(seeds), n, 2, dim))
-    blocks = _row_blocks(n)
+    pairs = np.empty((len(seeds), n, 2, codec.decoder.dim))
+    draws = EdgeDraws(n, sampler.dim, codec.nuisance_dim)
     for i, seed in enumerate(seeds):
-        z = sampler.fork(seed, "latent", a, b).sample(n)
-        noise_rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
-        r = codecs[a].draw_decoder_seeds(noise_rng, n)
-        r_prime = codecs[b].draw_decoder_seeds(noise_rng, n)
-        for rows in blocks:
-            codecs[a].decode(z[rows], r[rows], out=pairs[i, rows, 0, :])
-            codecs[b].decode(z[rows], r_prime[rows], out=pairs[i, rows, 1, :])
+        draws.draw(edge, codecs, n, sampler, seed)
+        for rows in _row_blocks(n):
+            draws.decode(rows, pairs[i, rows])
     return pairs
+
+
+def corpus_meta(
+    edge: tuple[str, str],
+    codecs: Mapping[str, RandomizedCodec],
+    n: int,
+    sampler: LatentSampler,
+    seed: int,
+) -> dict:
+    """The ``meta`` of an edge's corpus: its draw, its codecs' one noise setting and digests."""
+    a, b = edge
+    codec_a, codec_b = _edge_codecs(edge, codecs)
+    return {
+        "edge": [a, b],
+        "n": n,
+        "seed": seed,
+        "sampler_seed": sampler.seed,
+        "sigma": codec_a.sigma,
+        "nuisance_dim": codec_a.nuisance_dim,
+        "codec_digest": {a: codec_a.digest(), b: codec_b.digest()},
+    }
 
 
 def randomized_generate(
@@ -442,14 +542,4 @@ def randomized_generate(
     The pairs are ``generate_pairs`` for the one seed.
     """
     pairs = generate_pairs(edge, codecs, n, sampler, [seed])[0]
-    a, b = edge
-    meta = {
-        "edge": [a, b],
-        "n": n,
-        "seed": seed,
-        "sampler_seed": sampler.seed,
-        "sigma": max(codecs[a].sigma, codecs[b].sigma),
-        "nuisance_dim": max(codecs[a].nuisance_dim, codecs[b].nuisance_dim),
-        "codec_digest": {a: codecs[a].digest(), b: codecs[b].digest()},
-    }
-    return AlignedCorpus((a, b), pairs, meta)
+    return AlignedCorpus(edge, pairs, corpus_meta(edge, codecs, n, sampler, seed))

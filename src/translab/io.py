@@ -25,7 +25,13 @@ from .affine import AffineMap
 from .distributions import WEIGHT_TOL, DeterministicTranslator, FiniteDistribution, Sentence
 from .errors import ConditioningError, GraphError, SchemaError
 from .evaluation import PairEvalRecord, SweepRow
-from .generative import AlignedCorpus, FunctionClassSpec, RandomizedCodec, TranslationGraph
+from .generative import (
+    ROW_BLOCK,
+    AlignedCorpus,
+    FunctionClassSpec,
+    RandomizedCodec,
+    TranslationGraph,
+)
 from .impossibility import BoundReport, ManyToManyInstance
 from .trainer import EdgeRegressionResult, EncoderEstimate
 
@@ -437,15 +443,39 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
         return spec, {lang: codecs[i] for i, lang in enumerate(decoders)}
 
 
+def write_corpus(
+    path, edge: tuple[str, str], meta: Mapping, shape: tuple[int, int, int], blocks
+) -> None:
+    """Write a corpus NPZ whose (n, 2, dim) float64 pairs arrive as row blocks, in order.
+
+    Each block's buffer is written as it is, so no array of all the pairs is
+    needed. The file is byte for byte what ``np.savez`` writes for
+    ``pairs``, ``edge`` and ``meta``: the same members, ``.npy`` headers and
+    fixed 1980 member timestamps.
+    """
+    shape = tuple(int(size) for size in shape)  # the header holds Python ints
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
+    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    with _atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as npz:
+        with npz.open("pairs.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(member, header)
+            rows = 0
+            for block in blocks:
+                member.write(np.ascontiguousarray(block, dtype=np.float64))
+                rows += len(block)
+        if rows != shape[0]:
+            raise ValueError(f"corpus blocks hold {rows} pairs, but its shape says {shape[0]}")
+        for name, value in (
+            ("edge", np.array(list(edge))),
+            ("meta", np.array(json.dumps(dict(meta), sort_keys=True))),
+        ):
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, value)
+
+
 def save_corpus(corpus: AlignedCorpus, path) -> None:
-    # Through a file handle, np.savez keeps the name as given (no ".npz" added).
-    with _atomic_open(path, "wb") as fh:
-        np.savez(
-            fh,
-            pairs=corpus.pairs,
-            edge=np.array(list(corpus.edge)),
-            meta=np.array(json.dumps(dict(corpus.meta), sort_keys=True)),
-        )
+    """``write_corpus`` of the corpus's pairs as one block."""
+    write_corpus(path, corpus.edge, corpus.meta, corpus.pairs.shape, [corpus.pairs])
 
 
 def load_corpus(path) -> AlignedCorpus:
@@ -477,7 +507,9 @@ def load_corpus(path) -> AlignedCorpus:
                 "corpus field 'pairs' must be a numeric (n, 2, dim) array"
                 f" with n, dim >= 1, got {pairs.dtype} of shape {pairs.shape}"
             )
-        if not np.all(np.isfinite(pairs)):
+        # Row blocks at a time, so no full-size temporary sits beside the pairs.
+        rows = range(0, len(pairs), ROW_BLOCK)
+        if not all(np.isfinite(pairs[i : i + ROW_BLOCK]).all() for i in rows):
             raise SchemaError("corpus field 'pairs' has a non-finite entry")
         raw_edge = fields["edge"]
         edge = tuple(str(x) for x in np.ravel(raw_edge))

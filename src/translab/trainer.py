@@ -39,7 +39,7 @@ from .errors import (
     InsufficientDataError,
     InternalConsistencyError,
 )
-from .generative import AlignedCorpus, TranslationGraph
+from .generative import AlignedCorpus, TranslationGraph, _row_blocks
 
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
@@ -203,12 +203,17 @@ def _mean_squared_residual(
     With leading stack axes on ``points`` (..., n, d), ``targets`` and
     ``transform``, slice j scores map j on corpus j, bit for bit as alone.
     """
-    # In one (..., n, d) array, in the order of the out-of-place (T(x) - y)**2.
-    residual = points @ transform.linear.swapaxes(-1, -2)
-    residual += transform.offset[..., None, :]
-    residual -= targets
-    np.square(residual, out=residual)
-    return np.mean(np.sum(residual, axis=-1), axis=-1).tolist()
+    # Row sums of the out-of-place (T(x) - y)**2, in place a row block at a
+    # time; the one mean over all of them keeps the whole-array bits.
+    row_sums = np.empty(points.shape[:-1])
+    linear_t = transform.linear.swapaxes(-1, -2)
+    for rows in _row_blocks(points.shape[-2]):
+        residual = points[..., rows, :] @ linear_t
+        residual += transform.offset[..., None, :]
+        residual -= targets[..., rows, :]
+        np.square(residual, out=residual)
+        np.sum(residual, axis=-1, out=row_sums[..., rows])
+    return np.mean(row_sums, axis=-1).tolist()
 
 
 def _factor_losses(maps: AffineMap, factor: EdgeFactor) -> list[float]:

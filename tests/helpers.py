@@ -362,6 +362,17 @@ def whole_array_pairs(edge, codecs, n, sampler, seed) -> np.ndarray:
     return np.stack([codecs[lang].decode(z, r) for lang, r in zip(edge, seeds)], axis=1)
 
 
+def savez_corpus(corpus, path) -> None:
+    """The corpus file as ``np.savez`` writes it: the reference for ``io.write_corpus``."""
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            pairs=corpus.pairs,
+            edge=np.array(list(corpus.edge)),
+            meta=np.array(json.dumps(dict(corpus.meta), sort_keys=True)),
+        )
+
+
 def out_of_place_fit_edge(corpus, ridge=1e-10):
     """``fit_edge``'s (transform, loss) with an ``np.hstack`` design and a fresh residual."""
     points, targets = corpus.source_points, corpus.target_points

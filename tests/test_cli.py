@@ -5,9 +5,11 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,10 +20,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import WORST_CASE_DEFECTS, damaged_instance_documents
+from helpers import WORST_CASE_DEFECTS, damaged_instance_documents, savez_corpus
 from translab import cli, io, trainer
 from translab.evaluation import shortest_path_and_diameter
-from translab.generative import AlignedCorpus, TranslationGraph, six_language_demo_graph
+from translab.errors import DomainError
+from translab.generative import (
+    ROW_BLOCK,
+    AlignedCorpus,
+    EdgeDraws,
+    FunctionClassSpec,
+    LatentSampler,
+    TranslationGraph,
+    randomized_generate,
+    sample_randomized_codecs,
+    six_language_demo_graph,
+)
 from translab.impossibility import MAX_Z_SIZE, make_worst_case
 
 
@@ -1174,6 +1187,99 @@ class TestStreamingMemory:
         assert refine_peak < 4.0
 
 
+class TestGeneratePipeline:
+    """``generate`` draws the next edge on one worker thread while it writes the current one."""
+
+    #: Pairs per edge: more than one row block, so the worker draws every edge after the first.
+    N = ROW_BLOCK + 1
+
+    def test_files_match_serial_corpora_under_fast_thread_switches(self, tmp_path):
+        # Each file must hold its own edge's draws: the worker draws into the
+        # buffers the main thread is not decoding from.
+        graph = six_language_demo_graph(self.N)
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(graph, graph_path)
+        out = tmp_path / "run"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with redirect_stdout(StringIO()):
+                assert cli.main(["generate", "--graph", str(graph_path), "--out", str(out)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        spec = FunctionClassSpec(dim=4)
+        codecs = dict(zip(graph.languages, sample_randomized_codecs(spec, 6, 0, 0.0, seed=0)))
+        sampler = LatentSampler(4, spec.radius, seed=0)
+        for edge in graph.edge_pairs():
+            reference = tmp_path / "reference.npz"
+            savez_corpus(randomized_generate(edge, codecs, self.N, sampler, seed=0), reference)
+            assert (out / io.corpus_filename(edge)).read_bytes() == reference.read_bytes(), edge
+
+    def test_unwritable_corpus_fails_like_a_serial_generate(self, tmp_path):
+        # A directory where the third edge's corpus goes, while the worker
+        # draws the fourth edge: the exit code and message are those of the
+        # serial loop this pipeline replaced.
+        graph = six_language_demo_graph(self.N)
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(graph, graph_path)
+        out = tmp_path / "run"
+        edges = graph.edge_pairs()
+        blocked = out / io.corpus_filename(edges[2])
+        blocked.mkdir(parents=True)
+        argv = ["generate", "--graph", str(graph_path), "--out", str(out)]
+        threads = threading.active_count()
+        stdout = StringIO()
+        with redirect_stdout(stdout), pytest.raises(IsADirectoryError) as info:
+            cli.main(argv)
+        tmp = out / f".{blocked.name}.{os.getpid()}.tmp"
+        assert str(info.value) == f"[Errno 21] Is a directory: '{tmp}' -> '{blocked}'"
+        assert threading.active_count() == threads
+        written = [io.corpus_filename(edge) for edge in edges[:2]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["codecs.json", blocked.name, *written]
+        )
+        for edge, name in zip(edges, written):
+            assert io.load_corpus(out / name).edge == edge
+        lines = "".join(f"corpus {a}->{b} n={self.N}\n" for a, b in edges[:2])
+        assert stdout.getvalue() == lines
+
+        result = run_fresh(IN_A_PROCESS, *argv)
+        assert result.returncode == 1
+        assert result.stdout == lines
+        last = result.stderr.strip().splitlines()[-1]
+        assert re.fullmatch(
+            rf"IsADirectoryError: \[Errno 21\] Is a directory:"
+            rf" '{re.escape(str(out))}/\.{re.escape(blocked.name)}\.\d+\.tmp'"
+            rf" -> '{re.escape(str(blocked))}'",
+            last,
+        ), last
+
+    def test_worker_error_is_raised_in_the_main_thread(self, tmp_path, capsys, monkeypatch):
+        graph = six_language_demo_graph(self.N)
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(graph, graph_path)
+        out = tmp_path / "run"
+        edges = graph.edge_pairs()
+        draw = EdgeDraws.draw
+
+        def draw_on_main_thread_only(self, edge, *args):
+            if threading.current_thread() is not threading.main_thread() and edge == edges[3]:
+                raise DomainError(f"no codec for language {edge[1]!r}")
+            return draw(self, edge, *args)
+
+        monkeypatch.setattr(EdgeDraws, "draw", draw_on_main_thread_only)
+        threads = threading.active_count()
+        argv = ["generate", "--graph", str(graph_path), "--out", str(out)]
+        code, out_text, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"error: no codec for language {edges[3][1]!r}\n"
+        assert threading.active_count() == threads
+        # Edge 2 was written while edge 3 was drawn; nothing after it was.
+        written = [io.corpus_filename(edge) for edge in edges[:3]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["codecs.json", *written])
+        assert out_text == "".join(f"corpus {a}->{b} n={self.N}\n" for a, b in edges[:3])
+
+
 class TestSweepCommand:
     def test_small_sweep_writes_slope(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -1227,6 +1333,14 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# Runs translab.cli.main as the ``translab`` command does: an uncaught error exits 1.
+IN_A_PROCESS = """
+import sys
+from translab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def run_fresh(code, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     return subprocess.run(
@@ -1256,6 +1370,23 @@ class TestColdStart:
             ):
                 assert cli.main(argv) == 0
         return root, instance, graph, run
+
+    def test_thread_pool_loads_only_inside_generate(self, inputs):
+        root, _instance, graph, _run = inputs
+        pools = "sorted(m for m in sys.modules if m.split('.')[0] in POOLS)"
+        result = run_fresh(
+            "import sys\n"
+            "POOLS = ('concurrent', 'multiprocessing', 'asyncio', 'queue')\n"
+            "from translab.cli import main\n"
+            f"print({pools})\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            f"print({pools})\n",
+            "generate", "--graph", str(graph), "--dim", "2", "--out", str(root / "pool"),
+        )
+        assert result.returncode == 0, result.stderr
+        before, *_corpora, after = result.stdout.splitlines()
+        assert before == "[]"
+        assert "concurrent.futures" in after
 
     def test_import_loads_no_scipy(self):
         result = run_fresh(

@@ -286,6 +286,13 @@ class TestRandomizedGenerate:
         with pytest.raises(DomainError, match="different dimensions"):
             randomized_generate(("A", "B"), {"A": a, "B": b}, 10, LatentSampler(3, 1.0, 0), 0)
 
+    def test_codecs_with_different_noise_settings_are_a_domain_error(self):
+        # The corpus records one sigma and nuisance_dim: the edge's shared setting.
+        spec = FunctionClassSpec(dim=3)
+        a, b = (sample_randomized_codecs(spec, 1, 1, sigma, seed=0)[0] for sigma in (0.1, 0.2))
+        with pytest.raises(DomainError, match="different noise settings"):
+            randomized_generate(("A", "B"), {"A": a, "B": b}, 10, LatentSampler(3, 1.0, 0), 0)
+
     def test_encoder_recovers_latents_exactly(self):
         spec = FunctionClassSpec(dim=3)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 2, 0.1, seed=1)))

@@ -19,10 +19,12 @@ from helpers import (
     LEAF_REPLACEMENTS,
     MISTYPED_NUMBER_LEAVES,
     WORST_CASE_DEFECTS,
+    assert_same_bits,
     damaged_corpus_fields,
     damaged_documents,
     damaged_instance_documents,
     max_entry_difference,
+    savez_corpus,
     target_marginal,
     tv_distance,
 )
@@ -30,6 +32,7 @@ from translab import cli, io
 from translab.distributions import DeterministicTranslator, FiniteDistribution, Sentence
 from translab.errors import SchemaError
 from translab.generative import (
+    ROW_BLOCK,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
@@ -538,6 +541,40 @@ class TestCorpusFiles:
         assert np.array_equal(again.pairs, corpus.pairs)
         assert again.meta == corpus.meta
 
+    #: (latent dim, nuisance dim, sigma) of each codec setting.
+    SETTINGS = {"noiseless": (3, 0, 0.0), "noisy": (2, 1, 0.05)}
+
+    @pytest.mark.parametrize("setting", SETTINGS.values(), ids=SETTINGS.keys())
+    @pytest.mark.parametrize(
+        "n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+    )
+    def test_generate_writes_what_np_savez_writes(self, tmp_path, setting, n):
+        # Two edges; past one row block the second is drawn on the worker
+        # thread while the first is written. Each file is compared with
+        # np.savez of the in-memory corpus, byte for byte, and loaded back.
+        dim, nuisance_dim, sigma = setting
+        graph = TranslationGraph(("L0", "L1", "L2"), (("L0", "L1", n), ("L1", "L2", n)))
+        graph_path = tmp_path / "graph.json"
+        io.save_graph(graph, graph_path)
+        out = tmp_path / "run"
+        argv = ["generate", "--graph", str(graph_path), "--dim", str(dim), "--seed", "4",
+                "--sigma", str(sigma), "--nuisance-dim", str(nuisance_dim), "--out", str(out)]
+        with redirect_stdout(StringIO()):
+            assert cli.main(argv) == 0
+        spec = FunctionClassSpec(dim=dim)
+        codec_list = sample_randomized_codecs(spec, 3, nuisance_dim, sigma, seed=4)
+        codecs = dict(zip(graph.languages, codec_list))
+        sampler = LatentSampler(dim, spec.radius, seed=4)
+        reference = tmp_path / "reference.npz"
+        for edge in graph.edge_pairs():
+            corpus = randomized_generate(edge, codecs, n, sampler, seed=4)
+            savez_corpus(corpus, reference)
+            path = out / io.corpus_filename(edge)
+            assert path.read_bytes() == reference.read_bytes()
+            again = io.load_corpus(path)
+            assert again.edge == edge and again.meta == corpus.meta
+            assert_same_bits(again.pairs, corpus.pairs)
+
     def _saved(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
@@ -664,19 +701,27 @@ class TestAtomicWrites:
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
         return randomized_generate(("A", "B"), codecs, 8, LatentSampler(3, 1.0, 0), seed=1)
 
-    def test_corpus(self, tmp_path, monkeypatch):
+    def test_corpus(self, tmp_path):
         corpus = self._corpus()
         path = tmp_path / io.corpus_filename(("A", "B"))
         io.save_corpus(corpus, path)
         before = path.read_bytes()
 
-        def failing_savez(fh, **arrays):
-            fh.write(b"PK partial")
+        def failing_blocks():
+            yield corpus.pairs[:4]
             raise self.Boom
 
-        monkeypatch.setattr(io.np, "savez", failing_savez)
         with pytest.raises(self.Boom):
-            io.save_corpus(corpus, path)
+            io.write_corpus(path, corpus.edge, corpus.meta, corpus.pairs.shape, failing_blocks())
+        self._assert_unchanged(path, before)
+
+    def test_corpus_blocks_short_of_the_shape(self, tmp_path):
+        corpus = self._corpus()
+        path = tmp_path / io.corpus_filename(("A", "B"))
+        io.save_corpus(corpus, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="corpus blocks hold 4 pairs, but its shape says 8"):
+            io.write_corpus(path, corpus.edge, corpus.meta, corpus.pairs.shape, [corpus.pairs[:4]])
         self._assert_unchanged(path, before)
 
     def test_corpus_keeps_the_given_name(self, tmp_path):

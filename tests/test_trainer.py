@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     apply,
+    assert_same_bits,
     composite,
     empirical_edge_loss,
     encoder_map,
@@ -31,6 +32,7 @@ from translab.errors import (
     InsufficientDataError,
 )
 from translab.generative import (
+    ROW_BLOCK,
     AlignedCorpus,
     FunctionClassSpec,
     LatentSampler,
@@ -204,6 +206,31 @@ class TestFitEdge:
             assert np.array_equal(result.transform.linear, transform.linear)
             assert np.array_equal(result.transform.offset, transform.offset)
             assert result.empirical_loss.hex() == loss.hex()
+
+    @pytest.mark.parametrize(
+        "stack, n, d",
+        [
+            ((), 500_000, 6),
+            ((), 500, 10),
+            ((), 100_003, 4),
+            ((), 70_001, 3),
+            ((2,), 70_001, 3),
+            ((8,), 2 * ROW_BLOCK + 1, 6),  # a 1-row remainder joins the last block
+        ],
+    )
+    def test_row_block_residual_matches_the_whole_array_formula_bitwise(self, stack, n, d):
+        rng = np.random.default_rng([n, d, len(stack)])
+        pairs = rng.standard_normal(stack + (n, 2, d))
+        # The last row dominates each mean, so its rounding shows in the bits
+        # of most of them: scored alone, a 1-row block takes BLAS's
+        # matrix-vector path, whose products differ in the last bit.
+        pairs[..., -1, :, :] *= 1e3
+        x, y = pairs[..., 0, :], pairs[..., 1, :]
+        linear, offset = rng.standard_normal(stack + (d, d)), rng.standard_normal(stack + (d,))
+        transform = AffineMap(linear, offset)
+        fitted = x @ transform.linear.swapaxes(-1, -2) + transform.offset[..., None, :]
+        expected = np.mean(np.sum((fitted - y) ** 2, axis=-1), axis=-1)
+        assert_same_bits(np.array(trainer._mean_squared_residual(transform, x, y)), expected)
 
     def test_first_order_optimality(self):
         _g, _c, corpora, _ = chain_setup(sigma=0.1, nuisance=1, n=60, seed=3)
