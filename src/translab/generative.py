@@ -380,42 +380,83 @@ def six_language_demo_graph(samples_per_edge: int = 200) -> TranslationGraph:
 # Corpora
 
 
-@dataclass(frozen=True, eq=False)
+def corpus_rows(n: int, dim: int) -> np.ndarray:
+    """An (n, 2 * dim + 1) array for the rows [x, 1, y] of n pairs, its constant column set."""
+    rows = np.empty((n, 2 * dim + 1))
+    rows[:, dim] = 1.0
+    return rows
+
+
+def pair_view(rows: np.ndarray) -> np.ndarray:
+    """The (n, 2, dim) pairs (x, y) inside rows [x, 1, y], as a view that writes through."""
+    dim = (rows.shape[1] - 1) // 2
+    step = rows.itemsize
+    return np.lib.stride_tricks.as_strided(
+        rows,
+        (rows.shape[0], 2, dim),
+        (rows.strides[0], (dim + 1) * step, step),
+        writeable=rows.flags.writeable,
+    )
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class AlignedCorpus:
     """n aligned sentence pairs for one edge, plus generator metadata.
 
-    A float64 ``pairs`` array is taken over without a copy and made read-only;
-    other inputs are converted to a new float64 array.
+    The corpus owns one read-only float64 array, ``rows`` = [x, 1, y] of
+    shape (n, 2 * dim + 1): source point, a constant 1, target point. Its
+    first dim + 1 columns are a least-squares design and the rest its
+    targets, so a fit reads them as they are; ``pairs`` (n, 2, dim),
+    ``source_points`` and ``target_points`` are views of it. The constructor
+    copies ``pairs`` into new rows; ``of_rows`` takes rows filled elsewhere.
     """
 
     edge: tuple[str, str]
-    pairs: np.ndarray  # (n, 2, dim)
+    rows: np.ndarray
     meta: Mapping[str, object]
 
-    def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.float64)
+    def __init__(self, edge: tuple[str, str], pairs, meta: Mapping[str, object]):
+        pairs = np.asarray(pairs)
         if pairs.ndim != 3 or pairs.shape[1] != 2:
             raise ValueError(f"pairs must have shape (n, 2, dim), got {pairs.shape}")
-        pairs.setflags(write=False)
-        object.__setattr__(self, "edge", tuple(self.edge))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "meta", dict(self.meta))
+        rows = corpus_rows(pairs.shape[0], pairs.shape[2])
+        pair_view(rows)[...] = pairs
+        self._take(edge, rows, meta)
+
+    @classmethod
+    def of_rows(
+        cls, edge: tuple[str, str], rows: np.ndarray, meta: Mapping[str, object]
+    ) -> "AlignedCorpus":
+        """The corpus whose rows [x, 1, y] are ``rows`` (from ``corpus_rows``), without a copy."""
+        corpus = object.__new__(cls)
+        corpus._take(edge, rows, meta)
+        return corpus
+
+    def _take(self, edge, rows: np.ndarray, meta) -> None:
+        rows.setflags(write=False)
+        object.__setattr__(self, "edge", tuple(edge))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "meta", dict(meta))
 
     @property
     def n(self) -> int:
-        return self.pairs.shape[0]
+        return self.rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.pairs.shape[2]
+        return (self.rows.shape[1] - 1) // 2
+
+    @property
+    def pairs(self) -> np.ndarray:
+        return pair_view(self.rows)
 
     @property
     def source_points(self) -> np.ndarray:
-        return self.pairs[:, 0, :]
+        return self.rows[:, : self.dim]
 
     @property
     def target_points(self) -> np.ndarray:
-        return self.pairs[:, 1, :]
+        return self.rows[:, self.dim + 1 :]
 
 
 def _edge_codecs(

@@ -15,7 +15,9 @@ import csv
 import json
 import math
 import os
+import struct
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,6 +33,8 @@ from .generative import (
     FunctionClassSpec,
     RandomizedCodec,
     TranslationGraph,
+    corpus_rows,
+    pair_view,
 )
 from .impossibility import BoundReport, ManyToManyInstance
 from .trainer import EdgeRegressionResult, EncoderEstimate
@@ -474,54 +478,140 @@ def write_corpus(
 
 
 def save_corpus(corpus: AlignedCorpus, path) -> None:
-    """``write_corpus`` of the corpus's pairs as one block."""
-    write_corpus(path, corpus.edge, corpus.meta, corpus.pairs.shape, [corpus.pairs])
+    """``write_corpus`` of the corpus's pairs, ``ROW_BLOCK`` rows at a time.
+
+    The pairs are a strided view of the corpus's rows, so each block is
+    copied to a contiguous one as it is written, never all of them at once.
+    """
+    pairs = corpus.pairs
+    blocks = (pairs[i : i + ROW_BLOCK] for i in range(0, corpus.n, ROW_BLOCK))
+    write_corpus(path, corpus.edge, corpus.meta, pairs.shape, blocks)
+
+
+#: A ZIP member's local file header: its signature, 22 bytes whose values
+#: the central directory also holds, and the lengths of the name and the
+#: extra field that follow it, before the member's data.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
 
 
 def load_corpus(path) -> AlignedCorpus:
-    """Read a corpus NPZ, naming the file and the field of any defect."""
+    """Read a corpus NPZ, naming the file and the field of any defect.
+
+    Only the layout ``write_corpus`` and ``np.savez`` write is read; the
+    ``pairs`` member goes straight into the corpus's rows (``_read_rows``).
+    """
     with _naming(path):
         try:
-            npz = np.load(path, allow_pickle=False)
+            fh = open(path, "rb")
         except FileNotFoundError:
             raise
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        except OSError as exc:
             raise SchemaError(f"not an NPZ corpus file: {exc}") from exc
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise SchemaError("not an NPZ corpus file")
-        fields = {}
-        with npz:
-            for name in ("pairs", "edge", "meta"):
+        with fh:
+            try:
+                npz = zipfile.ZipFile(fh)
+            except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+                raise SchemaError(f"not an NPZ corpus file: {exc}") from exc
+            with npz:
+                raw_edge, raw_meta = (_small_field(npz, name) for name in ("edge", "meta"))
+                edge = tuple(str(x) for x in np.ravel(raw_edge))
+                if raw_edge.dtype.kind != "U" or len(edge) != 2:
+                    raise SchemaError(
+                        f"corpus field 'edge' must name two languages, got {raw_edge!r}"
+                    )
                 try:
-                    fields[name] = npz[name]
-                except (KeyError, ValueError, zipfile.BadZipFile) as exc:
-                    raise SchemaError(f"corpus field {name!r} is unreadable: {exc}") from exc
-        pairs = fields["pairs"]
-        if (
-            pairs.dtype.kind not in "iuf"
-            or pairs.ndim != 3
-            or pairs.shape[1] != 2
-            or pairs.size == 0
-        ):
-            raise SchemaError(
-                "corpus field 'pairs' must be a numeric (n, 2, dim) array"
-                f" with n, dim >= 1, got {pairs.dtype} of shape {pairs.shape}"
-            )
-        # Row blocks at a time, so no full-size temporary sits beside the pairs.
-        rows = range(0, len(pairs), ROW_BLOCK)
-        if not all(np.isfinite(pairs[i : i + ROW_BLOCK]).all() for i in rows):
-            raise SchemaError("corpus field 'pairs' has a non-finite entry")
-        raw_edge = fields["edge"]
-        edge = tuple(str(x) for x in np.ravel(raw_edge))
-        if raw_edge.dtype.kind != "U" or len(edge) != 2:
-            raise SchemaError(f"corpus field 'edge' must name two languages, got {raw_edge!r}")
-        try:
-            meta = json.loads(str(fields["meta"][()]))
-        except ValueError as exc:
-            raise SchemaError(f"corpus field 'meta' is not JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise SchemaError("corpus field 'meta' must be a JSON object")
-        return AlignedCorpus(edge, pairs, meta)
+                    meta = json.loads(str(raw_meta[()]))
+                except ValueError as exc:
+                    raise SchemaError(f"corpus field 'meta' is not JSON: {exc}") from exc
+                if not isinstance(meta, dict):
+                    raise SchemaError("corpus field 'meta' must be a JSON object")
+                rows = _read_rows(fh, npz)
+        return AlignedCorpus.of_rows(edge, rows, meta)
+
+
+def _small_field(npz: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array in member ``name``.npy, read through ``zipfile``, which checks its CRC-32."""
+    try:
+        with npz.open(f"{name}.npy") as member:
+            return np.lib.format.read_array(member, allow_pickle=False)
+    except (KeyError, ValueError, RuntimeError, NotImplementedError, zipfile.BadZipFile) as exc:
+        # zipfile raises RuntimeError for an encrypted member, and
+        # NotImplementedError for a compression method it lacks.
+        raise SchemaError(f"corpus field {name!r} is unreadable: {exc}") from exc
+
+
+def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
+    """The ``pairs.npy`` member of the open NPZ file ``fh``, read into new corpus rows.
+
+    The member must be stored, neither compressed nor encrypted, and hold a
+    C-ordered '<f8' (n, 2, dim) array, n, dim >= 1, in exactly the bytes its header needs:
+    all of that is checked before anything is allocated. The data is then
+    read from the file ``ROW_BLOCK`` rows at a time into one staging block,
+    whose CRC-32 and finiteness are checked as it arrives, and copied into
+    the rows [x, 1, y], so every byte is read once and no (n, 2, dim) array
+    is built.
+    """
+    try:
+        info = npz.getinfo("pairs.npy")
+    except KeyError as exc:
+        raise SchemaError(f"corpus field 'pairs' is unreadable: {exc}") from exc
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+        raise SchemaError(
+            "corpus field 'pairs' is compressed or encrypted; only a stored member is read"
+        )
+    fh.seek(info.header_offset)
+    local = fh.read(_LOCAL_HEADER.size)
+    signature, name_size, extra_size = (
+        _LOCAL_HEADER.unpack(local) if len(local) == _LOCAL_HEADER.size else (b"", 0, 0)
+    )
+    if signature != b"PK\x03\x04" or fh.read(name_size) != info.orig_filename.encode():
+        raise SchemaError("corpus field 'pairs' has a damaged ZIP member header")
+    start = fh.seek(extra_size, os.SEEK_CUR)
+    try:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError("only a version 1.0 .npy header is read")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    except ValueError as exc:
+        raise SchemaError(f"corpus field 'pairs' is unreadable: {exc}") from exc
+    if (
+        dtype != np.dtype("<f8")
+        or fortran_order
+        or len(shape) != 3
+        or shape[1] != 2
+        or min(shape) < 1
+    ):
+        order = "Fortran" if fortran_order else "C"
+        raise SchemaError(
+            "corpus field 'pairs' must be a '<f8' (n, 2, dim) array in C order with"
+            f" n, dim >= 1, got {dtype.str} of shape {shape} in {order} order"
+        )
+    n, _, dim = shape
+    header_size = fh.tell() - start
+    data_size = n * 2 * dim * 8
+    if info.file_size != header_size + data_size or info.compress_size != info.file_size:
+        raise SchemaError(
+            f"corpus field 'pairs' holds {info.file_size - header_size} data bytes,"
+            f" but its shape {shape} needs {data_size}"
+        )
+    fh.seek(start)
+    crc = zlib.crc32(fh.read(header_size))
+    rows = corpus_rows(n, dim)
+    pairs = pair_view(rows)
+    staging = np.empty((min(n, ROW_BLOCK), 2, dim))
+    finite = True
+    for first in range(0, n, ROW_BLOCK):
+        block = staging[: min(ROW_BLOCK, n - first)]
+        data = memoryview(block).cast("B")
+        if fh.readinto(data) != data.nbytes:
+            raise SchemaError("corpus field 'pairs' ends before its data does")
+        crc = zlib.crc32(data, crc)
+        finite = finite and bool(np.isfinite(block).all())
+        pairs[first : first + len(block)] = block
+    if crc != info.CRC:
+        raise SchemaError("corpus field 'pairs' fails its CRC-32 check: the file is damaged")
+    if not finite:
+        raise SchemaError("corpus field 'pairs' has a non-finite entry")
+    return rows
 
 
 def corpus_filename(edge: tuple[str, str]) -> str:

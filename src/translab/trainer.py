@@ -82,13 +82,13 @@ class EdgeFactor:
 
 
 def factor_corpus(corpus: AlignedCorpus) -> EdgeFactor:
-    """The ``EdgeFactor`` of a corpus: ``np.linalg.qr`` of its rows [x, y, 1]."""
+    """The ``EdgeFactor`` of a corpus: ``np.linalg.qr`` of Z = [x, y, 1], a copy of its pairs."""
     n, d = corpus.n, corpus.dim
-    rows = np.empty((n, 2 * d + 1))
-    rows[:, :d] = corpus.source_points
-    rows[:, d : 2 * d] = corpus.target_points
-    rows[:, 2 * d] = 1.0
-    r = np.linalg.qr(rows, mode="r")
+    z = np.empty((n, 2 * d + 1))
+    z[:, :d] = corpus.source_points
+    z[:, d : 2 * d] = corpus.target_points
+    z[:, 2 * d] = 1.0
+    r = np.linalg.qr(z, mode="r")
     r.setflags(write=False)
     return EdgeFactor(corpus.edge, n, r)
 
@@ -142,9 +142,14 @@ def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
     and ``targets`` are a stack of problems, solved as one stacked system;
     the ridge reaches only the slices past ``COND_LIMIT``. Each linear part
     is a transposed view of the solution, so it is Fortran-ordered, in a
-    stack as alone (see ``AffineMap``).
+    stack as alone (see ``AffineMap``). Fewer rows than columns is an
+    ``InsufficientDataError``.
     """
-    d = design.shape[-1] - 1
+    n, d = design.shape[-2], design.shape[-1] - 1
+    if n < d + 1:
+        raise InsufficientDataError(
+            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
+        )
     design_t = design.swapaxes(-1, -2)
     # Huge entries overflow the normal equations; report that instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,11 +181,7 @@ def fit_affine(
     maps and a list of losses, each bit for bit its corpus's alone. The ridge
     enters only if a slice needs it (see ``_least_squares``).
     """
-    n, d = points.shape[-2:]
-    if n < d + 1:
-        raise InsufficientDataError(
-            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
-        )
+    d = points.shape[-1]
     design = np.empty(points.shape[:-1] + (d + 1,))
     design[..., :d] = points
     design[..., d] = 1.0
@@ -190,8 +191,14 @@ def fit_affine(
 
 
 def fit_edge(corpus: AlignedCorpus) -> EdgeRegressionResult:
-    """Least-squares fit of the source-to-target composite map on one corpus."""
-    transform, loss = fit_affine(corpus.source_points, corpus.target_points)
+    """Least-squares fit of the source-to-target composite map on one corpus.
+
+    The design [x, 1] and the targets y are views of the corpus's rows, so
+    the fit copies no pairs; it is bit for bit ``fit_affine`` on them.
+    """
+    d = corpus.dim
+    transform = _least_squares(corpus.rows[:, : d + 1], corpus.rows[:, d + 1 :])
+    loss = _mean_squared_residual(transform, corpus.source_points, corpus.target_points)
     return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n)
 
 
@@ -212,8 +219,37 @@ def _mean_squared_residual(
         residual += transform.offset[..., None, :]
         residual -= targets[..., rows, :]
         np.square(residual, out=residual)
-        np.sum(residual, axis=-1, out=row_sums[..., rows])
+        _row_sums(residual, row_sums[..., rows])
     return np.mean(row_sums, axis=-1).tolist()
+
+
+def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1, out=out)`` bit for bit, as adds of whole columns.
+
+    numpy adds a row of w < 8 entries in order. Up to 128 entries it keeps 8
+    partial sums, of columns j, j + 8, ... for j < 8, up to the last multiple
+    of 8, combines them pairwise and adds the remaining columns in order. On
+    such short rows this is several times faster than numpy's loop over the
+    rows; longer rows, which numpy splits, are left to ``np.sum``.
+    """
+    w = a.shape[-1]
+    if w > 128:
+        return np.sum(a, axis=-1, out=out)
+    if w < 8:
+        np.copyto(out, a[..., 0])
+        done = 1
+    else:
+        done = w - w % 8
+        partial = a[..., :8].copy()
+        for j in range(8, done, 8):
+            partial += a[..., j : j + 8]
+        partial = partial[..., 0::2] + partial[..., 1::2]
+        partial = partial[..., 0::2] + partial[..., 1::2]
+        np.add(partial[..., 0], partial[..., 1], out=out)
+    for j in range(done, w):
+        out += a[..., j]
+    out += 0.0  # numpy's sums start from +0.0, so a row of -0.0 sums to +0.0
+    return out
 
 
 def _factor_losses(maps: AffineMap, factor: EdgeFactor) -> list[float]:

@@ -29,8 +29,10 @@ from translab.generative import (
     RandomizedCodec,
     TranslationGraph,
     _row_blocks,
+    corpus_rows,
     generate_pairs,
     latent_second_moment,
+    pair_view,
     randomized_generate,
     sample_randomized_codecs,
     six_language_demo_graph,
@@ -238,19 +240,27 @@ class TestGenerateCorpus:
 
 
 class TestAlignedCorpus:
-    def test_float64_pairs_are_taken_over_and_frozen(self):
-        pairs = np.zeros((3, 2, 2))
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_pairs_are_copied_into_read_only_rows(self, dtype):
+        pairs = np.arange(12, dtype=dtype).reshape(3, 2, 2)
         corpus = AlignedCorpus(("A", "B"), pairs, {})
-        assert corpus.pairs is pairs
-        assert not pairs.flags.writeable
-
-    def test_int_pairs_are_converted(self):
-        pairs = np.arange(12).reshape(3, 2, 2)
-        corpus = AlignedCorpus(("A", "B"), pairs, {})
-        assert corpus.pairs.dtype == np.float64
-        assert np.array_equal(corpus.pairs, pairs)
-        assert not corpus.pairs.flags.writeable
+        x, y = pairs[:, 0, :], pairs[:, 1, :]
+        assert np.array_equal(corpus.rows, np.hstack([x, np.ones((3, 1)), y]))
+        assert corpus.rows.dtype == np.float64 and not corpus.rows.flags.writeable
         assert pairs.flags.writeable
+        views = [(corpus.pairs, pairs), (corpus.source_points, x), (corpus.target_points, y)]
+        for view, want in views:
+            assert np.shares_memory(view, corpus.rows)
+            assert np.array_equal(view, want) and not view.flags.writeable
+        assert (corpus.n, corpus.dim) == (3, 2)
+
+    def test_of_rows_takes_the_rows_without_a_copy(self):
+        rows = corpus_rows(4, 3)
+        pair_view(rows)[...] = np.arange(24.0).reshape(4, 2, 3)
+        corpus = AlignedCorpus.of_rows(("A", "B"), rows, {"n": 4})
+        assert corpus.rows is rows and not rows.flags.writeable
+        assert np.array_equal(corpus.pairs, np.arange(24.0).reshape(4, 2, 3))
+        assert np.array_equal(rows[:, 3], np.ones(4))
 
 
 class TestRandomizedGenerate:

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import zipfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -616,6 +617,78 @@ class TestCorpusFiles:
             io.load_corpus(path)
         message = str(info.value)
         assert str(path) in message and f"'{field}'" in message and expected in message
+
+    @pytest.mark.parametrize("layout", ["compressed", "fortran", "int64", "float32", ">f8"])
+    def test_layout_the_writer_does_not_write_is_schema_error(self, tmp_path, layout):
+        path, fields = self._saved(tmp_path)
+        pairs, save = fields["pairs"], np.savez
+        if layout == "compressed":
+            save = np.savez_compressed
+        elif layout == "fortran":
+            fields["pairs"] = np.asfortranarray(pairs)
+        else:
+            fields["pairs"] = pairs.astype(layout)
+        save(path, **fields)
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        assert str(info.value).startswith(f"{path}: corpus field 'pairs'")
+
+    @pytest.mark.parametrize("field", ["pairs", "edge", "meta"])
+    def test_member_flagged_encrypted_is_schema_error(self, tmp_path, field):
+        path, _fields = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # The last copy of the name is in the central directory, 46 bytes
+        # into its entry; bit 0 of the flags at byte 8 marks encryption.
+        entry = raw.rindex(f"{field}.npy".encode()) - 46
+        assert raw[entry : entry + 4] == b"PK\x01\x02"
+        raw[entry + 8] |= 1
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        assert str(info.value).startswith(f"{path}: corpus field '{field}'")
+
+    @pytest.mark.parametrize("n", [10, 10**6, 10**13])
+    def test_header_claiming_more_pairs_than_stored_is_schema_error(self, tmp_path, n):
+        # A 4-pair member whose header claims n pairs is rejected before
+        # anything is allocated: 10**13 pairs would need 437 TiB.
+        path = tmp_path / io.corpus_filename(("A", "B"))
+        header = {"descr": "<f8", "fortran_order": False, "shape": (n, 2, 3)}
+        with zipfile.ZipFile(path, "w") as npz:
+            with npz.open("pairs.npy", "w") as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(np.zeros((4, 2, 3)).tobytes())
+            for name, value in (("edge", np.array(["A", "B"])), ("meta", np.array("{}"))):
+                with npz.open(f"{name}.npy", "w") as member:
+                    np.lib.format.write_array(member, value)
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        assert str(info.value).startswith(f"{path}: corpus field 'pairs'")
+
+    def test_flipped_bit_in_the_pairs_fails_the_crc_check(self, tmp_path):
+        path, fields = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # The lowest mantissa bit of one entry: the value stays finite.
+        raw[raw.index(fields["pairs"].tobytes()) + 8 * 5] ^= 1
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        message = str(info.value)
+        assert str(path) in message and "'pairs'" in message and "CRC-32" in message
+
+    @pytest.mark.parametrize("where", ["npy header", "pairs data", "central directory"])
+    def test_file_cut_short_is_schema_error(self, tmp_path, where):
+        path, fields = self._saved(tmp_path)
+        raw = path.read_bytes()
+        data = raw.index(fields["pairs"].tobytes())
+        cut = {
+            "npy header": data - 20,
+            "pairs data": data + 100,
+            "central directory": raw.index(b"PK\x01\x02") + 10,
+        }[where]
+        path.write_bytes(raw[:cut])
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        assert str(path) in str(info.value)
 
     def test_missing_field_is_schema_error(self, tmp_path):
         path, fields = self._saved(tmp_path)

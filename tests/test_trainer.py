@@ -232,6 +232,19 @@ class TestFitEdge:
         expected = np.mean(np.sum((fitted - y) ** 2, axis=-1), axis=-1)
         assert_same_bits(np.array(trainer._mean_squared_residual(transform, x, y)), expected)
 
+    @pytest.mark.parametrize("width", [*range(1, 25), 129, 300])
+    def test_row_sums_match_np_sum_bitwise(self, width):
+        # Magnitudes over 16 decades: any other order of the adds shows in
+        # the bits, as adding the first column to the sum of the rest does
+        # from width 3.
+        rng = np.random.default_rng(width)
+        shape = (2, 300, width)
+        a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        a[0, 0] = -0.0
+        out = np.empty(shape[:-1])
+        assert trainer._row_sums(a, out) is out
+        assert_same_bits(out, np.sum(a, axis=-1))
+
     def test_first_order_optimality(self):
         _g, _c, corpora, _ = chain_setup(sigma=0.1, nuisance=1, n=60, seed=3)
         corpus = corpora[0]
