@@ -26,11 +26,11 @@ from .generative import (
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
-    generate_pairs,
+    generate_rows,
     latent_second_moment,
 )
 from .seeding import derive_seed
-from .trainer import EncoderEstimate, fit_affine
+from .trainer import EncoderEstimate, fit_rows
 
 
 #: Most pairs whose population losses ``verify_chain_bound`` stacks at once.
@@ -296,9 +296,9 @@ def sample_complexity_sweep(
     rows = []
     for n in n_list:
         seeds = [derive_seed(seed, "sweep-train", n, trial) for trial in range(trials)]
-        pairs = generate_pairs(edge, codecs, n, sampler, seeds)
-        fitted, empirical = fit_affine(pairs[..., 0, :], pairs[..., 1, :])
-        del pairs  # freed before the next size is drawn
+        stack = generate_rows(edge, codecs, n, sampler, seeds)
+        fitted, empirical = fit_rows(stack)
+        del stack  # freed before the next size is drawn
         population = _affine_losses(fitted, src, dst, sampler.radius, target_noise=True)
         for trial, (emp, pop) in enumerate(zip(empirical, population)):
             rows.append(SweepRow(int(n), trial, emp, pop, abs(pop - emp)))

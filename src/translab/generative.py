@@ -36,14 +36,14 @@ NOISE_VARIANCE = 1.0 - (
 ) / math.erf(NOISE_CUTOFF / math.sqrt(2.0))
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of ``ROW_BLOCK`` rows covering ``range(n)`` in order; the last has the rest.
+def _row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
+    """Slices of ``size`` >= 2 rows covering ``range(n)`` in order; the last has the rest.
 
     A 1-row remainder joins the block before it: a one-row product takes
     BLAS's matrix-vector path, which rounds differently from the matrix
     product of the whole array. So a block holds one row only when n == 1.
     """
-    stops = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n]
+    stops = [*range(size, n - 1, size), n]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
@@ -380,63 +380,57 @@ def six_language_demo_graph(samples_per_edge: int = 200) -> TranslationGraph:
 # Corpora
 
 
-def corpus_rows(n: int, dim: int) -> np.ndarray:
-    """An (n, 2 * dim + 1) array for the rows [x, 1, y] of n pairs, its constant column set."""
-    rows = np.empty((n, 2 * dim + 1))
-    rows[:, dim] = 1.0
+def corpus_rows(shape: tuple[int, ...], dim: int) -> np.ndarray:
+    """An array of ``shape`` rows [x, 1, y] of width 2 * dim + 1, its constant column set."""
+    rows = np.empty((*shape, 2 * dim + 1))
+    rows[..., dim] = 1.0
     return rows
 
 
 def pair_view(rows: np.ndarray) -> np.ndarray:
-    """The (n, 2, dim) pairs (x, y) inside rows [x, 1, y], as a view that writes through."""
-    dim = (rows.shape[1] - 1) // 2
+    """The (..., n, 2, dim) pairs (x, y) inside rows [x, 1, y], as a view that writes through."""
+    dim = (rows.shape[-1] - 1) // 2
     step = rows.itemsize
     return np.lib.stride_tricks.as_strided(
         rows,
-        (rows.shape[0], 2, dim),
-        (rows.strides[0], (dim + 1) * step, step),
+        (*rows.shape[:-1], 2, dim),
+        (*rows.strides[:-1], (dim + 1) * step, step),
         writeable=rows.flags.writeable,
     )
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class AlignedCorpus:
     """n aligned sentence pairs for one edge, plus generator metadata.
 
-    The corpus owns one read-only float64 array, ``rows`` = [x, 1, y] of
-    shape (n, 2 * dim + 1): source point, a constant 1, target point. Its
+    The corpus owns ``rows`` = [x, 1, y], a float64 array of shape
+    (n, 2 * dim + 1): source point, a constant 1, target point, filled
+    elsewhere (``corpus_rows``) and made read-only here, not copied. Its
     first dim + 1 columns are a least-squares design and the rest its
     targets, so a fit reads them as they are; ``pairs`` (n, 2, dim),
-    ``source_points`` and ``target_points`` are views of it. The constructor
-    copies ``pairs`` into new rows; ``of_rows`` takes rows filled elsewhere.
+    ``source_points`` and ``target_points`` are views of it.
     """
 
     edge: tuple[str, str]
     rows: np.ndarray
     meta: Mapping[str, object]
 
-    def __init__(self, edge: tuple[str, str], pairs, meta: Mapping[str, object]):
-        pairs = np.asarray(pairs)
-        if pairs.ndim != 3 or pairs.shape[1] != 2:
-            raise ValueError(f"pairs must have shape (n, 2, dim), got {pairs.shape}")
-        rows = corpus_rows(pairs.shape[0], pairs.shape[2])
-        pair_view(rows)[...] = pairs
-        self._take(edge, rows, meta)
-
-    @classmethod
-    def of_rows(
-        cls, edge: tuple[str, str], rows: np.ndarray, meta: Mapping[str, object]
-    ) -> "AlignedCorpus":
-        """The corpus whose rows [x, 1, y] are ``rows`` (from ``corpus_rows``), without a copy."""
-        corpus = object.__new__(cls)
-        corpus._take(edge, rows, meta)
-        return corpus
-
-    def _take(self, edge, rows: np.ndarray, meta) -> None:
+    def __post_init__(self):
+        rows = self.rows
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == np.float64
+            and rows.ndim == 2
+            and rows.shape[1] >= 3
+            and rows.shape[1] % 2 == 1
+        ):
+            raise ValueError(
+                "rows must be a float64 (n, 2 * dim + 1) array with dim >= 1,"
+                f" got shape {np.shape(rows)} of {getattr(rows, 'dtype', type(rows).__name__)}"
+            )
         rows.setflags(write=False)
-        object.__setattr__(self, "edge", tuple(edge))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "meta", dict(meta))
+        object.__setattr__(self, "edge", tuple(self.edge))
+        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def n(self) -> int:
@@ -525,14 +519,14 @@ class EdgeDraws:
             yield self.decode(rows, block[: rows.stop - rows.start])
 
 
-def generate_pairs(
+def generate_rows(
     edge: tuple[str, str],
     codecs: Mapping[str, RandomizedCodec],
     n: int,
     sampler: LatentSampler,
     seeds: Sequence[int],
 ) -> np.ndarray:
-    """Aligned pairs for each seed, as one (len(seeds), n, 2, dim) array.
+    """Aligned pairs for each seed, as rows [x, 1, y] in one (len(seeds), n, 2 * dim + 1) array.
 
     Each seed's ``EdgeDraws`` are decoded straight into its slice, one row
     block at a time, so no more than one seed's draws are held besides the
@@ -541,13 +535,14 @@ def generate_pairs(
     codec, _ = _edge_codecs(edge, codecs)
     if n < 1:
         raise ValueError("n must be at least 1")
-    pairs = np.empty((len(seeds), n, 2, codec.decoder.dim))
+    rows = corpus_rows((len(seeds), n), codec.decoder.dim)
     draws = EdgeDraws(n, sampler.dim, codec.nuisance_dim)
+    pairs = pair_view(rows)
     for i, seed in enumerate(seeds):
         draws.draw(edge, codecs, n, sampler, seed)
-        for rows in _row_blocks(n):
-            draws.decode(rows, pairs[i, rows])
-    return pairs
+        for block in _row_blocks(n):
+            draws.decode(block, pairs[i, block])
+    return rows
 
 
 def corpus_meta(
@@ -580,7 +575,7 @@ def randomized_generate(
 ) -> AlignedCorpus:
     """Decode n shared latents with independent noise seeds per side.
 
-    The pairs are ``generate_pairs`` for the one seed.
+    The rows are ``generate_rows`` for the one seed.
     """
-    pairs = generate_pairs(edge, codecs, n, sampler, [seed])[0]
-    return AlignedCorpus(edge, pairs, corpus_meta(edge, codecs, n, sampler, seed))
+    rows = generate_rows(edge, codecs, n, sampler, [seed])[0]
+    return AlignedCorpus(edge, rows, corpus_meta(edge, codecs, n, sampler, seed))

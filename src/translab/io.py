@@ -526,7 +526,7 @@ def load_corpus(path) -> AlignedCorpus:
                 if not isinstance(meta, dict):
                     raise SchemaError("corpus field 'meta' must be a JSON object")
                 rows = _read_rows(fh, npz)
-        return AlignedCorpus.of_rows(edge, rows, meta)
+        return AlignedCorpus(edge, rows, meta)
 
 
 def _small_field(npz: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -595,7 +595,7 @@ def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
         )
     fh.seek(start)
     crc = zlib.crc32(fh.read(header_size))
-    rows = corpus_rows(n, dim)
+    rows = corpus_rows((n,), dim)
     pairs = pair_view(rows)
     staging = np.empty((min(n, ROW_BLOCK), 2, dim))
     finite = True

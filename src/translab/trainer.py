@@ -26,6 +26,7 @@ refinement ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -39,7 +40,7 @@ from .errors import (
     InsufficientDataError,
     InternalConsistencyError,
 )
-from .generative import AlignedCorpus, TranslationGraph, _row_blocks
+from .generative import ROW_BLOCK, AlignedCorpus, TranslationGraph, _row_blocks
 
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
@@ -82,15 +83,17 @@ class EdgeFactor:
 
 
 def factor_corpus(corpus: AlignedCorpus) -> EdgeFactor:
-    """The ``EdgeFactor`` of a corpus: ``np.linalg.qr`` of Z = [x, y, 1], a copy of its pairs."""
-    n, d = corpus.n, corpus.dim
-    z = np.empty((n, 2 * d + 1))
-    z[:, :d] = corpus.source_points
-    z[:, d : 2 * d] = corpus.target_points
-    z[:, 2 * d] = 1.0
+    """The ``EdgeFactor`` of a corpus: ``np.linalg.qr`` of Z = [x, y, 1].
+
+    Z is one column gather of the rows [x, 1, y]. The copy is needed: a QR
+    of the rows in their own order gives a different R, and a different R
+    rounds refinement's losses, and so its accepted rungs, differently.
+    """
+    d = corpus.dim
+    z = corpus.rows[:, np.r_[:d, d + 1 : 2 * d + 1, d]]
     r = np.linalg.qr(z, mode="r")
     r.setflags(write=False)
-    return EdgeFactor(corpus.edge, n, r)
+    return EdgeFactor(corpus.edge, corpus.n, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,34 +174,23 @@ def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
     return AffineMap(theta[..., :d, :].swapaxes(-1, -2), theta[..., d, :])
 
 
-def fit_affine(
-    points: np.ndarray, targets: np.ndarray
-) -> tuple[AffineMap, float | list[float]]:
-    """The least-squares affine map from points to targets, and its mean squared residual.
+def fit_rows(rows: np.ndarray) -> tuple[AffineMap, float | list[float]]:
+    """The least-squares affine map from x to y on rows [x, 1, y], and its mean squared residual.
 
-    ``points`` (..., n, d) and ``targets`` (..., n, D) may carry leading stack
-    axes, one corpus per slice, fitted and scored as one stack: a stack of
-    maps and a list of losses, each bit for bit its corpus's alone. The ridge
-    enters only if a slice needs it (see ``_least_squares``).
+    The design [x, 1] and the targets y are views of ``rows`` (..., n,
+    2 * dim + 1), so the fit copies no pairs. Leading stack axes hold one
+    corpus per slice, fitted and scored as one stack: a stack of maps and a
+    list of losses, each bit for bit its corpus's alone. The ridge enters
+    only if a slice needs it (see ``_least_squares``).
     """
-    d = points.shape[-1]
-    design = np.empty(points.shape[:-1] + (d + 1,))
-    design[..., :d] = points
-    design[..., d] = 1.0
-    transform = _least_squares(design, targets)
-    del design  # so the design and the residual are never held at once
-    return transform, _mean_squared_residual(transform, points, targets)
+    d = (rows.shape[-1] - 1) // 2
+    transform = _least_squares(rows[..., : d + 1], rows[..., d + 1 :])
+    return transform, _mean_squared_residual(transform, rows[..., :d], rows[..., d + 1 :])
 
 
 def fit_edge(corpus: AlignedCorpus) -> EdgeRegressionResult:
-    """Least-squares fit of the source-to-target composite map on one corpus.
-
-    The design [x, 1] and the targets y are views of the corpus's rows, so
-    the fit copies no pairs; it is bit for bit ``fit_affine`` on them.
-    """
-    d = corpus.dim
-    transform = _least_squares(corpus.rows[:, : d + 1], corpus.rows[:, d + 1 :])
-    loss = _mean_squared_residual(transform, corpus.source_points, corpus.target_points)
+    """Least-squares fit of the source-to-target composite map on one corpus: ``fit_rows``."""
+    transform, loss = fit_rows(corpus.rows)
     return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n)
 
 
@@ -211,10 +203,13 @@ def _mean_squared_residual(
     ``transform``, slice j scores map j on corpus j, bit for bit as alone.
     """
     # Row sums of the out-of-place (T(x) - y)**2, in place a row block at a
-    # time; the one mean over all of them keeps the whole-array bits.
+    # time; the one mean over all of them keeps the whole-array bits. A
+    # block spans every corpus of a stack, so it has about ``ROW_BLOCK``
+    # rows in all (at least 2 per corpus) and stays small beside the stack.
     row_sums = np.empty(points.shape[:-1])
     linear_t = transform.linear.swapaxes(-1, -2)
-    for rows in _row_blocks(points.shape[-2]):
+    block = max(ROW_BLOCK // math.prod(points.shape[:-2]), 2)
+    for rows in _row_blocks(points.shape[-2], block):
         residual = points[..., rows, :] @ linear_t
         residual += transform.offset[..., None, :]
         residual -= targets[..., rows, :]

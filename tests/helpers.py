@@ -17,8 +17,10 @@ from translab.affine import AffineMap
 from translab.generative import (
     NOISE_CUTOFF,
     NOISE_VARIANCE,
+    AlignedCorpus,
     FunctionClassSpec,
     TranslationGraph,
+    corpus_rows,
     latent_second_moment,
     randomized_generate,
     sample_randomized_codecs,
@@ -345,7 +347,7 @@ def out_of_place_latent_sample(dim, radius, seed, m):
 
 
 def whole_array_pairs(edge, codecs, n, sampler, seed) -> np.ndarray:
-    """``generate_pairs(edge, codecs, n, sampler, [seed])[0]``, decoded as whole arrays.
+    """Pairs of ``generate_rows(edge, codecs, n, sampler, [seed])[0]``, decoded as whole arrays.
 
     The latents come from ``out_of_place_latent_sample`` and the noise seeds
     from the out-of-place inverse CDF, in the generator's stream order; each
@@ -360,6 +362,21 @@ def whole_array_pairs(edge, codecs, n, sampler, seed) -> np.ndarray:
     lo, hi = ndtr(-NOISE_CUTOFF), ndtr(NOISE_CUTOFF)
     seeds = [ndtri(lo + (hi - lo) * rng.random((n, codecs[lang].nuisance_dim))) for lang in edge]
     return np.stack([codecs[lang].decode(z, r) for lang, r in zip(edge, seeds)], axis=1)
+
+
+def rows_of_pairs(pairs) -> np.ndarray:
+    """New rows [x, 1, y] (``corpus_rows``) holding ``pairs`` (..., n, 2, dim), stack axes kept."""
+    pairs = np.asarray(pairs)
+    d = pairs.shape[-1]
+    rows = corpus_rows(pairs.shape[:-2], d)
+    rows[..., :d] = pairs[..., 0, :]
+    rows[..., d + 1 :] = pairs[..., 1, :]
+    return rows
+
+
+def corpus_of_pairs(pairs, edge=("A", "B"), meta=None) -> AlignedCorpus:
+    """The corpus of ``edge`` whose rows hold a copy of ``pairs`` (n, 2, dim)."""
+    return AlignedCorpus(edge, rows_of_pairs(pairs), {} if meta is None else meta)
 
 
 def savez_corpus(corpus, path) -> None:

@@ -20,13 +20,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import WORST_CASE_DEFECTS, damaged_instance_documents, savez_corpus
+from helpers import (
+    WORST_CASE_DEFECTS,
+    corpus_of_pairs,
+    damaged_instance_documents,
+    savez_corpus,
+)
 from translab import cli, io, trainer
-from translab.evaluation import shortest_path_and_diameter
+from translab.evaluation import sample_complexity_sweep, shortest_path_and_diameter
 from translab.errors import DomainError
 from translab.generative import (
     ROW_BLOCK,
-    AlignedCorpus,
     EdgeDraws,
     FunctionClassSpec,
     LatentSampler,
@@ -716,7 +720,7 @@ class TestPipeline:
         io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 20),)), graph_path)
         path = tmp_path / io.corpus_filename(("L0", "L1"))
         pairs = np.random.default_rng(0).random((20, 2, 2)) * 1e200
-        io.save_corpus(AlignedCorpus(("L0", "L1"), pairs, {}), path)
+        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1")), path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(
@@ -762,7 +766,7 @@ class TestPipeline:
         x = rng.integers(-5, 6, (50, 3)) * 1e3
         x[:, 1] = x[:, 0]
         pairs = np.stack([x, rng.standard_normal((50, 3))], axis=1)
-        io.save_corpus(AlignedCorpus(("L0", "L1"), pairs, {}), path)
+        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1")), path)
         code, stdout, err = run_cli(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
              "--out", str(tmp_path / "run")],
@@ -1188,6 +1192,35 @@ class TestStreamingMemory:
              "--out", str(out), "--sweeps", "1"]
         )
         assert refine_peak < 4.0
+
+
+class TestSweepMemory:
+    """One ``sample_complexity_sweep`` holds about one size's stacked rows at a time.
+
+    The peak is traced numpy and Python allocations, in units of the largest
+    size's rows [x, 1, y] for all its trials. It reads about 1.06: those rows,
+    the residual's row sums and one residual block of ``ROW_BLOCK`` rows
+    across the trials. Scoring ``ROW_BLOCK`` rows of every trial at once
+    read 1.26, and drawing the pairs as a (T, n, 2, D) stack and fitting
+    from an [x, 1] copy of it read 1.48.
+    """
+
+    DIM, NUISANCE, TRIALS, SIZES = 8, 2, 20, (5_000, 10_000, 20_000)
+
+    def test_sweep_peak(self):
+        spec = FunctionClassSpec(dim=self.DIM)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, self.NUISANCE, 0.1, seed=3)))
+        sampler = LatentSampler(self.DIM, spec.radius, seed=3)
+        sample_complexity_sweep(("A", "B"), codecs, [16, 32], 5, sampler, 3)  # imports
+        tracemalloc.start()
+        try:
+            sample_complexity_sweep(("A", "B"), codecs, self.SIZES, self.TRIALS, sampler, 3)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        width = 2 * (self.DIM + self.NUISANCE) + 1
+        ratio = peak / (self.TRIALS * self.SIZES[-1] * width * 8)
+        assert ratio < 1.2, f"traced sweep peak is {ratio:.3f}x the largest size's rows"
 
 
 class TestGeneratePipeline:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_same_bits,
     composite,
     encoder_map,
     lexicographic_shortest_path,
@@ -32,15 +33,18 @@ from translab.evaluation import (
 )
 from translab.generative import (
     NOISE_VARIANCE,
+    ROW_BLOCK,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
     _truncated_normal,
     latent_second_moment,
+    randomized_generate,
     sample_randomized_codecs,
     six_language_demo_graph,
 )
+from translab.seeding import derive_seed
 from translab.trainer import EncoderEstimate, anchor_spanning_tree, fit_edge
 from test_trainer import chain_setup
 
@@ -535,6 +539,26 @@ class TestSweep:
             for got_value, want_value in zip(got_row[2:], want_row[2:]):
                 assert got_value.hex() == want_value.hex()
         assert result.degenerate == (sigma == 0.0)
+
+    def test_each_trial_fits_exactly_its_randomized_generate_rows(self, monkeypatch):
+        spec = FunctionClassSpec(dim=2)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 1, 0.1, seed=4)))
+        sampler = LatentSampler(2, 1.0, seed=4)
+        fitted, fit_rows = [], evaluation.fit_rows
+
+        def recording_fit_rows(rows):
+            fitted.append(rows.copy())
+            return fit_rows(rows)
+
+        monkeypatch.setattr(evaluation, "fit_rows", recording_fit_rows)
+        n_list = [8, ROW_BLOCK + 1]
+        sample_complexity_sweep(("A", "B"), codecs, n_list, 5, sampler, seed=9)
+        assert [rows.shape for rows in fitted] == [(5, n, 7) for n in n_list]
+        for n, rows in zip(n_list, fitted):
+            for trial in range(5):
+                seed = derive_seed(9, "sweep-train", n, trial)
+                corpus = randomized_generate(("A", "B"), codecs, n, sampler, seed)
+                assert_same_bits(rows[trial], corpus.rows)
 
     def test_one_solve_and_one_loss_stack_per_size(self, monkeypatch):
         spec = FunctionClassSpec(dim=1)

@@ -1,6 +1,7 @@
 """Tests for codecs, latent sampling, corpora, and the exact moment checks."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     affine_moments,
     assert_same_bits,
+    corpus_of_pairs,
     encode,
     encoder_map,
     invariance_gap,
@@ -30,7 +32,7 @@ from translab.generative import (
     TranslationGraph,
     _row_blocks,
     corpus_rows,
-    generate_pairs,
+    generate_rows,
     latent_second_moment,
     pair_view,
     randomized_generate,
@@ -243,7 +245,7 @@ class TestAlignedCorpus:
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     def test_pairs_are_copied_into_read_only_rows(self, dtype):
         pairs = np.arange(12, dtype=dtype).reshape(3, 2, 2)
-        corpus = AlignedCorpus(("A", "B"), pairs, {})
+        corpus = corpus_of_pairs(pairs)
         x, y = pairs[:, 0, :], pairs[:, 1, :]
         assert np.array_equal(corpus.rows, np.hstack([x, np.ones((3, 1)), y]))
         assert corpus.rows.dtype == np.float64 and not corpus.rows.flags.writeable
@@ -254,13 +256,35 @@ class TestAlignedCorpus:
             assert np.array_equal(view, want) and not view.flags.writeable
         assert (corpus.n, corpus.dim) == (3, 2)
 
-    def test_of_rows_takes_the_rows_without_a_copy(self):
-        rows = corpus_rows(4, 3)
+    def test_takes_the_rows_without_a_copy(self):
+        rows = corpus_rows((4,), 3)
         pair_view(rows)[...] = np.arange(24.0).reshape(4, 2, 3)
-        corpus = AlignedCorpus.of_rows(("A", "B"), rows, {"n": 4})
+        corpus = AlignedCorpus(("A", "B"), rows, {"n": 4})
         assert corpus.rows is rows and not rows.flags.writeable
         assert np.array_equal(corpus.pairs, np.arange(24.0).reshape(4, 2, 3))
         assert np.array_equal(rows[:, 3], np.ones(4))
+        assert corpus.edge == ("A", "B") and corpus.meta == {"n": 4}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((4, 2, 3)),  # pairs, not rows
+            np.zeros((4, 12)),  # even width: no dim fits it
+            np.zeros((4, 1)),  # dim 0
+            np.zeros((4, 7), dtype=np.float32),
+            np.zeros((4, 7), dtype=np.int64),
+            np.zeros(7),
+        ],
+        ids=["pairs", "even width", "width 1", "float32", "int64", "1-D"],
+    )
+    def test_anything_but_float64_rows_of_odd_width_is_a_value_error(self, rows):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {rows.shape}")):
+            AlignedCorpus(("A", "B"), rows, {})
+        assert rows.flags.writeable
+
+    def test_a_list_is_a_value_error(self):
+        with pytest.raises(ValueError, match=re.escape("got shape (1, 3)")):
+            AlignedCorpus(("A", "B"), [[1.0, 1.0, 2.0]], {})
 
 
 class TestRandomizedGenerate:
@@ -345,46 +369,49 @@ class TestRowBlocks:
     @pytest.mark.parametrize(
         "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 2 * ROW_BLOCK + 1, 5 * ROW_BLOCK + 3]
     )
-    def test_blocks_cover_the_rows_and_hold_one_row_only_when_n_is_1(self, n):
-        blocks = [range(n)[rows] for rows in _row_blocks(n)]
+    @pytest.mark.parametrize("size", [ROW_BLOCK, 2, 3, 512])
+    def test_blocks_cover_the_rows_and_hold_one_row_only_when_n_is_1(self, n, size):
+        blocks = [range(n)[rows] for rows in _row_blocks(n, size)]
         assert [i for block in blocks for i in block] == list(range(n))
-        assert all(len(block) <= ROW_BLOCK + 1 for block in blocks)
+        assert all(len(block) <= size + 1 for block in blocks)
         assert n == 1 or all(len(block) > 1 for block in blocks)
 
     @pytest.mark.parametrize("setting", SETTINGS.values(), ids=SETTINGS.keys())
     @pytest.mark.parametrize(
         "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
     )
-    def test_pairs_match_the_whole_array_decode_bitwise(self, setting, n):
+    def test_rows_match_the_whole_array_decode_bitwise(self, setting, n):
         dim, nuisance_dim, sigma = setting
         codecs = self._codecs(dim, nuisance_dim, sigma)
         sampler = LatentSampler(dim, 1.0, seed=5)
-        pairs = generate_pairs(("A", "B"), codecs, n, sampler, [7])[0]
-        assert_same_bits(pairs, whole_array_pairs(("A", "B"), codecs, n, sampler, 7))
+        rows = generate_rows(("A", "B"), codecs, n, sampler, [7])
+        assert rows.shape == (1, n, 2 * (dim + nuisance_dim) + 1)
+        assert np.all(rows[0, :, dim + nuisance_dim] == 1.0)
+        assert_same_bits(pair_view(rows[0]), whole_array_pairs(("A", "B"), codecs, n, sampler, 7))
 
     @pytest.mark.parametrize("nuisance_dim, sigma, limit", [(0, 0.0, 1.5), (1, 0.05, 2.0)])
-    def test_traced_peak_is_the_pairs_and_the_latents(self, nuisance_dim, sigma, limit):
+    def test_traced_peak_is_the_rows_and_the_latents(self, nuisance_dim, sigma, limit):
         # numpy reports its data buffers to tracemalloc, so the traced peak
-        # past the returned pairs counts the latents, the noise seeds and
+        # past the returned rows counts the latents, the noise seeds and
         # whatever temporaries the draws and the decode make.
         n, dim = 8 * ROW_BLOCK + 1, 6
         codecs = self._codecs(dim, nuisance_dim, sigma)
         sampler = LatentSampler(dim, 1.0, seed=5)
-        generate_pairs(("A", "B"), codecs, 2, sampler, [0])  # imports outside the trace
+        generate_rows(("A", "B"), codecs, 2, sampler, [0])  # imports outside the trace
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            pairs = generate_pairs(("A", "B"), codecs, n, sampler, [7])
+            rows = generate_rows(("A", "B"), codecs, n, sampler, [7])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:
                 tracemalloc.stop()
         latent_bytes = n * dim * np.dtype(np.float64).itemsize
-        ratio = (peak - pairs.nbytes) / latent_bytes
-        assert ratio <= limit, f"traced peak past the pairs is {ratio:.2f}x the latents"
+        ratio = (peak - rows.nbytes) / latent_bytes
+        assert ratio <= limit, f"traced peak past the rows is {ratio:.2f}x the latents"
 
 
 class TestInvariance:

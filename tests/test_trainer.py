@@ -14,12 +14,14 @@ from helpers import (
     apply,
     assert_same_bits,
     composite,
+    corpus_of_pairs,
     empirical_edge_loss,
     encoder_map,
     lexicographic_shortest_path,
     max_entry_difference,
     out_of_place_fit_edge,
     random_connected_graph,
+    rows_of_pairs,
     scalar_factor_loss,
     total_edge_loss,
     with_gauge,
@@ -37,7 +39,7 @@ from translab.generative import (
     FunctionClassSpec,
     LatentSampler,
     TranslationGraph,
-    generate_pairs,
+    generate_rows,
     randomized_generate,
     sample_randomized_codecs,
 )
@@ -46,8 +48,8 @@ from translab.trainer import (
     EncoderEstimate,
     anchor_spanning_tree,
     factor_corpus,
-    fit_affine,
     fit_edge,
+    fit_rows,
     joint_refine,
 )
 
@@ -176,7 +178,7 @@ class TestFitEdge:
     def test_one_dimensional_closed_form(self):
         # pairs (1, 2), (2, 4), (0, 0): exact fit is scale 2, offset 0
         pairs = np.array([[[1.0], [2.0]], [[2.0], [4.0]], [[0.0], [0.0]]])
-        corpus = AlignedCorpus(("A", "B"), pairs, {})
+        corpus = corpus_of_pairs(pairs)
         result = fit_edge(corpus)
         assert result.transform.linear[0, 0] == pytest.approx(2.0, abs=1e-10)
         assert result.transform.offset[0] == pytest.approx(0.0, abs=1e-10)
@@ -184,7 +186,7 @@ class TestFitEdge:
 
     def test_insufficient_data(self):
         pairs = np.zeros((2, 2, 2))
-        corpus = AlignedCorpus(("A", "B"), pairs, {})
+        corpus = corpus_of_pairs(pairs)
         with pytest.raises(InsufficientDataError):
             fit_edge(corpus)
 
@@ -216,6 +218,8 @@ class TestFitEdge:
             ((), 70_001, 3),
             ((2,), 70_001, 3),
             ((8,), 2 * ROW_BLOCK + 1, 6),  # a 1-row remainder joins the last block
+            ((2, 3), 2 * ROW_BLOCK + 1, 2),  # blocks of ROW_BLOCK // 6 rows per corpus
+            ((3000,), 7, 6),  # blocks of 2 rows per corpus, and a 3-row last one
         ],
     )
     def test_row_block_residual_matches_the_whole_array_formula_bitwise(self, stack, n, d):
@@ -274,7 +278,7 @@ class TestFitEdge:
             return conds[-1]
 
         monkeypatch.setattr(np.linalg, "cond", recorded_cond)
-        result = fit_edge(AlignedCorpus(("A", "B"), np.stack([x, y], axis=1), {}))
+        result = fit_edge(corpus_of_pairs(np.stack([x, y], axis=1)))
         assert conds[-1] > trainer.COND_LIMIT  # the ridge branch was taken
         assert np.all(np.isfinite(result.transform.linear))
         assert np.all(np.isfinite(result.transform.offset))
@@ -292,11 +296,11 @@ class TestFitEdge:
         x[:, 1] = x[:, 0]
         pairs = np.stack([x, rng.standard_normal((50, 3))], axis=1)
         with pytest.raises(ConditioningError, match="singular even with ridge"):
-            fit_edge(AlignedCorpus(("A", "B"), pairs, {}))
+            fit_edge(corpus_of_pairs(pairs))
 
 
 class TestStackedFit:
-    """T corpora fitted as one stack against T ``fit_edge`` calls."""
+    """T corpora's rows fitted as one stack against T ``fit_edge`` calls."""
 
     @pytest.mark.parametrize(
         "d, nuisance, sigma, n", [(1, 1, 0.05, 32), (3, 1, 0.1, 200), (2, 0, 0.0, 9)]
@@ -305,11 +309,11 @@ class TestStackedFit:
         spec = FunctionClassSpec(d)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, nuisance, sigma, 5)))
         sampler = LatentSampler(d, 1.0, 5)
-        pairs = generate_pairs(("A", "B"), codecs, n, sampler, range(6))
-        maps, losses = fit_affine(pairs[..., 0, :], pairs[..., 1, :])
+        rows = generate_rows(("A", "B"), codecs, n, sampler, range(6))
+        maps, losses = fit_rows(rows)
         assert maps.linear.shape == (6, d + nuisance, d + nuisance) and len(losses) == 6
         for t in range(6):
-            want = fit_edge(AlignedCorpus(("A", "B"), pairs[t], {}))
+            want = fit_edge(AlignedCorpus(("A", "B"), rows[t], {}))
             got = maps[t]
             assert got.linear.tobytes() == want.transform.linear.tobytes()
             assert got.offset.tobytes() == want.transform.offset.tobytes()
@@ -321,9 +325,12 @@ class TestStackedFit:
         rng = np.random.default_rng(11)
         pairs = rng.standard_normal((3, 40, 2, 2))
         pairs[1, :, 0, 1] = 0.0  # corpus 1's second source coordinate never varies
-        maps, _losses = fit_affine(pairs[..., 0, :], pairs[..., 1, :])
+        maps, _losses = fit_rows(rows_of_pairs(pairs))
         for t in range(3):
-            corpus = AlignedCorpus(("A", "B"), pairs[t], {})
+            corpus = corpus_of_pairs(pairs[t])
+            alone = fit_edge(corpus).transform
+            assert maps[t].linear.tobytes() == alone.linear.tobytes()
+            assert maps[t].offset.tobytes() == alone.offset.tobytes()
             ridged, _ = out_of_place_fit_edge(corpus, ridge=trainer.RIDGE)
             assert np.array_equal(maps[t].linear, ridged.linear)
             if t != 1:
@@ -332,7 +339,7 @@ class TestStackedFit:
                 assert np.array_equal(maps[t].offset, plain.offset)
         # Without the ridge corpus 1's normal equations are singular.
         with pytest.raises(np.linalg.LinAlgError):
-            out_of_place_fit_edge(AlignedCorpus(("A", "B"), pairs[1], {}), ridge=0.0)
+            out_of_place_fit_edge(corpus_of_pairs(pairs[1]), ridge=0.0)
         assert np.all(maps.linear[1][:, 1] == 0.0)
 
 
@@ -785,7 +792,7 @@ class TestFactorLoss:
     def test_stack_matches_one_map_at_a_time_bitwise(self, seed, dim, stack, extra_rows):
         rng = np.random.default_rng(seed)
         pairs = rng.standard_normal((2 * dim + 1 + extra_rows, 2, dim))
-        factor = factor_corpus(AlignedCorpus(("A", "B"), pairs, {}))
+        factor = factor_corpus(corpus_of_pairs(pairs))
         linear = rng.standard_normal((stack, dim, dim))
         offset = rng.standard_normal((stack, dim))
         got = trainer._factor_losses(AffineMap(linear, offset), factor)
@@ -805,7 +812,7 @@ class TestFactorLoss:
         rng = np.random.default_rng(seed)
         n = 3 * (2 * dim + 1) + extra_rows
         pairs = scale * rng.standard_normal((n, 2, dim)) + rng.standard_normal((1, 2, dim))
-        corpus = AlignedCorpus(("A", "B"), pairs, {})
+        corpus = corpus_of_pairs(pairs)
         transform = AffineMap(
             rng.standard_normal((dim, dim)), scale * rng.standard_normal(dim)
         )
@@ -820,13 +827,21 @@ class TestFactorLoss:
         dim, n = 4, 500
         transform = AffineMap(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
         x = rng.standard_normal((n, dim))
-        corpus = AlignedCorpus(("A", "B"), np.stack([x, apply(transform, x)], axis=1), {})
+        corpus = corpus_of_pairs(np.stack([x, apply(transform, x)], axis=1))
         loss = stacked_loss(transform, factor_corpus(corpus))
         assert 0.0 <= loss < 1e-20
 
+    @pytest.mark.parametrize("n, dim", [(3, 2), (500, 4), (2 * ROW_BLOCK + 1, 6)])
+    def test_factor_is_the_qr_of_the_x_y_1_rows_bitwise(self, n, dim):
+        pairs = np.random.default_rng([n, dim]).standard_normal((n, 2, dim))
+        factor = factor_corpus(corpus_of_pairs(pairs))
+        z = np.hstack([pairs[:, 0], pairs[:, 1], np.ones((n, 1))])
+        assert_same_bits(factor.r, np.linalg.qr(z, mode="r"))
+        assert not factor.r.flags.writeable
+
     def test_factor_of_a_short_corpus_has_one_row_per_pair(self):
         pairs = np.random.default_rng(3).standard_normal((3, 2, 2))
-        factor = factor_corpus(AlignedCorpus(("A", "B"), pairs, {}))
+        factor = factor_corpus(corpus_of_pairs(pairs))
         assert factor.r.shape == (3, 5) and factor.n == 3 and factor.dim == 2
         transform = AffineMap(np.eye(2), np.ones(2))
         assert stacked_loss(transform, factor) == pytest.approx(

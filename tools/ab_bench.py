@@ -11,7 +11,9 @@ is better) are printed as it finishes. Then, per metric, each side's median
 and quartiles and the number of pairs the change wins, ties counting for
 neither side. A gain is shown when the change wins at least 9/10 of the pairs
 and the medians differ, in its favour, by more than the distance between the
-parent's quartiles. The failed share of operations is printed per side.
+parent's quartiles. Each metric also gets a no-regression verdict against the
+relative bound ``BENCHMARK.json`` gives it (see ``verdict``). The failed share
+of operations is printed per side.
 A run that exits nonzero stops the tool with its stderr. The checkouts'
 files are only read; each run writes its results to that checkout's
 ``.bench_out/``.
@@ -52,6 +54,24 @@ def judge(parent: list[float], change: list[float], better: str) -> tuple[int, b
     return wins, wins >= 0.9 * len(parent) and gap > p3 - p1
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Whether the change regresses one metric, against its relative ``bound``.
+
+    ``regression`` when the change's median is worse than the parent's by
+    more than ``bound`` times the parent's median. Else ``unresolved`` when
+    the parent's quartile spread is wider than that, unless every change run
+    beats every parent run. Else ``no regression``.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p1, p_median, p3 = quartiles(parent)
+    allowed = bound * abs(p_median)
+    if sign * (statistics.median(change) - p_median) > allowed:
+        return "regression"
+    if p3 - p1 > allowed and not all(sign * (p - c) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "no regression"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -64,6 +84,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2, for quartiles")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {name: [] for name, _u, _b in metrics} for side in sides}
     failed = {side: [] for side in sides}
@@ -86,9 +107,11 @@ def main(argv=None) -> int:
         for side in sides:
             q1, median, q3 = quartiles(values[side][name])
             cells.append(f"{side} {median:.4g} [{q1:.4g}, {q3:.4g}]")
-        wins, gain = judge(values["parent"][name], values["change"][name], better)
+        parent, change = values["parent"][name], values["change"][name]
+        wins, gain = judge(parent, change, better)
         print(f"{name} ({unit}, {better} is better): {'; '.join(cells)};"
-              f" change wins {wins}/{args.pairs}: {'gain shown' if gain else 'no gain shown'}")
+              f" change wins {wins}/{args.pairs}: {'gain shown' if gain else 'no gain shown'};"
+              f" bound {bounds[name]:g}: {verdict(parent, change, better, bounds[name])}")
     for side in sides:
         print(f"{side} failed share: max {max(failed[side]):.4g}")
     return 0
