@@ -302,8 +302,9 @@ def _write_corpora(config, edges, codecs, sampler) -> None:
                 config.out / io.corpus_filename((a, b)),
                 (a, b),
                 corpus_meta((a, b), codecs, n, sampler, config.seed),
-                (n, 2, codec.decoder.dim),
-                draws.blocks(),
+                n,
+                codec.decoder.dim,
+                draws.decode,
             )
             _print(f"corpus {a}->{b} n={n}")
             if pending is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -387,18 +387,6 @@ def corpus_rows(shape: tuple[int, ...], dim: int) -> np.ndarray:
     return rows
 
 
-def pair_view(rows: np.ndarray) -> np.ndarray:
-    """The (..., n, 2, dim) pairs (x, y) inside rows [x, 1, y], as a view that writes through."""
-    dim = (rows.shape[-1] - 1) // 2
-    step = rows.itemsize
-    return np.lib.stride_tricks.as_strided(
-        rows,
-        (*rows.shape[:-1], 2, dim),
-        (*rows.strides[:-1], (dim + 1) * step, step),
-        writeable=rows.flags.writeable,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class AlignedCorpus:
     """n aligned sentence pairs for one edge, plus generator metadata.
@@ -407,8 +395,8 @@ class AlignedCorpus:
     (n, 2 * dim + 1): source point, a constant 1, target point, filled
     elsewhere (``corpus_rows``) and made read-only here, not copied. Its
     first dim + 1 columns are a least-squares design and the rest its
-    targets, so a fit reads them as they are; ``pairs`` (n, 2, dim),
-    ``source_points`` and ``target_points`` are views of it.
+    targets, so a fit reads them as they are; ``source_points`` and
+    ``target_points`` are views of it.
     """
 
     edge: tuple[str, str]
@@ -441,10 +429,6 @@ class AlignedCorpus:
         return (self.rows.shape[1] - 1) // 2
 
     @property
-    def pairs(self) -> np.ndarray:
-        return pair_view(self.rows)
-
-    @property
     def source_points(self) -> np.ndarray:
         return self.rows[:, : self.dim]
 
@@ -474,12 +458,13 @@ class EdgeDraws:
     Buffers for up to ``capacity`` pairs, allocated once. ``draw`` fills them
     from one seed's streams and allocates nothing, so a worker thread may
     draw one edge while another thread decodes the edge drawn before it.
-    The noise comes from a generator separate from the latent stream, so the
-    latents of an edge do not depend on the codecs' noise settings.
+    ``decode`` writes a row block's two sides into two outputs the caller
+    gives, so the draws know no layout of the pairs. The noise comes from a
+    generator separate from the latent stream, so the latents of an edge do
+    not depend on the codecs' noise settings.
     """
 
     def __init__(self, capacity: int, latent_dim: int, nuisance_dim: int):
-        self.n = 0
         self._codecs: tuple[RandomizedCodec, RandomizedCodec] = ()
         self._z = np.empty((capacity, latent_dim))
         self._seeds = np.empty((2, capacity, nuisance_dim))
@@ -500,23 +485,12 @@ class EdgeDraws:
         noise_rng = np.random.default_rng(derive_seed(seed, "noise", sampler.seed, a, b))
         for codec, seeds in zip(self._codecs, self._seeds[:, :n]):
             codec.draw_decoder_seeds(noise_rng, n, out=seeds)
-        self.n = n
         return self
 
-    def decode(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """The pairs at ``rows``, decoded into ``out`` of shape (rows, 2, dim)."""
-        for side, codec in enumerate(self._codecs):
-            codec.decode(self._z[rows], self._seeds[side, rows], out=out[:, side, :])
-        return out
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The pairs ``ROW_BLOCK`` rows at a time, decoded into one reused block array.
-
-        Each block is overwritten by the next, so use it before asking for that.
-        """
-        block = np.empty((min(self.n, ROW_BLOCK + 1), 2, self._codecs[0].decoder.dim))
-        for rows in _row_blocks(self.n):
-            yield self.decode(rows, block[: rows.stop - rows.start])
+    def decode(self, rows: slice, x: np.ndarray, y: np.ndarray) -> None:
+        """Decode the pairs at ``rows``: sources into x and targets into y, each (rows, dim)."""
+        for codec, seeds, out in zip(self._codecs, self._seeds[:, rows], (x, y)):
+            codec.decode(self._z[rows], seeds, out=out)
 
 
 def generate_rows(
@@ -535,13 +509,13 @@ def generate_rows(
     codec, _ = _edge_codecs(edge, codecs)
     if n < 1:
         raise ValueError("n must be at least 1")
-    rows = corpus_rows((len(seeds), n), codec.decoder.dim)
+    dim = codec.decoder.dim
+    rows = corpus_rows((len(seeds), n), dim)
     draws = EdgeDraws(n, sampler.dim, codec.nuisance_dim)
-    pairs = pair_view(rows)
     for i, seed in enumerate(seeds):
         draws.draw(edge, codecs, n, sampler, seed)
         for block in _row_blocks(n):
-            draws.decode(block, pairs[i, block])
+            draws.decode(block, rows[i, block, :dim], rows[i, block, dim + 1 :])
     return rows
 
 

@@ -33,8 +33,8 @@ from .generative import (
     FunctionClassSpec,
     RandomizedCodec,
     TranslationGraph,
+    _row_blocks,
     corpus_rows,
-    pair_view,
 )
 from .impossibility import BoundReport, ManyToManyInstance
 from .trainer import EdgeRegressionResult, EncoderEstimate
@@ -447,28 +447,32 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
         return spec, {lang: codecs[i] for i, lang in enumerate(decoders)}
 
 
-def write_corpus(
-    path, edge: tuple[str, str], meta: Mapping, shape: tuple[int, int, int], blocks
-) -> None:
-    """Write a corpus NPZ whose (n, 2, dim) float64 pairs arrive as row blocks, in order.
+def write_corpus(path, edge: tuple[str, str], meta: Mapping, n: int, dim: int, fill) -> None:
+    """Write a corpus NPZ of n pairs (x, y) in R^dim, filled a row block at a time.
 
-    Each block's buffer is written as it is, so no array of all the pairs is
-    needed. The file is byte for byte what ``np.savez`` writes for
-    ``pairs``, ``edge`` and ``meta``: the same members, ``.npy`` headers and
-    fixed 1980 member timestamps.
+    The file holds the pairs as one (n, 2, dim) float64 array, a layout no
+    other module knows. For each ``_row_blocks(n)`` slice ``rows``,
+    ``fill(rows, x, y)`` writes those pairs' sources into x and targets into
+    y, both (rows, dim) views of one reused block, whose buffer is then
+    written, so no array of all the pairs is needed. The file is byte for
+    byte what ``np.savez`` writes for ``pairs``, ``edge`` and ``meta``: the
+    same members, ``.npy`` headers and fixed 1980 member timestamps. n or
+    dim below 1, which ``load_corpus`` rejects, is a ``ValueError`` before
+    anything is written.
     """
-    shape = tuple(int(size) for size in shape)  # the header holds Python ints
+    if n < 1 or dim < 1:
+        raise ValueError(f"a corpus needs n, dim >= 1, got n={n} and dim={dim}")
+    shape = (int(n), 2, int(dim))  # the header holds Python ints
     descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
     header = {"descr": descr, "fortran_order": False, "shape": shape}
+    block = np.empty((min(n, ROW_BLOCK + 1), 2, dim))
     with _atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as npz:
         with npz.open("pairs.npy", "w", force_zip64=True) as member:
             np.lib.format.write_array_header_1_0(member, header)
-            rows = 0
-            for block in blocks:
-                member.write(np.ascontiguousarray(block, dtype=np.float64))
-                rows += len(block)
-        if rows != shape[0]:
-            raise ValueError(f"corpus blocks hold {rows} pairs, but its shape says {shape[0]}")
+            for rows in _row_blocks(n):
+                pairs = block[: rows.stop - rows.start]
+                fill(rows, pairs[:, 0], pairs[:, 1])
+                member.write(pairs)
         for name, value in (
             ("edge", np.array(list(edge))),
             ("meta", np.array(json.dumps(dict(meta), sort_keys=True))),
@@ -478,14 +482,13 @@ def write_corpus(
 
 
 def save_corpus(corpus: AlignedCorpus, path) -> None:
-    """``write_corpus`` of the corpus's pairs, ``ROW_BLOCK`` rows at a time.
+    """``write_corpus`` of the corpus's source and target points."""
 
-    The pairs are a strided view of the corpus's rows, so each block is
-    copied to a contiguous one as it is written, never all of them at once.
-    """
-    pairs = corpus.pairs
-    blocks = (pairs[i : i + ROW_BLOCK] for i in range(0, corpus.n, ROW_BLOCK))
-    write_corpus(path, corpus.edge, corpus.meta, pairs.shape, blocks)
+    def fill(rows, x, y):
+        x[...] = corpus.source_points[rows]
+        y[...] = corpus.target_points[rows]
+
+    write_corpus(path, corpus.edge, corpus.meta, corpus.n, corpus.dim, fill)
 
 
 #: A ZIP member's local file header: its signature, 22 bytes whose values
@@ -538,6 +541,15 @@ def _small_field(npz: zipfile.ZipFile, name: str) -> np.ndarray:
         # zipfile raises RuntimeError for an encrypted member, and
         # NotImplementedError for a compression method it lacks.
         raise SchemaError(f"corpus field {name!r} is unreadable: {exc}") from exc
+
+
+def _pair_view(rows: np.ndarray) -> np.ndarray:
+    """The (n, 2, dim) pairs (x, y) inside rows [x, 1, y], as a view that writes through."""
+    dim = (rows.shape[-1] - 1) // 2
+    step = rows.itemsize
+    return np.lib.stride_tricks.as_strided(
+        rows, (len(rows), 2, dim), (rows.strides[0], (dim + 1) * step, step)
+    )
 
 
 def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
@@ -596,7 +608,7 @@ def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
     fh.seek(start)
     crc = zlib.crc32(fh.read(header_size))
     rows = corpus_rows((n,), dim)
-    pairs = pair_view(rows)
+    pairs = _pair_view(rows)
     staging = np.empty((min(n, ROW_BLOCK), 2, dim))
     finite = True
     for first in range(0, n, ROW_BLOCK):

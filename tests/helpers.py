@@ -384,7 +384,7 @@ def savez_corpus(corpus, path) -> None:
     with open(path, "wb") as fh:
         np.savez(
             fh,
-            pairs=corpus.pairs,
+            pairs=np.stack([corpus.source_points, corpus.target_points], axis=1),
             edge=np.array(list(corpus.edge)),
             meta=np.array(json.dumps(dict(corpus.meta), sort_keys=True)),
         )

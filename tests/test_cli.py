@@ -1150,14 +1150,20 @@ class TestStreamingMemory:
     """``generate`` and ``train`` hold about one edge's corpus at a time.
 
     Peaks are traced numpy and Python allocations, in units of one corpus's
-    ``pairs`` array. Holding every corpus of the six edges at once reads
-    about 3.1 for ``generate`` and 7.1 for ``train``. ``train`` reads about
+    ``pairs`` array, after one small ``generate`` and ``train --sweeps 1``
+    in the same process, so the first call's imports are not counted (they
+    add about 0.8 to a cold ``generate``). ``generate`` reads about 1.7: the
+    latents of the edge being written and of the edge drawn beside it, their
+    normalizing buffers, the file's staging block and the decode's
+    temporaries. Holding every corpus of the six edges at once reads about
+    3.1 for a cold ``generate`` and 7.1 for ``train``. ``train`` reads about
     1.4: one corpus's rows [x, 1, y] (13/12 of its pairs), the staging block
     they are read through and the fit's row-block temporaries; loading an
     (n, 2, dim) array and fitting from an [x, 1] copy of it read 1.6.
     ``train --sweeps 1`` keeps one R factor per edge instead; it reads about
     3.3, the loaded rows plus the [x, y, 1] rows and ``np.linalg.qr``'s copy
-    of them, where keeping every corpus for refinement read 12.3.
+    of them, where keeping every corpus for refinement read 12.3. Holding
+    one more whole corpus on any of the three paths fails its bound.
     """
 
     N = 20_000
@@ -1174,6 +1180,13 @@ class TestStreamingMemory:
         return peak / (self.N * 2 * self.DIM * 8)
 
     def test_generate_and_train_peaks(self, tmp_path):
+        warm = tmp_path / "warm"
+        io.save_graph(six_language_demo_graph(8), tmp_path / "small.json")
+        with redirect_stdout(StringIO()):  # imports outside the traces
+            assert cli.main(["generate", "--graph", str(tmp_path / "small.json"),
+                             "--out", str(warm)]) == 0
+            assert cli.main(["train", "--graph", str(tmp_path / "small.json"),
+                             "--corpus-dir", str(warm), "--out", str(warm), "--sweeps", "1"]) == 0
         graph_path = tmp_path / "graph.json"
         io.save_graph(six_language_demo_graph(self.N), graph_path)
         out = tmp_path / "run"
@@ -1185,13 +1198,13 @@ class TestStreamingMemory:
             ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
              "--out", str(out)]
         )
-        assert generate_peak < 2.5
-        assert train_peak < 1.5
+        assert generate_peak < 1.9, f"traced generate peak is {generate_peak:.3f} corpora"
+        assert train_peak < 1.5, f"traced train peak is {train_peak:.3f} corpora"
         refine_peak = self._peak(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
              "--out", str(out), "--sweeps", "1"]
         )
-        assert refine_peak < 4.0
+        assert refine_peak < 3.5, f"traced refine peak is {refine_peak:.3f} corpora"
 
 
 class TestSweepMemory:

@@ -377,6 +377,40 @@ class TestVerifyChainBound:
                 assert type(record.holds) is bool
 
 
+    def test_three_language_witness(self):
+        # ROADMAP item 1's witness: 1-D noiseless codecs with decoders 1, 0.6
+        # and 1.9 on the path L0-L1-L2, E_0 = I, E_1 = 1/(0.6 * 1.05) and E_2
+        # exact for edge L1->L2. Edge L0->L1 is off by 0.03 z, and the
+        # composite L0->L2 by 0.095 z, with E z^2 = 1/3; the record's
+        # 2 rho_hat^2 sum(l) lies below that loss. Whether ``holds`` says so
+        # is left to the bound that replaces this one.
+        def scalar(a):
+            return AffineMap(np.array([[a]]), np.zeros(1))
+
+        langs = ("L0", "L1", "L2")
+        codecs = {lang: RandomizedCodec(scalar(d)) for lang, d in zip(langs, (1.0, 0.6, 1.9))}
+        e1 = 1.0 / (0.6 * 1.05)
+        estimate = EncoderEstimate(
+            {"L0": scalar(1.0), "L1": scalar(e1), "L2": scalar(e1 * 0.6 / 1.9)}, anchor="L0"
+        )
+        graph = TranslationGraph(langs, (("L0", "L1", 10), ("L1", "L2", 10)))
+        spec = FunctionClassSpec(dim=1)
+        assert all(
+            1 / spec.rho <= estimate.encoder(lang).singular_values[0] <= spec.rho
+            for lang in langs
+        )
+        records = verify_chain_bound(estimate, graph, codecs, spec)
+        (record,) = [r for r in records if (r.src, r.dst) == ("L0", "L2")]
+        assert record.path == langs
+        assert record.measured_loss == pytest.approx(0.095**2 / 3, rel=1e-12)  # 0.0030083
+        assert record.rho_hat == pytest.approx(1.995, rel=1e-12)
+        assert record.edge_losses[0] == pytest.approx(0.0003, rel=1e-12)
+        assert record.edge_losses[1] == 0.0
+        chained = 2 * record.rho_hat**2 * sum(record.edge_losses)
+        assert chained == pytest.approx(2 * 1.995**2 * 0.0003, rel=1e-12)  # 0.0023880
+        assert record.measured_loss > chained
+
+
 class TestStackedLosses:
     """Stacked population losses against one pair at a time, bit for bit."""
 

@@ -34,7 +34,6 @@ from translab.generative import (
     corpus_rows,
     generate_rows,
     latent_second_moment,
-    pair_view,
     randomized_generate,
     sample_randomized_codecs,
     six_language_demo_graph,
@@ -238,7 +237,7 @@ class TestGenerateCorpus:
         codecs = self._codecs()
         a = randomized_generate(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
         b = randomized_generate(("A", "B"), codecs, 64, LatentSampler(3, 1.0, 5), seed=9)
-        assert np.array_equal(a.pairs, b.pairs)
+        assert np.array_equal(a.rows, b.rows)
 
 
 class TestAlignedCorpus:
@@ -250,18 +249,20 @@ class TestAlignedCorpus:
         assert np.array_equal(corpus.rows, np.hstack([x, np.ones((3, 1)), y]))
         assert corpus.rows.dtype == np.float64 and not corpus.rows.flags.writeable
         assert pairs.flags.writeable
-        views = [(corpus.pairs, pairs), (corpus.source_points, x), (corpus.target_points, y)]
+        views = [(corpus.source_points, x), (corpus.target_points, y)]
         for view, want in views:
             assert np.shares_memory(view, corpus.rows)
             assert np.array_equal(view, want) and not view.flags.writeable
         assert (corpus.n, corpus.dim) == (3, 2)
 
     def test_takes_the_rows_without_a_copy(self):
+        pairs = np.arange(24.0).reshape(4, 2, 3)
         rows = corpus_rows((4,), 3)
-        pair_view(rows)[...] = np.arange(24.0).reshape(4, 2, 3)
+        rows[:, :3], rows[:, 4:] = pairs[:, 0], pairs[:, 1]
         corpus = AlignedCorpus(("A", "B"), rows, {"n": 4})
         assert corpus.rows is rows and not rows.flags.writeable
-        assert np.array_equal(corpus.pairs, np.arange(24.0).reshape(4, 2, 3))
+        assert np.array_equal(corpus.source_points, pairs[:, 0])
+        assert np.array_equal(corpus.target_points, pairs[:, 1])
         assert np.array_equal(rows[:, 3], np.ones(4))
         assert corpus.edge == ("A", "B") and corpus.meta == {"n": 4}
 
@@ -295,8 +296,9 @@ class TestRandomizedGenerate:
         corpus = randomized_generate(("A", "B"), codecs, 100, sampler, seed=3)
         z = sampler.fork(3, "latent", "A", "B").sample(100)
         decoders = [codecs[lang].decoder for lang in "AB"]
-        expected = np.stack([z @ m.linear.T + m.offset for m in decoders], axis=1)
-        assert np.array_equal(corpus.pairs, expected)
+        x, y = (z @ m.linear.T + m.offset for m in decoders)
+        assert np.array_equal(corpus.source_points, x)
+        assert np.array_equal(corpus.target_points, y)
         assert corpus.meta["sigma"] == 0.0 and corpus.meta["nuisance_dim"] == 0
 
     def test_noisy_pairs_match_the_stacked_formula_bitwise(self):
@@ -312,7 +314,8 @@ class TestRandomizedGenerate:
             r = codec.draw_decoder_seeds(noise_rng, 300)
             stacked = np.concatenate([z, codec.sigma * r], axis=1)
             sides.append(stacked @ codec.decoder.linear.T + codec.decoder.offset)
-        assert np.array_equal(corpus.pairs, np.stack(sides, axis=1))
+        assert np.array_equal(corpus.source_points, sides[0])
+        assert np.array_equal(corpus.target_points, sides[1])
 
     def test_codecs_of_different_dimensions_are_a_domain_error(self):
         a = sample_randomized_codecs(FunctionClassSpec(dim=3), 1, 0, 0.0, seed=0)[0]
@@ -385,9 +388,12 @@ class TestRowBlocks:
         codecs = self._codecs(dim, nuisance_dim, sigma)
         sampler = LatentSampler(dim, 1.0, seed=5)
         rows = generate_rows(("A", "B"), codecs, n, sampler, [7])
-        assert rows.shape == (1, n, 2 * (dim + nuisance_dim) + 1)
-        assert np.all(rows[0, :, dim + nuisance_dim] == 1.0)
-        assert_same_bits(pair_view(rows[0]), whole_array_pairs(("A", "B"), codecs, n, sampler, 7))
+        width = dim + nuisance_dim
+        assert rows.shape == (1, n, 2 * width + 1)
+        assert np.all(rows[0, :, width] == 1.0)
+        pairs = whole_array_pairs(("A", "B"), codecs, n, sampler, 7)
+        assert_same_bits(rows[0, :, :width], pairs[:, 0])
+        assert_same_bits(rows[0, :, width + 1 :], pairs[:, 1])
 
     @pytest.mark.parametrize("nuisance_dim, sigma, limit", [(0, 0.0, 1.5), (1, 0.05, 2.0)])
     def test_traced_peak_is_the_rows_and_the_latents(self, nuisance_dim, sigma, limit):

@@ -34,10 +34,12 @@ from translab.distributions import DeterministicTranslator, FiniteDistribution, 
 from translab.errors import SchemaError
 from translab.generative import (
     ROW_BLOCK,
+    AlignedCorpus,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
+    corpus_rows,
     randomized_generate,
     sample_randomized_codecs,
     six_language_demo_graph,
@@ -539,7 +541,7 @@ class TestCorpusFiles:
         io.save_corpus(corpus, path)
         again = io.load_corpus(path)
         assert again.edge == corpus.edge
-        assert np.array_equal(again.pairs, corpus.pairs)
+        assert np.array_equal(again.rows, corpus.rows)
         assert again.meta == corpus.meta
 
     #: (latent dim, nuisance dim, sigma) of each codec setting.
@@ -574,7 +576,7 @@ class TestCorpusFiles:
             assert path.read_bytes() == reference.read_bytes()
             again = io.load_corpus(path)
             assert again.edge == edge and again.meta == corpus.meta
-            assert_same_bits(again.pairs, corpus.pairs)
+            assert_same_bits(again.rows, corpus.rows)
 
     def _saved(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
@@ -780,29 +782,38 @@ class TestAtomicWrites:
         io.save_corpus(corpus, path)
         before = path.read_bytes()
 
-        def failing_blocks():
-            yield corpus.pairs[:4]
+        def failing_fill(rows, x, y):
+            x[...] = corpus.source_points[rows]
+            y[...] = corpus.target_points[rows]
             raise self.Boom
 
         with pytest.raises(self.Boom):
-            io.write_corpus(path, corpus.edge, corpus.meta, corpus.pairs.shape, failing_blocks())
+            io.write_corpus(path, corpus.edge, corpus.meta, corpus.n, corpus.dim, failing_fill)
         self._assert_unchanged(path, before)
 
-    def test_corpus_blocks_short_of_the_shape(self, tmp_path):
-        corpus = self._corpus()
-        path = tmp_path / io.corpus_filename(("A", "B"))
-        io.save_corpus(corpus, path)
-        before = path.read_bytes()
-        with pytest.raises(ValueError, match="corpus blocks hold 4 pairs, but its shape says 8"):
-            io.write_corpus(path, corpus.edge, corpus.meta, corpus.pairs.shape, [corpus.pairs[:4]])
-        self._assert_unchanged(path, before)
+    @pytest.mark.parametrize("n, dim", [(0, 3), (8, 0)])
+    def test_corpus_the_loader_rejects_is_not_written(self, tmp_path, n, dim):
+        # load_corpus rejects n or dim below 1, so write_corpus refuses them
+        # before it opens anything, and fill is never called.
+        def fill(rows, x, y):
+            raise AssertionError("fill was called")
+
+        with pytest.raises(ValueError, match=re.escape(f"n, dim >= 1, got n={n} and dim={dim}")):
+            io.write_corpus(tmp_path / "corpus.npz", ("A", "B"), {}, n, dim, fill)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_corpus_is_not_saved(self, tmp_path):
+        corpus = AlignedCorpus(("A", "B"), corpus_rows((0,), 3), {})
+        with pytest.raises(ValueError, match=re.escape("n, dim >= 1, got n=0 and dim=3")):
+            io.save_corpus(corpus, tmp_path / "corpus.npz")
+        assert list(tmp_path.iterdir()) == []
 
     def test_corpus_keeps_the_given_name(self, tmp_path):
         corpus = self._corpus()
         path = tmp_path / "corpus.bin"
         io.save_corpus(corpus, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.bin"]
-        assert np.array_equal(io.load_corpus(path).pairs, corpus.pairs)
+        assert np.array_equal(io.load_corpus(path).rows, corpus.rows)
 
 
 class TestEncoderFiles:

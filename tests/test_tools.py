@@ -1,4 +1,4 @@
-"""Tests for the A/B benchmark tool's verdicts, on synthetic runs."""
+"""Tests for the A/B benchmark tool: its verdicts on synthetic runs and its checkout checks."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +55,46 @@ class TestVerdict:
         assert ab_bench.quartiles(parent) == pytest.approx((0.9, 1.0, 1.1))
         assert ab_bench.verdict(parent, parent, "lower", 0.25) == "no regression"
         assert ab_bench.verdict(parent, parent, "lower", 0.15) == "unresolved"
+
+
+class TestBytecode:
+    @staticmethod
+    def _checkouts(tmp_path):
+        for side in ("parent", "change"):
+            for name in ("src/translab", "bench"):
+                (tmp_path / side / name).mkdir(parents=True)
+        return tmp_path / "parent", tmp_path / "change"
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    @pytest.mark.parametrize("where", ["src/translab", "bench"])
+    def test_a_pycache_is_refused_before_any_run_and_kept(self, tmp_path, monkeypatch, side, where):
+        parent, change = self._checkouts(tmp_path)
+        cache = tmp_path / side / where / "__pycache__"
+        cache.mkdir()
+        (cache / "io.cpython-312.pyc").write_bytes(b"")
+
+        def no_run(*args):
+            raise AssertionError("a benchmark ran")
+
+        monkeypatch.setattr(ab_bench, "run_bench", no_run)
+        with pytest.raises(SystemExit) as info:
+            ab_bench.main([str(parent), str(change), "--workload", "sweep"])
+        assert str(info.value).startswith(f"{cache}: this checkout holds bytecode")
+        assert (cache / "io.cpython-312.pyc").exists()
+
+    def test_clean_checkouts_hold_no_bytecode(self, tmp_path):
+        parent, change = self._checkouts(tmp_path)
+        (parent / "src" / "translab" / "io.py").write_text("")
+        assert ab_bench.bytecode_dirs(parent) == ab_bench.bytecode_dirs(change) == []
+
+    def test_runs_write_no_bytecode(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run(argv, cwd, capture_output, text, env):
+            seen.update(env=env, cwd=cwd)
+            return ab_bench.subprocess.CompletedProcess(argv, 0, '{"metrics": {}}\n', "")
+
+        monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+        assert ab_bench.run_bench(tmp_path, "sweep", 3, 1.0) == {"metrics": {}}
+        assert seen == {"env": {**ab_bench.os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                        "cwd": tmp_path}

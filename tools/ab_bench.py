@@ -16,24 +16,38 @@ relative bound ``BENCHMARK.json`` gives it (see ``verdict``). The failed share
 of operations is printed per side.
 A run that exits nonzero stops the tool with its stderr. The checkouts'
 files are only read; each run writes its results to that checkout's
-``.bench_out/``.
+``.bench_out/``, and no bytecode. A checkout whose ``src/`` or ``bench/``
+already holds a ``__pycache__`` is refused before any run: its imports
+would skip the compiling the other side's do, which shows in ``setup_s``.
+The tool leaves the directory for its owner to remove.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+#: The checkout directories whose modules a benchmark run imports.
+SOURCES = ("src", "bench")
+
+
+def bytecode_dirs(checkout: Path) -> list[Path]:
+    """The ``__pycache__`` directories under the checkout's ``SOURCES``, sorted."""
+    return sorted(path for name in SOURCES for path in (checkout / name).rglob("__pycache__"))
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON line one ``bench/run.py`` run prints last."""
+    """The JSON line one ``bench/run.py`` run prints last; the run writes no bytecode."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: bench/run.py exited {done.returncode}:\n{done.stderr}")
@@ -82,6 +96,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
+    for checkout in (args.parent, args.change):
+        found = bytecode_dirs(checkout)
+        if found:
+            raise SystemExit(
+                f"{found[0]}: this checkout holds bytecode, so its runs would skip compiling"
+                " that the other checkout's may not; remove it and run again"
+            )
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
