@@ -36,15 +36,82 @@ NOISE_VARIANCE = 1.0 - (
 ) / math.erf(NOISE_CUTOFF / math.sqrt(2.0))
 
 
-def _row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
-    """Slices of ``size`` >= 2 rows covering ``range(n)`` in order; the last has the rest.
+#: Corpora of at least this many rows are read, checked and scored as two
+#: halves on two threads (``_halves``). Below it one thread is faster: the
+#: second thread's staging and residual blocks weigh more beside a small
+#: corpus, and handing work over costs more than it saves.
+PARALLEL_ROWS = 16 * ROW_BLOCK
+
+
+def _row_blocks(n: int, size: int = ROW_BLOCK, start: int = 0) -> list[slice]:
+    """Slices of ``size`` >= 2 rows covering ``range(start, n)`` in order; the last has the rest.
 
     A 1-row remainder joins the block before it: a one-row product takes
     BLAS's matrix-vector path, which rounds differently from the matrix
-    product of the whole array. So a block holds one row only when n == 1.
+    product of the whole array. So a block holds one row only when
+    n == start + 1. From a ``start`` that is a multiple of ``size`` and at
+    least 2 rows below n, the blocks are those of ``range(n)`` past it.
     """
-    stops = [*range(size, n - 1, size), n]
-    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+    stops = [*range(start + size, n - 1, size), n]
+    return [slice(first, stop) for first, stop in zip([start, *stops], stops)]
+
+
+def _halves(n: int) -> list[slice]:
+    """``range(n)`` as one slice below ``PARALLEL_ROWS``, else as two split at a row block.
+
+    Both halves start on a multiple of ``ROW_BLOCK``, so each one's
+    ``_row_blocks`` are the whole range's blocks that lie inside it.
+    """
+    if n < PARALLEL_ROWS:
+        return [slice(0, n)]
+    middle = n // 2 // ROW_BLOCK * ROW_BLOCK
+    return [slice(0, middle), slice(middle, n)]
+
+
+def _on_two_threads(work, parts: Sequence) -> list:
+    """``[work(part) for part in parts]``, the last of two parts on one worker thread.
+
+    One part runs on this thread alone; the thread pool module is imported
+    only for two. An exception from either part is raised once both are done.
+    """
+    if len(parts) == 1:
+        return [work(parts[0])]
+    from concurrent.futures import ThreadPoolExecutor
+
+    first, last = parts
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(work, last)
+        done = work(first)
+    return [done, pending.result()]
+
+
+def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1, out=out)`` bit for bit, as adds of whole columns.
+
+    numpy adds a row of w < 8 entries in order. Up to 128 entries it keeps 8
+    partial sums, of columns j, j + 8, ... for j < 8, up to the last multiple
+    of 8, combines them pairwise and adds the remaining columns in order. On
+    such short rows this is several times faster than numpy's loop over the
+    rows; longer rows, which numpy splits, are left to ``np.sum``.
+    """
+    w = a.shape[-1]
+    if w > 128:
+        return np.sum(a, axis=-1, out=out)
+    if w < 8:
+        np.copyto(out, a[..., 0])
+        done = 1
+    else:
+        done = w - w % 8
+        partial = a[..., :8].copy()
+        for j in range(8, done, 8):
+            partial += a[..., j : j + 8]
+        partial = partial[..., 0::2] + partial[..., 1::2]
+        partial = partial[..., 0::2] + partial[..., 1::2]
+        np.add(partial[..., 0], partial[..., 1], out=out)
+    for j in range(done, w):
+        out += a[..., j]
+    out += 0.0  # numpy's sums start from +0.0, so a row of -0.0 sums to +0.0
+    return out
 
 
 def latent_second_moment(dim: int, radius: float) -> float:
@@ -128,7 +195,7 @@ class LatentSampler:
             radii *= self.radius
             # np.linalg.norm(block, axis=1, keepdims=True), in the buffers.
             np.multiply(block, block, out=squares)
-            np.add.reduce(squares, axis=1, keepdims=True, out=norms)
+            _row_sums(squares, norms[:, 0])
             np.sqrt(norms, out=norms)
             np.maximum(norms, 1e-300, out=norms)
             np.divide(block, norms, out=block)

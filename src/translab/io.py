@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -33,6 +34,8 @@ from .generative import (
     FunctionClassSpec,
     RandomizedCodec,
     TranslationGraph,
+    _halves,
+    _on_two_threads,
     _row_blocks,
     corpus_rows,
 )
@@ -558,10 +561,13 @@ def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
     The member must be stored, neither compressed nor encrypted, and hold a
     C-ordered '<f8' (n, 2, dim) array, n, dim >= 1, in exactly the bytes its header needs:
     all of that is checked before anything is allocated. The data is then
-    read from the file ``ROW_BLOCK`` rows at a time into one staging block,
+    read from the file ``ROW_BLOCK`` rows at a time into a staging block,
     whose CRC-32 and finiteness are checked as it arrives, and copied into
     the rows [x, 1, y], so every byte is read once and no (n, 2, dim) array
-    is built.
+    is built. At ``PARALLEL_ROWS`` rows and above, the two ``_halves`` are
+    read on two threads, each from its own byte range into its own staging
+    block, and the second half's CRC-32 is joined onto the first's
+    (``_crc32_combine``) before the whole member's is checked.
     """
     try:
         info = npz.getinfo("pairs.npy")
@@ -599,31 +605,86 @@ def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
         )
     n, _, dim = shape
     header_size = fh.tell() - start
-    data_size = n * 2 * dim * 8
-    if info.file_size != header_size + data_size or info.compress_size != info.file_size:
+    row_size = 2 * dim * 8
+    if info.file_size != header_size + n * row_size or info.compress_size != info.file_size:
         raise SchemaError(
             f"corpus field 'pairs' holds {info.file_size - header_size} data bytes,"
-            f" but its shape {shape} needs {data_size}"
+            f" but its shape {shape} needs {n * row_size}"
         )
     fh.seek(start)
-    crc = zlib.crc32(fh.read(header_size))
+    header_crc = zlib.crc32(fh.read(header_size))
+    data_start = start + header_size
     rows = corpus_rows((n,), dim)
     pairs = _pair_view(rows)
-    staging = np.empty((min(n, ROW_BLOCK), 2, dim))
-    finite = True
-    for first in range(0, n, ROW_BLOCK):
-        block = staging[: min(ROW_BLOCK, n - first)]
-        data = memoryview(block).cast("B")
-        if fh.readinto(data) != data.nbytes:
-            raise SchemaError("corpus field 'pairs' ends before its data does")
-        crc = zlib.crc32(data, crc)
-        finite = finite and bool(np.isfinite(block).all())
-        pairs[first : first + len(block)] = block
+
+    def read(part: slice) -> tuple[int, bool]:
+        """The part's CRC-32 (from the header's, for the first part) and its finiteness."""
+        crc = header_crc if part.start == 0 else 0
+        finite = True
+        staging = np.empty((min(part.stop - part.start, ROW_BLOCK), 2, dim))
+        for first in range(part.start, part.stop, ROW_BLOCK):
+            block = staging[: min(ROW_BLOCK, part.stop - first)]
+            data = memoryview(block).cast("B")
+            if os.preadv(fh.fileno(), [data], data_start + first * row_size) != data.nbytes:
+                raise SchemaError("corpus field 'pairs' ends before its data does")
+            crc = zlib.crc32(data, crc)
+            finite = finite and bool(np.isfinite(block).all())
+            pairs[first : first + len(block)] = block
+        return crc, finite
+
+    parts = _halves(n)
+    (crc, finite), *rest = _on_two_threads(read, parts)
+    for part, (part_crc, part_finite) in zip(parts[1:], rest):
+        crc = _crc32_combine(crc, part_crc, (part.stop - part.start) * row_size)
+        finite = finite and part_finite
     if crc != info.CRC:
         raise SchemaError("corpus field 'pairs' fails its CRC-32 check: the file is damaged")
     if not finite:
         raise SchemaError("corpus field 'pairs' has a non-finite entry")
     return rows
+
+
+#: The CRC-32 polynomial, bit-reversed, as zlib uses it.
+_CRC32_POLY = 0xEDB88320
+
+
+def _gf2_multiply(a: int, b: int) -> int:
+    """a(x) b(x) modulo the CRC-32 polynomial, both bit-reversed 32-bit polynomials."""
+    product = 0
+    m = 1 << 31
+    while a:
+        if a & m:
+            product ^= b
+            a ^= m
+        m >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
+    return product
+
+
+@functools.cache
+def _x_to_2_to_the(k: int) -> int:
+    """x^(2^k) modulo the CRC-32 polynomial, by squaring x^(2^(k-1))."""
+    if k == 0:
+        return 1 << 30  # x
+    half = _x_to_2_to_the(k - 1)
+    return _gf2_multiply(half, half)
+
+
+def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """``zlib.crc32(a + b)`` from crc1 = ``zlib.crc32(a)``, crc2 = ``zlib.crc32(b)`` and len(b).
+
+    zlib's ``crc32_combine``: crc1 is shifted past len2 zero bytes by
+    multiplying it by x^(8 len2) modulo the polynomial, built by square and
+    multiply from the cached powers x^(2^k), and crc2 is added.
+    """
+    shift = 1 << 31  # x^0
+    k = 3  # 8 len2 = len2 2^3
+    while len2:
+        if len2 & 1:
+            shift = _gf2_multiply(_x_to_2_to_the(k), shift)
+        len2 >>= 1
+        k += 1
+    return _gf2_multiply(shift, crc1) ^ crc2
 
 
 def corpus_filename(edge: tuple[str, str]) -> str:

@@ -40,7 +40,15 @@ from .errors import (
     InsufficientDataError,
     InternalConsistencyError,
 )
-from .generative import ROW_BLOCK, AlignedCorpus, TranslationGraph, _row_blocks
+from .generative import (
+    ROW_BLOCK,
+    AlignedCorpus,
+    TranslationGraph,
+    _halves,
+    _on_two_threads,
+    _row_blocks,
+    _row_sums,
+)
 
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
@@ -201,50 +209,29 @@ def _mean_squared_residual(
 
     With leading stack axes on ``points`` (..., n, d), ``targets`` and
     ``transform``, slice j scores map j on corpus j, bit for bit as alone.
+    A single corpus of at least ``PARALLEL_ROWS`` pairs is scored as two
+    halves on two threads (``_halves``), each into its own rows of the row
+    sums, so the one mean over all of them keeps the bits.
     """
     # Row sums of the out-of-place (T(x) - y)**2, in place a row block at a
     # time; the one mean over all of them keeps the whole-array bits. A
     # block spans every corpus of a stack, so it has about ``ROW_BLOCK``
     # rows in all (at least 2 per corpus) and stays small beside the stack.
+    n = points.shape[-2]
     row_sums = np.empty(points.shape[:-1])
     linear_t = transform.linear.swapaxes(-1, -2)
     block = max(ROW_BLOCK // math.prod(points.shape[:-2]), 2)
-    for rows in _row_blocks(points.shape[-2], block):
-        residual = points[..., rows, :] @ linear_t
-        residual += transform.offset[..., None, :]
-        residual -= targets[..., rows, :]
-        np.square(residual, out=residual)
-        _row_sums(residual, row_sums[..., rows])
+
+    def score(part: slice) -> None:
+        for rows in _row_blocks(part.stop, block, part.start):
+            residual = points[..., rows, :] @ linear_t
+            residual += transform.offset[..., None, :]
+            residual -= targets[..., rows, :]
+            np.square(residual, out=residual)
+            _row_sums(residual, row_sums[..., rows])
+
+    _on_two_threads(score, _halves(n) if points.ndim == 2 else [slice(0, n)])
     return np.mean(row_sums, axis=-1).tolist()
-
-
-def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.sum(a, axis=-1, out=out)`` bit for bit, as adds of whole columns.
-
-    numpy adds a row of w < 8 entries in order. Up to 128 entries it keeps 8
-    partial sums, of columns j, j + 8, ... for j < 8, up to the last multiple
-    of 8, combines them pairwise and adds the remaining columns in order. On
-    such short rows this is several times faster than numpy's loop over the
-    rows; longer rows, which numpy splits, are left to ``np.sum``.
-    """
-    w = a.shape[-1]
-    if w > 128:
-        return np.sum(a, axis=-1, out=out)
-    if w < 8:
-        np.copyto(out, a[..., 0])
-        done = 1
-    else:
-        done = w - w % 8
-        partial = a[..., :8].copy()
-        for j in range(8, done, 8):
-            partial += a[..., j : j + 8]
-        partial = partial[..., 0::2] + partial[..., 1::2]
-        partial = partial[..., 0::2] + partial[..., 1::2]
-        np.add(partial[..., 0], partial[..., 1], out=out)
-    for j in range(done, w):
-        out += a[..., j]
-    out += 0.0  # numpy's sums start from +0.0, so a row of -0.0 sums to +0.0
-    return out
 
 
 def _factor_losses(maps: AffineMap, factor: EdgeFactor) -> list[float]:

@@ -30,6 +30,7 @@ from translab import cli, io, trainer
 from translab.evaluation import sample_complexity_sweep, shortest_path_and_diameter
 from translab.errors import DomainError
 from translab.generative import (
+    PARALLEL_ROWS,
     ROW_BLOCK,
     EdgeDraws,
     FunctionClassSpec,
@@ -1164,12 +1165,16 @@ class TestStreamingMemory:
     3.3, the loaded rows plus the [x, y, 1] rows and ``np.linalg.qr``'s copy
     of them, where keeping every corpus for refinement read 12.3. Holding
     one more whole corpus on any of the three paths fails its bound.
+
+    At 20,000 pairs a corpus is read and scored on one thread. At 70,000,
+    past ``PARALLEL_ROWS``, each half has its own staging and residual
+    blocks on its own thread; ``train`` reads about 1.29 there, where one
+    thread read 1.23, under the same bounds.
     """
 
-    N = 20_000
     DIM = 6
 
-    def _peak(self, argv) -> float:
+    def _peak(self, argv, n) -> float:
         tracemalloc.start()
         try:
             with redirect_stdout(StringIO()):
@@ -1177,9 +1182,10 @@ class TestStreamingMemory:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak / (self.N * 2 * self.DIM * 8)
+        return peak / (n * 2 * self.DIM * 8)
 
-    def test_generate_and_train_peaks(self, tmp_path):
+    @pytest.mark.parametrize("n", [20_000, 70_000])  # below and past PARALLEL_ROWS
+    def test_generate_and_train_peaks(self, tmp_path, n):
         warm = tmp_path / "warm"
         io.save_graph(six_language_demo_graph(8), tmp_path / "small.json")
         with redirect_stdout(StringIO()):  # imports outside the traces
@@ -1188,21 +1194,21 @@ class TestStreamingMemory:
             assert cli.main(["train", "--graph", str(tmp_path / "small.json"),
                              "--corpus-dir", str(warm), "--out", str(warm), "--sweeps", "1"]) == 0
         graph_path = tmp_path / "graph.json"
-        io.save_graph(six_language_demo_graph(self.N), graph_path)
+        io.save_graph(six_language_demo_graph(n), graph_path)
         out = tmp_path / "run"
         generate_peak = self._peak(
             ["generate", "--graph", str(graph_path), "--dim", str(self.DIM),
-             "--out", str(out)]
+             "--out", str(out)], n
         )
         train_peak = self._peak(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
-             "--out", str(out)]
+             "--out", str(out)], n
         )
         assert generate_peak < 1.9, f"traced generate peak is {generate_peak:.3f} corpora"
         assert train_peak < 1.5, f"traced train peak is {train_peak:.3f} corpora"
         refine_peak = self._peak(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
-             "--out", str(out), "--sweeps", "1"]
+             "--out", str(out), "--sweeps", "1"], n
         )
         assert refine_peak < 3.5, f"traced refine peak is {refine_peak:.3f} corpora"
 
@@ -1420,22 +1426,55 @@ class TestColdStart:
                 assert cli.main(argv) == 0
         return root, instance, graph, run
 
-    def test_thread_pool_loads_only_inside_generate(self, inputs):
-        root, _instance, graph, _run = inputs
-        pools = "sorted(m for m in sys.modules if m.split('.')[0] in POOLS)"
+    @pytest.fixture(scope="class")
+    def large_run(self, tmp_path_factory):
+        """A graph with one corpus of ``PARALLEL_ROWS`` pairs, which ``train`` reads as halves."""
+        root = tmp_path_factory.mktemp("large")
+        graph = root / "graph.json"
+        io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", PARALLEL_ROWS),)), graph)
+        with redirect_stdout(StringIO()):
+            argv = ["generate", "--graph", str(graph), "--out", str(root), "--dim", "2"]
+            assert cli.main(argv) == 0
+        return graph, root
+
+    @pytest.mark.parametrize(
+        "mode, loads",
+        [("generate", True), ("train", False), ("train-large", True), ("bound", False),
+         ("brute", False)],
+    )
+    def test_thread_pool_loads_only_where_two_threads_run(self, inputs, large_run, mode, loads):
+        root, instance, graph, run = inputs
+        large_graph, large = large_run
+        out = str(root / f"pool-{mode}")
+        argv = {
+            "generate": ["generate", "--graph", str(graph), "--dim", "2", "--out", out],
+            "train": ["train", "--graph", str(graph), "--corpus-dir", str(run), "--out", out],
+            "train-large": [
+                "train", "--graph", str(large_graph), "--corpus-dir", str(large), "--out", out,
+            ],
+            "bound": ["bound", "--instance", str(instance)],
+            "brute": ["brute", "--instance", str(instance), "--out", out],
+        }[mode]
         result = run_fresh(
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "POOLS = ('concurrent', 'multiprocessing', 'asyncio', 'queue')\n"
+            "def pools():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in POOLS)\n"
             "from translab.cli import main\n"
-            f"print({pools})\n"
-            "assert main(sys.argv[1:]) == 0\n"
-            f"print({pools})\n",
-            "generate", "--graph", str(graph), "--dim", "2", "--out", str(root / "pool"),
+            "before = pools()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(before)\n"
+            "print(pools())\n",
+            *argv,
         )
         assert result.returncode == 0, result.stderr
-        before, *_corpora, after = result.stdout.splitlines()
+        before, after = result.stdout.splitlines()
         assert before == "[]"
-        assert "concurrent.futures" in after
+        if loads:
+            assert "concurrent.futures" in after
+        else:
+            assert after == "[]"
 
     def test_import_loads_no_scipy(self):
         result = run_fresh(

@@ -27,9 +27,12 @@ from translab.generative import (
     FunctionClassSpec,
     LatentSampler,
     NOISE_VARIANCE,
+    PARALLEL_ROWS,
     ROW_BLOCK,
     RandomizedCodec,
     TranslationGraph,
+    _halves,
+    _on_two_threads,
     _row_blocks,
     corpus_rows,
     generate_rows,
@@ -83,7 +86,7 @@ class TestLatentSampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("dim", [1, 6])
+    @pytest.mark.parametrize("dim", range(1, 13))  # in order below 8, 8 partial sums from 8
     @pytest.mark.parametrize("radius", [1.0, 2.5])
     def test_in_place_draws_match_the_out_of_place_formula_bitwise(self, dim, radius):
         z = LatentSampler(dim, radius, seed=11).sample(1000)
@@ -379,6 +382,32 @@ class TestRowBlocks:
         assert all(len(block) <= size + 1 for block in blocks)
         assert n == 1 or all(len(block) > 1 for block in blocks)
 
+    @pytest.mark.parametrize(
+        "n, start",
+        [(ROW_BLOCK + 2, ROW_BLOCK), (2 * ROW_BLOCK, ROW_BLOCK), (2 * ROW_BLOCK + 1, ROW_BLOCK),
+         (7 * ROW_BLOCK + 1, 2 * ROW_BLOCK), (7 * ROW_BLOCK + 3, 2 * ROW_BLOCK)],
+    )
+    def test_blocks_from_a_block_boundary_are_the_tail_of_the_blocks(self, n, start):
+        tail = [rows for rows in _row_blocks(n) if rows.start >= start]
+        assert tail[0].start == start
+        assert _row_blocks(n, start=start) == tail
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, ROW_BLOCK + 1, PARALLEL_ROWS - 1, PARALLEL_ROWS, PARALLEL_ROWS + 1,
+              PARALLEL_ROWS + ROW_BLOCK + 1, 500_000]
+    )
+    def test_halves_split_large_ranges_at_a_row_block(self, n):
+        parts = _halves(n)
+        assert parts[0].start == 0 and parts[-1].stop == n
+        if n < PARALLEL_ROWS:
+            assert parts == [slice(0, n)]
+        else:
+            (first, second) = parts
+            assert first.stop == second.start and first.stop % ROW_BLOCK == 0
+            assert abs((n - first.stop) - first.stop) <= ROW_BLOCK + 1
+            # Each half's blocks are the whole range's blocks inside it.
+            assert _row_blocks(first.stop) + _row_blocks(n, start=second.start) == _row_blocks(n)
+
     @pytest.mark.parametrize("setting", SETTINGS.values(), ids=SETTINGS.keys())
     @pytest.mark.parametrize(
         "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
@@ -418,6 +447,42 @@ class TestRowBlocks:
         latent_bytes = n * dim * np.dtype(np.float64).itemsize
         ratio = (peak - rows.nbytes) / latent_bytes
         assert ratio <= limit, f"traced peak past the rows is {ratio:.2f}x the latents"
+
+
+class TestOnTwoThreads:
+    def test_one_part_runs_on_this_thread(self):
+        import threading
+
+        assert _on_two_threads(lambda part: (part, threading.get_ident()), ["a"]) == [
+            ("a", threading.get_ident())
+        ]
+
+    def test_two_parts_run_on_two_threads_in_order(self):
+        import threading
+
+        barrier = threading.Barrier(2, timeout=10)
+
+        def work(part):
+            barrier.wait()  # returns only when both parts run at once
+            return part, threading.get_ident()
+
+        (first, main), (second, worker) = _on_two_threads(work, ["a", "b"])
+        assert (first, second) == ("a", "b")
+        assert main == threading.get_ident() != worker
+
+    @pytest.mark.parametrize("failing", ["a", "b"])
+    def test_an_exception_in_either_part_is_raised_after_both_ran(self, failing):
+        ran = []
+
+        def work(part):
+            ran.append(part)
+            if part == failing:
+                raise ValueError(part)
+            return part
+
+        with pytest.raises(ValueError, match=failing):
+            _on_two_threads(work, ["a", "b"])
+        assert sorted(ran) == ["a", "b"]
 
 
 class TestInvariance:

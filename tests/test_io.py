@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import re
+import sys
 import tempfile
 import zipfile
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CODEC_DOCUMENT,
@@ -33,6 +37,7 @@ from translab import cli, io
 from translab.distributions import DeterministicTranslator, FiniteDistribution, Sentence
 from translab.errors import SchemaError
 from translab.generative import (
+    PARALLEL_ROWS,
     ROW_BLOCK,
     AlignedCorpus,
     FunctionClassSpec,
@@ -735,6 +740,104 @@ class TestCorpusFiles:
                 )
             assert code == 2
             assert err.getvalue() == f"error: {message}\n"
+
+
+class TestCrc32Combine:
+    """``io._crc32_combine`` joins the CRC-32s of two byte strings into that of both."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=3000), st.data())
+    def test_joins_the_crcs_of_any_split(self, data, draw):
+        cut = draw.draw(st.integers(0, len(data)))
+        a, b = data[:cut], data[cut:]
+        assert io._crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(data)
+
+    @pytest.mark.parametrize("a, b", [(b"", b""), (b"", b"corpus"), (b"corpus", b"")])
+    def test_an_empty_part(self, a, b):
+        assert io._crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    @pytest.mark.parametrize(
+        "length", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097, 2**16, 2**20 + 1]
+    )
+    def test_lengths_across_powers_of_two(self, length):
+        rng = np.random.default_rng(length)
+        a, b = rng.bytes(length + 3), rng.bytes(length)
+        assert io._crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+        assert io._crc32_combine(zlib.crc32(b), zlib.crc32(a), len(a)) == zlib.crc32(b + a)
+
+
+class TestTwoPartRead:
+    """Corpora of ``PARALLEL_ROWS`` pairs or more are read as two halves on two threads.
+
+    Each corpus here is about 6 MB, just past the threshold, so its second
+    half is read on the worker thread.
+    """
+
+    DIM = 6
+
+    def _save(self, path, pairs):
+        np.savez(path, pairs=pairs, edge=np.array(["A", "B"]), meta=np.array("{}"))
+
+    def _pairs(self, n):
+        return np.random.default_rng(n).standard_normal((n, 2, self.DIM))
+
+    @pytest.mark.parametrize(
+        "n", [PARALLEL_ROWS - 1, PARALLEL_ROWS, PARALLEL_ROWS + 1, PARALLEL_ROWS + ROW_BLOCK + 1]
+    )
+    def test_rows_match_np_load_bitwise(self, tmp_path, n):
+        path = tmp_path / "corpus_A__B.npz"
+        self._save(path, self._pairs(n))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the halves' threads interleave often
+        try:
+            rows = io.load_corpus(path).rows
+        finally:
+            sys.setswitchinterval(interval)
+        with np.load(path) as npz:
+            reference = npz["pairs"]
+        assert rows.shape == (n, 2 * self.DIM + 1)
+        assert np.all(rows[:, self.DIM] == 1.0)
+        assert_same_bits(rows[:, : self.DIM], reference[:, 0])
+        assert_same_bits(rows[:, self.DIM + 1 :], reference[:, 1])
+
+    def test_flipped_bit_in_the_second_half_fails_the_crc_check(self, tmp_path):
+        path = tmp_path / "corpus_A__B.npz"
+        pairs = self._pairs(PARALLEL_ROWS + 1)
+        self._save(path, pairs)
+        raw = bytearray(path.read_bytes())
+        # The lowest mantissa bit of one entry near the end: it stays finite.
+        raw[raw.index(pairs[:1].tobytes()) + pairs[:-3].nbytes] ^= 1
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        assert str(info.value) == (
+            f"{path}: corpus field 'pairs' fails its CRC-32 check: the file is damaged"
+        )
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_entry_in_the_second_half_with_a_matching_crc(self, tmp_path, value):
+        path = tmp_path / "corpus_A__B.npz"
+        pairs = self._pairs(PARALLEL_ROWS + 1)
+        pairs[-2, 1, 3] = value
+        self._save(path, pairs)  # np.savez writes the CRC of the damaged data
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        assert str(info.value) == f"{path}: corpus field 'pairs' has a non-finite entry"
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_file_truncated_after_it_was_opened_ends_before_its_data(self, tmp_path, half):
+        # Cut after the central directory was read, so the read itself comes up short.
+        n = PARALLEL_ROWS + 1
+        path = tmp_path / "corpus_A__B.npz"
+        pairs = self._pairs(n)
+        self._save(path, pairs)
+        data = path.read_bytes().index(pairs[:1].tobytes())
+        cut_row = {"first": ROW_BLOCK + 5, "second": n - 7}[half]
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as npz:
+            os.truncate(path, data + pairs[:cut_row].nbytes)
+            with pytest.raises(SchemaError) as info:
+                io._read_rows(fh, npz)
+        assert str(info.value) == "corpus field 'pairs' ends before its data does"
 
 
 class TestAtomicWrites:

@@ -34,11 +34,13 @@ from translab.errors import (
     InsufficientDataError,
 )
 from translab.generative import (
+    PARALLEL_ROWS,
     ROW_BLOCK,
     AlignedCorpus,
     FunctionClassSpec,
     LatentSampler,
     TranslationGraph,
+    _row_sums,
     generate_rows,
     randomized_generate,
     sample_randomized_codecs,
@@ -216,6 +218,8 @@ class TestFitEdge:
             ((), 500, 10),
             ((), 100_003, 4),
             ((), 70_001, 3),
+            ((), PARALLEL_ROWS - 1, 3),  # one thread
+            ((), PARALLEL_ROWS + 1, 3),  # two halves, the second with a 1-row remainder
             ((2,), 70_001, 3),
             ((8,), 2 * ROW_BLOCK + 1, 6),  # a 1-row remainder joins the last block
             ((2, 3), 2 * ROW_BLOCK + 1, 2),  # blocks of ROW_BLOCK // 6 rows per corpus
@@ -246,7 +250,7 @@ class TestFitEdge:
         a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
         a[0, 0] = -0.0
         out = np.empty(shape[:-1])
-        assert trainer._row_sums(a, out) is out
+        assert _row_sums(a, out) is out
         assert_same_bits(out, np.sum(a, axis=-1))
 
     def test_first_order_optimality(self):
