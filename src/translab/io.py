@@ -44,22 +44,45 @@ from .trainer import EdgeRegressionResult, EncoderEstimate
 
 
 @contextlib.contextmanager
-def _naming(path):
-    """Re-raise a ``SchemaError`` or ``GraphError`` from inside as one naming ``path``."""
+def _naming(where):
+    """Re-raise a ``SchemaError`` or ``GraphError`` from inside as one naming ``where``."""
     try:
         yield
     except (SchemaError, GraphError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key, which ``dict`` would merge, raises."""
+    payload = dict(pairs)
+    if len(payload) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeat = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise SchemaError(f"JSON object repeats key {repeat!r}")
+    return payload
 
 
 def _read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except IsADirectoryError as exc:
         raise SchemaError("is a directory, not a JSON file") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
+def _document(payload, kind: str, keys: Sequence[str]) -> list:
+    """The values under ``keys`` of a ``kind`` document, a JSON object holding these keys alone."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{kind} document must be a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise SchemaError(f"{kind} document missing key {key!r}")
+    for key in payload:
+        if key not in keys:
+            raise SchemaError(f"{kind} document has unknown key {key!r}")
+    return [payload[key] for key in keys]
 
 
 def _integer(value, name: str) -> int:
@@ -104,103 +127,44 @@ def _write_json(payload: dict, path) -> None:
 # Instances
 
 
-def _sentence_entry(sentence: Sentence):
-    if sentence.target_tag is None:
-        return sentence.body
-    return [sentence.target_tag, sentence.body]
-
-
 def _check_language_id(lang: str) -> None:
     """Reject an id holding ``->``, which separates the two ids of a ``src->dst`` key or path."""
     if "->" in lang:
         raise SchemaError(f"language id {lang!r} holds '->', which 'src->dst' keys reserve")
 
 
-def _parse_sentence(lang: str, entry, languages) -> Sentence:
-    if isinstance(entry, str):
-        return Sentence(lang, entry)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(part, str) for part in entry)
-    ):
-        if entry[0] not in languages:
-            raise SchemaError(
-                f"sentence {entry!r} of {lang!r} is tagged for unknown language {entry[0]!r}"
-            )
-        return Sentence(lang, entry[1], target_tag=entry[0])
-    raise SchemaError(f"sentence entry for {lang!r} must be an id or [target, id]: {entry!r}")
-
-
 def _parse_pair_key(key: str) -> tuple[str, str]:
     if "->" not in key:
-        raise SchemaError(f"translator key {key!r} must look like 'src->dst'")
+        raise SchemaError(f"pair key {key!r} must look like 'src->dst'")
     src, dst = key.split("->", 1)
     return src, dst
 
 
 def instance_to_dict(instance: ManyToManyInstance) -> dict:
-    """The instance's document: each pair's weights as they are, under its ``src->dst`` key.
+    """The instance's document: each language's pool, and each pair's rows.
 
-    A language id holding ``->`` raises ``SchemaError`` (a ``ValueError``).
+    A ``src->dst`` pair lists one ``[sentence, weight, translation]`` row per
+    atom of its marginal, in support order and with the weight as it is.
+    What the reader could not read back, a language id holding ``->`` or a
+    pool sentence that has a target tag or is listed twice, raises
+    ``SchemaError`` (a ``ValueError``) before anything is written.
     """
     for lang in instance.languages:
         _check_language_id(lang)
-    sentences: dict[str, list] = {lang: [] for lang in instance.languages}
-    marginals, translators = {}, {}
+    pools = {lang: [y.body for y in pool] for lang, pool in instance.sentence_pool.items()}
+    for lang, pool in instance.sentence_pool.items():
+        for y in pool:
+            if y.target_tag is not None:
+                raise SchemaError(f"pool sentence {y!r} of {lang!r} carries a target tag")
+        if len(set(pools[lang])) != len(pool):
+            raise SchemaError(f"pool of {lang!r} lists a sentence twice")
+    pairs = {}
     for (src, dst) in instance.tasks.pairs:
         marginal, f = instance.marginals[(src, dst)], instance.translators[(src, dst)]
-        sentences[src] += [_sentence_entry(x) for x in marginal.support]
-        marginals[f"{src}->{dst}"] = marginal.weights.tolist()
-        translators[f"{src}->{dst}"] = {x.body: f(x).body for x in marginal.support}
-    for lang, pool in instance.sentence_pool.items():
-        sentences[lang] += [_sentence_entry(y) for y in pool]
-    return {
-        "languages": list(instance.languages),
-        "sentences": sentences,
-        "marginals": marginals,
-        "translators": translators,
-    }
-
-
-def _instance_weights(key: str, raw) -> list[float]:
-    """The weights under one ``marginals`` key: finite, nonnegative and summing to one."""
-    if not isinstance(raw, list):
-        raise SchemaError(f"marginal for {key!r} must be a list of weights")
-    weights = []
-    for i, w in enumerate(raw):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise SchemaError(f"marginal for {key!r} weight {i} is not a number: {w!r}")
-        try:
-            value = float(w)
-        except OverflowError:
-            value = float("inf")
-        if not np.isfinite(value) or value < 0:
-            raise SchemaError(
-                f"marginal for {key!r} weight {i} must be finite and nonnegative, got {w!r}"
-            )
-        weights.append(value)
-    total = math.fsum(weights)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise SchemaError(f"marginal for {key!r} weights sum to {total!r}, expected 1")
-    return weights
-
-
-def _translator(key: str, atoms, targets, table):
-    """The ``key`` pair's table on exactly ``atoms``, mapping to ``targets`` sentences by body."""
-    by_body = {s.body: s for s in targets}
-    mapping = {}
-    for atom in atoms:
-        if atom.body not in table:
-            raise SchemaError(f"translator {key} misses {atom.body!r}")
-        image_body = table[atom.body]
-        if image_body not in by_body:
-            raise SchemaError(f"translator {key} maps to unknown sentence {image_body!r}")
-        mapping[atom] = by_body[image_body]
-    if len(mapping) != len(table):
-        extra = sorted(set(table) - {atom.body for atom in atoms})[0]
-        raise SchemaError(f"translator {key} maps {extra!r}, which is no sentence of the pair")
-    return DeterministicTranslator(mapping)
+        pairs[f"{src}->{dst}"] = [
+            [x.body, w, f(x).body] for x, w in zip(marginal.support, marginal.weights.tolist())
+        ]
+    return {"languages": list(instance.languages), "pools": pools, "pairs": pairs}
 
 
 def instance_from_dict(payload):
@@ -214,84 +178,62 @@ def instance_from_dict(payload):
 
 
 def _build_instance(payload):
-    """Read the layout ``instance_to_dict`` writes, and nothing else.
-
-    The ``[dst, id]`` sentences of a language name its pairs, which must be
-    exactly the translator keys and the ``marginals`` keys; each pair's weights
-    are taken as written, aligned with its sentences. Content the writer would
-    not write back is an error, never dropped.
-    """
-    if not isinstance(payload, dict):
-        raise SchemaError("instance document must be a JSON object")
-    try:
-        languages = payload["languages"]
-        raw_sentences = payload["sentences"]
-        raw_marginals = payload["marginals"]
-        raw_translators = payload["translators"]
-    except KeyError as exc:
-        raise SchemaError(f"instance document missing key {exc}") from exc
+    """Read the layout ``instance_to_dict`` writes and nothing else: no content is dropped."""
+    languages, pool_ids, raw_pairs = _document(payload, "instance", ("languages", "pools", "pairs"))
     if not isinstance(languages, list) or not all(isinstance(l, str) for l in languages):
         raise SchemaError("'languages' must be a list of language ids")
     if len(languages) < 2:
         raise SchemaError(f"'languages' must name at least two languages, got {languages}")
     for lang in languages:
         _check_language_id(lang)
-    if not isinstance(raw_sentences, dict) or not all(
-        isinstance(entries, list) for entries in raw_sentences.values()
-    ):
-        raise SchemaError("'sentences' must map each language to a list of sentences")
-    for lang in raw_sentences:
-        if lang not in languages:
-            raise SchemaError(f"'sentences' lists sentences of unknown language {lang!r}")
-    if not isinstance(raw_marginals, dict):
-        raise SchemaError("'marginals' must map 'src->dst' keys to weight lists")
-    raw_marginals = {key: _instance_weights(key, raw) for key, raw in raw_marginals.items()}
-    if not isinstance(raw_translators, dict):
-        raise SchemaError("'translators' must map 'src->dst' keys to tables")
-    for key, table in raw_translators.items():
-        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
-            raise SchemaError(f"translator {key!r} must map sentence ids to sentence ids")
-
-    pool: dict[str, list[Sentence]] = {lang: [] for lang in languages}
-    tagged: dict[tuple[str, str], list[Sentence]] = {}
+    if not isinstance(pool_ids, dict):
+        raise SchemaError("'pools' must map each language to a list of sentence ids")
+    if set(pool_ids) != set(languages):
+        raise SchemaError(
+            f"'pools' has the keys {sorted(pool_ids)}, not the languages {sorted(languages)}"
+        )
+    pools: dict[str, dict[Sentence, None]] = {}
     for lang in languages:
-        entries = raw_sentences.get(lang, [])
-        sentences = [_parse_sentence(lang, entry, languages) for entry in entries]
-        if len(set(sentences)) != len(sentences):
-            raise SchemaError(f"sentences for {lang!r} list a sentence twice")
-        for s in sentences:
-            if s.target_tag is None:
-                pool[lang].append(s)
-            else:
-                tagged.setdefault((lang, s.target_tag), []).append(s)
-    for key in raw_translators:
-        src, dst = _parse_pair_key(key)
-        if src not in languages or dst not in languages:
-            raise SchemaError(f"translator pair {key} references unknown language")
-        if (src, dst) not in tagged:
-            raise SchemaError(f"no sentences of {src!r} tagged for target {dst!r}")
-    for key in raw_marginals:
-        if key not in raw_translators:
-            raise SchemaError(f"marginal key {key!r} names no translator pair")
+        ids = pool_ids[lang]
+        if not isinstance(ids, list) or not all(isinstance(y, str) for y in ids):
+            raise SchemaError(f"pool of {lang!r} must be a list of sentence ids, got {ids!r}")
+        pools[lang] = dict.fromkeys(Sentence(lang, y) for y in ids)
+        if len(pools[lang]) != len(ids):
+            repeat = next(y for i, y in enumerate(ids) if y in ids[:i])
+            raise SchemaError(f"pool of {lang!r} lists {repeat!r} twice")
+    if not isinstance(raw_pairs, dict):
+        raise SchemaError("'pairs' must map 'src->dst' keys to lists of rows")
 
     marginals, translators = {}, {}
-    for (src, dst), atoms in sorted(tagged.items()):
-        key = f"{src}->{dst}"
-        if key not in raw_translators:
-            raise SchemaError(
-                f"sentence {atoms[0].body!r} of {src!r} is tagged for target {dst!r},"
-                f" but no translator {key} exists"
-            )
-        weights = raw_marginals.get(key)
-        if weights is None:
-            raise SchemaError(f"no marginal for pair {key!r}")
-        if len(weights) != len(atoms):
-            raise SchemaError(
-                f"marginal for {key!r} has {len(weights)} weights for {len(atoms)} sentences"
-            )
-        marginals[(src, dst)] = FiniteDistribution(tuple(atoms), np.array(weights))
-        translators[(src, dst)] = _translator(key, atoms, pool[dst], raw_translators[key])
-    return ManyToManyInstance(languages, marginals, translators, pool)
+    for key, rows in raw_pairs.items():
+        src, dst = _parse_pair_key(key)
+        if src not in languages or dst not in languages:
+            unknown = dst if src in languages else src
+            raise SchemaError(f"pair {key!r} names unknown language {unknown!r}")
+        if not isinstance(rows, list):
+            raise SchemaError(f"pair {key!r} must be a list of rows, got {rows!r}")
+        mapping, weights = {}, []
+        for i, row in enumerate(rows):
+            with _naming(f"pair {key!r} row {i}"):
+                if not (isinstance(row, list) and len(row) == 3
+                        and isinstance(row[0], str) and isinstance(row[2], str)):
+                    raise SchemaError(f"must be [sentence, weight, translation], got {row!r}")
+                x, y = Sentence(src, row[0], target_tag=dst), Sentence(dst, row[2])
+                weight = _number(row[1], "weight")
+                if not math.isfinite(weight) or weight < 0:
+                    raise SchemaError(f"weight must be finite and nonnegative, got {row[1]!r}")
+                if y not in pools[dst]:
+                    raise SchemaError(f"translation {row[2]!r} is not in the pool of {dst!r}")
+                if x in mapping:
+                    raise SchemaError(f"sentence {row[0]!r} already has a row")
+            mapping[x] = y
+            weights.append(weight)
+        total = math.fsum(weights)
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise SchemaError(f"pair {key!r} weights sum to {total!r}, expected 1")
+        marginals[(src, dst)] = FiniteDistribution(tuple(mapping), np.array(weights))
+        translators[(src, dst)] = DeterministicTranslator(mapping)
+    return ManyToManyInstance(languages, marginals, translators, pools)
 
 
 def load_instance(path):
@@ -410,15 +352,14 @@ def _array_field(owner: str, entry, name: str, ndim: int) -> np.ndarray:
 def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
     """Read a codec document, naming the file, codec and field of any defect."""
     with _naming(path):
-        payload = _read_json(path)
+        raw_spec, sigma, nuisance, entries = _document(
+            _read_json(path), "codec", ("spec", "sigma", "nuisance_dim", "codecs")
+        )
+        if not isinstance(entries, dict):
+            raise SchemaError("codec field 'codecs' must map language ids to codecs")
         try:
-            raw_spec = payload["spec"]
-            entries = dict(payload["codecs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed codec document: {exc}") from exc
-        try:
-            sigma = _number(payload.get("sigma", 0.0), "sigma")
-            nuisance = _integer(payload.get("nuisance_dim", 0), "nuisance_dim")
+            sigma = _number(sigma, "sigma")
+            nuisance = _integer(nuisance, "nuisance_dim")
         except SchemaError as exc:
             raise SchemaError(f"codec {exc}") from exc
         spec = _spec(raw_spec)
@@ -707,12 +648,11 @@ def save_encoders(
 def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
     """Read an encoder document, naming the file, language and field of any defect."""
     with _naming(path):
-        payload = _read_json(path)
-        try:
-            entries = dict(payload["encoders"])
-            anchor = payload.get("anchor")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed encoder document: {exc}") from exc
+        anchor, entries, spec = _document(
+            _read_json(path), "encoder", ("anchor", "encoders", "spec")
+        )
+        if not isinstance(entries, dict):
+            raise SchemaError("encoder field 'encoders' must map language ids to encoders")
         if anchor is not None and not isinstance(anchor, str):
             raise SchemaError(f"'anchor' must be a language id or null, got {anchor!r}")
         encoders = {}
@@ -731,7 +671,6 @@ def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
             estimate = EncoderEstimate(encoders, anchor)
         except (ConditioningError, ValueError) as exc:
             raise SchemaError(str(exc)) from exc
-        spec = payload.get("spec")
         return estimate, None if spec is None else _spec(spec)
 
 

@@ -30,6 +30,7 @@ from translab.errors import DomainError
 from translab.evaluation import SweepRow, _affine_losses, _codec
 from translab.impossibility import (
     ManyToManyInstance,
+    make_worst_case,
     random_many_to_many_instance,
     random_two_to_one_instance,
 )
@@ -482,69 +483,119 @@ def _set(payload, path, value):
     return payload
 
 
-#: Defects of a ``make_worst_case`` instance's document, each with a fragment of
-#: its message. Each damage writes the instance's document and damages it.
+def _drop(payload, path):
+    del _parent(payload, path)[path[-1]]
+    return payload
+
+
+#: The three maps that had to agree, in the instance layout documents no longer use.
+OLD_INSTANCE_MAPS = {
+    "sentences": {"L0": [["L", "a0"], ["L", "a1"]], "L1": [["L", "b0"], ["L", "b1"]],
+                  "L": ["y0", "y1"]},
+    "marginals": {"L0->L": [0.75, 0.25], "L1->L": [0.25, 0.75]},
+    "translators": {"L0->L": {"a0": "y0", "a1": "y1"}, "L1->L": {"b0": "y0", "b1": "y1"}},
+}
+
+
+def _repeat_key(instance, key: str, repeat: str) -> str:
+    """The instance's document as JSON text, with the key ``key`` written as ``repeat``."""
+    text = json.dumps(io.instance_to_dict(instance))
+    assert text.count(f'"{key}": ') == 1
+    return text.replace(f'"{key}": ', f'"{repeat}": ')
+
+
+#: Defects of a ``make_worst_case(0.5)`` instance's document, each with a fragment
+#: of its message. Each damage writes the instance's document and damages it; a
+#: repeated key, which no dict can hold, is damaged in the document's JSON text.
 WORST_CASE_DEFECTS = {
     "pair_nan_weight": (
-        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0->L", 0), math.nan),
-        "marginal for 'L0->L' weight 0 must be finite",
+        lambda i: _set(io.instance_to_dict(i), ("pairs", "L0->L", 0, 1), math.nan),
+        "pair 'L0->L' row 0: weight must be finite and nonnegative, got nan",
     ),
     "pair_negative_weight": (
-        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0->L"), [1.5, -0.5]),
-        "marginal for 'L0->L' weight 1 must be finite and nonnegative",
+        lambda i: _set(
+            io.instance_to_dict(i), ("pairs", "L0->L"), [["a0", 1.5, "y0"], ["a1", -0.5, "y1"]]
+        ),
+        "pair 'L0->L' row 1: weight must be finite and nonnegative, got -0.5",
     ),
     "pair_weights_sum_to_0.9": (
-        lambda i: _set(io.instance_to_dict(i), ("marginals", "L1->L"), [0.5, 0.4]),
-        "marginal for 'L1->L' weights sum to 0.9",
+        lambda i: _set(
+            io.instance_to_dict(i), ("pairs", "L1->L"), [["b0", 0.5, "y0"], ["b1", 0.4, "y1"]]
+        ),
+        "pair 'L1->L' weights sum to 0.9",
     ),
     "pair_non_numeric_weight": (
-        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0->L", 1), "0.5"),
-        "marginal for 'L0->L' weight 1 is not a number",
-    ),
-    "pair_weight_count": (
-        lambda i: _set(io.instance_to_dict(i), ("marginals", "L1->L"), [0.5, 0.25, 0.25]),
-        "marginal for 'L1->L' has 3 weights for 2 sentences",
+        lambda i: _set(io.instance_to_dict(i), ("pairs", "L0->L", 1, 1), "0.5"),
+        "pair 'L0->L' row 1: field 'weight' must be a JSON number, got '0.5'",
     ),
     "unknown_pair_key": (
-        lambda i: _set(io.instance_to_dict(i), ("marginals", "L9->L"), [1.0]),
-        "marginal key 'L9->L' names no translator pair",
+        lambda i: _set(io.instance_to_dict(i), ("pairs", "L9->L"), [["z0", 1.0, "y0"]]),
+        "pair 'L9->L' names unknown language 'L9'",
     ),
     "pair_and_language_keys": (
-        lambda i: _set(io.instance_to_dict(i), ("marginals", "L0"), [1.0, 0.0]),
-        "marginal key 'L0' names no translator pair",
+        lambda i: _set(io.instance_to_dict(i), ("pairs", "L0"), [["a0", 1.0, "y0"]]),
+        "pair key 'L0' must look like 'src->dst'",
     ),
-    "sentences_of_unknown_language": (
-        lambda i: _set(io.instance_to_dict(i), ("sentences", "L9"), ["z0"]),
-        "'sentences' lists sentences of unknown language 'L9'",
+    "pool_of_unknown_language": (
+        lambda i: _set(io.instance_to_dict(i), ("pools", "L9"), ["z0"]),
+        "'pools' has the keys ['L', 'L0', 'L1', 'L9'], not the languages ['L', 'L0', 'L1']",
     ),
-    "tag_without_translator": (
-        lambda i: _set(
-            io.instance_to_dict(i), ("sentences", "L0"), [["L", "a0"], ["L", "a1"], ["L1", "orphan"]]
-        ),
-        "sentence 'orphan' of 'L0' is tagged for target 'L1', but no translator L0->L1 exists",
+    "pools_missing_a_language": (
+        lambda i: _drop(io.instance_to_dict(i), ("pools", "L1")),
+        "'pools' has the keys ['L', 'L0'], not the languages ['L', 'L0', 'L1']",
     ),
-    "translator_entry_without_sentence": (
-        lambda i: _set(io.instance_to_dict(i), ("translators", "L0->L", "zz"), "y0"),
-        "translator L0->L maps 'zz', which is no sentence of the pair",
+    "duplicate_pool_id": (
+        lambda i: _set(io.instance_to_dict(i), ("pools", "L"), ["y0", "y1", "y0"]),
+        "pool of 'L' lists 'y0' twice",
+    ),
+    "duplicate_sentence_in_a_pair": (
+        lambda i: _set(io.instance_to_dict(i), ("pairs", "L0->L", 1, 0), "a0"),
+        "pair 'L0->L' row 1: sentence 'a0' already has a row",
+    ),
+    "translation_outside_the_pool": (
+        lambda i: _set(io.instance_to_dict(i), ("pairs", "L0->L", 0, 2), "nope"),
+        "pair 'L0->L' row 0: translation 'nope' is not in the pool of 'L'",
+    ),
+    "row_of_the_wrong_length": (
+        lambda i: _set(io.instance_to_dict(i), ("pairs", "L1->L", 1), ["b1", 0.75]),
+        "pair 'L1->L' row 1: must be [sentence, weight, translation], got ['b1', 0.75]",
     ),
     "arrow_in_language_id": (
-        lambda i: {"languages": ["a->b", "c"], "sentences": {"a->b": [["c", "s"]], "c": ["y"]},
-                   "marginals": {"a->b->c": [1.0]}, "translators": {"a->b->c": {"s": "y"}}},
+        lambda i: {"languages": ["a->b", "c"], "pools": {"a->b": [], "c": ["y"]},
+                   "pairs": {"a->b->c": [["s", 1.0, "y"]]}},
         "language id 'a->b' holds '->'",
-    ),
-    "duplicate_sentence": (
-        lambda i: _set(io.instance_to_dict(i), ("sentences", "L0"), ["a0", "a0"]), "twice"
     ),
     "document_is_a_list": (lambda i: [io.instance_to_dict(i)], "JSON object"),
     "languages_is_a_number": (
         lambda i: _set(io.instance_to_dict(i), ("languages",), 3), "'languages'"
     ),
     "one_language": (
-        lambda i: {"languages": ["L0"], "sentences": {"L0": ["a"]}, "marginals": {},
-                   "translators": {}},
+        lambda i: {"languages": ["L0"], "pools": {"L0": ["a"]}, "pairs": {}},
         "at least two languages",
     ),
+    "old_layout": (
+        lambda i: {"languages": ["L0", "L1", "L"], **OLD_INSTANCE_MAPS},
+        "instance document missing key 'pools'",
+    ),
+    # the old maps would be dropped, and they may disagree with the new ones
+    "old_and_new_layout": (
+        lambda i: {**io.instance_to_dict(i), **OLD_INSTANCE_MAPS},
+        "instance document has unknown key 'sentences'",
+    ),
+    # json.load would keep the second of two values for one key
+    "repeated_pair_key": (
+        lambda i: _repeat_key(i, "L1->L", "L0->L"), "JSON object repeats key 'L0->L'"
+    ),
+    "repeated_pool_key": (
+        lambda i: _repeat_key(i, "L1", "L0"), "JSON object repeats key 'L0'"
+    ),
 }
+
+
+def worst_case_defect_text(defect: str) -> str:
+    """The JSON text of ``make_worst_case(0.5)``'s document damaged by ``defect``."""
+    damaged = WORST_CASE_DEFECTS[defect][0](make_worst_case(0.5))
+    return damaged if isinstance(damaged, str) else json.dumps(damaged)
 
 LEAF_REPLACEMENTS = (math.nan, math.inf, -1, "x", [], {}, None)
 
@@ -570,9 +621,7 @@ def _damage(draw, payload, replacements=LEAF_REPLACEMENTS):
     nodes = list(_walk(payload))
     if draw(st.booleans()):
         keys = [path for path, container, _child in nodes if isinstance(container, dict)]
-        path = draw(st.sampled_from(keys))
-        del _parent(payload, path)[path[-1]]
-        return payload
+        return _drop(payload, draw(st.sampled_from(keys)))
     leaves = [path for path, _container, child in nodes if not isinstance(child, (dict, list))]
     return _set(payload, draw(st.sampled_from(leaves)), draw(st.sampled_from(replacements)))
 

@@ -25,6 +25,7 @@ from helpers import (
     corpus_of_pairs,
     damaged_instance_documents,
     savez_corpus,
+    worst_case_defect_text,
 )
 from translab import cli, io, trainer
 from translab.evaluation import sample_complexity_sweep, shortest_path_and_diameter
@@ -379,27 +380,15 @@ class TestBoundAndBrute:
         path.write_text(
             """{
   "languages": ["L0", "L1", "L"],
-  "sentences": {
-    "L0": [["L", "a0"], ["L", "a1"]], "L1": [["L", "b0"], ["L", "b1"]], "L": ["y0", "y1"]
-  },
-  "marginals": {"L0->L": [0.75, 0.25], "L1->L": [0.25, 0.75]},
-  "translators": {"L0->L": {"a0": "y0", "a1": "y1"}, "L1->L": {"b0": "y0", "b1": "y1"}}
+  "pools": {"L0": [], "L1": [], "L": ["y0", "y1"]},
+  "pairs": {"L0->L": [["a0", 0.75, "y0"], ["a1", 0.25, "y1"]],
+            "L1->L": [["b0", 0.25, "y0"], ["b1", 0.75, "y1"]]}
 }
 """
         )
         code, out, _ = run_cli(["bound", "--instance", str(path)], capsys)
         assert code == 0
         assert out.startswith("bound_sum=0.5 ")
-
-    def test_distributions_key_without_marginals_exits_2(self, tmp_path, capsys):
-        payload = io.instance_to_dict(make_worst_case(0.5))
-        payload["distributions"] = payload.pop("marginals")
-        path = tmp_path / "alias.json"
-        path.write_text(json.dumps(payload))
-        code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {path}: instance document missing key 'marginals'\n"
 
     def test_brute_without_pairs_exits_2(self, tmp_path, capsys):
         import numpy as np
@@ -409,12 +398,7 @@ class TestBoundAndBrute:
         path = tmp_path / "mm.json"
         io.save_instance(random_many_to_many_instance(np.random.default_rng(12)), path)
         payload = json.loads(path.read_text())
-        payload["translators"] = {}
-        payload["marginals"] = {}
-        payload["sentences"] = {
-            lang: [s for s in entries if isinstance(s, str)]
-            for lang, entries in payload["sentences"].items()
-        }
+        payload["pairs"] = {}
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(["brute", "--instance", str(path)], capsys)
         assert code == 2
@@ -425,9 +409,9 @@ class TestMalformedInstanceFiles:
     @pytest.mark.parametrize("mode", ["bound", "brute"])
     @pytest.mark.parametrize("defect", sorted(WORST_CASE_DEFECTS))
     def test_defect_exits_2_naming_the_file(self, tmp_path, capsys, mode, defect):
-        damage, message = WORST_CASE_DEFECTS[defect]
+        message = WORST_CASE_DEFECTS[defect][1]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(damage(make_worst_case(0.5))))
+        path.write_text(worst_case_defect_text(defect))
         code, out, err = run_cli([mode, "--instance", str(path)], capsys)
         assert code == 2
         assert out == ""
@@ -437,13 +421,13 @@ class TestMalformedInstanceFiles:
         from translab.impossibility import random_many_to_many_instance
 
         payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(12)))
-        payload["marginals"]["L0->L2"][0] = math.nan
+        payload["pairs"]["L0->L2"][0][1] = math.nan
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(["bound", "--instance", str(path)], capsys)
         assert code == 2
         assert "bound_max" not in out
-        assert "marginal for 'L0->L2' weight 0" in err
+        assert "pair 'L0->L2' row 0: weight" in err
 
     @settings(max_examples=40, deadline=None)
     @given(damaged_instance_documents())

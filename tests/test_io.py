@@ -30,8 +30,7 @@ from helpers import (
     damaged_instance_documents,
     max_entry_difference,
     savez_corpus,
-    target_marginal,
-    tv_distance,
+    worst_case_defect_text,
 )
 from translab import cli, io
 from translab.distributions import DeterministicTranslator, FiniteDistribution, Sentence
@@ -51,6 +50,7 @@ from translab.generative import (
 )
 from translab.impossibility import (
     ManyToManyInstance,
+    Tasks,
     make_worst_case,
     random_many_to_many_instance,
     random_two_to_one_instance,
@@ -59,73 +59,41 @@ from translab.trainer import EncoderEstimate, anchor_spanning_tree, fit_edge
 from test_trainer import chain_setup
 
 
+def round_trip_instances(family: str) -> list[ManyToManyInstance]:
+    if family == "worst_case":
+        return [make_worst_case(delta) for delta in np.linspace(0.0, 1.0, 41)]
+    if family == "many_to_many":
+        return [random_many_to_many_instance(np.random.default_rng(s)) for s in range(200)]
+    rng = np.random.default_rng(2)
+    return [random_two_to_one_instance(rng) for _ in range(200)]
+
+
 class TestInstanceRoundTrip:
-    def test_two_to_one(self, tmp_path):
-        instance = make_worst_case(0.8)
-        path = tmp_path / "worst.json"
-        io.save_instance(instance, path)
-        again = io.load_instance(path)
-        assert again.languages == instance.languages
-        assert again.tasks.pairs == (("L0", "L"), ("L1", "L"))
-        for pair in instance.tasks.pairs:
-            marginal = instance.marginals[pair]
-            assert np.array_equal(again.marginals[pair].weights, marginal.weights)
-            for atom in marginal.support:
-                assert again.translators[pair](atom) == instance.translators[pair](atom)
-        assert again.sentence_pool == instance.sentence_pool
-
-    def test_random_two_to_one(self, tmp_path):
-        rng = np.random.default_rng(0)
-        for i in range(5):
-            instance = random_two_to_one_instance(rng)
-            path = tmp_path / f"i{i}.json"
-            io.save_instance(instance, path)
-            again = io.load_instance(path)
-            for pair in instance.tasks.pairs:
-                tv = tv_distance(target_marginal(again, *pair), target_marginal(instance, *pair))
-                assert tv <= 1e-12
-
-    def test_many_to_many(self, tmp_path):
-        rng = np.random.default_rng(1)
-        instance = random_many_to_many_instance(rng)
-        io.save_instance(instance, tmp_path / "mm.json")
-        again = io.load_instance(tmp_path / "mm.json")
-        assert set(again.tasks.pairs) == set(instance.tasks.pairs)
-        for pair in instance.tasks.pairs:
-            a = instance.marginals[pair]
-            b = again.marginals[pair]
-            assert tv_distance(a, b) <= 1e-9
-            for atom in a.support:
-                assert again.translators[pair](atom) == instance.translators[pair](atom)
-        assert again.sentence_pool == instance.sentence_pool
-
-    def test_untagged_sentences_of_a_language_that_is_also_a_target_stay_untagged(self):
-        payload = {
-            "languages": ["A", "B"],
-            "sentences": {"A": ["a0"], "B": ["b0"]},
-            "marginals": {"A->B": [1.0], "B->A": [1.0]},
-            "translators": {"A->B": {"a0": "b0"}, "B->A": {"b0": "a0"}},
-        }
-        with pytest.raises(SchemaError, match="no sentences of 'A' tagged for target 'B'"):
-            io.instance_from_dict(payload)
+    @pytest.mark.parametrize("family", ["worst_case", "many_to_many", "two_to_one"])
+    def test_tasks_read_back_bit_for_bit(self, tmp_path, family):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        for instance in round_trip_instances(family):
+            io.save_instance(instance, first)
+            loaded = io.load_instance(first)
+            for name, got, want in zip(Tasks._fields, loaded.tasks, instance.tasks):
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
+                else:
+                    assert got == want, name
+            io.save_instance(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_many_to_many_weights_must_sum_to_one(self):
         payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
-        payload["marginals"]["L0->L1"] = [w / 2 for w in payload["marginals"]["L0->L1"]]
-        with pytest.raises(SchemaError, match="marginal for 'L0->L1' weights sum to"):
+        for row in payload["pairs"]["L0->L1"]:
+            row[1] /= 2
+        with pytest.raises(SchemaError, match="pair 'L0->L1' weights sum to"):
             io.instance_from_dict(payload)
 
     def test_missing_key_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"languages": ["A"]}))
-        with pytest.raises(SchemaError):
-            io.load_instance(path)
-
-    def test_dangling_translator_image_is_schema_error(self, tmp_path):
-        payload = io.instance_to_dict(make_worst_case(0.5))
-        payload["translators"]["L0->L"]["a0"] = "nope"
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError):
             io.load_instance(path)
 
@@ -144,37 +112,36 @@ class TestInstanceRoundTrip:
             io.load_instance(tmp_path)
 
 
+def one_pair_instance(source: str, pool) -> ManyToManyInstance:
+    """``source`` -> ``c`` with one source sentence, translated to the first of ``pool``."""
+    x = Sentence(source, "s", target_tag="c")
+    return ManyToManyInstance(
+        (source, "c"),
+        {(source, "c"): FiniteDistribution((x,), np.array([1.0]))},
+        {(source, "c"): DeterministicTranslator({x: pool[0]})},
+        {"c": pool},
+    )
+
+
 class TestInstanceDefects:
     @pytest.mark.parametrize("defect", sorted(WORST_CASE_DEFECTS))
     def test_defect_is_schema_error_naming_the_file(self, tmp_path, defect):
-        damage, message = WORST_CASE_DEFECTS[defect]
+        message = WORST_CASE_DEFECTS[defect][1]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(damage(make_worst_case(0.5))))
+        path.write_text(worst_case_defect_text(defect))
         with pytest.raises(SchemaError, match=re.escape(message)) as exc:
             io.load_instance(path)
         assert str(exc.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
-    def test_many_to_many_raw_weight_names_language_and_index(self, tmp_path, bad):
+    def test_many_to_many_raw_weight_names_pair_and_row(self, tmp_path, bad):
         payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(1)))
-        payload["marginals"]["L0->L1"][0] = bad
+        payload["pairs"]["L0->L1"][0][1] = bad
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="marginal for 'L0->L1' weight 0") as exc:
+        with pytest.raises(SchemaError, match="pair 'L0->L1' row 0: weight") as exc:
             io.load_instance(path)
         assert str(exc.value).startswith(f"{path}: ")
-
-    @pytest.mark.parametrize("tag", [None, ["L2"], "L9"])
-    def test_bad_target_tag_names_the_sentence(self, tmp_path, tag):
-        # str() used to turn a null or list tag into a new language's name, so
-        # the sentence left its pair and the pair's marginal changed silently
-        payload = io.instance_to_dict(random_many_to_many_instance(np.random.default_rng(12)))
-        assert payload["sentences"]["L0"][2] == ["L2", "s1"]
-        payload["sentences"]["L0"][2][0] = tag
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="'L0'"):
-            io.load_instance(path)
 
     @settings(max_examples=300, deadline=None)
     @given(damaged_instance_documents())
@@ -184,23 +151,26 @@ class TestInstanceDefects:
         except SchemaError:
             return
         # a document that loads is one the writer writes back: nothing was dropped
-        written = io.instance_to_dict(instance)
-        sentences = {lang: payload["sentences"].get(lang, []) for lang in written["languages"]}
-        assert written == {**payload, "sentences": sentences}
+        assert io.instance_to_dict(instance) == payload
 
-    def test_language_id_with_an_arrow_is_not_written(self, tmp_path):
-        # its pair key 'a->b->c' would read back as the pair ('a', 'b->c')
-        source, target = Sentence("a->b", "s", target_tag="c"), Sentence("c", "y")
-        arrow = ManyToManyInstance(
-            ("a->b", "c"),
-            {("a->b", "c"): FiniteDistribution((source,), np.array([1.0]))},
-            {("a->b", "c"): DeterministicTranslator({source: target})},
-            {"c": (target,)},
-        )
-        path = tmp_path / "arrow.json"
-        with pytest.raises(ValueError, match="language id 'a->b' holds '->'"):
-            io.save_instance(arrow, path)
+    @pytest.mark.parametrize(
+        "source, pool, message",
+        [
+            # its pair key 'a->b->c' would read back as the pair ('a', 'b->c')
+            ("a->b", (Sentence("c", "y"),), "language id 'a->b' holds '->'"),
+            # a pool lists bare ids, so the tag would be lost
+            ("a", (Sentence("c", "y", target_tag="a"),), "pool sentence <a><c>y of 'c' carries a"),
+            ("a", (Sentence("c", "y"), Sentence("c", "y")), "pool of 'c' lists a sentence twice"),
+        ],
+    )
+    def test_what_the_reader_could_not_read_back_is_not_written(
+        self, tmp_path, source, pool, message
+    ):
+        path = tmp_path / "instance.json"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io.save_instance(one_pair_instance(source, pool), path)
         assert not path.exists()
+
 
 class TestGraphAndCodecFiles:
     def test_graph_round_trip(self, tmp_path):
@@ -253,24 +223,6 @@ class TestGraphAndCodecFiles:
         loaded_estimate, loaded_spec = io.load_encoders(first)
         io.save_encoders(loaded_estimate, second, loaded_spec)
         assert second.read_bytes() == first.read_bytes()
-
-        # each pair's weights are written as they are, so they read back exactly
-        instances = [random_many_to_many_instance(np.random.default_rng(s)) for s in range(200)]
-        rng = np.random.default_rng(2)
-        instances += [random_two_to_one_instance(rng) for _ in range(200)]
-        instances += [make_worst_case(delta) for delta in np.linspace(0.0, 1.0, 41)]
-        changed = []
-        for i, instance in enumerate(instances):
-            io.save_instance(instance, first)
-            loaded = io.load_instance(first)
-            io.save_instance(loaded, second)
-            if second.read_bytes() != first.read_bytes() or not all(
-                np.array_equal(loaded.marginals[pair].weights,
-                               instance.marginals[pair].weights)
-                for pair in instance.tasks.pairs
-            ):
-                changed.append(i)
-        assert changed == [], f"{len(changed)} of {len(instances)} instance documents changed"
 
     def test_codecs_with_mixed_noise_settings_are_rejected(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
@@ -518,6 +470,27 @@ class TestCodecDefects:
             f"{prefix}field {field!r} must be a JSON {kind}, got {value!r}"
         )
 
+    @pytest.mark.parametrize(
+        "key", ["spec", "sigma", "nuisance_dim", "codecs", "as pairs", "unknown"]
+    )
+    def test_missing_unknown_or_listed_key_names_file_and_key(self, tmp_path, key):
+        # the writer writes every key and no other, so none has a default and none is dropped
+        payload = json.loads(json.dumps(CODEC_DOCUMENT))
+        expected = f"codec document missing key {key!r}"
+        if key == "as pairs":
+            payload["codecs"] = list(payload["codecs"].items())
+            expected = "codec field 'codecs' must map language ids to codecs"
+        elif key == "unknown":
+            payload["encoders"] = {}
+            expected = "codec document has unknown key 'encoders'"
+        else:
+            del payload[key]
+        path = tmp_path / "codecs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_codecs(path)
+        assert str(info.value) == f"{path}: {expected}"
+
     @settings(max_examples=80, deadline=None)
     @given(damaged_documents(CODEC_DOCUMENT, LEAF_REPLACEMENTS + MISTYPED_NUMBER_LEAVES))
     def test_damaged_document_loads_or_is_schema_error(self, payload):
@@ -533,8 +506,9 @@ class TestCodecDefects:
                 assert np.isfinite(codec.sigma) and np.all(np.isfinite(codec.decoder.linear))
             assert all(np.isfinite([spec.radius, spec.rho, spec.offset_bound]))
             assert_json_typed_spec(payload["spec"])
-            assert type(payload.get("nuisance_dim", 0)) is int
-            assert type(payload.get("sigma", 0.0)) in (int, float)
+            assert type(payload["nuisance_dim"]) is int
+            assert type(payload["sigma"]) in (int, float)
+            assert isinstance(payload["codecs"], dict)
 
 
 class TestCorpusFiles:
@@ -978,11 +952,24 @@ class TestEncoderFiles:
         assert len(again.encoders) == 6
         assert len(shapes) == 1 and shapes[0][0] == 6
 
-    def test_missing_encoders_key_is_schema_error(self, tmp_path):
-        path = tmp_path / "encoders.json"
-        path.write_text(json.dumps({"anchor": "L0"}))
-        with pytest.raises(SchemaError, match="malformed encoder document"):
+    @pytest.mark.parametrize("key", ["anchor", "encoders", "spec", "as pairs", "unknown"])
+    def test_missing_unknown_or_listed_key_names_file_and_key(self, tmp_path, key):
+        # the writer writes every key, a null 'anchor' or 'spec' too, and no other, so none
+        # has a default and none is dropped
+        path, payload = self._saved(tmp_path)
+        expected = f"encoder document missing key {key!r}"
+        if key == "as pairs":
+            payload["encoders"] = list(payload["encoders"].items())
+            expected = "encoder field 'encoders' must map language ids to encoders"
+        elif key == "unknown":
+            payload["sigma"] = 0.0
+            expected = "encoder document has unknown key 'sigma'"
+        else:
+            del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
             io.load_encoders(path)
+        assert str(info.value) == f"{path}: {expected}"
 
     def test_encoders_of_different_dimension_are_schema_error(self, tmp_path):
         path, payload = self._saved(tmp_path)
@@ -1020,6 +1007,8 @@ class TestEncoderFiles:
             except SchemaError as exc:
                 assert str(exc).startswith(f"{path}: "), str(exc)
                 return
+            assert {"anchor", "encoders", "spec"} <= payload.keys()
+            assert isinstance(payload["encoders"], dict)
             if spec is not None:
                 assert_json_typed_spec(payload["spec"])
 

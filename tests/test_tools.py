@@ -1,14 +1,22 @@
-"""Tests for the A/B benchmark tool: its verdicts on synthetic runs and its checkout checks."""
+"""Tests for the tools: the A/B benchmark's verdicts and checkout checks, and the output diff."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
-SPEC = importlib.util.spec_from_file_location("ab_bench", PATH)
-ab_bench = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(ab_bench)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_bench = load_tool("ab_bench")
+compare_outputs = load_tool("compare_outputs")
 
 #: Ten parent runs with median 1.0 and quartiles 0.99725 and 1.00275.
 TIGHT = [0.99, 0.995, 0.997, 0.998, 0.999, 1.001, 1.002, 1.003, 1.005, 1.01]
@@ -98,3 +106,43 @@ class TestBytecode:
         assert ab_bench.run_bench(tmp_path, "sweep", 3, 1.0) == {"metrics": {}}
         assert seen == {"env": {**ab_bench.os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
                         "cwd": tmp_path}
+
+
+def write_tree(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+class TestCompareOutputs:
+    def test_same_trees_and_calls_have_no_differences(self, tmp_path):
+        files = {"inputs/i.json": "{}", "out/r.csv": "a\n"}
+        parent, change = (write_tree(tmp_path / tag, files) for tag in ("parent", "change"))
+        calls = [(["bound", "--instance", "i.json"], 0, "ok\n", "")]
+        assert compare_outputs.differences(parent, change, calls, calls) == []
+        assert compare_outputs.summary([]) == "0 differences (0 in inputs/)"
+
+    def test_each_difference_is_named_and_inputs_are_counted_apart(self, tmp_path):
+        parent = write_tree(
+            tmp_path / "parent",
+            {"inputs/i.json": "{}", "inputs/old.json": "", "out/r.csv": "a\n", "out/old.csv": ""},
+        )
+        change = write_tree(
+            tmp_path / "change", {"inputs/i.json": "[]", "out/r.csv": "b\n", "out/new.csv": ""}
+        )
+        argv = ["bound", "--instance", "i.json"]
+        parent_calls = [(argv, 0, "ok\n", ""), (["brute"], 0, "", ""), (["eval"], 0, "", "")]
+        change_calls = [(argv, 2, "ok\n", ""), (["brute"], 0, "x\n", ""), (["eval"], 0, "", "w")]
+        found = compare_outputs.differences(parent, change, parent_calls, change_calls)
+        assert found == [
+            "exit code of `translab bound --instance i.json`",
+            "stdout of `translab brute`",
+            "stderr of `translab eval`",
+            "inputs/old.json only in the parent tree",
+            "out/new.csv only in the change tree",
+            "out/old.csv only in the parent tree",
+            "inputs/i.json differs",
+            "out/r.csv differs",
+        ]
+        assert compare_outputs.summary(found) == "8 differences (2 in inputs/)"

@@ -9,8 +9,9 @@ tree writes the workload's inputs and then runs every command line of one pass,
 each in a fresh ``python -B`` process with one BLAS thread, from its own
 scratch directory and with relative paths. The tool then compares the two
 trees' input and output files byte for byte, and each command's exit code,
-stdout and stderr. It prints one summary line per workload and every
-difference, and exits 1 if there is any.
+stdout and stderr. It prints one summary line per workload, which counts
+the differences under ``inputs/`` apart from the rest, then every difference,
+and exits 1 if there is any.
 
 ``bench/`` is only read: its modules are imported without writing bytecode.
 Scratch directories go under ``$TMPDIR`` and are removed at exit. A full
@@ -103,6 +104,12 @@ def differences(parent: Path, change: Path, parent_calls, change_calls) -> list[
     return found
 
 
+def summary(found: list[str]) -> str:
+    """How many differences there are, and how many of them lie under ``inputs/``."""
+    in_inputs = sum(line.startswith("inputs/") for line in found)
+    return f"{len(found)} differences ({in_inputs} in inputs/)"
+
+
 def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(BENCH))
@@ -131,7 +138,7 @@ def main(argv=None) -> int:
             n_bytes = sum(p.stat().st_size for p in files(dirs["change"]).values())
         codes = sorted({code for _argv, code, _out, _err in calls["change"]})
         print(f"{name}: seed {args.seed}, {len(calls['change'])} commands (exit codes"
-              f" {codes}), {n_files} files, {n_bytes:,} bytes: {len(found)} differences")
+              f" {codes}), {n_files} files, {n_bytes:,} bytes: {summary(found)}")
         for line in found:
             print(f"  {line}")
         any_difference = any_difference or bool(found)
