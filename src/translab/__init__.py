@@ -1,4 +1,4 @@
 """translab: lower bounds for invariant-representation translation, and the
-generative counterpoint where graph-anchored training provably composes."""
+generative counterpoint where jointly trained encoders provably compose."""
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Invertible affine maps on R^d, the concrete function class used throughout."""
+"""Affine maps between real vector spaces, the concrete function class used throughout."""
 
 from __future__ import annotations
 
@@ -8,22 +8,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningError
-
 #: Smallest singular value below which a linear part is treated as singular.
 SINGULAR_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
-    """x -> linear @ x + offset; (m, d) rows of points map to points @ linear.T + offset.
+    """x -> linear @ x + offset; (m, n) rows of points map to points @ linear.T + offset.
 
-    A stack of maps has a linear part (..., d, d) and offsets (..., d).
-    ``compose``, ``inverse`` and the singular values (computed once per
-    object, kept by indexing and stacking) work per map with one map's
-    arithmetic, and a single map broadcasts against a stack. ``stack`` and indexing move maps
-    in and out (``m[None]`` is a stack of one); indexing keeps the memory
-    layout, by which BLAS rounding differs.
+    The linear part is (..., m, n), square or not, and the offsets (..., m); a
+    map takes R^n to R^m. A stack of maps has leading stack axes. ``compose``
+    and the singular values (computed once per object, kept by indexing and
+    stacking) work per map with one map's arithmetic, and a single map
+    broadcasts against a stack. ``stack`` and indexing move maps in and out
+    (``m[None]`` is a stack of one); indexing keeps the memory layout, by
+    which BLAS rounding differs.
     """
 
     linear: np.ndarray
@@ -32,8 +31,8 @@ class AffineMap:
     def __post_init__(self):
         linear = np.array(self.linear, dtype=np.float64)
         offset = np.array(self.offset, dtype=np.float64)
-        if linear.ndim < 2 or linear.shape[-2] != linear.shape[-1]:
-            raise ValueError(f"linear part must be square, got {linear.shape}")
+        if linear.ndim < 2:
+            raise ValueError(f"linear part must be a matrix, got {linear.shape}")
         if offset.shape != linear.shape[:-1]:
             raise ValueError("offset dimension does not match the linear part")
         linear.setflags(write=False)
@@ -72,6 +71,7 @@ class AffineMap:
 
     @property
     def dim(self) -> int:
+        """The dimension of the domain."""
         return self.linear.shape[-1]
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
@@ -83,7 +83,7 @@ class AffineMap:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values of each linear part, largest first: shape (..., d)."""
+        """Singular values of each linear part, largest first: shape (..., min(m, n))."""
         values = np.linalg.svd(self.linear, compute_uv=False)
         values.setflags(write=False)
         return values
@@ -92,13 +92,3 @@ class AffineMap:
     def nonsingular(self) -> np.ndarray:
         """Whether each linear part's smallest singular value reaches ``SINGULAR_TOL``."""
         return self.singular_values[..., -1] >= SINGULAR_TOL
-
-    def inverse(self) -> "AffineMap":
-        if not self.nonsingular.all():
-            raise ConditioningError("linear part is numerically singular")
-        inv = np.linalg.inv(self.linear)
-        return AffineMap._of(inv, (-inv @ self.offset[..., None])[..., 0])
-
-    @classmethod
-    def identity(cls, dim: int) -> "AffineMap":
-        return cls(np.eye(dim), np.zeros(dim))

@@ -30,7 +30,7 @@ from .impossibility import (
     brute_force_min_error,
     make_worst_case,
 )
-from .trainer import anchor_spanning_tree, factor_corpus, fit_edge, joint_refine
+from .trainer import fit_edge, fit_joint
 
 class ValidationFailure(Exception):
     def __init__(self, violations: list[str]):
@@ -83,11 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--nuisance-dim", type=int, default=0)
 
-    p = sub.add_parser("train", help="fit edges and anchor per-language encoders")
+    p = sub.add_parser("train", help="fit edges, then every encoder and decoder jointly")
     common(p)
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--corpus-dir", type=Path, required=True)
-    p.add_argument("--sweeps", type=int, default=0)
+    p.add_argument(
+        "--sweeps", type=int, default=0, help="ignored: the joint fit is in closed form"
+    )
 
     p = sub.add_parser("eval", help="verify the chained path bound on every pair")
     common(p)
@@ -131,7 +133,6 @@ _RANGES = (
     ("n_list", lambda v: all(n >= 1 for n in v), "sizes must be positive"),
     ("trials", lambda v: v >= 5, "must be at least 5, got {}"),
     ("holds_allowance", lambda v: 0 <= v <= 1, "must lie in [0, 1], got {}"),
-    ("sweeps", lambda v: v >= 0, "must be nonnegative, got {}"),
 )
 
 
@@ -321,13 +322,29 @@ def _connected_graph(path) -> TranslationGraph:
     return graph
 
 
+def _nuisance_dim(path, corpus, first: int | None) -> int:
+    """The corpus's ``meta["nuisance_dim"]``: an integer in [0, dim), and ``first`` if given."""
+    k = corpus.meta.get("nuisance_dim")
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < corpus.dim:
+        raise SchemaError(
+            f"{path}: corpus field 'meta' key 'nuisance_dim' must be an integer in"
+            f" [0, {corpus.dim}), got {k!r}"
+        )
+    if first is not None and k != first:
+        raise SchemaError(
+            f"{path}: corpus field 'meta' key 'nuisance_dim' is {k}, but the first"
+            f" corpus's is {first}"
+        )
+    return k
+
+
 def _run_train(config) -> int:
     graph = _connected_graph(config.graph)
     if not graph.edges:
         raise SchemaError(f"{config.graph}: graph has no edges; train needs at least one")
-    # One corpus at a time: each is fitted, reduced to its factor if
-    # refinement follows, and dropped before the next loads.
-    factors, results = [], []
+    # One corpus at a time: each is fitted and dropped before the next loads;
+    # its Gram stays for the joint fit.
+    results, nuisance = [], None
     for edge in graph.edge_pairs():
         path = config.corpus_dir / io.corpus_filename(edge)
         corpus = io.load_corpus(path)
@@ -341,18 +358,18 @@ def _run_train(config) -> int:
                 f"{path}: corpus has dimension {corpus.dim}, but the first corpus"
                 f" has dimension {results[0].transform.dim}"
             )
+        nuisance = _nuisance_dim(path, corpus, nuisance)
         try:
             results.append(fit_edge(corpus))
         except TranslabError as exc:
             raise type(exc)(f"{path}: edge {edge[0]}->{edge[1]}: {exc}") from exc
-        if config.sweeps > 0:
-            factors.append(factor_corpus(corpus))
         del corpus
-    anchor = min(graph.languages)
-    estimate = anchor_spanning_tree(graph, results, anchor)
-    if config.sweeps > 0:
-        estimate = joint_refine(estimate, factors, config.sweeps)
-    io.save_encoders(estimate, config.out / "encoders.json")
+    latent_dim = results[0].transform.dim - nuisance
+    try:
+        fit = fit_joint(results, latent_dim)
+    except TranslabError as exc:
+        raise type(exc)(f"{config.graph}: {exc}") from exc
+    io.save_encoders(fit.estimate, config.out / "encoders.json")
     io.write_edge_loss_csv(results, config.out / "edge_losses.csv")
     for result in results:
         _print(
@@ -362,11 +379,11 @@ def _run_train(config) -> int:
     io.write_summary_json(
         {
             "seed": config.seed,
-            "anchor": anchor,
-            "sweeps": config.sweeps,
-            "edges": {
-                f"{r.edge[0]}->{r.edge[1]}": r.empirical_loss for r in results
-            },
+            "latent_dim": latent_dim,
+            "edges": {f"{a}->{b}": loss for (a, b), loss in fit.edge_losses.items()},
+            "objective": fit.objective,
+            "eigenvalues": list(fit.eigenvalues),
+            "gap": fit.gap,
         },
         config.out / "train_summary.json",
     )

@@ -25,9 +25,5 @@ class ConditioningError(TranslabError, RuntimeError):
     """A linear system stayed numerically singular even after regularization."""
 
 
-class InternalConsistencyError(TranslabError, RuntimeError):
-    """An invariant the code itself guarantees was observed to fail."""
-
-
 class SchemaError(TranslabError, ValueError):
     """A file did not match its declared schema."""

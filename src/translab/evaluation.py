@@ -106,25 +106,42 @@ def shortest_path_and_diameter(
     return paths, diameter
 
 
-def _chain_bound(rho_hat: float, edge_losses: Sequence[float]) -> float:
-    """The chained path bound: 2 * rho_hat^2 * (sum of the path's edge losses)."""
-    return 2.0 * rho_hat**2 * sum(edge_losses)
+def _chain_bound(coefficients: Sequence[float], edge_losses: Sequence[float]) -> float:
+    """The telescoping path bound (sum_i coefficients[i] * sqrt(edge_losses[i]))^2.
+
+    On a path p_0 -> ... -> p_m, write C_{a->b} = D_{p_b} ∘ E_{p_a} with
+    linear part A_{a->b}, and x_i for the ground-truth translation of the
+    source sentence x_0 into p_i (decoded without noise for i >= 1). Since
+    E ∘ D = id, C_{i+1->m} ∘ C_{i->i+1} = C_{i->m}, so the error telescopes:
+    C_{0->m} x_0 - x_m = sum_{i<m-1} A_{i+1->m} (C_{i->i+1} x_i - x_{i+1})
+    + (C_{m-1->m} x_{m-1} - x_m). Minkowski's inequality then gives
+    sqrt(loss) <= sum_{i<m-1} ||A_{i+1->m}|| sqrt(l_i) + sqrt(l_{m-1}), with
+    l_i edge i's exact population loss. l_i is scored on p_i's noisy
+    sentences, which only adds a nonnegative term for i >= 1, so the bound
+    holds as stated, and on a single edge it is the loss itself. Its
+    constants are the operator norms of learned translators, not the
+    paper's: there rho bounds every map and its inverse, and these
+    rectangular encoders have none.
+    """
+    return sum(c * math.sqrt(loss) for c, loss in zip(coefficients, edge_losses)) ** 2
 
 
 @dataclass(frozen=True)
 class PairEvalRecord:
     """Measured zero-shot loss and its chained path bound for one language pair.
 
-    The pair runs from ``path[0]`` to ``path[-1]``. Only the measurements are
-    stored; the endpoints, the edge count, the bound (``_chain_bound`` of
-    ``rho_hat`` and the edge losses) and whether the loss stays within it
-    are derived from them.
+    The pair runs from ``path[0]`` to ``path[-1]``. ``edge_losses`` holds each
+    path edge's exact population loss, and ``coefficients`` the operator
+    norm ||A_{i+1->m}|| that carries edge i's error to the destination, 1 for
+    the last edge (see ``_chain_bound``). Only the measurements are stored;
+    the endpoints, the edge count, the bound, whether the loss stays within
+    it and ``rho_hat``, the largest coefficient, are derived from them.
     """
 
     path: tuple[str, ...]
     measured_loss: float
     edge_losses: tuple[float, ...]
-    rho_hat: float
+    coefficients: tuple[float, ...]
 
     @property
     def src(self) -> str:
@@ -139,8 +156,12 @@ class PairEvalRecord:
         return len(self.path) - 1
 
     @property
+    def rho_hat(self) -> float:
+        return max(self.coefficients)
+
+    @property
     def bound(self) -> float:
-        return _chain_bound(self.rho_hat, self.edge_losses)
+        return _chain_bound(self.coefficients, self.edge_losses)
 
     @property
     def holds(self) -> bool:
@@ -155,25 +176,23 @@ def verify_chain_bound(
 ) -> list[PairEvalRecord]:
     """Check the chained path bound for every unordered language pair.
 
-    Edge losses entering the bound are exact population losses in the
-    direction the path traverses them. rho_hat is the largest operator norm
-    among the maps the chaining composes: the inverted destination encoder and
-    the encoders of the path's nodes. The encoders of the path languages are
-    stacked once, as one ``AffineMap``: its singular values (those of the
-    estimate's own check) give every norm and smallest gain, and one inverse
-    every inverted encoder; their codecs form one codec stack. Every directed
-    path edge and every pair is scored once, through ``_affine_losses`` in
-    stacks of at most ``PAIR_BLOCK`` composites, with the arithmetic of one
-    composite at a time.
+    The translator L -> M is D_M ∘ E_L, a square map. Every directed path
+    edge and every pair is scored once, by its exact population loss in the
+    direction the path traverses it, through ``_affine_losses`` in stacks of
+    at most ``PAIR_BLOCK`` translators, with the arithmetic of one at a time.
+    The bound's coefficients, the operator norms of D_m ∘ E_j for each inner
+    path node j of a pair ending at m, come from one stacked SVD.
     """
     paths, _diam = shortest_path_and_diameter(graph)
     langs = sorted({lang for path in paths.values() for lang in path})
     stack = RandomizedCodec.stack([_codec(codecs, lang, spec) for lang in langs])
     encoders = AffineMap.stack([estimate.encoder(lang) for lang in langs])
-    inverses = encoders.inverse()
-    norms = encoders.singular_values[:, 0].tolist()
-    gains = encoders.singular_values[:, -1].tolist()
+    decoders = AffineMap.stack([estimate.decoder(lang) for lang in langs])
     position = {lang: i for i, lang in enumerate(langs)}
+
+    def ends(pairs):
+        return (np.array([position[a] for a, _b in pairs], dtype=int),
+                np.array([position[b] for _a, b in pairs], dtype=int))
 
     scored = list(dict.fromkeys(
         [step for path in paths.values() for step in zip(path, path[1:])] + sorted(paths)
@@ -181,21 +200,26 @@ def verify_chain_bound(
     losses: dict[tuple[str, str], float] = {}
     for start in range(0, len(scored), PAIR_BLOCK):
         block = scored[start : start + PAIR_BLOCK]
-        src = np.array([position[a] for a, _b in block])
-        dst = np.array([position[b] for _a, b in block])
+        src, dst = ends(block)
         losses.update(zip(block, _affine_losses(
-            inverses[dst].compose(encoders[src]), stack[src], stack[dst], spec.radius,
+            decoders[dst].compose(encoders[src]), stack[src], stack[dst], spec.radius,
             target_noise=False,
         )))
+    carried = list(dict.fromkeys(
+        (node, path[-1]) for path in paths.values() for node in path[1:-1]
+    ))
+    norms: dict[tuple[str, str], float] = {}
+    if carried:
+        src, dst = ends(carried)
+        linear = decoders.linear[dst] @ encoders.linear[src]
+        norms = dict(zip(carried, np.linalg.svd(linear, compute_uv=False)[:, 0].tolist()))
 
     return [
         PairEvalRecord(
             path=path,
             measured_loss=losses[pair],
             edge_losses=tuple(losses[step] for step in zip(path, path[1:])),
-            rho_hat=max(
-                1.0 / gains[position[pair[1]]], max(norms[position[node]] for node in path)
-            ),
+            coefficients=tuple(norms[(node, path[-1])] for node in path[1:-1]) + (1.0,),
         )
         for pair, path in sorted(paths.items())
     ]
@@ -297,7 +321,7 @@ def sample_complexity_sweep(
     for n in n_list:
         seeds = [derive_seed(seed, "sweep-train", n, trial) for trial in range(trials)]
         stack = generate_rows(edge, codecs, n, sampler, seeds)
-        fitted, empirical = fit_rows(stack)
+        fitted, empirical, _gram = fit_rows(stack)
         del stack  # freed before the next size is drawn
         population = _affine_losses(fitted, src, dst, sampler.radius, target_noise=True)
         for trial, (emp, pop) in enumerate(zip(empirical, population)):

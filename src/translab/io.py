@@ -253,26 +253,20 @@ def save_instance(instance: ManyToManyInstance, path) -> None:
 def load_graph(path) -> TranslationGraph:
     """Read a graph document, naming the file and the edge or language id of any defect."""
     with _naming(path):
-        payload = _read_json(path)
-        if not (
-            isinstance(payload, dict)
-            and isinstance(payload.get("languages"), list)
-            and isinstance(payload.get("edges"), list)
-        ):
+        languages, entries = _document(_read_json(path), "graph", ("languages", "edges"))
+        if not (isinstance(languages, list) and isinstance(entries, list)):
             raise SchemaError("graph document needs a 'languages' list and an 'edges' list")
-        if not payload["languages"]:
+        if not languages:
             raise SchemaError("graph document lists no languages")
-        for lang in payload["languages"]:
+        for lang in languages:
             if not isinstance(lang, str):
                 raise SchemaError(f"language id {lang!r} is not a string")
             if any(c in lang for c in ("/", os.sep, "\0")):
                 raise SchemaError(f"language id {lang!r} holds a path separator or NUL")
             _check_language_id(lang)
         edges = []
-        for i, entry in enumerate(payload["edges"]):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"edge {i} is not an object: {entry!r}")
-            a, b, n = entry.get("a"), entry.get("b"), entry.get("n", 0)
+        for i, entry in enumerate(entries):
+            a, b, n = _document(entry, f"edge {i}", ("a", "b", "n"))
             if not (isinstance(a, str) and isinstance(b, str)):
                 raise SchemaError(
                     f"edge {i} needs language ids 'a' and 'b', got {a!r} and {b!r}"
@@ -282,7 +276,7 @@ def load_graph(path) -> TranslationGraph:
                     f"edge {a}->{b} has n={n!r}; n must be a non-negative integer"
                 )
             edges.append((a, b, n))
-        graph = TranslationGraph(tuple(payload["languages"]), tuple(edges))
+        graph = TranslationGraph(tuple(languages), tuple(edges))
         edge_of: dict[str, tuple[str, str]] = {}
         for edge in graph.edge_pairs():
             name = corpus_filename(edge)
@@ -334,12 +328,26 @@ def save_codecs(
     _write_json(payload, path)
 
 
+def _leaves(value):
+    """The leaves of nested JSON lists, ``value`` itself if it is not a list."""
+    if not isinstance(value, list):
+        yield value
+        return
+    for item in value:
+        yield from _leaves(item)
+
+
 def _array_field(owner: str, entry, name: str, ndim: int) -> np.ndarray:
-    """``entry[name]`` as a finite float array; ``owner`` names the entry in messages."""
+    """``entry[name]``, JSON numbers only, as a finite float array; ``owner`` names the entry."""
+    if not isinstance(entry, dict) or name not in entry:
+        raise SchemaError(f"{owner} field {name!r} is missing")
+    for leaf in _leaves(entry[name]):
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise SchemaError(f"{owner} field {name!r} holds {leaf!r}, not a JSON number")
     try:
         value = np.array(entry[name], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{owner} field {name!r} is missing or not numeric: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{owner} field {name!r} is not a numeric array: {exc}") from exc
     if value.ndim != ndim:
         raise SchemaError(
             f"{owner} field {name!r} must have {ndim} dimension(s), got shape {value.shape}"
@@ -369,6 +377,8 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
         for lang, entry in entries.items():
             W = _array_field(f"codec {lang!r}", entry, "W", 2)
             b = _array_field(f"codec {lang!r}", entry, "b", 1)
+            if W.shape[0] != W.shape[1]:
+                raise SchemaError(f"malformed codec {lang!r}: 'W' must be square, got {W.shape}")
             try:
                 decoders[lang] = AffineMap(W, b)
             except ValueError as exc:
@@ -635,11 +645,10 @@ def corpus_filename(edge: tuple[str, str]) -> str:
 def save_encoders(
     estimate: EncoderEstimate, path, spec: FunctionClassSpec | None = None
 ) -> None:
+    """Write each language's encoder and decoder; the document holds no anchor, none is pinned."""
     payload = {
-        "anchor": estimate.anchor,
-        "encoders": {
-            lang: _affine_entry(enc) for lang, enc in sorted(estimate.encoders.items())
-        },
+        "encoders": {lang: _affine_entry(m) for lang, m in sorted(estimate.encoders.items())},
+        "decoders": {lang: _affine_entry(m) for lang, m in sorted(estimate.decoders.items())},
         "spec": None if spec is None else spec_to_dict(spec),
     }
     _write_json(payload, path)
@@ -648,27 +657,22 @@ def save_encoders(
 def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
     """Read an encoder document, naming the file, language and field of any defect."""
     with _naming(path):
-        anchor, entries, spec = _document(
-            _read_json(path), "encoder", ("anchor", "encoders", "spec")
-        )
-        if not isinstance(entries, dict):
-            raise SchemaError("encoder field 'encoders' must map language ids to encoders")
-        if anchor is not None and not isinstance(anchor, str):
-            raise SchemaError(f"'anchor' must be a language id or null, got {anchor!r}")
-        encoders = {}
-        for lang, entry in entries.items():
-            W = _array_field(f"encoder {lang!r}", entry, "W", 2)
-            b = _array_field(f"encoder {lang!r}", entry, "b", 1)
-            if W.shape[0] != W.shape[1] or b.shape[0] != W.shape[0]:
-                raise SchemaError(
-                    f"encoder {lang!r} needs a square 'W' and a matching 'b',"
-                    f" got shapes {W.shape} and {b.shape}"
-                )
-            encoders[lang] = AffineMap(W, b)
-        if len({enc.dim for enc in encoders.values()}) > 1:
-            raise SchemaError("encoders disagree on dimension")
+        *tables, spec = _document(_read_json(path), "encoder", ("encoders", "decoders", "spec"))
+        maps = []
+        for kind, entries in zip(("encoder", "decoder"), tables):
+            if not isinstance(entries, dict):
+                raise SchemaError(f"encoder field '{kind}s' must map language ids to maps")
+            maps.append({})
+            for lang, entry in entries.items():
+                W = _array_field(f"{kind} {lang!r}", entry, "W", 2)
+                b = _array_field(f"{kind} {lang!r}", entry, "b", 1)
+                try:
+                    maps[-1][lang] = AffineMap(W, b)
+                except ValueError as exc:
+                    raise SchemaError(f"malformed {kind} {lang!r}: {exc}") from exc
+        encoders, decoders = maps
         try:
-            estimate = EncoderEstimate(encoders, anchor)
+            estimate = EncoderEstimate(encoders, decoders)
         except (ConditioningError, ValueError) as exc:
             raise SchemaError(str(exc)) from exc
         return estimate, None if spec is None else _spec(spec)

@@ -1,54 +1,29 @@
 """Empirical risk minimization over the translation graph.
 
-Each edge's composite translator is a plain affine least-squares fit. Encoders
-per language are then pinned down by anchoring one of them to the identity and
-propagating fitted maps along a breadth-first spanning tree; only composites
-are identifiable, so the anchor choice is a gauge choice. An optional
-alternating refinement pass re-solves one encoder at a time against the
-representation-space consensus and backtracks whenever the objective would
-increase, so the summed edge loss is non-increasing by construction.
+Each edge is first fitted on its own, as a plain affine least-squares map
+from source to target; its loss is the floor that edge's corpus allows. The
+encoders come from one joint fit over every edge, with no anchor and nothing
+inverted: language L gets a rectangular encoder E_L: R^D -> R^d and a decoder
+D_L: R^d -> R^D with E_L ∘ D_L = id, and the translator L -> M is D_M ∘ E_L.
+The joint objective is multiset CCA (Kettenring 1971, "Canonical analysis of
+several sets of variables"), one symmetric eigenproblem (``fit_joint``).
 
-Refinement never reads a corpus. Everything it computes from one is a
-quadratic form in the rows of Z = [x, y, 1], so each corpus enters as its
-``EdgeFactor``: the triangular factor R of Z, with ||Z M|| = ||R M|| for every
-M, so an edge's R-form loss is its row-form mean squared residual up to
-rounding. Refinement keeps its working state outside ``EncoderEstimate``: the
-current encoders, their cached inverses and one loss per edge. Each update of
-one language backtracks down a ladder of 60 rungs, step 2**-k at rung k. The
-rungs are scored in doubling chunks (``RUNG_CHUNKS``) as stacked arrays: one
-SVD, one inverse and, per edge of that language, one R-form loss for every
-rung of the chunk, while the losses of the other edges are reused. The first
-rung in ladder order that does not raise the summed per-edge list is taken,
-the same rung a one-step-at-a-time search takes, so at most 2v - 1 rungs are
-scored where that search visits v. The estimate is validated once, when
-refinement ends.
+A corpus enters every fit through one Gram of its rows [x, 1, y]: the edge's
+normal equations are two of its blocks, and the joint fit's moments the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .affine import AffineMap
-from .errors import (
-    ConditioningError,
-    DomainError,
-    GraphError,
-    InsufficientDataError,
-    InternalConsistencyError,
-)
-from .generative import (
-    ROW_BLOCK,
-    AlignedCorpus,
-    TranslationGraph,
-    _halves,
-    _on_two_threads,
-    _row_blocks,
-    _row_sums,
-)
+from .errors import ConditioningError, DomainError, InsufficientDataError
+from .generative import ROW_BLOCK, AlignedCorpus, _halves, _on_two_threads, _row_blocks, _row_sums
 
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
@@ -56,125 +31,124 @@ COND_LIMIT = 1e12
 #: Weight of the identity added to the normal equations past ``COND_LIMIT`` or when singular.
 RIDGE = 1e-10
 
-#: Rungs of refinement's line search scored together, in ladder order: rung k
-#: blends with step 2**-k, and the chunks double until the last one closes the
-#: ladder at 60 rungs.
-RUNG_CHUNKS = (1, 2, 4, 8, 16, 29)
+#: Eigen-directions of a language's own covariance below this fraction of its
+#: largest are dropped when it is whitened: the data do not vary along them.
+WHITEN_TOL = 1e-10
+
+#: Smallest ratio lambda_{d+1} / lambda_d of the joint fit's eigenvalues that
+#: singles out d latent directions.
+GAP_RATIO = 10.0
+
+#: Floor under lambda_d in that ratio; a noiseless fit's lambda_d is rounding.
+EIG_FLOOR = 1e-12
+
+#: Largest entry of E_L ∘ D_L - id, linear part and offset, an estimate accepts.
+LEFT_INVERSE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeRegressionResult:
-    """Fitted composite map for one edge, oriented smaller -> larger language id."""
+    """Fitted composite map for one edge, oriented smaller -> larger language id.
+
+    ``gram`` is the Gram of the corpus's rows [x, 1, y], which the joint fit reads.
+    """
 
     edge: tuple[str, str]
     transform: AffineMap
     empirical_loss: float
     n: int
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeFactor:
-    """One edge's corpus reduced to the triangular factor R of Z = [x, y, 1].
-
-    ``r`` has 2 * dim + 1 columns (source, target, constant) and
-    min(n, 2 * dim + 1) rows; R^T R = Z^T Z, so R stands in for the n rows of Z
-    in every sum of squares.
-    """
-
-    edge: tuple[str, str]
-    n: int
-    r: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return (self.r.shape[1] - 1) // 2
-
-
-def factor_corpus(corpus: AlignedCorpus) -> EdgeFactor:
-    """The ``EdgeFactor`` of a corpus: ``np.linalg.qr`` of Z = [x, y, 1].
-
-    Z is one column gather of the rows [x, 1, y]. The copy is needed: a QR
-    of the rows in their own order gives a different R, and a different R
-    rounds refinement's losses, and so its accepted rungs, differently.
-    """
-    d = corpus.dim
-    z = corpus.rows[:, np.r_[:d, d + 1 : 2 * d + 1, d]]
-    r = np.linalg.qr(z, mode="r")
-    r.setflags(write=False)
-    return EdgeFactor(corpus.edge, corpus.n, r)
+    gram: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class EncoderEstimate:
-    """Per-language affine encoders; the anchor's map is pinned to the identity.
+    """Per-language encoders E_L: R^D -> R^d and decoders D_L: R^d -> R^D with E_L ∘ D_L = id.
 
-    ``anchor`` is None for gauge-transformed estimates, where no encoder is
-    pinned; composites are unaffected either way.
+    The translator L -> M is D_M ∘ E_L. Every invertible G on the latent space
+    (E_L -> G ∘ E_L, D_L -> D_L ∘ G^-1 for every L) leaves every translator,
+    and so every loss and bound, as it is: the gauge is GL(d). Every encoder
+    must be d x D and every decoder D x d, and E_L ∘ D_L must lie within
+    ``LEFT_INVERSE_TOL`` of the identity (a ``ConditioningError`` if not),
+    since the chained bound is exact only then.
     """
 
     encoders: Mapping[str, AffineMap]
-    anchor: str | None
+    decoders: Mapping[str, AffineMap]
 
     def __post_init__(self):
-        encoders = dict(self.encoders)
+        encoders, decoders = dict(self.encoders), dict(self.decoders)
         if not encoders:
             raise ValueError("estimate needs at least one encoder")
-        if self.anchor is not None:
-            if self.anchor not in encoders:
-                raise ValueError(f"anchor {self.anchor!r} has no encoder")
-            pinned = encoders[self.anchor]
-            if not (
-                np.array_equal(pinned.linear, np.eye(pinned.dim))
-                and np.array_equal(pinned.offset, np.zeros(pinned.dim))
-            ):
-                raise ValueError("anchor encoder must be exactly the identity")
-        # One SVD checks every encoder; the encoders kept are views of the
-        # stack, so their singular values come along wherever they are stacked.
-        stack = AffineMap.stack(list(encoders.values()))
-        for lang, nonsingular in zip(encoders, stack.nonsingular):
-            if not nonsingular:
-                raise ConditioningError(f"encoder for {lang!r} is numerically singular")
-        object.__setattr__(
-            self, "encoders", {lang: stack[i] for i, lang in enumerate(encoders)}
+        if set(encoders) != set(decoders):
+            raise ValueError(
+                f"encoders cover {sorted(encoders)}, but decoders cover {sorted(decoders)}"
+            )
+        langs = list(encoders)
+        d, dim = encoders[langs[0]].linear.shape[-2:]
+        for lang in langs:
+            enc, dec = encoders[lang].linear.shape, decoders[lang].linear.shape
+            if enc != (d, dim) or dec != (dim, d):
+                raise ValueError(
+                    f"{lang!r} has a {enc} encoder and a {dec} decoder; every encoder must"
+                    f" be d x D and every decoder D x d, here {(d, dim)} and {(dim, d)}"
+                )
+        loop = AffineMap.stack([encoders[lang] for lang in langs]).compose(
+            AffineMap.stack([decoders[lang] for lang in langs])
         )
+        off = np.maximum(
+            np.abs(loop.linear - np.eye(d)).max(axis=(1, 2)),
+            np.abs(loop.offset).max(axis=1),
+        )
+        for lang, error in zip(langs, off.tolist()):
+            if not error <= LEFT_INVERSE_TOL:
+                raise ConditioningError(
+                    f"encoder of {lang!r} undoes its decoder only to within {error:.3g}"
+                )
+        object.__setattr__(self, "encoders", encoders)
+        object.__setattr__(self, "decoders", decoders)
 
     def encoder(self, lang: str) -> AffineMap:
+        return self._map(self.encoders, lang, "encoder")
+
+    def decoder(self, lang: str) -> AffineMap:
+        return self._map(self.decoders, lang, "decoder")
+
+    @staticmethod
+    def _map(maps: Mapping[str, AffineMap], lang: str, kind: str) -> AffineMap:
         try:
-            return self.encoders[lang]
+            return maps[lang]
         except KeyError:
-            raise DomainError(f"no encoder for language {lang!r}") from None
+            raise DomainError(f"no {kind} for language {lang!r}") from None
 
 
-def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
-    """The affine map whose parameters minimize ||design @ theta - targets||.
-
-    The last design column multiplies the offset: all ones for sentence rows,
-    the constant column of R for factored ones. Leading axes of ``design``
-    and ``targets`` are a stack of problems, solved as one stacked system;
-    the ridge reaches only the slices past ``COND_LIMIT``. Each linear part
-    is a transposed view of the solution, so it is Fortran-ordered, in a
-    stack as alone (see ``AffineMap``). Fewer rows than columns is an
-    ``InsufficientDataError``.
-    """
-    n, d = design.shape[-2], design.shape[-1] - 1
-    if n < d + 1:
-        raise InsufficientDataError(
-            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
-        )
-    design_t = design.swapaxes(-1, -2)
-    # Huge entries overflow the normal equations; report that instead of warning.
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The Gram rows^T rows of rows [x, 1, y] (..., n, 2 * dim + 1), one per corpus of a stack."""
+    # Huge entries overflow the products; report that instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = design_t @ design
-        rhs = design_t @ targets
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        gram = rows.swapaxes(-1, -2) @ rows
+    if not np.all(np.isfinite(gram)):
         raise ConditioningError(
-            "normal equations overflow: the largest entry magnitude is"
-            f" {max(np.abs(design).max(), np.abs(targets).max()):.3g}"
+            f"normal equations overflow: the largest entry magnitude is {np.abs(rows).max():.3g}"
         )
-    ill = np.linalg.cond(gram) > COND_LIMIT
-    gram = np.where(np.asarray(ill)[..., None, None], gram + RIDGE * np.eye(d + 1), gram)
+    return gram
+
+
+def _least_squares(gram: np.ndarray) -> AffineMap:
+    """The affine map from x to y minimizing the squared residual over rows [x, 1, y].
+
+    The rows enter through their Gram (..., 2 * dim + 1, 2 * dim + 1): the
+    normal equations are its block [x, 1]^T [x, 1] and its block [x, 1]^T y.
+    Leading axes are a stack of problems, solved as one stacked system; the
+    ridge reaches only the slices past ``COND_LIMIT``. Each linear part is a
+    transposed view of the solution, so it is Fortran-ordered, in a stack as
+    alone (see ``AffineMap``).
+    """
+    d = (gram.shape[-1] - 1) // 2
+    normal, rhs = gram[..., : d + 1, : d + 1], gram[..., : d + 1, d + 1 :]
+    ill = np.linalg.cond(normal) > COND_LIMIT
+    normal = np.where(np.asarray(ill)[..., None, None], normal + RIDGE * np.eye(d + 1), normal)
     try:
-        theta = np.linalg.solve(gram, rhs)
+        theta = np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError("normal equations singular even with ridge") from exc
     if not np.all(np.isfinite(theta)):
@@ -182,24 +156,30 @@ def _least_squares(design: np.ndarray, targets: np.ndarray) -> AffineMap:
     return AffineMap(theta[..., :d, :].swapaxes(-1, -2), theta[..., d, :])
 
 
-def fit_rows(rows: np.ndarray) -> tuple[AffineMap, float | list[float]]:
-    """The least-squares affine map from x to y on rows [x, 1, y], and its mean squared residual.
+def fit_rows(rows: np.ndarray) -> tuple[AffineMap, float | list[float], np.ndarray]:
+    """The least-squares affine map from x to y on rows [x, 1, y], its loss and the rows' Gram.
 
-    The design [x, 1] and the targets y are views of ``rows`` (..., n,
-    2 * dim + 1), so the fit copies no pairs. Leading stack axes hold one
-    corpus per slice, fitted and scored as one stack: a stack of maps and a
-    list of losses, each bit for bit its corpus's alone. The ridge enters
-    only if a slice needs it (see ``_least_squares``).
+    The loss is the mean squared residual, which reads x and y as views of
+    ``rows`` (..., n, 2 * dim + 1), so the fit copies no pairs. Leading stack
+    axes hold one corpus per slice, fitted and scored as one stack: a stack
+    of maps, a list of losses and a stack of Grams. The ridge enters only if
+    a slice needs it (see ``_least_squares``). Fewer rows than dim + 1 is an
+    ``InsufficientDataError``.
     """
-    d = (rows.shape[-1] - 1) // 2
-    transform = _least_squares(rows[..., : d + 1], rows[..., d + 1 :])
-    return transform, _mean_squared_residual(transform, rows[..., :d], rows[..., d + 1 :])
+    n, d = rows.shape[-2], (rows.shape[-1] - 1) // 2
+    if n < d + 1:
+        raise InsufficientDataError(
+            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
+        )
+    gram = _gram(rows)
+    transform = _least_squares(gram)
+    return transform, _mean_squared_residual(transform, rows[..., :d], rows[..., d + 1 :]), gram
 
 
 def fit_edge(corpus: AlignedCorpus) -> EdgeRegressionResult:
     """Least-squares fit of the source-to-target composite map on one corpus: ``fit_rows``."""
-    transform, loss = fit_rows(corpus.rows)
-    return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n)
+    transform, loss, gram = fit_rows(corpus.rows)
+    return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n, gram)
 
 
 def _mean_squared_residual(
@@ -234,198 +214,159 @@ def _mean_squared_residual(
     return np.mean(row_sums, axis=-1).tolist()
 
 
-def _factor_losses(maps: AffineMap, factor: EdgeFactor) -> list[float]:
-    """``_mean_squared_residual`` of each map of a stack, from the factor.
+def _bottom_eigenvectors(pencil: np.ndarray, spectrum: np.ndarray, count: int) -> np.ndarray:
+    """Orthonormal eigenvectors of the ``count`` smallest eigenvalues of ``pencil``.
 
-    ``maps`` is a stack of s maps. Map j = (A_j, c_j) scores
-    ||R [A_j^T; -I; c_j^T]||_F^2 / n, a sum of squares, so never negative,
-    unlike the Gram form of the same loss. Each map goes through the same
-    arithmetic as in a stack of one.
+    ``spectrum`` holds the pencil's eigenvalues in ascending order.
+    ``np.linalg.eigh`` would return every eigenvector, with a workspace of
+    about five times the pencil; block inverse iteration needs one solve's.
+    The shift lies just below lambda_1, so each solve shrinks the error by at
+    most (lambda_count - shift) / (lambda_{count+1} - shift), and the number
+    of solves that takes it below rounding is known beforehand: 6 when the
+    bottom eigenvalues are zero, 17 at a gap of ``GAP_RATIO``. A
+    Rayleigh-Ritz step then turns the subspace into eigenvectors.
+    ``pencil`` is shifted in place and back.
     """
-    r, d = factor.r, factor.dim
-    residual = r[:, :d] @ maps.linear.transpose(0, 2, 1)
-    residual -= r[:, d : 2 * d]
-    residual += r[:, 2 * d :] * maps.offset[:, None, :]
-    return [float(np.vdot(res, res)) / factor.n for res in residual]
+    low, high = spectrum[0], spectrum[count]
+    shift = low - 1e-3 * (high - low)
+    rate = (spectrum[count - 1] - shift) / (high - shift)
+    diagonal = np.diag_indices_from(pencil)
+    pencil[diagonal] -= shift
+    basis = np.random.default_rng(0).standard_normal((len(pencil), count))
+    for _ in range(max(2, math.ceil(math.log(1e-17) / math.log(rate)))):
+        basis = np.linalg.qr(np.linalg.solve(pencil, basis))[0]
+    pencil[diagonal] += shift
+    _values, rotation = np.linalg.eigh(basis.T @ pencil @ basis)
+    return basis @ rotation
 
 
-def anchor_spanning_tree(
-    graph: TranslationGraph,
-    edge_results: Iterable[EdgeRegressionResult],
-    anchor: str,
-) -> EncoderEstimate:
-    """Resolve per-language encoders from fitted edge maps along a BFS tree.
+@dataclass(frozen=True, eq=False)
+class JointFit:
+    """A joint fit's estimate, each edge's empirical loss under it, the bottom d + 1 eigenvalues."""
 
-    The anchor encoder is the identity; a newly reached language L with tree
-    parent P gets E_L = E_P ∘ T(L -> P), so every tree-edge composite
-    E_P^{-1} ∘ E_L reproduces the fitted map exactly.
+    estimate: EncoderEstimate
+    edge_losses: dict[tuple[str, str], float]
+    eigenvalues: tuple[float, ...]
+
+    @property
+    def objective(self) -> float:
+        """The summed empirical edge loss."""
+        return float(sum(self.edge_losses.values()))
+
+    @property
+    def gap(self) -> float:
+        """lambda_{d+1} / lambda_d, with lambda_d floored at ``EIG_FLOOR``."""
+        return self.eigenvalues[-1] / max(self.eigenvalues[-2], EIG_FLOOR)
+
+
+def fit_joint(results: Sequence[EdgeRegressionResult], latent_dim: int) -> JointFit:
+    """Every language's encoder and decoder at once, from the edges' Grams.
+
+    Edge (a, b) contributes its centred covariances S_aa, S_bb and S_ab. With
+    E = [E_1 ... E_K], the summed centred edge loss in the latent space,
+    sum_e mean ||E_a x_a - E_b x_b||^2, is tr(E Q E^T), where Q adds S_aa and
+    S_bb to the diagonal blocks of a and b and -S_ab to the blocks between
+    them, as a graph Laplacian adds each edge's degrees and adjacency. B is
+    Q's block diagonal: each language's own covariance summed over its edges.
+    The minimum under sum_L E_L B_L E_L^T = I is the bottom d generalized
+    eigenvectors of (Q, B). Each B_L is whitened by its own
+    eigendecomposition, W_L^T B_L W_L = I, keeping the directions above
+    ``WHITEN_TOL`` of its largest eigenvalue; a rank-deficient B_L (noiseless
+    codecs with nuisance coordinates) loses its null directions, on which
+    E_L is zero. The whitened pencil is then I minus the edges' whitened
+    cross-covariances: ``np.linalg.eigvalsh`` gives its spectrum and
+    ``_bottom_eigenvectors`` the d eigenvectors wanted. The normalisation
+    fixes the GL(d) gauge up to an orthogonal map, and the eigenvectors fix
+    that.
+    Fewer directions than d + 1, or lambda_{d+1} below ``GAP_RATIO`` times
+    lambda_d (floored at ``EIG_FLOOR``), is a ``ConditioningError``: the data
+    do not single out d latent directions.
+
+    The offsets c_L minimize what centring left out of the objective, the
+    edges' mean gaps sum_e ||E_a m_a + c_a - E_b m_b - c_b||^2 with m the
+    edge's means: least squares over the graph's incidence matrix, the
+    least-norm solution. The decoder regresses x_L on E_L x_L + c_L over L's
+    pooled moments, its rows on every edge: D_L = C_L E_L^T (E_L C_L
+    E_L^T)^-1 with C_L the pooled covariance, and the offset sends E_L mu_L +
+    c_L to the pooled mean mu_L, so E_L ∘ D_L = id. Each edge's loss is the
+    mean squared residual of its translator D_b ∘ E_a, read off the edge's
+    Gram as tr(M^T G M) / n with M = [A^T; c^T; -I]; near zero that may read
+    a rounding-level negative.
     """
-    graph.require_connected()
-    if anchor not in graph.languages:
-        raise DomainError(f"anchor {anchor!r} is not a graph node")
-    results = {r.edge: r for r in edge_results}
     if not results:
-        raise GraphError("no fitted edge maps were given; anchoring needs one per tree edge")
-    dims = {r.transform.dim for r in results.values()}
-    if len(dims) != 1:
-        raise ValueError(f"edge maps disagree on dimension: {sorted(dims)}")
-    dim = dims.pop()
+        raise ValueError("the joint fit needs at least one edge")
+    dim = results[0].transform.dim
+    if not 1 <= latent_dim <= dim:
+        raise ValueError(f"latent dimension must lie in [1, {dim}], got {latent_dim}")
+    langs = sorted({lang for r in results for lang in r.edge})
+    index = {lang: i for i, lang in enumerate(langs)}
+    k = len(langs)
+    own, cross = np.zeros((k, dim, dim)), np.empty((len(results), dim, dim))
+    count, sums, squares = np.zeros(k), np.zeros((k, dim)), np.zeros((k, dim, dim))
+    sides = np.r_[:dim, dim + 1 : 2 * dim + 1]
+    ends = np.array([[index[lang] for lang in r.edge] for r in results])
+    edge_means = np.empty((len(results), 2, dim))
+    for r, (a, b), edge_mean, s_ab in zip(results, ends, edge_means, cross):
+        moments = r.gram[np.ix_(sides, sides)]
+        mean = r.gram[dim, sides] / r.n
+        cov = moments / r.n - np.outer(mean, mean)
+        own[a] += cov[:dim, :dim]
+        own[b] += cov[dim:, dim:]
+        s_ab[...] = cov[:dim, dim:]
+        edge_mean[...] = mean.reshape(2, dim)
+        for i, side in ((a, slice(None, dim)), (b, slice(dim, None))):
+            count[i] += r.n
+            sums[i] += r.gram[dim, sides[side]]
+            squares[i] += moments[side, side]
 
-    encoders: dict[str, AffineMap] = {anchor: AffineMap.identity(dim)}
-    for lang, parent in graph.bfs_tree(anchor).items():
-        if parent is None:
-            continue
-        key = (min(lang, parent), max(lang, parent))
-        result = results.get(key)
-        if result is None:
-            raise GraphError(f"tree edge {key} has no fitted map")
-        to_parent = result.transform if key == (lang, parent) else result.transform.inverse()
-        encoders[lang] = encoders[parent].compose(to_parent)
-    return EncoderEstimate(encoders, anchor)
-
-
-def _consensus(
-    lang: str,
-    encoders: Mapping[str, AffineMap],
-    factors: Sequence[EdgeFactor],
-    incident: Sequence[int],
-) -> AffineMap:
-    """Least-squares map from ``lang``'s sentences to its neighbours' representations.
-
-    Stacks the unscaled R blocks of ``lang``'s edges, so each edge weighs by
-    its n as its rows would: the own-side columns and the constant column are
-    the design, the other side's columns mapped by the neighbour's encoder are
-    the targets.
-    """
-    designs, targets = [], []
-    for i in incident:
-        factor = factors[i]
-        a, b = factor.edge
-        r, d = factor.r, factor.dim
-        own, other, neighbour = (0, d, b) if lang == a else (d, 0, a)
-        enc = encoders[neighbour]
-        designs.append(np.hstack((r[:, own : own + d], r[:, 2 * d :])))
-        targets.append(r[:, other : other + d] @ enc.linear.T + r[:, 2 * d :] * enc.offset)
-    return _least_squares(np.vstack(designs), np.vstack(targets))
-
-
-def _line_search(
-    lang: str,
-    candidate: AffineMap,
-    encoders: Mapping[str, AffineMap],
-    inverses: Mapping[str, AffineMap],
-    losses: Sequence[float],
-    total: float,
-    factors: Sequence[EdgeFactor],
-    incident: Sequence[int],
-) -> tuple[int, AffineMap, AffineMap, list[float], float] | None:
-    """The first accepted rung of the step ladder from ``lang``'s encoder toward ``candidate``.
-
-    Rung k is the blend old + 2**-k (candidate - old) of the current encoder
-    old. Rungs are scored a
-    ``RUNG_CHUNKS`` chunk at a time: one stacked SVD finds the numerically
-    singular blends, which are skipped, one stacked inverse covers the rest,
-    and each edge of ``lang`` scores all of them at once; the other per-edge
-    losses are reused. The accepted rung is the first, in ladder order, whose
-    per-edge losses sum to at most ``total`` + 1e-12, bit for bit the rung a
-    one-rung-at-a-time search takes. Returns the rung, the blended encoder, its
-    inverse, the per-edge losses and their sum, or None when no rung is
-    accepted.
-    """
-    old = encoders[lang]
-    linear_step = candidate.linear - old.linear
-    offset_step = candidate.offset - old.offset
-    start = 0
-    for size in RUNG_CHUNKS:
-        steps = np.ldexp(1.0, -np.arange(start, start + size))
-        blends = AffineMap._of(
-            old.linear + steps[:, None, None] * linear_step,
-            old.offset + steps[:, None] * offset_step,
+    values, vectors = np.linalg.eigh(own)
+    keep = values > WHITEN_TOL * values[:, -1:]
+    whiten = [vectors[i][:, keep[i]] / np.sqrt(values[i, keep[i]]) for i in range(k)]
+    bounds = itertools.pairwise(np.cumsum([0, *keep.sum(axis=1)]).tolist())
+    rows = [slice(start, stop) for start, stop in bounds]
+    pencil = np.eye(rows[-1].stop)
+    for (a, b), s_ab in zip(ends, cross):
+        block = whiten[a].T @ s_ab @ whiten[b]
+        pencil[rows[a], rows[b]] -= block
+        pencil[rows[b], rows[a]] -= block.T
+    spectrum = np.linalg.eigvalsh(pencil)
+    if spectrum.size <= latent_dim:
+        raise ConditioningError(
+            f"the corpora vary along {spectrum.size} directions in all, too few for"
+            f" {latent_dim} latent ones and a gap"
         )
-        regular = np.flatnonzero(blends.nonsingular)
-        if regular.size:
-            if regular.size < size:
-                blends = blends[regular]
-            blend_inverses = blends.inverse()
-            edge_losses = []
-            for i in incident:
-                a, b = factors[i].edge
-                composite = (blend_inverses if b == lang else inverses[b]).compose(
-                    blends if a == lang else encoders[a]
-                )
-                edge_losses.append(_factor_losses(composite, factors[i]))
-            for j, rung_losses in enumerate(zip(*edge_losses)):
-                trial = list(losses)
-                for i, loss in zip(incident, rung_losses):
-                    trial[i] = loss
-                trial_total = float(sum(trial))
-                if trial_total <= total + 1e-12:
-                    # Copies, not views: an accepted encoder does not hold its chunk.
-                    return (
-                        start + int(regular[j]),
-                        AffineMap(blends.linear[j], blends.offset[j]),
-                        AffineMap(blend_inverses.linear[j], blend_inverses.offset[j]),
-                        trial,
-                        trial_total,
-                    )
-        start += size
-    return None
+    low = tuple(spectrum[: latent_dim + 1].tolist())
+    if low[-1] < GAP_RATIO * max(low[-2], EIG_FLOOR):
+        raise ConditioningError(
+            f"joint fit has no eigenvalue gap after {latent_dim} latent directions:"
+            f" lambda_{latent_dim} = {low[-2]:.3g}, lambda_{latent_dim + 1} = {low[-1]:.3g}"
+            f" (needs a ratio of at least {GAP_RATIO:g})"
+        )
+    basis = _bottom_eigenvectors(pencil, spectrum, latent_dim)
+    enc = np.array([(w @ basis[r]).T for w, r in zip(whiten, rows)])
 
+    incidence = np.zeros((len(results), k))
+    incidence[range(len(results)), ends[:, 0]] = 1.0
+    incidence[range(len(results)), ends[:, 1]] = -1.0
+    gaps = (enc[ends] @ edge_means[..., None])[..., 0]
+    offset = np.linalg.lstsq(incidence, gaps[:, 1] - gaps[:, 0], rcond=None)[0]
 
-def joint_refine(
-    estimate: EncoderEstimate,
-    factors: Sequence[EdgeFactor],
-    sweeps: int,
-) -> EncoderEstimate:
-    """Alternating per-language updates of the summed edge objective.
+    mean = sums / count[:, None]
+    cov = squares / count[:, None, None] - mean[:, :, None] * mean[:, None, :]
+    across = cov @ enc.swapaxes(1, 2)
+    try:
+        dec = np.linalg.solve((enc @ across).swapaxes(1, 2), across.swapaxes(1, 2))
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("an encoder loses latent directions on its own data") from exc
+    dec = np.ascontiguousarray(dec.swapaxes(1, 2))
+    shift = mean - (dec @ ((enc @ mean[..., None])[..., 0] + offset)[..., None])[..., 0]
+    estimate = EncoderEstimate(
+        {lang: AffineMap(enc[i], offset[i]) for lang, i in index.items()},
+        {lang: AffineMap(dec[i], shift[i]) for lang, i in index.items()},
+    )
 
-    ``factors`` holds one ``factor_corpus`` per edge. Languages are revisited
-    in sorted id order, the anchor skipped. Each candidate comes from a
-    representation-space least-squares consensus; ``_line_search`` blends it
-    toward the incumbent down a ladder of halving steps, 2**0 to 2**-59,
-    until the objective does not increase, so every sweep is monotone (a
-    failed search leaves the encoder unchanged). A blend whose inverse is
-    numerically singular is skipped. The ladder is scored in doubling chunks
-    of stacked blends, which takes the same rung as trying one step at a time.
-
-    A rung re-scores only the edges of the updated language; the other
-    per-edge losses are reused. The objective is the sum of the per-edge
-    R-form losses in ``factors`` order, which equals the summed row-form mean
-    squared residual of each edge's composite on its corpus up to rounding,
-    not bit for bit. Encoders are re-validated once, in the returned
-    estimate; zero sweeps return ``estimate`` itself.
-    """
-    if sweeps < 0:
-        raise ValueError("sweeps must be nonnegative")
-    if sweeps == 0:
-        return estimate
-    encoders = dict(estimate.encoders)
-    incident: dict[str, list[int]] = {lang: [] for lang in encoders}
-    for i, factor in enumerate(factors):
-        for lang in set(factor.edge):
-            if lang not in incident:
-                raise DomainError(f"no encoder for language {lang!r}")
-            incident[lang].append(i)
-    stacked = AffineMap.stack(list(encoders.values())).inverse()
-    inverses = {lang: stacked[i] for i, lang in enumerate(encoders)}
-    losses = []
-    for f in factors:
-        composite = inverses[f.edge[1]].compose(encoders[f.edge[0]])
-        losses += _factor_losses(composite[None], f)
-    total = float(sum(losses))
-    for _ in range(sweeps):
-        sweep_start = total
-        for lang in sorted(encoders):
-            if lang == estimate.anchor or not incident[lang]:
-                continue
-            candidate = _consensus(lang, encoders, factors, incident[lang])
-            accepted = _line_search(
-                lang, candidate, encoders, inverses, losses, total, factors, incident[lang]
-            )
-            if accepted is not None:
-                _rung, encoders[lang], inverses[lang], losses, total = accepted
-        if total > sweep_start + 1e-9:
-            raise InternalConsistencyError(
-                f"refinement sweep increased the objective: {sweep_start} -> {total}"
-            )
-    return EncoderEstimate(encoders, estimate.anchor)
+    edge_losses = {}
+    for r, (a, b) in zip(results, ends):
+        m = np.vstack(((dec[b] @ enc[a]).T, dec[b] @ offset[a] + shift[b], -np.eye(dim)))
+        edge_losses[r.edge] = float(np.sum((r.gram @ m) * m)) / r.n
+    return JointFit(estimate, edge_losses, low)

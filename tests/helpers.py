@@ -35,7 +35,13 @@ from translab.impossibility import (
     random_two_to_one_instance,
 )
 from translab.seeding import derive_seed
-from translab.trainer import COND_LIMIT, EncoderEstimate, _mean_squared_residual, fit_edge
+from translab.trainer import (
+    COND_LIMIT,
+    EncoderEstimate,
+    _mean_squared_residual,
+    fit_edge,
+    fit_joint,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +122,22 @@ def max_entry_difference(a: AffineMap, b: AffineMap) -> float:
     )
 
 
-def with_gauge(estimate: EncoderEstimate, f: AffineMap) -> EncoderEstimate:
-    """``estimate`` with every encoder composed with the fixed invertible map ``f``.
+def inverse(m: AffineMap) -> AffineMap:
+    """The inverse of an invertible affine map (or of each map of a stack)."""
+    inv = np.linalg.inv(m.linear)
+    return AffineMap(inv, -(inv @ m.offset[..., None])[..., 0])
 
-    Composites are unchanged, so gauge-free quantities must not move.
+
+def with_gauge(estimate: EncoderEstimate, f: AffineMap) -> EncoderEstimate:
+    """``estimate`` in another gauge: every encoder followed by the invertible latent map ``f``.
+
+    E_L -> f ∘ E_L and D_L -> D_L ∘ f^-1, so composites, and every
+    gauge-free quantity, must not move.
     """
+    undo = inverse(f)
     return EncoderEstimate(
-        {lang: f.compose(enc) for lang, enc in estimate.encoders.items()}, anchor=None
+        {lang: f.compose(enc) for lang, enc in estimate.encoders.items()},
+        {lang: dec.compose(undo) for lang, dec in estimate.decoders.items()},
     )
 
 
@@ -132,8 +147,8 @@ def apply(m: AffineMap, points) -> np.ndarray:
 
 
 def composite(estimate: EncoderEstimate, src: str, dst: str) -> AffineMap:
-    """The translator src -> dst implied by the encoders: E_dst^{-1} ∘ E_src."""
-    return estimate.encoder(dst).inverse().compose(estimate.encoder(src))
+    """The translator src -> dst of an estimate: D_dst ∘ E_src."""
+    return estimate.decoder(dst).compose(estimate.encoder(src))
 
 
 def empirical_edge_loss(estimate: EncoderEstimate, corpus) -> float:
@@ -144,20 +159,31 @@ def empirical_edge_loss(estimate: EncoderEstimate, corpus) -> float:
     )
 
 
-def total_edge_loss(estimate: EncoderEstimate, corpora) -> float:
-    """The summed row-form edge loss, which ``joint_refine``'s R-form equals up to rounding."""
-    return float(sum(empirical_edge_loss(estimate, c) for c in corpora))
+def truth_estimate(codecs) -> EncoderEstimate:
+    """The ground truth as an estimate: E_L reads the latent off a sentence, D_L decodes it noiselessly."""
+    encoders, decoders = {}, {}
+    for lang, codec in codecs.items():
+        d, full = codec.latent_dim, encoder_map(codec)
+        encoders[lang] = AffineMap(full.linear[:d], full.offset[:d])
+        decoders[lang] = AffineMap(codec.decoder.linear[:, :d], codec.decoder.offset)
+    return EncoderEstimate(encoders, decoders)
+
+
+def joint_estimate(corpora) -> EncoderEstimate:
+    """The joint fit's estimate on ``corpora``, with the latent dimension their meta records."""
+    latent_dim = corpora[0].dim - corpora[0].meta["nuisance_dim"]
+    return fit_joint([fit_edge(c) for c in corpora], latent_dim).estimate
 
 
 def encoder_map(codec) -> AffineMap:
-    """The exact inverse of a noiseless codec's decoder, as one affine map."""
-    return codec.decoder.inverse()
+    """The exact inverse of a codec's decoder, as one affine map."""
+    return inverse(codec.decoder)
 
 
 def encode(codec, x) -> np.ndarray:
     """The latents of ``x``, the exact inverse of ``decode`` for every noise seed."""
     shifted = np.asarray(x, dtype=np.float64) - codec.decoder.offset
-    full = shifted @ codec.decoder.inverse().linear.T
+    full = shifted @ encoder_map(codec).linear.T
     return full[:, : codec.latent_dim]
 
 
@@ -307,19 +333,6 @@ def scalar_affine_loss(transform, src, dst, radius, target_noise) -> float:
     return float(loss)
 
 
-def scalar_factor_loss(transform, factor) -> float:
-    """One map's R-form edge loss, ||R [A^T; -I; c^T]||_F^2 / n, one matrix at a time.
-
-    The formula refinement's stacked ``trainer._factor_losses`` must reproduce
-    bit for bit on every map of a stack.
-    """
-    r, d = factor.r, transform.dim
-    residual = r[:, :d] @ transform.linear.T
-    residual -= r[:, d : 2 * d]
-    residual += r[:, 2 * d :] * transform.offset
-    return float(np.vdot(residual, residual)) / factor.n
-
-
 def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
     """Assert two float64 arrays agree bit for bit: every entry's ``.hex()`` matches.
 
@@ -392,14 +405,15 @@ def savez_corpus(corpus, path) -> None:
 
 
 def out_of_place_fit_edge(corpus, ridge=1e-10):
-    """``fit_edge``'s (transform, loss) with an ``np.hstack`` design and a fresh residual."""
+    """``fit_edge``'s (transform, loss) from the Gram of a new ``np.hstack`` of [x, 1, y] and a fresh residual."""
     points, targets = corpus.source_points, corpus.target_points
     n, d = points.shape
-    design = np.hstack([points, np.ones((n, 1))])
-    gram = design.T @ design
-    if np.linalg.cond(gram) > COND_LIMIT:
-        gram = gram + ridge * np.eye(d + 1)
-    theta = np.linalg.solve(gram, design.T @ targets)
+    stacked = np.hstack([points, np.ones((n, 1)), targets])
+    gram = stacked.T @ stacked
+    normal, rhs = gram[: d + 1, : d + 1], gram[: d + 1, d + 1 :]
+    if np.linalg.cond(normal) > COND_LIMIT:
+        normal = normal + ridge * np.eye(d + 1)
+    theta = np.linalg.solve(normal, rhs)
     transform = AffineMap(theta[:d].T, theta[d])
     loss = float(np.mean(np.sum((apply(transform, points) - targets) ** 2, axis=1)))
     return transform, loss
@@ -660,7 +674,14 @@ CODEC_DOCUMENT = _saved_document(
 ENCODER_DOCUMENT = _saved_document(
     io.save_encoders,
     EncoderEstimate(
-        {"L0": AffineMap.identity(2), "L1": AffineMap(np.diag([2.0, 0.5]), np.ones(2))}, "L0"
+        {
+            "L0": AffineMap(np.eye(2, 3), np.zeros(2)),
+            "L1": AffineMap(np.array([[2.0, 0.0, 1.0], [0.0, 0.5, 0.0]]), np.ones(2)),
+        },
+        {
+            "L0": AffineMap(np.eye(3, 2), np.zeros(3)),
+            "L1": AffineMap(np.array([[0.5, 0.0], [0.0, 2.0], [0.0, 0.0]]), [-0.5, -2.0, 0.0]),
+        },
     ),
 )
 ENCODER_DOCUMENT["spec"] = io.spec_to_dict(FunctionClassSpec(dim=2))

@@ -1,7 +1,6 @@
 """CLI behavior: validation, subcommands, exit codes, reproducibility."""
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -24,6 +23,7 @@ from helpers import (
     WORST_CASE_DEFECTS,
     corpus_of_pairs,
     damaged_instance_documents,
+    empirical_edge_loss,
     savez_corpus,
     worst_case_defect_text,
 )
@@ -586,10 +586,11 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("W", [[1.0, 0.0]]),
+            ("W", [[1.0, True], [0.0, 1.0]]),
             ("W", [[1.0, 0.0], [0.0]]),
             ("W", [[1.0, 0.0], [0.0, float("nan")]]),
             ("b", [float("inf"), 0.0]),
+            ("b", ["1.5", 0.0]),
         ],
     )
     def test_eval_with_bad_encoder_exits_2(self, tmp_path, capsys, field, value):
@@ -705,7 +706,7 @@ class TestPipeline:
         io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 20),)), graph_path)
         path = tmp_path / io.corpus_filename(("L0", "L1"))
         pairs = np.random.default_rng(0).random((20, 2, 2)) * 1e200
-        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1")), path)
+        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1"), {"nuisance_dim": 0}), path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(
@@ -740,6 +741,81 @@ class TestPipeline:
         assert err.startswith("missing file:") and str(path) in err
         assert not (out / "encoders.json").exists()
 
+    def test_train_summary_records_the_joint_fit(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        out = tmp_path / "run"
+        for argv in (
+            ["generate", "--graph", str(graph_path), "--out", str(out), "--dim", "2",
+             "--sigma", "0.05", "--nuisance-dim", "1", "--seed", "3"],
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out), "--out", str(out),
+             "--seed", "3", "--sweeps", "4"],
+        ):
+            assert run_cli(argv, capsys)[0] == 0
+        summary = json.loads((out / "train_summary.json").read_text())
+        assert sorted(summary) == ["edges", "eigenvalues", "gap", "latent_dim", "objective", "seed"]
+        assert summary["latent_dim"] == 2 and summary["seed"] == 3
+        assert len(summary["eigenvalues"]) == 3
+        assert summary["gap"] >= trainer.GAP_RATIO
+        estimate, _spec = io.load_encoders(out / "encoders.json")
+        for name, loss in summary["edges"].items():
+            edge = tuple(name.split("->"))
+            corpus = io.load_corpus(out / io.corpus_filename(edge))
+            assert loss == pytest.approx(empirical_edge_loss(estimate, corpus), rel=1e-9)
+        assert summary["objective"] == sum(summary["edges"].values())
+        assert sorted(summary["edges"]) == ["L0->L1", "L1->L2"]
+
+    @pytest.mark.parametrize(
+        "meta, problem",
+        [
+            ({}, "must be an integer in [0, 2), got None"),
+            ({"nuisance_dim": 2}, "must be an integer in [0, 2), got 2"),
+            ({"nuisance_dim": -1}, "must be an integer in [0, 2), got -1"),
+            ({"nuisance_dim": 1.0}, "must be an integer in [0, 2), got 1.0"),
+            ({"nuisance_dim": True}, "must be an integer in [0, 2), got True"),
+            ({"nuisance_dim": "1"}, "must be an integer in [0, 2), got '1'"),
+            ({"nuisance_dim": 1}, "is 1, but the first corpus's is 0"),
+        ],
+    )
+    def test_train_on_a_bad_nuisance_dim_exits_2_naming_file_and_field(
+        self, tmp_path, capsys, meta, problem
+    ):
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        rng = np.random.default_rng(0)
+        first, second = (tmp_path / io.corpus_filename(e) for e in (("L0", "L1"), ("L1", "L2")))
+        io.save_corpus(corpus_of_pairs(rng.random((9, 2, 2)), ("L0", "L1"), {"nuisance_dim": 0}), first)
+        io.save_corpus(corpus_of_pairs(rng.random((9, 2, 2)), ("L1", "L2"), meta), second)
+        code, stdout, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
+             "--out", str(tmp_path / "run")],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {second}: corpus field 'meta' key 'nuisance_dim' {problem}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_train_without_an_eigenvalue_gap_exits_2_naming_the_graph(self, tmp_path, capsys):
+        # Noise in every coordinate: nothing singles out a latent subspace.
+        graph_path = tmp_path / "graph.json"
+        self._write_graph(graph_path)
+        rng = np.random.default_rng(1)
+        for edge in (("L0", "L1"), ("L1", "L2")):
+            io.save_corpus(
+                corpus_of_pairs(rng.standard_normal((200, 2, 2)), edge, {"nuisance_dim": 1}),
+                tmp_path / io.corpus_filename(edge),
+            )
+        code, stdout, err = run_cli(
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
+             "--out", str(tmp_path / "run")],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(
+            f"error: {graph_path}: joint fit has no eigenvalue gap after 1 latent directions"
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_train_on_singular_normal_equations_exits_2_naming_file_and_edge(
         self, tmp_path, capsys
     ):
@@ -751,7 +827,7 @@ class TestPipeline:
         x = rng.integers(-5, 6, (50, 3)) * 1e3
         x[:, 1] = x[:, 0]
         pairs = np.stack([x, rng.standard_normal((50, 3))], axis=1)
-        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1")), path)
+        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1"), {"nuisance_dim": 0}), path)
         code, stdout, err = run_cli(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
              "--out", str(tmp_path / "run")],
@@ -907,8 +983,7 @@ class TestPipeline:
         graph_path, out = self._generate_and_train(tmp_path, capsys)
         encoders_path = out / "encoders.json"
         payload = json.loads(encoders_path.read_text())
-        assert payload["anchor"] != "L2"
-        del payload["encoders"]["L2"]
+        del payload["encoders"]["L2"], payload["decoders"]["L2"]
         encoders_path.write_text(json.dumps(payload))
         code, stdout, err = self._eval(graph_path, out, capsys)
         assert code == 2
@@ -1031,10 +1106,10 @@ class TestPipeline:
         assert "--mc-slack" in capsys.readouterr().err
 
 
-class TestRefinementWork:
-    def test_train_takes_at_most_one_svd_per_refinement_trial(
-        self, tmp_path, capsys, monkeypatch
-    ):
+class TestFitWork:
+    def test_train_takes_one_spectrum_and_no_svd(self, tmp_path, capsys, monkeypatch):
+        # the joint fit: one stacked whitening of every language, one spectrum
+        # of the 16-dimensional pencil and one d x d Rayleigh-Ritz step
         langs = ("L0", "L1", "L2", "L3")
         graph = TranslationGraph(
             langs, tuple((a, b, 60) for a, b in (("L0", "L1"), ("L1", "L2"),
@@ -1049,53 +1124,19 @@ class TestRefinementWork:
             capsys,
         )
         assert code == 0
-        counts = {"svd": 0, "scored": 0, "searches": 0, "calls_outside_searches": 0}
-        refining, searching = [], []
-        svd, refine, line_search = np.linalg.svd, cli.joint_refine, trainer._line_search
-        chunk_ends = list(itertools.accumulate(trainer.RUNG_CHUNKS))
+        shapes = {"eigh": [], "eigvalsh": [], "svd": [], "inv": []}
+        for name, calls in shapes.items():
+            def counted(a, *args, _calls=calls, _original=getattr(np.linalg, name), **kwargs):
+                _calls.append(np.shape(a))
+                return _original(a, *args, **kwargs)
 
-        def counting_svd(a, *args, **kwargs):
-            if refining:
-                counts["svd"] += len(a) if np.ndim(a) == 3 else 1
-                counts["calls_outside_searches"] += not searching
-            return svd(a, *args, **kwargs)
-
-        def flagged_refine(*args, **kwargs):
-            refining.append(True)
-            try:
-                return refine(*args, **kwargs)
-            finally:
-                refining.pop()
-
-        def counting_line_search(*args):
-            searching.append(True)
-            try:
-                accepted = line_search(*args)
-            finally:
-                searching.pop()
-            visited = 60 if accepted is None else accepted[0] + 1
-            scored = next(end for end in chunk_ends if end >= visited)
-            assert scored <= 2 * visited - 1
-            counts["scored"] += scored
-            counts["searches"] += 1
-            return accepted
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(cli, "joint_refine", flagged_refine)
-        monkeypatch.setattr(trainer, "_line_search", counting_line_search)
+            monkeypatch.setattr(np.linalg, name, counted)
         code, _, _ = run_cli(
-            ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
-             "--out", str(out), "--sweeps", "2"],
+            ["train", "--graph", str(graph_path), "--corpus-dir", str(out), "--out", str(out)],
             capsys,
         )
         assert code == 0
-        assert counts["searches"] > 0
-        # One check per returned encoder, then one singular-value check per
-        # rung the chunked ladder scores; the incumbents' stacked inverse
-        # reuses the singular values of the estimate's own check.
-        assert counts["svd"] == counts["scored"] + len(langs)
-        # The returned estimate's check is the one stacked call outside searches.
-        assert counts["calls_outside_searches"] == 1
+        assert shapes == {"eigh": [(4, 4, 4), (3, 3)], "eigvalsh": [(16, 16)], "svd": [], "inv": []}
 
     def test_eval_on_forty_languages_takes_two_svds(self, tmp_path, capsys, monkeypatch):
         langs = tuple(f"L{i:02d}" for i in range(40))
@@ -1126,16 +1167,16 @@ class TestRefinementWork:
         )
         assert code in (0, 1)
         assert (out / "pair_eval.csv").exists()
-        # One stacked check of the codecs and one of the encoders; the chain
-        # bound's encoder stack reuses the encoders' singular values.
-        assert shapes == [(40, 4, 4), (40, 4, 4)]
+        # One stacked check of the codecs, and one of the translators that
+        # carry an edge's error to a pair's destination.
+        assert len(shapes) == 2 and shapes[0] == (40, 4, 4) and shapes[1][1:] == (4, 4)
 
 
 class TestStreamingMemory:
     """``generate`` and ``train`` hold about one edge's corpus at a time.
 
     Peaks are traced numpy and Python allocations, in units of one corpus's
-    ``pairs`` array, after one small ``generate`` and ``train --sweeps 1``
+    ``pairs`` array, after one small ``generate`` and ``train``
     in the same process, so the first call's imports are not counted (they
     add about 0.8 to a cold ``generate``). ``generate`` reads about 1.7: the
     latents of the edge being written and of the edge drawn beside it, their
@@ -1145,10 +1186,9 @@ class TestStreamingMemory:
     1.4: one corpus's rows [x, 1, y] (13/12 of its pairs), the staging block
     they are read through and the fit's row-block temporaries; loading an
     (n, 2, dim) array and fitting from an [x, 1] copy of it read 1.6.
-    ``train --sweeps 1`` keeps one R factor per edge instead; it reads about
-    3.3, the loaded rows plus the [x, y, 1] rows and ``np.linalg.qr``'s copy
-    of them, where keeping every corpus for refinement read 12.3. Holding
-    one more whole corpus on any of the three paths fails its bound.
+    ``train --sweeps 1`` is the same run, since ``--sweeps`` is ignored: the
+    joint fit keeps one Gram per edge. Holding one more whole corpus on any
+    of the three paths fails its bound.
 
     At 20,000 pairs a corpus is read and scored on one thread. At 70,000,
     past ``PARALLEL_ROWS``, each half has its own staging and residual
@@ -1190,11 +1230,11 @@ class TestStreamingMemory:
         )
         assert generate_peak < 1.9, f"traced generate peak is {generate_peak:.3f} corpora"
         assert train_peak < 1.5, f"traced train peak is {train_peak:.3f} corpora"
-        refine_peak = self._peak(
+        ignored_sweeps_peak = self._peak(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(out),
              "--out", str(out), "--sweeps", "1"], n
         )
-        assert refine_peak < 3.5, f"traced refine peak is {refine_peak:.3f} corpora"
+        assert ignored_sweeps_peak < 1.5, f"traced peak is {ignored_sweeps_peak:.3f} corpora"
 
 
 class TestSweepMemory:

@@ -10,6 +10,8 @@ from helpers import (
     assert_same_bits,
     composite,
     encoder_map,
+    inverse,
+    joint_estimate,
     lexicographic_shortest_path,
     max_entry_difference,
     monte_carlo_pair_loss,
@@ -17,6 +19,7 @@ from helpers import (
     population_loss,
     random_connected_graph,
     scalar_affine_loss,
+    truth_estimate,
     with_gauge,
 )
 from translab import evaluation
@@ -45,7 +48,7 @@ from translab.generative import (
     six_language_demo_graph,
 )
 from translab.seeding import derive_seed
-from translab.trainer import EncoderEstimate, anchor_spanning_tree, fit_edge
+from translab.trainer import EncoderEstimate, fit_edge
 from test_trainer import chain_setup
 
 
@@ -53,12 +56,19 @@ def spec_of(sampler: LatentSampler) -> FunctionClassSpec:
     return FunctionClassSpec(dim=sampler.dim, radius=sampler.radius)
 
 
+def scalar(a: float) -> AffineMap:
+    return AffineMap(np.array([[a]]), np.zeros(1))
+
+
+def square_estimate(encoders: dict) -> EncoderEstimate:
+    """The estimate of invertible square encoders, each decoder its encoder's inverse."""
+    return EncoderEstimate(encoders, {lang: inverse(enc) for lang, enc in encoders.items()})
+
+
 class TestPopulationLoss:
     def test_truth_estimate_scores_zero(self):
         _graph, codecs, _corpora, sampler = chain_setup()
-        estimate = EncoderEstimate(
-            {lang: encoder_map(codecs[lang]) for lang in codecs}, anchor=None
-        )
+        estimate = truth_estimate(codecs)
         loss = population_loss(estimate, ("L0", "L2"), codecs, spec_of(sampler))
         assert loss <= 1e-12
 
@@ -70,20 +80,13 @@ class TestPopulationLoss:
             "A": RandomizedCodec(AffineMap(np.eye(1), np.zeros(1))),
             "B": RandomizedCodec(AffineMap(np.array([[2.0]]), np.zeros(1))),
         }
-        estimate = EncoderEstimate(
-            {
-                "A": AffineMap.identity(1),
-                "B": AffineMap(np.array([[1.0 / (2.0 + delta)]]), np.zeros(1)),
-            },
-            anchor="A",
-        )
+        estimate = square_estimate({"A": scalar(1.0), "B": scalar(1.0 / (2.0 + delta))})
         loss = population_loss(estimate, ("A", "B"), codecs, FunctionClassSpec(dim=1))
         assert loss == pytest.approx(delta**2 / 3.0, rel=0.02)
 
     def test_gauge_invariance(self):
         graph, codecs, corpora, sampler = chain_setup(n_langs=3)
-        results = [fit_edge(c) for c in corpora]
-        estimate = anchor_spanning_tree(graph, results, "L0")
+        estimate = joint_estimate(corpora)
         f = AffineMap(np.diag([1.2, 0.8, 1.0]), np.array([0.5, 0, -0.5]))
         transformed = with_gauge(estimate, f)
         a = population_loss(estimate, ("L0", "L2"), codecs, spec_of(sampler))
@@ -92,17 +95,13 @@ class TestPopulationLoss:
 
     def test_unknown_language(self):
         _graph, codecs, _corpora, sampler = chain_setup()
-        estimate = EncoderEstimate(
-            {lang: encoder_map(codecs[lang]) for lang in codecs}, anchor=None
-        )
+        estimate = truth_estimate(codecs)
         with pytest.raises(DomainError):
             population_loss(estimate, ("L0", "Lx"), codecs, spec_of(sampler))
 
     def test_spec_must_match_codec_latent_dimension(self):
         _graph, codecs, _corpora, _sampler = chain_setup(d=3, nuisance=1, sigma=0.1)
-        estimate = EncoderEstimate(
-            {lang: AffineMap.identity(4) for lang in codecs}, anchor=None
-        )
+        estimate = square_estimate({lang: AffineMap(np.eye(4), np.zeros(4)) for lang in codecs})
         with pytest.raises(ValueError, match="latent dimension 3"):
             population_loss(estimate, ("L0", "L1"), codecs, FunctionClassSpec(dim=4))
 
@@ -167,8 +166,8 @@ class TestMonteCarloCrossCheck:
         if target_noise:
             exact = _affine_losses(transform[None], a[None], b[None], spec.radius, True)[0]
         else:
-            estimate = EncoderEstimate(
-                {"A": AffineMap.identity(d + k), "B": transform.inverse()}, anchor="A"
+            estimate = square_estimate(
+                {"A": AffineMap(np.eye(d + k), np.zeros(d + k)), "B": inverse(transform)}
             )
             exact = population_loss(estimate, ("A", "B"), codecs, spec)
         sampler = LatentSampler(d, spec.radius, seed)
@@ -179,25 +178,24 @@ class TestMonteCarloCrossCheck:
 
 
 class TestComposeZeroShot:
-    def test_same_language_is_identity(self):
-        graph, _codecs, corpora, _ = chain_setup(n_langs=3)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        same = composite(estimate, "L1", "L1")
-        assert max_entry_difference(same, AffineMap.identity(3)) <= 1e-12
+    def test_same_language_is_identity_for_square_encoders(self):
+        _graph, _codecs, corpora, _ = chain_setup(n_langs=3)
+        same = composite(joint_estimate(corpora), "L1", "L1")
+        assert max_entry_difference(same, AffineMap(np.eye(3), np.zeros(3))) <= 1e-12
 
-    def test_adjacent_pair_equals_fitted_map(self):
-        graph, _codecs, corpora, _ = chain_setup(n_langs=3)
-        results = [fit_edge(c) for c in corpora]
-        estimate = anchor_spanning_tree(graph, results, "L0")
-        adjacent = composite(estimate, *results[0].edge)
-        assert max_entry_difference(adjacent, results[0].transform) <= 1e-10
+    def test_noiseless_adjacent_pair_equals_fitted_map(self):
+        _graph, _codecs, corpora, _ = chain_setup(n_langs=3)
+        result = fit_edge(corpora[0])
+        adjacent = composite(joint_estimate(corpora), *result.edge)
+        assert max_entry_difference(adjacent, result.transform) <= 1e-9
 
     def test_composites_telescope(self):
-        graph, _codecs, corpora, _ = chain_setup(n_langs=4)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        # E_L ∘ D_L = id, so C_{1->3} ∘ C_{0->1} = C_{0->3} for any fit, noisy or not
+        _graph, _codecs, corpora, _ = chain_setup(n_langs=4, sigma=0.1, nuisance=2, n=50)
+        estimate = joint_estimate(corpora)
         direct = composite(estimate, "L0", "L3")
         stepped = composite(estimate, "L1", "L3").compose(composite(estimate, "L0", "L1"))
-        assert max_entry_difference(direct, stepped) <= 1e-10
+        assert max_entry_difference(direct, stepped) <= 1e-12
 
 
 class TestShortestPaths:
@@ -253,21 +251,21 @@ class TestShortestPaths:
 
 
 class TestPathBound:
-    """The chained bound 2 * rho_hat^2 * (sum of edge losses) of a pair record."""
+    """The telescoping bound (sum_i c_i sqrt(l_i))^2 of a pair record."""
 
     @staticmethod
-    def bound(path, edge_losses, rho_hat):
-        return PairEvalRecord(tuple(path), 0.0, tuple(edge_losses), rho_hat).bound
+    def bound(path, edge_losses, coefficients):
+        return PairEvalRecord(tuple(path), 0.0, tuple(edge_losses), tuple(coefficients)).bound
 
-    def test_single_edge(self):
-        assert self.bound("AB", [0.02], 1.5) == pytest.approx(2 * 1.5**2 * 0.02)
+    def test_single_edge_is_its_loss(self):
+        assert self.bound("AB", [0.02], [1.0]) == pytest.approx(0.02, rel=1e-15)
 
     def test_zero_losses(self):
-        assert self.bound("ABC", [0.0, 0.0], 3.0) == 0.0
+        assert self.bound("ABC", [0.0, 0.0], [3.0, 1.0]) == 0.0
 
-    def test_chain_sums_losses(self):
-        expected = 2 * 2.0**2 * (0.1 + 0.2 + 0.3 + 0.4)
-        assert self.bound("ABCDE", [0.1, 0.2, 0.3, 0.4], 2.0) == pytest.approx(expected)
+    def test_chain_adds_carried_root_losses(self):
+        expected = (2.0 * 0.2 + 3.0 * 0.3 + 1.0 * 0.4) ** 2  # 2.89
+        assert self.bound("ABCD", [0.04, 0.09, 0.16], [2.0, 3.0, 1.0]) == pytest.approx(expected)
 
 
 class TestVerifyChainBound:
@@ -280,7 +278,7 @@ class TestVerifyChainBound:
         graph, codecs, corpora, sampler = chain_setup(
             n_langs=2, sigma=0.1, nuisance=2, n=200, seed=4
         )
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        estimate = joint_estimate(corpora)
         fitted_loss = population_loss(estimate, ("L0", "L1"), codecs, spec_of(sampler))
         dst = codecs["L1"]
         floor = (
@@ -289,16 +287,7 @@ class TestVerifyChainBound:
             * float(np.sum(dst.decoder.linear[:, dst.latent_dim :] ** 2))
         )
         assert fitted_loss <= 0.2 * floor
-        passthrough = EncoderEstimate(
-            {
-                lang: AffineMap(
-                    np.linalg.inv(codecs[lang].decoder.linear),
-                    -np.linalg.inv(codecs[lang].decoder.linear) @ codecs[lang].decoder.offset,
-                )
-                for lang in codecs
-            },
-            anchor=None,
-        )
+        passthrough = square_estimate({lang: encoder_map(codecs[lang]) for lang in codecs})
         naive_loss = population_loss(passthrough, ("L0", "L1"), codecs, spec_of(sampler))
         assert naive_loss == pytest.approx(floor, rel=0.15)
 
@@ -306,16 +295,15 @@ class TestVerifyChainBound:
         graph, codecs, corpora, sampler = chain_setup(
             n_langs=4, sigma=0.05, nuisance=1, n=120, seed=2
         )
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
+        records = verify_chain_bound(joint_estimate(corpora), graph, codecs, spec_of(sampler))
         assert len(records) == 6
         assert all(r.holds for r in records)
+        assert all(r.measured_loss <= r.bound * (1 + 1e-12) for r in records)
         assert all(r.rho_hat >= 1.0 for r in records)
 
     def test_noiseless_run_all_hold(self):
         graph, codecs, corpora, sampler = chain_setup(n_langs=4, d=3, n=40)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
+        records = verify_chain_bound(joint_estimate(corpora), graph, codecs, spec_of(sampler))
         assert len(records) == 6
         assert all(r.holds for r in records)
         assert all(r.measured_loss <= 1e-10 for r in records)
@@ -324,26 +312,27 @@ class TestVerifyChainBound:
 
     def test_noiseless_losses_are_nonnegative(self):
         graph, codecs, corpora, sampler = chain_setup(n_langs=5, d=3, n=40, seed=7)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
+        records = verify_chain_bound(joint_estimate(corpora), graph, codecs, spec_of(sampler))
         assert len(records) == 10
         assert all(r.measured_loss >= 0.0 for r in records)
         assert all(loss >= 0.0 for r in records for loss in r.edge_losses)
 
     def test_record_derives_endpoints_bound_and_verdict(self):
         path = ("A", "C", "B")
-        below = PairEvalRecord(path, measured_loss=2.4, edge_losses=(0.1, 0.2), rho_hat=2.0)
+        bound = (2.0 * math.sqrt(0.1) + math.sqrt(0.2)) ** 2  # 1.1657
+        below = PairEvalRecord(path, measured_loss=1.1, edge_losses=(0.1, 0.2), coefficients=(2.0, 1.0))
         assert (below.src, below.dst, below.path_len) == ("A", "B", 2)
-        assert below.bound == 2 * 2.0**2 * (0.1 + 0.2)
+        assert below.bound == pytest.approx(bound, rel=1e-15)
+        assert below.rho_hat == 2.0
         assert below.holds is True
-        above = PairEvalRecord(path, measured_loss=2.5, edge_losses=(0.1, 0.2), rho_hat=2.0)
+        above = PairEvalRecord(path, measured_loss=1.2, edge_losses=(0.1, 0.2), coefficients=(2.0, 1.0))
         assert above.holds is False
+        assert PairEvalRecord(("A", "B"), 0.1, (0.1,), (1.0,)).rho_hat == 1.0
 
     @pytest.mark.parametrize("n_langs", [3, 6])
-    def test_reuses_the_estimate_svd_and_takes_one_inverse(self, monkeypatch, n_langs):
-        """The estimate's check already took the encoders' singular values."""
+    def test_one_stacked_svd_and_no_inverse(self, monkeypatch, n_langs):
         graph, codecs, corpora, sampler = chain_setup(n_langs=n_langs, seed=n_langs)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        estimate = joint_estimate(corpora)
         calls = {"svd": 0, "inv": 0}
         with monkeypatch.context() as patch:
             for name in calls:
@@ -354,61 +343,114 @@ class TestVerifyChainBound:
                 patch.setattr(np.linalg, name, counted)
             records = verify_chain_bound(estimate, graph, codecs, spec_of(sampler))
         assert len(records) == n_langs * (n_langs - 1) // 2
-        assert calls == {"svd": 0, "inv": 1}
+        assert calls == {"svd": 1, "inv": 0}
 
-    def test_rho_hat_is_the_per_encoder_formula_bit_for_bit(self):
+    def test_coefficients_are_the_carrying_norms_bit_for_bit(self):
         graph, codecs, corpora, sampler = chain_setup(
             n_langs=7, sigma=0.05, nuisance=2, n=80, seed=6,
             extra_edges=(("L0", "L3"), ("L2", "L6")),
         )
-        spec = spec_of(sampler)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        rng = np.random.default_rng(1)
-        dim = estimate.encoder("L0").dim
-        gauge = AffineMap(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
-        for est in (estimate, with_gauge(estimate, gauge)):
-            for record in verify_chain_bound(est, graph, codecs, spec):
-                want = max(
-                    1.0 / est.encoder(record.dst).singular_values[-1],
-                    max(float(est.encoder(node).singular_values[0]) for node in record.path),
-                )
-                assert record.rho_hat.hex() == want.hex()
-                assert type(record.rho_hat) is float
-                assert type(record.holds) is bool
-
+        estimate = joint_estimate(corpora)
+        for record in verify_chain_bound(estimate, graph, codecs, spec_of(sampler)):
+            want = [
+                float(np.linalg.svd(
+                    estimate.decoder(record.dst).linear @ estimate.encoder(node).linear,
+                    compute_uv=False,
+                )[0])
+                for node in record.path[1:-1]
+            ] + [1.0]
+            assert [c.hex() for c in record.coefficients] == [c.hex() for c in want]
+            assert record.rho_hat == max(want)
+            assert type(record.rho_hat) is float
+            assert type(record.holds) is bool
 
     def test_three_language_witness(self):
         # ROADMAP item 1's witness: 1-D noiseless codecs with decoders 1, 0.6
-        # and 1.9 on the path L0-L1-L2, E_0 = I, E_1 = 1/(0.6 * 1.05) and E_2
-        # exact for edge L1->L2. Edge L0->L1 is off by 0.03 z, and the
-        # composite L0->L2 by 0.095 z, with E z^2 = 1/3; the record's
-        # 2 rho_hat^2 sum(l) lies below that loss. Whether ``holds`` says so
-        # is left to the bound that replaces this one.
-        def scalar(a):
-            return AffineMap(np.array([[a]]), np.zeros(1))
-
+        # and 1.9 on the path L0-L1-L2. E_0 = D_0 = 1, D_1 = 0.6 * 1.05 and D_2
+        # = 1.9 * 1.05, each E_L = 1 / D_L, so edge L1->L2 is exact, edge
+        # L0->L1 is off by 0.03 z and the composite L0->L2 by 0.095 z, with E
+        # z^2 = 1/3. ||C_{1->2}|| = 1.9 / 0.6 carries edge L0->L1's error to
+        # L2 exactly, so the telescoping bound is tight. The former bound
+        # 2 rho^2 sum(l), rho the largest norm of the path encoders and of the
+        # destination decoder (the inverted destination encoder), lies below.
         langs = ("L0", "L1", "L2")
         codecs = {lang: RandomizedCodec(scalar(d)) for lang, d in zip(langs, (1.0, 0.6, 1.9))}
-        e1 = 1.0 / (0.6 * 1.05)
-        estimate = EncoderEstimate(
-            {"L0": scalar(1.0), "L1": scalar(e1), "L2": scalar(e1 * 0.6 / 1.9)}, anchor="L0"
+        estimate = square_estimate(
+            {"L0": scalar(1.0), "L1": scalar(1.0 / (0.6 * 1.05)), "L2": scalar(1.0 / (1.9 * 1.05))}
         )
         graph = TranslationGraph(langs, (("L0", "L1", 10), ("L1", "L2", 10)))
         spec = FunctionClassSpec(dim=1)
-        assert all(
-            1 / spec.rho <= estimate.encoder(lang).singular_values[0] <= spec.rho
-            for lang in langs
-        )
         records = verify_chain_bound(estimate, graph, codecs, spec)
         (record,) = [r for r in records if (r.src, r.dst) == ("L0", "L2")]
         assert record.path == langs
         assert record.measured_loss == pytest.approx(0.095**2 / 3, rel=1e-12)  # 0.0030083
-        assert record.rho_hat == pytest.approx(1.995, rel=1e-12)
         assert record.edge_losses[0] == pytest.approx(0.0003, rel=1e-12)
-        assert record.edge_losses[1] == 0.0
-        chained = 2 * record.rho_hat**2 * sum(record.edge_losses)
-        assert chained == pytest.approx(2 * 1.995**2 * 0.0003, rel=1e-12)  # 0.0023880
-        assert record.measured_loss > chained
+        assert record.edge_losses[1] <= 1e-30
+        assert record.coefficients == pytest.approx((1.9 / 0.6, 1.0), rel=1e-12)
+        assert abs(record.bound - record.measured_loss) <= 1e-12
+        assert record.measured_loss <= record.bound + 1e-12
+        rho = max(
+            max(float(estimate.encoder(lang).linear[0, 0]) for lang in langs),
+            float(estimate.decoder("L2").linear[0, 0]),
+        )
+        assert rho == pytest.approx(1.995, rel=1e-12)
+        former = 2 * rho**2 * sum(record.edge_losses)
+        assert former == pytest.approx(2 * 1.995**2 * 0.0003, rel=1e-9)  # 0.0023880
+        assert record.measured_loss > former
+
+
+class TestGaugeInvariance:
+    """E_L -> G ∘ E_L, D_L -> D_L ∘ G^-1 for one invertible affine G on the latent space."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_composites_losses_and_bounds_do_not_move(self, seed):
+        graph, codecs, corpora, sampler = chain_setup(
+            n_langs=6, sigma=0.05, nuisance=2, n=100, seed=seed,
+            extra_edges=(("L0", "L3"), ("L1", "L5")),
+        )
+        spec = spec_of(sampler)
+        estimate = joint_estimate(corpora)
+        rng = np.random.default_rng(seed)
+        u, _s, vt = np.linalg.svd(rng.standard_normal((3, 3)))
+        gauge = AffineMap(u @ np.diag(rng.uniform(0.5, 2.0, 3)) @ vt, rng.standard_normal(3))
+        moved = with_gauge(estimate, gauge)
+        for src in graph.languages:
+            for dst in graph.languages:
+                assert max_entry_difference(
+                    composite(estimate, src, dst), composite(moved, src, dst)
+                ) <= 1e-9
+        before = verify_chain_bound(estimate, graph, codecs, spec)
+        after = verify_chain_bound(moved, graph, codecs, spec)
+        assert [r.path for r in before] == [r.path for r in after]
+        for a, b in zip(before, after):
+            assert abs(a.measured_loss - b.measured_loss) <= 1e-9
+            assert np.abs(np.subtract(a.edge_losses, b.edge_losses)).max() <= 1e-9
+            assert np.abs(np.subtract(a.coefficients, b.coefficients)).max() <= 1e-9
+            assert abs(a.bound - b.bound) <= 1e-9
+
+
+class TestRandomGraphTranslates:
+    """The joint fit on a 14-language random graph with noisy nuisance codecs."""
+
+    def test_every_pair_beats_the_mean_and_stays_within_its_bound(self):
+        rng = np.random.default_rng(2026)
+        shape = random_connected_graph(rng, 14, 6)
+        graph = TranslationGraph(shape.languages, tuple((a, b, 300) for a, b, _n in shape.edges))
+        spec = FunctionClassSpec(dim=4)
+        codecs = dict(zip(graph.languages, sample_randomized_codecs(spec, 14, 2, 0.05, 11)))
+        sampler = LatentSampler(4, 1.0, 11)
+        corpora = [randomized_generate(e, codecs, 300, sampler, 11) for e in graph.edge_pairs()]
+        records = verify_chain_bound(joint_estimate(corpora), graph, codecs, spec)
+        assert len(records) == 14 * 13 // 2
+        assert max(r.path_len for r in records) >= 3
+        for r in records:
+            # predicting the destination's mean costs tr Cov(y) = E z^2 ||W[:, :d]||_F^2
+            latent = codecs[r.dst].decoder.linear[:, :4]
+            mean_predictor = latent_second_moment(4, 1.0) * float(np.sum(latent**2))
+            assert r.measured_loss < mean_predictor, r.path
+            assert r.measured_loss <= r.bound * (1 + 1e-12), r.path
+            if r.path_len == 1:
+                assert r.bound == pytest.approx(r.measured_loss, rel=1e-12)
 
 
 class TestStackedLosses:
@@ -443,7 +485,7 @@ class TestStackedLosses:
             n_langs=7, sigma=0.05, nuisance=2, n=80, seed=6,
             extra_edges=(("L0", "L3"), ("L2", "L6")),
         )
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        estimate = joint_estimate(corpora)
         spec = spec_of(sampler)
         records = verify_chain_bound(estimate, graph, codecs, spec)
         assert len(records) == 21

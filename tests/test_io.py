@@ -28,6 +28,7 @@ from helpers import (
     damaged_corpus_fields,
     damaged_documents,
     damaged_instance_documents,
+    joint_estimate,
     max_entry_difference,
     savez_corpus,
     worst_case_defect_text,
@@ -55,7 +56,7 @@ from translab.impossibility import (
     random_many_to_many_instance,
     random_two_to_one_instance,
 )
-from translab.trainer import EncoderEstimate, anchor_spanning_tree, fit_edge
+from translab.trainer import EncoderEstimate
 from test_trainer import chain_setup
 
 
@@ -207,7 +208,7 @@ class TestGraphAndCodecFiles:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
         graph, codecs, corpora, _ = chain_setup(n_langs=4, sigma=0.1, nuisance=2)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        estimate = joint_estimate(corpora)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
 
         io.save_graph(six_language_demo_graph(), first)
@@ -343,7 +344,12 @@ class TestGraphDefects:
             ({"a": "L0", "b": "L1", "n": True}, "edge L0->L1 has n=True"),
             ({"a": "L0", "b": "L1", "n": -1}, "edge L0->L1 has n=-1"),
             ({"a": "L0", "b": 1, "n": 4}, "edge 0 needs language ids"),
-            (["L0", "L1", 4], "edge 0 is not an object"),
+            (["L0", "L1", 4], "edge 0 document must be a JSON object"),
+            # a missing or misspelt count is no longer read as 0
+            ({"a": "L0", "b": "L1"}, "edge 0 document missing key 'n'"),
+            ({"a": "L0", "b": "L1", "N": 500}, "edge 0 document missing key 'n'"),
+            ({"a": "L0", "b": "L1", "n": 500, "N": 500}, "edge 0 document has unknown key 'N'"),
+            ({"a": "L0", "b": "L1", "n": 5, "weight": 1}, "edge 0 document has unknown key"),
         ],
     )
     def test_bad_edge_names_file_and_edge(self, tmp_path, edge, expected):
@@ -357,8 +363,14 @@ class TestGraphDefects:
         "payload, expected",
         [
             ({"languages": ["L0", 1], "edges": []}, "language id 1 is not a string"),
-            ({"languages": ["L0"]}, "'edges' list"),
-            ([], "'languages' list"),
+            ({"languages": ["L0"]}, "graph document missing key 'edges'"),
+            ({"languages": ["L0"], "edges": {}}, "'edges' list"),
+            ({"languages": "L0", "edges": []}, "'languages' list"),
+            ([], "graph document must be a JSON object"),
+            (
+                {"languages": ["A", "B"], "edges": [{"a": "A", "b": "B", "N": 500}], "note": 1},
+                "graph document has unknown key 'note'",
+            ),
             ({"languages": ["L0", "L0"], "edges": []}, "duplicate language ids"),
             ({"languages": [], "edges": []}, "graph document lists no languages"),
         ],
@@ -424,9 +436,13 @@ class TestCodecDefects:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("W", math.inf), ("W", math.nan), ("b", math.inf), ("b", -math.inf)],
+        [
+            ("W", math.inf), ("W", math.nan), ("b", math.inf), ("b", -math.inf),
+            # JSON true and "1.5" would convert to 1.0 and 1.5
+            ("W", True), ("W", "1.5"), ("b", True), ("b", "1.5"), ("W", None), ("b", [1.0]),
+        ],
     )
-    def test_non_finite_entry_names_file_codec_and_field(self, tmp_path, field, value):
+    def test_bad_entry_names_file_codec_and_field(self, tmp_path, field, value):
         payload = json.loads(json.dumps(CODEC_DOCUMENT))
         entry = payload["codecs"]["L1"]
         if field == "W":
@@ -437,7 +453,13 @@ class TestCodecDefects:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as info:
             io.load_codecs(path)
-        assert str(info.value) == f"{path}: codec 'L1' field '{field}' has a non-finite entry"
+        if isinstance(value, float):
+            expected = f"codec 'L1' field '{field}' has a non-finite entry"
+        elif isinstance(value, list):
+            expected = f"codec 'L1' field '{field}' is not a numeric array"
+        else:
+            expected = f"codec 'L1' field '{field}' holds {value!r}, not a JSON number"
+        assert str(info.value).startswith(f"{path}: {expected}")
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_names_file_and_field(self, tmp_path, sigma):
@@ -894,73 +916,81 @@ class TestAtomicWrites:
 
 
 class TestEncoderFiles:
+    @staticmethod
+    def _estimate(n_langs=3):
+        _graph, _codecs, corpora, _ = chain_setup(n_langs=n_langs, sigma=0.05, nuisance=1, n=60)
+        return joint_estimate(corpora)
+
     def test_round_trip(self, tmp_path):
-        graph, _codecs, corpora, _ = chain_setup(n_langs=3)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
+        estimate = self._estimate()
         path = tmp_path / "encoders.json"
         io.save_encoders(estimate, path, spec=FunctionClassSpec(dim=3))
         again, spec = io.load_encoders(path)
         assert isinstance(again, EncoderEstimate)
-        assert again.anchor == "L0"
         assert spec == FunctionClassSpec(dim=3)
         for lang in sorted(estimate.encoders):
+            assert again.encoder(lang).linear.shape == (3, 4)
             assert max_entry_difference(again.encoder(lang), estimate.encoder(lang)) == 0.0
+            assert max_entry_difference(again.decoder(lang), estimate.decoder(lang)) == 0.0
 
     def _saved(self, tmp_path):
-        graph, _codecs, corpora, _ = chain_setup(n_langs=3)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
         path = tmp_path / "encoders.json"
-        io.save_encoders(estimate, path)
+        io.save_encoders(self._estimate(), path)
         return path, json.loads(path.read_text())
 
+    @pytest.mark.parametrize("table", ["encoders", "decoders"])
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("W", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # not square
             ("W", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),  # ragged
             ("W", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]),
+            ("W", [[1.0, True, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            ("W", [[1.0, "1.5", 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            ("W", [1.0, 0.0, 0.0]),  # not a matrix
             ("b", [0.0, float("inf"), 0.0]),
-            ("b", [0.0, 0.0]),  # does not match W
+            ("b", [True, 0.0, 0.0]),
+            ("b", ["1.5", 0.0, 0.0]),
+            ("b", [0.0]),  # does not match W
             ("b", "zero"),
         ],
     )
-    def test_bad_field_names_file_language_and_field(self, tmp_path, field, value):
+    def test_bad_field_names_file_language_and_field(self, tmp_path, table, field, value):
         path, payload = self._saved(tmp_path)
-        payload["encoders"]["L2"][field] = value
+        payload[table]["L2"][field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as info:
             io.load_encoders(path)
         message = str(info.value)
-        assert str(path) in message
-        assert "'L2'" in message
-        assert f"'{field}'" in message or "'W' and a matching 'b'" in message
+        assert message.startswith(f"{path}: ")
+        assert f"{table[:-1]} 'L2'" in message
+        assert f"'{field}'" in message or "offset dimension" in message
 
-    def test_load_checks_every_encoder_with_one_svd(self, tmp_path, monkeypatch):
-        graph, _codecs, corpora, _ = chain_setup(n_langs=6)
-        estimate = anchor_spanning_tree(graph, [fit_edge(c) for c in corpora], "L0")
-        path = tmp_path / "encoders.json"
-        io.save_encoders(estimate, path)
-        shapes = []
-        svd = np.linalg.svd
+    @pytest.mark.parametrize("table", ["encoders", "decoders"])
+    def test_map_of_another_shape_names_file_and_language(self, tmp_path, table):
+        path, payload = self._saved(tmp_path)
+        entry = payload[table]["L2"]
+        entry["W"] = np.transpose(entry["W"]).tolist()
+        entry["b"] = [0.0] * len(entry["W"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_encoders(path)
+        assert str(info.value).startswith(f"{path}: 'L2' has a ")
+        assert "every encoder must be d x D and every decoder D x d" in str(info.value)
 
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        again, _spec = io.load_encoders(path)
-        assert len(again.encoders) == 6
-        assert len(shapes) == 1 and shapes[0][0] == 6
-
-    @pytest.mark.parametrize("key", ["anchor", "encoders", "spec", "as pairs", "unknown"])
+    @pytest.mark.parametrize(
+        "key", ["encoders", "decoders", "spec", "as pairs", "anchor", "unknown"]
+    )
     def test_missing_unknown_or_listed_key_names_file_and_key(self, tmp_path, key):
-        # the writer writes every key, a null 'anchor' or 'spec' too, and no other, so none
-        # has a default and none is dropped
+        # the writer writes every key, a null 'spec' too, and no other, so none
+        # has a default and none is dropped; the former square-encoder 'anchor' is unknown
         path, payload = self._saved(tmp_path)
         expected = f"encoder document missing key {key!r}"
         if key == "as pairs":
-            payload["encoders"] = list(payload["encoders"].items())
-            expected = "encoder field 'encoders' must map language ids to encoders"
+            payload["decoders"] = list(payload["decoders"].items())
+            expected = "encoder field 'decoders' must map language ids to maps"
+        elif key == "anchor":
+            payload["anchor"] = "L0"
+            expected = "encoder document has unknown key 'anchor'"
         elif key == "unknown":
             payload["sigma"] = 0.0
             expected = "encoder document has unknown key 'sigma'"
@@ -971,20 +1001,32 @@ class TestEncoderFiles:
             io.load_encoders(path)
         assert str(info.value) == f"{path}: {expected}"
 
-    def test_encoders_of_different_dimension_are_schema_error(self, tmp_path):
+    def test_tables_of_different_languages_are_schema_error(self, tmp_path):
         path, payload = self._saved(tmp_path)
-        payload["encoders"]["L2"] = {"W": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="disagree on dimension"):
-            io.load_encoders(path)
-
-    def test_singular_encoder_names_file_and_language(self, tmp_path):
-        path, payload = self._saved(tmp_path)
-        payload["encoders"]["L2"]["W"] = [[0.0] * 3] * 3
+        del payload["decoders"]["L2"]
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as info:
             io.load_encoders(path)
-        assert str(path) in str(info.value) and "'L2'" in str(info.value)
+        assert str(info.value) == (
+            f"{path}: encoders cover ['L0', 'L1', 'L2'], but decoders cover ['L0', 'L1']"
+        )
+
+    @pytest.mark.parametrize(
+        "table, field", [("encoders", "W"), ("decoders", "W"), ("decoders", "b")]
+    )
+    def test_encoder_that_does_not_undo_its_decoder_names_file_and_language(
+        self, tmp_path, table, field
+    ):
+        path, payload = self._saved(tmp_path)
+        entry = payload[table]["L2"]
+        if field == "W":
+            entry["W"][0][0] += 1e-3
+        else:
+            entry["b"][0] += 0.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            io.load_encoders(path)
+        assert str(info.value).startswith(f"{path}: encoder of 'L2' undoes its decoder only")
 
     @pytest.mark.parametrize("spec", [{}, {"d": "x"}, 5, {"d": 3, "B": math.nan, "rho": 2.0,
                                                          "offset_bound": 1.0}])
@@ -1007,17 +1049,17 @@ class TestEncoderFiles:
             except SchemaError as exc:
                 assert str(exc).startswith(f"{path}: "), str(exc)
                 return
-            assert {"anchor", "encoders", "spec"} <= payload.keys()
+            assert payload.keys() == {"encoders", "decoders", "spec"}
             assert isinstance(payload["encoders"], dict)
+            assert isinstance(payload["decoders"], dict)
+            for entry in (*payload["encoders"].values(), *payload["decoders"].values()):
+                # only JSON numbers load; 2.0 for 2 or 2 for 2.0 keeps the map
+                assert all(
+                    type(x) in (int, float)
+                    for x in (*np.ravel(entry["W"]).tolist(), *entry["b"])
+                )
             if spec is not None:
                 assert_json_typed_spec(payload["spec"])
-
-    def test_anchor_not_identity_is_schema_error(self, tmp_path):
-        path, payload = self._saved(tmp_path)
-        payload["encoders"]["L0"]["b"] = [0.5, 0.0, 0.0]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="identity"):
-            io.load_encoders(path)
 
 
 class TestCsvEmission:
@@ -1025,7 +1067,7 @@ class TestCsvEmission:
         from translab.evaluation import PairEvalRecord, SweepRow
 
         record = PairEvalRecord(
-            path=("A", "B"), measured_loss=0.5, edge_losses=(0.5,), rho_hat=1.0
+            path=("A", "B"), measured_loss=0.5, edge_losses=(0.5,), coefficients=(1.0,)
         )
         pair_path = tmp_path / "pair.csv"
         io.write_pair_eval_csv([record], pair_path)
