@@ -342,8 +342,7 @@ def _run_train(config) -> int:
     graph = _connected_graph(config.graph)
     if not graph.edges:
         raise SchemaError(f"{config.graph}: graph has no edges; train needs at least one")
-    # One corpus at a time: each is fitted and dropped before the next loads;
-    # its Gram stays for the joint fit.
+    # Each corpus is read straight into its Gram, which its fit and the joint fit read.
     results, nuisance = [], None
     for edge in graph.edge_pairs():
         path = config.corpus_dir / io.corpus_filename(edge)
@@ -363,7 +362,6 @@ def _run_train(config) -> int:
             results.append(fit_edge(corpus))
         except TranslabError as exc:
             raise type(exc)(f"{path}: edge {edge[0]}->{edge[1]}: {exc}") from exc
-        del corpus
     latent_dim = results[0].transform.dim - nuisance
     try:
         fit = fit_joint(results, latent_dim)

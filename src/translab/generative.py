@@ -25,7 +25,7 @@ from .seeding import derive_seed
 #: Noise seeds are standard normal truncated at this many deviations per coordinate.
 NOISE_CUTOFF = 3.0
 
-#: Latents are normalized and decoded, and corpora written and scored, this
+#: Latents are normalized and decoded, and corpora written and read, this
 #: many rows at a time, so no full-size temporary lives next to a corpus and
 #: its latents, and a block's temporaries stay in cache.
 ROW_BLOCK = 1 << 12
@@ -36,53 +36,24 @@ NOISE_VARIANCE = 1.0 - (
 ) / math.erf(NOISE_CUTOFF / math.sqrt(2.0))
 
 
-#: Corpora of at least this many rows are read, checked and scored as two
-#: halves on two threads (``_halves``). Below it one thread is faster: the
-#: second thread's staging and residual blocks weigh more beside a small
-#: corpus, and handing work over costs more than it saves.
-PARALLEL_ROWS = 16 * ROW_BLOCK
-
-
-def _row_blocks(n: int, size: int = ROW_BLOCK, start: int = 0) -> list[slice]:
-    """Slices of ``size`` >= 2 rows covering ``range(start, n)`` in order; the last has the rest.
+def _row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
+    """Slices of ``size`` >= 2 rows covering ``range(n)`` in order; the last has the rest.
 
     A 1-row remainder joins the block before it: a one-row product takes
     BLAS's matrix-vector path, which rounds differently from the matrix
-    product of the whole array. So a block holds one row only when
-    n == start + 1. From a ``start`` that is a multiple of ``size`` and at
-    least 2 rows below n, the blocks are those of ``range(n)`` past it.
+    product of the whole array. So a block holds one row only when n == 1.
     """
-    stops = [*range(start + size, n - 1, size), n]
-    return [slice(first, stop) for first, stop in zip([start, *stops], stops)]
+    stops = [*range(size, n - 1, size), n]
+    return [slice(first, stop) for first, stop in zip([0, *stops], stops)]
 
 
-def _halves(n: int) -> list[slice]:
-    """``range(n)`` as one slice below ``PARALLEL_ROWS``, else as two split at a row block.
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The Gram rows^T rows of rows [x, 1, y] (..., n, 2 * dim + 1), one per corpus of a stack.
 
-    Both halves start on a multiple of ``ROW_BLOCK``, so each one's
-    ``_row_blocks`` are the whole range's blocks that lie inside it.
+    Huge entries overflow the products; that leaves a non-finite entry, and no warning.
     """
-    if n < PARALLEL_ROWS:
-        return [slice(0, n)]
-    middle = n // 2 // ROW_BLOCK * ROW_BLOCK
-    return [slice(0, middle), slice(middle, n)]
-
-
-def _on_two_threads(work, parts: Sequence) -> list:
-    """``[work(part) for part in parts]``, the last of two parts on one worker thread.
-
-    One part runs on this thread alone; the thread pool module is imported
-    only for two. An exception from either part is raised once both are done.
-    """
-    if len(parts) == 1:
-        return [work(parts[0])]
-    from concurrent.futures import ThreadPoolExecutor
-
-    first, last = parts
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(work, last)
-        done = work(first)
-    return [done, pending.result()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows.swapaxes(-1, -2) @ rows
 
 
 def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -460,10 +431,9 @@ class AlignedCorpus:
 
     The corpus owns ``rows`` = [x, 1, y], a float64 array of shape
     (n, 2 * dim + 1): source point, a constant 1, target point, filled
-    elsewhere (``corpus_rows``) and made read-only here, not copied. Its
-    first dim + 1 columns are a least-squares design and the rest its
-    targets, so a fit reads them as they are; ``source_points`` and
-    ``target_points`` are views of it.
+    elsewhere (``corpus_rows``) and made read-only here, not copied;
+    ``source_points`` and ``target_points`` are views of it. A fit reads
+    the corpus as a ``CorpusGram`` does, through ``gram`` and ``largest``.
     """
 
     edge: tuple[str, str]
@@ -502,6 +472,36 @@ class AlignedCorpus:
     @property
     def target_points(self) -> np.ndarray:
         return self.rows[:, self.dim + 1 :]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The Gram of the rows, one product of them all (``_gram``)."""
+        return _gram(self.rows)
+
+    @property
+    def largest(self) -> float:
+        """The largest entry magnitude of the rows."""
+        return float(np.abs(self.rows).max())
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusGram:
+    """One edge's corpus as every fit reads it: the Gram of its n rows [x, 1, y], and its meta.
+
+    ``gram`` is (2 * dim + 1, 2 * dim + 1). Summing it may have overflowed,
+    which leaves a non-finite entry; a fit then reports ``largest``, the
+    largest entry magnitude of the rows.
+    """
+
+    edge: tuple[str, str]
+    meta: Mapping[str, object]
+    n: int
+    gram: np.ndarray
+    largest: float
+
+    @property
+    def dim(self) -> int:
+        return (len(self.gram) - 1) // 2
 
 
 def _edge_codecs(

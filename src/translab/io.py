@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import math
 import os
-import struct
 import zipfile
-import zlib
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,11 +28,11 @@ from .evaluation import PairEvalRecord, SweepRow
 from .generative import (
     ROW_BLOCK,
     AlignedCorpus,
+    CorpusGram,
     FunctionClassSpec,
     RandomizedCodec,
     TranslationGraph,
-    _halves,
-    _on_two_threads,
+    _gram,
     _row_blocks,
     corpus_rows,
 )
@@ -445,45 +442,36 @@ def save_corpus(corpus: AlignedCorpus, path) -> None:
     write_corpus(path, corpus.edge, corpus.meta, corpus.n, corpus.dim, fill)
 
 
-#: A ZIP member's local file header: its signature, 22 bytes whose values
-#: the central directory also holds, and the lengths of the name and the
-#: extra field that follow it, before the member's data.
-_LOCAL_HEADER = struct.Struct("<4s22xHH")
-
-
-def load_corpus(path) -> AlignedCorpus:
-    """Read a corpus NPZ, naming the file and the field of any defect.
+def load_corpus(path) -> CorpusGram:
+    """Read a corpus NPZ into its Gram, naming the file and the field of any defect.
 
     Only the layout ``write_corpus`` and ``np.savez`` write is read; the
-    ``pairs`` member goes straight into the corpus's rows (``_read_rows``).
+    ``pairs`` member goes straight into the Gram of its rows (``_read_gram``).
     """
     with _naming(path):
         try:
-            fh = open(path, "rb")
+            npz = zipfile.ZipFile(path)
         except FileNotFoundError:
             raise
-        except OSError as exc:
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             raise SchemaError(f"not an NPZ corpus file: {exc}") from exc
-        with fh:
+        with npz:
+            raw_edge, raw_meta = (_small_field(npz, name) for name in ("edge", "meta"))
+            edge = tuple(str(x) for x in np.ravel(raw_edge))
+            if raw_edge.dtype.kind != "U" or len(edge) != 2:
+                raise SchemaError(
+                    f"corpus field 'edge' must name two languages, got {raw_edge!r}"
+                )
             try:
-                npz = zipfile.ZipFile(fh)
-            except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-                raise SchemaError(f"not an NPZ corpus file: {exc}") from exc
-            with npz:
-                raw_edge, raw_meta = (_small_field(npz, name) for name in ("edge", "meta"))
-                edge = tuple(str(x) for x in np.ravel(raw_edge))
-                if raw_edge.dtype.kind != "U" or len(edge) != 2:
-                    raise SchemaError(
-                        f"corpus field 'edge' must name two languages, got {raw_edge!r}"
-                    )
-                try:
-                    meta = json.loads(str(raw_meta[()]))
-                except ValueError as exc:
-                    raise SchemaError(f"corpus field 'meta' is not JSON: {exc}") from exc
-                if not isinstance(meta, dict):
-                    raise SchemaError("corpus field 'meta' must be a JSON object")
-                rows = _read_rows(fh, npz)
-        return AlignedCorpus(edge, rows, meta)
+                meta = json.loads(str(raw_meta[()]), object_pairs_hook=_unique_keys)
+            except SchemaError as exc:
+                raise SchemaError(f"corpus field 'meta': {exc}") from exc
+            except ValueError as exc:
+                raise SchemaError(f"corpus field 'meta' is not JSON: {exc}") from exc
+            if not isinstance(meta, dict):
+                raise SchemaError("corpus field 'meta' must be a JSON object")
+            n, gram, largest = _read_gram(npz)
+        return CorpusGram(edge, meta, n, gram, largest)
 
 
 def _small_field(npz: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -497,28 +485,17 @@ def _small_field(npz: zipfile.ZipFile, name: str) -> np.ndarray:
         raise SchemaError(f"corpus field {name!r} is unreadable: {exc}") from exc
 
 
-def _pair_view(rows: np.ndarray) -> np.ndarray:
-    """The (n, 2, dim) pairs (x, y) inside rows [x, 1, y], as a view that writes through."""
-    dim = (rows.shape[-1] - 1) // 2
-    step = rows.itemsize
-    return np.lib.stride_tricks.as_strided(
-        rows, (len(rows), 2, dim), (rows.strides[0], (dim + 1) * step, step)
-    )
-
-
-def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
-    """The ``pairs.npy`` member of the open NPZ file ``fh``, read into new corpus rows.
+def _read_gram(npz: zipfile.ZipFile) -> tuple[int, np.ndarray, float]:
+    """The ``pairs.npy`` member's n, the Gram of its rows [x, 1, y] and their largest magnitude.
 
     The member must be stored, neither compressed nor encrypted, and hold a
-    C-ordered '<f8' (n, 2, dim) array, n, dim >= 1, in exactly the bytes its header needs:
-    all of that is checked before anything is allocated. The data is then
-    read from the file ``ROW_BLOCK`` rows at a time into a staging block,
-    whose CRC-32 and finiteness are checked as it arrives, and copied into
-    the rows [x, 1, y], so every byte is read once and no (n, 2, dim) array
-    is built. At ``PARALLEL_ROWS`` rows and above, the two ``_halves`` are
-    read on two threads, each from its own byte range into its own staging
-    block, and the second half's CRC-32 is joined onto the first's
-    (``_crc32_combine``) before the whole member's is checked.
+    C-ordered '<f8' (n, 2, dim) array, n, dim >= 1, in exactly the bytes its
+    header needs: all of that is checked before any pair is read. The pairs
+    then stream through ``zipfile``'s reader a ``_row_blocks`` block at a
+    time into one staging block of rows [x, 1, y], whose Gram is added to
+    the sum, so no array of all the rows exists; a corpus of one block has
+    the Gram ``_gram`` gives its rows. ``zipfile`` checks the CRC-32 as the
+    last block arrives, and a non-finite entry is reported only after that.
     """
     try:
         info = npz.getinfo("pairs.npy")
@@ -528,114 +505,60 @@ def _read_rows(fh, npz: zipfile.ZipFile) -> np.ndarray:
         raise SchemaError(
             "corpus field 'pairs' is compressed or encrypted; only a stored member is read"
         )
-    fh.seek(info.header_offset)
-    local = fh.read(_LOCAL_HEADER.size)
-    signature, name_size, extra_size = (
-        _LOCAL_HEADER.unpack(local) if len(local) == _LOCAL_HEADER.size else (b"", 0, 0)
-    )
-    if signature != b"PK\x03\x04" or fh.read(name_size) != info.orig_filename.encode():
-        raise SchemaError("corpus field 'pairs' has a damaged ZIP member header")
-    start = fh.seek(extra_size, os.SEEK_CUR)
     try:
-        if np.lib.format.read_magic(fh) != (1, 0):
-            raise ValueError("only a version 1.0 .npy header is read")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    except ValueError as exc:
+        member = npz.open(info)  # zipfile checks the local header against the directory
+    except zipfile.BadZipFile as exc:
         raise SchemaError(f"corpus field 'pairs' is unreadable: {exc}") from exc
-    if (
-        dtype != np.dtype("<f8")
-        or fortran_order
-        or len(shape) != 3
-        or shape[1] != 2
-        or min(shape) < 1
-    ):
-        order = "Fortran" if fortran_order else "C"
-        raise SchemaError(
-            "corpus field 'pairs' must be a '<f8' (n, 2, dim) array in C order with"
-            f" n, dim >= 1, got {dtype.str} of shape {shape} in {order} order"
-        )
-    n, _, dim = shape
-    header_size = fh.tell() - start
-    row_size = 2 * dim * 8
-    if info.file_size != header_size + n * row_size or info.compress_size != info.file_size:
-        raise SchemaError(
-            f"corpus field 'pairs' holds {info.file_size - header_size} data bytes,"
-            f" but its shape {shape} needs {n * row_size}"
-        )
-    fh.seek(start)
-    header_crc = zlib.crc32(fh.read(header_size))
-    data_start = start + header_size
-    rows = corpus_rows((n,), dim)
-    pairs = _pair_view(rows)
-
-    def read(part: slice) -> tuple[int, bool]:
-        """The part's CRC-32 (from the header's, for the first part) and its finiteness."""
-        crc = header_crc if part.start == 0 else 0
-        finite = True
-        staging = np.empty((min(part.stop - part.start, ROW_BLOCK), 2, dim))
-        for first in range(part.start, part.stop, ROW_BLOCK):
-            block = staging[: min(ROW_BLOCK, part.stop - first)]
-            data = memoryview(block).cast("B")
-            if os.preadv(fh.fileno(), [data], data_start + first * row_size) != data.nbytes:
-                raise SchemaError("corpus field 'pairs' ends before its data does")
-            crc = zlib.crc32(data, crc)
-            finite = finite and bool(np.isfinite(block).all())
-            pairs[first : first + len(block)] = block
-        return crc, finite
-
-    parts = _halves(n)
-    (crc, finite), *rest = _on_two_threads(read, parts)
-    for part, (part_crc, part_finite) in zip(parts[1:], rest):
-        crc = _crc32_combine(crc, part_crc, (part.stop - part.start) * row_size)
-        finite = finite and part_finite
-    if crc != info.CRC:
-        raise SchemaError("corpus field 'pairs' fails its CRC-32 check: the file is damaged")
+    with member:
+        try:
+            if np.lib.format.read_magic(member) != (1, 0):
+                raise ValueError("only a version 1.0 .npy header is read")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise SchemaError(f"corpus field 'pairs' is unreadable: {exc}") from exc
+        if (
+            dtype != np.dtype("<f8")
+            or fortran_order
+            or len(shape) != 3
+            or shape[1] != 2
+            or min(shape) < 1
+        ):
+            order = "Fortran" if fortran_order else "C"
+            raise SchemaError(
+                "corpus field 'pairs' must be a '<f8' (n, 2, dim) array in C order with"
+                f" n, dim >= 1, got {dtype.str} of shape {shape} in {order} order"
+            )
+        n, _, dim = shape
+        header_size = member.tell()
+        row_size = 2 * dim * 8
+        if info.file_size != header_size + n * row_size or info.compress_size != info.file_size:
+            raise SchemaError(
+                f"corpus field 'pairs' holds {info.file_size - header_size} data bytes,"
+                f" but its shape {shape} needs {n * row_size}"
+            )
+        staging = corpus_rows((min(n, ROW_BLOCK + 1),), dim)
+        gram, largest, finite = None, 1.0, True  # 1.0: the rows' constant column
+        for rows in _row_blocks(n):
+            size = (rows.stop - rows.start) * row_size
+            try:
+                data = member.read(size)
+            except zipfile.BadZipFile as exc:
+                raise SchemaError(
+                    "corpus field 'pairs' fails its CRC-32 check: the file is damaged"
+                ) from exc
+            except EOFError as exc:
+                raise SchemaError("corpus field 'pairs' ends before its data does") from exc
+            pairs = np.frombuffer(data, "<f8").reshape(-1, 2, dim)
+            block = staging[: len(pairs)]
+            block[:, :dim], block[:, dim + 1 :] = pairs[:, 0], pairs[:, 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                low, high = block.min(), block.max()
+                gram = _gram(block) if gram is None else gram + _gram(block)
+            finite = finite and math.isfinite(low) and math.isfinite(high)
+            largest = max(largest, -low, high)
     if not finite:
         raise SchemaError("corpus field 'pairs' has a non-finite entry")
-    return rows
-
-
-#: The CRC-32 polynomial, bit-reversed, as zlib uses it.
-_CRC32_POLY = 0xEDB88320
-
-
-def _gf2_multiply(a: int, b: int) -> int:
-    """a(x) b(x) modulo the CRC-32 polynomial, both bit-reversed 32-bit polynomials."""
-    product = 0
-    m = 1 << 31
-    while a:
-        if a & m:
-            product ^= b
-            a ^= m
-        m >>= 1
-        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
-    return product
-
-
-@functools.cache
-def _x_to_2_to_the(k: int) -> int:
-    """x^(2^k) modulo the CRC-32 polynomial, by squaring x^(2^(k-1))."""
-    if k == 0:
-        return 1 << 30  # x
-    half = _x_to_2_to_the(k - 1)
-    return _gf2_multiply(half, half)
-
-
-def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
-    """``zlib.crc32(a + b)`` from crc1 = ``zlib.crc32(a)``, crc2 = ``zlib.crc32(b)`` and len(b).
-
-    zlib's ``crc32_combine``: crc1 is shifted past len2 zero bytes by
-    multiplying it by x^(8 len2) modulo the polynomial, built by square and
-    multiply from the cached powers x^(2^k), and crc2 is added.
-    """
-    shift = 1 << 31  # x^0
-    k = 3  # 8 len2 = len2 2^3
-    while len2:
-        if len2 & 1:
-            shift = _gf2_multiply(_x_to_2_to_the(k), shift)
-        len2 >>= 1
-        k += 1
-    return _gf2_multiply(shift, crc1) ^ crc2
+    return n, gram, largest
 
 
 def corpus_filename(edge: tuple[str, str]) -> str:

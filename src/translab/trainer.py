@@ -9,7 +9,8 @@ The joint objective is multiset CCA (Kettenring 1971, "Canonical analysis of
 several sets of variables"), one symmetric eigenproblem (``fit_joint``).
 
 A corpus enters every fit through one Gram of its rows [x, 1, y]: the edge's
-normal equations are two of its blocks, and the joint fit's moments the rest.
+normal equations are two of its blocks, the joint fit's moments the rest, and
+every loss is read off it (``_gram_loss``).
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .affine import AffineMap
 from .errors import ConditioningError, DomainError, InsufficientDataError
-from .generative import ROW_BLOCK, AlignedCorpus, _halves, _on_two_threads, _row_blocks, _row_sums
+from .generative import AlignedCorpus, CorpusGram, _gram
 
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
@@ -121,29 +122,44 @@ class EncoderEstimate:
             raise DomainError(f"no {kind} for language {lang!r}") from None
 
 
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """The Gram rows^T rows of rows [x, 1, y] (..., n, 2 * dim + 1), one per corpus of a stack."""
-    # Huge entries overflow the products; report that instead of warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = rows.swapaxes(-1, -2) @ rows
-    if not np.all(np.isfinite(gram)):
-        raise ConditioningError(
-            f"normal equations overflow: the largest entry magnitude is {np.abs(rows).max():.3g}"
-        )
-    return gram
+def _gram_loss(gram: np.ndarray, transform: AffineMap, n: int) -> float | list[float]:
+    """The mean of ||T(x) - y||^2 over n rows [x, 1, y], read off their Gram G.
+
+    It is tr(M^T G M) / n with M = [A^T; c^T; -I] for T(x) = A x + c: a
+    float, or a list with one loss per slice of a stack of Grams and maps.
+    The sum cancels terms as large as G's y block, so a loss near zero reads
+    at their rounding, of either sign: on noiseless corpora of up to 200,000
+    rows it stays within 3e-14 of tr(G_yy) / n.
+    """
+    linear_t = transform.linear.swapaxes(-1, -2)
+    minus_identity = np.broadcast_to(-np.eye(linear_t.shape[-1]), linear_t.shape)
+    m = np.concatenate((linear_t, transform.offset[..., None, :], minus_identity), axis=-2)
+    return (np.sum((gram @ m) * m, axis=(-2, -1)) / n).tolist()
 
 
-def _least_squares(gram: np.ndarray) -> AffineMap:
-    """The affine map from x to y minimizing the squared residual over rows [x, 1, y].
+def _fit_gram(
+    gram: np.ndarray, n: int, largest: Callable[[], float]
+) -> tuple[AffineMap, float | list[float]]:
+    """The least-squares affine map from x to y on n rows [x, 1, y], and its loss.
 
     The rows enter through their Gram (..., 2 * dim + 1, 2 * dim + 1): the
     normal equations are its block [x, 1]^T [x, 1] and its block [x, 1]^T y.
     Leading axes are a stack of problems, solved as one stacked system; the
     ridge reaches only the slices past ``COND_LIMIT``. Each linear part is a
     transposed view of the solution, so it is Fortran-ordered, in a stack as
-    alone (see ``AffineMap``).
+    alone (see ``AffineMap``). Fewer rows than dim + 1 is an
+    ``InsufficientDataError``, and a non-finite Gram, whose sum overflowed, a
+    ``ConditioningError`` naming ``largest()``, the rows' largest magnitude.
     """
     d = (gram.shape[-1] - 1) // 2
+    if n < d + 1:
+        raise InsufficientDataError(
+            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
+        )
+    if not np.all(np.isfinite(gram)):
+        raise ConditioningError(
+            f"normal equations overflow: the largest entry magnitude is {largest():.3g}"
+        )
     normal, rhs = gram[..., : d + 1, : d + 1], gram[..., : d + 1, d + 1 :]
     ill = np.linalg.cond(normal) > COND_LIMIT
     normal = np.where(np.asarray(ill)[..., None, None], normal + RIDGE * np.eye(d + 1), normal)
@@ -153,65 +169,28 @@ def _least_squares(gram: np.ndarray) -> AffineMap:
         raise ConditioningError("normal equations singular even with ridge") from exc
     if not np.all(np.isfinite(theta)):
         raise ConditioningError("least-squares solution is not finite")
-    return AffineMap(theta[..., :d, :].swapaxes(-1, -2), theta[..., d, :])
+    transform = AffineMap(theta[..., :d, :].swapaxes(-1, -2), theta[..., d, :])
+    return transform, _gram_loss(gram, transform, n)
 
 
 def fit_rows(rows: np.ndarray) -> tuple[AffineMap, float | list[float], np.ndarray]:
     """The least-squares affine map from x to y on rows [x, 1, y], its loss and the rows' Gram.
 
-    The loss is the mean squared residual, which reads x and y as views of
-    ``rows`` (..., n, 2 * dim + 1), so the fit copies no pairs. Leading stack
-    axes hold one corpus per slice, fitted and scored as one stack: a stack
-    of maps, a list of losses and a stack of Grams. The ridge enters only if
-    a slice needs it (see ``_least_squares``). Fewer rows than dim + 1 is an
-    ``InsufficientDataError``.
+    Leading stack axes of ``rows`` (..., n, 2 * dim + 1) hold one corpus per
+    slice, fitted and scored as one stack: a stack of maps, a list of losses
+    and a stack of Grams, each slice bit for bit as alone. The ridge enters
+    only if a slice needs it (see ``_fit_gram``).
     """
-    n, d = rows.shape[-2], (rows.shape[-1] - 1) // 2
-    if n < d + 1:
-        raise InsufficientDataError(
-            f"need at least {d + 1} pairs for an affine fit in dimension {d}, got {n}"
-        )
     gram = _gram(rows)
-    transform = _least_squares(gram)
-    return transform, _mean_squared_residual(transform, rows[..., :d], rows[..., d + 1 :]), gram
+    transform, loss = _fit_gram(gram, rows.shape[-2], lambda: np.abs(rows).max())
+    return transform, loss, gram
 
 
-def fit_edge(corpus: AlignedCorpus) -> EdgeRegressionResult:
-    """Least-squares fit of the source-to-target composite map on one corpus: ``fit_rows``."""
-    transform, loss, gram = fit_rows(corpus.rows)
+def fit_edge(corpus: AlignedCorpus | CorpusGram) -> EdgeRegressionResult:
+    """Least-squares fit of the source-to-target composite map on one corpus's Gram."""
+    gram = corpus.gram
+    transform, loss = _fit_gram(gram, corpus.n, lambda: corpus.largest)
     return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n, gram)
-
-
-def _mean_squared_residual(
-    transform: AffineMap, points: np.ndarray, targets: np.ndarray
-) -> float | list[float]:
-    """Mean of ||T(x) - y||^2 over the pairs (x, y): a float, or a list for a stack.
-
-    With leading stack axes on ``points`` (..., n, d), ``targets`` and
-    ``transform``, slice j scores map j on corpus j, bit for bit as alone.
-    A single corpus of at least ``PARALLEL_ROWS`` pairs is scored as two
-    halves on two threads (``_halves``), each into its own rows of the row
-    sums, so the one mean over all of them keeps the bits.
-    """
-    # Row sums of the out-of-place (T(x) - y)**2, in place a row block at a
-    # time; the one mean over all of them keeps the whole-array bits. A
-    # block spans every corpus of a stack, so it has about ``ROW_BLOCK``
-    # rows in all (at least 2 per corpus) and stays small beside the stack.
-    n = points.shape[-2]
-    row_sums = np.empty(points.shape[:-1])
-    linear_t = transform.linear.swapaxes(-1, -2)
-    block = max(ROW_BLOCK // math.prod(points.shape[:-2]), 2)
-
-    def score(part: slice) -> None:
-        for rows in _row_blocks(part.stop, block, part.start):
-            residual = points[..., rows, :] @ linear_t
-            residual += transform.offset[..., None, :]
-            residual -= targets[..., rows, :]
-            np.square(residual, out=residual)
-            _row_sums(residual, row_sums[..., rows])
-
-    _on_two_threads(score, _halves(n) if points.ndim == 2 else [slice(0, n)])
-    return np.mean(row_sums, axis=-1).tolist()
 
 
 def _bottom_eigenvectors(pencil: np.ndarray, spectrum: np.ndarray, count: int) -> np.ndarray:
@@ -290,8 +269,7 @@ def fit_joint(results: Sequence[EdgeRegressionResult], latent_dim: int) -> Joint
     E_L^T)^-1 with C_L the pooled covariance, and the offset sends E_L mu_L +
     c_L to the pooled mean mu_L, so E_L ∘ D_L = id. Each edge's loss is the
     mean squared residual of its translator D_b ∘ E_a, read off the edge's
-    Gram as tr(M^T G M) / n with M = [A^T; c^T; -I]; near zero that may read
-    a rounding-level negative.
+    Gram (``_gram_loss``).
     """
     if not results:
         raise ValueError("the joint fit needs at least one edge")
@@ -365,8 +343,8 @@ def fit_joint(results: Sequence[EdgeRegressionResult], latent_dim: int) -> Joint
         {lang: AffineMap(dec[i], shift[i]) for lang, i in index.items()},
     )
 
-    edge_losses = {}
-    for r, (a, b) in zip(results, ends):
-        m = np.vstack(((dec[b] @ enc[a]).T, dec[b] @ offset[a] + shift[b], -np.eye(dim)))
-        edge_losses[r.edge] = float(np.sum((r.gram @ m) * m)) / r.n
+    edge_losses = {
+        r.edge: _gram_loss(r.gram, AffineMap(dec[b] @ enc[a], dec[b] @ offset[a] + shift[b]), r.n)
+        for r, (a, b) in zip(results, ends)
+    }
     return JointFit(estimate, edge_losses, low)

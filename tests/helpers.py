@@ -17,6 +17,7 @@ from translab.affine import AffineMap
 from translab.generative import (
     NOISE_CUTOFF,
     NOISE_VARIANCE,
+    ROW_BLOCK,
     AlignedCorpus,
     FunctionClassSpec,
     TranslationGraph,
@@ -38,7 +39,6 @@ from translab.seeding import derive_seed
 from translab.trainer import (
     COND_LIMIT,
     EncoderEstimate,
-    _mean_squared_residual,
     fit_edge,
     fit_joint,
 )
@@ -154,9 +154,8 @@ def composite(estimate: EncoderEstimate, src: str, dst: str) -> AffineMap:
 def empirical_edge_loss(estimate: EncoderEstimate, corpus) -> float:
     """The row-form edge loss: mean squared gap of the composite on the aligned pairs."""
     a, b = corpus.edge
-    return _mean_squared_residual(
-        composite(estimate, a, b), corpus.source_points, corpus.target_points
-    )
+    residual = apply(composite(estimate, a, b), corpus.source_points) - corpus.target_points
+    return float(np.mean(np.sum(residual**2, axis=1)))
 
 
 def truth_estimate(codecs) -> EncoderEstimate:
@@ -393,6 +392,28 @@ def corpus_of_pairs(pairs, edge=("A", "B"), meta=None) -> AlignedCorpus:
     return AlignedCorpus(edge, rows_of_pairs(pairs), {} if meta is None else meta)
 
 
+def assert_gram_of_rows(gram: np.ndarray, rows: np.ndarray) -> None:
+    """Assert ``gram`` is the Gram of ``rows`` [x, 1, y] as ``io.load_corpus`` sums it.
+
+    A corpus of one row block (``ROW_BLOCK`` + 1 rows at most) has the bits
+    of the one product of its rows; past that, the blocks' sum rounds
+    differently, within 1e-13 of the largest entry.
+    """
+    whole = rows.T @ rows
+    if len(rows) <= ROW_BLOCK + 1:
+        assert_same_bits(gram, whole)
+    else:
+        assert gram.shape == whole.shape
+        assert np.abs(gram - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def read_corpus(path) -> AlignedCorpus:
+    """The corpus file at ``path`` as ``np.load`` reads it, held as rows."""
+    with np.load(path) as npz:
+        edge = tuple(npz["edge"].tolist())
+        return corpus_of_pairs(npz["pairs"], edge, json.loads(str(npz["meta"])))
+
+
 def savez_corpus(corpus, path) -> None:
     """The corpus file as ``np.savez`` writes it: the reference for ``io.write_corpus``."""
     with open(path, "wb") as fh:
@@ -405,7 +426,11 @@ def savez_corpus(corpus, path) -> None:
 
 
 def out_of_place_fit_edge(corpus, ridge=1e-10):
-    """``fit_edge``'s (transform, loss) from the Gram of a new ``np.hstack`` of [x, 1, y] and a fresh residual."""
+    """``fit_edge``'s (transform, loss) from the Gram of a new ``np.hstack`` of [x, 1, y].
+
+    The loss is the mean squared residual of the points, which ``fit_edge``
+    reads off the Gram instead.
+    """
     points, targets = corpus.source_points, corpus.target_points
     n, d = points.shape
     stacked = np.hstack([points, np.ones((n, 1)), targets])

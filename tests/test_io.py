@@ -4,10 +4,10 @@ import json
 import math
 import os
 import re
-import sys
 import tempfile
+import threading
+import warnings
 import zipfile
-import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -24,20 +24,22 @@ from helpers import (
     LEAF_REPLACEMENTS,
     MISTYPED_NUMBER_LEAVES,
     WORST_CASE_DEFECTS,
+    assert_gram_of_rows,
     assert_same_bits,
+    corpus_of_pairs,
     damaged_corpus_fields,
     damaged_documents,
     damaged_instance_documents,
     joint_estimate,
     max_entry_difference,
+    rows_of_pairs,
     savez_corpus,
     worst_case_defect_text,
 )
 from translab import cli, io
 from translab.distributions import DeterministicTranslator, FiniteDistribution, Sentence
-from translab.errors import SchemaError
+from translab.errors import ConditioningError, SchemaError
 from translab.generative import (
-    PARALLEL_ROWS,
     ROW_BLOCK,
     AlignedCorpus,
     FunctionClassSpec,
@@ -56,7 +58,7 @@ from translab.impossibility import (
     random_many_to_many_instance,
     random_two_to_one_instance,
 )
-from translab.trainer import EncoderEstimate
+from translab.trainer import EncoderEstimate, fit_edge
 from test_trainer import chain_setup
 
 
@@ -541,8 +543,9 @@ class TestCorpusFiles:
         path = tmp_path / io.corpus_filename(("A", "B"))
         io.save_corpus(corpus, path)
         again = io.load_corpus(path)
-        assert again.edge == corpus.edge
-        assert np.array_equal(again.rows, corpus.rows)
+        assert again.edge == corpus.edge and again.n == corpus.n and again.dim == corpus.dim
+        assert_same_bits(again.gram, corpus.gram)
+        assert again.largest == corpus.largest
         assert again.meta == corpus.meta
 
     #: (latent dim, nuisance dim, sigma) of each codec setting.
@@ -576,8 +579,8 @@ class TestCorpusFiles:
             path = out / io.corpus_filename(edge)
             assert path.read_bytes() == reference.read_bytes()
             again = io.load_corpus(path)
-            assert again.edge == edge and again.meta == corpus.meta
-            assert_same_bits(again.rows, corpus.rows)
+            assert again.edge == edge and again.meta == corpus.meta and again.n == n
+            assert_gram_of_rows(again.gram, corpus.rows)
 
     def _saved(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
@@ -598,6 +601,7 @@ class TestCorpusFiles:
             ("pairs", "text", "(n, 2, dim)"),
             ("meta", "not json {", "not JSON"),
             ("meta", "[1, 2]", "JSON object"),
+            ("meta", '{"nuisance_dim": 0, "nuisance_dim": 2}', "repeats key 'nuisance_dim'"),
             ("edge", "one", "two languages"),
         ],
     )
@@ -738,35 +742,10 @@ class TestCorpusFiles:
             assert err.getvalue() == f"error: {message}\n"
 
 
-class TestCrc32Combine:
-    """``io._crc32_combine`` joins the CRC-32s of two byte strings into that of both."""
+class TestStreamedRead:
+    """Corpora stream through ``zipfile``'s reader into their Gram, on one thread.
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.binary(max_size=3000), st.data())
-    def test_joins_the_crcs_of_any_split(self, data, draw):
-        cut = draw.draw(st.integers(0, len(data)))
-        a, b = data[:cut], data[cut:]
-        assert io._crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(data)
-
-    @pytest.mark.parametrize("a, b", [(b"", b""), (b"", b"corpus"), (b"corpus", b"")])
-    def test_an_empty_part(self, a, b):
-        assert io._crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
-
-    @pytest.mark.parametrize(
-        "length", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097, 2**16, 2**20 + 1]
-    )
-    def test_lengths_across_powers_of_two(self, length):
-        rng = np.random.default_rng(length)
-        a, b = rng.bytes(length + 3), rng.bytes(length)
-        assert io._crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
-        assert io._crc32_combine(zlib.crc32(b), zlib.crc32(a), len(a)) == zlib.crc32(b + a)
-
-
-class TestTwoPartRead:
-    """Corpora of ``PARALLEL_ROWS`` pairs or more are read as two halves on two threads.
-
-    Each corpus here is about 6 MB, just past the threshold, so its second
-    half is read on the worker thread.
+    At 70,000 pairs of dimension 6 a corpus is about 6.7 MB, 18 row blocks.
     """
 
     DIM = 6
@@ -774,31 +753,79 @@ class TestTwoPartRead:
     def _save(self, path, pairs):
         np.savez(path, pairs=pairs, edge=np.array(["A", "B"]), meta=np.array("{}"))
 
-    def _pairs(self, n):
-        return np.random.default_rng(n).standard_normal((n, 2, self.DIM))
+    def _pairs(self, n, dim=DIM):
+        return np.random.default_rng(n).standard_normal((n, 2, dim))
+
+    @pytest.mark.parametrize("dim", [1, DIM])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 7, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 2 * ROW_BLOCK + 1,
+         70_000],
+    )
+    def test_gram_matches_the_rows_np_load_reads(self, tmp_path, monkeypatch, n, dim):
+        path = tmp_path / "corpus_A__B.npz"
+        pairs = self._pairs(n, dim)
+        pairs[n // 3, 0, dim // 2] = -40.0  # the largest magnitude, inside a block
+        self._save(path, pairs)
+
+        def no_thread(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        corpus = io.load_corpus(path)
+        monkeypatch.undo()
+        with np.load(path) as npz:
+            rows = rows_of_pairs(npz["pairs"])
+        assert corpus.n == n and corpus.dim == dim
+        assert_gram_of_rows(corpus.gram, rows)
+        assert corpus.largest == 40.0
 
     @pytest.mark.parametrize(
-        "n", [PARALLEL_ROWS - 1, PARALLEL_ROWS, PARALLEL_ROWS + 1, PARALLEL_ROWS + ROW_BLOCK + 1]
+        "n, scale",
+        [(20, 1e200), (20, -1e200), (2 * ROW_BLOCK + 1, 1e200)],
     )
-    def test_rows_match_np_load_bitwise(self, tmp_path, n):
+    def test_overflowing_entries_load_and_fail_the_fit_naming_the_largest(
+        self, tmp_path, n, scale
+    ):
+        # The Gram overflows without a warning; the fit names the largest
+        # magnitude, taken from the last block's entries past one block.
         path = tmp_path / "corpus_A__B.npz"
-        self._save(path, self._pairs(n))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # the halves' threads interleave often
-        try:
-            rows = io.load_corpus(path).rows
-        finally:
-            sys.setswitchinterval(interval)
-        with np.load(path) as npz:
-            reference = npz["pairs"]
-        assert rows.shape == (n, 2 * self.DIM + 1)
-        assert np.all(rows[:, self.DIM] == 1.0)
-        assert_same_bits(rows[:, : self.DIM], reference[:, 0])
-        assert_same_bits(rows[:, self.DIM + 1 :], reference[:, 1])
+        pairs = self._pairs(n)
+        pairs[-3:] *= scale
+        self._save(path, pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corpus = io.load_corpus(path)
+            assert not np.all(np.isfinite(corpus.gram))
+            assert corpus.largest == np.abs(pairs).max()
+            with pytest.raises(ConditioningError) as info:
+                fit_edge(corpus)
+            with pytest.raises(ConditioningError) as in_memory:
+                fit_edge(corpus_of_pairs(pairs))
+        assert str(info.value) == str(in_memory.value) == (
+            f"normal equations overflow: the largest entry magnitude is {np.abs(pairs).max():.3g}"
+        )
 
-    def test_flipped_bit_in_the_second_half_fails_the_crc_check(self, tmp_path):
+    @pytest.mark.parametrize("n", [9, ROW_BLOCK + 1, 3 * ROW_BLOCK])
+    def test_fit_of_the_file_is_the_fit_of_the_rows(self, tmp_path, n):
+        # Bit for bit while the corpus is one row block; past that the
+        # Gram's blocks round differently.
         path = tmp_path / "corpus_A__B.npz"
-        pairs = self._pairs(PARALLEL_ROWS + 1)
+        pairs = self._pairs(n)
+        pairs[:, 1] += pairs[:, 0] @ np.diag(np.arange(1.0, self.DIM + 1))
+        self._save(path, pairs)
+        loaded, alone = fit_edge(io.load_corpus(path)), fit_edge(corpus_of_pairs(pairs))
+        if n <= ROW_BLOCK + 1:
+            assert_same_bits(loaded.transform.linear, alone.transform.linear)
+            assert_same_bits(loaded.transform.offset, alone.transform.offset)
+            assert loaded.empirical_loss.hex() == alone.empirical_loss.hex()
+        else:
+            assert max_entry_difference(loaded.transform, alone.transform) <= 1e-13
+            assert loaded.empirical_loss == pytest.approx(alone.empirical_loss, rel=1e-12)
+
+    def test_flipped_bit_near_the_end_fails_the_crc_check(self, tmp_path):
+        path = tmp_path / "corpus_A__B.npz"
+        pairs = self._pairs(70_000)
         self._save(path, pairs)
         raw = bytearray(path.read_bytes())
         # The lowest mantissa bit of one entry near the end: it stays finite.
@@ -810,29 +837,43 @@ class TestTwoPartRead:
             f"{path}: corpus field 'pairs' fails its CRC-32 check: the file is damaged"
         )
 
-    @pytest.mark.parametrize("value", [math.nan, -math.inf])
-    def test_non_finite_entry_in_the_second_half_with_a_matching_crc(self, tmp_path, value):
+    @pytest.mark.parametrize("row", [1, -2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_with_a_matching_crc(self, tmp_path, value, row):
         path = tmp_path / "corpus_A__B.npz"
-        pairs = self._pairs(PARALLEL_ROWS + 1)
-        pairs[-2, 1, 3] = value
+        pairs = self._pairs(70_000)
+        pairs[row, 1, 3] = value
         self._save(path, pairs)  # np.savez writes the CRC of the damaged data
-        with pytest.raises(SchemaError) as info:
-            io.load_corpus(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError) as info:
+                io.load_corpus(path)
         assert str(info.value) == f"{path}: corpus field 'pairs' has a non-finite entry"
 
-    @pytest.mark.parametrize("half", ["first", "second"])
-    def test_file_truncated_after_it_was_opened_ends_before_its_data(self, tmp_path, half):
-        # Cut after the central directory was read, so the read itself comes up short.
-        n = PARALLEL_ROWS + 1
+    @pytest.mark.parametrize("field", ["pairs", "edge", "meta"])
+    def test_damaged_local_header_is_schema_error(self, tmp_path, field):
+        # The first copy of the name is in the member's local header, which
+        # zipfile checks against the central directory's.
         path = tmp_path / "corpus_A__B.npz"
-        pairs = self._pairs(n)
+        self._save(path, self._pairs(9))
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(f"{field}.npy".encode())] ^= 0x20
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError) as info:
+            io.load_corpus(path)
+        assert str(info.value).startswith(f"{path}: corpus field '{field}' is unreadable:")
+
+    @pytest.mark.parametrize("cut_row", [0, 1, ROW_BLOCK + 5, 70_000 - 7])
+    def test_file_truncated_after_it_was_opened_ends_before_its_data(self, tmp_path, cut_row):
+        # Cut after the central directory was read, so the read itself comes up short.
+        path = tmp_path / "corpus_A__B.npz"
+        pairs = self._pairs(70_000)
         self._save(path, pairs)
         data = path.read_bytes().index(pairs[:1].tobytes())
-        cut_row = {"first": ROW_BLOCK + 5, "second": n - 7}[half]
-        with open(path, "rb") as fh, zipfile.ZipFile(fh) as npz:
+        with zipfile.ZipFile(path) as npz:
             os.truncate(path, data + pairs[:cut_row].nbytes)
             with pytest.raises(SchemaError) as info:
-                io._read_rows(fh, npz)
+                io._read_gram(npz)
         assert str(info.value) == "corpus field 'pairs' ends before its data does"
 
 
@@ -912,7 +953,7 @@ class TestAtomicWrites:
         path = tmp_path / "corpus.bin"
         io.save_corpus(corpus, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.bin"]
-        assert np.array_equal(io.load_corpus(path).rows, corpus.rows)
+        assert_same_bits(io.load_corpus(path).gram, corpus.gram)
 
 
 class TestEncoderFiles:

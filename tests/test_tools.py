@@ -146,3 +146,41 @@ class TestCompareOutputs:
             "out/r.csv differs",
         ]
         assert compare_outputs.summary(found) == "8 differences (2 in inputs/)"
+
+    @pytest.mark.parametrize(
+        "name, old, new, line",
+        [
+            ("out/e.csv", "edge,n,loss\nA,3,1.0\nB,4,2.0\n", "edge,n,loss\nA,3,1.0\nB,4,2.5\n",
+             "out/e.csv differs: numeric drift 0.5 absolute, 0.2 relative"),
+            ("out/s.json", '{"edges": {"A->B": 1e-28}, "gap": 12.0, "seed": 3}',
+             '{"edges": {"A->B": -1.6e-15}, "gap": 12.0, "seed": 3}',
+             "out/s.json differs: numeric drift 1.6e-15 absolute, 1 relative"),
+            # Formatting alone: the numbers are equal.
+            ("out/s.json", '{"a": [1, 2.0]}', '{"a": [1.0, 2]}',
+             "out/s.json differs: numeric drift 0 absolute, 0 relative"),
+        ],
+    )
+    def test_a_file_differing_only_in_numbers_reports_their_drift(
+        self, tmp_path, name, old, new, line
+    ):
+        parent = write_tree(tmp_path / "parent", {name: old})
+        change = write_tree(tmp_path / "change", {name: new})
+        assert compare_outputs.differences(parent, change, [], []) == [line]
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("out/e.csv", "edge,loss\nA,1.0\n", "edge,loss\nB,1.5\n"),  # a name differs
+            ("out/e.csv", "edge,loss\nA,1.0\n", "edge,loss\nA,1.0\nB,2.0\n"),  # a row more
+            ("out/s.json", '{"a": [1, 2]}', '{"a": [1, 2, 3]}'),
+            ("out/s.json", '{"a": 1}', '{"b": 1}'),
+            ("out/s.json", '{"holds": true}', '{"holds": 1}'),  # a bool is not a number
+            ("out/s.json", '{"a": NaN}', '{"a": 1.0}'),
+            ("out/s.json", '{"a": 1', '{"a": 2}'),  # not JSON
+            ("out/log.txt", "loss 1.0\n", "loss 2.0\n"),  # neither CSV nor JSON
+        ],
+    )
+    def test_any_other_difference_reports_no_drift(self, tmp_path, name, old, new):
+        parent = write_tree(tmp_path / "parent", {name: old})
+        change = write_tree(tmp_path / "change", {name: new})
+        assert compare_outputs.differences(parent, change, [], []) == [f"{name} differs"]

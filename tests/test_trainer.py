@@ -26,7 +26,6 @@ from translab import trainer
 from translab.affine import AffineMap
 from translab.errors import ConditioningError, InsufficientDataError
 from translab.generative import (
-    PARALLEL_ROWS,
     ROW_BLOCK,
     AlignedCorpus,
     FunctionClassSpec,
@@ -88,7 +87,7 @@ class TestFitEdge:
         result = fit_edge(corpora[0])
         expected = truth_composite(codecs, "L0", "L1")
         assert max_entry_difference(result.transform, expected) <= 1e-8
-        assert result.empirical_loss <= 1e-12
+        assert abs(result.empirical_loss) <= 1e-12
 
     def test_one_dimensional_closed_form(self):
         # pairs (1, 2), (2, 4), (0, 0): exact fit is scale 2, offset 0
@@ -97,7 +96,7 @@ class TestFitEdge:
         result = fit_edge(corpus)
         assert result.transform.linear[0, 0] == pytest.approx(2.0, abs=1e-10)
         assert result.transform.offset[0] == pytest.approx(0.0, abs=1e-10)
-        assert result.empirical_loss <= 1e-12
+        assert abs(result.empirical_loss) <= 1e-12
 
     def test_insufficient_data(self):
         pairs = np.zeros((2, 2, 2))
@@ -115,43 +114,51 @@ class TestFitEdge:
     @pytest.mark.parametrize(
         "kwargs", [{}, {"sigma": 0.1, "nuisance": 1, "n": 500, "seed": 4}]
     )
-    def test_in_place_fit_matches_the_out_of_place_formula_bitwise(self, kwargs):
+    def test_fit_matches_the_out_of_place_formula(self, kwargs):
+        # The maps bit for bit; the loss is tr(M^T G M) / n, M = [A^T; c^T; -I],
+        # on the out-of-place Gram, and the points' mean squared residual.
         _g, _c, corpora, _ = chain_setup(**kwargs)
         for corpus in corpora:
             result = fit_edge(corpus)
-            transform, loss = out_of_place_fit_edge(corpus)
+            transform, residual_loss = out_of_place_fit_edge(corpus)
             assert np.array_equal(result.transform.linear, transform.linear)
             assert np.array_equal(result.transform.offset, transform.offset)
-            assert result.empirical_loss.hex() == loss.hex()
+            x, y = corpus.source_points, corpus.target_points
+            stacked = np.hstack([x, np.ones((corpus.n, 1)), y])
+            m = np.vstack([transform.linear.T, transform.offset, -np.eye(corpus.dim)])
+            gram_loss = np.trace(m.T @ (stacked.T @ stacked) @ m) / corpus.n
+            assert result.empirical_loss == pytest.approx(gram_loss, rel=1e-12, abs=1e-14)
+            assert result.empirical_loss == pytest.approx(residual_loss, rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 6])
+    @pytest.mark.parametrize("n", [40, 3 * ROW_BLOCK + 1, 200_000])
+    def test_noiseless_loss_lies_within_the_rounding_floor(self, n, d):
+        # The Gram form cancels terms the size of the target block; a
+        # realizable fit's loss reads at their rounding, of either sign.
+        _g, _c, corpora, _ = chain_setup(d=d, n=n, seed=2)
+        for corpus in corpora:
+            result = fit_edge(corpus)
+            floor = 3e-14 * np.trace(result.gram[d + 1 :, d + 1 :]) / n
+            assert abs(result.empirical_loss) <= floor
 
     @pytest.mark.parametrize(
-        "stack, n, d",
-        [
-            ((), 500_000, 6),
-            ((), 500, 10),
-            ((), 100_003, 4),
-            ((), 70_001, 3),
-            ((), PARALLEL_ROWS - 1, 3),  # one thread
-            ((), PARALLEL_ROWS + 1, 3),  # two halves, the second with a 1-row remainder
-            ((2,), 70_001, 3),
-            ((8,), 2 * ROW_BLOCK + 1, 6),  # a 1-row remainder joins the last block
-            ((2, 3), 2 * ROW_BLOCK + 1, 2),  # blocks of ROW_BLOCK // 6 rows per corpus
-            ((3000,), 7, 6),  # blocks of 2 rows per corpus, and a 3-row last one
-        ],
+        "stack, n, d", [((), 500, 3), ((4,), 70, 1), ((2, 3), 2 * ROW_BLOCK + 1, 6)]
     )
-    def test_row_block_residual_matches_the_whole_array_formula_bitwise(self, stack, n, d):
-        rng = np.random.default_rng([n, d, len(stack)])
-        pairs = rng.standard_normal(stack + (n, 2, d))
-        # The last row dominates each mean, so its rounding shows in the bits
-        # of most of them: scored alone, a 1-row block takes BLAS's
-        # matrix-vector path, whose products differ in the last bit.
-        pairs[..., -1, :, :] *= 1e3
-        x, y = pairs[..., 0, :], pairs[..., 1, :]
+    def test_gram_loss_of_any_map_is_its_mean_squared_residual(self, stack, n, d):
+        # Any map, not only the fitted one; a slice of a stack as alone, bit for bit.
+        rng = np.random.default_rng([n, d])
+        rows = rows_of_pairs(rng.standard_normal(stack + (n, 2, d)))
         linear, offset = rng.standard_normal(stack + (d, d)), rng.standard_normal(stack + (d,))
         transform = AffineMap(linear, offset)
+        x, y = rows[..., :d], rows[..., d + 1 :]
         fitted = x @ transform.linear.swapaxes(-1, -2) + transform.offset[..., None, :]
-        expected = np.mean(np.sum((fitted - y) ** 2, axis=-1), axis=-1)
-        assert_same_bits(np.array(trainer._mean_squared_residual(transform, x, y)), expected)
+        residual = np.mean(np.sum((fitted - y) ** 2, axis=-1), axis=-1)
+        gram = rows.swapaxes(-1, -2) @ rows
+        losses = np.array(trainer._gram_loss(gram, transform, n))
+        np.testing.assert_allclose(losses, residual, rtol=1e-12)
+        for index in np.ndindex(*stack):
+            alone = trainer._gram_loss(gram[index], transform[index], n)
+            assert alone.hex() == losses[index].hex()
 
     @pytest.mark.parametrize("width", [*range(1, 25), 129, 300])
     def test_row_sums_match_np_sum_bitwise(self, width):

@@ -11,7 +11,9 @@ scratch directory and with relative paths. The tool then compares the two
 trees' input and output files byte for byte, and each command's exit code,
 stdout and stderr. It prints one summary line per workload, which counts
 the differences under ``inputs/`` apart from the rest, then every difference,
-and exits 1 if there is any.
+and exits 1 if there is any. A differing CSV or JSON file whose structure and
+non-numeric values match in both trees gets its numeric drift: the largest
+absolute and relative difference among its numbers.
 
 ``bench/`` is only read: its modules are imported without writing bytecode.
 Scratch directories go under ``$TMPDIR`` and are removed at exit. A full
@@ -21,7 +23,9 @@ Scratch directories go under ``$TMPDIR`` and are removed at exit. A full
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +93,67 @@ def files(root: Path) -> dict[str, Path]:
     return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _cell(text: str):
+    """A CSV cell as a float if it reads as one, else as it is."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _read_csv(path: Path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [[_cell(text) for text in row] for row in csv.reader(fh)]
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _paired_numbers(old, new, pairs: list) -> bool:
+    """Add the numbers at the same places of ``old`` and ``new`` to ``pairs``.
+
+    False if anything else differs: the nesting, the keys, the lengths, or a
+    value that is not a finite number on both sides (a bool is not one).
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        return old.keys() == new.keys() and all(
+            _paired_numbers(old[key], new[key], pairs) for key in old
+        )
+    if isinstance(old, list) and isinstance(new, list):
+        return len(old) == len(new) and all(
+            _paired_numbers(a, b, pairs) for a, b in zip(old, new)
+        )
+    numbers = [
+        not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+        for v in (old, new)
+    ]
+    if not all(numbers):
+        return old == new and type(old) is type(new)
+    pairs.append((float(old), float(new)))
+    return True
+
+
+def drift(old: Path, new: Path) -> tuple[float, float] | None:
+    """The largest absolute and relative difference among the numbers of two CSV or JSON files.
+
+    None unless both parse and match in everything but their numbers. The
+    relative difference of two numbers is taken against the larger magnitude.
+    """
+    read = {".csv": _read_csv, ".json": _read_json}.get(old.suffix)
+    pairs = []
+    try:
+        if read is None or not _paired_numbers(read(old), read(new), pairs):
+            return None
+    except (ValueError, UnicodeDecodeError):
+        return None
+    gaps = [(abs(a - b), max(abs(a), abs(b))) for a, b in pairs if a != b]
+    return (
+        max((gap for gap, _size in gaps), default=0.0),
+        max((gap / size for gap, size in gaps), default=0.0),
+    )
+
+
 def differences(parent: Path, change: Path, parent_calls, change_calls) -> list[str]:
     found = []
     for (argv, *before), (_argv, *after) in zip(parent_calls, change_calls):
@@ -100,7 +165,11 @@ def differences(parent: Path, change: Path, parent_calls, change_calls) -> list[
         found.append(f"{name} only in the {'parent' if name in old_files else 'change'} tree")
     for name in sorted(old_files.keys() & new_files.keys()):
         if old_files[name].read_bytes() != new_files[name].read_bytes():
-            found.append(f"{name} differs")
+            numeric = drift(old_files[name], new_files[name])
+            found.append(f"{name} differs" + (
+                "" if numeric is None
+                else f": numeric drift {numeric[0]:.3g} absolute, {numeric[1]:.3g} relative"
+            ))
     return found
 
 
