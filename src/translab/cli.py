@@ -395,7 +395,7 @@ def _run_eval(config) -> int:
             f"{config.graph}: graph has fewer than two languages; eval needs at least two"
         )
     spec, codecs = io.load_codecs(config.codecs)
-    estimate, _enc_spec = io.load_encoders(config.encoders)
+    estimate = io.load_encoders(config.encoders)
     for lang in graph.languages:
         if lang not in codecs:
             raise SchemaError(f"{config.codecs}: no codec for graph language {lang!r}")

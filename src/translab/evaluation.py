@@ -22,15 +22,16 @@ from .affine import AffineMap
 from .errors import DomainError
 from .generative import (
     NOISE_VARIANCE,
+    EdgeDraws,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
-    generate_rows,
     latent_second_moment,
+    stream_gram,
 )
 from .seeding import derive_seed
-from .trainer import EncoderEstimate, fit_rows
+from .trainer import EncoderEstimate, fit_gram
 
 
 #: Most pairs whose population losses ``verify_chain_bound`` stacks at once.
@@ -304,25 +305,30 @@ def sample_complexity_sweep(
 
     For each (n, trial): fit on a fresh corpus, record the in-sample loss, the
     exact population loss against noisy targets, and their absolute gap. Each
-    size's trials are drawn from their own seeds into one stack, which is
-    fitted and scored at once, bit for bit as one trial at a time. The log-log
-    slope of the median gap against n is fitted by least squares. A run where
-    every gap is below 1e-10 (the noiseless realizable regime) is flagged
+    trial's corpus is the Gram ``randomized_generate`` sums from its own seed,
+    drawn into one ``EdgeDraws`` per size; a size's Grams are stacked, fitted
+    and scored at once, bit for bit as one trial at a time. The log-log slope
+    of the median gap against n is fitted by least squares. A run where every
+    gap is below 1e-10 (the noiseless realizable regime) is flagged
     degenerate and gets no slope.
     """
     if len(n_list) < 2:
         raise ValueError("n_list needs at least two sizes")
-    if list(n_list) != sorted(set(n_list)):
-        raise ValueError("n_list must be strictly ascending")
+    if list(n_list) != sorted(set(n_list)) or n_list[0] < 1:
+        raise ValueError("n_list must be strictly ascending positive sizes")
     if trials < 5:
         raise ValueError("need at least 5 trials per size")
     src, dst = (codecs[lang][None] for lang in edge)
+    dim = src.decoder.dim
     rows = []
     for n in n_list:
-        seeds = [derive_seed(seed, "sweep-train", n, trial) for trial in range(trials)]
-        stack = generate_rows(edge, codecs, n, sampler, seeds)
-        fitted, empirical, _gram = fit_rows(stack)
-        del stack  # freed before the next size is drawn
+        draws = EdgeDraws(n, sampler.dim, src.nuisance_dim)
+        grams, largest = np.empty((trials, 2 * dim + 1, 2 * dim + 1)), []
+        for trial in range(trials):
+            draws.draw(edge, codecs, n, sampler, derive_seed(seed, "sweep-train", n, trial))
+            grams[trial], top, _finite = stream_gram(n, dim, draws.decode)
+            largest.append(top)
+        fitted, empirical = fit_gram(grams, n, lambda: max(largest))
         population = _affine_losses(fitted, src, dst, sampler.radius, target_noise=True)
         for trial, (emp, pop) in enumerate(zip(empirical, population)):
             rows.append(SweepRow(int(n), trial, emp, pop, abs(pop - emp)))

@@ -25,9 +25,9 @@ from .seeding import derive_seed
 #: Noise seeds are standard normal truncated at this many deviations per coordinate.
 NOISE_CUTOFF = 3.0
 
-#: Latents are normalized and decoded, and corpora written and read, this
-#: many rows at a time, so no full-size temporary lives next to a corpus and
-#: its latents, and a block's temporaries stay in cache.
+#: Latents are normalized and decoded, and corpora written and summed into
+#: their Grams, this many rows at a time, so no full-size temporary lives next
+#: to a corpus and its latents, and a block's temporaries stay in cache.
 ROW_BLOCK = 1 << 12
 
 #: Variance of one noise coordinate: 1 - 2c phi(c) / (2 Phi(c) - 1) at c = NOISE_CUTOFF.
@@ -45,15 +45,6 @@ def _row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
     """
     stops = [*range(size, n - 1, size), n]
     return [slice(first, stop) for first, stop in zip([0, *stops], stops)]
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """The Gram rows^T rows of rows [x, 1, y] (..., n, 2 * dim + 1), one per corpus of a stack.
-
-    Huge entries overflow the products; that leaves a non-finite entry, and no warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rows.swapaxes(-1, -2) @ rows
 
 
 def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -418,79 +409,14 @@ def six_language_demo_graph(samples_per_edge: int = 200) -> TranslationGraph:
 # Corpora
 
 
-def corpus_rows(shape: tuple[int, ...], dim: int) -> np.ndarray:
-    """An array of ``shape`` rows [x, 1, y] of width 2 * dim + 1, its constant column set."""
-    rows = np.empty((*shape, 2 * dim + 1))
-    rows[..., dim] = 1.0
-    return rows
-
-
-@dataclass(frozen=True, eq=False)
-class AlignedCorpus:
-    """n aligned sentence pairs for one edge, plus generator metadata.
-
-    The corpus owns ``rows`` = [x, 1, y], a float64 array of shape
-    (n, 2 * dim + 1): source point, a constant 1, target point, filled
-    elsewhere (``corpus_rows``) and made read-only here, not copied;
-    ``source_points`` and ``target_points`` are views of it. A fit reads
-    the corpus as a ``CorpusGram`` does, through ``gram`` and ``largest``.
-    """
-
-    edge: tuple[str, str]
-    rows: np.ndarray
-    meta: Mapping[str, object]
-
-    def __post_init__(self):
-        rows = self.rows
-        if not (
-            isinstance(rows, np.ndarray)
-            and rows.dtype == np.float64
-            and rows.ndim == 2
-            and rows.shape[1] >= 3
-            and rows.shape[1] % 2 == 1
-        ):
-            raise ValueError(
-                "rows must be a float64 (n, 2 * dim + 1) array with dim >= 1,"
-                f" got shape {np.shape(rows)} of {getattr(rows, 'dtype', type(rows).__name__)}"
-            )
-        rows.setflags(write=False)
-        object.__setattr__(self, "edge", tuple(self.edge))
-        object.__setattr__(self, "meta", dict(self.meta))
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return (self.rows.shape[1] - 1) // 2
-
-    @property
-    def source_points(self) -> np.ndarray:
-        return self.rows[:, : self.dim]
-
-    @property
-    def target_points(self) -> np.ndarray:
-        return self.rows[:, self.dim + 1 :]
-
-    @property
-    def gram(self) -> np.ndarray:
-        """The Gram of the rows, one product of them all (``_gram``)."""
-        return _gram(self.rows)
-
-    @property
-    def largest(self) -> float:
-        """The largest entry magnitude of the rows."""
-        return float(np.abs(self.rows).max())
-
-
 @dataclass(frozen=True, eq=False)
 class CorpusGram:
-    """One edge's corpus as every fit reads it: the Gram of its n rows [x, 1, y], and its meta.
+    """One edge's corpus: the Gram of its n rows [x, 1, y], and its meta.
 
-    ``gram`` is (2 * dim + 1, 2 * dim + 1). Summing it may have overflowed,
-    which leaves a non-finite entry; a fit then reports ``largest``, the
-    largest entry magnitude of the rows.
+    ``gram`` is (2 * dim + 1, 2 * dim + 1), summed by ``stream_gram`` whether
+    the pairs come from a file or from the generator. Summing it may have
+    overflowed, which leaves a non-finite entry; a fit then reports
+    ``largest``, the largest entry magnitude of the rows.
     """
 
     edge: tuple[str, str]
@@ -502,6 +428,32 @@ class CorpusGram:
     @property
     def dim(self) -> int:
         return (len(self.gram) - 1) // 2
+
+
+def stream_gram(n: int, dim: int, fill) -> tuple[np.ndarray, float, bool]:
+    """The Gram of n rows [x, 1, y] in R^dim, filled a row block at a time.
+
+    For each ``_row_blocks(n)`` slice ``rows``, ``fill(rows, x, y)`` writes
+    those pairs' sources into x and targets into y, both (rows, dim) views of
+    one reused staging block of rows [x, 1, y], whose Gram is added to the
+    sum; no array of all the rows exists. So n rows of one block have the
+    bits of the one product rows^T rows. Returns the Gram, the rows' largest
+    entry magnitude and whether every entry is finite. Huge entries overflow
+    the products; that leaves a non-finite entry, and no warning.
+    """
+    staging = np.empty((min(n, ROW_BLOCK + 1), 2 * dim + 1))
+    staging[:, dim] = 1.0
+    gram, largest, finite = None, 1.0, True  # 1.0: the rows' constant column
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(n):
+            block = staging[: rows.stop - rows.start]
+            fill(rows, block[:, :dim], block[:, dim + 1 :])
+            low, high = block.min(), block.max()
+            product = block.T @ block
+            gram = product if gram is None else gram + product
+            finite = finite and math.isfinite(low) and math.isfinite(high)
+            largest = max(largest, -low, high)
+    return gram, largest, finite
 
 
 def _edge_codecs(
@@ -560,32 +512,6 @@ class EdgeDraws:
             codec.decode(self._z[rows], seeds, out=out)
 
 
-def generate_rows(
-    edge: tuple[str, str],
-    codecs: Mapping[str, RandomizedCodec],
-    n: int,
-    sampler: LatentSampler,
-    seeds: Sequence[int],
-) -> np.ndarray:
-    """Aligned pairs for each seed, as rows [x, 1, y] in one (len(seeds), n, 2 * dim + 1) array.
-
-    Each seed's ``EdgeDraws`` are decoded straight into its slice, one row
-    block at a time, so no more than one seed's draws are held besides the
-    result, and no full-size temporary.
-    """
-    codec, _ = _edge_codecs(edge, codecs)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    dim = codec.decoder.dim
-    rows = corpus_rows((len(seeds), n), dim)
-    draws = EdgeDraws(n, sampler.dim, codec.nuisance_dim)
-    for i, seed in enumerate(seeds):
-        draws.draw(edge, codecs, n, sampler, seed)
-        for block in _row_blocks(n):
-            draws.decode(block, rows[i, block, :dim], rows[i, block, dim + 1 :])
-    return rows
-
-
 def corpus_meta(
     edge: tuple[str, str],
     codecs: Mapping[str, RandomizedCodec],
@@ -613,10 +539,15 @@ def randomized_generate(
     n: int,
     sampler: LatentSampler,
     seed: int,
-) -> AlignedCorpus:
-    """Decode n shared latents with independent noise seeds per side.
+) -> CorpusGram:
+    """The edge's corpus of n pairs: shared latents decoded with independent noise per side.
 
-    The rows are ``generate_rows`` for the one seed.
+    The pairs are the ones ``generate`` writes for this edge and seed, summed
+    into their Gram as ``io.load_corpus`` sums that file.
     """
-    rows = generate_rows(edge, codecs, n, sampler, [seed])[0]
-    return AlignedCorpus(edge, rows, corpus_meta(edge, codecs, n, sampler, seed))
+    codec, _ = _edge_codecs(edge, codecs)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    draws = EdgeDraws(n, sampler.dim, codec.nuisance_dim).draw(edge, codecs, n, sampler, seed)
+    gram, largest, _finite = stream_gram(n, codec.decoder.dim, draws.decode)
+    return CorpusGram(tuple(edge), corpus_meta(edge, codecs, n, sampler, seed), n, gram, largest)

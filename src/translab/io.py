@@ -27,14 +27,12 @@ from .errors import ConditioningError, GraphError, SchemaError
 from .evaluation import PairEvalRecord, SweepRow
 from .generative import (
     ROW_BLOCK,
-    AlignedCorpus,
     CorpusGram,
     FunctionClassSpec,
     RandomizedCodec,
     TranslationGraph,
-    _gram,
     _row_blocks,
-    corpus_rows,
+    stream_gram,
 )
 from .impossibility import BoundReport, ManyToManyInstance
 from .trainer import EdgeRegressionResult, EncoderEstimate
@@ -289,19 +287,20 @@ def save_graph(graph: TranslationGraph, path) -> None:
 
 
 def spec_to_dict(spec: FunctionClassSpec) -> dict:
-    """The spec's document, as codec, encoder and summary files record it."""
+    """The spec's document, as codec and summary files record it."""
     return {"d": spec.dim, "B": spec.radius, "rho": spec.rho, "offset_bound": spec.offset_bound}
 
 
 def _spec(raw) -> FunctionClassSpec:
     try:
+        d, radius, rho, offset_bound = _document(raw, "spec", ("d", "B", "rho", "offset_bound"))
         return FunctionClassSpec(
-            dim=_integer(raw["d"], "d"),
-            radius=_number(raw["B"], "B"),
-            rho=_number(raw["rho"], "rho"),
-            offset_bound=_number(raw["offset_bound"], "offset_bound"),
+            dim=_integer(d, "d"),
+            radius=_number(radius, "B"),
+            rho=_number(rho, "rho"),
+            offset_bound=_number(offset_bound, "offset_bound"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # a SchemaError too
         raise SchemaError(f"malformed 'spec': {exc}") from exc
 
 
@@ -334,24 +333,28 @@ def _leaves(value):
         yield from _leaves(item)
 
 
-def _array_field(owner: str, entry, name: str, ndim: int) -> np.ndarray:
-    """``entry[name]``, JSON numbers only, as a finite float array; ``owner`` names the entry."""
-    if not isinstance(entry, dict) or name not in entry:
-        raise SchemaError(f"{owner} field {name!r} is missing")
-    for leaf in _leaves(entry[name]):
+def _array_field(owner: str, value, name: str, ndim: int) -> np.ndarray:
+    """``value``, ``owner``'s field ``name``, as a finite float array of JSON numbers only."""
+    for leaf in _leaves(value):
         if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
             raise SchemaError(f"{owner} field {name!r} holds {leaf!r}, not a JSON number")
     try:
-        value = np.array(entry[name], dtype=np.float64)
+        array = np.array(value, dtype=np.float64)
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{owner} field {name!r} is not a numeric array: {exc}") from exc
-    if value.ndim != ndim:
+    if array.ndim != ndim:
         raise SchemaError(
-            f"{owner} field {name!r} must have {ndim} dimension(s), got shape {value.shape}"
+            f"{owner} field {name!r} must have {ndim} dimension(s), got shape {array.shape}"
         )
-    if not np.all(np.isfinite(value)):
+    if not np.all(np.isfinite(array)):
         raise SchemaError(f"{owner} field {name!r} has a non-finite entry")
-    return value
+    return array
+
+
+def _affine_fields(owner: str, entry) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix 'W' and vector 'b' of ``owner``'s entry, an object holding these keys alone."""
+    W, b = _document(entry, owner, ("W", "b"))
+    return _array_field(owner, W, "W", 2), _array_field(owner, b, "b", 1)
 
 
 def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
@@ -372,8 +375,7 @@ def load_codecs(path) -> tuple[FunctionClassSpec, dict[str, RandomizedCodec]]:
             raise SchemaError(f"codec field 'sigma' is not finite: {sigma}")
         decoders = {}
         for lang, entry in entries.items():
-            W = _array_field(f"codec {lang!r}", entry, "W", 2)
-            b = _array_field(f"codec {lang!r}", entry, "b", 1)
+            W, b = _affine_fields(f"codec {lang!r}", entry)
             if W.shape[0] != W.shape[1]:
                 raise SchemaError(f"malformed codec {lang!r}: 'W' must be square, got {W.shape}")
             try:
@@ -432,16 +434,6 @@ def write_corpus(path, edge: tuple[str, str], meta: Mapping, n: int, dim: int, f
                 np.lib.format.write_array(member, value)
 
 
-def save_corpus(corpus: AlignedCorpus, path) -> None:
-    """``write_corpus`` of the corpus's source and target points."""
-
-    def fill(rows, x, y):
-        x[...] = corpus.source_points[rows]
-        y[...] = corpus.target_points[rows]
-
-    write_corpus(path, corpus.edge, corpus.meta, corpus.n, corpus.dim, fill)
-
-
 def load_corpus(path) -> CorpusGram:
     """Read a corpus NPZ into its Gram, naming the file and the field of any defect.
 
@@ -491,11 +483,9 @@ def _read_gram(npz: zipfile.ZipFile) -> tuple[int, np.ndarray, float]:
     The member must be stored, neither compressed nor encrypted, and hold a
     C-ordered '<f8' (n, 2, dim) array, n, dim >= 1, in exactly the bytes its
     header needs: all of that is checked before any pair is read. The pairs
-    then stream through ``zipfile``'s reader a ``_row_blocks`` block at a
-    time into one staging block of rows [x, 1, y], whose Gram is added to
-    the sum, so no array of all the rows exists; a corpus of one block has
-    the Gram ``_gram`` gives its rows. ``zipfile`` checks the CRC-32 as the
-    last block arrives, and a non-finite entry is reported only after that.
+    then stream through ``zipfile``'s reader into ``stream_gram``, a row
+    block at a time. ``zipfile`` checks the CRC-32 as the last block
+    arrives, and a non-finite entry is reported only after that.
     """
     try:
         info = npz.getinfo("pairs.npy")
@@ -536,12 +526,10 @@ def _read_gram(npz: zipfile.ZipFile) -> tuple[int, np.ndarray, float]:
                 f"corpus field 'pairs' holds {info.file_size - header_size} data bytes,"
                 f" but its shape {shape} needs {n * row_size}"
             )
-        staging = corpus_rows((min(n, ROW_BLOCK + 1),), dim)
-        gram, largest, finite = None, 1.0, True  # 1.0: the rows' constant column
-        for rows in _row_blocks(n):
-            size = (rows.stop - rows.start) * row_size
+
+        def fill(rows, x, y):
             try:
-                data = member.read(size)
+                data = member.read((rows.stop - rows.start) * row_size)
             except zipfile.BadZipFile as exc:
                 raise SchemaError(
                     "corpus field 'pairs' fails its CRC-32 check: the file is damaged"
@@ -549,13 +537,9 @@ def _read_gram(npz: zipfile.ZipFile) -> tuple[int, np.ndarray, float]:
             except EOFError as exc:
                 raise SchemaError("corpus field 'pairs' ends before its data does") from exc
             pairs = np.frombuffer(data, "<f8").reshape(-1, 2, dim)
-            block = staging[: len(pairs)]
-            block[:, :dim], block[:, dim + 1 :] = pairs[:, 0], pairs[:, 1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                low, high = block.min(), block.max()
-                gram = _gram(block) if gram is None else gram + _gram(block)
-            finite = finite and math.isfinite(low) and math.isfinite(high)
-            largest = max(largest, -low, high)
+            x[...], y[...] = pairs[:, 0], pairs[:, 1]
+
+        gram, largest, finite = stream_gram(n, dim, fill)
     if not finite:
         raise SchemaError("corpus field 'pairs' has a non-finite entry")
     return n, gram, largest
@@ -565,40 +549,35 @@ def corpus_filename(edge: tuple[str, str]) -> str:
     return f"corpus_{edge[0]}__{edge[1]}.npz"
 
 
-def save_encoders(
-    estimate: EncoderEstimate, path, spec: FunctionClassSpec | None = None
-) -> None:
+def save_encoders(estimate: EncoderEstimate, path) -> None:
     """Write each language's encoder and decoder; the document holds no anchor, none is pinned."""
     payload = {
         "encoders": {lang: _affine_entry(m) for lang, m in sorted(estimate.encoders.items())},
         "decoders": {lang: _affine_entry(m) for lang, m in sorted(estimate.decoders.items())},
-        "spec": None if spec is None else spec_to_dict(spec),
     }
     _write_json(payload, path)
 
 
-def load_encoders(path) -> tuple[EncoderEstimate, FunctionClassSpec | None]:
+def load_encoders(path) -> EncoderEstimate:
     """Read an encoder document, naming the file, language and field of any defect."""
     with _naming(path):
-        *tables, spec = _document(_read_json(path), "encoder", ("encoders", "decoders", "spec"))
+        tables = _document(_read_json(path), "encoder", ("encoders", "decoders"))
         maps = []
         for kind, entries in zip(("encoder", "decoder"), tables):
             if not isinstance(entries, dict):
                 raise SchemaError(f"encoder field '{kind}s' must map language ids to maps")
             maps.append({})
             for lang, entry in entries.items():
-                W = _array_field(f"{kind} {lang!r}", entry, "W", 2)
-                b = _array_field(f"{kind} {lang!r}", entry, "b", 1)
+                W, b = _affine_fields(f"{kind} {lang!r}", entry)
                 try:
                     maps[-1][lang] = AffineMap(W, b)
                 except ValueError as exc:
                     raise SchemaError(f"malformed {kind} {lang!r}: {exc}") from exc
         encoders, decoders = maps
         try:
-            estimate = EncoderEstimate(encoders, decoders)
+            return EncoderEstimate(encoders, decoders)
         except (ConditioningError, ValueError) as exc:
             raise SchemaError(str(exc)) from exc
-        return estimate, None if spec is None else _spec(spec)
 
 
 # ---------------------------------------------------------------------------

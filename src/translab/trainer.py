@@ -24,7 +24,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import ConditioningError, DomainError, InsufficientDataError
-from .generative import AlignedCorpus, CorpusGram, _gram
+from .generative import CorpusGram
 
 #: Condition number above which the normal equations get the ridge term.
 COND_LIMIT = 1e12
@@ -137,7 +137,7 @@ def _gram_loss(gram: np.ndarray, transform: AffineMap, n: int) -> float | list[f
     return (np.sum((gram @ m) * m, axis=(-2, -1)) / n).tolist()
 
 
-def _fit_gram(
+def fit_gram(
     gram: np.ndarray, n: int, largest: Callable[[], float]
 ) -> tuple[AffineMap, float | list[float]]:
     """The least-squares affine map from x to y on n rows [x, 1, y], and its loss.
@@ -173,24 +173,10 @@ def _fit_gram(
     return transform, _gram_loss(gram, transform, n)
 
 
-def fit_rows(rows: np.ndarray) -> tuple[AffineMap, float | list[float], np.ndarray]:
-    """The least-squares affine map from x to y on rows [x, 1, y], its loss and the rows' Gram.
-
-    Leading stack axes of ``rows`` (..., n, 2 * dim + 1) hold one corpus per
-    slice, fitted and scored as one stack: a stack of maps, a list of losses
-    and a stack of Grams, each slice bit for bit as alone. The ridge enters
-    only if a slice needs it (see ``_fit_gram``).
-    """
-    gram = _gram(rows)
-    transform, loss = _fit_gram(gram, rows.shape[-2], lambda: np.abs(rows).max())
-    return transform, loss, gram
-
-
-def fit_edge(corpus: AlignedCorpus | CorpusGram) -> EdgeRegressionResult:
+def fit_edge(corpus: CorpusGram) -> EdgeRegressionResult:
     """Least-squares fit of the source-to-target composite map on one corpus's Gram."""
-    gram = corpus.gram
-    transform, loss = _fit_gram(gram, corpus.n, lambda: corpus.largest)
-    return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n, gram)
+    transform, loss = fit_gram(corpus.gram, corpus.n, lambda: corpus.largest)
+    return EdgeRegressionResult(corpus.edge, transform, loss, corpus.n, corpus.gram)
 
 
 def _bottom_eigenvectors(pencil: np.ndarray, spectrum: np.ndarray, count: int) -> np.ndarray:

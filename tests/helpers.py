@@ -18,13 +18,15 @@ from translab.generative import (
     NOISE_CUTOFF,
     NOISE_VARIANCE,
     ROW_BLOCK,
-    AlignedCorpus,
+    CorpusGram,
+    EdgeDraws,
     FunctionClassSpec,
     TranslationGraph,
-    corpus_rows,
+    _row_blocks,
     latent_second_moment,
     randomized_generate,
     sample_randomized_codecs,
+    stream_gram,
 )
 from translab.distributions import WEIGHT_TOL, Atom, DeterministicTranslator, FiniteDistribution
 from translab.errors import DomainError
@@ -151,10 +153,10 @@ def composite(estimate: EncoderEstimate, src: str, dst: str) -> AffineMap:
     return estimate.decoder(dst).compose(estimate.encoder(src))
 
 
-def empirical_edge_loss(estimate: EncoderEstimate, corpus) -> float:
-    """The row-form edge loss: mean squared gap of the composite on the aligned pairs."""
-    a, b = corpus.edge
-    residual = apply(composite(estimate, a, b), corpus.source_points) - corpus.target_points
+def empirical_edge_loss(estimate: EncoderEstimate, edge, pairs) -> float:
+    """The row-form edge loss: mean squared gap of the composite on the aligned pairs (n, 2, D)."""
+    a, b = edge
+    residual = apply(composite(estimate, a, b), pairs[:, 0]) - pairs[:, 1]
     return float(np.mean(np.sum(residual**2, axis=1)))
 
 
@@ -360,7 +362,7 @@ def out_of_place_latent_sample(dim, radius, seed, m):
 
 
 def whole_array_pairs(edge, codecs, n, sampler, seed) -> np.ndarray:
-    """Pairs of ``generate_rows(edge, codecs, n, sampler, [seed])[0]``, decoded as whole arrays.
+    """``generated_pairs(edge, codecs, n, sampler, seed)``, decoded as whole arrays.
 
     The latents come from ``out_of_place_latent_sample`` and the noise seeds
     from the out-of-place inverse CDF, in the generator's stream order; each
@@ -377,23 +379,51 @@ def whole_array_pairs(edge, codecs, n, sampler, seed) -> np.ndarray:
     return np.stack([codecs[lang].decode(z, r) for lang, r in zip(edge, seeds)], axis=1)
 
 
+def generated_pairs(edge, codecs, n, sampler, seed) -> np.ndarray:
+    """The (n, 2, D) pairs that ``generate`` writes and ``randomized_generate`` sums.
+
+    They are drawn for the edge and seed and decoded by ``EdgeDraws`` a row
+    block at a time, as both do.
+    """
+    nuisance_dim, dim = codecs[edge[0]].nuisance_dim, codecs[edge[0]].decoder.dim
+    draws = EdgeDraws(n, sampler.dim, nuisance_dim).draw(edge, codecs, n, sampler, seed)
+    pairs = np.empty((n, 2, dim))
+    for rows in _row_blocks(n):
+        draws.decode(rows, pairs[rows, 0], pairs[rows, 1])
+    return pairs
+
+
+def corpus_pairs(corpus: CorpusGram, codecs, sampler) -> np.ndarray:
+    """The pairs of a ``randomized_generate`` corpus, drawn again from its meta's seed."""
+    assert corpus.meta["sampler_seed"] == sampler.seed
+    return generated_pairs(corpus.edge, codecs, corpus.n, sampler, corpus.meta["seed"])
+
+
 def rows_of_pairs(pairs) -> np.ndarray:
-    """New rows [x, 1, y] (``corpus_rows``) holding ``pairs`` (..., n, 2, dim), stack axes kept."""
-    pairs = np.asarray(pairs)
-    d = pairs.shape[-1]
-    rows = corpus_rows(pairs.shape[:-2], d)
-    rows[..., :d] = pairs[..., 0, :]
-    rows[..., d + 1 :] = pairs[..., 1, :]
-    return rows
+    """New rows [x, 1, y] holding ``pairs`` (..., n, 2, dim), stack axes kept."""
+    pairs = np.asarray(pairs, dtype=np.float64)
+    ones = np.ones((*pairs.shape[:-2], 1))
+    return np.concatenate([pairs[..., 0, :], ones, pairs[..., 1, :]], axis=-1)
 
 
-def corpus_of_pairs(pairs, edge=("A", "B"), meta=None) -> AlignedCorpus:
-    """The corpus of ``edge`` whose rows hold a copy of ``pairs`` (n, 2, dim)."""
-    return AlignedCorpus(edge, rows_of_pairs(pairs), {} if meta is None else meta)
+def pair_fill(pairs):
+    """A ``fill(rows, x, y)`` that copies the sources and targets of ``pairs`` (n, 2, dim)."""
+
+    def fill(rows, x, y):
+        x[...], y[...] = pairs[rows, 0], pairs[rows, 1]
+
+    return fill
+
+
+def corpus_of_pairs(pairs, edge=("A", "B"), meta=None) -> CorpusGram:
+    """The corpus of ``edge`` holding ``pairs`` (n, 2, dim), summed by ``stream_gram``."""
+    n, _, dim = np.shape(pairs)
+    gram, largest, _finite = stream_gram(n, dim, pair_fill(pairs))
+    return CorpusGram(tuple(edge), {} if meta is None else meta, n, gram, largest)
 
 
 def assert_gram_of_rows(gram: np.ndarray, rows: np.ndarray) -> None:
-    """Assert ``gram`` is the Gram of ``rows`` [x, 1, y] as ``io.load_corpus`` sums it.
+    """Assert ``gram`` is the Gram of ``rows`` [x, 1, y] as ``stream_gram`` sums it.
 
     A corpus of one row block (``ROW_BLOCK`` + 1 rows at most) has the bits
     of the one product of its rows; past that, the blocks' sum rounds
@@ -407,31 +437,36 @@ def assert_gram_of_rows(gram: np.ndarray, rows: np.ndarray) -> None:
         assert np.abs(gram - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
-def read_corpus(path) -> AlignedCorpus:
-    """The corpus file at ``path`` as ``np.load`` reads it, held as rows."""
+def read_pairs(path) -> np.ndarray:
+    """The pairs (n, 2, dim) of the corpus file at ``path``, as ``np.load`` reads them."""
     with np.load(path) as npz:
-        edge = tuple(npz["edge"].tolist())
-        return corpus_of_pairs(npz["pairs"], edge, json.loads(str(npz["meta"])))
+        return npz["pairs"]
 
 
-def savez_corpus(corpus, path) -> None:
+def savez_corpus(edge, pairs, meta, path) -> None:
     """The corpus file as ``np.savez`` writes it: the reference for ``io.write_corpus``."""
     with open(path, "wb") as fh:
         np.savez(
             fh,
-            pairs=np.stack([corpus.source_points, corpus.target_points], axis=1),
-            edge=np.array(list(corpus.edge)),
-            meta=np.array(json.dumps(dict(corpus.meta), sort_keys=True)),
+            pairs=np.asarray(pairs, dtype=np.float64),
+            edge=np.array(list(edge)),
+            meta=np.array(json.dumps(dict(meta), sort_keys=True)),
         )
 
 
-def out_of_place_fit_edge(corpus, ridge=1e-10):
-    """``fit_edge``'s (transform, loss) from the Gram of a new ``np.hstack`` of [x, 1, y].
+def write_pairs(path, edge, pairs, meta) -> None:
+    """``io.write_corpus`` of the pairs (n, 2, dim)."""
+    n, _, dim = np.shape(pairs)
+    io.write_corpus(path, edge, meta, n, dim, pair_fill(pairs))
+
+
+def out_of_place_fit_edge(pairs, ridge=1e-10):
+    """``fit_edge``'s (transform, loss) on pairs (n, 2, d), from a new ``np.hstack`` of [x, 1, y].
 
     The loss is the mean squared residual of the points, which ``fit_edge``
     reads off the Gram instead.
     """
-    points, targets = corpus.source_points, corpus.target_points
+    points, targets = pairs[:, 0], pairs[:, 1]
     n, d = points.shape
     stacked = np.hstack([points, np.ones((n, 1)), targets])
     gram = stacked.T @ stacked
@@ -709,7 +744,6 @@ ENCODER_DOCUMENT = _saved_document(
         },
     ),
 )
-ENCODER_DOCUMENT["spec"] = io.spec_to_dict(FunctionClassSpec(dim=2))
 
 
 @st.composite

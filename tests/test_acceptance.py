@@ -13,6 +13,7 @@ from scipy.stats import spearmanr
 
 from helpers import (
     composite,
+    corpus_pairs,
     empirical_edge_loss,
     joint_estimate,
     max_entry_difference,
@@ -289,11 +290,12 @@ def test_criterion_08_gauge_invariance():
                 ),
             )
     for corpus in corpora:
+        pairs = corpus_pairs(corpus, codecs, sampler)
         worst = max(
             worst,
             abs(
-                empirical_edge_loss(estimate, corpus)
-                - empirical_edge_loss(transformed, corpus)
+                empirical_edge_loss(estimate, corpus.edge, pairs)
+                - empirical_edge_loss(transformed, corpus.edge, pairs)
             ),
         )
     for pair in (("L0", "L4"), ("L1", "L3"), ("L4", "L0")):

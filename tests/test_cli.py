@@ -21,12 +21,17 @@ from hypothesis import given, settings
 
 from helpers import (
     WORST_CASE_DEFECTS,
-    corpus_of_pairs,
+    assert_gram_of_rows,
+    assert_same_bits,
+    corpus_pairs,
     damaged_instance_documents,
     empirical_edge_loss,
-    read_corpus,
+    read_pairs,
+    rows_of_pairs,
     savez_corpus,
+    whole_array_pairs,
     worst_case_defect_text,
+    write_pairs,
 )
 from translab import cli, io, trainer
 from translab.evaluation import sample_complexity_sweep, shortest_path_and_diameter
@@ -706,7 +711,7 @@ class TestPipeline:
         io.save_graph(TranslationGraph(("L0", "L1"), (("L0", "L1", 20),)), graph_path)
         path = tmp_path / io.corpus_filename(("L0", "L1"))
         pairs = np.random.default_rng(0).random((20, 2, 2)) * 1e200
-        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1"), {"nuisance_dim": 0}), path)
+        write_pairs(path, ("L0", "L1"), pairs, {"nuisance_dim": 0})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(
@@ -757,11 +762,11 @@ class TestPipeline:
         assert summary["latent_dim"] == 2 and summary["seed"] == 3
         assert len(summary["eigenvalues"]) == 3
         assert summary["gap"] >= trainer.GAP_RATIO
-        estimate, _spec = io.load_encoders(out / "encoders.json")
+        estimate = io.load_encoders(out / "encoders.json")
         for name, loss in summary["edges"].items():
             edge = tuple(name.split("->"))
-            corpus = read_corpus(out / io.corpus_filename(edge))
-            assert loss == pytest.approx(empirical_edge_loss(estimate, corpus), rel=1e-9)
+            pairs = read_pairs(out / io.corpus_filename(edge))
+            assert loss == pytest.approx(empirical_edge_loss(estimate, edge, pairs), rel=1e-9)
         assert summary["objective"] == sum(summary["edges"].values())
         assert sorted(summary["edges"]) == ["L0->L1", "L1->L2"]
 
@@ -784,8 +789,8 @@ class TestPipeline:
         self._write_graph(graph_path)
         rng = np.random.default_rng(0)
         first, second = (tmp_path / io.corpus_filename(e) for e in (("L0", "L1"), ("L1", "L2")))
-        io.save_corpus(corpus_of_pairs(rng.random((9, 2, 2)), ("L0", "L1"), {"nuisance_dim": 0}), first)
-        io.save_corpus(corpus_of_pairs(rng.random((9, 2, 2)), ("L1", "L2"), meta), second)
+        write_pairs(first, ("L0", "L1"), rng.random((9, 2, 2)), {"nuisance_dim": 0})
+        write_pairs(second, ("L1", "L2"), rng.random((9, 2, 2)), meta)
         code, stdout, err = run_cli(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
              "--out", str(tmp_path / "run")],
@@ -801,9 +806,9 @@ class TestPipeline:
         self._write_graph(graph_path)
         rng = np.random.default_rng(1)
         for edge in (("L0", "L1"), ("L1", "L2")):
-            io.save_corpus(
-                corpus_of_pairs(rng.standard_normal((200, 2, 2)), edge, {"nuisance_dim": 1}),
-                tmp_path / io.corpus_filename(edge),
+            write_pairs(
+                tmp_path / io.corpus_filename(edge), edge, rng.standard_normal((200, 2, 2)),
+                {"nuisance_dim": 1},
             )
         code, stdout, err = run_cli(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
@@ -827,7 +832,7 @@ class TestPipeline:
         x = rng.integers(-5, 6, (50, 3)) * 1e3
         x[:, 1] = x[:, 0]
         pairs = np.stack([x, rng.standard_normal((50, 3))], axis=1)
-        io.save_corpus(corpus_of_pairs(pairs, ("L0", "L1"), {"nuisance_dim": 0}), path)
+        write_pairs(path, ("L0", "L1"), pairs, {"nuisance_dim": 0})
         code, stdout, err = run_cli(
             ["train", "--graph", str(graph_path), "--corpus-dir", str(tmp_path),
              "--out", str(tmp_path / "run")],
@@ -1046,8 +1051,9 @@ class TestPipeline:
         assert f"field {field!r} must be a JSON" in err
         assert not (out / "pair_eval.csv").exists()
 
-    @pytest.mark.parametrize("spec", [{}, {"d": "x"}, 5])
-    def test_eval_with_malformed_encoder_spec_exits_2(self, tmp_path, capsys, spec):
+    @pytest.mark.parametrize("spec", [None, {}, {"d": "x"}, 5])
+    def test_eval_with_an_encoder_spec_exits_2(self, tmp_path, capsys, spec):
+        # Encoder files hold no spec; one written with a null 'spec' is refused too.
         graph_path, out = self._generate_and_train(tmp_path, capsys)
         encoders_path = out / "encoders.json"
         payload = json.loads(encoders_path.read_text())
@@ -1055,7 +1061,7 @@ class TestPipeline:
         encoders_path.write_text(json.dumps(payload))
         code, _, err = self._eval(graph_path, out, capsys)
         assert code == 2
-        assert err.startswith(f"error: {encoders_path}: malformed 'spec'")
+        assert err == f"error: {encoders_path}: encoder document has unknown key 'spec'\n"
 
     def test_eval_summary_reports_the_graph_diameter(self, tmp_path, capsys):
         graph_path, out = self._generate_and_train(tmp_path, capsys)
@@ -1237,32 +1243,64 @@ class TestStreamingMemory:
 
 
 class TestSweepMemory:
-    """One ``sample_complexity_sweep`` holds about one size's stacked rows at a time.
+    """One ``sample_complexity_sweep`` holds one size's draws and its trials' Grams at a time.
 
-    The peak is traced numpy and Python allocations, in units of the largest
-    size's rows [x, 1, y] for all its trials. It reads about 1.06: those rows,
-    the residual's row sums and one residual block of ``ROW_BLOCK`` rows
-    across the trials. Scoring ``ROW_BLOCK`` rows of every trial at once
-    read 1.26, and drawing the pairs as a (T, n, 2, D) stack and fitting
-    from an [x, 1] copy of it read 1.48.
+    The peak is traced numpy and Python allocations, in MiB. Each trial
+    streams its pairs into its Gram (``stream_gram``), so the peak is one
+    size's ``EdgeDraws`` (latents and noise seeds), one staging block of
+    rows [x, 1, y], the decode's temporaries and the trials' Grams: 0.63
+    MiB at the benchmark's setting and 2.36 MiB at d = 4, k = 2, 20,000
+    pairs. Holding every trial's rows [x, 1, y] of a size as one stack read
+    3.60 and 41.6 MiB.
     """
 
-    DIM, NUISANCE, TRIALS, SIZES = 8, 2, 20, (5_000, 10_000, 20_000)
-
-    def test_sweep_peak(self):
-        spec = FunctionClassSpec(dim=self.DIM)
-        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, self.NUISANCE, 0.1, seed=3)))
-        sampler = LatentSampler(self.DIM, spec.radius, seed=3)
+    @pytest.mark.parametrize(
+        "dim, nuisance, sizes, bound_mib",
+        [
+            (1, 1, (32, 64, 128, 256, 512, 1024, 2048, 4096), 1.2),  # the benchmark's
+            (4, 2, (5_000, 10_000, 20_000), 4.0),
+        ],
+    )
+    def test_sweep_peak(self, dim, nuisance, sizes, bound_mib):
+        spec = FunctionClassSpec(dim=dim)
+        codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, nuisance, 0.05, seed=3)))
+        sampler = LatentSampler(dim, spec.radius, seed=3)
         sample_complexity_sweep(("A", "B"), codecs, [16, 32], 5, sampler, 3)  # imports
         tracemalloc.start()
         try:
-            sample_complexity_sweep(("A", "B"), codecs, self.SIZES, self.TRIALS, sampler, 3)
+            sample_complexity_sweep(("A", "B"), codecs, sizes, 20, sampler, 3)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        width = 2 * (self.DIM + self.NUISANCE) + 1
-        ratio = peak / (self.TRIALS * self.SIZES[-1] * width * 8)
-        assert ratio < 1.2, f"traced sweep peak is {ratio:.3f}x the largest size's rows"
+        assert peak / 2**20 < bound_mib, f"traced sweep peak is {peak / 2**20:.2f} MiB"
+
+
+class TestOneGramPath:
+    """``randomized_generate`` sums the pairs ``generate`` writes into the Gram ``train`` reads."""
+
+    @pytest.mark.parametrize(
+        "nuisance_dim, sigma", [(0, 0.0), (1, 0.05)], ids=["noiseless", "noisy"]
+    )
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_generated_gram_is_the_gram_of_the_file(self, tmp_path, n, nuisance_dim, sigma):
+        edge = ("L0", "L1")
+        io.save_graph(TranslationGraph(edge, ((*edge, n),)), tmp_path / "graph.json")
+        argv = ["generate", "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path),
+                "--dim", "3", "--nuisance-dim", str(nuisance_dim), "--sigma", str(sigma),
+                "--seed", "5"]
+        with redirect_stdout(StringIO()):
+            assert cli.main(argv) == 0
+        spec, codecs = io.load_codecs(tmp_path / "codecs.json")
+        sampler = LatentSampler(spec.dim, spec.radius, seed=5)
+        corpus = randomized_generate(edge, codecs, n, sampler, seed=5)
+        loaded = io.load_corpus(tmp_path / io.corpus_filename(edge))
+        assert_same_bits(corpus.gram, loaded.gram)
+        assert (corpus.edge, corpus.meta, corpus.n, corpus.largest) == (
+            loaded.edge, loaded.meta, loaded.n, loaded.largest
+        )
+        # bitwise up to ROW_BLOCK + 1 rows, within 1e-13 past that
+        whole = rows_of_pairs(whole_array_pairs(edge, codecs, n, sampler, 5))
+        assert_gram_of_rows(corpus.gram, whole)
 
 
 class TestGeneratePipeline:
@@ -1290,7 +1328,8 @@ class TestGeneratePipeline:
         sampler = LatentSampler(4, spec.radius, seed=0)
         for edge in graph.edge_pairs():
             reference = tmp_path / "reference.npz"
-            savez_corpus(randomized_generate(edge, codecs, self.N, sampler, seed=0), reference)
+            corpus = randomized_generate(edge, codecs, self.N, sampler, seed=0)
+            savez_corpus(edge, corpus_pairs(corpus, codecs, sampler), corpus.meta, reference)
             assert (out / io.corpus_filename(edge)).read_bytes() == reference.read_bytes(), edge
 
     def test_unwritable_corpus_fails_like_a_serial_generate(self, tmp_path):

@@ -616,25 +616,25 @@ class TestSweep:
                 assert got_value.hex() == want_value.hex()
         assert result.degenerate == (sigma == 0.0)
 
-    def test_each_trial_fits_exactly_its_randomized_generate_rows(self, monkeypatch):
+    def test_each_trial_fits_exactly_its_randomized_generate_gram(self, monkeypatch):
         spec = FunctionClassSpec(dim=2)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 1, 0.1, seed=4)))
         sampler = LatentSampler(2, 1.0, seed=4)
-        fitted, fit_rows = [], evaluation.fit_rows
+        fitted, fit_gram = [], evaluation.fit_gram
 
-        def recording_fit_rows(rows):
-            fitted.append(rows.copy())
-            return fit_rows(rows)
+        def recording_fit_gram(gram, n, largest):
+            fitted.append((gram.copy(), n))
+            return fit_gram(gram, n, largest)
 
-        monkeypatch.setattr(evaluation, "fit_rows", recording_fit_rows)
-        n_list = [8, ROW_BLOCK + 1]
+        monkeypatch.setattr(evaluation, "fit_gram", recording_fit_gram)
+        n_list = [8, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
         sample_complexity_sweep(("A", "B"), codecs, n_list, 5, sampler, seed=9)
-        assert [rows.shape for rows in fitted] == [(5, n, 7) for n in n_list]
-        for n, rows in zip(n_list, fitted):
+        assert [(grams.shape, n) for grams, n in fitted] == [((5, 7, 7), n) for n in n_list]
+        for n, (grams, _n) in zip(n_list, fitted):
             for trial in range(5):
                 seed = derive_seed(9, "sweep-train", n, trial)
                 corpus = randomized_generate(("A", "B"), codecs, n, sampler, seed)
-                assert_same_bits(rows[trial], corpus.rows)
+                assert_same_bits(grams[trial], corpus.gram)
 
     def test_one_solve_and_one_loss_stack_per_size(self, monkeypatch):
         spec = FunctionClassSpec(dim=1)
@@ -669,3 +669,5 @@ class TestSweep:
             sample_complexity_sweep(("A", "B"), codecs, [64, 32], 5, sampler, 0)
         with pytest.raises(ValueError):
             sample_complexity_sweep(("A", "B"), codecs, [32, 64], 3, sampler, 0)
+        with pytest.raises(ValueError):
+            sample_complexity_sweep(("A", "B"), codecs, [0, 64], 5, sampler, 0)

@@ -27,26 +27,27 @@ from helpers import (
     assert_gram_of_rows,
     assert_same_bits,
     corpus_of_pairs,
+    corpus_pairs,
     damaged_corpus_fields,
     damaged_documents,
     damaged_instance_documents,
     joint_estimate,
     max_entry_difference,
+    generated_pairs,
     rows_of_pairs,
     savez_corpus,
     worst_case_defect_text,
+    write_pairs,
 )
 from translab import cli, io
 from translab.distributions import DeterministicTranslator, FiniteDistribution, Sentence
 from translab.errors import ConditioningError, SchemaError
 from translab.generative import (
     ROW_BLOCK,
-    AlignedCorpus,
     FunctionClassSpec,
     LatentSampler,
     RandomizedCodec,
     TranslationGraph,
-    corpus_rows,
     randomized_generate,
     sample_randomized_codecs,
     six_language_demo_graph,
@@ -222,9 +223,8 @@ class TestGraphAndCodecFiles:
         io.save_codecs(loaded_codecs, loaded_spec, second)
         assert second.read_bytes() == first.read_bytes()
 
-        io.save_encoders(estimate, first, spec)
-        loaded_estimate, loaded_spec = io.load_encoders(first)
-        io.save_encoders(loaded_estimate, second, loaded_spec)
+        io.save_encoders(estimate, first)
+        io.save_encoders(io.load_encoders(first), second)
         assert second.read_bytes() == first.read_bytes()
 
     def test_codecs_with_mixed_noise_settings_are_rejected(self, tmp_path):
@@ -495,10 +495,13 @@ class TestCodecDefects:
         )
 
     @pytest.mark.parametrize(
-        "key", ["spec", "sigma", "nuisance_dim", "codecs", "as pairs", "unknown"]
+        "key",
+        ["spec", "sigma", "nuisance_dim", "codecs", "as pairs", "unknown",
+         "spec d", "spec rh0", "spec as list", "codec b", "codec note", "codec as list"],
     )
     def test_missing_unknown_or_listed_key_names_file_and_key(self, tmp_path, key):
-        # the writer writes every key and no other, so none has a default and none is dropped
+        # the writer writes every key and no other, so none has a default and
+        # none is dropped, in the document and in its spec and codec entries
         payload = json.loads(json.dumps(CODEC_DOCUMENT))
         expected = f"codec document missing key {key!r}"
         if key == "as pairs":
@@ -507,6 +510,24 @@ class TestCodecDefects:
         elif key == "unknown":
             payload["encoders"] = {}
             expected = "codec document has unknown key 'encoders'"
+        elif key == "spec d":
+            del payload["spec"]["d"]
+            expected = "malformed 'spec': spec document missing key 'd'"
+        elif key == "spec rh0":
+            payload["spec"]["rh0"] = 5.0
+            expected = "malformed 'spec': spec document has unknown key 'rh0'"
+        elif key == "spec as list":
+            payload["spec"] = list(payload["spec"].values())
+            expected = "malformed 'spec': spec document must be a JSON object"
+        elif key == "codec b":
+            del payload["codecs"]["L1"]["b"]
+            expected = "codec 'L1' document missing key 'b'"
+        elif key == "codec note":
+            payload["codecs"]["L0"]["note"] = "x"
+            expected = "codec 'L0' document has unknown key 'note'"
+        elif key == "codec as list":
+            payload["codecs"]["L0"] = [payload["codecs"]["L0"]["W"]]
+            expected = "codec 'L0' document must be a JSON object"
         else:
             del payload[key]
         path = tmp_path / "codecs.json"
@@ -539,9 +560,10 @@ class TestCorpusFiles:
     def test_round_trip(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
-        corpus = randomized_generate(("A", "B"), codecs, 32, LatentSampler(3, 1.0, 0), seed=1)
+        sampler = LatentSampler(3, 1.0, 0)
+        corpus = randomized_generate(("A", "B"), codecs, 32, sampler, seed=1)
         path = tmp_path / io.corpus_filename(("A", "B"))
-        io.save_corpus(corpus, path)
+        write_pairs(path, corpus.edge, corpus_pairs(corpus, codecs, sampler), corpus.meta)
         again = io.load_corpus(path)
         assert again.edge == corpus.edge and again.n == corpus.n and again.dim == corpus.dim
         assert_same_bits(again.gram, corpus.gram)
@@ -575,19 +597,21 @@ class TestCorpusFiles:
         reference = tmp_path / "reference.npz"
         for edge in graph.edge_pairs():
             corpus = randomized_generate(edge, codecs, n, sampler, seed=4)
-            savez_corpus(corpus, reference)
+            pairs = corpus_pairs(corpus, codecs, sampler)
+            savez_corpus(edge, pairs, corpus.meta, reference)
             path = out / io.corpus_filename(edge)
             assert path.read_bytes() == reference.read_bytes()
             again = io.load_corpus(path)
             assert again.edge == edge and again.meta == corpus.meta and again.n == n
-            assert_gram_of_rows(again.gram, corpus.rows)
+            assert_same_bits(again.gram, corpus.gram)
+            assert_gram_of_rows(again.gram, rows_of_pairs(pairs))
 
     def _saved(self, tmp_path):
         spec = FunctionClassSpec(dim=3)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
-        corpus = randomized_generate(("A", "B"), codecs, 8, LatentSampler(3, 1.0, 0), seed=1)
+        pairs = generated_pairs(("A", "B"), codecs, 8, LatentSampler(3, 1.0, 0), seed=1)
         path = tmp_path / io.corpus_filename(("A", "B"))
-        io.save_corpus(corpus, path)
+        write_pairs(path, ("A", "B"), pairs, {"n": 8})
         with np.load(path) as npz:
             fields = {name: npz[name] for name in npz.files}
         return path, fields
@@ -911,24 +935,23 @@ class TestAtomicWrites:
         self._assert_unchanged(path, before)
 
     @staticmethod
-    def _corpus():
+    def _pairs():
         spec = FunctionClassSpec(dim=3)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, 0, 0.0, seed=0)))
-        return randomized_generate(("A", "B"), codecs, 8, LatentSampler(3, 1.0, 0), seed=1)
+        return generated_pairs(("A", "B"), codecs, 8, LatentSampler(3, 1.0, 0), seed=1)
 
     def test_corpus(self, tmp_path):
-        corpus = self._corpus()
+        pairs = self._pairs()
         path = tmp_path / io.corpus_filename(("A", "B"))
-        io.save_corpus(corpus, path)
+        write_pairs(path, ("A", "B"), pairs, {})
         before = path.read_bytes()
 
         def failing_fill(rows, x, y):
-            x[...] = corpus.source_points[rows]
-            y[...] = corpus.target_points[rows]
+            x[...], y[...] = pairs[rows, 0], pairs[rows, 1]
             raise self.Boom
 
         with pytest.raises(self.Boom):
-            io.write_corpus(path, corpus.edge, corpus.meta, corpus.n, corpus.dim, failing_fill)
+            io.write_corpus(path, ("A", "B"), {}, 8, 3, failing_fill)
         self._assert_unchanged(path, before)
 
     @pytest.mark.parametrize("n, dim", [(0, 3), (8, 0)])
@@ -942,18 +965,12 @@ class TestAtomicWrites:
             io.write_corpus(tmp_path / "corpus.npz", ("A", "B"), {}, n, dim, fill)
         assert list(tmp_path.iterdir()) == []
 
-    def test_empty_corpus_is_not_saved(self, tmp_path):
-        corpus = AlignedCorpus(("A", "B"), corpus_rows((0,), 3), {})
-        with pytest.raises(ValueError, match=re.escape("n, dim >= 1, got n=0 and dim=3")):
-            io.save_corpus(corpus, tmp_path / "corpus.npz")
-        assert list(tmp_path.iterdir()) == []
-
     def test_corpus_keeps_the_given_name(self, tmp_path):
-        corpus = self._corpus()
+        pairs = self._pairs()
         path = tmp_path / "corpus.bin"
-        io.save_corpus(corpus, path)
+        write_pairs(path, ("A", "B"), pairs, {})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.bin"]
-        assert_same_bits(io.load_corpus(path).gram, corpus.gram)
+        assert_same_bits(io.load_corpus(path).gram, corpus_of_pairs(pairs).gram)
 
 
 class TestEncoderFiles:
@@ -965,10 +982,10 @@ class TestEncoderFiles:
     def test_round_trip(self, tmp_path):
         estimate = self._estimate()
         path = tmp_path / "encoders.json"
-        io.save_encoders(estimate, path, spec=FunctionClassSpec(dim=3))
-        again, spec = io.load_encoders(path)
+        io.save_encoders(estimate, path)
+        again = io.load_encoders(path)
         assert isinstance(again, EncoderEstimate)
-        assert spec == FunctionClassSpec(dim=3)
+        assert json.loads(path.read_text()).keys() == {"encoders", "decoders"}
         for lang in sorted(estimate.encoders):
             assert again.encoder(lang).linear.shape == (3, 4)
             assert max_entry_difference(again.encoder(lang), estimate.encoder(lang)) == 0.0
@@ -1019,22 +1036,30 @@ class TestEncoderFiles:
         assert "every encoder must be d x D and every decoder D x d" in str(info.value)
 
     @pytest.mark.parametrize(
-        "key", ["encoders", "decoders", "spec", "as pairs", "anchor", "unknown"]
+        "key",
+        ["encoders", "decoders", "as pairs", "anchor", "spec", "unknown", "entry W", "entry note"],
     )
     def test_missing_unknown_or_listed_key_names_file_and_key(self, tmp_path, key):
-        # the writer writes every key, a null 'spec' too, and no other, so none
-        # has a default and none is dropped; the former square-encoder 'anchor' is unknown
+        # the writer writes every key and no other, so none has a default and
+        # none is dropped; the former square-encoder 'anchor' and the former
+        # 'spec' are unknown, and so is any key of an entry besides 'W' and 'b'
         path, payload = self._saved(tmp_path)
         expected = f"encoder document missing key {key!r}"
         if key == "as pairs":
             payload["decoders"] = list(payload["decoders"].items())
             expected = "encoder field 'decoders' must map language ids to maps"
-        elif key == "anchor":
-            payload["anchor"] = "L0"
-            expected = "encoder document has unknown key 'anchor'"
+        elif key in ("anchor", "spec"):
+            payload[key] = None
+            expected = f"encoder document has unknown key {key!r}"
         elif key == "unknown":
             payload["sigma"] = 0.0
             expected = "encoder document has unknown key 'sigma'"
+        elif key == "entry W":
+            del payload["decoders"]["L2"]["W"]
+            expected = "decoder 'L2' document missing key 'W'"
+        elif key == "entry note":
+            payload["encoders"]["L1"]["note"] = "x"
+            expected = "encoder 'L1' document has unknown key 'note'"
         else:
             del payload[key]
         path.write_text(json.dumps(payload))
@@ -1069,16 +1094,6 @@ class TestEncoderFiles:
             io.load_encoders(path)
         assert str(info.value).startswith(f"{path}: encoder of 'L2' undoes its decoder only")
 
-    @pytest.mark.parametrize("spec", [{}, {"d": "x"}, 5, {"d": 3, "B": math.nan, "rho": 2.0,
-                                                         "offset_bound": 1.0}])
-    def test_malformed_spec_is_schema_error(self, tmp_path, spec):
-        path, payload = self._saved(tmp_path)
-        payload["spec"] = spec
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError) as info:
-            io.load_encoders(path)
-        assert str(info.value).startswith(f"{path}: malformed 'spec'")
-
     @settings(max_examples=80, deadline=None)
     @given(damaged_documents(ENCODER_DOCUMENT, LEAF_REPLACEMENTS + MISTYPED_NUMBER_LEAVES))
     def test_damaged_document_loads_or_is_schema_error(self, payload):
@@ -1086,11 +1101,11 @@ class TestEncoderFiles:
             path = Path(tmp) / "encoders.json"
             path.write_text(json.dumps(payload))
             try:
-                _estimate, spec = io.load_encoders(path)
+                io.load_encoders(path)
             except SchemaError as exc:
                 assert str(exc).startswith(f"{path}: "), str(exc)
                 return
-            assert payload.keys() == {"encoders", "decoders", "spec"}
+            assert payload.keys() == {"encoders", "decoders"}
             assert isinstance(payload["encoders"], dict)
             assert isinstance(payload["decoders"], dict)
             for entry in (*payload["encoders"].values(), *payload["decoders"].values()):
@@ -1099,8 +1114,6 @@ class TestEncoderFiles:
                     type(x) in (int, float)
                     for x in (*np.ravel(entry["W"]).tolist(), *entry["b"])
                 )
-            if spec is not None:
-                assert_json_typed_spec(payload["spec"])
 
 
 class TestCsvEmission:

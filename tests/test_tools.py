@@ -1,6 +1,7 @@
 """Tests for the tools: the A/B benchmark's verdicts and checkout checks, and the output diff."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,42 @@ class TestBytecode:
         assert ab_bench.run_bench(tmp_path, "sweep", 3, 1.0) == {"metrics": {}}
         assert seen == {"env": {**ab_bench.os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
                         "cwd": tmp_path}
+
+
+class TestSummary:
+    @staticmethod
+    def _checkout(root: Path, sources: dict[str, str]) -> Path:
+        write_tree(root, {f"src/translab/{name}": text for name, text in sources.items()})
+        return root
+
+    def test_src_lines_count_as_the_benchmark_records_them(self, tmp_path, monkeypatch):
+        # every .py file under src/, nested ones too; a last line without a newline counts
+        checkout = self._checkout(tmp_path, {
+            "a.py": "x = 1\n\ny = 2\n", "sub/b.py": "z = 3", "notes.txt": "not code\n",
+        })
+        spec = importlib.util.spec_from_file_location(
+            "bench_run", TOOLS.parent / "bench" / "run.py"
+        )
+        bench_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_run)
+        monkeypatch.setattr(bench_run, "SRC", checkout / "src")
+        assert ab_bench.src_lines(checkout) == bench_run.metadata()["src_lines"] == 4
+
+    def test_summary_prints_each_checkouts_src_lines(self, tmp_path, monkeypatch, capsys):
+        parent = self._checkout(tmp_path / "parent", {"io.py": "a\nb\nc\n"})
+        change = self._checkout(tmp_path / "change", {"io.py": "a\n"})
+        (parent / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1,
+            "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.24}],
+        }))
+
+        def fake_run(checkout, workload, seed, seconds):
+            return {"metrics": {"run_s": {"value": 1.0}}, "failed": 0, "attempted": 1}
+
+        monkeypatch.setattr(ab_bench, "run_bench", fake_run)
+        argv = [str(parent), str(change), "--workload", "sweep", "--pairs", "2"]
+        assert ab_bench.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "src/ lines: parent 3, change 1 (-2)"
 
 
 def write_tree(root: Path, files: dict[str, str]) -> Path:

@@ -13,6 +13,7 @@ from helpers import (
     assert_same_bits,
     composite,
     corpus_of_pairs,
+    corpus_pairs,
     empirical_edge_loss,
     joint_estimate,
     max_entry_difference,
@@ -27,16 +28,14 @@ from translab.affine import AffineMap
 from translab.errors import ConditioningError, InsufficientDataError
 from translab.generative import (
     ROW_BLOCK,
-    AlignedCorpus,
     FunctionClassSpec,
     LatentSampler,
     TranslationGraph,
     _row_sums,
-    generate_rows,
     randomized_generate,
     sample_randomized_codecs,
 )
-from translab.trainer import EncoderEstimate, fit_edge, fit_joint, fit_rows
+from translab.trainer import EncoderEstimate, fit_edge, fit_gram, fit_joint
 
 
 def chain_setup(n_langs=3, d=3, n=40, seed=0, sigma=0.0, nuisance=0, extra_edges=()):
@@ -56,21 +55,22 @@ def truth_composite(codecs, src, dst) -> AffineMap:
     return composite(truth_estimate(codecs), src, dst)
 
 
-def centred_moments(corpus):
-    """An edge's mean-centred covariances (S_aa, S_bb, S_ab) over its rows, from the points."""
-    x = corpus.source_points - corpus.source_points.mean(axis=0)
-    y = corpus.target_points - corpus.target_points.mean(axis=0)
-    return x.T @ x / corpus.n, y.T @ y / corpus.n, x.T @ y / corpus.n
+def centred_moments(pairs):
+    """An edge's mean-centred covariances (S_aa, S_bb, S_ab) over its pairs, from the points."""
+    x = pairs[:, 0] - pairs[:, 0].mean(axis=0)
+    y = pairs[:, 1] - pairs[:, 1].mean(axis=0)
+    n = len(pairs)
+    return x.T @ x / n, y.T @ y / n, x.T @ y / n
 
 
-def pencil(corpora, langs):
+def pencil(corpora, langs, codecs, sampler):
     """The joint fit's (Q, B), assembled edge by edge from the points."""
     dim = corpora[0].dim
     where = {lang: slice(i * dim, (i + 1) * dim) for i, lang in enumerate(langs)}
     q = np.zeros((len(langs) * dim,) * 2)
     for corpus in corpora:
         a, b = (where[lang] for lang in corpus.edge)
-        s_aa, s_bb, s_ab = centred_moments(corpus)
+        s_aa, s_bb, s_ab = centred_moments(corpus_pairs(corpus, codecs, sampler))
         q[a, a] += s_aa
         q[b, b] += s_bb
         q[a, b] -= s_ab
@@ -105,9 +105,10 @@ class TestFitEdge:
             fit_edge(corpus)
 
     def test_loss_recomputable_from_transform(self):
-        _g, _c, corpora, _ = chain_setup(sigma=0.1, nuisance=1, n=60)
+        _g, codecs, corpora, sampler = chain_setup(sigma=0.1, nuisance=1, n=60)
         result = fit_edge(corpora[0])
-        residual = apply(result.transform, corpora[0].source_points) - corpora[0].target_points
+        pairs = corpus_pairs(corpora[0], codecs, sampler)
+        residual = apply(result.transform, pairs[:, 0]) - pairs[:, 1]
         recomputed = float(np.mean(np.sum(residual**2, axis=1)))
         assert abs(recomputed - result.empirical_loss) <= 1e-10
 
@@ -117,14 +118,14 @@ class TestFitEdge:
     def test_fit_matches_the_out_of_place_formula(self, kwargs):
         # The maps bit for bit; the loss is tr(M^T G M) / n, M = [A^T; c^T; -I],
         # on the out-of-place Gram, and the points' mean squared residual.
-        _g, _c, corpora, _ = chain_setup(**kwargs)
+        _g, codecs, corpora, sampler = chain_setup(**kwargs)
         for corpus in corpora:
             result = fit_edge(corpus)
-            transform, residual_loss = out_of_place_fit_edge(corpus)
+            pairs = corpus_pairs(corpus, codecs, sampler)
+            transform, residual_loss = out_of_place_fit_edge(pairs)
             assert np.array_equal(result.transform.linear, transform.linear)
             assert np.array_equal(result.transform.offset, transform.offset)
-            x, y = corpus.source_points, corpus.target_points
-            stacked = np.hstack([x, np.ones((corpus.n, 1)), y])
+            stacked = np.hstack([pairs[:, 0], np.ones((corpus.n, 1)), pairs[:, 1]])
             m = np.vstack([transform.linear.T, transform.offset, -np.eye(corpus.dim)])
             gram_loss = np.trace(m.T @ (stacked.T @ stacked) @ m) / corpus.n
             assert result.empirical_loss == pytest.approx(gram_loss, rel=1e-12, abs=1e-14)
@@ -174,9 +175,10 @@ class TestFitEdge:
         assert_same_bits(out, np.sum(a, axis=-1))
 
     def test_first_order_optimality(self):
-        _g, _c, corpora, _ = chain_setup(sigma=0.1, nuisance=1, n=60, seed=3)
+        _g, codecs, corpora, sampler = chain_setup(sigma=0.1, nuisance=1, n=60, seed=3)
         corpus = corpora[0]
         result = fit_edge(corpus)
+        pairs = corpus_pairs(corpus, codecs, sampler)
         rng = np.random.default_rng(0)
         d = corpus.dim
         for _ in range(20):
@@ -184,7 +186,7 @@ class TestFitEdge:
                 result.transform.linear + 1e-4 * rng.standard_normal((d, d)),
                 result.transform.offset + 1e-4 * rng.standard_normal(d),
             )
-            residual = apply(perturbed, corpus.source_points) - corpus.target_points
+            residual = apply(perturbed, pairs[:, 0]) - pairs[:, 1]
             loss = float(np.mean(np.sum(residual**2, axis=1)))
             assert loss >= result.empirical_loss - 1e-15
 
@@ -224,7 +226,7 @@ class TestFitEdge:
 
 
 class TestStackedFit:
-    """T corpora's rows fitted as one stack against T ``fit_edge`` calls."""
+    """T corpora's Grams fitted as one stack against T ``fit_edge`` calls."""
 
     @pytest.mark.parametrize(
         "d, nuisance, sigma, n", [(1, 1, 0.05, 32), (3, 1, 0.1, 200), (2, 0, 0.0, 9)]
@@ -233,13 +235,14 @@ class TestStackedFit:
         spec = FunctionClassSpec(d)
         codecs = dict(zip("AB", sample_randomized_codecs(spec, 2, nuisance, sigma, 5)))
         sampler = LatentSampler(d, 1.0, 5)
-        rows = generate_rows(("A", "B"), codecs, n, sampler, range(6))
-        maps, losses, grams = fit_rows(rows)
+        corpora = [randomized_generate(("A", "B"), codecs, n, sampler, t) for t in range(6)]
+        grams = np.stack([corpus.gram for corpus in corpora])
+        maps, losses = fit_gram(grams, n, lambda: 1.0)
         assert maps.linear.shape == (6, d + nuisance, d + nuisance) and len(losses) == 6
-        for t in range(6):
-            want = fit_edge(AlignedCorpus(("A", "B"), rows[t], {}))
-            assert_same_bits(grams[t], want.gram)
-            assert_same_bits(want.gram, rows[t].T @ rows[t])
+        for t, corpus in enumerate(corpora):
+            want = fit_edge(corpus)
+            rows = rows_of_pairs(corpus_pairs(corpus, codecs, sampler))
+            assert_same_bits(want.gram, rows.T @ rows)
             got = maps[t]
             assert got.linear.tobytes() == want.transform.linear.tobytes()
             assert got.offset.tobytes() == want.transform.offset.tobytes()
@@ -251,21 +254,21 @@ class TestStackedFit:
         rng = np.random.default_rng(11)
         pairs = rng.standard_normal((3, 40, 2, 2))
         pairs[1, :, 0, 1] = 0.0  # corpus 1's second source coordinate never varies
-        maps, _losses, _grams = fit_rows(rows_of_pairs(pairs))
-        for t in range(3):
-            corpus = corpus_of_pairs(pairs[t])
+        corpora = [corpus_of_pairs(pairs[t]) for t in range(3)]
+        maps, _losses = fit_gram(np.stack([c.gram for c in corpora]), 40, lambda: 1.0)
+        for t, corpus in enumerate(corpora):
             alone = fit_edge(corpus).transform
             assert maps[t].linear.tobytes() == alone.linear.tobytes()
             assert maps[t].offset.tobytes() == alone.offset.tobytes()
-            ridged, _ = out_of_place_fit_edge(corpus, ridge=trainer.RIDGE)
+            ridged, _ = out_of_place_fit_edge(pairs[t], ridge=trainer.RIDGE)
             assert np.array_equal(maps[t].linear, ridged.linear)
             if t != 1:
-                plain, _ = out_of_place_fit_edge(corpus, ridge=0.0)
+                plain, _ = out_of_place_fit_edge(pairs[t], ridge=0.0)
                 assert np.array_equal(maps[t].linear, plain.linear)
                 assert np.array_equal(maps[t].offset, plain.offset)
         # Without the ridge corpus 1's normal equations are singular.
         with pytest.raises(np.linalg.LinAlgError):
-            out_of_place_fit_edge(corpus_of_pairs(pairs[1]), ridge=0.0)
+            out_of_place_fit_edge(pairs[1], ridge=0.0)
         assert np.all(maps.linear[1][:, 1] == 0.0)
 
 
@@ -313,13 +316,13 @@ class TestJointFit:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_the_bottom_generalized_eigenvectors_of_the_pencil(self, seed):
-        graph, _codecs, corpora, _ = chain_setup(
+        graph, codecs, corpora, sampler = chain_setup(
             n_langs=5, d=2, sigma=0.05, nuisance=1, n=60, seed=seed,
             extra_edges=(("L0", "L3"),),
         )
         fit = self.fit(corpora)
         langs = sorted(graph.languages)
-        q, b = pencil(corpora, langs)
+        q, b = pencil(corpora, langs, codecs, sampler)
         e = np.hstack([fit.estimate.encoder(lang).linear for lang in langs])
         # normalisation, objective and the eigenvalues of an independent solver
         assert np.abs(e @ b @ e.T - np.eye(2)).max() <= 1e-9
@@ -329,13 +332,13 @@ class TestJointFit:
         assert fit.gap == pytest.approx(reference[2] / max(reference[1], trainer.EIG_FLOOR))
 
     def test_decoder_is_the_pooled_regression(self):
-        graph, _codecs, corpora, _ = chain_setup(
+        graph, codecs, corpora, sampler = chain_setup(
             n_langs=4, d=2, sigma=0.1, nuisance=1, n=50, seed=5, extra_edges=(("L0", "L2"),)
         )
         estimate = self.fit(corpora).estimate
         for lang in graph.languages:
             x = np.vstack([
-                c.source_points if c.edge[0] == lang else c.target_points
+                corpus_pairs(c, codecs, sampler)[:, c.edge.index(lang)]
                 for c in corpora if lang in c.edge
             ])
             z = apply(estimate.encoder(lang), x)
@@ -346,13 +349,14 @@ class TestJointFit:
             assert np.abs(dec.offset - theta[2]).max() <= 1e-9
 
     def test_edge_losses_are_the_row_form_losses(self):
-        _graph, _codecs, corpora, _ = chain_setup(
+        _graph, codecs, corpora, sampler = chain_setup(
             n_langs=4, sigma=0.05, nuisance=1, n=70, seed=8, extra_edges=(("L1", "L3"),)
         )
         fit = self.fit(corpora)
         assert list(fit.edge_losses) == [c.edge for c in corpora]
         for corpus in corpora:
-            row_form = empirical_edge_loss(fit.estimate, corpus)
+            pairs = corpus_pairs(corpus, codecs, sampler)
+            row_form = empirical_edge_loss(fit.estimate, corpus.edge, pairs)
             assert fit.edge_losses[corpus.edge] == pytest.approx(row_form, rel=1e-9)
             assert row_form >= fit_edge(corpus).empirical_loss - 1e-12  # the edge's own floor
         assert fit.objective == sum(fit.edge_losses.values())
@@ -361,15 +365,16 @@ class TestJointFit:
         # on a tree the latent means of each edge's two sides agree exactly; on
         # a cycle the gaps left over are orthogonal to the incidence matrix
         for extra in ((), (("L0", "L3"),)):
-            graph, _codecs, corpora, _ = chain_setup(
+            graph, codecs, corpora, sampler = chain_setup(
                 n_langs=4, sigma=0.05, nuisance=1, n=50, seed=9, extra_edges=extra
             )
             estimate = self.fit(corpora).estimate
             residual = {lang: np.zeros(3) for lang in graph.languages}
             for corpus in corpora:
                 a, b = corpus.edge
-                gap = (apply(estimate.encoder(a), corpus.source_points).mean(axis=0)
-                       - apply(estimate.encoder(b), corpus.target_points).mean(axis=0))
+                pairs = corpus_pairs(corpus, codecs, sampler)
+                gap = (apply(estimate.encoder(a), pairs[:, 0]).mean(axis=0)
+                       - apply(estimate.encoder(b), pairs[:, 1]).mean(axis=0))
                 if not extra:
                     assert np.abs(gap).max() <= 1e-12
                 residual[a] += gap
@@ -496,29 +501,31 @@ class TestEncoderEstimate:
 
 class TestEmpiricalEdgeLoss:
     def test_truth_estimate_fits_noiseless_corpora(self):
-        _graph, codecs, corpora, _ = chain_setup()
+        _graph, codecs, corpora, sampler = chain_setup()
         estimate = truth_estimate(codecs)
         for corpus in corpora:
-            assert empirical_edge_loss(estimate, corpus) <= 1e-12
+            pairs = corpus_pairs(corpus, codecs, sampler)
+            assert empirical_edge_loss(estimate, corpus.edge, pairs) <= 1e-12
 
     def test_identity_encoders_measure_pair_gap(self):
-        _graph, _codecs, corpora, _ = chain_setup()
+        _graph, codecs, corpora, sampler = chain_setup()
         corpus = corpora[0]
+        pairs = corpus_pairs(corpus, codecs, sampler)
         identity = AffineMap(np.eye(3), np.zeros(3))
         estimate = EncoderEstimate(dict.fromkeys(("L0", "L1"), identity), dict.fromkeys(("L0", "L1"), identity))
-        expected = float(
-            np.mean(np.sum((corpus.source_points - corpus.target_points) ** 2, axis=1))
-        )
-        assert empirical_edge_loss(estimate, corpus) == pytest.approx(expected, abs=1e-12)
+        expected = float(np.mean(np.sum((pairs[:, 0] - pairs[:, 1]) ** 2, axis=1)))
+        loss = empirical_edge_loss(estimate, corpus.edge, pairs)
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_gauge_invariance(self):
-        _graph, _codecs, corpora, _ = chain_setup(n_langs=3, sigma=0.05, nuisance=1)
+        _graph, codecs, corpora, sampler = chain_setup(n_langs=3, sigma=0.05, nuisance=1)
         estimate = joint_estimate(corpora)
         f = AffineMap(np.diag([1.1, 0.9, 1.05]), np.array([0.1, 0, -0.1]))
         transformed = with_gauge(estimate, f)
         for corpus in corpora:
-            a = empirical_edge_loss(estimate, corpus)
-            b = empirical_edge_loss(transformed, corpus)
+            pairs = corpus_pairs(corpus, codecs, sampler)
+            a = empirical_edge_loss(estimate, corpus.edge, pairs)
+            b = empirical_edge_loss(transformed, corpus.edge, pairs)
             assert abs(a - b) <= 1e-9
 
 
@@ -531,7 +538,8 @@ def test_trace_targets_of_trainer_and_affine_resolve():
     owner's ``__mro__``, so a deleted ``__call__`` does not resolve to the
     metaclass's ``type.__call__``. The only unresolved targets are names the
     trace table still lists but the package no longer defines: three stale
-    ``generative`` names; the TV and pushforward of ``distributions``, the
+    ``generative`` names; ``io.save_corpus``, which ``io.write_corpus``
+    replaced; the TV and pushforward of ``distributions``, the
     point map of ``AffineMap`` and the row-form edge losses of ``trainer``,
     which ``tests/helpers.py`` holds now; ``AffineMap.smallest_gain``,
     which is ``singular_values[..., -1]``; and the spanning-tree anchoring
@@ -563,6 +571,7 @@ def test_trace_targets_of_trainer_and_affine_resolve():
         "translab.generative.AffineCodec.decode",
         "translab.generative.generate_corpus",
         "translab.generative.sample_ground_truth_codecs",
+        "translab.io.save_corpus",
         "translab.trainer.anchor_spanning_tree",
         "translab.trainer.empirical_edge_loss",
         "translab.trainer.joint_refine",

@@ -13,7 +13,8 @@ neither side. A gain is shown when the change wins at least 9/10 of the pairs
 and the medians differ, in its favour, by more than the distance between the
 parent's quartiles. Each metric also gets a no-regression verdict against the
 relative bound ``BENCHMARK.json`` gives it (see ``verdict``). The failed share
-of operations is printed per side.
+of operations is printed per side, and so is each checkout's ``src/`` line
+count, as ``bench/run.py`` records it (see ``src_lines``).
 A run that exits nonzero stops the tool with its stderr. The checkouts'
 files are only read; each run writes its results to that checkout's
 ``.bench_out/``, and no bytecode. A checkout whose ``src/`` or ``bench/``
@@ -40,6 +41,12 @@ SOURCES = ("src", "bench")
 def bytecode_dirs(checkout: Path) -> list[Path]:
     """The ``__pycache__`` directories under the checkout's ``SOURCES``, sorted."""
     return sorted(path for name in SOURCES for path in (checkout / name).rglob("__pycache__"))
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/**/*.py``, as ``bench/run.py``'s ``metadata()`` counts."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((checkout / "src").rglob("*.py")))
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -135,6 +142,9 @@ def main(argv=None) -> int:
               f" bound {bounds[name]:g}: {verdict(parent, change, better, bounds[name])}")
     for side in sides:
         print(f"{side} failed share: max {max(failed[side]):.4g}")
+    lines = {side: src_lines(checkout) for side, checkout in sides.items()}
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']}"
+          f" ({lines['change'] - lines['parent']:+d})")
     return 0
 
 
